@@ -53,43 +53,6 @@ def scenario_cache() -> ScenarioCache:
     return ScenarioCache()
 
 
-# -- performance-regression wiring (see benchmarks/regression.py) -----------
-#
-# ``python -m repro bench --quick`` is the command-line smoke target; the
-# fixtures below expose the same machinery to the in-process guard test
-# (test_bench_regression_guard.py) so that a >tolerance drop of the
-# batched engine's speedup on the micro benches fails the benchmark suite
-# loudly.  The tolerance can be widened on very noisy CI hosts via
-# REPRO_BENCH_TOLERANCE.
-
-import os
-from pathlib import Path
-
-from repro import bench as bench_harness
-
-
-@pytest.fixture(scope="session")
-def bench_tolerance() -> float:
-    return float(os.environ.get("REPRO_BENCH_TOLERANCE", bench_harness.DEFAULT_TOLERANCE))
-
-
-@pytest.fixture(scope="session")
-def bench_baseline():
-    """The committed BENCH_seed.json baseline, or None if absent."""
-    path = Path(__file__).parent / "BENCH_seed.json"
-    if not path.exists():
-        return None
-    return bench_harness.load_report(path)
-
-
-@pytest.fixture(scope="session")
-def quick_bench_report():
-    """One shared quick-suite run for every guard assertion."""
-    return bench_harness.run_suite(
-        bench_harness.QUICK_CASES, label="quick", repeats=3
-    )
-
-
 def print_section(title: str) -> None:
     print()
     print("=" * 78)

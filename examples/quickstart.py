@@ -20,8 +20,6 @@ Going further:
   in worker processes, ``smartmem run shard:nodes=4 --shards auto``) —
   see README.md "Architecture: Node and Cluster layers" / "Sharded
   execution" and :func:`repro.cluster.run_scenario_sharded`.
-* The ``relaxed`` access engine for throughput-over-bit-identity runs —
-  see PERFORMANCE.md "The relaxed engine and aggregate pinning".
 """
 
 from __future__ import annotations

@@ -31,12 +31,6 @@ addressed with the same ``name:key=value`` syntax as policies::
 
     smartmem sweep --scenario many-vms:n=8 --scenario churn --scale 0.25
 
-Run the micro-benchmark suite and compare against the recorded
-performance baseline (see PERFORMANCE.md)::
-
-    smartmem bench
-    smartmem bench --quick
-
 Run a sweep distributed over remote workers: start the lease-based job
 queue on one host, attach any number of workers (machines may join and
 leave mid-sweep; leases expire and retry), and let the server dedupe
@@ -82,6 +76,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="SmarTmem reproduction: run tmem-policy scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_shard_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--shards", type=str, default=None, metavar="N|auto",
+            help="run cluster scenarios sharded: one engine per node "
+                 "group in worker processes ('auto' = one per node, "
+                 "capped at the CPU count; the process sweep backend "
+                 "runs them inline in each pool worker).  Results are "
+                 "bit-identical to the shared engine; coupled topologies "
+                 "(spill, coordinator, contention, failures, migrations) "
+                 "fall back to one exact worker",
+        )
+        p.add_argument(
+            "--cluster-engine", choices=("exact", "epoch"), default="exact",
+            help="cluster execution engine for sharded runs: 'exact' "
+                 "(default; bit-identical to the shared engine) or 'epoch' "
+                 "(conservative lookahead windows — runs coupled topologies "
+                 "in parallel; deterministic and shard-count invariant but "
+                 "not bit-identical to 'exact')",
+        )
 
     run_p = sub.add_parser("run", help="run a scenario under one or more policies")
     run_p.add_argument(
@@ -152,23 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
              "statistics tick (page/capacity conservation, "
              "owner-holder liveness); fails loudly on violation",
     )
-    run_p.add_argument(
-        "--shards", type=str, default=None, metavar="N|auto",
-        help="run the cluster sharded: one engine per node group in "
-             "worker processes ('auto' = one per node, capped at the "
-             "CPU count).  Results are bit-identical to the shared "
-             "engine; coupled topologies (spill, coordinator, "
-             "contention, failures, migrations) fall back to one exact "
-             "worker",
-    )
-    run_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default="exact",
-        help="cluster execution engine for sharded runs: 'exact' "
-             "(default; bit-identical to the shared engine) or 'epoch' "
-             "(conservative lookahead windows — runs coupled topologies "
-             "in parallel; deterministic and shard-count invariant but "
-             "not bit-identical to 'exact')",
-    )
+    add_shard_flags(run_p)
     run_p.add_argument("--traces", action="store_true",
                        help="also print per-VM tmem usage traces")
     run_p.add_argument("--fairness", action="store_true",
@@ -232,19 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--num-workers", type=int, default=2,
                          help="local worker threads for --backend remote "
                               "(default 2)")
-    sweep_p.add_argument(
-        "--shards", type=str, default=None, metavar="N|auto",
-        help="shard cluster points across engine workers (serial "
-             "backend: real processes; process backend: inline within "
-             "each pool worker).  Fingerprints are identical either "
-             "way",
-    )
-    sweep_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default="exact",
-        help="cluster engine for sharded points: 'epoch' runs coupled "
-             "topologies in lookahead windows (deterministic, "
-             "shard-count invariant, not bit-identical to 'exact')",
-    )
+    add_shard_flags(sweep_p)
     sweep_p.add_argument("--results-dir", type=str, default="sweep-results",
                          help="directory for per-point result JSON files "
                               "(default: sweep-results)")
@@ -365,42 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables_p = sub.add_parser("tables", help="print Tables I and II")
     tables_p.add_argument("--scale", type=float, default=1.0)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suite and check for perf regressions",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="reduced smoke suite (fast; used by CI)")
-    bench_p.add_argument("--seed", type=int, default=None,
-                         help="simulation seed (default: the bench seed)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="runs per (case, engine); median wall-clock wins")
-    bench_p.add_argument("--output", type=str, default=".",
-                         help="directory for the BENCH_<label>.json result")
-    bench_p.add_argument("--label", type=str, default=None,
-                         help="result label (default: 'quick' or 'micro')")
-    bench_p.add_argument("--baseline", type=str, default=None,
-                         help="baseline BENCH_*.json to compare against "
-                              "(default: benchmarks/BENCH_seed.json)")
-    bench_p.add_argument("--tolerance", type=float, default=None,
-                         help="allowed relative speedup loss vs the baseline "
-                              "(default 0.20)")
-    bench_p.add_argument("--no-fail", action="store_true",
-                         help="report regressions without a non-zero exit")
-    bench_p.add_argument(
-        "--shards", type=str, default=None, metavar="N|auto",
-        help="override the shard setting of every cluster case (CI "
-             "sweeps 2- and 4-worker configurations with this)",
-    )
-    bench_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default=None,
-        help="override the cluster engine of every cluster case "
-             "(CI runs the coupled suite under 'epoch' with this)",
-    )
-    bench_p.add_argument("--profile", action="store_true",
-                         help="run the quick suite under cProfile and print "
-                              "the top-20 functions by cumulative time")
 
     return parser
 
@@ -1098,79 +1048,6 @@ def _cmd_worker(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_bench_profile(args: "argparse.Namespace") -> int:
-    """``smartmem bench --profile``: where does the bench time go?
-
-    Runs the quick suite once (batched engine only) under cProfile and
-    prints the top-20 functions by cumulative time, so perf PRs can cite
-    exactly which layer they attack.
-    """
-    import cProfile
-    import pstats
-
-    from . import bench
-
-    seed = args.seed if args.seed is not None else bench.BENCH_SEED
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for case in bench.QUICK_CASES:
-        bench._run_once(case.build_spec(), case.policy, "batched", seed)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("cumulative")
-    print("Top 20 functions by cumulative time (quick suite, batched engine):")
-    stats.print_stats(20)
-    return 0
-
-
-def _cmd_bench(args: "argparse.Namespace") -> int:
-    from pathlib import Path
-
-    from . import bench
-
-    if args.profile:
-        return _cmd_bench_profile(args)
-
-    cases = bench.QUICK_CASES if args.quick else bench.MICRO_CASES
-    label = args.label or ("quick" if args.quick else "micro")
-    seed = args.seed if args.seed is not None else bench.BENCH_SEED
-    tolerance = (
-        args.tolerance if args.tolerance is not None else bench.DEFAULT_TOLERANCE
-    )
-    print(f"running benchmark suite '{label}' ...", file=sys.stderr)
-    report = bench.run_suite(
-        cases,
-        label=label,
-        seed=seed,
-        repeats=args.repeats,
-        shards=args.shards,
-        cluster_engine=args.cluster_engine,
-    )
-
-    baseline = None
-    baseline_path = (
-        Path(args.baseline) if args.baseline else bench.DEFAULT_BASELINE
-    )
-    if baseline_path.exists():
-        baseline = bench.load_report(baseline_path)
-
-    print(bench.format_report(report, baseline=baseline))
-    path = bench.write_report(report, Path(args.output))
-    print(f"\nwrote {path}")
-
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    problems = bench.compare_reports(report, baseline, tolerance=tolerance)
-    if problems:
-        print("\nPERF REGRESSIONS DETECTED:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 0 if args.no_fail else 1
-    print(f"\nno regressions vs {baseline_path} (tolerance {tolerance:.0%})")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1186,8 +1063,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_trace_record(args)
     if args.command == "tables":
         return _cmd_tables(args.scale)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "serve":

@@ -97,16 +97,12 @@ class GuestConfig:
     resident_access_latency_s: float = 2.0e-8
     #: CPU cost of handling one major fault excluding the backing I/O.
     fault_overhead_s: float = 5.0e-6
-    #: Page-frame reclaim algorithm: "lru", "clock" or "clock-list".
+    #: Page-frame reclaim algorithm: "lru" or "clock".
     reclaim_algorithm: str = "lru"
     #: Burst-servicing engine of the guest kernel: "batched" classifies a
     #: whole access burst at once and issues batched tmem hypercalls;
     #: "scalar" is the page-at-a-time reference implementation.  Both
     #: produce bit-identical statistics, traces and scenario results.
-    #: "relaxed" additionally replays planned bursts with vectorized
-    #: latency math: all integer counters stay identical to "batched",
-    #: but float time accumulators may differ in the last units of
-    #: precision (deterministic, pinned separately; see PERFORMANCE.md).
     access_engine: str = "batched"
 
     def __post_init__(self) -> None:
@@ -119,14 +115,14 @@ class GuestConfig:
             "resident_access_latency_s", self.resident_access_latency_s
         )
         _require_non_negative("fault_overhead_s", self.fault_overhead_s)
-        if self.reclaim_algorithm not in ("lru", "clock", "clock-list"):
+        if self.reclaim_algorithm not in ("lru", "clock"):
             raise ConfigurationError(
                 f"unknown reclaim_algorithm {self.reclaim_algorithm!r}"
             )
-        if self.access_engine not in ("batched", "scalar", "relaxed"):
+        if self.access_engine not in ("batched", "scalar"):
             raise ConfigurationError(
                 f"unknown access_engine {self.access_engine!r}; "
-                "expected 'batched', 'scalar' or 'relaxed'"
+                "expected 'batched' or 'scalar'"
             )
 
 

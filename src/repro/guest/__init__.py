@@ -15,7 +15,7 @@ The guest side reproduces the parts of a Linux guest that matter to tmem:
 """
 
 from .addressing import SwapEntryAddresser
-from .pfra import LruReclaim, ClockReclaim, make_reclaimer
+from .pfra import LruReclaim, ClockArrayReclaim, make_reclaimer
 from .kernel import GuestKernel, AccessOutcome, GuestMemStats
 from .frontswap import FrontswapClient
 from .cleancache import CleancacheClient
@@ -26,7 +26,7 @@ from .vm import VirtualMachine, WorkloadRun
 __all__ = [
     "SwapEntryAddresser",
     "LruReclaim",
-    "ClockReclaim",
+    "ClockArrayReclaim",
     "make_reclaimer",
     "GuestKernel",
     "AccessOutcome",

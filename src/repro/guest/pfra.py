@@ -7,15 +7,13 @@ important to the tmem dynamics, but *recency-based* victim selection is:
 it determines which pages end up in tmem/swap and therefore which pages
 fault back in later.
 
-Three interchangeable reclaimers are provided:
+Two interchangeable reclaimers are provided:
 
 * :class:`LruReclaim` — strict least-recently-used ordering.
 * :class:`ClockArrayReclaim` — a second-chance (CLOCK) approximation of
   LRU backed by numpy arrays; ``touch_many``/``select_victims`` operate
   on whole batches, which is what the guest kernel's vectorized access
   path uses.
-* :class:`ClockReclaim` — the original list-based CLOCK implementation,
-  kept as the semantic reference for the array version.
 
 All operate on integer page numbers and are deliberately free of any
 tmem/swap knowledge: they only answer "which page should go next?".
@@ -41,7 +39,6 @@ from ..errors import ConfigurationError, GuestError
 __all__ = [
     "PageReclaimer",
     "LruReclaim",
-    "ClockReclaim",
     "ClockArrayReclaim",
     "make_reclaimer",
 ]
@@ -283,76 +280,13 @@ class LruReclaim(PageReclaimer):
         _consume(map(order.move_to_end, occurrences))
 
 
-class ClockReclaim(PageReclaimer):
-    """Second-chance (CLOCK) approximation of LRU.
-
-    Pages sit on a circular list with a reference bit.  The clock hand
-    sweeps the list; referenced pages get a second chance (bit cleared),
-    unreferenced pages are evicted.
-    """
-
-    def __init__(self) -> None:
-        self._ring: List[int] = []
-        self._referenced: Dict[int, bool] = {}
-        self._hand = 0
-
-    def touch(self, page: int) -> None:
-        if page not in self._referenced:
-            raise GuestError(f"touch() on non-resident page {page}")
-        self._referenced[page] = True
-
-    def insert(self, page: int) -> None:
-        if page in self._referenced:
-            raise GuestError(f"insert() on already-resident page {page}")
-        self._ring.append(page)
-        self._referenced[page] = True
-
-    def remove(self, page: int) -> None:
-        if page not in self._referenced:
-            raise GuestError(f"remove() on non-resident page {page}")
-        idx = self._ring.index(page)
-        self._ring.pop(idx)
-        if idx < self._hand:
-            self._hand -= 1
-        if self._hand >= len(self._ring):
-            self._hand = 0
-        del self._referenced[page]
-
-    def select_victim(self) -> int:
-        if not self._ring:
-            raise GuestError("select_victim() with no resident pages")
-        # Bounded sweep: after two full passes something must be evictable.
-        for _ in range(2 * len(self._ring) + 1):
-            if self._hand >= len(self._ring):
-                self._hand = 0
-            page = self._ring[self._hand]
-            if self._referenced[page]:
-                self._referenced[page] = False
-                self._hand += 1
-            else:
-                self._ring.pop(self._hand)
-                del self._referenced[page]
-                if self._hand >= len(self._ring):
-                    self._hand = 0
-                return page
-        raise GuestError("CLOCK sweep failed to find a victim")  # pragma: no cover
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._referenced
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def pages(self) -> Iterator[int]:
-        return iter(list(self._ring))
-
-
 class ClockArrayReclaim(PageReclaimer):
     """Array-backed second-chance (CLOCK) reclaimer.
 
-    Semantically identical to :class:`ClockReclaim` — same ring order,
-    same hand behaviour, same victim sequence — but backed by numpy
-    arrays so that batch operations are cheap:
+    Pages sit on a circular ring with a reference bit.  The clock hand
+    sweeps the ring; referenced pages get a second chance (bit cleared),
+    unreferenced pages are evicted.  The ring is backed by numpy arrays
+    so that batch operations are cheap:
 
     * ``touch_many`` sets a batch of reference bits with one fancy-index
       assignment;
@@ -361,8 +295,9 @@ class ClockArrayReclaim(PageReclaimer):
 
     Removed entries become tombstones (``alive`` bit cleared) and the
     arrays are compacted when at least half of the used region is dead,
-    so ``remove``/eviction are O(1) amortized rather than the O(n) list
-    splice of the reference implementation.
+    so ``remove``/eviction are O(1) amortized rather than an O(n) list
+    splice.  ``tests/test_pfra.py`` checks the victim sequence against a
+    list-based reference implementation.
     """
 
     _INITIAL_CAPACITY = 64
@@ -533,6 +468,4 @@ def make_reclaimer(algorithm: str) -> PageReclaimer:
         return LruReclaim()
     if algorithm == "clock":
         return ClockArrayReclaim()
-    if algorithm == "clock-list":
-        return ClockReclaim()
     raise ConfigurationError(f"unknown reclaim algorithm {algorithm!r}")

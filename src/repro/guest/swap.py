@@ -89,32 +89,3 @@ class SwapArea:
             self._slots.remove(page)
             return True
         return False
-
-    # -- bulk variants (relaxed guest engine) ----------------------------------
-    def store_many(self, pages: list[int]) -> None:
-        """Bulk :meth:`store`; identical counters for the same pages."""
-        slots = self._slots
-        before = len(slots)
-        slots.update(pages)
-        used = len(slots)
-        if used > self._capacity:
-            raise SwapError(
-                f"swap area full ({self._capacity} pages); guest would OOM"
-            )
-        stats = self.stats
-        stats.swap_outs += used - before
-        if used > stats.peak_used_pages:
-            stats.peak_used_pages = used
-
-    def load_many(self, pages: list[int]) -> None:
-        """Bulk :meth:`load` of *pages* (each must be a distinct slot)."""
-        slots = self._slots
-        if not slots.issuperset(pages):
-            missing = next(p for p in pages if p not in slots)
-            raise SwapError(f"page {missing} is not in the swap area")
-        slots.difference_update(pages)
-        self.stats.swap_ins += len(pages)
-
-    def discard_many(self, pages: list[int]) -> None:
-        """Bulk :meth:`discard` (no counters, like the scalar form)."""
-        self._slots.difference_update(pages)

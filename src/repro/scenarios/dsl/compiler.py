@@ -269,9 +269,9 @@ class _Compiler:
             mapping = self.expect_map(data["params"], "params")
             if mapping is not None:
                 for key, raw in mapping.items():
-                    value = self.expect_scalar(raw, f"params.{key}")
-                    if value is not None:
-                        params[key] = value
+                    # Every family parameter is numeric; ints stay ints.
+                    if self.expect_number(raw, f"params.{key}") is not None:
+                        params[key] = raw
                 if family is not None:
                     entry = registry[family]
                     accepts_kwargs = any(

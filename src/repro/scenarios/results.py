@@ -280,13 +280,13 @@ class ScenarioResult:
 
         The full :meth:`fingerprint` hashes every float time accumulator,
         so it distinguishes runs that differ in the last units of float
-        precision.  This weaker fingerprint hashes only what every guest
-        access engine must agree on exactly — the integer event counters
-        (faults, evictions, put accounting, peaks), the run/phase
-        structure, and the final value of every trace series — and is
-        therefore identical across ``batched``, ``scalar`` *and* the
-        vectorized ``relaxed`` engine, whose latency math reassociates
-        float sums (see GuestConfig.access_engine and PERFORMANCE.md).
+        precision.  This weaker fingerprint hashes only the integer event
+        counters (faults, evictions, put accounting, peaks), the
+        run/phase structure, and the final value of every trace series.
+        It is the determinism contract of the ``epoch`` cluster engine:
+        same seed and topology give the same aggregate fingerprint at
+        any shard count (pinned in
+        ``tests/data/scenario_fingerprints_epoch.json``).
         """
         vms: Dict[str, Any] = {}
         for name, vm in sorted(self.vms.items()):

@@ -6,17 +6,11 @@ nothing.  Usage::
 
     PYTHONPATH=src python tests/data/record_fingerprints.py
 
-Two files are written:
+Three files are written:
 
 * ``scenario_fingerprints.json`` — the full bit-exact
   ``ScenarioResult.fingerprint()`` of every (scenario, policy) pin
   point under the default (batched) guest engine.
-* ``scenario_fingerprints_relaxed.json`` — the
-  ``ScenarioResult.aggregate_fingerprint()`` of the same points.  The
-  aggregate hash covers only integer counters, run/phase structure and
-  end-of-run trace values, which every access engine — including the
-  float-reassociating ``relaxed`` one — must reproduce exactly; the
-  pin test re-runs these points under ``relaxed`` and compares.
 * ``scenario_fingerprints_epoch.json`` — the aggregate fingerprint of
   the coupled cluster pin points run under the **epoch** cluster engine
   (``cluster_engine="epoch"``, one inline shard).  Epoch results differ
@@ -24,6 +18,8 @@ Two files are written:
   effects), so they carry their own pins; the engine's contract makes
   them invariant across shard counts, so recording at one shard pins
   every shard configuration.
+* ``fault_fingerprints.json`` — the full fingerprint of the fault
+  scenarios under a subset of the paper policies.
 """
 
 from __future__ import annotations
@@ -77,7 +73,6 @@ FAULT_POLICIES = (
 
 def main() -> None:
     pins = {}
-    aggregate_pins = {}
     config = SimulationConfig(
         units=SCENARIO_UNITS, guest=GuestConfig(access_engine="batched")
     )
@@ -86,18 +81,10 @@ def main() -> None:
         for policy in PAPER_POLICIES:
             result = run_scenario(spec, policy, config=config, seed=2019)
             pins[f"{scenario}|{policy}"] = result.fingerprint()
-            aggregate_pins[f"{scenario}|{policy}"] = (
-                result.aggregate_fingerprint()
-            )
     here = Path(__file__).parent
     path = here / "scenario_fingerprints.json"
     path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {path}")
-    relaxed_path = here / "scenario_fingerprints_relaxed.json"
-    relaxed_path.write_text(
-        json.dumps(aggregate_pins, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {len(aggregate_pins)} aggregate pins to {relaxed_path}")
 
     epoch_pins = {}
     for scenario in EPOCH_SCENARIOS:

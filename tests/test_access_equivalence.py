@@ -195,34 +195,3 @@ class TestScenarioLevelEquivalence:
         batched, stats_b = run_usemem("greedy", "batched", reclaim="clock")
         assert stats_s == stats_b
         assert scalar.vms == batched.vms
-
-
-class TestRelaxedEngineAggregates:
-    """The vectorized ``relaxed`` engine's integer aggregates are exact.
-
-    ``relaxed`` reassociates the float latency sums of a miss burst (it
-    reduces them with numpy instead of accumulating left-to-right), so
-    its full fingerprints may differ in the last float ulps — but every
-    integer counter, the run/phase structure and every end-of-run trace
-    value must match the batched reference bit-for-bit.  That is exactly
-    what ``ScenarioResult.aggregate_fingerprint()`` hashes.
-    """
-
-    @settings(deadline=None, max_examples=5)
-    @given(
-        seed=st.integers(0, 10_000),
-        policy=st.sampled_from(["no-tmem", "greedy", "smart-alloc:P=2"]),
-    )
-    def test_aggregate_fingerprints_match_batched(self, seed, policy):
-        batched, _ = run_usemem(policy, "batched", seed=seed)
-        relaxed, _ = run_usemem(policy, "relaxed", seed=seed)
-        assert (
-            relaxed.aggregate_fingerprint() == batched.aggregate_fingerprint()
-        )
-
-    def test_aggregates_match_with_clock_reclaim(self):
-        batched, _ = run_usemem("greedy", "batched", reclaim="clock")
-        relaxed, _ = run_usemem("greedy", "relaxed", reclaim="clock")
-        assert (
-            relaxed.aggregate_fingerprint() == batched.aggregate_fingerprint()
-        )

@@ -22,6 +22,18 @@ class TestParser:
         )
         assert args.policies == ["greedy", "smart-alloc:P=6"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_shard_flag_defaults(self, command):
+        argv = [command, "scenario-1"] if command == "run" else [command]
+        args = build_parser().parse_args(argv)
+        assert args.shards is None
+        assert args.cluster_engine == "exact"
+
+    def test_bench_is_not_a_command(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_list_command(self, capsys):
@@ -162,36 +174,3 @@ class TestCommands:
         assert "dead-letter" in err and "no-such-policy" in err
         # The healthy point was still simulated and archived.
         assert len(list((tmp_path / "r").glob("*.json"))) == 1
-
-    def test_bench_command_writes_report(self, capsys, tmp_path):
-        code = main([
-            "bench", "--quick",
-            "--repeats", "1",
-            "--output", str(tmp_path),
-            "--baseline", str(tmp_path / "missing.json"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pages/s" in out
-        assert "speedup" in out
-        report = tmp_path / "BENCH_quick.json"
-        assert report.exists()
-        import json
-        data = json.loads(report.read_text())
-        assert data["speedups"]
-        assert all(r["pages_per_s"] > 0 for r in data["records"])
-
-    def test_bench_regression_detection(self, capsys, tmp_path):
-        import json
-        baseline = {
-            "label": "seed", "speedups": {"fig07-micro": 1000.0},
-        }
-        (tmp_path / "fake.json").write_text(json.dumps(baseline))
-        code = main([
-            "bench", "--quick",
-            "--repeats", "1",
-            "--output", str(tmp_path),
-            "--baseline", str(tmp_path / "fake.json"),
-        ])
-        assert code == 1
-        assert "PERF REGRESSIONS" in capsys.readouterr().out

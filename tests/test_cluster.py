@@ -151,6 +151,59 @@ class TestRemoteSpill:
             fingerprints[engine] = result.fingerprint()
         assert fingerprints["scalar"] == fingerprints["batched"]
 
+    def test_freeing_spilled_pages_flushes_the_remote_copies(self, tmp_path):
+        """A guest freeing pages it spilled to a peer flushes them there.
+
+        VM1 replays a trace that touches 768 pages (three times its RAM)
+        with a 64-page local pool, so most evictions spill to node2; the
+        last step frees every page.  The frees reach
+        ``RemoteTmemBackend.remote_flush`` through ``flush_page`` (scalar)
+        and the batched flush hypercall (batched).
+        """
+        import json
+
+        from repro.scenarios.dsl import compile_text
+        from repro.scenarios.runner import ScenarioRunner
+
+        pages = 768
+        steps = [{"pages": list(range(i, i + 32))} for i in range(0, pages, 32)]
+        steps.append({"pages": [], "frees": list(range(pages))})
+        trace = tmp_path / "fill-then-free.jsonl"
+        trace.write_text("".join(json.dumps(step) + "\n" for step in steps))
+        spec = compile_text(
+            f"""
+scenario: spill-then-free
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{{kind: trace, params: {{path: "{trace}"}}}}]
+  - name: VM2
+    ram_mb: 64
+    jobs: [{{kind: usemem, params: {{start_mb: 16, max_mb: 16}}}}]
+cluster:
+  remote_spill: true
+  nodes:
+    - {{name: node1, vms: [VM1], tmem_mb: 16}}
+    - {{name: node2, vms: [VM2], tmem_mb: 256}}
+"""
+        ).spec
+        fingerprints = {}
+        for engine in ("scalar", "batched"):
+            config = SimulationConfig(
+                units=SCENARIO_UNITS, guest=GuestConfig(access_engine=engine)
+            )
+            runner = ScenarioRunner(
+                spec, "greedy", config=config, seed=2019, check_invariants=True
+            )
+            result = runner.run()
+            node1 = result.cluster["nodes"]["node1"]
+            assert node1["spilled_puts"] > 0
+            assert node1["remote_flushes"] == node1["spilled_puts"]
+            assert runner.cluster.invariant_checker.checks_run > 0
+            fingerprints[engine] = result.fingerprint()
+        assert fingerprints["scalar"] == fingerprints["batched"]
+
     def test_spill_client_is_invisible_to_per_node_policies(self):
         """The spill pseudo-domain must not dilute policy target shares.
 

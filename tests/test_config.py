@@ -49,9 +49,10 @@ class TestGuestConfig:
     def test_accepts_clock(self):
         assert GuestConfig(reclaim_algorithm="clock").reclaim_algorithm == "clock"
 
-    def test_accepts_clock_list(self):
-        config = GuestConfig(reclaim_algorithm="clock-list")
-        assert config.reclaim_algorithm == "clock-list"
+    def test_rejects_clock_list(self):
+        # The list-based CLOCK is a test-only reference (tests/test_pfra.py).
+        with pytest.raises(ConfigurationError):
+            GuestConfig(reclaim_algorithm="clock-list")
 
     def test_default_access_engine_is_batched(self):
         assert GuestConfig().access_engine == "batched"
@@ -60,8 +61,9 @@ class TestGuestConfig:
         assert GuestConfig(access_engine="scalar").access_engine == "scalar"
 
     def test_rejects_unknown_access_engine(self):
-        with pytest.raises(ConfigurationError):
-            GuestConfig(access_engine="turbo")
+        for engine in ("turbo", "relaxed"):
+            with pytest.raises(ConfigurationError):
+                GuestConfig(access_engine=engine)
 
 
 class TestSamplingConfig:

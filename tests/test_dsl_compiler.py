@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios.dsl import DslError, compile_file, compile_text
+from repro.scenarios.dsl import DslError, compile_file, compile_text, lint_text
 from repro.scenarios.library import scenario_by_name
 from repro.scenarios.registry import paper_scenario_names
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import PhaseTrigger, ScenarioSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO_ROOT / "examples" / "dsl"
@@ -129,6 +129,54 @@ vms:
 """
         )
         assert compiled.spec.vms[0].name == "123"
+
+
+#: Two usemem VMs for the trigger documents below.
+TWO_VMS = """
+scenario: triggered
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 32, max_mb: 64}}]
+  - name: VM2
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 32, max_mb: 64}}]
+"""
+
+
+class TestTriggers:
+    def test_start_and_stop_triggers(self):
+        compiled = compile_text(
+            TWO_VMS
+            + """triggers:
+  - {watch_vm: VM1, phase_prefix: alloc, start_vm: VM2}
+stop_trigger: {watch_vm: VM2, phase_prefix: free}
+"""
+        )
+        assert compiled.spec.phase_triggers == (
+            PhaseTrigger(watch_vm="VM1", phase_prefix="alloc", start_vm="VM2"),
+        )
+        assert compiled.spec.stop_trigger == PhaseTrigger(
+            watch_vm="VM2", phase_prefix="free"
+        )
+
+    def test_bad_triggers_get_positioned_diagnostics(self):
+        diags = lint_text(
+            TWO_VMS
+            + """triggers:
+  - {watch_vm: VM1, phase_prefix: alloc}
+  - {watch_vm: VM3, phase_prefix: alloc, start_vm: VM2}
+"""
+        )
+        assert [(d.path, d.line, d.message) for d in diags] == [
+            ("triggers[0]", 12, "trigger needs a 'start_vm'"),
+            (
+                "triggers[1].watch_vm",
+                13,
+                "trigger watch_vm 'VM3' is not a declared VM; did you mean 'VM2'?",
+            ),
+        ]
 
 
 class TestErrors:

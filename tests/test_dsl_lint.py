@@ -7,7 +7,9 @@ position, and warnings are advisory (feasible but suspicious schedules).
 
 from pathlib import Path
 
-from repro.scenarios.dsl import Diagnostic, lint_file, lint_text
+import pytest
+
+from repro.scenarios.dsl import DslError, Diagnostic, compile_text, lint_file, lint_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO_ROOT / "examples" / "dsl"
@@ -63,6 +65,27 @@ vms:
         assert diag.path == "vms[0].jobs[0].params.start_mbb"
         assert diag.line == 8
         assert "did you mean 'start_mb'" in diag.message
+
+    @pytest.mark.parametrize("family,key", [("many-vms", "n"), ("bursty", "spikes")])
+    def test_non_numeric_family_param(self, family, key):
+        text = f"family: {family}\nparams:\n  {key}: x\n"
+        (diag,) = errors(lint_text(text))
+        assert diag.path == f"params.{key}"
+        assert (diag.line, diag.column) == (3, 3)
+        assert diag.message == "expected a number, got 'x'"
+        with pytest.raises(DslError):
+            compile_text(text)
+
+    def test_cli_reports_non_numeric_family_param(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.yml"
+        path.write_text("family: many-vms\nparams: {n: x}\n")
+        assert main(["lint", str(path)]) == 1
+        assert main(["compile", str(path)]) == 1
+        captured = capsys.readouterr()
+        line = f"{path}:2:10: error: expected a number, got 'x' (at params.n)"
+        assert line in captured.out and line in captured.err
 
     def test_format_renders_file_line_col(self):
         diag = Diagnostic(

@@ -27,9 +27,6 @@ from repro.scenarios.registry import scenario_by_name
 from repro.scenarios.runner import run_scenario
 
 PIN_PATH = Path(__file__).parent / "data" / "scenario_fingerprints.json"
-RELAXED_PIN_PATH = (
-    Path(__file__).parent / "data" / "scenario_fingerprints_relaxed.json"
-)
 PIN_SCALE = 0.1
 PIN_SEED = 2019
 PIN_SCENARIOS = (
@@ -71,57 +68,6 @@ def test_fingerprints_match_pins(pins, scenario):
         f"{scenario}: fingerprints diverged from the pre-overhaul pins "
         f"under {mismatched} — the engine/planner changes are no longer "
         "bit-identical"
-    )
-
-
-@pytest.fixture(scope="module")
-def aggregate_pins() -> dict:
-    assert RELAXED_PIN_PATH.exists(), (
-        f"{RELAXED_PIN_PATH} is missing; record it with "
-        "PYTHONPATH=src python tests/data/record_fingerprints.py"
-    )
-    return json.loads(RELAXED_PIN_PATH.read_text())
-
-
-def test_aggregate_pin_file_covers_every_combination(aggregate_pins):
-    expected = {
-        f"{scenario}|{policy}"
-        for scenario in PIN_SCENARIOS
-        for policy in PAPER_POLICIES
-    }
-    assert expected == set(aggregate_pins)
-
-
-@pytest.mark.parametrize("scenario", PIN_SCENARIOS)
-def test_relaxed_engine_matches_aggregate_pins(aggregate_pins, scenario):
-    """The relaxed engine's integer aggregates are pinned.
-
-    The aggregate pins were recorded from *batched* runs, so this test
-    simultaneously checks (a) the relaxed engine agrees with batched on
-    every counter, run/phase structure and end-of-run trace value, and
-    (b) those aggregates have not drifted since the pins were recorded.
-    Only the float time accumulators (hashed by the full fingerprint)
-    are allowed to differ under ``access_engine="relaxed"``.
-    """
-    from repro.config import GuestConfig, SimulationConfig
-    from repro.units import SCENARIO_UNITS
-
-    config = SimulationConfig(
-        units=SCENARIO_UNITS, guest=GuestConfig(access_engine="relaxed")
-    )
-    spec = scenario_by_name(scenario, scale=PIN_SCALE)
-    mismatched = []
-    for policy in PAPER_POLICIES:
-        result = run_scenario(spec, policy, config=config, seed=PIN_SEED)
-        if (
-            result.aggregate_fingerprint()
-            != aggregate_pins[f"{scenario}|{policy}"]
-        ):
-            mismatched.append(policy)
-    assert not mismatched, (
-        f"{scenario}: relaxed-engine aggregates diverged from the batched "
-        f"pins under {mismatched} — the relaxed replay changed an integer "
-        "counter or an end-of-run trace value, not just float latency sums"
     )
 
 

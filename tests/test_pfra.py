@@ -1,26 +1,98 @@
 """Tests for the page-frame reclaim algorithms (LRU and CLOCK)."""
 
+from typing import Dict, Iterator, List
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError, GuestError
 from repro.guest.pfra import (
     ClockArrayReclaim,
-    ClockReclaim,
     LruReclaim,
+    PageReclaimer,
     make_reclaimer,
 )
 
 
+class ClockReclaim(PageReclaimer):
+    """List-based second-chance (CLOCK): the reference for ClockArrayReclaim.
+
+    Pages sit on a circular list with a reference bit.  The clock hand
+    sweeps the list; referenced pages get a second chance (bit cleared),
+    unreferenced pages are evicted.  ``clock-list`` in the fixtures below.
+    """
+
+    def __init__(self) -> None:
+        self._ring: List[int] = []
+        self._referenced: Dict[int, bool] = {}
+        self._hand = 0
+
+    def touch(self, page: int) -> None:
+        if page not in self._referenced:
+            raise GuestError(f"touch() on non-resident page {page}")
+        self._referenced[page] = True
+
+    def insert(self, page: int) -> None:
+        if page in self._referenced:
+            raise GuestError(f"insert() on already-resident page {page}")
+        self._ring.append(page)
+        self._referenced[page] = True
+
+    def remove(self, page: int) -> None:
+        if page not in self._referenced:
+            raise GuestError(f"remove() on non-resident page {page}")
+        idx = self._ring.index(page)
+        self._ring.pop(idx)
+        if idx < self._hand:
+            self._hand -= 1
+        if self._hand >= len(self._ring):
+            self._hand = 0
+        del self._referenced[page]
+
+    def select_victim(self) -> int:
+        if not self._ring:
+            raise GuestError("select_victim() with no resident pages")
+        # Bounded sweep: after two full passes something must be evictable.
+        for _ in range(2 * len(self._ring) + 1):
+            if self._hand >= len(self._ring):
+                self._hand = 0
+            page = self._ring[self._hand]
+            if self._referenced[page]:
+                self._referenced[page] = False
+                self._hand += 1
+            else:
+                self._ring.pop(self._hand)
+                del self._referenced[page]
+                if self._hand >= len(self._ring):
+                    self._hand = 0
+                return page
+        raise GuestError("CLOCK sweep failed to find a victim")  # pragma: no cover
+
+    def __contains__(self, page: int) -> bool:
+        return page in self._referenced
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def pages(self) -> Iterator[int]:
+        return iter(list(self._ring))
+
+
+def _make(algorithm):
+    return ClockReclaim() if algorithm == "clock-list" else make_reclaimer(algorithm)
+
+
 @pytest.fixture(params=["lru", "clock", "clock-list"])
 def reclaimer(request):
-    return make_reclaimer(request.param)
+    return _make(request.param)
 
 
 class TestCommonBehaviour:
     def test_factory_rejects_unknown_algorithm(self):
-        with pytest.raises(ConfigurationError):
-            make_reclaimer("arc")
+        # "clock-list" is the test-only reference above, not a factory value.
+        for algorithm in ("arc", "clock-list"):
+            with pytest.raises(ConfigurationError):
+                make_reclaimer(algorithm)
 
     def test_insert_and_contains(self, reclaimer):
         reclaimer.insert(1)
@@ -117,7 +189,7 @@ class TestClockBehaviour:
 )
 def test_resident_set_is_always_consistent(algorithm, ops):
     """Property: the tracker's size always equals its distinct resident pages."""
-    reclaimer = make_reclaimer(algorithm)
+    reclaimer = _make(algorithm)
     resident = set()
     for op, page in ops:
         if op == "insert" and page not in resident:
