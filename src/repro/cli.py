@@ -59,12 +59,12 @@ from .analysis.metrics import mean_fairness
 from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
 from .core.coordinator import coordinator_spec_syntax
-from .core.policy import available_policies, policy_spec_syntax
-from .errors import ClusterError
+from .core.policy import available_policies, create_policy, policy_spec_syntax
+from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios, scenario_by_name
 from .scenarios.registry import paper_scenario_names, registered_scenarios
 from .scenarios.results import ScenarioResult
-from .scenarios.runner import run_scenario
+from .scenarios.runner import NO_TMEM_POLICY, run_scenario
 from .workloads.registry import available_workload_kinds
 
 __all__ = ["main", "build_parser"]
@@ -634,7 +634,20 @@ def _cmd_run(
         if seed is None:
             seed = compiled.seed
     else:
-        spec = scenario_by_name(scenario, scale=scale)
+        try:
+            spec = scenario_by_name(scenario, scale=scale)
+        except ScenarioError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+    selected = policies if policies else list(PAPER_POLICIES)
+    try:
+        # Build each policy once, so a bad spec fails before any run starts.
+        for policy in selected:
+            if policy != NO_TMEM_POLICY:
+                create_policy(policy)
+    except PolicyError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if seed is None:
         seed = 2019
     if nodes < 1:
@@ -724,7 +737,6 @@ def _cmd_run(
         except ClusterError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    selected = policies if policies else list(PAPER_POLICIES)
 
     results: Dict[str, ScenarioResult] = {}
     for policy in selected:
@@ -817,7 +829,13 @@ def _cmd_run(
 
 
 def _sweep_spec_from_args(args: "argparse.Namespace"):
-    """Build the SweepSpec shared by ``sweep`` and ``serve`` (None = bad args)."""
+    """Build the SweepSpec shared by ``sweep`` and ``serve`` (None = bad args).
+
+    Every scenario and scale is resolved here, before any point runs, so
+    bad input is one line on stderr rather than a traceback.  Policies
+    are built per point: a point whose policy fails is the remote
+    backend's dead-letter case, reported without stopping the sweep.
+    """
     from .experiments import SweepSpec
 
     scenarios = tuple(args.scenarios) if args.scenarios else paper_scenario_names()
@@ -830,9 +848,17 @@ def _sweep_spec_from_args(args: "argparse.Namespace"):
             return None
         seeds = tuple(range(args.seed_base, args.seed_base + args.num_seeds))
     scales = tuple(args.scales) if args.scales else (0.25,)
-    return SweepSpec(
-        scenarios=scenarios, policies=policies, seeds=seeds, scales=scales
-    )
+    try:
+        spec = SweepSpec(
+            scenarios=scenarios, policies=policies, seeds=seeds, scales=scales
+        )
+        for scenario in spec.scenarios:
+            for scale in spec.scales:
+                scenario_by_name(scenario, scale=scale)
+    except (ScenarioError, ExperimentError) as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+    return spec
 
 
 def _print_failed_summary(failed) -> None:

@@ -45,6 +45,7 @@ partition for the window.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -283,10 +284,10 @@ class LinkDegradation:
                 f"degradation {self.name}: bandwidth_factor must be in "
                 f"(0, 1], got {self.bandwidth_factor}"
             )
-        if self.extra_latency_s < 0:
+        if not (math.isfinite(self.extra_latency_s) and self.extra_latency_s >= 0):
             raise FaultSpecError(
-                f"degradation {self.name}: extra_latency_s must be >= 0, "
-                f"got {self.extra_latency_s}"
+                f"degradation {self.name}: extra_latency_s must be finite "
+                f"and >= 0, got {self.extra_latency_s}"
             )
         if not 0.0 <= self.loss_probability < 1.0:
             raise FaultSpecError(

@@ -10,6 +10,14 @@ host) and realistic seek/transfer costs, but nothing more elaborate.
 The device is a single FIFO server: a request arriving at time ``t`` when
 the device is busy until ``b`` starts service at ``max(t, b)`` and occupies
 the device for ``seek + pages * transfer`` seconds.
+
+That FIFO rule, with the float operations of :meth:`VirtualDisk._service`
+in their order, is also a contract with the batched guest engine: its
+replay loops (``GuestKernel._replay_plan`` and ``_replay_burst``) apply
+it inline to each single-page swap request of a burst and hand the
+burst's end state back through :meth:`VirtualDisk.commit_burst`, so the
+disk sees the same queue and totals as under the scalar engine, whose
+page-at-a-time :meth:`read`/:meth:`write` calls are the reference.
 """
 
 from __future__ import annotations
@@ -63,6 +71,49 @@ class VirtualDisk:
         """Simulated time at which the device becomes idle."""
         return self._busy_until
 
+    @property
+    def read_service_1p(self) -> float:
+        """Service time of a single-page read, in seconds."""
+        return self._read_service_1p
+
+    @property
+    def write_service_1p(self) -> float:
+        """Service time of a single-page write, in seconds."""
+        return self._write_service_1p
+
+    def commit_burst(
+        self,
+        busy_until: float,
+        busy_time_s: float,
+        total_wait_time_s: float,
+        vm_id: int,
+        reads: int,
+        writes: int,
+    ) -> None:
+        """Apply the end state of single-page requests replayed inline.
+
+        The caller started from :attr:`busy_until` and the two float totals
+        in :attr:`stats`, served *reads* single-page reads and *writes*
+        single-page writes for *vm_id* by the FIFO rule of the module
+        docstring, and hands back the new queue end and totals.  The
+        integer counters add up here; a VM gets a per-VM entry only when
+        its count is non-zero, as :meth:`read`/:meth:`write` would give it.
+        """
+        self._busy_until = busy_until
+        stats = self.stats
+        stats.busy_time_s = busy_time_s
+        stats.total_wait_time_s = total_wait_time_s
+        if reads:
+            stats.reads += reads
+            stats.pages_read += reads
+            per_vm = stats.per_vm_pages_read
+            per_vm[vm_id] = per_vm.get(vm_id, 0) + reads
+        if writes:
+            stats.writes += writes
+            stats.pages_written += writes
+            per_vm = stats.per_vm_pages_written
+            per_vm[vm_id] = per_vm.get(vm_id, 0) + writes
+
     def _service(self, now: float, pages: int, *, write: bool) -> float:
         if pages <= 0:
             raise ConfigurationError(f"disk request must move >= 1 page, got {pages}")
@@ -98,46 +149,6 @@ class VirtualDisk:
             self.stats.per_vm_pages_written[vm_id] = (
                 self.stats.per_vm_pages_written.get(vm_id, 0) + pages
             )
-        return latency
-
-    def read_one(self, now: float, vm_id: int) -> float:
-        """Single-page read with the accounting fused into one call.
-
-        Identical float arithmetic (and therefore identical latency
-        sequences) to ``read(now, 1, vm_id=vm_id)``; exists because the
-        guest's burst replay issues one call per swap fault on the
-        hottest loop of the simulator.
-        """
-        busy = self._busy_until
-        start = busy if busy > now else now
-        service_time = self._read_service_1p
-        completion = start + service_time
-        self._busy_until = completion
-        latency = completion - now
-        stats = self.stats
-        stats.busy_time_s += service_time
-        stats.total_wait_time_s += latency
-        stats.reads += 1
-        stats.pages_read += 1
-        per_vm = stats.per_vm_pages_read
-        per_vm[vm_id] = per_vm.get(vm_id, 0) + 1
-        return latency
-
-    def write_one(self, now: float, vm_id: int) -> float:
-        """Single-page write; the fused counterpart of :meth:`read_one`."""
-        busy = self._busy_until
-        start = busy if busy > now else now
-        service_time = self._write_service_1p
-        completion = start + service_time
-        self._busy_until = completion
-        latency = completion - now
-        stats = self.stats
-        stats.busy_time_s += service_time
-        stats.total_wait_time_s += latency
-        stats.writes += 1
-        stats.pages_written += 1
-        per_vm = stats.per_vm_pages_written
-        per_vm[vm_id] = per_vm.get(vm_id, 0) + 1
         return latency
 
     def utilization(self, now: float) -> float:

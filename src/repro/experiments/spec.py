@@ -9,6 +9,7 @@ as keys for on-disk result storage.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Tuple
@@ -22,6 +23,12 @@ def _slug(text: str) -> str:
     """Filesystem-safe identifier fragment ("smart-alloc:P=2" -> "smart-alloc_P_2")."""
     slug = re.sub(r"[^A-Za-z0-9.\-]+", "_", text).strip("_")
     return slug or "x"
+
+
+def _check_scale(scale: float) -> None:
+    """The scenario factories' scale rule, as an experiment error."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ExperimentError(f"scale must be finite and > 0, got {scale}")
 
 
 @dataclass(frozen=True, order=True)
@@ -38,8 +45,7 @@ class ExperimentPoint:
             raise ExperimentError("experiment point needs a scenario")
         if not self.policy:
             raise ExperimentError("experiment point needs a policy")
-        if self.scale <= 0:
-            raise ExperimentError(f"scale must be > 0, got {self.scale}")
+        _check_scale(self.scale)
 
     @property
     def point_id(self) -> str:
@@ -103,8 +109,7 @@ class SweepSpec:
             self, "scales", _unique((float(s) for s in self.scales), "scale")
         )
         for scale in self.scales:
-            if scale <= 0:
-                raise ExperimentError(f"scale must be > 0, got {scale}")
+            _check_scale(scale)
 
     @property
     def size(self) -> int:

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..config import SimulationConfig
 from ..devices.disk import VirtualDisk
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SwapError
 from ..hypervisor.tmem_backend import BATCH_GET, BATCH_PUT
 from .cleancache import CleancacheClient
 from .frontswap import FrontswapClient
@@ -65,7 +65,8 @@ __all__ = [
     "GuestKernel",
 ]
 
-# Burst-plan event kinds (see GuestKernel._access_batched).
+# Burst-plan event kinds (see GuestKernel._access_batched).  The two
+# eviction kinds sort first: the replay tests ``kind <= _EV_DISK``.
 _EV_TMEM = 0   # eviction offered to tmem (batched put; disk on failure)
 _EV_DISK = 1   # eviction straight to the swap disk (tmem disabled)
 _F_TMEM = 2    # major fault served from tmem (batched get)
@@ -567,14 +568,18 @@ class GuestKernel:
         fs = self._frontswap
         in_swap = list(map(self._swap.slots.__contains__, misses))
         victims = resident.select_victims(victims_needed)
-        plan: List[Tuple[int, int, int]] = []
-        append_plan = plan.append
-        statuses: List[int] = []
-        remote_costs: List[float] = []
-
-        if fs is not None:
+        # The fused replay serves the burst unless the hypervisor declines
+        # the closed-form path; then the burst is staged as one batch and
+        # replayed from its plan.  Without frontswap there is no tmem
+        # traffic, and every victim goes straight to disk.
+        put_flags: Optional[List[int]] = None
+        staged = None
+        if fs is None:
+            in_tmem = [False] * n_miss
+        else:
             in_tmem = list(map(fs.held_pages.__contains__, misses))
             get_pages = [p for p, held in zip(misses, in_tmem) if held]
+            planned = True  # no tmem traffic: nothing to resolve
             if victims_needed or get_pages:
                 # Closed-form planned path: the burst's put/get
                 # interleaving is known up front (puts are consecutive
@@ -599,71 +604,12 @@ class GuestKernel:
                 planned = fs.execute_planned(
                     victims, get_pages, gets_before_puts, now=now
                 )
-                if planned is not None:
-                    if n_hits:
-                        resident.promote_burst_planned(misses, page_list)
-                    else:
-                        resident.insert_many(page_list)
-                    outcome.minor_hits = n_hits
-                    put_flags = None if planned is True else planned
-                    self._replay_burst(
-                        misses, in_tmem, in_swap, victims, put_flags,
-                        free_slots, now, outcome,
-                    )
-                    return True
-            batch = fs.begin_batch()
-            version = fs.reserve_versions(victims_needed)
-            ppo = fs.pages_per_object
-            ops: List[Tuple[int, int, int, int]] = []
-            op_pages: List[int] = []
-            append_op = ops.append
-            append_op_page = op_pages.append
-            op_index = 0
-            victim_cursor = 0
-            for j in range(n_miss):
-                if j >= free_slots:
-                    victim = victims[victim_cursor]
-                    victim_cursor += 1
-                    object_id, index = divmod(victim, ppo)
-                    append_op((BATCH_PUT, object_id, index, version))
-                    version += 1
-                    append_op_page(victim)
-                    append_plan((_EV_TMEM, victim, op_index))
-                    op_index += 1
-                page = misses[j]
-                if in_tmem[j]:
-                    object_id, index = divmod(page, ppo)
-                    append_op((BATCH_GET, object_id, index, 0))
-                    append_op_page(page)
-                    append_plan((_F_TMEM, page, op_index))
-                    op_index += 1
-                elif in_swap[j]:
-                    append_plan((_F_SWAP, page, 0))
-                else:
-                    append_plan((_F_FIRST, page, 0))
-            if ops:
-                batch.extend_raw(
-                    ops,
-                    op_pages,
-                    put_pages=victims,
-                    put_versions=list(
-                        range(version - victims_needed, version)
-                    ),
-                    get_pages=get_pages,
+            if planned is None:
+                staged = self._stage_vector_plan(
+                    misses, in_tmem, in_swap, get_pages, victims, free_slots, now
                 )
-                statuses = batch.execute(now=now)
-                remote_costs = fs.drain_remote_costs()
-        else:
-            victim_cursor = 0
-            for j in range(n_miss):
-                if j >= free_slots:
-                    append_plan((_EV_DISK, victims[victim_cursor], 0))
-                    victim_cursor += 1
-                page = misses[j]
-                if in_swap[j]:
-                    append_plan((_F_SWAP, page, 0))
-                else:
-                    append_plan((_F_FIRST, page, 0))
+            elif planned is not True:
+                put_flags = planned
 
         if n_hits:
             # The classification already split the burst: promote inserts
@@ -674,8 +620,78 @@ class GuestKernel:
         else:
             resident.insert_many(page_list)
         outcome.minor_hits = n_hits
-        self._replay_plan(plan, statuses, now, outcome, remote_costs)
+        if staged is None:
+            self._replay_burst(
+                misses, in_tmem, in_swap, victims, put_flags,
+                free_slots, now, outcome,
+            )
+        else:
+            plan, statuses, remote_costs = staged
+            self._replay_plan(plan, statuses, now, outcome, remote_costs)
         return True
+
+    def _stage_vector_plan(
+        self,
+        misses: List[int],
+        in_tmem: List[bool],
+        in_swap: List[bool],
+        get_pages: List[int],
+        victims: List[int],
+        free_slots: int,
+        now: float,
+    ) -> Tuple[List[Tuple[int, int, int]], List[int], List[float]]:
+        """Ship a vector-planned burst's tmem traffic as one staged batch.
+
+        The route for bursts with tmem traffic whose admission the
+        closed-form path cannot resolve (remote tmem, a target, a
+        non-persistent pool).  Builds the burst's event plan in scalar
+        order, executes its puts and gets in one batched hypercall, and
+        returns the plan, the per-op statuses and the remote costs for
+        :meth:`_replay_plan`.
+        """
+        fs = self._frontswap
+        assert fs is not None
+        plan: List[Tuple[int, int, int]] = []
+        append_plan = plan.append
+        victims_needed = len(victims)
+        batch = fs.begin_batch()
+        version = fs.reserve_versions(victims_needed)
+        ppo = fs.pages_per_object
+        ops: List[Tuple[int, int, int, int]] = []
+        op_pages: List[int] = []
+        append_op = ops.append
+        append_op_page = op_pages.append
+        op_index = 0
+        victim_cursor = 0
+        for j, page in enumerate(misses):
+            if j >= free_slots:
+                victim = victims[victim_cursor]
+                victim_cursor += 1
+                object_id, index = divmod(victim, ppo)
+                append_op((BATCH_PUT, object_id, index, version))
+                version += 1
+                append_op_page(victim)
+                append_plan((_EV_TMEM, victim, op_index))
+                op_index += 1
+            if in_tmem[j]:
+                object_id, index = divmod(page, ppo)
+                append_op((BATCH_GET, object_id, index, 0))
+                append_op_page(page)
+                append_plan((_F_TMEM, page, op_index))
+                op_index += 1
+            elif in_swap[j]:
+                append_plan((_F_SWAP, page, 0))
+            else:
+                append_plan((_F_FIRST, page, 0))
+        batch.extend_raw(
+            ops,
+            op_pages,
+            put_pages=victims,
+            put_versions=list(range(version - victims_needed, version)),
+            get_pages=get_pages,
+        )
+        statuses = batch.execute(now=now)
+        return plan, statuses, fs.drain_remote_costs()
 
     def _plan_and_replay_misses(
         self, page_list: List[int], now: float, outcome: AccessOutcome
@@ -769,6 +785,15 @@ class GuestKernel:
         burst latency, the cumulative time counters and the disk queue
         evolution are bit-identical across engines.
 
+        Swap I/O is served inline: each single-page request applies the
+        disk's FIFO rule (see :mod:`repro.devices.disk`) to locals, with
+        the operations of ``VirtualDisk._service`` in their order, and
+        the swap-slot bookkeeping of ``SwapArea.store``/``load``/
+        ``discard`` with the same checks and errors.  The end state is
+        written back once, in a ``finally``, so a :class:`SwapError`
+        escaping mid-burst leaves the disk and swap area where the scalar
+        engine leaves them.
+
         *remote_costs* holds the network cost of each remotely-serviced
         op, in op order; a remote op accumulates as the single float the
         hypercall layer returns on the scalar path (base + extra in one
@@ -785,85 +810,113 @@ class GuestKernel:
         get_lat = config.tmem_get_latency_s
         remote_cursor = 0
         fault_overhead = config.guest.fault_overhead_s
-        disk = self._disk
-        disk_write = disk.write_one
-        disk_read = disk.read_one
-        swap = self._swap
-        swap_store = swap.store
-        swap_load = swap.load
-        swap_discard = swap.discard
-        vm_id = self.vm_id
         stats = self.stats
+        disk = self._disk
+        read_s = disk.read_service_1p
+        write_s = disk.write_service_1p
+        busy = disk.busy_until
+        busy_time = disk.stats.busy_time_s
+        wait = disk.stats.total_wait_time_s
+        swap = self._swap
+        slots = swap.slots
+        capacity = swap.capacity_pages
+        peak = swap.stats.peak_used_pages
 
         acc = outcome.latency_s
         tmem_time = stats.time_in_tmem_ops_s
         disk_time = stats.time_in_disk_io_s
-        evictions = evictions_to_tmem = evictions_to_disk = 0
-        failed_puts = 0
-        major = from_tmem = from_disk = first = 0
+        evictions = evictions_to_tmem = failed_puts = 0
+        major = from_tmem = first = 0
+        reads = writes = swap_outs = swap_ins = 0
 
-        for kind, page, op_index in plan:
-            if kind == _EV_TMEM:
-                evictions += 1
-                status = statuses[op_index]
-                if status:
-                    if status == 1:
-                        lat = put_lat
+        try:
+            for kind, page, op_index in plan:
+                if kind <= _EV_DISK:  # an eviction
+                    evictions += 1
+                    if kind == _EV_TMEM:
+                        status = statuses[op_index]
+                        if status:
+                            if status == 1:
+                                lat = put_lat
+                            else:
+                                lat = put_lat + remote_costs[remote_cursor]
+                                remote_cursor += 1
+                            acc += lat
+                            tmem_time += lat
+                            evictions_to_tmem += 1
+                            continue
+                        acc += fail_lat
+                        tmem_time += fail_lat
+                        failed_puts += 1
+                    # Swap-out: disk write, then the slot.
+                    t = now + acc
+                    start = busy if busy > t else t
+                    busy = start + write_s
+                    disk_latency = busy - t
+                    busy_time += write_s
+                    wait += disk_latency
+                    writes += 1
+                    if page not in slots:
+                        used = len(slots)
+                        if used >= capacity:
+                            raise SwapError(
+                                f"swap area full ({capacity} pages); guest would OOM"
+                            )
+                        slots.add(page)
+                        swap_outs += 1
+                        if used >= peak:
+                            peak = used + 1
+                    acc += disk_latency
+                    disk_time += disk_latency
+                elif kind == _F_TMEM:
+                    major += 1
+                    acc += fault_overhead
+                    if statuses[op_index] == 1:
+                        lat = get_lat
                     else:
-                        lat = put_lat + remote_costs[remote_cursor]
+                        lat = get_lat + remote_costs[remote_cursor]
                         remote_cursor += 1
                     acc += lat
                     tmem_time += lat
-                    evictions_to_tmem += 1
-                else:
-                    acc += fail_lat
-                    tmem_time += fail_lat
-                    failed_puts += 1
-                    disk_latency = disk_write(now + acc, vm_id)
-                    swap_store(page)
+                    slots.discard(page)
+                    from_tmem += 1
+                elif kind == _F_SWAP:
+                    major += 1
+                    acc += fault_overhead
+                    # Swap-in: disk read, then the slot.
+                    t = now + acc
+                    start = busy if busy > t else t
+                    busy = start + read_s
+                    disk_latency = busy - t
+                    busy_time += read_s
+                    wait += disk_latency
+                    reads += 1
+                    if page not in slots:
+                        raise SwapError(f"page {page} is not in the swap area")
+                    slots.remove(page)
+                    swap_ins += 1
                     acc += disk_latency
                     disk_time += disk_latency
-                    evictions_to_disk += 1
-            elif kind == _EV_DISK:
-                evictions += 1
-                disk_latency = disk_write(now + acc, vm_id)
-                swap_store(page)
-                acc += disk_latency
-                disk_time += disk_latency
-                evictions_to_disk += 1
-            elif kind == _F_TMEM:
-                major += 1
-                acc += fault_overhead
-                if statuses[op_index] == 1:
-                    lat = get_lat
-                else:
-                    lat = get_lat + remote_costs[remote_cursor]
-                    remote_cursor += 1
-                acc += lat
-                tmem_time += lat
-                swap_discard(page)
-                from_tmem += 1
-            elif kind == _F_SWAP:
-                major += 1
-                acc += fault_overhead
-                disk_latency = disk_read(now + acc, vm_id)
-                swap_load(page)
-                acc += disk_latency
-                disk_time += disk_latency
-                from_disk += 1
-            else:  # _F_FIRST
-                major += 1
-                acc += fault_overhead
-                first += 1
+                else:  # _F_FIRST
+                    major += 1
+                    acc += fault_overhead
+                    first += 1
+        finally:
+            if reads or writes:
+                disk.commit_burst(busy, busy_time, wait, self.vm_id, reads, writes)
+                swap_stats = swap.stats
+                swap_stats.swap_outs += swap_outs
+                swap_stats.swap_ins += swap_ins
+                swap_stats.peak_used_pages = peak
 
         outcome.latency_s = acc
         outcome.evictions = evictions
         outcome.evictions_to_tmem = evictions_to_tmem
-        outcome.evictions_to_disk = evictions_to_disk
+        outcome.evictions_to_disk = writes
         outcome.failed_tmem_puts = failed_puts
         outcome.major_faults = major
         outcome.faults_from_tmem = from_tmem
-        outcome.faults_from_disk = from_disk
+        outcome.faults_from_disk = reads
         outcome.first_touches = first
         stats.time_in_tmem_ops_s = tmem_time
         stats.time_in_disk_io_s = disk_time
@@ -886,73 +939,112 @@ class GuestKernel:
         plan tuples or status lists exist: this loop walks the miss
         sequence directly, performing exactly the float additions (same
         constants, same order) :meth:`_replay_plan` performs for the
-        equivalent plan — the two are interchangeable bit for bit.
+        equivalent plan — the two are interchangeable bit for bit, swap
+        I/O included (served inline and committed once, as there).
         Planned bursts carry no remote operations (the closed-form path
         declines when remote tmem is attached) and every get hits, so
         only the per-put success flags (*put_flags*; ``None`` = all
-        succeeded) vary the replay.
+        succeeded) vary the replay.  Without frontswap there are no puts:
+        every victim goes straight to disk, as ``_EV_DISK`` does.
         """
         config = self._config
         put_lat = config.tmem_put_latency_s
         fail_lat = config.tmem_failed_put_latency_s
         get_lat = config.tmem_get_latency_s
         fault_overhead = config.guest.fault_overhead_s
-        disk = self._disk
-        disk_write = disk.write_one
-        disk_read = disk.read_one
-        swap = self._swap
-        swap_store = swap.store
-        swap_load = swap.load
-        swap_discard = swap.discard
-        vm_id = self.vm_id
+        puts = self._frontswap is not None
         stats = self.stats
+        disk = self._disk
+        read_s = disk.read_service_1p
+        write_s = disk.write_service_1p
+        busy = disk.busy_until
+        busy_time = disk.stats.busy_time_s
+        wait = disk.stats.total_wait_time_s
+        swap = self._swap
+        slots = swap.slots
+        capacity = swap.capacity_pages
+        peak = swap.stats.peak_used_pages
 
         acc = outcome.latency_s
         tmem_time = stats.time_in_tmem_ops_s
         disk_time = stats.time_in_disk_io_s
-        evictions_to_tmem = evictions_to_disk = 0
-        from_tmem = from_disk = first = 0
+        evictions_to_tmem = from_tmem = first = 0
+        reads = writes = swap_outs = swap_ins = 0
         victim_cursor = 0
 
-        for j, page in enumerate(misses):
-            if j >= free_slots:
-                victim = victims[victim_cursor]
-                if put_flags is None or put_flags[victim_cursor]:
-                    acc += put_lat
-                    tmem_time += put_lat
-                    evictions_to_tmem += 1
-                else:
-                    acc += fail_lat
-                    tmem_time += fail_lat
-                    disk_latency = disk_write(now + acc, vm_id)
-                    swap_store(victim)
+        try:
+            for j, page in enumerate(misses):
+                if j >= free_slots:
+                    if puts and (put_flags is None or put_flags[victim_cursor]):
+                        acc += put_lat
+                        tmem_time += put_lat
+                        evictions_to_tmem += 1
+                    else:
+                        if puts:  # the refused put's hypercall comes first
+                            acc += fail_lat
+                            tmem_time += fail_lat
+                        # Swap-out: disk write, then the slot.
+                        victim = victims[victim_cursor]
+                        t = now + acc
+                        start = busy if busy > t else t
+                        busy = start + write_s
+                        disk_latency = busy - t
+                        busy_time += write_s
+                        wait += disk_latency
+                        writes += 1
+                        if victim not in slots:
+                            used = len(slots)
+                            if used >= capacity:
+                                raise SwapError(
+                                    f"swap area full ({capacity} pages); "
+                                    "guest would OOM"
+                                )
+                            slots.add(victim)
+                            swap_outs += 1
+                            if used >= peak:
+                                peak = used + 1
+                        acc += disk_latency
+                        disk_time += disk_latency
+                    victim_cursor += 1
+                acc += fault_overhead
+                if in_tmem[j]:
+                    acc += get_lat
+                    tmem_time += get_lat
+                    slots.discard(page)
+                    from_tmem += 1
+                elif in_swap[j]:
+                    # Swap-in: disk read, then the slot.
+                    t = now + acc
+                    start = busy if busy > t else t
+                    busy = start + read_s
+                    disk_latency = busy - t
+                    busy_time += read_s
+                    wait += disk_latency
+                    reads += 1
+                    if page not in slots:
+                        raise SwapError(f"page {page} is not in the swap area")
+                    slots.remove(page)
+                    swap_ins += 1
                     acc += disk_latency
                     disk_time += disk_latency
-                    evictions_to_disk += 1
-                victim_cursor += 1
-            acc += fault_overhead
-            if in_tmem[j]:
-                acc += get_lat
-                tmem_time += get_lat
-                swap_discard(page)
-                from_tmem += 1
-            elif in_swap[j]:
-                disk_latency = disk_read(now + acc, vm_id)
-                swap_load(page)
-                acc += disk_latency
-                disk_time += disk_latency
-                from_disk += 1
-            else:
-                first += 1
+                else:
+                    first += 1
+        finally:
+            if reads or writes:
+                disk.commit_burst(busy, busy_time, wait, self.vm_id, reads, writes)
+                swap_stats = swap.stats
+                swap_stats.swap_outs += swap_outs
+                swap_stats.swap_ins += swap_ins
+                swap_stats.peak_used_pages = peak
 
         outcome.latency_s = acc
         outcome.evictions = len(victims)
         outcome.evictions_to_tmem = evictions_to_tmem
-        outcome.evictions_to_disk = evictions_to_disk
-        outcome.failed_tmem_puts = evictions_to_disk
+        outcome.evictions_to_disk = writes
+        outcome.failed_tmem_puts = writes if puts else 0
         outcome.major_faults = len(misses)
         outcome.faults_from_tmem = from_tmem
-        outcome.faults_from_disk = from_disk
+        outcome.faults_from_disk = reads
         outcome.first_touches = first
         stats.time_in_tmem_ops_s = tmem_time
         stats.time_in_disk_io_s = disk_time

@@ -52,7 +52,11 @@ class SwapArea:
         """Live view of the occupied slots, for batch membership tests.
 
         Callers must treat it as read-only; mutating it would desynchronize
-        the swap accounting.
+        the swap accounting.  The one other writer is the batched guest
+        engine's replay loops (``GuestKernel._replay_plan`` and
+        ``_replay_burst``): they apply :meth:`store`, :meth:`load` and
+        :meth:`discard` inline, with the same checks and errors, and add
+        the burst's counters to :attr:`stats` once at its end.
         """
         return self._slots
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -202,6 +203,9 @@ class _Compiler:
     def expect_number(self, value: Any, path: str) -> Optional[float]:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"expected a number, got {value!r}", path)
+            return None
+        if isinstance(value, float) and not math.isfinite(value):
+            self.error(f"expected a finite number, got {value!r}", path)
             return None
         return float(value)
 

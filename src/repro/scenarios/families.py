@@ -58,7 +58,7 @@ or at test sizes (``scale<=0.25``) alike.
 from __future__ import annotations
 
 from ..errors import ScenarioError
-from .library import _scaled
+from .library import _check_scale, _scaled
 from .registry import register_scenario
 from .spec import (
     ClusterTopology,
@@ -84,11 +84,6 @@ __all__ = [
     "flaky_scenario",
     "shard_scenario",
 ]
-
-
-def _check_scale(scale: float) -> None:
-    if scale <= 0:
-        raise ScenarioError(f"scale must be > 0, got {scale}")
 
 
 @register_scenario(

@@ -15,6 +15,7 @@ benchmark harness runs at ``scale=1.0``.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from ..errors import ScenarioError
@@ -52,6 +53,12 @@ PAPER_POLICIES: Sequence[str] = (
 )
 
 
+def _check_scale(scale: float) -> None:
+    """The one scale rule of every scenario factory: finite and > 0."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ScenarioError(f"scale must be finite and > 0, got {scale}")
+
+
 def _scaled(value: float, scale: float, *, minimum: int = 1) -> int:
     return max(minimum, int(round(value * scale)))
 
@@ -63,8 +70,7 @@ def scenario_1(*, scale: float = 1.0) -> ScenarioSpec:
     All three VMs launch the benchmark simultaneously, sleep for five
     seconds, and run it again.  1 GB of tmem is enabled.
     """
-    if scale <= 0:
-        raise ScenarioError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     ram_mb = _scaled(1024, scale)
     workload_params = {
         "dataset_mb": _scaled(700, scale),
@@ -97,8 +103,7 @@ def scenario_1(*, scale: float = 1.0) -> ScenarioSpec:
 @register_scenario("scenario-2", paper=True)
 def scenario_2(*, scale: float = 1.0) -> ScenarioSpec:
     """Scenario 2: three 512 MB VMs run graph-analytics; VM3 starts 30 s late."""
-    if scale <= 0:
-        raise ScenarioError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     ram_mb = _scaled(512, scale)
     workload_params = {
         "graph_mb": _scaled(750, scale),
@@ -136,8 +141,7 @@ def usemem_scenario(*, scale: float = 1.0) -> ScenarioSpec:
     allocate 640 MB, and every VM is stopped when VM3 attempts to allocate
     768 MB.  Only 384 MB of tmem is enabled.
     """
-    if scale <= 0:
-        raise ScenarioError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     ram_mb = _scaled(512, scale)
     increment_mb = _scaled(128, scale)
     usemem_params = {
@@ -192,8 +196,7 @@ def usemem_scenario(*, scale: float = 1.0) -> ScenarioSpec:
 @register_scenario("scenario-3", paper=True)
 def scenario_3(*, scale: float = 1.0) -> ScenarioSpec:
     """Scenario 3: heterogeneous VMs (graph-analytics x2 + in-memory-analytics)."""
-    if scale <= 0:
-        raise ScenarioError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     graph_params = {
         "graph_mb": _scaled(750, scale),
         "rank_vectors_mb": _scaled(180, scale),

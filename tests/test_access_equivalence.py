@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GuestConfig, SimulationConfig
+from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
 from repro.guest.kernel import GuestKernel
+from repro.guest.swap import SwapStats
 from repro.hypervisor.xen import Hypervisor
 from repro.scenarios.library import usemem_scenario
 from repro.scenarios.runner import ScenarioRunner
@@ -57,9 +59,11 @@ def assert_kernels_identical(scalar, batched, hv_s, hv_b):
     assert scalar.stats == batched.stats
     assert set(scalar._resident.pages()) == set(batched._resident.pages())
     assert scalar.swap.used_pages == batched.swap.used_pages
+    assert scalar.swap.stats == batched.swap.stats
     assert scalar.tmem_pages == batched.tmem_pages
     assert scalar.memory_footprint_pages() == batched.memory_footprint_pages()
     assert hv_s.swap_disk.stats == hv_b.swap_disk.stats
+    assert hv_s.swap_disk.busy_until == hv_b.swap_disk.busy_until
     if scalar.frontswap is not None:
         assert scalar.frontswap.stats == batched.frontswap.stats
         assert scalar.frontswap._stored == batched.frontswap._stored
@@ -144,6 +148,36 @@ class TestKernelLevelEquivalence:
         assert out_s == out_b
         assert out_s.faults_from_tmem > 0
         assert_kernels_identical(scalar, batched, hv_s, hv_b)
+
+    @pytest.mark.parametrize("reclaim", ["lru", "clock"])
+    @pytest.mark.parametrize("tmem_pages", [0, 3])
+    def test_swap_overflow_leaves_the_same_disk_and_swap_state(
+        self, tmem_pages, reclaim
+    ):
+        """A swap area that fills mid-burst raises on the same burst in both
+        engines, and the disk and swap bookkeeping stop at the same state:
+        the refused page's disk write is accounted, its slot is not."""
+        engines = {}
+        for kind in ("scalar", "batched"):
+            kernel, hv = build_kernel(
+                kind, ram_pages=12, tmem_pages=tmem_pages, reclaim=reclaim,
+                swap_pages=8,
+            )
+            failed_at = None
+            for index, start in enumerate(range(0, 60, 20)):
+                try:
+                    kernel.access(range(start, start + 20), now=index * 0.25)
+                except SwapError:
+                    failed_at = index
+                    break
+            engines[kind] = (kernel, hv.swap_disk, failed_at)
+        scalar, disk_s, failed_s = engines["scalar"]
+        batched, disk_b, failed_b = engines["batched"]
+        assert failed_s is not None and failed_s == failed_b
+        assert scalar.swap.stats == batched.swap.stats == SwapStats(8, 0, 8)
+        assert disk_s.stats == disk_b.stats
+        assert disk_s.stats.writes == 9
+        assert disk_s.busy_until == disk_b.busy_until
 
 
 POLICIES = ["no-tmem", "greedy", "static-alloc", "reconf-static",

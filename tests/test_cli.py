@@ -79,9 +79,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Tmem usage over time" in out
 
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(Exception):
-            main(["run", "scenario-99", "--policy", "greedy"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "scenario-99", "--policy", "greedy"],
+        ["run", "many-vms:n=x"],
+        ["run", "scenario-1", "--scale", "-1"],
+        ["run", "scenario-1", "--scale", "nan"],
+        ["run", "scenario-1", "--policy", "nosuch"],
+        ["sweep", "--scenario", "nosuch", "--policy", "greedy", "--no-store"],
+        ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
+         "--scale", "-1", "--no-store"],
+    ], ids=[
+        "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
+        "run-nan-scale", "run-unknown-policy", "sweep-unknown-scenario",
+        "sweep-negative-scale",
+    ])
+    def test_bad_input_exits_2_before_any_run(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "running" not in captured.err and captured.out == ""
 
     def test_sweep_command_archives_and_aggregates(self, capsys, tmp_path):
         results_dir = tmp_path / "sweep"

@@ -87,6 +87,48 @@ vms:
         line = f"{path}:2:10: error: expected a number, got 'x' (at params.n)"
         assert line in captured.out and line in captured.err
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_family_scale(self, value):
+        text = f"family: usemem-scenario\nscale: {value}\n"
+        (diag,) = errors(lint_text(text))
+        assert diag.path == "scale"
+        assert (diag.line, diag.column) == (2, 1)
+        assert diag.message.startswith("expected a finite number, got ")
+        with pytest.raises(DslError):
+            compile_text(text)
+
+    def test_non_finite_numbers_in_a_full_document(self):
+        diags = lint_text(
+            """\
+scenario: nan-times
+tmem_mb: 64
+max_duration_s: .nan
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs:
+      - kind: usemem
+        start_at: .inf
+        params: {start_mb: 32, max_mb: 64}
+"""
+        )
+        found = {(d.path, d.line, d.message) for d in errors(diags)}
+        assert found == {
+            ("max_duration_s", 3, "expected a finite number, got nan"),
+            ("vms[0].jobs[0].start_at", 9, "expected a finite number, got inf"),
+        }
+
+    def test_cli_rejects_non_finite_scale(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "nan.yml"
+        path.write_text("family: usemem-scenario\nscale: .nan\n")
+        assert main(["lint", str(path)]) == 1
+        assert main(["run", str(path), "--policy", "greedy"]) == 2
+        line = f"{path}:2:1: error: expected a finite number, got nan (at scale)"
+        captured = capsys.readouterr()
+        assert line in captured.out and line in captured.err
+
     def test_format_renders_file_line_col(self):
         diag = Diagnostic(
             severity="error", message="boom", path="vms[0]", line=4, column=3

@@ -48,8 +48,9 @@ class TestExperimentPoint:
     def test_validation(self):
         with pytest.raises(ExperimentError):
             ExperimentPoint("", "greedy", seed=1)
-        with pytest.raises(ExperimentError):
-            ExperimentPoint("scenario-1", "greedy", seed=1, scale=0)
+        for scale in (0, float("nan"), float("inf")):
+            with pytest.raises(ExperimentError):
+                ExperimentPoint("scenario-1", "greedy", seed=1, scale=scale)
 
 
 class TestSweepSpec:
@@ -72,6 +73,11 @@ class TestSweepSpec:
             SweepSpec(scenarios=("a",), policies=(), seeds=(1,))
         with pytest.raises(ExperimentError):
             SweepSpec(scenarios=("a",), policies=("p",), seeds=())
+
+    @pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ExperimentError, match="scale must be finite"):
+            SweepSpec(scenarios=("a",), policies=("p",), seeds=(1,), scales=(scale,))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ExperimentError):

@@ -113,6 +113,24 @@ class TestSpecParsing:
         with pytest.raises(FaultSpecError):
             parse_link_degradation(bad)
 
+    @pytest.mark.parametrize("lat", ["nan", "inf", "-inf", "-0.5"])
+    def test_latency_must_be_finite_and_non_negative(self, lat):
+        spec = f"node1->node2@0.0-1000:lat={lat}"
+        with pytest.raises(FaultSpecError, match="extra_latency_s must be finite"):
+            parse_link_degradation(spec)
+
+    def test_cli_rejects_non_finite_latency_up_front(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "run", "contended:nodes=2", "--scale", "0.1", "--policy", "greedy",
+            "--degrade", "node1->node2@0.0-1000:lat=nan",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "extra_latency_s must be finite and >= 0, got nan" in err
+        assert "Traceback" not in err
+
     def test_fault_spec_error_is_a_cluster_error(self):
         assert issubclass(FaultSpecError, ClusterError)
 

@@ -149,6 +149,21 @@ class TestFamilies:
             with pytest.raises(ScenarioError):
                 factory(scale=0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_every_factory_rejects_a_bad_scale(self, scale):
+        """One rule for every paper scenario and family: finite and > 0."""
+        factories = [
+            entry.factory for entry in registered_scenarios().values()
+            if entry.factory.__module__
+            in ("repro.scenarios.library", "repro.scenarios.families")
+        ]
+        assert len(factories) >= 15
+        for factory in factories:
+            with pytest.raises(ScenarioError, match="scale must be finite"):
+                factory(scale=scale)
+        with pytest.raises(ScenarioError, match="scale must be finite"):
+            scenario_by_name("many-vms:n=2", scale=scale)
+
     @pytest.mark.parametrize("family_spec", FAMILY_SPECS)
     @pytest.mark.parametrize("policy", PAPER_POLICIES)
     def test_families_run_under_every_paper_policy(self, family_spec, policy):
