@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "runs them inline in each pool worker).  Results are "
                  "bit-identical to the shared engine; coupled topologies "
                  "(spill, coordinator, contention, failures, migrations) "
-                 "fall back to one exact worker",
+                 "run the exact shared engine in this process",
         )
         p.add_argument(
             "--cluster-engine", choices=("exact", "epoch"), default="exact",
@@ -748,27 +748,21 @@ def _cmd_run(
                 cluster_engine=cluster_engine,
             )
             if runner.epoch_parallel:
-                print(
-                    f"running {spec.name} under {policy} "
-                    f"({len(runner.buckets)} epoch shard workers: "
-                    f"{runner.coupled_reason}) ...",
-                    file=sys.stderr,
+                path = (
+                    f"{len(runner.buckets)} epoch shard workers: "
+                    f"{runner.coupled_reason}"
                 )
-            elif runner.coupled_reason is not None:
-                reason = runner.coupled_reason
+            elif runner.exact:
+                reason = runner.coupled_reason or "one shard holds every node"
                 if cluster_engine == "epoch" and runner.epoch_fallback:
                     reason = runner.epoch_fallback
-                print(
-                    f"running {spec.name} under {policy} "
-                    f"(1 exact shard worker: {reason}) ...",
-                    file=sys.stderr,
-                )
+                path = f"shared engine in this process: {reason}"
             else:
-                print(
-                    f"running {spec.name} under {policy} "
-                    f"({len(runner.buckets)} shard workers) ...",
-                    file=sys.stderr,
-                )
+                path = f"{len(runner.buckets)} shard workers"
+            print(
+                f"running {spec.name} under {policy} ({path}) ...",
+                file=sys.stderr,
+            )
             result = runner.run()
             if cluster_engine == "epoch" and runner.epoch_fallback:
                 # One machine-greppable line, mirrored into the result

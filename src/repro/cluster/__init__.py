@@ -19,8 +19,8 @@ layers:
 * :class:`~repro.cluster.sharded.ShardedClusterRunner` — the same
   cluster executed with one engine shard per node group in worker
   processes; fingerprints are bit-identical to the shared-engine run
-  (decoupled topologies run in parallel, coupled ones fall back to an
-  exact single-engine worker).
+  (decoupled topologies run in parallel, coupled ones fall back to the
+  exact shared engine in the calling process).
 * :mod:`repro.cluster.epoch` — the opt-in ``cluster_engine="epoch"``
   lookahead engine that shards *coupled* topologies too: shards advance
   in conservative time windows derived from the interconnect latency and

@@ -1,12 +1,13 @@
 """Epoch cluster engine: conservative-window parallel execution of
 *coupled* topologies.
 
-PR 7's sharded runner parallelizes decoupled multi-node scenarios
+The sharded runner parallelizes decoupled multi-node scenarios
 bit-identically, but every coupled topology — remote-tmem spill, the
 capacity coordinator, a contended interconnect — falls back to the
-exact single-worker run, because spill admission and capacity decisions
-read *instantaneous* peer state.  The epoch engine trades that
-bit-identity for parallelism under an explicit, pinned contract:
+exact shared-engine run in the calling process, because spill admission
+and capacity decisions read *instantaneous* peer state.  The epoch
+engine trades that bit-identity for parallelism under an explicit,
+pinned contract:
 
 * Simulated time advances in **conservative windows** of width
   :func:`epoch_window_s`, derived from the interconnect lookahead
@@ -43,7 +44,7 @@ remains the default and its 45 pins are untouched.
 
 Node failures, planned migrations, cross-node phase triggers and stop
 triggers relocate VMs or inject events *across* shards mid-window; such
-scenarios keep the exact single-worker fallback
+scenarios keep the exact shared-engine fallback in the calling process
 (:func:`epoch_fallback_reason`).
 """
 
@@ -55,8 +56,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..channels.internode import LinkState
 from ..config import SimulationConfig
 from ..core.coordinator import BarrierRebalancer, NodeTmemView, create_coordinator
-from ..errors import ClusterError, SimulationError
-from ..scenarios.spec import ScenarioSpec
+from ..errors import ClusterError
+from ..scenarios.spec import PhaseTrigger, ScenarioSpec
 
 __all__ = [
     "EpochContext",
@@ -99,6 +100,22 @@ def epoch_window_s(topology) -> float:
     return window
 
 
+def cross_node_trigger(spec: ScenarioSpec) -> Optional[PhaseTrigger]:
+    """The first phase trigger that starts a VM on another node than
+    the VM it watches, or ``None``."""
+    node_of = {
+        vm_name: node.name
+        for node in spec.topology.nodes
+        for vm_name in node.vm_names
+    }
+    for trigger in spec.phase_triggers:
+        if trigger.start_vm and (
+            node_of.get(trigger.watch_vm) != node_of.get(trigger.start_vm)
+        ):
+            return trigger
+    return None
+
+
 def epoch_fallback_reason(
     spec: ScenarioSpec, *, use_tmem: bool = True
 ) -> Optional[str]:
@@ -106,7 +123,7 @@ def epoch_fallback_reason(
 
     Returns ``None`` when the epoch engine can shard the scenario one
     node per group, else a human-readable reason selecting the exact
-    single-worker fallback (which is trivially shard-invariant).
+    shared-engine fallback (which is trivially shard-invariant).
     """
     topology = spec.topology
     if topology is None or len(topology.nodes) < 2:
@@ -117,19 +134,12 @@ def epoch_fallback_reason(
         return "planned VM migrations relocate VMs across shards"
     if topology.fault_plan is not None:
         return "fault plan needs the exact cluster engine"
-    node_of = {
-        vm_name: node.name
-        for node in topology.nodes
-        for vm_name in node.vm_names
-    }
-    for trigger in spec.phase_triggers:
-        if trigger.start_vm and (
-            node_of.get(trigger.watch_vm) != node_of.get(trigger.start_vm)
-        ):
-            return (
-                f"phase trigger {trigger.watch_vm!r} -> "
-                f"{trigger.start_vm!r} injects events across shards"
-            )
+    trigger = cross_node_trigger(spec)
+    if trigger is not None:
+        return (
+            f"phase trigger {trigger.watch_vm!r} -> "
+            f"{trigger.start_vm!r} injects events across shards"
+        )
     if spec.stop_trigger is not None:
         return "stop trigger halts every VM cluster-wide"
     return None
@@ -317,16 +327,11 @@ class EpochDriver:
                 topology.rebalance_interval_s,
             )
         self._k = 0
+        #: Barrier time of the window last commanded.
+        self._barrier = 0.0
         #: Barrier time at which every node was idle (the run's
         #: simulated duration); ``None`` while the run is live.
         self.finished_at: Optional[float] = None
-
-    # -- schedule -----------------------------------------------------------
-    def next_barrier(self) -> float:
-        """Advance to the next window and return its barrier time."""
-        self._k += 1
-        t_next = self._k * self.window_s
-        return self.deadline if t_next >= self.deadline else t_next
 
     # -- barrier protocol ---------------------------------------------------
     def absorb_init(self, reports: List[Dict[str, Any]]) -> None:
@@ -337,13 +342,17 @@ class EpochDriver:
         if missing:  # pragma: no cover - shard bucketing bug
             raise ClusterError(f"no shard reported nodes {missing}")
 
-    def window_command(self, t_next: float) -> Dict[str, Any]:
-        """The broadcast command opening the window ending at *t_next*.
+    def window_command(self) -> Dict[str, Any]:
+        """The broadcast command opening the next window.
 
+        The window ends at the barrier ``min(k * window_s, deadline)``.
         One identical command goes to every shard: per-peer quotas are
         keyed by node (each owner consumes its own slice), capacity
         steps and link snapshots are filtered by ownership worker-side.
         """
+        self._k += 1
+        barrier = self._k * self.window_s
+        self._barrier = self.deadline if barrier >= self.deadline else barrier
         quota: Dict[str, int] = {}
         if self.spill_enabled:
             share = max(1, len(self.node_names) - 1)
@@ -359,15 +368,14 @@ class EpochDriver:
         capacity = self._pending_capacity
         self._pending_capacity = {}
         return {
-            "until": t_next,
+            "until": self._barrier,
+            "stop_when_idle": False,
             "quota": quota,
             "busy": busy,
             "capacity": capacity,
         }
 
-    def absorb(
-        self, t_next: float, reports: List[Dict[str, Any]]
-    ) -> None:
+    def absorb(self, reports: List[Dict[str, Any]]) -> None:
         """Merge one barrier's shard reports; decides termination.
 
         Replays the merged message log in canonical order against the
@@ -412,16 +420,16 @@ class EpochDriver:
                 self.hosted[message["dst"]] -= pages
 
         if not running:
-            self.finished_at = t_next
+            self.finished_at = self._barrier
             return
-        if t_next >= self.deadline:
-            raise SimulationError(
-                f"scenario {self.spec.name!r} under {self.policy_spec!r} did "
-                f"not finish within {self.deadline:.0f} simulated seconds; "
-                f"still running: {sorted(running)}"
+        if self._barrier >= self.deadline:
+            from ..scenarios.runner import deadline_error
+
+            raise deadline_error(
+                self.spec, self.policy_spec, self.deadline, running
             )
         if self.rebalancer is not None:
-            desired = self.rebalancer.poll(t_next, self._views())
+            desired = self.rebalancer.poll(self._barrier, self._views())
             if desired:
                 self._plan_capacity(desired)
 

@@ -22,42 +22,57 @@ own nodes' samplers and VMs; the relative order of a group's events —
 the only order that can matter — is preserved, and every float is
 computed by the same code on the same operands.
 
-The one global quantity is the stop time: the shared engine stops when
-the *last* VM cluster-wide goes idle, and until then the already-idle
-nodes keep taking their one-second statistics samples.  The sharded run
-reproduces this with a two-phase protocol:
+One shard protocol
+------------------
+Every sharded run is one driver loop over three shard steps:
 
-1. every worker runs until its own group is idle (or the deadline) and
-   reports its local stop time ``T_g``;
-2. the coordinator broadcasts ``T* = max(T_g)`` and each worker resumes
-   with ``engine.run(until=T*)``, replaying exactly the sampler tail the
-   shared engine would have interleaved, then finalizes its nodes.
+1. ``begin`` starts the shard's nodes and VMs and reports their states;
+2. ``window(command)`` runs the shard's engine to the command's barrier
+   time and reports ``now``, the still-running VMs, the window's
+   cross-node messages and the node states — repeated until the driver
+   declares the run finished;
+3. ``finish(T*)`` runs the engine on to the run's stop time ``T*`` and
+   finalizes the shard's nodes.
+
+The one global quantity of a decoupled run is the stop time: the shared
+engine stops when the *last* VM cluster-wide goes idle, and until then
+the already-idle nodes keep taking their one-second statistics samples.
+Its driver therefore issues a single window that ends at the deadline
+and stops early once the shard's own group is idle; ``T*`` is the
+largest ``now`` any shard reports, and ``finish(T*)`` replays exactly
+the sampler tail the shared engine would have interleaved.
 
 Coupled topologies (remote spill, a coordinator, contention, failures,
-migrations, cross-node or stop triggers) fall back to the exact
-shared-engine run inside a single worker process: sharding them across
-epoch barriers cannot preserve bit-identity because spill admission and
-capacity decisions read *instantaneous* peer state (free frame counts)
-that any lock-step quantum would stale.  The fallback keeps the
-fingerprint guarantee unconditional; see PERFORMANCE.md for when
-sharding actually pays off.
+migrations, cross-node or stop triggers) run the exact shared engine in
+the calling process instead: sharding them across epoch barriers cannot
+preserve bit-identity because spill admission and capacity decisions
+read *instantaneous* peer state (free frame counts) that any lock-step
+quantum would stale, and a lone spawned worker would add spawn time and
+nothing else.  The fallback keeps the fingerprint guarantee
+unconditional; see PERFORMANCE.md for when sharding actually pays off.
 
 The opt-in **epoch** cluster engine (``cluster_engine="epoch"``) lifts
 the coupled-topology serialization by accepting exactly that staleness
-under an explicit contract: shards advance in conservative lookahead
-windows, exchange cross-node effects as canonically-ordered messages at
-window barriers, and admit spills against barrier-computed quotas (see
-:mod:`repro.cluster.epoch`).  Epoch results differ from the exact
-engine's but are deterministic and *shard-count invariant*, pinned in
+under an explicit contract: its driver,
+:class:`~repro.cluster.epoch.EpochDriver`, advances the shards in
+conservative lookahead windows, exchanges cross-node effects as
+canonically-ordered messages at window barriers, and admits spills
+against barrier-computed quotas (see :mod:`repro.cluster.epoch`).  Epoch
+results differ from the exact engine's but are deterministic and
+*shard-count invariant*, pinned in
 ``tests/data/scenario_fingerprints_epoch.json``.  Scenarios that
 relocate VMs across shards (failures, migrations) or inject cross-shard
 events (cross-node/stop triggers) keep the exact fallback even under
 the epoch engine; decoupled topologies keep the bit-exact parallel path
 regardless of the engine selection.
 
-Workers are spawned with the ``spawn`` multiprocessing context and talk
-over pipes, crossing the process boundary as the same strict-JSON dicts
-the parallel sweep backends use (``ScenarioResult.to_dict`` /
+A shard is reached through one of two transports with the same
+``send``/``recv``/``close`` surface: a direct call in this process
+(``inline=True``) or a pipe round trip to a worker spawned with the
+``spawn`` multiprocessing context.  The loop sends each step to every
+shard before it receives from any, so worker shards run each window in
+parallel.  Results cross the process boundary as the same strict-JSON
+dicts the parallel sweep backends use (``ScenarioResult.to_dict`` /
 ``VmResult.to_dict``), so a sharded run composes with everything that
 already consumes serialized results.
 """
@@ -71,13 +86,14 @@ import time as _time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
-from ..errors import ClusterError, SimulationError
+from ..errors import ClusterError
 from ..scenarios.results import ScenarioResult, VmResult
 from ..scenarios.spec import ScenarioSpec
 from ..sim.trace import TraceRecorder
-from ..units import SCENARIO_UNITS, MemoryUnits
+from ..units import MemoryUnits
 from .epoch import (
     EpochDriver,
+    cross_node_trigger,
     epoch_fallback_reason,
     resolve_cluster_engine,
 )
@@ -116,19 +132,12 @@ def coupling_reason(spec: ScenarioSpec, *, use_tmem: bool = True) -> Optional[st
         return "planned VM migrations cross nodes"
     if topology.fault_plan is not None:
         return "fault plan injects cross-node faults"
-    node_of = {
-        vm_name: node.name
-        for node in topology.nodes
-        for vm_name in node.vm_names
-    }
-    for trigger in spec.phase_triggers:
-        if trigger.start_vm and (
-            node_of.get(trigger.watch_vm) != node_of.get(trigger.start_vm)
-        ):
-            return (
-                f"phase trigger {trigger.watch_vm!r} -> {trigger.start_vm!r} "
-                "crosses nodes"
-            )
+    trigger = cross_node_trigger(spec)
+    if trigger is not None:
+        return (
+            f"phase trigger {trigger.watch_vm!r} -> {trigger.start_vm!r} "
+            "crosses nodes"
+        )
     if spec.stop_trigger is not None:
         return "stop trigger halts every VM cluster-wide"
     return None
@@ -151,22 +160,6 @@ def resolve_shards(
     if count < 1:
         raise ClusterError(f"shards must be >= 1, got {count}")
     return min(count, group_count)
-
-
-def _resolve_config(
-    config: Optional[SimulationConfig],
-    units: Optional[MemoryUnits],
-    seed: Optional[int],
-) -> SimulationConfig:
-    """The exact config resolution :class:`ScenarioRunner` performs."""
-    base = config if config is not None else SimulationConfig(
-        units=units if units is not None else SCENARIO_UNITS
-    )
-    if units is not None and base.units is not units:
-        base = base.with_overrides(units=units)
-    if seed is not None:
-        base = base.with_overrides(seed=seed)
-    return base
 
 
 def _require_shardable(spec: ScenarioSpec, config: SimulationConfig) -> None:
@@ -223,13 +216,13 @@ def _chunk(groups: Sequence[Tuple[str, ...]], buckets: int) -> List[Tuple[str, .
 
 
 class _ShardTask:
-    """One worker's share of a sharded run (also usable in-process).
+    """One shard's share of a sharded run: the three protocol steps.
 
-    ``exact=True`` runs the whole scenario through the ordinary
-    :class:`~repro.scenarios.runner.ScenarioRunner` (the coupled-topology
-    fallback); otherwise the task drives only the nodes named in
-    ``group`` on its private engine, following the two-phase stop
-    protocol described in the module docstring.
+    The task builds the full cluster replica but starts and drives only
+    the nodes named in ``group`` on its private engine.  Under the epoch
+    engine an :class:`~repro.cluster.epoch.EpochContext` carries the
+    driver's window inputs into the replica and collects the window's
+    outgoing cross-node messages.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
@@ -237,10 +230,8 @@ class _ShardTask:
 
         self.spec: ScenarioSpec = payload["spec"]
         self.group: Tuple[str, ...] = tuple(payload["group"])
-        self.exact: bool = payload["exact"]
-        self.epoch_mode: bool = payload.get("epoch", False)
         self.ctx = None
-        if self.epoch_mode:
+        if payload["epoch"]:
             from .epoch import EpochContext
 
             self.ctx = EpochContext.for_spec(self.spec, payload["config"])
@@ -249,22 +240,11 @@ class _ShardTask:
             epoch=self.ctx,
         )
 
-    # -- exact fallback ------------------------------------------------------
-    def run_exact(self) -> Dict[str, Any]:
-        result = self.runner.run()
-        return {
-            "result": result.to_dict(),
-            "events": self.runner.engine.events_executed,
-            "pages": sum(
-                vm.kernel.stats.accesses for vm in self.runner.vms.values()
-            ),
-        }
-
-    # -- sharded phases ------------------------------------------------------
-    def phase1(self) -> Dict[str, Any]:
+    def begin(self) -> Dict[str, Any]:
+        """Start the owned nodes and VMs and report the nodes' states."""
         runner = self.runner
         cluster = runner.cluster
-        assert cluster is not None  # decoupled implies a topology
+        assert cluster is not None  # sharding implies a topology
         self._nodes = [
             node for node in cluster.nodes if node.name in self.group
         ]
@@ -278,24 +258,79 @@ class _ShardTask:
         for name, vm in self._vms.items():
             if name not in runner._trigger_started_vms:
                 vm.start()
-        deadline = min(
-            self.spec.max_duration_s, runner.config.max_simulated_time_s
-        )
-        self._deadline = deadline
-        vms = list(self._vms.values())
+        return {"nodes": self._node_states()}
 
-        def group_idle() -> bool:
-            return all(vm.is_idle for vm in vms)
+    def _node_states(self) -> Dict[str, Dict[str, Any]]:
+        """The driver-visible state of each owned node (quota + view inputs)."""
+        states = {}
+        for node in self._nodes:
+            host = node.hypervisor.host_memory
+            backend = self.runner.cluster.remote_backends.get(node.name)
+            failed = sum(
+                account.cumul_puts_failed
+                for account in node.hypervisor.accounting.accounts()
+            )
+            spilled = backend.stats.pages_spilled if backend is not None else 0
+            dropped = (
+                backend.stats.ephemeral_dropped + backend.stats.pages_lost
+                if backend is not None
+                else 0
+            )
+            states[node.name] = {
+                "capacity": host.tmem_total_pages,
+                "free": host.tmem_free_pages,
+                "unassigned": host.unassigned_pages,
+                "failed": failed,
+                "spilled": spilled,
+                "dropped": dropped,
+                "vm_count": len(node.vms),
+            }
+        return states
 
-        runner.engine.run(until=deadline, stop_when=group_idle)
+    def window(self, command: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one window and report its end state and cross-shard effects.
+
+        Applies the driver's capacity steps to the owned nodes, opens the
+        epoch window when there is one, and runs the engine to
+        ``command["until"]`` — stopping early once the group is idle
+        when ``command["stop_when_idle"]`` is set.
+        """
+        runner = self.runner
+        engine = runner.engine
+        owned = {node.name: node for node in self._nodes}
+        for name, delta in command["capacity"].items():
+            node = owned.get(name)
+            if node is None:
+                continue
+            host = node.hypervisor.host_memory
+            if delta < 0:
+                host.shrink_tmem_pool(-delta)
+            else:
+                host.grow_tmem_pool(delta)
+            runner.trace.record(
+                f"tmem_capacity/{name}", engine.now, host.tmem_total_pages
+            )
+        if self.ctx is not None:
+            self.ctx.begin_window(command["quota"], command["busy"])
+        stop_when = None
+        if command["stop_when_idle"]:
+            vms = list(self._vms.values())
+
+            def stop_when() -> bool:
+                return all(vm.is_idle for vm in vms)
+
+        engine.run(until=command["until"], stop_when=stop_when)
         return {
-            "now": runner.engine.now,
+            "now": engine.now,
             "running": [
                 name for name, vm in self._vms.items() if not vm.is_idle
             ],
+            "messages": self.ctx.drain() if self.ctx is not None else [],
+            "nodes": self._node_states(),
         }
 
-    def phase2(self, t_star: float) -> Dict[str, Any]:
+    def finish(self, t_star: float) -> Dict[str, Any]:
+        """Run on to the global stop time *t_star* and report the results."""
         runner = self.runner
         engine = runner.engine
         if t_star > engine.now:
@@ -334,111 +369,23 @@ class _ShardTask:
         }
 
 
-    # -- epoch engine --------------------------------------------------------
-    def epoch_begin(self) -> Dict[str, Any]:
-        """Start the owned nodes and report their initial capacity state."""
-        runner = self.runner
-        cluster = runner.cluster
-        assert cluster is not None
-        self._nodes = [
-            node for node in cluster.nodes if node.name in self.group
-        ]
-        for node in self._nodes:
-            node.start()
-        self._vms = {
-            name: vm
-            for node in self._nodes
-            for name, vm in node.vms.items()
-        }
-        for name, vm in self._vms.items():
-            if name not in runner._trigger_started_vms:
-                vm.start()
-        return {
-            "nodes": {
-                node.name: self._epoch_node_state(node) for node in self._nodes
-            }
-        }
-
-    def _epoch_node_state(self, node) -> Dict[str, Any]:
-        """The driver-visible state of one owned node (quota + view inputs)."""
-        host = node.hypervisor.host_memory
-        backend = self.runner.cluster.remote_backends.get(node.name)
-        failed = sum(
-            account.cumul_puts_failed
-            for account in node.hypervisor.accounting.accounts()
-        )
-        spilled = backend.stats.pages_spilled if backend is not None else 0
-        dropped = (
-            backend.stats.ephemeral_dropped + backend.stats.pages_lost
-            if backend is not None
-            else 0
-        )
-        return {
-            "capacity": host.tmem_total_pages,
-            "free": host.tmem_free_pages,
-            "unassigned": host.unassigned_pages,
-            "failed": failed,
-            "spilled": spilled,
-            "dropped": dropped,
-            "vm_count": len(node.vms),
-        }
-
-    def epoch_window(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one conservative window and report its cross-shard effects."""
-        runner = self.runner
-        engine = runner.engine
-        for name, delta in command.get("capacity", {}).items():
-            for node in self._nodes:
-                if node.name != name:
-                    continue
-                host = node.hypervisor.host_memory
-                if delta < 0:
-                    host.shrink_tmem_pool(-delta)
-                else:
-                    host.grow_tmem_pool(delta)
-                runner.trace.record(
-                    f"tmem_capacity/{node.name}",
-                    engine.now,
-                    host.tmem_total_pages,
-                )
-        self.ctx.begin_window(command["quota"], command["busy"])
-        engine.run(until=command["until"])
-        return {
-            "running": [
-                node.name for node in self._nodes if not node.all_idle()
-            ],
-            "messages": self.ctx.drain(),
-            "nodes": {
-                node.name: self._epoch_node_state(node) for node in self._nodes
-            },
-        }
+#: The shard protocol's steps, in the order a run takes them.
+_STEPS = ("begin", "window", "finish")
 
 
 def _shard_worker_main(conn) -> None:
-    """Entry point of one spawned shard worker."""
+    """Entry point of one spawned shard worker.
+
+    Receives the task payload, then answers steps until ``finish``.
+    """
     try:
-        payload = conn.recv()
-        task = _ShardTask(payload)
-        if task.epoch_mode:
-            conn.send(("ready", task.epoch_begin()))
-            while True:
-                command, data = conn.recv()
-                if command == "window":
-                    conn.send(("barrier", task.epoch_window(data)))
-                elif command == "finish":
-                    conn.send(("done", task.phase2(data)))
-                    break
-                else:  # pragma: no cover - protocol breach
-                    raise ClusterError(
-                        f"shard worker received {command!r} in epoch loop"
-                    )
-        elif task.exact:
-            conn.send(("done", task.run_exact()))
-        else:
-            conn.send(("phase1", task.phase1()))
-            command, t_star = conn.recv()
-            if command == "phase2":
-                conn.send(("done", task.phase2(t_star)))
+        task = _ShardTask(conn.recv())
+        step = None
+        while step != "finish":
+            step, args = conn.recv()
+            if step not in _STEPS:  # pragma: no cover - protocol breach
+                raise ClusterError(f"shard worker received step {step!r}")
+            conn.send(("ok", getattr(task, step)(*args)))
     except Exception as exc:  # surfaced as a clear ClusterError in the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -446,6 +393,121 @@ def _shard_worker_main(conn) -> None:
             pass
     finally:
         conn.close()
+
+
+class _InlineShard:
+    """Shard transport in this process: each step is a direct call."""
+
+    def __init__(self, payload: Dict[str, Any]) -> None:
+        self.task = _ShardTask(payload)
+        self._reply: Any = None
+
+    def send(self, step: str, *args: Any) -> None:
+        self._reply = getattr(self.task, step)(*args)
+
+    def recv(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+
+_WORKER_EXITED = (
+    "shard worker exited without reporting a result (it may have been "
+    "killed by the OS)"
+)
+
+
+class _ProcessShard:
+    """Shard transport to a spawned worker: one pipe round trip per step.
+
+    Owns the worker's whole life: the spawn, the payload hand-off, a
+    dead pipe surfacing as :class:`ClusterError` on send and on receive
+    alike, and the join (or terminate) on :meth:`close`.
+    """
+
+    def __init__(self, payload: Dict[str, Any]) -> None:
+        context = multiprocessing.get_context("spawn")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_shard_worker_main, args=(child_conn,), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self._send(payload)
+
+    def send(self, step: str, *args: Any) -> None:
+        self._send((step, args))
+
+    def _send(self, message: Any) -> None:
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            raise ClusterError(_WORKER_EXITED) from None
+
+    def recv(self) -> Any:
+        try:
+            kind, data = self.conn.recv()
+        except (EOFError, ConnectionResetError):
+            raise ClusterError(_WORKER_EXITED) from None
+        if kind == "error":
+            raise ClusterError(f"shard worker failed: {data}")
+        return data
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join(timeout=10.0)
+        if self.process.is_alive():  # pragma: no cover - hung worker
+            self.process.terminate()
+
+
+def _step(shards: Sequence[Any], step: str, *args: Any) -> List[Dict[str, Any]]:
+    """Send *step* to every shard, then collect the replies in shard order."""
+    for shard in shards:
+        shard.send(step, *args)
+    return [shard.recv() for shard in shards]
+
+
+class _StopDriver:
+    """The decoupled shards' stop rule, behind :class:`EpochDriver`'s interface.
+
+    One window runs every shard to the deadline, each stopping early
+    once its own group is idle; the run then stops at the largest
+    ``now`` any shard reached.  Decoupled shards exchange nothing, so
+    the cluster bookkeeping stays zero.
+    """
+
+    capacity_moves = 0
+    pages_moved = 0
+    contended = False
+
+    def __init__(
+        self, spec: ScenarioSpec, policy_spec: str, config: SimulationConfig
+    ) -> None:
+        self.spec = spec
+        self.policy_spec = policy_spec
+        self.deadline = min(spec.max_duration_s, config.max_simulated_time_s)
+        self.finished_at: Optional[float] = None
+
+    def absorb_init(self, reports: List[Dict[str, Any]]) -> None:
+        pass
+
+    def window_command(self) -> Dict[str, Any]:
+        return {"until": self.deadline, "stop_when_idle": True, "capacity": {}}
+
+    def absorb(self, reports: List[Dict[str, Any]]) -> None:
+        from ..scenarios.runner import deadline_error
+
+        running = [name for report in reports for name in report["running"]]
+        if running:
+            raise deadline_error(
+                self.spec, self.policy_spec, self.deadline, running
+            )
+        self.finished_at = max(report["now"] for report in reports)
+
+    @property
+    def finished(self) -> bool:
+        return self.finished_at is not None
 
 
 class ShardedClusterRunner:
@@ -456,13 +518,15 @@ class ShardedClusterRunner:
     ``ShardedClusterRunner(spec, policy).run()`` returns a
     :class:`ScenarioResult` whose ``fingerprint()`` equals the
     shared-engine run's, for **every** topology — decoupled ones run
-    genuinely in parallel, coupled ones take the exact fallback.
+    genuinely in parallel, coupled ones take the exact shared-engine
+    path in this process.
 
     Parameters
     ----------
     shards:
         ``"auto"`` (one worker per node group, capped at the CPU count),
-        a positive integer, or ``None`` for a single worker.
+        a positive integer, or ``None`` for a single shard (which runs
+        the shared engine in this process).
     inline:
         Run the shard tasks sequentially in this process instead of
         spawning workers.  Same simulation, same fingerprints — used by
@@ -482,11 +546,11 @@ class ShardedClusterRunner:
         inline: bool = False,
         cluster_engine: Optional[str] = "exact",
     ) -> None:
-        from ..scenarios.runner import NO_TMEM_POLICY
+        from ..scenarios.runner import NO_TMEM_POLICY, resolve_config
 
         self.spec = spec
         self.policy_spec = policy_spec
-        self.config = _resolve_config(config, units, seed)
+        self.config = resolve_config(config, units, seed)
         self.inline = inline
         self.cluster_engine = resolve_cluster_engine(cluster_engine)
         use_tmem = policy_spec != NO_TMEM_POLICY
@@ -501,31 +565,16 @@ class ShardedClusterRunner:
             and self.coupled_reason is not None
             and self.epoch_fallback is None
         )
+        groups: List[Tuple[str, ...]] = []
         if self.coupled_reason is None or self.epoch_parallel:
             assert spec.topology is not None
-            groups: List[Tuple[str, ...]] = [
-                (node.name,) for node in spec.topology.nodes
-            ]
-        else:
-            node_names = (
-                spec.topology.node_names() if spec.topology else ("node1",)
-            )
-            groups = [tuple(node_names)]
-        self.shard_count = resolve_shards(shards, len(groups))
-        if self.shard_count == 1:
-            groups = [tuple(name for group in groups for name in group)]
-            self.buckets = list(groups)
-        else:
-            self.buckets = _chunk(groups, self.shard_count)
-        #: True when the run takes the exact shared-engine fallback.
-        #: The epoch protocol runs even at one shard so that the shard
-        #: count never changes epoch results.
-        if self.epoch_parallel:
-            self.exact = False
-        else:
-            self.exact = (
-                self.coupled_reason is not None or len(self.buckets) == 1
-            )
+            groups = [(node.name,) for node in spec.topology.nodes]
+        #: Node names per shard; empty on the exact path.
+        self.buckets = _chunk(groups, resolve_shards(shards, len(groups)))
+        #: True when the run takes the exact shared-engine path in this
+        #: process.  The epoch protocol runs even at one shard so that
+        #: the shard count never changes epoch results.
+        self.exact = not self.epoch_parallel and len(self.buckets) <= 1
         #: Cluster-wide engine events / guest page accesses of the last
         #: run() — summed across shards (the benchmark harness reads
         #: these; they match the shared-engine counters).
@@ -539,194 +588,53 @@ class ShardedClusterRunner:
             "policy_spec": self.policy_spec,
             "config": self.config,
             "group": bucket,
-            "exact": self.exact,
             "epoch": self.epoch_parallel,
         }
 
     def run(self) -> ScenarioResult:
         wall_start = _time.perf_counter()
-        if self.inline:
-            if self.epoch_parallel:
-                outcome = self._run_inline_epoch()
-            else:
-                outcome = self._run_inline()
-        else:
-            _require_shardable(self.spec, self.config)
-            if self.epoch_parallel:
-                outcome = self._run_processes_epoch()
-            else:
-                outcome = self._run_processes()
+        outcome = self._run_exact() if self.exact else self._run_shards()
         outcome.wall_clock_s = _time.perf_counter() - wall_start
         return outcome
 
-    def _run_inline(self) -> ScenarioResult:
-        if self.exact:
-            task = _ShardTask(self._payload(self.buckets[0]))
-            data = task.run_exact()
-            self.events_executed = data["events"]
-            self.pages_accessed = data["pages"]
-            return ScenarioResult.from_dict(data["result"])
-        tasks = [_ShardTask(self._payload(bucket)) for bucket in self.buckets]
-        reports = [task.phase1() for task in tasks]
-        self._check_finished(tasks[0], reports)
-        t_star = max(report["now"] for report in reports)
-        finals = [task.phase2(t_star) for task in tasks]
-        return self._assemble(t_star, finals)
+    def _run_exact(self) -> ScenarioResult:
+        from ..scenarios.runner import ScenarioRunner
 
-    def _run_processes(self) -> ScenarioResult:
-        context = multiprocessing.get_context("spawn")
-        workers: List[Tuple[Any, Any]] = []
-        try:
-            for bucket in self.buckets:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_shard_worker_main, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                parent_conn.send(self._payload(bucket))
-                workers.append((process, parent_conn))
-
-            if self.exact:
-                kind, data = self._recv(workers[0][1])
-                self.events_executed = data["events"]
-                self.pages_accessed = data["pages"]
-                return ScenarioResult.from_dict(data["result"])
-
-            reports = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "phase1":  # pragma: no cover - protocol breach
-                    raise ClusterError(f"shard worker sent {kind!r} in phase 1")
-                reports.append(data)
-            self._check_finished(None, reports)
-            t_star = max(report["now"] for report in reports)
-            for _, conn in workers:
-                conn.send(("phase2", t_star))
-            finals = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "done":  # pragma: no cover - protocol breach
-                    raise ClusterError(f"shard worker sent {kind!r} in phase 2")
-                finals.append(data)
-            return self._assemble(t_star, finals)
-        finally:
-            for process, conn in workers:
-                conn.close()
-                process.join(timeout=10.0)
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-
-    # -- epoch engine --------------------------------------------------------
-    def _epoch_driver(self) -> EpochDriver:
-        return EpochDriver(
-            self.spec,
-            self.policy_spec,
-            self.config,
-            use_tmem=self.use_tmem,
+        runner = ScenarioRunner(self.spec, self.policy_spec, config=self.config)
+        result = runner.run()
+        self.events_executed = runner.engine.events_executed
+        self.pages_accessed = sum(
+            vm.kernel.stats.accesses for vm in runner.vms.values()
         )
+        return result
 
-    def _run_inline_epoch(self) -> ScenarioResult:
-        tasks = [_ShardTask(self._payload(bucket)) for bucket in self.buckets]
-        driver = self._epoch_driver()
-        driver.absorb_init([task.epoch_begin() for task in tasks])
-        while not driver.finished:
-            t_next = driver.next_barrier()
-            command = driver.window_command(t_next)
-            driver.absorb(
-                t_next, [task.epoch_window(command) for task in tasks]
+    def _run_shards(self) -> ScenarioResult:
+        """The one driver loop: begin, windows until finished, finish."""
+        if self.epoch_parallel:
+            driver: "EpochDriver | _StopDriver" = EpochDriver(
+                self.spec, self.policy_spec, self.config, use_tmem=self.use_tmem
             )
-        finals = [task.phase2(driver.finished_at) for task in tasks]
-        return self._assemble(driver.finished_at, finals, driver=driver)
-
-    def _run_processes_epoch(self) -> ScenarioResult:
-        context = multiprocessing.get_context("spawn")
-        workers: List[Tuple[Any, Any]] = []
+        else:
+            driver = _StopDriver(self.spec, self.policy_spec, self.config)
+        if not self.inline:
+            _require_shardable(self.spec, self.config)
+        transport = _InlineShard if self.inline else _ProcessShard
+        shards: List[Any] = []
         try:
             for bucket in self.buckets:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_shard_worker_main, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                parent_conn.send(self._payload(bucket))
-                workers.append((process, parent_conn))
-
-            driver = self._epoch_driver()
-            reports = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "ready":  # pragma: no cover - protocol breach
-                    raise ClusterError(
-                        f"shard worker sent {kind!r} before the first window"
-                    )
-                reports.append(data)
-            driver.absorb_init(reports)
+                shards.append(transport(self._payload(bucket)))
+            driver.absorb_init(_step(shards, "begin"))
             while not driver.finished:
-                t_next = driver.next_barrier()
-                command = driver.window_command(t_next)
-                for _, conn in workers:
-                    conn.send(("window", command))
-                reports = []
-                for _, conn in workers:
-                    kind, data = self._recv(conn)
-                    if kind != "barrier":  # pragma: no cover - breach
-                        raise ClusterError(
-                            f"shard worker sent {kind!r} at a window barrier"
-                        )
-                    reports.append(data)
-                driver.absorb(t_next, reports)
-            for _, conn in workers:
-                conn.send(("finish", driver.finished_at))
-            finals = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "done":  # pragma: no cover - protocol breach
-                    raise ClusterError(f"shard worker sent {kind!r} at finish")
-                finals.append(data)
-            return self._assemble(driver.finished_at, finals, driver=driver)
+                driver.absorb(_step(shards, "window", driver.window_command()))
+            finals = _step(shards, "finish", driver.finished_at)
         finally:
-            for process, conn in workers:
-                conn.close()
-                process.join(timeout=10.0)
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-
-    def _recv(self, conn) -> Tuple[str, Dict[str, Any]]:
-        try:
-            kind, data = conn.recv()
-        except (EOFError, ConnectionResetError):
-            raise ClusterError(
-                "shard worker exited without reporting a result (it may "
-                "have been killed by the OS)"
-            ) from None
-        if kind == "error":
-            raise ClusterError(f"shard worker failed: {data}")
-        return kind, data
-
-    def _check_finished(
-        self, _task: Optional[_ShardTask], reports: List[Dict[str, Any]]
-    ) -> None:
-        unfinished = [
-            name for report in reports for name in report["running"]
-        ]
-        if unfinished:
-            deadline = min(
-                self.spec.max_duration_s, self.config.max_simulated_time_s
-            )
-            raise SimulationError(
-                f"scenario {self.spec.name!r} under {self.policy_spec!r} did "
-                f"not finish within {deadline:.0f} simulated seconds; still "
-                f"running: {unfinished}"
-            )
+            for shard in shards:
+                shard.close()
+        return self._assemble(driver, finals)
 
     # -- assembly ------------------------------------------------------------
     def _assemble(
-        self,
-        t_star: float,
-        finals: List[Dict[str, Any]],
-        driver: Optional[EpochDriver] = None,
+        self, driver: "EpochDriver | _StopDriver", finals: List[Dict[str, Any]]
     ) -> ScenarioResult:
         topology = self.spec.topology
         assert topology is not None
@@ -756,21 +664,18 @@ class ShardedClusterRunner:
             "nodes": {
                 name: node_info[name] for name in topology.node_names()
             },
-            "capacity_moves": 0,
-            "interconnect_pages_moved": 0,
+            "capacity_moves": driver.capacity_moves,
+            "interconnect_pages_moved": driver.pages_moved,
         }
-        if driver is not None:
-            cluster_info["capacity_moves"] = driver.capacity_moves
-            cluster_info["interconnect_pages_moved"] = driver.pages_moved
-            if driver.contended:
-                cluster_info["links"] = driver.describe_links()
-                cluster_info["max_queue_depth"] = driver.max_queue_depth
+        if driver.contended:
+            cluster_info["links"] = driver.describe_links()
+            cluster_info["max_queue_depth"] = driver.max_queue_depth
         return ScenarioResult(
             scenario_name=self.spec.name,
             policy_spec=self.policy_spec,
             seed=self.config.seed,
             total_tmem_pages=sum(final["tmem_pages"] for final in finals),
-            simulated_duration_s=t_star,
+            simulated_duration_s=driver.finished_at,
             vms=vms,
             trace=TraceRecorder.from_dict(trace_data),
             target_updates=sum(final["target_updates"] for final in finals),

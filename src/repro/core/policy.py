@@ -14,6 +14,7 @@ benchmark harness can select them with a string such as
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
@@ -163,4 +164,12 @@ def create_policy(spec: str, **extra_kwargs) -> TmemPolicy:
     # Map the paper's parameter name "P" onto the constructor argument.
     if "P" in kwargs:
         kwargs["percent"] = kwargs.pop("P")
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        accepted = ", ".join(signature.parameters) or "none"
+        raise PolicyError(
+            f"policy {name!r} {exc}; accepted parameters: {accepted}"
+        ) from None
     return factory(**kwargs)

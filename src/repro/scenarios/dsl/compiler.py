@@ -39,9 +39,10 @@ from ...cluster.faults import (
     parse_node_fault,
 )
 from ...core.policy import available_policies, create_policy
-from ...errors import ClusterError, PolicyError, ScenarioError
+from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
 from ...workloads.registry import WORKLOAD_REGISTRY
 from ..registry import registered_scenarios
+from ..runner import NO_TMEM_POLICY
 from ..spec import (
     ClusterTopology,
     NodeFailure,
@@ -230,15 +231,16 @@ class _Compiler:
         policy = None
         if "policy" in data:
             policy = self.expect_str(data["policy"], "policy")
-            if policy is not None:
+            if policy is not None and policy != NO_TMEM_POLICY:
                 try:
                     create_policy(policy)
                 except PolicyError as exc:
-                    self.error(
-                        f"bad policy spec: {exc}"
-                        f"{_suggest(policy.split(':')[0], available_policies())}",
-                        "policy",
-                    )
+                    suggestion = ""
+                    if isinstance(exc, UnknownPolicyError):
+                        suggestion = _suggest(
+                            policy.split(":")[0], available_policies()
+                        )
+                    self.error(f"bad policy spec: {exc}{suggestion}", "policy")
                     policy = None
         seed = None
         if "seed" in data:

@@ -958,8 +958,8 @@ def shard_scenario(
     interconnect, so the nodes never interact.  This is the topology
     class :class:`~repro.cluster.sharded.ShardedClusterRunner` can split
     one-engine-per-node across worker processes while staying
-    bit-identical to the shared-engine run; the coupled families fall
-    back to a single exact worker instead.
+    bit-identical to the shared-engine run; the coupled families run
+    the exact shared engine in the calling process instead.
     """
     _check_scale(scale)
     nodes = int(nodes)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time as _time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.node import Node
@@ -50,7 +50,9 @@ __all__ = [
     "ScenarioRunner",
     "run_scenario",
     "NO_TMEM_POLICY",
+    "deadline_error",
     "register_workload_kind",
+    "resolve_config",
 ]
 
 #: Pseudo-policy spec for the paper's "no tmem support" baseline.
@@ -61,6 +63,37 @@ NO_TMEM_POLICY = "no-tmem"
 #: same dict object), kept under its historical name so existing callers
 #: and tests that inspect it keep working.
 _WORKLOAD_CLASSES: Dict[str, type] = WORKLOAD_REGISTRY
+
+
+def resolve_config(
+    config: Optional[SimulationConfig],
+    units: Optional[MemoryUnits],
+    seed: Optional[int],
+) -> SimulationConfig:
+    """A run's config: *config* (default: one at *units*, else
+    :data:`SCENARIO_UNITS`) with the *units* and *seed* overrides."""
+    base = config if config is not None else SimulationConfig(
+        units=units if units is not None else SCENARIO_UNITS
+    )
+    if units is not None and base.units is not units:
+        base = base.with_overrides(units=units)
+    if seed is not None:
+        base = base.with_overrides(seed=seed)
+    return base
+
+
+def deadline_error(
+    spec: ScenarioSpec,
+    policy_spec: str,
+    deadline: float,
+    running: List[str],
+) -> SimulationError:
+    """The error every execution path raises when VMs miss the deadline."""
+    return SimulationError(
+        f"scenario {spec.name!r} under {policy_spec!r} did not "
+        f"finish within {deadline:.0f} simulated seconds; still running: "
+        f"{running}"
+    )
 
 
 class ScenarioRunner:
@@ -81,14 +114,7 @@ class ScenarioRunner:
         self.policy_spec = policy_spec
         if check_invariants is None:
             check_invariants = bool(os.environ.get("SMARTMEM_CHECK_INVARIANTS"))
-        base_config = config if config is not None else SimulationConfig(
-            units=units if units is not None else SCENARIO_UNITS
-        )
-        if units is not None and base_config.units is not units:
-            base_config = base_config.with_overrides(units=units)
-        if seed is not None:
-            base_config = base_config.with_overrides(seed=seed)
-        self.config = base_config
+        self.config = resolve_config(config, units, seed)
         self._rng_factory = RngFactory(self.config.seed)
 
         self.engine = SimulationEngine()
@@ -204,11 +230,11 @@ class ScenarioRunner:
 
         self.engine.run(until=deadline, stop_when=all_idle)
         if not all_idle():
-            unfinished = [name for name, vm in self.vms.items() if not vm.is_idle]
-            raise SimulationError(
-                f"scenario {self.spec.name!r} under {self.policy_spec!r} did not "
-                f"finish within {deadline:.0f} simulated seconds; still running: "
-                f"{unfinished}"
+            raise deadline_error(
+                self.spec,
+                self.policy_spec,
+                deadline,
+                [name for name, vm in self.vms.items() if not vm.is_idle],
             )
         # Take one final statistics sample per node so the traces cover
         # the full run.

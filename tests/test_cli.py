@@ -85,12 +85,14 @@ class TestCommands:
         ["run", "scenario-1", "--scale", "-1"],
         ["run", "scenario-1", "--scale", "nan"],
         ["run", "scenario-1", "--policy", "nosuch"],
+        ["run", "scenario-1", "--policy", "greedy:foo=1"],
         ["sweep", "--scenario", "nosuch", "--policy", "greedy", "--no-store"],
         ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
          "--scale", "-1", "--no-store"],
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
-        "run-nan-scale", "run-unknown-policy", "sweep-unknown-scenario",
+        "run-nan-scale", "run-unknown-policy", "run-bad-policy-argument",
+        "sweep-unknown-scenario",
         "sweep-negative-scale",
     ])
     def test_bad_input_exits_2_before_any_run(self, argv, capsys):
@@ -98,6 +100,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert len(captured.err.strip().splitlines()) == 1
         assert "running" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("scenario,shards,path", [
+        ("shard:nodes=2", "1", "shared engine in this process: one shard holds every node"),
+        ("failover", "2", "shared engine in this process: remote-tmem spill couples the nodes"),
+    ])
+    def test_run_shards_names_the_in_process_path(
+        self, scenario, shards, path, capsys
+    ):
+        code = main([
+            "run", scenario, "--scale", "0.05", "--policy", "greedy",
+            "--shards", shards,
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"under greedy ({path}) ..." in err
 
     def test_sweep_command_archives_and_aggregates(self, capsys, tmp_path):
         results_dir = tmp_path / "sweep"

@@ -136,6 +136,25 @@ vms:
         assert diag.format("doc.yml") == "doc.yml:4:3: error: boom (at vms[0])"
 
 
+class TestPolicy:
+    def test_argument_the_policy_does_not_take(self, tmp_path, capsys):
+        from repro.cli import main
+
+        text = "family: many-vms\nparams: {n: 2}\npolicy: greedy:foo=1\n"
+        (diag,) = errors(lint_text(text))
+        assert (diag.path, diag.line, diag.column) == ("policy", 3, 1)
+        assert diag.message.endswith("; accepted parameters: none")
+        path = tmp_path / "bad-policy.yml"
+        path.write_text(text)
+        assert main(["lint", str(path)]) == 1
+        assert f"{path}:3:1: error: bad policy spec" in capsys.readouterr().out
+
+    def test_no_tmem_baseline_is_a_policy(self):
+        text = "family: many-vms\nparams: {n: 2}\npolicy: no-tmem\n"
+        assert lint_text(text) == []
+        assert compile_text(text).policy == "no-tmem"
+
+
 class TestYamlAndStructure:
     def test_yaml_syntax_error_is_a_positioned_diagnostic(self):
         diags = lint_text("family: [unclosed\n")

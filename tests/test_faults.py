@@ -320,9 +320,9 @@ class TestFlakyAcceptance:
     def test_bit_identical_serial_vs_process_backend(self, flaky_runner):
         _, result = flaky_runner
         spec = scenario_by_name(FLAKY, scale=PIN_SCALE)
-        # Inline = serial in this process; processes = spawned workers.
-        # A fault-plan topology is coupled, so both take the exact
-        # single-engine path and must reproduce the shared-engine run.
+        # A fault-plan topology is coupled, so inline and process shards
+        # alike take the exact shared-engine path in this process and
+        # must reproduce the shared-engine run.
         assert coupling_reason(spec) is not None
         for inline in (True, False):
             sharded = ShardedClusterRunner(

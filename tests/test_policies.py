@@ -175,6 +175,16 @@ class TestRegistry:
         with pytest.raises(UnknownPolicyError):
             create_policy("does-not-exist")
 
+    @pytest.mark.parametrize("spec,accepted", [
+        ("greedy:foo=1", "none"),
+        ("smart-alloc:P=2,Q=1", "percent, threshold_pages, threshold_fraction"),
+    ])
+    def test_argument_the_policy_does_not_take_rejected(self, spec, accepted):
+        with pytest.raises(PolicyError) as err:
+            create_policy(spec)
+        assert not isinstance(err.value, UnknownPolicyError)
+        assert str(err.value).endswith(f"; accepted parameters: {accepted}")
+
     def test_malformed_spec_rejected(self):
         with pytest.raises(PolicyError):
             parse_policy_spec("smart-alloc:P=")

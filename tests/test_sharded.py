@@ -14,13 +14,16 @@ rebuild.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.sharded import (
     ShardedClusterRunner,
+    _ProcessShard,
     _chunk,
     coupling_reason,
     resolve_shards,
@@ -240,7 +243,8 @@ class TestShardedIdentity:
         assert runner.run().fingerprint() == shared.fingerprint()
 
     def test_process_mode_exact_fallback(self):
-        """A coupled scenario through the worker path (1 exact worker)."""
+        """A coupled scenario with worker processes requested runs the
+        exact shared engine in this process."""
         spec = scenario_by_name("failover", scale=SCALE)
         shared = run_scenario(spec, "greedy", seed=5)
         runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=5)
@@ -252,16 +256,71 @@ class TestShardedIdentity:
 # deadline handling
 # ---------------------------------------------------------------------------
 class TestDeadline:
-    def test_deadline_miss_matches_shared_message(self):
+    @pytest.mark.parametrize("inline", [True, False])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "shard:nodes=2",  # decoupled: the one-window stop driver
+            "failover",  # coupled: the exact path in this process
+        ],
+    )
+    def test_deadline_miss_matches_shared_message(self, scenario, inline):
         spec = dataclasses.replace(
-            scenario_by_name("shard:nodes=2", scale=SCALE),
-            max_duration_s=0.25,
+            scenario_by_name(scenario, scale=SCALE), max_duration_s=0.25
         )
         with pytest.raises(SimulationError) as shared_err:
             run_scenario(spec, "greedy", seed=1)
         with pytest.raises(SimulationError) as sharded_err:
-            run_scenario_sharded(spec, "greedy", shards=2, seed=1, inline=True)
+            run_scenario_sharded(
+                spec, "greedy", shards=2, seed=1, inline=inline
+            )
         assert str(sharded_err.value) == str(shared_err.value)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_epoch_deadline_miss_names_vms(self, inline):
+        spec = dataclasses.replace(
+            scenario_by_name("contended:nodes=2", scale=SCALE),
+            max_duration_s=0.25,
+        )
+        with pytest.raises(SimulationError) as err:
+            run_scenario_sharded(
+                spec, "greedy", shards=2, seed=1, inline=inline,
+                cluster_engine="epoch",
+            )
+        head, _, running = str(err.value).partition("; still running: ")
+        assert head.endswith("did not finish within 0 simulated seconds")
+        names = ast.literal_eval(running)
+        assert names and set(names) <= {vm.name for vm in spec.vms}
+        assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------------------
+# process transport
+# ---------------------------------------------------------------------------
+class TestProcessTransport:
+    def test_dead_worker_is_a_cluster_error_on_send_and_recv(self):
+        """A worker that dies between two steps surfaces as ClusterError
+        whichever pipe operation meets it first."""
+        spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+        runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=1)
+        shards = []
+        try:
+            for bucket in runner.buckets:
+                shards.append(_ProcessShard(runner._payload(bucket)))
+            for bucket, shard in zip(runner.buckets, shards):
+                shard.send("begin")
+                assert set(shard.recv()["nodes"]) == set(bucket)
+                shard.process.kill()
+                shard.process.join()
+            with pytest.raises(ClusterError, match="exited without reporting"):
+                shards[0].send("finish", 1.0)
+            with pytest.raises(ClusterError, match="exited without reporting"):
+                shards[1].recv()
+        finally:
+            for shard in shards:
+                shard.close()
+        assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------
