@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Tuple, Union
 
 from ..errors import GuestError
 from ..hypervisor.hypercalls import HypercallInterface
@@ -51,10 +51,6 @@ class FrontswapStats:
     loads: int = 0
     failed_loads: int = 0
     invalidates: int = 0
-
-    @property
-    def total_stores(self) -> int:
-        return self.succ_stores + self.failed_stores
 
 
 class FrontswapClient:
@@ -231,7 +227,7 @@ class FrontswapClient:
         gets_before_puts,
         *,
         now: float,
-    ) -> Optional[Optional[List[int]]]:
+    ) -> Union[None, Literal[True], List[int]]:
         """Ship one planned burst through the closed-form hypercall path.
 
         *put_pages* are the eviction victims in put order, *get_pages*
@@ -243,13 +239,10 @@ class FrontswapClient:
         C-level operations.
 
         Returns ``None`` when the hypervisor declines the planned path
-        (remote tmem, a target installed, or a non-persistent pool) and
-        the caller must stage a conventional batch; the version clock is
-        untouched in that case.  Otherwise returns the per-put success
-        flags, or ``None``-inside-success semantics matching the batch
-        result: the value is ``[]``-safe — all puts succeeded is
-        signalled by the literal ``True`` so callers can distinguish
-        "declined" (``None``) from "all ok" cheaply.
+        (remote tmem or a non-persistent pool) and the caller must stage
+        a conventional batch; the version clock is untouched in that
+        case.  Returns ``True`` when every put succeeded (or there were
+        none), and otherwise one 1/0 success flag per put, in put order.
         """
         first_version = self._version_clock + 1
         planned = self._hypercalls.tmem_planned(

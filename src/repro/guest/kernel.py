@@ -585,10 +585,10 @@ class GuestKernel:
                 # interleaving is known up front (puts are consecutive
                 # from miss index ``free_slots`` on, with at most one
                 # exclusive get between consecutive puts), so the
-                # hypervisor can resolve the whole admission sequence
-                # with two array operations instead of an op walk.  The
-                # backend declines (returns None) when remote tmem or a
-                # target makes admission history-dependent.
+                # hypervisor resolves the whole admission sequence in
+                # closed form instead of an op walk, targets included.
+                # The backend declines (returns None) when remote tmem
+                # or a non-persistent pool is involved.
                 if victims_needed:
                     # Exclusive prefix counts of gets, sliced to the put
                     # positions (miss index ``free_slots`` onward).
@@ -643,10 +643,10 @@ class GuestKernel:
         """Ship a vector-planned burst's tmem traffic as one staged batch.
 
         The route for bursts with tmem traffic whose admission the
-        closed-form path cannot resolve (remote tmem, a target, a
-        non-persistent pool).  Builds the burst's event plan in scalar
-        order, executes its puts and gets in one batched hypercall, and
-        returns the plan, the per-op statuses and the remote costs for
+        closed-form path cannot resolve (remote tmem or a non-persistent
+        pool).  Builds the burst's event plan in scalar order, executes
+        its puts and gets in one batched hypercall, and returns the
+        plan, the per-op statuses and the remote costs for
         :meth:`_replay_plan`.
         """
         fs = self._frontswap

@@ -3,7 +3,7 @@
 The subpackage reproduces the hypervisor-side half of SmarTmem:
 
 * :mod:`repro.hypervisor.tmem_store` — the key--value store behind the
-  tmem interface (pools, objects, page keys).
+  tmem interface (pools, objects, page keys -> page versions).
 * :mod:`repro.hypervisor.accounting` — per-VM counters and node-wide
   counters matching Table I of the paper.
 * :mod:`repro.hypervisor.tmem_backend` — Algorithm 1: admission control of
@@ -16,7 +16,7 @@ The subpackage reproduces the hypervisor-side half of SmarTmem:
   and owns host memory.
 """
 
-from .pages import PageKey, TmemPage
+from .pages import PageKey
 from .tmem_store import TmemPool, TmemStore
 from .accounting import VmTmemAccount, NodeInfo, HypervisorAccounting
 from .tmem_backend import TmemBackend, TmemOpResult, TmemOpcode
@@ -26,7 +26,6 @@ from .xen import Hypervisor
 
 __all__ = [
     "PageKey",
-    "TmemPage",
     "TmemPool",
     "TmemStore",
     "VmTmemAccount",

@@ -220,7 +220,8 @@ class HypercallInterface:
         remote tmem attached (a planned-path precondition) the remote
         extras are identically zero, so the simpler expressions below
         produce bit-equal latencies.  Returns ``None`` when the backend
-        declines the fast path, else ``(put_statuses, get_versions)``.
+        declines the fast path (remote tmem or a non-persistent pool),
+        else ``(put_statuses, get_versions)``.
         """
         self._require_registered(vm_id)
         planned = self._backend.execute_planned(
@@ -275,13 +276,6 @@ class HypercallInterface:
         latency = self._config.sampling.writeback_latency_s
         self.stats_for(caller_vm_id).charge("set_targets", latency)
         return latency
-
-    def current_targets(self) -> Dict[int, int]:
-        """Read back the installed targets (diagnostic hypercall)."""
-        return {
-            account.vm_id: account.mm_target
-            for account in self._accounting.accounts()
-        }
 
     def registered_domains(self) -> Sequence[int]:
         return tuple(sorted(self._registered))

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import TmemKeyError
 
-__all__ = ["PageKey", "TmemPage", "make_page_key"]
+__all__ = ["PageKey", "make_page_key"]
 
 #: ``@dataclass(slots=True)`` needs Python 3.10; on 3.9 (the oldest
 #: version CI exercises) we fall back to ordinary dataclasses — the slot
@@ -62,21 +61,3 @@ def make_page_key(pool_id: int, object_id: int, index: int) -> PageKey:
     object.__setattr__(key, "index", index)
     return key
 
-
-@dataclass(**_SLOTS)
-class TmemPage:
-    """One page held in the hypervisor's tmem pool.
-
-    The simulator does not store page contents; it stores a monotonically
-    increasing *version* written by the guest at put time so that tests can
-    verify that a get returns the data of the most recent put (the
-    consistency property a real key--value store provides).
-    """
-
-    #: ``None`` for pool-resident records created by the batched put
-    #: path: their identity is their position in the pool radix, and
-    #: nothing reads ``key`` off a stored record.
-    key: Optional[PageKey]
-    owner_vm: int
-    version: int
-    put_time: float

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import compress, count
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..devices.dram import HostMemory
 from ..errors import TmemError
 from .accounting import HypervisorAccounting, VmTmemAccount
-from .pages import PageKey, TmemPage
+from .pages import PageKey
 from .tmem_store import TmemStore
 
 __all__ = [
@@ -212,10 +211,8 @@ class TmemBackend:
         account.cumul_puts_total += 1
 
         # A put to an existing key replaces the page in place (no new frame).
-        existing = pool.lookup(key)
-        if existing is not None:
-            existing.version = version
-            existing.put_time = now
+        if key in pool:
+            pool.insert(key, version)
             account.puts_succ += 1
             account.cumul_puts_succ += 1
             return TmemOpResult(TmemOpcode.PUT, TmemStatus.S_TMEM, vm_id, key)
@@ -249,7 +246,7 @@ class TmemBackend:
             # demand: fall through to the ordinary allocation below.
 
         self._host.allocate_tmem_page()
-        pool.insert(TmemPage(key=key, owner_vm=vm_id, version=version, put_time=now))
+        pool.insert(key, version)
         account.tmem_used += 1
         account.puts_succ += 1
         account.cumul_puts_succ += 1
@@ -267,8 +264,8 @@ class TmemBackend:
         account.gets_total += 1
         account.cumul_gets_total += 1
 
-        page = pool.lookup(key)
-        if page is None:
+        version = pool.remove(key) if pool.persistent else pool.lookup(key)
+        if version is None:
             remote = self.remote
             if remote is not None:
                 version = remote.remote_get(
@@ -286,9 +283,7 @@ class TmemBackend:
                     )
             return TmemOpResult(TmemOpcode.GET, TmemStatus.E_TMEM, vm_id, key)
 
-        version = page.version
         if pool.persistent:
-            pool.remove(key)
             self._host.free_tmem_page()
             account.tmem_used -= 1
             if account.tmem_used < 0:
@@ -304,8 +299,7 @@ class TmemBackend:
         account.flushes_total += 1
         account.cumul_flushes_total += 1
 
-        page = pool.remove(key)
-        if page is None:
+        if pool.remove(key) is None:
             remote = self.remote
             if remote is not None and remote.remote_flush(
                 vm_id, key.object_id, key.index,
@@ -377,7 +371,6 @@ class TmemBackend:
         # bounded by free frames only.
         limit = account.mm_target if account.has_target else None
         persistent = pool.persistent
-        owner = vm_id
 
         # The radix is probed and edited inline — one dict operation per
         # op instead of a Python call frame through the pool accessors;
@@ -390,8 +383,6 @@ class TmemBackend:
         remote_costs = result.remote_costs
         remote_costs_append = remote_costs.append
         remote_put_extra = remote_get_extra = 0.0
-        new_record = object.__new__
-        page_cls = TmemPage
         count_delta = 0
 
         puts_total = puts_succ = puts_failed = 0
@@ -430,10 +421,8 @@ class TmemBackend:
                     if free == 0 or (limit is not None and used >= limit):
                         # A put to an existing key still replaces in place
                         # (no new frame), even with admission exhausted.
-                        existing = bucket.get(index) if bucket is not None else None
-                        if existing is not None:
-                            existing.version = version
-                            existing.put_time = now
+                        if bucket is not None and index in bucket:
+                            bucket[index] = version
                             puts_succ += 1
                             if statuses is not None:
                                 append_status(1)
@@ -472,28 +461,17 @@ class TmemBackend:
                             append_put_status(0)
                             continue
                     if bucket is None:
-                        bucket = objects[object_id] = {}
-                        existing = None
-                    else:
-                        existing = bucket.get(index)
-                    if existing is not None:
+                        objects[object_id] = {index: version}
+                    elif index in bucket:
                         # Replace in place: no new frame is consumed.
-                        existing.version = version
-                        existing.put_time = now
+                        bucket[index] = version
                         puts_succ += 1
                         if statuses is not None:
                             append_status(1)
                             append_put_status(1)
                         continue
-                    # Lean page record: batch-stored pages carry no PageKey
-                    # (their identity is their radix position; nothing reads
-                    # ``key`` off a pool-resident record).
-                    page = new_record(page_cls)
-                    page.key = None
-                    page.owner_vm = owner
-                    page.version = version
-                    page.put_time = now
-                    bucket[index] = page
+                    else:
+                        bucket[index] = version
                     count_delta += 1
                     used += 1
                     free -= 1
@@ -507,12 +485,12 @@ class TmemBackend:
                     # released and becomes available to later puts in the batch.
                     bucket = objects_get(object_id)
                     if persistent:
-                        page = bucket.pop(index, None) if bucket is not None else None
-                        if page is not None and not bucket:
+                        got = bucket.pop(index, None) if bucket is not None else None
+                        if got is not None and not bucket:
                             del objects[object_id]
                     else:
-                        page = bucket.get(index) if bucket is not None else None
-                    if page is None:
+                        got = bucket.get(index) if bucket is not None else None
+                    if got is None:
                         if remote is not None:
                             remote_version = remote.remote_get(
                                 vm_id, object_id, index, ephemeral=ephemeral
@@ -545,15 +523,14 @@ class TmemBackend:
                             raise TmemError(
                                 f"VM {vm_id} tmem_used went negative on get"
                             )
-                    append_get_version(page.version)
+                    append_get_version(got)
                     if statuses is not None:
                         append_status(1)
                         append_get_status(1)
                 elif opcode == BATCH_FLUSH:
                     flushes_total += 1
                     bucket = objects_get(object_id)
-                    page = bucket.pop(index, None) if bucket is not None else None
-                    if page is None:
+                    if bucket is None or bucket.pop(index, None) is None:
                         if remote is not None and remote.remote_flush(
                             vm_id, object_id, index, ephemeral=ephemeral
                         ):
@@ -637,31 +614,42 @@ class TmemBackend:
         The guest's vectorized planner knows the exact interleaving of a
         burst's puts and gets before issuing them: puts are consecutive
         (one per miss once the free frames are consumed) with at most one
-        exclusive get between consecutive puts.  Under the greedy
-        admission rule (no per-VM target) on a single host, admission
-        then has a closed form: with ``f_i = free_frames +
-        gets_before_puts[i]`` non-decreasing in steps of at most one,
-        the running success count is ``s_i = min(i + 1, f_i)``, and
-        because ``f_i - i`` is non-increasing the whole burst admits
-        fully iff ``f_last >= n_puts`` — one comparison replaces the
-        per-op admission walk in the common case.  The resulting
-        counters, pool contents and statuses are bit-identical to
-        :meth:`execute_batch` over the equivalent op sequence.
+        exclusive get between consecutive puts.  On a single host,
+        Algorithm 1's admission then has a closed form over the
+        *headroom* ``h0``: the free frames under the greedy default, or
+        ``min(free frames, mm_target - tmem_used)`` when a target is
+        installed.  Targets change only between bursts (the Memory
+        Manager's write-back), and inside a burst an admitted put moves
+        ``tmem_used`` up and the free frames down by one, an exclusive
+        get moves both back and a refused put moves neither, so the
+        headroom moves exactly as the free frames do under greedy.  Put
+        *i* therefore admits iff the puts admitted before it number
+        fewer than ``f_i = h0 + gets_before_puts[i]``.  ``f_i - i`` is
+        non-increasing (``gets_before_puts`` steps by at most one per
+        put), so the whole burst admits iff ``f_last >= n_puts`` and
+        every put fails iff ``f_last <= 0``; only the bursts in between
+        walk the puts.  ``h0`` is not clamped at 0: a VM above its
+        target must pay the deficit back with gets before a put admits.
+        The resulting counters, pool contents and statuses are
+        bit-identical to :meth:`execute_batch` over the equivalent op
+        sequence.
 
         Preconditions (guaranteed by the planner, not re-checked): every
         put key is absent from the pool (victims are resident, therefore
         not tmem-held), every get key is present (the client's stored-page
         map mirrors the pool on a single host), puts and gets are
         disjoint, ``gets_before_puts`` is non-decreasing with steps <= 1.
+        A get that misses anyway raises :class:`TmemError` and leaves the
+        pool, the account and the host frames as they were.
 
         Returns ``None`` when the fast path does not apply (remote tmem
-        attached, a target installed, or a non-persistent pool) — the
-        caller must then fall back to :meth:`execute_batch`.  Otherwise
-        returns ``(put_statuses, get_versions)`` where ``put_statuses``
-        is ``None`` when every put succeeded, else one 1/0 per put.
+        attached, or a non-persistent pool) — the caller must then fall
+        back to :meth:`execute_batch`.  Otherwise returns
+        ``(put_statuses, get_versions)`` where ``put_statuses`` is
+        ``None`` when every put succeeded, else one 1/0 per put.
         """
         account = self._accounting.account(vm_id)
-        if self.remote is not None or account.has_target:
+        if self.remote is not None:
             return None
         pool = self._store.get_pool(vm_id, pool_id)
         if not pool.persistent:
@@ -672,72 +660,63 @@ class TmemBackend:
         objects = pool.radix()
         objects_get = objects.get
 
-        put_statuses: Optional[List[int]] = None
-        puts_succ = n_puts
-        if n_puts:
-            free = self._host.tmem_free_pages
-            new_record = object.__new__
-            page_cls = TmemPage
-            version = first_version
-            if free + gets_before_puts[-1] >= n_puts:
-                # Every put admits: skip the admission walk entirely.
-                for page_no in put_pages:
-                    object_id, index = divmod(page_no, pages_per_object)
-                    page = new_record(page_cls)
-                    page.key = None
-                    page.owner_vm = vm_id
-                    page.version = version
-                    page.put_time = now
-                    version += 1
-                    bucket = objects_get(object_id)
-                    if bucket is None:
-                        objects[object_id] = {index: page}
-                    else:
-                        bucket[index] = page
-            elif free == 0 and gets_before_puts[-1] == 0:
-                # No free frames and no gets interleave the puts: the
-                # admission bound stays at zero, so every put fails.
-                put_statuses = [0] * n_puts
-                puts_succ = 0
-            else:
-                put_statuses = []
-                append_flag = put_statuses.append
-                succ = 0
-                for page_no, gets_done in zip(put_pages, gets_before_puts):
-                    if succ < free + gets_done:
-                        succ += 1
-                        append_flag(1)
-                        object_id, index = divmod(page_no, pages_per_object)
-                        page = new_record(page_cls)
-                        page.key = None
-                        page.owner_vm = vm_id
-                        page.version = version
-                        page.put_time = now
-                        bucket = objects_get(object_id)
-                        if bucket is None:
-                            objects[object_id] = {index: page}
-                        else:
-                            bucket[index] = page
-                    else:
-                        append_flag(0)
-                    version += 1
-                puts_succ = succ
-
+        # Gets run first: their keys are disjoint from the puts', so the
+        # order of the two loops does not change the result, and a miss
+        # finds nothing edited but the pages this loop popped.
         get_versions: List[int] = []
         if n_gets:
             append_version = get_versions.append
             for page_no in get_pages:
                 object_id, index = divmod(page_no, pages_per_object)
                 bucket = objects_get(object_id)
-                page = bucket.pop(index, None) if bucket is not None else None
-                if page is None:
+                version = bucket.pop(index, None) if bucket is not None else None
+                if version is None:
+                    # Put back what this loop popped before the miss.
+                    for popped, old in zip(get_pages, get_versions):
+                        obj, idx = divmod(popped, pages_per_object)
+                        objects.setdefault(obj, {})[idx] = old
                     raise TmemError(
                         f"VM {vm_id}: planned get missed page "
                         f"({object_id}, {index}) in a persistent pool"
                     )
                 if not bucket:
                     del objects[object_id]
-                append_version(page.version)
+                append_version(version)
+
+        put_statuses: Optional[List[int]] = None
+        puts_succ = n_puts
+        if n_puts:
+            headroom = self._host.tmem_free_pages
+            if account.has_target:
+                headroom = min(headroom, account.mm_target - account.tmem_used)
+            bound = headroom + gets_before_puts[-1]
+            admitted: Iterable[Tuple[int, int]] = zip(
+                put_pages, count(first_version)
+            )
+            if bound <= 0:
+                # The bound never rises above zero: every put fails.
+                put_statuses = [0] * n_puts
+                puts_succ = 0
+                admitted = ()
+            elif bound < n_puts:
+                put_statuses = []
+                append_flag = put_statuses.append
+                succ = 0
+                for gets_done in gets_before_puts:
+                    if succ < headroom + gets_done:
+                        succ += 1
+                        append_flag(1)
+                    else:
+                        append_flag(0)
+                puts_succ = succ
+                admitted = compress(admitted, put_statuses)
+            for page_no, version in admitted:
+                object_id, index = divmod(page_no, pages_per_object)
+                bucket = objects_get(object_id)
+                if bucket is None:
+                    objects[object_id] = {index: version}
+                else:
+                    bucket[index] = version
 
         count_delta = puts_succ - n_gets
         if count_delta:

@@ -2,23 +2,26 @@
 
 A :class:`TmemStore` holds one :class:`TmemPool` per registered (VM,
 pool-id) pair.  Pools map :class:`~repro.hypervisor.pages.PageKey` triples
-to :class:`~repro.hypervisor.pages.TmemPage` records.  The store is pure
-bookkeeping — admission control (targets, free-page checks) lives in
-:mod:`repro.hypervisor.tmem_backend`, and physical frame accounting lives
-in :class:`repro.devices.dram.HostMemory`.
+to page *versions*.  The simulator stores no page contents: the guest
+writes a monotonically increasing version int with every put, and a get
+hands that int back, so that the guest can verify it got the data of the
+most recent put (the consistency property a real key--value store
+provides).  The store is pure bookkeeping — admission control (targets,
+free-page checks) lives in :mod:`repro.hypervisor.tmem_backend`, and
+physical frame accounting lives in
+:class:`repro.devices.dram.HostMemory`.
 
 Operations mirror the tmem ABI described in the paper: put, get (which in
 frontswap mode is *exclusive*: a successful get also removes the page),
 flush page and flush object.
 
-Pages are stored in a two-level radix — object id first, page index
+Versions are stored in a two-level radix — object id first, page index
 second — which makes ``remove_object`` O(pages of that object) instead of
 a scan of the whole pool, exactly like the object nodes of the real tmem
 implementation.  The store additionally keeps a per-VM pool index so that
 ``pools_of``/``pages_held_by`` do not iterate every pool on the node.
-The ``*_raw`` accessors take the (object id, index) pair directly; the
-batched hypercall path uses them to bypass per-page
-:class:`~repro.hypervisor.pages.PageKey` construction.
+Lookups return the stored version or ``None``; a version may be 0, so
+callers test the result with ``is None``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import TmemPoolError
-from .pages import PageKey, TmemPage
+from .pages import PageKey
 
 __all__ = ["TmemPool", "TmemStore"]
 
@@ -47,8 +50,8 @@ class TmemPool:
     pool_id: int
     owner_vm: int
     persistent: bool = True
-    #: object id -> page index -> page record (the two-level radix).
-    _objects: Dict[int, Dict[int, TmemPage]] = field(default_factory=dict)
+    #: object id -> page index -> page version (the two-level radix).
+    _objects: Dict[int, Dict[int, int]] = field(default_factory=dict)
     _count: int = 0
 
     def __len__(self) -> int:
@@ -58,56 +61,28 @@ class TmemPool:
         pages = self._objects.get(key.object_id)
         return pages is not None and key.index in pages
 
-    def insert(self, page: TmemPage) -> None:
-        self.insert_raw(page.key.object_id, page.key.index, page)
-
-    def insert_raw(self, object_id: int, index: int, page: TmemPage) -> None:
-        """Like :meth:`insert` but addressed by the raw (object, index)."""
-        pages = self._objects.setdefault(object_id, {})
-        if index not in pages:
+    def insert(self, key: PageKey, version: int) -> None:
+        """Store *version* under *key*, replacing any version held there."""
+        pages = self._objects.setdefault(key.object_id, {})
+        if key.index not in pages:
             self._count += 1
-        pages[index] = page
+        pages[key.index] = version
 
-    def insert_or_existing(
-        self, object_id: int, index: int, page: TmemPage
-    ) -> Optional[TmemPage]:
-        """Insert *page* unless the slot is taken; returns the occupant.
-
-        One dict probe services both the replace-detection and the
-        insert of the batched put path.  On a conflict the existing page
-        is returned unchanged and *page* is discarded by the caller; on
-        a fresh slot *page* is stored and ``None`` returned.
-        """
-        pages = self._objects.setdefault(object_id, {})
-        existing = pages.setdefault(index, page)
-        if existing is page:
-            self._count += 1
-            return None
-        return existing
-
-    def lookup(self, key: PageKey) -> Optional[TmemPage]:
+    def lookup(self, key: PageKey) -> Optional[int]:
         pages = self._objects.get(key.object_id)
         return pages.get(key.index) if pages is not None else None
 
-    def lookup_raw(self, object_id: int, index: int) -> Optional[TmemPage]:
-        """Like :meth:`lookup` but addressed by the raw (object, index)."""
-        pages = self._objects.get(object_id)
-        return pages.get(index) if pages is not None else None
-
-    def remove(self, key: PageKey) -> Optional[TmemPage]:
-        return self.remove_raw(key.object_id, key.index)
-
-    def remove_raw(self, object_id: int, index: int) -> Optional[TmemPage]:
-        """Like :meth:`remove` but addressed by the raw (object, index)."""
-        pages = self._objects.get(object_id)
+    def remove(self, key: PageKey) -> Optional[int]:
+        """Drop *key*; returns the version it held, or ``None``."""
+        pages = self._objects.get(key.object_id)
         if pages is None:
             return None
-        page = pages.pop(index, None)
-        if page is not None:
+        version = pages.pop(key.index, None)
+        if version is not None:
             self._count -= 1
             if not pages:
-                del self._objects[object_id]
-        return page
+                del self._objects[key.object_id]
+        return version
 
     def remove_object(self, object_id: int) -> int:
         """Drop every page of *object_id*; returns the number removed."""
@@ -124,13 +99,9 @@ class TmemPool:
         self._count = 0
         return count
 
-    def pages(self) -> Iterator[TmemPage]:
-        for pages in self._objects.values():
-            yield from pages.values()
-
     # -- batched hot-path accessors -----------------------------------------
-    def radix(self) -> Dict[int, Dict[int, TmemPage]]:
-        """The live object -> index -> page mapping.
+    def radix(self) -> Dict[int, Dict[int, int]]:
+        """The live object -> index -> version mapping.
 
         Exposed so the batched hypercall path can probe and mutate the
         radix without a Python call frame per operation.  Callers that

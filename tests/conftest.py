@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import SimulationConfig
 from repro.hypervisor.xen import Hypervisor
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngFactory
 from repro.units import MemoryUnits
+
+#: A deeper run of the properties that leave ``max_examples`` unpinned,
+#: selected with ``pytest --hypothesis-profile=nightly``.  The default
+#: profile is untouched, so an ordinary run is unchanged.
+settings.register_profile("nightly", max_examples=5000)
 
 
 @pytest.fixture

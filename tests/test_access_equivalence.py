@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import GuestConfig, SimulationConfig
 from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
 from repro.guest.kernel import GuestKernel
 from repro.guest.swap import SwapStats
+from repro.hypervisor.tmem_backend import TmemBackend
 from repro.hypervisor.xen import Hypervisor
 from repro.scenarios.library import usemem_scenario
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.registry import scenario_by_name
+from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.sim.engine import SimulationEngine
 from repro.units import SCENARIO_UNITS
 
@@ -99,9 +101,19 @@ class TestKernelLevelEquivalence:
         assert_kernels_identical(scalar, batched, hv_s, hv_b)
 
     @settings(deadline=None, max_examples=25)
-    @given(bursts=BURSTS, frees=st.lists(st.integers(0, 50), max_size=20))
-    def test_bursts_with_frees_and_target(self, bursts, frees):
+    @given(bursts=BURSTS, frees=st.lists(st.integers(0, 50), max_size=20),
+           targets=st.lists(st.one_of(st.none(), st.integers(0, 20)),
+                            max_size=25))
+    # The last burst starts one page over a target of 0: its fault from
+    # tmem pays the deficit back, and the eviction after that fault must
+    # still be refused.
+    @example(bursts=[[1, 9, 10, 0], [3, 4, 5, 6, 7, 8], [1, 2]], frees=[],
+             targets=[None, None, 0])
+    def test_bursts_with_frees_and_target(self, bursts, frees, targets):
         # A tight target forces put failures; frees exercise batched flush.
+        # A target may also move before a burst (None keeps the current
+        # one), as the Memory Manager's write-back does between bursts,
+        # and may drop below the VM's usage.
         scalar, hv_s = build_kernel(
             "scalar", ram_pages=10, tmem_pages=32, target=5
         )
@@ -110,6 +122,10 @@ class TestKernelLevelEquivalence:
         )
         now = 0.0
         for i, burst in enumerate(bursts):
+            target = targets[i] if i < len(targets) else None
+            if target is not None:
+                hv_s.accounting.set_target(scalar.vm_id, target)
+                hv_b.accounting.set_target(batched.vm_id, target)
             lat_s = scalar.access(burst, now=now).latency_s
             lat_b = batched.access(burst, now=now).latency_s
             assert lat_s == lat_b
@@ -229,3 +245,32 @@ class TestScenarioLevelEquivalence:
         batched, stats_b = run_usemem("greedy", "batched", reclaim="clock")
         assert stats_s == stats_b
         assert scalar.vms == batched.vms
+
+
+class TestClosedFormCoverage:
+    """The paper's target-based policies take the closed-form tmem path."""
+
+    @pytest.mark.parametrize("policy", ["static-alloc", "reconf-static",
+                                        "smart-alloc"])
+    @pytest.mark.parametrize("scenario", ["usemem-scenario", "scenario-1"])
+    def test_single_host_bursts_never_stage(self, monkeypatch, scenario,
+                                            policy):
+        counts = {}
+
+        def count_calls(cls, name):
+            original = getattr(cls, name)
+            counts[name] = 0
+
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count_calls(TmemBackend, "execute_planned")
+        count_calls(GuestKernel, "_stage_vector_plan")
+        config = SimulationConfig(units=SCENARIO_UNITS)
+        run_scenario(scenario_by_name(scenario, scale=0.1), policy,
+                     config=config, seed=7)
+        assert counts["execute_planned"] > 0
+        assert counts["_stage_vector_plan"] == 0

@@ -1,13 +1,15 @@
 """Tests for the tmem backend: Algorithm 1's admission control."""
 
+import copy
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.devices.dram import HostMemory
-from repro.errors import HypercallError
+from repro.errors import HypercallError, TmemError
 from repro.hypervisor.accounting import HypervisorAccounting
 from repro.hypervisor.pages import PageKey
-from repro.hypervisor.tmem_backend import TmemBackend
+from repro.hypervisor.tmem_backend import BATCH_GET, BATCH_PUT, TmemBackend
 from repro.hypervisor.tmem_store import TmemStore
 from repro.hypervisor.xen import Hypervisor
 
@@ -353,3 +355,169 @@ class TestExecuteBatch:
         ops += [self.get_op(0), self.flush_op(1)]
         batch_b.execute_batch(1, batch_pools[1], ops, now=0.0)
         assert scalar_acc.account(1) == batch_acc.account(1)
+
+
+#: Slots per tmem object in the planned-path tests: small, so that put
+#: and get pages share objects and a get can empty an object a put then
+#: recreates.
+PPO = 4
+
+
+def page_key(pool_id, page_no):
+    return PageKey(pool_id, *divmod(page_no, PPO))
+
+
+@st.composite
+def planned_bursts(draw):
+    """A preloaded pool, a target and one burst in the planner's shape:
+    leading gets, then puts with at most one get after each put."""
+    frames = draw(st.integers(1, 12))
+    stored = draw(st.integers(0, frames))
+    # Frames held by a second VM, so the free frames and the target's
+    # headroom vary independently.
+    other = draw(st.integers(0, frames - stored))
+    # Unset, 0, or anywhere below, at or above the VM's usage.
+    target = draw(st.one_of(st.none(), st.integers(0, frames + 2)))
+    get_order = draw(st.permutations(range(stored)))
+    leading = draw(st.integers(0, stored))
+    n_puts = draw(st.integers(0, 10))
+    gets_left = stored - leading
+    get_after = []
+    for _ in range(n_puts):
+        flag = gets_left > 0 and draw(st.booleans())
+        gets_left -= flag
+        get_after.append(flag)
+    n_gets = leading + sum(get_after)
+    # Put pages follow the stored ones, in any order: fresh keys that
+    # may share an object with a get page.
+    put_pages = [stored + i for i in draw(st.permutations(range(n_puts)))]
+    return {
+        "frames": frames,
+        "stored": stored,
+        "other": other,
+        "target": target,
+        "get_pages": list(get_order[:n_gets]),
+        "leading": leading,
+        "get_after": get_after,
+        "put_pages": put_pages,
+    }
+
+
+def preloaded_backend(burst):
+    backend, acc, host, pools = build_backend(
+        tmem_pages=burst["frames"], vms=(1, 2)
+    )
+    for page_no in range(burst["stored"]):
+        assert backend.put(
+            1, pools[1], page_key(pools[1], page_no), version=page_no + 1,
+            now=0.0,
+        ).succeeded
+    for page_no in range(burst["other"]):
+        assert backend.put(
+            2, pools[2], page_key(pools[2], page_no), version=1, now=0.0
+        ).succeeded
+    if burst["target"] is not None:
+        acc.set_target(1, burst["target"])
+    return backend, acc, host, pools
+
+
+class TestExecutePlanned:
+    """The closed-form planned path against the op walk it replaces."""
+
+    @settings(deadline=None)
+    @given(burst=planned_bursts())
+    # One frame, held by the VM, and a target of 0: the VM is one page
+    # over its target, so its get pays the deficit back and the put
+    # after it is still refused.
+    @example(burst={
+        "frames": 1, "stored": 1, "other": 0, "target": 0,
+        "get_pages": [0], "leading": 1, "get_after": [False],
+        "put_pages": [1],
+    })
+    def test_closed_form_matches_the_op_walk(self, burst):
+        planned_side = preloaded_backend(burst)
+        batch_side = preloaded_backend(burst)
+        first_version = 100
+        get_pages = burst["get_pages"]
+        put_pages = burst["put_pages"]
+
+        # The same burst as an op sequence, and its per-put get counts.
+        gets = iter(get_pages)
+        gets_done = burst["leading"]
+        ops = [(BATCH_GET, *divmod(next(gets), PPO), 0)
+               for _ in range(gets_done)]
+        gets_before_puts = []
+        for i, (page_no, get_after) in enumerate(
+            zip(put_pages, burst["get_after"])
+        ):
+            gets_before_puts.append(gets_done)
+            ops.append((BATCH_PUT, *divmod(page_no, PPO), first_version + i))
+            if get_after:
+                ops.append((BATCH_GET, *divmod(next(gets), PPO), 0))
+                gets_done += 1
+
+        backend, acc, host, pools = planned_side
+        planned = backend.execute_planned(
+            1, pools[1], put_pages, first_version, get_pages,
+            gets_before_puts, PPO, now=1.0,
+        )
+        assert planned is not None
+        put_statuses, get_versions = planned
+
+        b_backend, b_acc, b_host, b_pools = batch_side
+        batch = b_backend.execute_batch(1, b_pools[1], ops, now=1.0)
+
+        n_puts = len(put_pages)
+        batch_flags = [1] * n_puts if batch.all_succeeded else batch.put_statuses
+        assert ([1] * n_puts if put_statuses is None else put_statuses) == batch_flags
+        assert get_versions == batch.get_versions
+        assert acc.account(1) == b_acc.account(1)
+        assert host.tmem_free_pages == b_host.tmem_free_pages
+        assert host.tmem_used_pages == b_host.tmem_used_pages
+        pool = backend._store.get_pool(1, pools[1])
+        b_pool = b_backend._store.get_pool(1, b_pools[1])
+        assert pool.radix() == b_pool.radix()
+        assert len(pool) == len(b_pool)
+        acc.check_invariants()
+        host.check_invariants()
+
+    @pytest.mark.parametrize("stored, get_pages", [
+        ((), [99]),
+        (((20, 3), (21, 4), (7, 5)), [20, 21, 99]),
+    ])
+    def test_get_miss_leaves_the_pool_as_it_was(self, stored, get_pages):
+        """A planned get that misses raises, and restores the pages the
+        gets before it popped: nothing is left in the pool uncounted."""
+        backend, acc, host, pools = build_backend(tmem_pages=8)
+        for page_no, version in stored:
+            backend.put(1, pools[1], page_key(pools[1], page_no),
+                        version=version, now=0.0)
+        pool = backend._store.get_pool(1, pools[1])
+        radix = {obj: dict(pages) for obj, pages in pool.radix().items()}
+        account = copy.copy(acc.account(1))
+        free = host.tmem_free_pages
+
+        # Page 99 is (object 24, index 3) at 4 pages per object.
+        with pytest.raises(TmemError, match=r"\(24, 3\)"):
+            backend.execute_planned(
+                1, pools[1], [10, 11], 1, get_pages, [0, 0], PPO, now=1.0
+            )
+        assert pool.radix() == radix
+        assert len(pool) == len(stored)
+        assert acc.account(1) == account
+        assert host.tmem_free_pages == free
+        assert host.tmem_used_pages == len(stored)
+        acc.check_invariants()
+        host.check_invariants()
+
+    def test_declines_only_for_a_non_persistent_pool(self):
+        """A target no longer sends a single-host burst to the op walk."""
+        backend, acc, host, pools = build_backend(tmem_pages=8)
+        acc.set_target(1, 1)
+        assert backend.execute_planned(
+            1, pools[1], [0, 1], 1, [], [0, 0], PPO, now=0.0
+        ) == ([1, 0], [])
+        ephemeral = backend._store.create_pool(1, persistent=False)
+        assert backend.execute_planned(
+            1, ephemeral.pool_id, [0], 1, [], [0], PPO, now=0.0
+        ) is None

@@ -4,17 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TmemKeyError, TmemPoolError
-from repro.hypervisor.pages import PageKey, TmemPage
+from repro.hypervisor.pages import PageKey
 from repro.hypervisor.tmem_store import TmemStore
-
-
-def make_page(pool_id=0, object_id=0, index=0, owner=1, version=1):
-    return TmemPage(
-        key=PageKey(pool_id, object_id, index),
-        owner_vm=owner,
-        version=version,
-        put_time=0.0,
-    )
 
 
 class TestPageKey:
@@ -43,12 +34,34 @@ class TestTmemPool:
     def test_insert_lookup_remove(self):
         store = TmemStore()
         pool = store.create_pool(vm_id=1)
-        page = make_page(pool_id=pool.pool_id, object_id=3, index=7)
-        pool.insert(page)
-        assert page.key in pool
-        assert pool.lookup(page.key) is page
-        assert pool.remove(page.key) is page
-        assert pool.lookup(page.key) is None
+        key = PageKey(pool.pool_id, 3, 7)
+        pool.insert(key, 5)
+        assert key in pool
+        assert pool.lookup(key) == 5
+        assert pool.remove(key) == 5
+        assert pool.lookup(key) is None
+        assert key not in pool
+        assert len(pool) == 0
+
+    def test_insert_replaces_the_version_in_place(self):
+        store = TmemStore()
+        pool = store.create_pool(vm_id=1)
+        key = PageKey(pool.pool_id, 0, 4)
+        pool.insert(key, 1)
+        pool.insert(key, 2)
+        assert len(pool) == 1
+        assert pool.lookup(key) == 2
+
+    def test_version_zero_is_a_stored_page(self):
+        """A stored version may be 0: lookups return it, not a miss."""
+        store = TmemStore()
+        pool = store.create_pool(vm_id=1)
+        key = PageKey(pool.pool_id, 2, 0)
+        pool.insert(key, 0)
+        assert pool.lookup(key) == 0
+        assert pool.remove(key) == 0
+        assert len(pool) == 0
+        assert pool.radix() == {}
 
     def test_remove_missing_returns_none(self):
         store = TmemStore()
@@ -59,8 +72,8 @@ class TestTmemPool:
         store = TmemStore()
         pool = store.create_pool(vm_id=1)
         for idx in range(5):
-            pool.insert(make_page(pool_id=pool.pool_id, object_id=9, index=idx))
-        pool.insert(make_page(pool_id=pool.pool_id, object_id=2, index=0))
+            pool.insert(PageKey(pool.pool_id, 9, idx), 1)
+        pool.insert(PageKey(pool.pool_id, 2, 0), 1)
         assert pool.remove_object(9) == 5
         assert len(pool) == 1
 
@@ -68,7 +81,7 @@ class TestTmemPool:
         store = TmemStore()
         pool = store.create_pool(vm_id=1)
         for idx in range(3):
-            pool.insert(make_page(pool_id=pool.pool_id, index=idx))
+            pool.insert(PageKey(pool.pool_id, 0, idx), 1)
         assert pool.clear() == 3
         assert len(pool) == 0
 
@@ -90,8 +103,8 @@ class TestTmemStore:
     def test_destroy_pool_returns_held_pages(self):
         store = TmemStore()
         pool = store.create_pool(vm_id=1)
-        pool.insert(make_page(pool_id=pool.pool_id, index=1))
-        pool.insert(make_page(pool_id=pool.pool_id, index=2))
+        pool.insert(PageKey(pool.pool_id, 0, 1), 1)
+        pool.insert(PageKey(pool.pool_id, 0, 2), 1)
         assert store.destroy_pool(1, pool.pool_id) == 2
         with pytest.raises(TmemPoolError):
             store.get_pool(1, pool.pool_id)
@@ -101,9 +114,9 @@ class TestTmemStore:
         a = store.create_pool(vm_id=1)
         b = store.create_pool(vm_id=1, persistent=False)
         c = store.create_pool(vm_id=2)
-        a.insert(make_page(pool_id=a.pool_id, index=0))
-        b.insert(make_page(pool_id=b.pool_id, index=1))
-        c.insert(make_page(pool_id=c.pool_id, index=2, owner=2))
+        a.insert(PageKey(a.pool_id, 0, 0), 1)
+        b.insert(PageKey(b.pool_id, 0, 1), 1)
+        c.insert(PageKey(c.pool_id, 0, 2), 1)
         assert store.destroy_vm_pools(1) == 2
         assert store.pages_held_by(1) == 0
         assert store.pages_held_by(2) == 1
@@ -112,7 +125,7 @@ class TestTmemStore:
         store = TmemStore()
         pool = store.create_pool(vm_id=3)
         for idx in range(4):
-            pool.insert(make_page(pool_id=pool.pool_id, index=idx, owner=3))
+            pool.insert(PageKey(pool.pool_id, 0, idx), 1)
         assert store.pages_held_by(3) == 4
         assert store.total_pages() == 4
         assert store.pool_count() == 1
@@ -127,31 +140,8 @@ class TestTmemStore:
         store = TmemStore()
         pool = store.create_pool(vm_id=1)
         for object_id, index in keys:
-            pool.insert(make_page(pool_id=pool.pool_id, object_id=object_id, index=index))
+            pool.insert(PageKey(pool.pool_id, object_id, index), 1)
         assert len(pool) == len(set(keys))
-
-
-class TestRawAccessors:
-    def test_lookup_insert_remove_raw(self):
-        store = TmemStore()
-        pool = store.create_pool(7)
-        page = make_page(pool_id=pool.pool_id, object_id=3, index=9)
-        pool.insert_raw(3, 9, page)
-        assert pool.lookup_raw(3, 9) is page
-        assert pool.lookup(page.key) is page
-        assert pool.remove_raw(3, 9) is page
-        assert pool.lookup_raw(3, 9) is None
-        assert len(pool) == 0
-
-    def test_insert_or_existing_returns_occupant(self):
-        store = TmemStore()
-        pool = store.create_pool(1)
-        first = make_page(pool_id=pool.pool_id, index=4)
-        second = make_page(pool_id=pool.pool_id, index=4)
-        assert pool.insert_or_existing(0, 4, first) is None
-        assert pool.insert_or_existing(0, 4, second) is first
-        assert len(pool) == 1
-        assert pool.lookup_raw(0, 4) is first
 
     def test_per_vm_index_survives_pool_destruction(self):
         store = TmemStore()
