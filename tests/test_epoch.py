@@ -225,3 +225,69 @@ class TestEpochInvariance:
         assert not runner.epoch_parallel
         shared = run_scenario(spec, "no-tmem", seed=SEED)
         assert runner.run().fingerprint() == shared.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# the epoch flush path
+# ---------------------------------------------------------------------------
+class TestEpochFlushPath:
+    def test_freeing_spilled_pages_drops_the_hosted_copies(
+        self, tmp_path, monkeypatch
+    ):
+        """Guest frees of spilled pages reach the epoch drop messages.
+
+        The spill-then-free document of ``tests/test_cluster.py`` with a
+        0.1 s rebalance interval: its 10 windows put the spills and the
+        frees in different windows, so node2's hosted occupancy must rise
+        at one barrier and fall back to zero at a later one — which only
+        holds when every drop message carries its pages and its ``dst``.
+        """
+        import json
+
+        from repro.cluster.epoch import EpochDriver
+        from repro.scenarios.dsl import compile_text
+
+        pages = 768
+        steps = [{"pages": list(range(i, i + 32))} for i in range(0, pages, 32)]
+        steps.append({"pages": [], "frees": list(range(pages))})
+        trace = tmp_path / "fill-then-free.jsonl"
+        trace.write_text("".join(json.dumps(step) + "\n" for step in steps))
+        spec = compile_text(
+            f"""
+scenario: spill-then-free
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{{kind: trace, params: {{path: "{trace}"}}}}]
+  - name: VM2
+    ram_mb: 64
+    jobs: [{{kind: usemem, params: {{start_mb: 16, max_mb: 16}}}}]
+cluster:
+  remote_spill: true
+  rebalance_interval_s: 0.1
+  nodes:
+    - {{name: node1, vms: [VM1], tmem_mb: 16}}
+    - {{name: node2, vms: [VM2], tmem_mb: 256}}
+"""
+        ).spec
+
+        hosted = []
+        absorb = EpochDriver.absorb
+
+        def spy(driver, reports):
+            absorb(driver, reports)
+            hosted.append(driver.hosted["node2"])
+
+        monkeypatch.setattr(EpochDriver, "absorb", spy)
+        fingerprints = {}
+        for shards in (1, 2):
+            hosted.clear()
+            result = _epoch_run(spec, "greedy", shards=shards)
+            node1 = result.cluster["nodes"]["node1"]
+            assert node1["spilled_puts"] > 0
+            assert node1["remote_flushes"] == node1["spilled_puts"]
+            assert max(hosted) > 0
+            assert hosted[-1] == 0
+            fingerprints[shards] = result.aggregate_fingerprint()
+        assert fingerprints[1] == fingerprints[2]
