@@ -291,17 +291,6 @@ class InterNodeChannel:
         return self._latency
 
     @property
-    def lookahead_s(self) -> float:
-        """Conservative lookahead the interconnect guarantees.
-
-        Every cross-node interaction pays at least one one-way latency,
-        so an event a node generates at time ``t`` cannot influence a
-        peer before ``t + lookahead_s``.  The epoch cluster engine
-        derives its window width from this bound.
-        """
-        return self._latency
-
-    @property
     def page_transfer_s(self) -> float:
         """Bandwidth term for one page payload."""
         return self._page_transfer_s

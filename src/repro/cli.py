@@ -58,7 +58,7 @@ from .analysis.figures import tmem_usage_figure
 from .analysis.metrics import mean_fairness
 from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
-from .core.coordinator import coordinator_spec_syntax
+from .core.coordinator import coordinator_spec_syntax, create_coordinator
 from .core.policy import available_policies, create_policy, policy_spec_syntax
 from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios, scenario_by_name
@@ -641,10 +641,13 @@ def _cmd_run(
             return 2
     selected = policies if policies else list(PAPER_POLICIES)
     try:
-        # Build each policy once, so a bad spec fails before any run starts.
+        # Build each policy (and the coordinator) once, so a bad spec
+        # fails before any run starts.
         for policy in selected:
             if policy != NO_TMEM_POLICY:
                 create_policy(policy)
+        if coordinator is not None:
+            create_coordinator(coordinator)
     except PolicyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -715,26 +718,20 @@ def _cmd_run(
             )
             return 2
         try:
-            failure_events = tuple(
-                _parse_failure_flag(text) for text in (failures or ())
-            )
-            migration_events = tuple(
-                _parse_migration_flag(text) for text in (migrations or ())
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
             spec = clusterize(
                 spec,
                 nodes,
                 coordinator=coordinator,
                 contended=contended,
-                failures=failure_events,
-                migrations=migration_events,
+                failures=tuple(
+                    _parse_failure_flag(text) for text in (failures or ())
+                ),
+                migrations=tuple(
+                    _parse_migration_flag(text) for text in (migrations or ())
+                ),
                 fault_plan=fault_plan,
             )
-        except ClusterError as exc:
+        except (ValueError, ClusterError, ScenarioError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
 

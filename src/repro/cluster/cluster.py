@@ -45,7 +45,7 @@ from ..config import SimulationConfig
 from ..core.coordinator import ClusterPolicy, NodeTmemView, create_coordinator
 from ..errors import ClusterError
 from ..guest.vm import VirtualMachine
-from ..hypervisor.remote_tmem import EpochRemoteTmemBackend, RemoteTmemBackend
+from ..hypervisor.remote_tmem import RemoteTmemBackend
 from ..scenarios.spec import (
     ClusterTopology,
     NodeSpec,
@@ -89,8 +89,9 @@ class Cluster:
         self.trace = trace
         self._use_tmem = use_tmem
         #: Epoch-engine window context (None on exact shared-engine runs).
-        #: When set, spill ports use window-quota admission and the
-        #: coordinator moves to the epoch driver's barrier rounds.
+        #: When set, it is every spill backend's port (window-quota
+        #: admission) and the coordinator moves to the epoch driver's
+        #: barrier rounds.
         self.epoch = epoch
         multi_node = len(self.topology.nodes) > 1
 
@@ -195,26 +196,15 @@ class Cluster:
     # -- wiring ---------------------------------------------------------------
     def _wire_remote_spill(self, domid_counter: "itertools.count") -> None:
         assert self.channel is not None
-        if self.epoch is not None:
-            backends = {
-                node.name: EpochRemoteTmemBackend(
-                    node.name, node.hypervisor, self.channel, self.epoch,
-                    trace=self.trace,
-                )
-                for node in self.nodes
-            }
-        else:
-            zones = {
-                node_spec.name: node_spec.zone
-                for node_spec in self.topology.nodes
-            }
-            backends = {
-                node.name: RemoteTmemBackend(
-                    node.name, node.hypervisor, self.channel,
-                    trace=self.trace, zone=zones.get(node.name),
-                )
-                for node in self.nodes
-            }
+        # The epoch context reaches peers through window quotas and
+        # messages; without one (None) the backends reach live peers.
+        backends = {
+            node.name: RemoteTmemBackend(
+                node.name, node.hypervisor, self.channel,
+                trace=self.trace, zone=node_spec.zone, port=self.epoch,
+            )
+            for node, node_spec in zip(self.nodes, self.topology.nodes)
+        }
         for node in self.nodes:
             backend = backends[node.name]
             for vm in node.vms.values():
@@ -433,6 +423,8 @@ class Cluster:
                 and other.name in self.remote_backends
             ]
             backend.reset_after_failure(peers)
+            # The reboot also forgot every breaker the node kept.
+            backend.port.breakers.clear()
             for vm_id, (persistent, ephemeral) in preserved.items():
                 backend.adopt_vm(vm_id, persistent, ephemeral)
             for other in self.nodes:
@@ -448,7 +440,7 @@ class Cluster:
                     and not third.failed
                     and third.name in self.remote_backends
                 ])
-                other_backend.clear_breaker(fault.node)
+                other_backend.port.breakers.pop(fault.node, None)
 
         event: Dict[str, Any] = {
             "kind": "recovery",
@@ -892,10 +884,10 @@ class Cluster:
                 )
             if self.fault_plan is not None:
                 info["retry_penalty_s"] = (
-                    backend.retry_penalty_s if backend else 0.0
+                    backend.port.retry_penalty_s if backend else 0.0
                 )
                 info["breaker_trips"] = (
-                    backend.breaker_trips if backend else 0
+                    backend.port.breaker_trips if backend else 0
                 )
             summary[node.name] = info
         return summary

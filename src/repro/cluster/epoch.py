@@ -10,12 +10,11 @@ engine trades that bit-identity for parallelism under an explicit,
 pinned contract:
 
 * Simulated time advances in **conservative windows** of width
-  :func:`epoch_window_s`, derived from the interconnect lookahead
-  (:attr:`~repro.channels.internode.InterNodeChannel.lookahead_s`):
+  :func:`epoch_window_s`, whose floor is the interconnect lookahead:
   every cross-node interaction pays at least one one-way latency, so a
   window of at least that width never lets an event influence a peer
   *within* the window it was generated in.  The practical width is
-  ``max(lookahead, rebalance_interval / 2)`` — microsecond-wide windows
+  ``max(latency, rebalance_interval / 2)`` — microsecond-wide windows
   would drown the run in barriers, and half a rebalance interval
   guarantees at most one coordinator tick falls inside any window.
 * Inside a window each shard evolves its nodes against **snapshotted
@@ -51,13 +50,16 @@ scenarios keep the exact shared-engine fallback in the calling process
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..channels.internode import LinkState
 from ..config import SimulationConfig
 from ..core.coordinator import BarrierRebalancer, NodeTmemView, create_coordinator
 from ..errors import ClusterError
 from ..scenarios.spec import PhaseTrigger, ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hypervisor.remote_tmem import RemoteTmemBackend
 
 __all__ = [
     "EpochContext",
@@ -148,14 +150,35 @@ def epoch_fallback_reason(
 class EpochContext:
     """Worker-side window state for one shard's epoch run.
 
-    One context is shared by every
-    :class:`~repro.hypervisor.remote_tmem.EpochRemoteTmemBackend` of the
+    One context is the spill port of every
+    :class:`~repro.hypervisor.remote_tmem.RemoteTmemBackend` of the
     shard's cluster replica.  It holds the driver's window inputs —
     per-peer spill quotas and window-start link occupancy — and collects
     the shard's outgoing cross-node messages.  All of its state is keyed
     by the *owning* node, so two nodes co-located on one shard stay
     exactly as blind to each other's in-window activity as nodes on
     different shards: shard count cannot leak into the simulation.
+
+    As a port it never reads a peer's live state:
+
+    * **admission** is granted against the per-peer spill quota the
+      driver computed at the window barrier — a conflict-free slice of
+      the peer's headroom, so no cross-shard rejection or rollback can
+      ever be needed;
+    * **hosted pages are never materialized** in the hosting pool.  An
+      index leaf is ``(peer_name, version)`` and the driver tracks
+      per-node hosted occupancy as a counter, so gets resolve from the
+      owner's own index;
+    * every **cost** is computed against the owner's private window view
+      of the link, and every effect is **emitted as a message** for the
+      driver's canonical replay.
+
+    Known divergences from the exact engine, all deterministic and
+    covered by the epoch pin file: quota-based admission can refuse a
+    put the exact engine would have placed (and vice versa); the
+    all-peers-full accounting bump on the peers' spill clients is
+    skipped (those accounts live on other shards); hosted ephemeral
+    pages are never pressure-dropped.
     """
 
     def __init__(
@@ -206,14 +229,93 @@ class EpochContext:
         self._messages = []
         return messages
 
-    # -- spill admission ----------------------------------------------------
-    def quota_left(self, owner: str, peer: str) -> int:
-        """Pages *owner* may still spill to *peer* this window."""
-        return self._quota.get(peer, 0) - self._consumed.get((owner, peer), 0)
+    # -- the spill port -----------------------------------------------------
+    def place(
+        self,
+        owner: "RemoteTmemBackend",
+        held: Optional[Tuple[str, int]],
+        spill_object: int,
+        index: int,
+        version: int,
+        now: float,
+        ephemeral: bool,
+    ) -> Optional[Tuple[str, int]]:
+        """Admit one spill against the window quota.
 
-    def take_quota(self, owner: str, peer: str, pages: int) -> None:
-        key = (owner, peer)
-        self._consumed[key] = self._consumed.get(key, 0) + pages
+        A page already remote is replaced in place: its peer already
+        owns a frame for it, so no quota is consumed and no occupancy
+        changes.  A new page goes to the peer with the most quota left;
+        ties keep wiring order, mirroring the exact engine's
+        most-free-frames max-scan.
+        """
+        me = owner.node_name
+        if held is not None:
+            peer = held[0]
+        else:
+            peer = None
+            best_left = 0
+            for candidate in owner.peers:
+                name = candidate.node_name
+                left = self._quota.get(name, 0) - self._consumed.get((me, name), 0)
+                if left > best_left:
+                    peer = name
+                    best_left = left
+            if peer is None:
+                return None
+            self._consumed[(me, peer)] = self._consumed.get((me, peer), 0) + 1
+        owner.last_extra_s = self.charge(me, me, peer, 1, now)
+        self.emit(
+            me, "spill", now, me, peer, 1, ephemeral=ephemeral, fresh=held is None
+        )
+        return (peer, version)
+
+    def fetch(
+        self,
+        owner: "RemoteTmemBackend",
+        leaf: Tuple[str, int],
+        spill_object: int,
+        index: int,
+        ephemeral: bool,
+    ) -> int:
+        """Resolve a remote get from the owner's own index leaf."""
+        me = owner.node_name
+        peer, version = leaf
+        now = owner.channel.now
+        owner.last_extra_s = self.charge(me, peer, me, 1, now)
+        # A persistent fetch releases the hosted frame; a non-exclusive
+        # ephemeral one leaves the occupancy alone.
+        self.emit(
+            me, "fetch", now, peer, me, 1, ephemeral=ephemeral,
+            fresh=not ephemeral,
+        )
+        return version
+
+    def drop(
+        self,
+        owner: "RemoteTmemBackend",
+        spill_object: int,
+        index_leaf_pairs: Iterable[Tuple[int, Tuple[str, int]]],
+        ephemeral: bool,
+    ) -> None:
+        """One drop message per holding peer.
+
+        Flush invalidations piggyback on control traffic: no data-path
+        cost and no link occupancy, matching the exact engine.
+        """
+        per_peer: Dict[str, int] = {}
+        for _index, (peer, _version) in index_leaf_pairs:
+            per_peer[peer] = per_peer.get(peer, 0) + 1
+        me = owner.node_name
+        now = owner.channel.now
+        for peer, pages in per_peer.items():
+            self.emit(
+                me, "drop", now, me, peer, pages, ephemeral=ephemeral,
+                fresh=True,
+            )
+
+    @staticmethod
+    def holder_name(leaf: Tuple[str, int]) -> str:
+        return leaf[0]
 
     # -- data-path cost -----------------------------------------------------
     def charge(

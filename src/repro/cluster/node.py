@@ -159,10 +159,6 @@ class Node:
         )
 
     # -- lifecycle ------------------------------------------------------------
-    @property
-    def uses_tmem(self) -> bool:
-        return self._use_tmem
-
     def start(self) -> None:
         """Start the node's statistics sampler (if tmem is enabled)."""
         if self._use_tmem:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import PolicyError, UnknownPolicyError
-from .policy import parse_policy_spec
+from .policy import check_arguments, parse_policy_spec
 from .stats import TargetVector
 from .targets import equal_share, proportional_scale
 
@@ -380,6 +380,7 @@ def create_coordinator(spec: str, **extra_kwargs) -> ClusterPolicy:
             f"{', '.join(available_coordinators())}"
         ) from None
     kwargs.update(extra_kwargs)
+    check_arguments("coordinator", name, factory, kwargs)
     return factory(**kwargs)
 
 

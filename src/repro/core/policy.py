@@ -164,12 +164,17 @@ def create_policy(spec: str, **extra_kwargs) -> TmemPolicy:
     # Map the paper's parameter name "P" onto the constructor argument.
     if "P" in kwargs:
         kwargs["percent"] = kwargs.pop("P")
+    check_arguments("policy", name, factory, kwargs)
+    return factory(**kwargs)
+
+
+def check_arguments(kind: str, name: str, factory: Callable, kwargs: Dict) -> None:
+    """Raise :class:`PolicyError` unless *factory* takes *kwargs*."""
     signature = inspect.signature(factory)
     try:
         signature.bind(**kwargs)
     except TypeError as exc:
         accepted = ", ".join(signature.parameters) or "none"
         raise PolicyError(
-            f"policy {name!r} {exc}; accepted parameters: {accepted}"
+            f"{kind} {name!r} {exc}; accepted parameters: {accepted}"
         ) from None
-    return factory(**kwargs)

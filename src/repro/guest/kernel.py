@@ -188,11 +188,6 @@ class GuestKernel:
         return self._cleancache
 
     @property
-    def file_cache_pages(self) -> int:
-        """Clean file pages currently held in the guest page cache."""
-        return len(self._file_resident)
-
-    @property
     def tmem_pages(self) -> int:
         return self._frontswap.pages_in_tmem if self._frontswap else 0
 

@@ -189,10 +189,6 @@ class VirtualMachine:
         self._stop_requested = True
 
     # -- migration support -----------------------------------------------------
-    @property
-    def is_suspended(self) -> bool:
-        return self._suspended
-
     def suspend(self) -> None:
         """Pause the workload driver (migration state copy in progress).
 

@@ -10,14 +10,35 @@ Each node owns one :class:`RemoteTmemBackend`, attached to the node's
 local :class:`~repro.hypervisor.tmem_backend.TmemBackend` via its
 ``remote`` slot.  The local backend consults it only on failure paths:
 
-* an overflow **put** is offered to the peer with the most free tmem and,
-  if any peer admits it, stored in that peer's *spill pool* — a dedicated
-  tmem pool owned by a cluster-internal "spill client" domain, so the
-  peer's own accounting and invariants keep holding;
+* an overflow **put** is offered to a peer and, if one admits it,
+  recorded in the node's spill index;
 * a **get** that misses locally is looked up in the spill index and
   fetched from the peer that holds it;
 * **flushes** chase remote copies the same way, so guest frees and VM
   teardown cannot leak frames on peers.
+
+One backend, three ports
+------------------------
+
+The backend holds everything the three cluster execution paths share:
+the spill indexes, the stats, the trace records and the hosting side.
+How a peer is *reached* is its **port**'s job (the contract is on
+:class:`RemoteTmemBackend`).  There are three ports:
+
+* :class:`LivePeers` (the exact shared engine) reads the peers' live
+  state.  A new page goes to the peer with the most free tmem, which
+  stores it in its *spill pool*: a dedicated tmem pool owned by a
+  cluster-internal "spill client" domain, so the peer's own accounting
+  and invariants keep holding.  A transfer reserves the live link.
+* :class:`DegradedPeers` (runs with a fault plan) is the live port
+  behind sick links.  It ranks peers so degraded zones and links come
+  last, retries with exponential backoff up to the plan's deadline, and
+  keeps a circuit breaker per peer.
+* :class:`~repro.cluster.epoch.EpochContext` (the epoch engine) admits a
+  page against the per-peer window quota the driver computed at the
+  barrier, charges it against the owner's private view of the link, and
+  turns every cross-node effect into a message for the driver's replay.
+  It never materializes hosted pages.
 
 Persistent vs ephemeral spill
 -----------------------------
@@ -33,9 +54,9 @@ interconnect.  Every node hosts **two** spill pools:
 * the ephemeral pool holds peers' cleancache overflow — its pages are
   read non-exclusively and, crucially, the hosting node **drops the
   oldest foreign ephemeral page** whenever one of its *own* VMs needs a
-  frame the pool cannot supply (:meth:`reclaim_for_local`).  The owner
-  node is notified so its spill index stays exact; the owning guest
-  simply sees a cleancache miss later, which is always legal.
+  frame the pool cannot supply (:meth:`RemoteTmemBackend.reclaim_for_local`).
+  The owner node is notified so its spill index stays exact; the owning
+  guest simply sees a cleancache miss later, which is always legal.
 
 Spilled pages keep their guest-assigned versions, so the frontswap
 consistency checks (stale/vanished page detection) extend across the
@@ -50,13 +71,14 @@ hypercall layer and the batched guest replay charge to the guest).
 Node failure support
 --------------------
 
-:meth:`detach_peer` severs a dead peer: persistent pages it hosted are
-reported back per owning VM (the cluster re-materialises them on the
-owners' swap disks — the "refault from disk" recovery), ephemeral pages
-are silently dropped.  :meth:`extract_vm`/:meth:`adopt_vm` move a VM's
-spill-index entries between backends when the VM migrates to another
-node; hosting peers are rebound to the new owner so later ephemeral
-drops notify the right backend.
+:meth:`RemoteTmemBackend.detach_peer` severs a dead peer: persistent
+pages it hosted are reported back per owning VM (the cluster
+re-materialises them on the owners' swap disks — the "refault from disk"
+recovery), ephemeral pages are silently dropped.
+:meth:`~RemoteTmemBackend.extract_vm`/:meth:`~RemoteTmemBackend.adopt_vm`
+move a VM's spill-index entries between backends when the VM migrates to
+another node; hosting peers are rebound to the new owner so later
+ephemeral drops notify the right backend.
 
 Keys in a spill pool are namespaced by the *source VM*: the spill object
 id is ``vm_id * 2**32 + object_id``, which is collision-free because
@@ -69,24 +91,23 @@ and cleancache simultaneously cannot collide either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..channels.internode import InterNodeChannel
 from ..errors import ClusterError
 from .pages import make_page_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..cluster.epoch import EpochContext
     from ..sim.trace import TraceRecorder
     from .xen import Hypervisor
 
-__all__ = ["RemoteTmemStats", "RemoteTmemBackend", "EpochRemoteTmemBackend"]
+__all__ = ["RemoteTmemStats", "RemoteTmemBackend", "LivePeers", "DegradedPeers"]
 
 #: Namespace stride for spill-pool object ids (see module docstring).
 _SPILL_OBJECT_STRIDE = 2 ** 32
 
-#: vm_id -> object_id -> page index -> hosting peer backend.
-SpillIndex = Dict[int, Dict[int, Dict[int, "RemoteTmemBackend"]]]
+#: vm_id -> object_id -> page index -> the port's leaf for the page.
+SpillIndex = Dict[int, Dict[int, Dict[int, Any]]]
 
 
 @dataclass
@@ -139,35 +160,33 @@ class RemoteTmemStats:
         )
 
 
-class _PeerBreaker:
-    """Circuit-breaker state this node keeps about one spill peer.
-
-    Closed (the default) counts consecutive timeout-class failures;
-    at the plan's threshold the breaker *opens* and the peer is skipped
-    costlessly until the cooldown expires, after which one *half-open*
-    probe is allowed — success closes the breaker, failure re-arms the
-    cooldown.
-    """
-
-    __slots__ = ("failures", "opened", "open_until", "half_open")
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.opened = False
-        self.open_until = 0.0
-        self.half_open = False
-
-
 class RemoteTmemBackend:
-    """Node-scoped remote-tmem port: spills overflow to peer nodes.
+    """Node-scoped remote tmem: spills overflow to peer nodes.
 
     One instance exists per cluster node.  It plays two roles:
 
-    * for its **home VMs** it routes overflow puts to peers and tracks
-      where every remote copy lives (the spill indexes, one per pool
-      kind);
+    * for its **home VMs** it routes overflow puts to peers through its
+      port and tracks where every remote copy lives (the spill indexes,
+      one per pool kind);
     * for its **peers** it hosts their spilled pages in local spill
       pools, admission-limited only by this node's free tmem frames.
+
+    *port* reaches the peers; ``None`` selects :class:`LivePeers`.  A
+    port is any object with these four methods, each given this backend
+    as *owner*:
+
+    * ``place(owner, held_leaf, spill_object, index, version, now,
+      ephemeral)`` picks and admits a peer for one page.  *held_leaf* is
+      the page's current leaf when a peer already holds it (the put
+      replaces it in place), else ``None``.  It charges the transfer
+      into ``owner.last_extra_s`` and returns the page's new index leaf,
+      or ``None`` when refused;
+    * ``fetch(owner, leaf, spill_object, index, ephemeral)`` returns the
+      page's version, or ``None`` when the holder no longer has it, and
+      charges the transfer;
+    * ``drop(owner, spill_object, index_leaf_pairs, ephemeral)``
+      invalidates the remote copies of some pages of one object;
+    * ``holder_name(leaf)`` returns the name of the node holding a page.
     """
 
     def __init__(
@@ -178,16 +197,18 @@ class RemoteTmemBackend:
         *,
         trace: Optional["TraceRecorder"] = None,
         zone: Optional[str] = None,
+        port: Optional[Any] = None,
     ) -> None:
         self.node_name = node_name
         #: Rack/availability zone label (spill placement avoids peers in
         #: a degraded zone first); ``None`` means zone-agnostic.
         self.zone = zone
+        self.port = port if port is not None else LivePeers()
+        self.channel = channel
         self._hypervisor = hypervisor
-        self._channel = channel
         self._trace = trace
         self._home_vms: set = set()
-        self._peers: List["RemoteTmemBackend"] = []
+        self.peers: List["RemoteTmemBackend"] = []
         self._spill_client_id: Optional[int] = None
         self._spill_account = None
         self._spill_pool_id: Optional[int] = None
@@ -207,18 +228,7 @@ class RemoteTmemBackend:
         #: ``extra_latency_s`` on an uncontended channel; includes the
         #: per-operation queue wait on a contended one.
         self.last_extra_s = self.extra_latency_s
-        self._contended = channel.contended
         self.stats = RemoteTmemStats()
-        #: Graceful-degradation config (a FaultPlan) — None on the
-        #: historical fault-free path, which stays byte-identical.
-        self._fault_policy = None
-        self._event_sink: Optional[Any] = None
-        self._breakers: Dict[str, "_PeerBreaker"] = {}
-        #: Accumulated backoff/timeout time charged by the degraded
-        #: spill path (reported per node, audited by tests).
-        self.retry_penalty_s = 0.0
-        #: Circuit-breaker open transitions.
-        self.breaker_trips = 0
 
     # -- wiring -------------------------------------------------------------
     def register_home_vm(self, vm_id: int) -> None:
@@ -232,7 +242,7 @@ class RemoteTmemBackend:
 
         Registers the cluster's spill client with this node's accounting,
         creates the local spill pools that will host peers' overflow, and
-        attaches this port to the local tmem backend's failure paths.
+        attaches this backend to the local tmem backend's failure paths.
         """
         if self._spill_client_id is not None:
             raise ClusterError(f"node {self.node_name!r} is already connected")
@@ -240,20 +250,38 @@ class RemoteTmemBackend:
             raise ClusterError(
                 f"node {self.node_name!r} cannot be its own spill peer"
             )
-        self._peers = list(peers)
+        self.peers = list(peers)
         self._spill_client_id = spill_client_id
+        self._create_spill_pools()
+
+    def _create_spill_pools(self) -> None:
+        """Register the spill client and create its two empty pools."""
+        client = self._spill_client_id
+        accounting = self._hypervisor.accounting
+        store = self._hypervisor.store
         # Internal: accounted for the frame-pool invariants, but hidden
         # from the sampler so per-node policies never target it and
         # spill admission stays bounded by free frames only.
-        self._hypervisor.accounting.register_vm(spill_client_id, internal=True)
-        self._spill_account = self._hypervisor.accounting.account(spill_client_id)
-        pool = self._hypervisor.store.create_pool(spill_client_id, persistent=True)
-        self._spill_pool_id = pool.pool_id
-        ephemeral = self._hypervisor.store.create_pool(
-            spill_client_id, persistent=False
-        )
-        self._ephemeral_pool_id = ephemeral.pool_id
+        accounting.register_vm(client, internal=True)
+        self._spill_account = accounting.account(client)
+        self._spill_pool_id = store.create_pool(client, persistent=True).pool_id
+        self._ephemeral_pool_id = store.create_pool(
+            client, persistent=False
+        ).pool_id
         self._hypervisor.backend.remote = self
+
+    def configure_faults(
+        self,
+        plan: Any,
+        event_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    ) -> None:
+        """Reach peers through a :class:`DegradedPeers` port for *plan*.
+
+        *event_sink* (the cluster's event log) receives breaker
+        open/close transitions.  Without this call a fault-free run
+        never enters the degraded code.
+        """
+        self.port = DegradedPeers(plan, event_sink)
 
     # -- hosting side (called by peers) -------------------------------------
     @property
@@ -343,7 +371,8 @@ class RemoteTmemBackend:
         ephemeral/persistent priority of the tmem design.  The owning
         node's index is updated synchronously (the invalidation
         piggybacks on the next interconnect message, so no extra latency
-        is charged).
+        is charged).  Under the epoch engine nothing is ever hosted, so
+        this always defers to local eviction.
         """
         hosted = self._hosted_ephemeral
         if not hosted:
@@ -374,7 +403,7 @@ class RemoteTmemBackend:
         if self._trace is not None:
             self._trace.record(
                 f"remote_dropped/{self.node_name}",
-                self._channel.now,
+                self.channel.now,
                 self.stats.ephemeral_dropped,
             )
 
@@ -406,263 +435,33 @@ class RemoteTmemBackend:
         ephemeral: bool = False,
     ) -> bool:
         """Try to place an overflow put on a peer; True when absorbed."""
-        if vm_id not in self._home_vms or not self._peers:
+        if vm_id not in self._home_vms or not self.peers:
             return False
-        if self._fault_policy is not None:
-            return self._spill_put_degraded(
-                vm_id, object_id, index, version, now, ephemeral=ephemeral
-            )
-        spill_object = vm_id * _SPILL_OBJECT_STRIDE + object_id
         objects = self._index_for(ephemeral).setdefault(vm_id, {})
         slots = objects.setdefault(object_id, {})
-
-        holder = slots.get(index)
-        if holder is not None:
-            # Replace in place on the peer already holding this page.
-            if holder.accept_spill(
-                self, spill_object, index, version, now, ephemeral=ephemeral
-            ):
-                self._note_spill(holder, now, ephemeral)
-                return True
+        held = slots.get(index)
+        leaf = self.port.place(
+            self, held, vm_id * _SPILL_OBJECT_STRIDE + object_id, index,
+            version, now, ephemeral,
+        )
+        if leaf is None:
+            # A refused replace-in-place keeps the old remote copy; a
+            # refused new page falls through to the swap disk.
+            if held is None:
+                if not slots:
+                    del objects[object_id]
+                self.stats.spill_failures += 1
             return False
-
-        # Prefer the peer with the most free tmem; ties keep wiring order
-        # so the choice is deterministic.  A max-scan picks the same peer
-        # the stable sort on -free would try first, without allocating.
-        peers = self._peers
-        best = peers[0]
-        best_free = best.free_tmem_pages
-        for peer in peers[1:]:
-            free = peer.free_tmem_pages
-            if free > best_free:
-                best = peer
-                best_free = free
-        if best_free > 0:
-            # A peer with free frames always absorbs: the spill client is
-            # internal (no mm_target, no recursive spilling), so its put
-            # is admitted on free frames alone.
-            if best.accept_spill(
-                self, spill_object, index, version, now, ephemeral=ephemeral
-            ):
-                slots[index] = best
-                self._note_spill(best, now, ephemeral)
-                return True
-        else:
-            # Every peer is full.  Trying them would fail one by one; the
-            # only observable effect of each failed attempt is the put
-            # accounting on that peer's spill client, so apply it
-            # directly and skip the per-peer put machinery.
-            for peer in peers:
-                account = peer._spill_account
-                account.puts_total += 1
-                account.cumul_puts_total += 1
-                account.cumul_puts_failed += 1
-        if not slots:
-            del objects[object_id]
-        self.stats.spill_failures += 1
-        return False
-
-    # -- graceful degradation (active only with a fault plan) -----------------
-    def configure_faults(
-        self,
-        plan: Any,
-        event_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        """Enable the degraded spill path with *plan*'s retry/breaker knobs.
-
-        *event_sink* (the cluster's event log) receives breaker
-        open/close transitions.  Without this call the backend runs the
-        historical fault-free code byte for byte.
-        """
-        self._fault_policy = plan
-        self._event_sink = event_sink
-        self._breakers = {}
-
-    def _emit_event(self, event: Dict[str, Any]) -> None:
-        if self._event_sink is not None:
-            self._event_sink(event)
-
-    def _breaker(self, peer_name: str) -> _PeerBreaker:
-        state = self._breakers.get(peer_name)
-        if state is None:
-            state = self._breakers[peer_name] = _PeerBreaker()
-        return state
-
-    def _breaker_skips(self, peer: "RemoteTmemBackend", now: float) -> bool:
-        """True while *peer*'s breaker is open (skip it costlessly)."""
-        state = self._breakers.get(peer.node_name)
-        if state is None or not state.opened:
-            return False
-        if now < state.open_until:
+        slots[index] = leaf
+        if ephemeral:
+            self.stats.ephemeral_spilled += 1
             return True
-        state.half_open = True
-        return False
-
-    def _breaker_failure(self, peer: "RemoteTmemBackend", now: float) -> None:
-        plan = self._fault_policy
-        state = self._breaker(peer.node_name)
-        state.failures += 1
-        if state.opened:
-            # Failed half-open probe: re-arm the cooldown.
-            state.open_until = now + plan.breaker_cooldown_s
-            state.half_open = False
-            return
-        if state.failures >= plan.breaker_threshold:
-            state.opened = True
-            state.half_open = False
-            state.open_until = now + plan.breaker_cooldown_s
-            self.breaker_trips += 1
-            self._emit_event(
-                {
-                    "kind": "breaker",
-                    "node": self.node_name,
-                    "peer": peer.node_name,
-                    "state": "open",
-                    "at_s": now,
-                }
+        self.stats.pages_spilled += 1
+        if self._trace is not None:
+            self._trace.record(
+                f"remote_spill/{self.node_name}", now, self.stats.pages_spilled
             )
-
-    def _breaker_success(self, peer: "RemoteTmemBackend", now: float) -> None:
-        state = self._breakers.get(peer.node_name)
-        if state is None:
-            return
-        if state.opened:
-            self._emit_event(
-                {
-                    "kind": "breaker",
-                    "node": self.node_name,
-                    "peer": peer.node_name,
-                    "state": "closed",
-                    "at_s": now,
-                }
-            )
-        state.failures = 0
-        state.opened = False
-        state.half_open = False
-
-    def clear_breaker(self, peer_name: str) -> None:
-        """Forget breaker state about *peer_name* (it rejoined fresh)."""
-        self._breakers.pop(peer_name, None)
-
-    def _ranked_peers(self, now: float) -> List["RemoteTmemBackend"]:
-        """Peers in degraded-mode preference order.
-
-        Peers in a degraded *zone* rank last, peers behind a degraded
-        link next-to-last; within a tier the most free tmem wins and
-        ties keep wiring order — the same deterministic tie-break as the
-        fault-free max-scan.
-        """
-        peers = self._peers
-        channel = self._channel
-        link_degraded = [
-            channel.degraded_at(self.node_name, peer.node_name, now)
-            for peer in peers
-        ]
-        degraded_zones = {
-            peer.zone
-            for peer, bad in zip(peers, link_degraded)
-            if bad and peer.zone is not None
-        }
-        decorated = [
-            (
-                1 if (peer.zone is not None and peer.zone in degraded_zones)
-                else 0,
-                1 if bad else 0,
-                -peer.free_tmem_pages,
-                order,
-            )
-            for order, (peer, bad) in enumerate(zip(peers, link_degraded))
-        ]
-        decorated.sort()
-        return [peers[entry[3]] for entry in decorated]
-
-    def _spill_put_degraded(
-        self,
-        vm_id: int,
-        object_id: int,
-        index: int,
-        version: int,
-        now: float,
-        *,
-        ephemeral: bool = False,
-    ) -> bool:
-        """Spill with retry/backoff, circuit breakers and zone avoidance.
-
-        Mirrors :meth:`spill_put` but walks peers in
-        :meth:`_ranked_peers` order: an attempt against a partitioned
-        link costs one timed-out round trip and counts against that
-        peer's breaker; between attempts an exponential backoff accrues
-        until the plan's retry deadline.  The accumulated penalty is
-        charged to the guest via ``last_extra_s`` when a later attempt
-        succeeds (a failed put already falls back to the swap disk,
-        whose cost dominates).
-        """
-        plan = self._fault_policy
-        channel = self._channel
-        spill_object = vm_id * _SPILL_OBJECT_STRIDE + object_id
-        objects = self._index_for(ephemeral).setdefault(vm_id, {})
-        slots = objects.setdefault(object_id, {})
-
-        holder = slots.get(index)
-        if holder is not None:
-            # Replace-in-place is pinned to the holding peer: an open
-            # breaker or a partition simply fails the put (the page's
-            # remote copy stays valid at its old version).
-            if self._breaker_skips(holder, now):
-                return False
-            if channel.partitioned(self.node_name, holder.node_name, now):
-                self.retry_penalty_s += channel.timeout_cost_s(
-                    self.node_name, holder.node_name, now
-                )
-                self._breaker_failure(holder, now)
-                return False
-            if holder.accept_spill(
-                self, spill_object, index, version, now, ephemeral=ephemeral
-            ):
-                self._breaker_success(holder, now)
-                self._note_spill(holder, now, ephemeral)
-                return True
-            return False
-
-        penalty = 0.0
-        backoff = plan.backoff_base_s
-        attempts = 0
-        for peer in self._ranked_peers(now):
-            if attempts >= plan.retry_limit:
-                break
-            if self._breaker_skips(peer, now):
-                continue
-            if attempts:
-                penalty += backoff
-                backoff *= plan.backoff_factor
-                if penalty > plan.retry_deadline_s:
-                    break
-            attempts += 1
-            if channel.partitioned(self.node_name, peer.node_name, now):
-                penalty += channel.timeout_cost_s(
-                    self.node_name, peer.node_name, now
-                )
-                self._breaker_failure(peer, now)
-                continue
-            if peer.accept_spill(
-                self, spill_object, index, version, now, ephemeral=ephemeral
-            ):
-                slots[index] = peer
-                self._breaker_success(peer, now)
-                self._note_spill(peer, now, ephemeral)
-                # The guest pays for the timeouts/backoff that preceded
-                # the successful attempt on top of the transfer itself.
-                self.last_extra_s += penalty
-                self.retry_penalty_s += penalty
-                return True
-            # A refusal is a full peer, not a sick one: the failed put
-            # was accounted by the peer's own put machinery and does not
-            # count against its breaker.
-        if not slots:
-            del objects[object_id]
-        self.retry_penalty_s += penalty
-        self.stats.spill_failures += 1
-        return False
+        return True
 
     def remote_get(
         self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
@@ -678,34 +477,31 @@ class RemoteTmemBackend:
         slots = objects.get(object_id)
         if slots is None:
             return None
-        peer = slots.get(index)
-        if peer is None:
+        leaf = slots.get(index)
+        if leaf is None:
             return None
-        version = peer.fetch_spill(
-            vm_id * _SPILL_OBJECT_STRIDE + object_id, index,
-            ephemeral=ephemeral,
+        version = self.port.fetch(
+            self, leaf, vm_id * _SPILL_OBJECT_STRIDE + object_id, index,
+            ephemeral,
         )
-        if version is None:
-            if ephemeral:
-                # The peer dropped it between bookkeeping rounds; treat
-                # as an ordinary (legal) cleancache miss.
-                slots.pop(index, None)
-                if not slots:
-                    del objects[object_id]
-                return None
+        if ephemeral:
+            if version is not None:
+                self.stats.ephemeral_fetched += 1
+                return version
+            # The peer dropped it between bookkeeping rounds: an
+            # ordinary (legal) cleancache miss.
+        elif version is None:
             raise ClusterError(
                 f"node {self.node_name!r}: spill index said VM {vm_id} page "
-                f"({object_id}, {index}) lives on {peer.node_name!r} but the "
-                "peer does not hold it"
+                f"({object_id}, {index}) lives on "
+                f"{self.port.holder_name(leaf)!r} but the peer does not "
+                "hold it"
             )
-        if ephemeral:
-            self.stats.ephemeral_fetched += 1
         else:
-            del slots[index]
-            if not slots:
-                del objects[object_id]
             self.stats.pages_fetched += 1
-        self._charge_transfer(peer, self)
+        del slots[index]
+        if not slots:
+            del objects[object_id]
         return version
 
     def remote_flush(
@@ -718,14 +514,14 @@ class RemoteTmemBackend:
         slots = objects.get(object_id)
         if slots is None:
             return False
-        peer = slots.pop(index, None)
-        if peer is None:
+        leaf = slots.pop(index, None)
+        if leaf is None:
             return False
         if not slots:
             del objects[object_id]
-        peer.drop_spill(
-            vm_id * _SPILL_OBJECT_STRIDE + object_id, index,
-            ephemeral=ephemeral,
+        self.port.drop(
+            self, vm_id * _SPILL_OBJECT_STRIDE + object_id, ((index, leaf),),
+            ephemeral,
         )
         self.stats.pages_flushed += 1
         return True
@@ -740,29 +536,28 @@ class RemoteTmemBackend:
         slots = objects.pop(object_id, None)
         if not slots:
             return 0
-        spill_object = vm_id * _SPILL_OBJECT_STRIDE + object_id
-        for index, peer in slots.items():
-            peer.drop_spill(spill_object, index, ephemeral=ephemeral)
-        flushed = len(slots)
-        self.stats.pages_flushed += flushed
-        return flushed
+        self.port.drop(
+            self, vm_id * _SPILL_OBJECT_STRIDE + object_id, slots.items(),
+            ephemeral,
+        )
+        self.stats.pages_flushed += len(slots)
+        return len(slots)
 
     def flush_vm(self, vm_id: int) -> int:
         """Drop every remote copy of one VM (teardown); returns the count."""
         flushed = 0
         for ephemeral in (False, True):
             objects = self._index_for(ephemeral).pop(vm_id, None)
-            if not objects:
-                continue
-            for object_id, slots in objects.items():
-                spill_object = vm_id * _SPILL_OBJECT_STRIDE + object_id
-                for index, peer in slots.items():
-                    peer.drop_spill(spill_object, index, ephemeral=ephemeral)
+            for object_id, slots in (objects or {}).items():
+                self.port.drop(
+                    self, vm_id * _SPILL_OBJECT_STRIDE + object_id,
+                    slots.items(), ephemeral,
+                )
                 flushed += len(slots)
         self.stats.pages_flushed += flushed
         return flushed
 
-    # -- failure / migration support -----------------------------------------
+    # -- failure / migration support (exact engine: leaves are backends) -----
     def detach_peer(
         self, dead: "RemoteTmemBackend"
     ) -> Dict[int, List[Tuple[int, int]]]:
@@ -774,8 +569,8 @@ class RemoteTmemBackend:
         swap disks.  Ephemeral pages hosted on the dead node are
         silently dropped (counted in ``stats.ephemeral_dropped``).
         """
-        if dead in self._peers:
-            self._peers.remove(dead)
+        if dead in self.peers:
+            self.peers.remove(dead)
         lost: Dict[int, List[Tuple[int, int]]] = {}
         for vm_id, objects in list(self._spill_index.items()):
             pages: List[Tuple[int, int]] = []
@@ -871,7 +666,7 @@ class RemoteTmemBackend:
 
     def set_peers(self, peers: List["RemoteTmemBackend"]) -> None:
         """Rewire the live peer list (cluster membership changed)."""
-        self._peers = [peer for peer in peers if peer is not self]
+        self.peers = [peer for peer in peers if peer is not self]
 
     def reset_after_failure(self, peers: List["RemoteTmemBackend"]) -> None:
         """Reset a rejoining node's spill state: the machine rebooted.
@@ -879,8 +674,8 @@ class RemoteTmemBackend:
         The spill pools' contents died with the node (peers already
         severed us via :meth:`detach_peer`), so both pools are destroyed
         and recreated empty, the spill client is re-registered, every
-        index and breaker record is dropped, and the backend is rewired
-        to the currently alive *peers*.
+        index record is dropped, and the backend is rewired to the
+        currently alive *peers*.
         """
         assert self._spill_client_id is not None
         # flush_vm inside destroy_vm is a no-op (the spill client never
@@ -891,22 +686,7 @@ class RemoteTmemBackend:
         self._spill_index.clear()
         self._ephemeral_index.clear()
         self._hosted_ephemeral.clear()
-        self._breakers = {}
-        self._hypervisor.accounting.register_vm(
-            self._spill_client_id, internal=True
-        )
-        self._spill_account = self._hypervisor.accounting.account(
-            self._spill_client_id
-        )
-        pool = self._hypervisor.store.create_pool(
-            self._spill_client_id, persistent=True
-        )
-        self._spill_pool_id = pool.pool_id
-        ephemeral = self._hypervisor.store.create_pool(
-            self._spill_client_id, persistent=False
-        )
-        self._ephemeral_pool_id = ephemeral.pool_id
-        self._hypervisor.backend.remote = self
+        self._create_spill_pools()
         self.last_extra_s = self.extra_latency_s
         self.set_peers(peers)
 
@@ -917,17 +697,12 @@ class RemoteTmemBackend:
         Used by the inline invariant checker to cross-audit every
         owner's index against every host's spill-pool occupancy.
         """
+        holder_name = self.port.holder_name
         counts: Dict[str, int] = {}
         for objects in self._index_for(ephemeral).values():
             for slots in objects.values():
                 for leaf in slots.values():
-                    # Exact backends store the peer object; the epoch
-                    # engine's leaves are (peer_name, version) tuples.
-                    name = (
-                        leaf.node_name
-                        if isinstance(leaf, RemoteTmemBackend)
-                        else leaf[0]
-                    )
+                    name = holder_name(leaf)
                     counts[name] = counts.get(name, 0) + 1
         return counts
 
@@ -955,238 +730,300 @@ class RemoteTmemBackend:
         """Foreign ephemeral pages currently hosted on this node."""
         return len(self._hosted_ephemeral)
 
-    # -- cost accounting -----------------------------------------------------
-    def _charge_transfer(
-        self, src: "RemoteTmemBackend", dst: "RemoteTmemBackend"
+
+class LivePeers:
+    """Port of the exact shared engine: peers are live backends.
+
+    Stateless: every decision reads the owner's and its peers' live
+    state, and an index leaf is the hosting :class:`RemoteTmemBackend`.
+    """
+
+    def place(
+        self,
+        owner: RemoteTmemBackend,
+        held: Optional[RemoteTmemBackend],
+        spill_object: int,
+        index: int,
+        version: int,
+        now: float,
+        ephemeral: bool,
+    ) -> Optional[RemoteTmemBackend]:
+        if held is not None:
+            # Replace in place on the peer already holding this page.
+            if held.accept_spill(
+                owner, spill_object, index, version, now, ephemeral=ephemeral
+            ):
+                self._charge(owner, owner, held)
+                return held
+            return None
+        # Prefer the peer with the most free tmem; ties keep wiring order
+        # so the choice is deterministic.  A max-scan picks the same peer
+        # the stable sort on -free would try first, without allocating.
+        peers = owner.peers
+        best = peers[0]
+        best_free = best.free_tmem_pages
+        for peer in peers[1:]:
+            free = peer.free_tmem_pages
+            if free > best_free:
+                best = peer
+                best_free = free
+        if best_free > 0:
+            # A peer with free frames always absorbs: the spill client is
+            # internal (no mm_target, no recursive spilling), so its put
+            # is admitted on free frames alone.
+            if best.accept_spill(
+                owner, spill_object, index, version, now, ephemeral=ephemeral
+            ):
+                self._charge(owner, owner, best)
+                return best
+        else:
+            # Every peer is full.  Trying them would fail one by one; the
+            # only observable effect of each failed attempt is the put
+            # accounting on that peer's spill client, so apply it
+            # directly and skip the per-peer put machinery.
+            for peer in peers:
+                account = peer._spill_account
+                account.puts_total += 1
+                account.cumul_puts_total += 1
+                account.cumul_puts_failed += 1
+        return None
+
+    def fetch(
+        self,
+        owner: RemoteTmemBackend,
+        leaf: RemoteTmemBackend,
+        spill_object: int,
+        index: int,
+        ephemeral: bool,
+    ) -> Optional[int]:
+        version = leaf.fetch_spill(spill_object, index, ephemeral=ephemeral)
+        if version is not None:
+            self._charge(owner, leaf, owner)
+        return version
+
+    def drop(
+        self,
+        owner: RemoteTmemBackend,
+        spill_object: int,
+        index_leaf_pairs: Iterable[Tuple[int, RemoteTmemBackend]],
+        ephemeral: bool,
+    ) -> None:
+        # Invalidations piggyback on control traffic: no transfer charged.
+        for index, peer in index_leaf_pairs:
+            peer.drop_spill(spill_object, index, ephemeral=ephemeral)
+
+    @staticmethod
+    def holder_name(leaf: RemoteTmemBackend) -> str:
+        return leaf.node_name
+
+    @staticmethod
+    def _charge(
+        owner: RemoteTmemBackend,
+        src: RemoteTmemBackend,
+        dst: RemoteTmemBackend,
     ) -> None:
         """Account one payload page moving *src* -> *dst*.
 
-        Updates ``last_extra_s`` with the operation's network cost:
-        the constant round trip on an uncontended channel, or the
+        Sets ``owner.last_extra_s`` to the operation's network cost: the
+        constant round trip on an uncontended channel, or the
         queue-aware cost reserved on the directed link when contended.
         """
-        channel = self._channel
+        channel = owner.channel
         if channel.contended or channel.degraded:
-            self.last_extra_s = channel.reserve(
+            owner.last_extra_s = channel.reserve(
                 src.node_name, dst.node_name, 1, channel.now
             )
         else:
             channel.note_transfer(1)
-            self.last_extra_s = self.extra_latency_s
-
-    def _note_spill(
-        self, peer: "RemoteTmemBackend", now: float, ephemeral: bool
-    ) -> None:
-        self._charge_transfer(self, peer)
-        if ephemeral:
-            self.stats.ephemeral_spilled += 1
-            return
-        self.stats.pages_spilled += 1
-        if self._trace is not None:
-            self._trace.record(
-                f"remote_spill/{self.node_name}", now, self.stats.pages_spilled
-            )
+            owner.last_extra_s = owner.extra_latency_s
 
 
-class EpochRemoteTmemBackend(RemoteTmemBackend):
-    """Spill port for the epoch cluster engine (window-quota admission).
+class _PeerBreaker:
+    """Circuit-breaker state a node keeps about one spill peer.
 
-    The exact backend reads peers' live state (free frame counts, live
-    pool objects); under the epoch engine the peers may live on other
-    shards, so all cross-node interaction routes through the shard's
-    :class:`~repro.cluster.epoch.EpochContext` instead:
+    Closed (the default) counts consecutive timeout-class failures;
+    at the plan's threshold the breaker *opens* and the peer is skipped
+    costlessly until the cooldown expires, after which one *half-open*
+    probe is allowed — success closes the breaker, failure re-arms the
+    cooldown.
+    """
 
-    * **admission** is granted against the per-peer spill *quota* the
-      driver computed at the window barrier — a conflict-free slice of
-      the peer's headroom, so no cross-shard rejection or rollback can
-      ever be needed;
-    * **hosted pages are never materialized** in the hosting pool.  The
-      spill index leaf stores ``(peer_name, version)`` and the driver
-      tracks per-node hosted occupancy as a counter; gets therefore
-      resolve synchronously from the owner's own index;
-    * every **cost** is computed against the owner's private window view
-      of the link (seeded from the barrier snapshot) and every effect is
-      **emitted as a message** for the driver's canonical replay.
+    __slots__ = ("failures", "opened", "open_until")
 
-    Known divergences from the exact engine, all deterministic and
-    covered by the epoch pin file: quota-based admission can refuse a
-    put the exact engine would have placed (and vice versa); the
-    all-peers-full accounting bump on the peers' spill clients is
-    skipped (those accounts live on other shards); hosted ephemeral
-    pages are never pressure-dropped (:meth:`reclaim_for_local` always
-    defers to local eviction).
+    def __init__(self) -> None:
+        self.failures = 0
+        self.opened = False
+        self.open_until = 0.0
+
+
+class DegradedPeers(LivePeers):
+    """Port of runs with a fault plan: live peers behind sick links.
+
+    A new page walks the peers in :meth:`_ranked_peers` order.  An
+    attempt against a partitioned link costs one timed-out round trip
+    and counts against that peer's breaker; between attempts an
+    exponential backoff accrues until the plan's retry deadline.  The
+    accumulated penalty is charged to the guest via ``last_extra_s``
+    when a later attempt succeeds (a failed put already falls back to
+    the swap disk, whose cost dominates).  Fetches and drops are the
+    live port's.  One instance serves one owner.
     """
 
     def __init__(
         self,
-        node_name: str,
-        hypervisor: "Hypervisor",
-        channel: InterNodeChannel,
-        epoch: "EpochContext",
-        *,
-        trace: Optional["TraceRecorder"] = None,
+        plan: Any,
+        event_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
-        super().__init__(node_name, hypervisor, channel, trace=trace)
-        self._epoch = epoch
+        self.plan = plan
+        self._event_sink = event_sink
+        #: The owner's breaker per peer name (forgotten when a peer
+        #: rejoins fresh, all of them when the owner reboots).
+        self.breakers: Dict[str, _PeerBreaker] = {}
+        #: Accumulated backoff/timeout time charged by the degraded
+        #: spill path (reported per node, audited by tests).
+        self.retry_penalty_s = 0.0
+        #: Circuit-breaker open transitions.
+        self.breaker_trips = 0
 
-    # -- spilling side -------------------------------------------------------
-    def spill_put(
+    def place(
         self,
-        vm_id: int,
-        object_id: int,
+        owner: RemoteTmemBackend,
+        held: Optional[RemoteTmemBackend],
+        spill_object: int,
         index: int,
         version: int,
         now: float,
-        *,
-        ephemeral: bool = False,
-    ) -> bool:
-        if vm_id not in self._home_vms or not self._peers:
-            return False
-        objects = self._index_for(ephemeral).setdefault(vm_id, {})
-        slots = objects.setdefault(object_id, {})
-
-        held = slots.get(index)
+        ephemeral: bool,
+    ) -> Optional[RemoteTmemBackend]:
+        plan = self.plan
+        channel = owner.channel
+        me = owner.node_name
         if held is not None:
-            # Replace in place: the hosting peer already owns a frame for
-            # this page, so no quota is consumed and no occupancy changes.
-            slots[index] = (held[0], version)
-            self._note_epoch_spill(held[0], now, ephemeral, fresh=False)
-            return True
-
-        # Most remaining quota wins; ties keep wiring order, mirroring
-        # the exact engine's most-free-frames max-scan.
-        ctx = self._epoch
-        best: Optional[str] = None
-        best_left = 0
-        for peer in self._peers:
-            left = ctx.quota_left(self.node_name, peer.node_name)
-            if left > best_left:
-                best = peer.node_name
-                best_left = left
-        if best is not None:
-            ctx.take_quota(self.node_name, best, 1)
-            slots[index] = (best, version)
-            self._note_epoch_spill(best, now, ephemeral, fresh=True)
-            return True
-        if not slots:
-            del objects[object_id]
-        self.stats.spill_failures += 1
-        return False
-
-    def remote_get(
-        self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
-    ) -> Optional[int]:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
+            # Replace-in-place is pinned to the holding peer: an open
+            # breaker or a partition simply fails the put (the page's
+            # remote copy stays valid at its old version).
+            if self._skips(held, now):
+                return None
+            if channel.partitioned(me, held.node_name, now):
+                self.retry_penalty_s += channel.timeout_cost_s(
+                    me, held.node_name, now
+                )
+                self._failure(me, held, now)
+                return None
+            if held.accept_spill(
+                owner, spill_object, index, version, now, ephemeral=ephemeral
+            ):
+                self._success(me, held, now)
+                self._charge(owner, owner, held)
+                return held
             return None
-        slots = objects.get(object_id)
-        if slots is None:
-            return None
-        held = slots.get(index)
-        if held is None:
-            return None
-        peer_name, version = held
-        now = self._channel.now
-        if ephemeral:
-            self.stats.ephemeral_fetched += 1
-            fresh = False
-        else:
-            del slots[index]
-            if not slots:
-                del objects[object_id]
-            self.stats.pages_fetched += 1
-            fresh = True
-        ctx = self._epoch
-        self.last_extra_s = ctx.charge(
-            self.node_name, peer_name, self.node_name, 1, now
-        )
-        ctx.emit(
-            self.node_name, "fetch", now, peer_name, self.node_name, 1,
-            ephemeral=ephemeral, fresh=fresh,
-        )
-        return version
 
-    def remote_flush(
-        self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
-    ) -> bool:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
-            return False
-        slots = objects.get(object_id)
-        if slots is None:
-            return False
-        held = slots.pop(index, None)
-        if held is None:
-            return False
-        if not slots:
-            del objects[object_id]
-        self._emit_drop(held[0], 1, ephemeral)
-        self.stats.pages_flushed += 1
-        return True
-
-    def remote_flush_object(
-        self, vm_id: int, object_id: int, *, ephemeral: bool = False
-    ) -> int:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
-            return 0
-        slots = objects.pop(object_id, None)
-        if not slots:
-            return 0
-        per_peer: Dict[str, int] = {}
-        for peer_name, _version in slots.values():
-            per_peer[peer_name] = per_peer.get(peer_name, 0) + 1
-        for peer_name, count in per_peer.items():
-            self._emit_drop(peer_name, count, ephemeral)
-        flushed = len(slots)
-        self.stats.pages_flushed += flushed
-        return flushed
-
-    def flush_vm(self, vm_id: int) -> int:
-        flushed = 0
-        for ephemeral in (False, True):
-            objects = self._index_for(ephemeral).pop(vm_id, None)
-            if not objects:
+        penalty = 0.0
+        backoff = plan.backoff_base_s
+        attempts = 0
+        for peer in self._ranked_peers(owner, now):
+            if attempts >= plan.retry_limit:
+                break
+            if self._skips(peer, now):
                 continue
-            per_peer: Dict[str, int] = {}
-            for slots in objects.values():
-                for peer_name, _version in slots.values():
-                    per_peer[peer_name] = per_peer.get(peer_name, 0) + 1
-                flushed += len(slots)
-            for peer_name, count in per_peer.items():
-                self._emit_drop(peer_name, count, ephemeral)
-        self.stats.pages_flushed += flushed
-        return flushed
+            if attempts:
+                penalty += backoff
+                backoff *= plan.backoff_factor
+                if penalty > plan.retry_deadline_s:
+                    break
+            attempts += 1
+            if channel.partitioned(me, peer.node_name, now):
+                penalty += channel.timeout_cost_s(me, peer.node_name, now)
+                self._failure(me, peer, now)
+                continue
+            if peer.accept_spill(
+                owner, spill_object, index, version, now, ephemeral=ephemeral
+            ):
+                self._success(me, peer, now)
+                self._charge(owner, owner, peer)
+                # The guest pays for the timeouts/backoff that preceded
+                # the successful attempt on top of the transfer itself.
+                owner.last_extra_s += penalty
+                self.retry_penalty_s += penalty
+                return peer
+            # A refusal is a full peer, not a sick one: the failed put
+            # was accounted by the peer's own put machinery and does not
+            # count against its breaker.
+        self.retry_penalty_s += penalty
+        return None
 
-    def reclaim_for_local(self) -> bool:
-        """Epoch nodes host no materialized foreign pages to reclaim."""
-        return False
+    def _ranked_peers(
+        self, owner: RemoteTmemBackend, now: float
+    ) -> List[RemoteTmemBackend]:
+        """Peers in degraded-mode preference order.
 
-    # -- cost accounting -----------------------------------------------------
-    def _note_epoch_spill(
-        self, peer_name: str, now: float, ephemeral: bool, *, fresh: bool
-    ) -> None:
-        ctx = self._epoch
-        self.last_extra_s = ctx.charge(
-            self.node_name, self.node_name, peer_name, 1, now
-        )
-        ctx.emit(
-            self.node_name, "spill", now, self.node_name, peer_name, 1,
-            ephemeral=ephemeral, fresh=fresh,
-        )
-        if ephemeral:
-            self.stats.ephemeral_spilled += 1
-            return
-        self.stats.pages_spilled += 1
-        if self._trace is not None:
-            self._trace.record(
-                f"remote_spill/{self.node_name}", now, self.stats.pages_spilled
+        Peers in a degraded *zone* rank last, peers behind a degraded
+        link next-to-last; within a tier the most free tmem wins and
+        ties keep wiring order — the same deterministic tie-break as the
+        live port's max-scan.
+        """
+        peers = owner.peers
+        link_degraded = [
+            owner.channel.degraded_at(owner.node_name, peer.node_name, now)
+            for peer in peers
+        ]
+        degraded_zones = {
+            peer.zone
+            for peer, bad in zip(peers, link_degraded)
+            if bad and peer.zone is not None
+        }
+        decorated = [
+            (
+                1 if (peer.zone is not None and peer.zone in degraded_zones)
+                else 0,
+                1 if bad else 0,
+                -peer.free_tmem_pages,
+                order,
             )
+            for order, (peer, bad) in enumerate(zip(peers, link_degraded))
+        ]
+        decorated.sort()
+        return [peers[entry[3]] for entry in decorated]
 
-    def _emit_drop(self, peer_name: str, pages: int, ephemeral: bool) -> None:
-        # Flush invalidations piggyback on control traffic: no data-path
-        # cost and no link occupancy, matching the exact engine.
-        self._epoch.emit(
-            self.node_name, "drop", self._channel.now, self.node_name,
-            peer_name, pages, ephemeral=ephemeral, fresh=True,
-        )
+    # -- circuit breakers ----------------------------------------------------
+    def _skips(self, peer: RemoteTmemBackend, now: float) -> bool:
+        """True while *peer*'s breaker is open (skip it costlessly)."""
+        state = self.breakers.get(peer.node_name)
+        return state is not None and state.opened and now < state.open_until
+
+    def _failure(self, me: str, peer: RemoteTmemBackend, now: float) -> None:
+        plan = self.plan
+        state = self.breakers.get(peer.node_name)
+        if state is None:
+            state = self.breakers[peer.node_name] = _PeerBreaker()
+        state.failures += 1
+        if state.opened:
+            # Failed half-open probe: re-arm the cooldown.
+            state.open_until = now + plan.breaker_cooldown_s
+            return
+        if state.failures >= plan.breaker_threshold:
+            state.opened = True
+            state.open_until = now + plan.breaker_cooldown_s
+            self.breaker_trips += 1
+            self._emit(me, peer, "open", now)
+
+    def _success(self, me: str, peer: RemoteTmemBackend, now: float) -> None:
+        state = self.breakers.get(peer.node_name)
+        if state is None:
+            return
+        if state.opened:
+            self._emit(me, peer, "closed", now)
+        state.failures = 0
+        state.opened = False
+
+    def _emit(
+        self, me: str, peer: RemoteTmemBackend, state: str, now: float
+    ) -> None:
+        if self._event_sink is not None:
+            self._event_sink({
+                "kind": "breaker",
+                "node": me,
+                "peer": peer.node_name,
+                "state": state,
+                "at_s": now,
+            })

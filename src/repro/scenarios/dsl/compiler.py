@@ -38,6 +38,7 @@ from ...cluster.faults import (
     parse_link_degradation,
     parse_node_fault,
 )
+from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
 from ...workloads.registry import WORKLOAD_REGISTRY
@@ -232,20 +233,28 @@ class _Compiler:
         if "policy" in data:
             policy = self.expect_str(data["policy"], "policy")
             if policy is not None and policy != NO_TMEM_POLICY:
-                try:
-                    create_policy(policy)
-                except PolicyError as exc:
-                    suggestion = ""
-                    if isinstance(exc, UnknownPolicyError):
-                        suggestion = _suggest(
-                            policy.split(":")[0], available_policies()
-                        )
-                    self.error(f"bad policy spec: {exc}{suggestion}", "policy")
-                    policy = None
+                policy = self.check_spec(
+                    policy, "policy", "policy", create_policy, available_policies
+                )
         seed = None
         if "seed" in data:
             seed = self.expect_int(data["seed"], "seed")
         return policy, seed
+
+    def check_spec(
+        self, spec: str, path: str, kind: str, create, available
+    ) -> Optional[str]:
+        """*spec* when *create* builds it, else ``None`` and a positioned
+        error with a did-you-mean suggestion for an unknown name."""
+        try:
+            create(spec)
+        except PolicyError as exc:
+            suggestion = ""
+            if isinstance(exc, UnknownPolicyError):
+                suggestion = _suggest(spec.split(":")[0], available())
+            self.error(f"bad {kind} spec: {exc}{suggestion}", path)
+            return None
+        return spec
 
     # -- family mode ---------------------------------------------------------
     def compile_family(self, data: Mapping[str, Any]) -> Optional[CompiledScenario]:
@@ -640,9 +649,14 @@ class _Compiler:
             if value is not None:
                 kwargs["contended"] = value
         if "coordinator" in mapping:
-            kwargs["coordinator"] = self.expect_str(
+            coordinator = self.expect_str(
                 mapping["coordinator"], f"{path}.coordinator"
             )
+            if coordinator is not None:
+                kwargs["coordinator"] = self.check_spec(
+                    coordinator, f"{path}.coordinator", "coordinator",
+                    create_coordinator, available_coordinators,
+                )
         for knob in (
             "interconnect_latency_s",
             "interconnect_bandwidth_bytes_s",

@@ -100,10 +100,6 @@ class VmResult:
     #: therefore every historical fingerprint) is unchanged.
     cleancache: Optional[Dict[str, int]] = None
 
-    @property
-    def total_runtime_s(self) -> float:
-        return sum(run.duration_s for run in self.runs)
-
     def run(self, index: int) -> RunResult:
         for run in self.runs:
             if run.run_index == index:

@@ -10,6 +10,7 @@ and users can build their own specs for new experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -154,9 +155,9 @@ class NodeFailure:
     def __post_init__(self) -> None:
         if not self.node:
             raise ScenarioError("failure node name must not be empty")
-        if self.at_s <= 0:
+        if not (math.isfinite(self.at_s) and self.at_s > 0):
             raise ScenarioError(
-                f"failure time must be > 0, got {self.at_s}"
+                f"failure time must be finite and > 0, got {self.at_s}"
             )
 
 
@@ -180,9 +181,9 @@ class VmMigration:
             raise ScenarioError("migration VM name must not be empty")
         if not self.to_node:
             raise ScenarioError("migration target node must not be empty")
-        if self.at_s <= 0:
+        if not (math.isfinite(self.at_s) and self.at_s > 0):
             raise ScenarioError(
-                f"migration time must be > 0, got {self.at_s}"
+                f"migration time must be finite and > 0, got {self.at_s}"
             )
 
 

@@ -95,11 +95,6 @@ class SimulationEngine:
         """
         return self._live_events
 
-    @property
-    def fast_forward_enabled(self) -> bool:
-        """Whether :meth:`try_fast_forward` may grant inline advances."""
-        return self._fast_forward_enabled
-
     # -- slab management -------------------------------------------------------
     def _alloc_slot(self, callback: Any, arg: Any, label: str, state: int) -> int:
         free = self._free_slots

@@ -66,9 +66,6 @@ class MemoryUnits:
             raise ConfigurationError(f"byte count must be >= 0, got {nbytes}")
         return -(-int(nbytes) // self.page_bytes)
 
-    def pages_from_kib(self, kib: int | float) -> int:
-        return self.pages_from_bytes(int(kib * KIB))
-
     def pages_from_mib(self, mib: int | float) -> int:
         return self.pages_from_bytes(int(mib * MIB))
 

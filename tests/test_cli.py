@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: A two-node cluster run, the base of the bad cluster-flag cases.
+CLUSTER_RUN = [
+    "run", "scenario-1", "--scale", "0.05", "--policy", "greedy", "--nodes", "2",
+]
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -89,11 +94,23 @@ class TestCommands:
         ["sweep", "--scenario", "nosuch", "--policy", "greedy", "--no-store"],
         ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
          "--scale", "-1", "--no-store"],
+        [*CLUSTER_RUN, "--coordinator", "nosuch"],
+        [*CLUSTER_RUN, "--coordinator", "pressure-prop:foo=1"],
+        [*CLUSTER_RUN, "--fail", "node9@5"],
+        [*CLUSTER_RUN, "--fail", "node2@-5"],
+        [*CLUSTER_RUN, "--fail", "node2@nan"],
+        [*CLUSTER_RUN, "--fail", "node2@inf"],
+        [*CLUSTER_RUN, "--migrate", "n1.VM9@node2@5"],
+        [*CLUSTER_RUN, "--migrate", "n1.VM1@node2@nan"],
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
         "run-nan-scale", "run-unknown-policy", "run-bad-policy-argument",
         "sweep-unknown-scenario",
         "sweep-negative-scale",
+        "run-unknown-coordinator", "run-bad-coordinator-argument",
+        "run-fail-unknown-node", "run-fail-negative-time",
+        "run-fail-nan-time", "run-fail-inf-time",
+        "run-migrate-unknown-vm", "run-migrate-nan-time",
     ])
     def test_bad_input_exits_2_before_any_run(self, argv, capsys):
         assert main(argv) == 2

@@ -319,8 +319,9 @@ class TestPlannedMigration:
             )
 
 
-def build_two_nodes(pool_pages=50):
-    """Two wired hypervisors + remote backends on one engine."""
+def build_nodes(*pool_pages):
+    """Wired hypervisors + remote backends on one engine, one node per
+    pool size, each node peered with every other."""
     engine = SimulationEngine()
     config = SimulationConfig(units=SCENARIO_UNITS)
     domids = itertools.count(1)
@@ -328,10 +329,10 @@ def build_two_nodes(pool_pages=50):
         Hypervisor(
             engine, config,
             host_memory_pages=2000,
-            tmem_pool_pages=pool_pages,
+            tmem_pool_pages=pages,
             domid_allocator=lambda counter=domids: next(counter),
         )
-        for _ in range(2)
+        for pages in pool_pages
     ]
     channel = InterNodeChannel(
         engine, latency_s=25e-6, bandwidth_bytes_s=1.25e9, page_bytes=4096
@@ -340,9 +341,17 @@ def build_two_nodes(pool_pages=50):
         RemoteTmemBackend(f"n{i}", h, channel)
         for i, h in enumerate(hypervisors)
     ]
-    backends[0].connect([backends[1]], spill_client_id=next(domids))
-    backends[1].connect([backends[0]], spill_client_id=next(domids))
+    for backend in backends:
+        backend.connect(
+            [peer for peer in backends if peer is not backend],
+            spill_client_id=next(domids),
+        )
     return engine, hypervisors, backends, domids
+
+
+def build_two_nodes(pool_pages=50):
+    """Two wired hypervisors + remote backends on one engine."""
+    return build_nodes(pool_pages, pool_pages)
 
 
 class TestEphemeralRemoteCleancache:
@@ -423,6 +432,42 @@ class TestEphemeralRemoteCleancache:
         assert hit
         h0.check_invariants()
         h1.check_invariants()
+
+    def test_pressure_drops_notify_the_migrated_owner(self):
+        """Hosted ephemeral pages follow their VM to its new home.
+
+        n0 spills 20 cleancache pages to n1 (the peer with the most free
+        frames), then the VM's spill index moves to n2.  When n1's own
+        VM overflows its pool by 5 pages, the 5 oldest hosted pages
+        yield and n2, not n0, is told.
+        """
+        _, (h0, h1, _h2), (b0, b1, b2), _domids = build_nodes(50, 50, 10)
+        dom = h0.create_domain("vm", ram_pages=100)
+        b0.register_home_vm(dom.vm_id)
+        record = h0.register_tmem_client(
+            dom.vm_id, frontswap=True, cleancache=True
+        )
+        client = CleancacheClient(
+            dom.vm_id, record.cleancache_pool_id, h0.hypercalls
+        )
+        for page in range(70):  # 50 local frames + 20 spilled to n1
+            client.put_page(page, now=0.0)
+        assert b1.hosted_ephemeral_pages == 20
+
+        b2.adopt_vm(dom.vm_id, *b0.extract_vm(dom.vm_id))
+        assert b2.remote_ephemeral_pages_of(dom.vm_id) == 20
+
+        dom1 = h1.create_domain("vm1", ram_pages=100)
+        record1 = h1.register_tmem_client(dom1.vm_id, frontswap=True)
+        frontswap = FrontswapClient(
+            dom1.vm_id, record1.frontswap_pool_id, h1.hypercalls
+        )
+        for page in range(h1.free_tmem_pages + 5):
+            stored, _latency = frontswap.store(page, now=1.0)
+            assert stored
+        assert b2.stats.ephemeral_dropped == 5
+        assert b0.stats.ephemeral_dropped == 0
+        assert b2.remote_ephemeral_pages_of(dom.vm_id) == 15
 
     def test_frontswap_spill_is_never_dropped(self):
         """Persistent spill stays persistent: pressure on the host can

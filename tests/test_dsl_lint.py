@@ -155,6 +155,47 @@ class TestPolicy:
         assert compile_text(text).policy == "no-tmem"
 
 
+class TestCoordinator:
+    TEXT = """\
+scenario: coordinated
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 16, max_mb: 16}}]
+  - name: VM2
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 16, max_mb: 16}}]
+cluster:
+  coordinator: COORDINATOR
+  nodes:
+    - {name: node1, vms: [VM1], tmem_mb: 16}
+    - {name: node2, vms: [VM2], tmem_mb: 16}
+"""
+
+    @pytest.mark.parametrize("coordinator,message", [
+        ("pressure-prob", "did you mean 'pressure-prop'?"),
+        ("pressure-prop:foo=1", "accepted parameters: percent, smoothing, floor"),
+    ])
+    def test_bad_coordinator_is_a_positioned_diagnostic(
+        self, coordinator, message, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        text = self.TEXT.replace("COORDINATOR", coordinator)
+        (diag,) = errors(lint_text(text))
+        assert (diag.path, diag.line, diag.column) == ("cluster.coordinator", 11, 3)
+        assert diag.message.startswith("bad coordinator spec: ")
+        assert diag.message.endswith(message)
+        path = tmp_path / "bad-coordinator.yml"
+        path.write_text(text)
+        assert main(["lint", str(path)]) == 1
+        assert main(["run", str(path), "--policy", "greedy"]) == 2
+
+    def test_known_coordinator_is_clean(self):
+        assert lint_text(self.TEXT.replace("COORDINATOR", "equal-share")) == []
+
+
 class TestYamlAndStructure:
     def test_yaml_syntax_error_is_a_positioned_diagnostic(self):
         diags = lint_text("family: [unclosed\n")
