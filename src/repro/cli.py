@@ -852,11 +852,19 @@ def _sweep_spec_from_args(args: "argparse.Namespace"):
     return spec
 
 
-def _print_failed_summary(failed) -> None:
-    """One summary line + per-point detail for permanently failed points."""
+def _print_failed_summary(failed, *, retried: bool) -> None:
+    """One summary line + per-point detail for permanently failed points.
+
+    *retried* says whether the backend retried transient errors before
+    giving up (the remote backend) or tried each point once.
+    """
+    how = (
+        "transient errors were retried with backoff before giving up"
+        if retried else "each point was tried once, without retries"
+    )
     print(
-        f"FAILED: {len(failed)} point(s) permanently failed (dead-lettered) — "
-        "transient errors were retried with backoff before giving up",
+        f"FAILED: {len(failed)} point(s) permanently failed "
+        f"(dead-lettered) — {how}",
         file=sys.stderr,
     )
     for point, error in failed.items():
@@ -936,7 +944,7 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
         # Partial failure must be loud and machine-visible, not a log
         # line: print the dead-letter summary and exit nonzero.
         print(file=sys.stderr)
-        _print_failed_summary(outcome.failed)
+        _print_failed_summary(outcome.failed, retried=args.backend == "remote")
         return 1
     return 0
 
@@ -1021,7 +1029,9 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         print("interrupted: drained leases and stopped early", file=sys.stderr)
         return 130
     if dead:
-        _print_failed_summary({d.point: d.summary() for d in dead})
+        _print_failed_summary(
+            {d.point: d.summary() for d in dead}, retried=True
+        )
         return 1
     return 0
 

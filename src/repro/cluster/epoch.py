@@ -50,12 +50,16 @@ scenarios keep the exact shared-engine fallback in the calling process
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from itertools import repeat
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from ..channels.internode import LinkState
 from ..config import SimulationConfig
 from ..core.coordinator import BarrierRebalancer, NodeTmemView, create_coordinator
 from ..errors import ClusterError
+from ..hypervisor.remote_tmem import burst_runs
 from ..scenarios.spec import PhaseTrigger, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -289,6 +293,67 @@ class EpochContext:
             fresh=not ephemeral,
         )
         return version
+
+    def burst(
+        self,
+        owner: "RemoteTmemBackend",
+        puts: Sequence[Tuple[int, int, int]],
+        gets: List[Tuple[int, int, Tuple[str, int]]],
+        puts_before: List[int],
+        now: float,
+    ) -> Tuple[List[Optional[Tuple[str, int]]], List[int],
+               List[float], List[float]]:
+        """The burst entry of :meth:`place` and :meth:`fetch`.
+
+        The quota left per peer lives in locals; only this owner's own
+        placements consume it inside a window, and a get returns none.
+        A run of ``m`` puts between two gets therefore places ``min(m,
+        quota left)`` pages by the max-scan of :meth:`place`, and the
+        rest of the burst is refused without a per-page scan (and,
+        as in :meth:`place`, without a peer-account bump).  Every
+        placement and fetch still charges the owner's link view and
+        emits its own message, in scalar order.
+        """
+        me = owner.node_name
+        names = [peer.node_name for peer in owner.peers]
+        quota = self._quota
+        consumed = self._consumed
+        left = [quota.get(name, 0) - consumed.get((me, name), 0) for name in names]
+        total = sum(n for n in left if n > 0)
+        at = owner.channel.now
+        leaves: List[Optional[Tuple[str, int]]] = []
+        versions: List[int] = []
+        put_costs: List[float] = []
+        get_costs: List[float] = []
+        cost = None
+        for start, end, k in burst_runs(len(puts), puts_before):
+            while start < end and total > 0:
+                # The first peer with the most quota left, as in place().
+                best = left.index(max(left))
+                peer = names[best]
+                left[best] -= 1
+                total -= 1
+                consumed[(me, peer)] = consumed.get((me, peer), 0) + 1
+                _spill_object, _index, version = puts[start]
+                start += 1
+                cost = self.charge(me, me, peer, 1, now)
+                self.emit(
+                    me, "spill", now, me, peer, 1, ephemeral=False, fresh=True
+                )
+                put_costs.append(cost)
+                leaves.append((peer, version))
+            if start < end:
+                leaves.extend(repeat(None, end - start))
+            if k is None:
+                break
+            peer, version = gets[k][2]
+            cost = self.charge(me, peer, me, 1, at)
+            self.emit(me, "fetch", at, peer, me, 1, ephemeral=False, fresh=True)
+            get_costs.append(cost)
+            versions.append(version)
+        if cost is not None:
+            owner.last_extra_s = cost
+        return leaves, versions, put_costs, get_costs
 
     def drop(
         self,

@@ -6,6 +6,8 @@ point, in input order.  Two implementations ship with the package:
 
 * :class:`SerialBackend` — runs every point in-process, one after the
   other.  Zero overhead; the right choice for small sweeps and tests.
+  A point that raises a :class:`~repro.errors.ReproError` is reported
+  through ``on_failure`` and the sweep goes on (as in the process pool).
 * :class:`ProcessPoolBackend` — fans points out to a pool of worker
   processes (``multiprocessing`` via ``concurrent.futures``).  Results
   cross the process boundary as the strict-JSON dicts produced by
@@ -32,7 +34,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import ExperimentError
+from ..errors import ExperimentError, ReproError
 from ..scenarios.registry import scenario_by_name
 from ..scenarios.results import ScenarioResult
 from ..scenarios.runner import run_scenario
@@ -52,8 +54,7 @@ __all__ = [
 ResultCallback = Callable[[ExperimentPoint, ScenarioResult], None]
 
 #: Callback invoked when a point permanently fails (dead-lettered):
-#: (point, error description).  Backends without partial-failure
-#: semantics (serial, process) raise instead and never call it.
+#: (point, error description).
 FailureCallback = Callable[[ExperimentPoint, str], None]
 
 
@@ -106,6 +107,12 @@ def _execute_point_worker(
     ).to_dict()
 
 
+def _one_attempt_failure(point: ExperimentPoint, exc: Exception) -> str:
+    """The failure description of a point that raised on its one try,
+    worded like a remote dead letter's summary."""
+    return f"{point} after 1 attempt(s): {type(exc).__name__}: {exc}"
+
+
 class ExecutionBackend(ABC):
     """Runs experiment points and reports results in input order."""
 
@@ -126,10 +133,13 @@ class ExecutionBackend(ABC):
         point completes (completion order, not input order) — backends
         use it for progress reporting and incremental persistence.
 
-        *on_failure* is called for each point the backend gives up on
-        (after exhausting its retry budget); that point's slot in the
-        returned list is ``None``.  Backends without partial-failure
-        semantics raise on the first error instead.
+        *on_failure* is called for each point the backend gives up on,
+        and that point's slot in the returned list is ``None``.  The
+        remote backend gives up once a point exhausts its retry budget;
+        the serial and process backends try each point once and give up
+        on a point that raises a :class:`~repro.errors.ReproError` (a
+        bad policy, say).  Without *on_failure* such a point raises
+        instead, and any other exception always propagates.
         """
 
 
@@ -158,12 +168,19 @@ class SerialBackend(ExecutionBackend):
         on_result: Optional[ResultCallback] = None,
         on_failure: Optional[FailureCallback] = None,
     ) -> List[Optional[ScenarioResult]]:
-        results: List[ScenarioResult] = []
+        results: List[Optional[ScenarioResult]] = []
         for point in points:
-            result = execute_point(
-                point, shards=self.shards,
-                cluster_engine=self.cluster_engine,
-            )
+            try:
+                result = execute_point(
+                    point, shards=self.shards,
+                    cluster_engine=self.cluster_engine,
+                )
+            except ReproError as exc:
+                if on_failure is None:
+                    raise
+                on_failure(point, _one_attempt_failure(point, exc))
+                results.append(None)
+                continue
             if on_result is not None:
                 on_result(point, result)
             results.append(result)
@@ -212,14 +229,27 @@ class ProcessPoolBackend(ExecutionBackend):
                 ): index
                 for index, point in enumerate(points)
             }
+            failed = set()
             for future in as_completed(futures):
                 index = futures[future]
-                # Re-raises any worker-side exception with its traceback.
-                result = ScenarioResult.from_dict(future.result())
+                try:
+                    # Re-raises any worker-side exception with its
+                    # traceback.
+                    data = future.result()
+                except ReproError as exc:
+                    if on_failure is None:
+                        raise
+                    on_failure(points[index], _one_attempt_failure(points[index], exc))
+                    failed.add(index)
+                    continue
+                result = ScenarioResult.from_dict(data)
                 results[index] = result
                 if on_result is not None:
                     on_result(points[index], result)
-        missing = [points[i] for i, r in enumerate(results) if r is None]
+        missing = [
+            points[i] for i, r in enumerate(results)
+            if r is None and i not in failed
+        ]
         if missing:  # pragma: no cover - as_completed covers every future
             raise ExperimentError(f"backend produced no result for {missing}")
         return results

@@ -32,11 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Dict, List, Literal, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import GuestError
 from ..hypervisor.hypercalls import HypercallInterface
-from ..hypervisor.tmem_backend import BATCH_FLUSH, BATCH_GET, BATCH_PUT
+from ..hypervisor.tmem_backend import (
+    BATCH_FLUSH,
+    BATCH_GET,
+    BATCH_PUT,
+    PlannedBurst,
+)
 from .addressing import SwapEntryAddresser
 
 __all__ = ["FrontswapStats", "FrontswapClient", "FrontswapBatch"]
@@ -145,17 +150,6 @@ class FrontswapClient:
         """
         return self._stored.pop(page, None)
 
-    def reserve_versions(self, count: int) -> int:
-        """Advance the version clock by *count*; returns the first version.
-
-        The vectorized burst planner reserves the whole window up front
-        and assigns versions in put order — exactly the sequence that
-        *count* scalar :meth:`store` calls would have produced.
-        """
-        start = self._version_clock + 1
-        self._version_clock += count
-        return start
-
     # -- operations ------------------------------------------------------------
     def store(self, page: int, *, now: float) -> Tuple[bool, float]:
         """Try to put *page* into tmem.
@@ -227,7 +221,7 @@ class FrontswapClient:
         gets_before_puts,
         *,
         now: float,
-    ) -> Union[None, Literal[True], List[int]]:
+    ) -> PlannedBurst:
         """Ship one planned burst through the closed-form hypercall path.
 
         *put_pages* are the eviction victims in put order, *get_pages*
@@ -236,13 +230,17 @@ class FrontswapClient:
         (the planner derives it from the burst interleaving).  Applies
         the exact per-page effects of the equivalent staged batch —
         stored-page tracking, version audit, statistics — with bulk
-        C-level operations.
+        C-level operations.  A page a peer node absorbed (put flag 2) is
+        stored like a local one; a get that neither the local pool nor
+        a peer could serve raises the staged path's :class:`GuestError`.
 
-        Returns ``None`` when the hypervisor declines the planned path
-        (remote tmem or a non-persistent pool) and the caller must stage
-        a conventional batch; the version clock is untouched in that
-        case.  Returns ``True`` when every put succeeded (or there were
-        none), and otherwise one 1/0 success flag per put, in put order.
+        Returns the hypercall's ``(put_flags, get_versions, get_flags,
+        put_costs, get_costs)``:
+        ``put_flags`` is ``None`` when every put succeeded locally, else
+        one flag per put in put order, 1 (local), 2 (remote) or 0
+        (refused); ``get_flags`` likewise per get, ``None`` when every
+        get hit locally; the costs are the network cost of each remote
+        put and each remote get, in order.
         """
         first_version = self._version_clock + 1
         planned = self._hypercalls.tmem_planned(
@@ -255,36 +253,37 @@ class FrontswapClient:
             self._addresser.pages_per_object,
             now=now,
         )
-        if planned is None:
-            return None
-        put_statuses, get_versions = planned
+        put_flags, get_versions, _get_flags, _put_costs, _get_costs = planned
         n_puts = len(put_pages)
         self._version_clock += n_puts
         stored = self._stored
         stats = self.stats
         if n_puts:
             versions = range(first_version, first_version + n_puts)
-            if put_statuses is None:
+            if put_flags is None:
                 stored.update(zip(put_pages, versions))
                 stats.succ_stores += n_puts
             else:
-                stored.update(
-                    compress(zip(put_pages, versions), put_statuses)
-                )
-                succ = sum(put_statuses)
-                stats.succ_stores += succ
-                stats.failed_stores += n_puts - succ
+                stored.update(compress(zip(put_pages, versions), put_flags))
+                refused = put_flags.count(0)
+                stats.succ_stores += n_puts - refused
+                stats.failed_stores += refused
         if get_pages:
             expected = list(map(stored.pop, get_pages, repeat(None)))
             if expected != get_versions:
                 for page, exp, ver in zip(get_pages, expected, get_versions):
+                    if ver is None:
+                        raise GuestError(
+                            f"VM {self._vm_id}: frontswap page {page} "
+                            "vanished from a persistent tmem pool"
+                        )
                     if exp is not None and exp != ver:
                         raise GuestError(
                             f"VM {self._vm_id}: frontswap page {page} "
                             f"returned stale data (version {ver} != {exp})"
                         )
             stats.loads += len(get_pages)
-        return True if put_statuses is None else put_statuses
+        return planned
 
     def invalidate_area(self) -> Tuple[int, float]:
         """Flush everything (swapoff / guest shutdown).
@@ -364,29 +363,6 @@ class FrontswapBatch:
         self._pages.append(page)
         self._get_pages.append(page)
         return len(ops) - 1
-
-    def extend_raw(
-        self,
-        ops: List[tuple[int, int, int, int]],
-        pages: List[int],
-        *,
-        put_pages: List[int],
-        put_versions: List[int],
-        get_pages: List[int],
-    ) -> None:
-        """Append pre-built raw operations (vectorized plan fast path).
-
-        *ops* are ``(opcode, object_id, index, version)`` tuples aligned
-        with *pages*; *put_pages*/*put_versions*/*get_pages* are the same
-        operations split by kind, in op order.  Put versions must come
-        from :meth:`FrontswapClient.reserve_versions` so the clock stays
-        in sync with the scalar path.
-        """
-        self._ops.extend(ops)
-        self._pages.extend(pages)
-        self._put_pages.extend(put_pages)
-        self._put_versions.extend(put_versions)
-        self._get_pages.extend(get_pages)
 
     def stage_flush(self, page: int) -> int:
         """Stage a flush for *page*; returns the batch index."""

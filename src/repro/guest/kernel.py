@@ -53,7 +53,6 @@ import numpy as np
 from ..config import SimulationConfig
 from ..devices.disk import VirtualDisk
 from ..errors import ConfigurationError, SwapError
-from ..hypervisor.tmem_backend import BATCH_GET, BATCH_PUT
 from .cleancache import CleancacheClient
 from .frontswap import FrontswapClient
 from .pfra import make_reclaimer
@@ -447,11 +446,13 @@ class GuestKernel:
         and one batch touch.  Otherwise the burst is *planned*: a single
         guest-local pass classifies every access (hit, eviction target,
         fault source) using the reclaimer's batch victim selection and the
-        frontswap/swap membership sets, staging all tmem traffic on a
-        :class:`~repro.guest.frontswap.FrontswapBatch`.  The staged ops
-        ship in (usually) one batched hypercall, and a final replay pass
-        accumulates latencies and issues disk I/O in exactly the order the
-        scalar engine would have — making the two engines bit-identical.
+        frontswap/swap membership sets.  Its tmem traffic ships in one
+        closed-form planned hypercall (:meth:`_vector_plan_misses`) or,
+        from the sequential planner, staged on a
+        :class:`~repro.guest.frontswap.FrontswapBatch` in (usually) one
+        batched hypercall, and a final replay pass accumulates latencies
+        and issues disk I/O in exactly the order the scalar engine would
+        have — making the two engines bit-identical.
         """
         outcome = AccessOutcome()
         n = len(page_list)
@@ -483,8 +484,8 @@ class GuestKernel:
         disjoint from the burst itself.  Then the whole burst classifies
         up front — resident hits, tmem hits, swap faults, first touches —
         victims for every eviction are selected in one batch, recency
-        updates collapse into one bulk promote, and the staged tmem
-        traffic ships in a single batched hypercall.  Returns False when
+        updates collapse into one bulk promote, and the tmem traffic
+        ships in one closed-form planned hypercall.  Returns False when
         a precondition fails and the sequential planner must run instead.
 
         Bursts made of *distinct* pages classify with C-speed membership
@@ -563,27 +564,23 @@ class GuestKernel:
         fs = self._frontswap
         in_swap = list(map(self._swap.slots.__contains__, misses))
         victims = resident.select_victims(victims_needed)
-        # The fused replay serves the burst unless the hypervisor declines
-        # the closed-form path; then the burst is staged as one batch and
-        # replayed from its plan.  Without frontswap there is no tmem
-        # traffic, and every victim goes straight to disk.
+        # Without frontswap there is no tmem traffic, and every victim
+        # goes straight to disk.
         put_flags: Optional[List[int]] = None
-        staged = None
+        remote_plan = None
         if fs is None:
             in_tmem = [False] * n_miss
         else:
             in_tmem = list(map(fs.held_pages.__contains__, misses))
             get_pages = [p for p, held in zip(misses, in_tmem) if held]
-            planned = True  # no tmem traffic: nothing to resolve
             if victims_needed or get_pages:
                 # Closed-form planned path: the burst's put/get
                 # interleaving is known up front (puts are consecutive
                 # from miss index ``free_slots`` on, with at most one
                 # exclusive get between consecutive puts), so the
                 # hypervisor resolves the whole admission sequence in
-                # closed form instead of an op walk, targets included.
-                # The backend declines (returns None) when remote tmem
-                # or a non-persistent pool is involved.
+                # closed form instead of an op walk, targets and peer
+                # nodes included.
                 if victims_needed:
                     # Exclusive prefix counts of gets, sliced to the put
                     # positions (miss index ``free_slots`` onward).
@@ -596,15 +593,16 @@ class GuestKernel:
                     )
                 else:
                     gets_before_puts = []
-                planned = fs.execute_planned(
-                    victims, get_pages, gets_before_puts, now=now
+                put_flags, _versions, get_flags, put_costs, get_costs = (
+                    fs.execute_planned(
+                        victims, get_pages, gets_before_puts, now=now
+                    )
                 )
-            if planned is None:
-                staged = self._stage_vector_plan(
-                    misses, in_tmem, in_swap, get_pages, victims, free_slots, now
-                )
-            elif planned is not True:
-                put_flags = planned
+                if put_costs or get_costs:
+                    remote_plan = self._plan_remote_burst(
+                        misses, in_tmem, in_swap, victims, free_slots,
+                        put_flags, get_flags, put_costs, get_costs,
+                    )
 
         if n_hits:
             # The classification already split the burst: promote inserts
@@ -615,78 +613,65 @@ class GuestKernel:
         else:
             resident.insert_many(page_list)
         outcome.minor_hits = n_hits
-        if staged is None:
+        if remote_plan is None:
             self._replay_burst(
                 misses, in_tmem, in_swap, victims, put_flags,
                 free_slots, now, outcome,
             )
         else:
-            plan, statuses, remote_costs = staged
+            plan, statuses, remote_costs = remote_plan
             self._replay_plan(plan, statuses, now, outcome, remote_costs)
         return True
 
-    def _stage_vector_plan(
-        self,
+    @staticmethod
+    def _plan_remote_burst(
         misses: List[int],
         in_tmem: List[bool],
         in_swap: List[bool],
-        get_pages: List[int],
         victims: List[int],
         free_slots: int,
-        now: float,
+        put_flags: Optional[List[int]],
+        get_flags: Optional[List[int]],
+        put_costs: Sequence[float],
+        get_costs: Sequence[float],
     ) -> Tuple[List[Tuple[int, int, int]], List[int], List[float]]:
-        """Ship a vector-planned burst's tmem traffic as one staged batch.
+        """The :meth:`_replay_plan` inputs of a planned burst that reached
+        a peer node.
 
-        The route for bursts with tmem traffic whose admission the
-        closed-form path cannot resolve (remote tmem or a non-persistent
-        pool).  Builds the burst's event plan in scalar order, executes
-        its puts and gets in one batched hypercall, and returns the
-        plan, the per-op statuses and the remote costs for
-        :meth:`_replay_plan`.
+        Such a burst replays from an event plan, whose statuses already
+        carry remote ops (2) and their network costs, so the fused
+        :meth:`_replay_burst` keeps its single-host loop and pays nothing
+        for remote tmem.  Puts and tmem gets take op indexes in scalar
+        order, and the costs are merged into that order.
         """
-        fs = self._frontswap
-        assert fs is not None
         plan: List[Tuple[int, int, int]] = []
+        statuses: List[int] = []
+        costs: List[float] = []
         append_plan = plan.append
-        victims_needed = len(victims)
-        batch = fs.begin_batch()
-        version = fs.reserve_versions(victims_needed)
-        ppo = fs.pages_per_object
-        ops: List[Tuple[int, int, int, int]] = []
-        op_pages: List[int] = []
-        append_op = ops.append
-        append_op_page = op_pages.append
-        op_index = 0
+        append_status = statuses.append
+        put_cost = iter(put_costs)
+        get_cost = iter(get_costs)
+        get_flag = iter(get_flags if get_flags is not None else ())
         victim_cursor = 0
         for j, page in enumerate(misses):
             if j >= free_slots:
-                victim = victims[victim_cursor]
+                flag = 1 if put_flags is None else put_flags[victim_cursor]
+                append_plan((_EV_TMEM, victims[victim_cursor], len(statuses)))
+                append_status(flag)
+                if flag == 2:
+                    costs.append(next(put_cost))
                 victim_cursor += 1
-                object_id, index = divmod(victim, ppo)
-                append_op((BATCH_PUT, object_id, index, version))
-                version += 1
-                append_op_page(victim)
-                append_plan((_EV_TMEM, victim, op_index))
-                op_index += 1
             if in_tmem[j]:
-                object_id, index = divmod(page, ppo)
-                append_op((BATCH_GET, object_id, index, 0))
-                append_op_page(page)
-                append_plan((_F_TMEM, page, op_index))
-                op_index += 1
+                flag = 1 if get_flags is None else next(get_flag)
+                append_plan((_F_TMEM, page, len(statuses)))
+                append_status(flag)
+                if flag == 2:
+                    costs.append(next(get_cost))
             elif in_swap[j]:
                 append_plan((_F_SWAP, page, 0))
             else:
                 append_plan((_F_FIRST, page, 0))
-        batch.extend_raw(
-            ops,
-            op_pages,
-            put_pages=victims,
-            put_versions=list(range(version - victims_needed, version)),
-            get_pages=get_pages,
-        )
-        statuses = batch.execute(now=now)
-        return plan, statuses, fs.drain_remote_costs()
+        return plan, statuses, costs
 
     def _plan_and_replay_misses(
         self, page_list: List[int], now: float, outcome: AccessOutcome
@@ -936,11 +921,12 @@ class GuestKernel:
         constants, same order) :meth:`_replay_plan` performs for the
         equivalent plan — the two are interchangeable bit for bit, swap
         I/O included (served inline and committed once, as there).
-        Planned bursts carry no remote operations (the closed-form path
-        declines when remote tmem is attached) and every get hits, so
-        only the per-put success flags (*put_flags*; ``None`` = all
-        succeeded) vary the replay.  Without frontswap there are no puts:
-        every victim goes straight to disk, as ``_EV_DISK`` does.
+        A burst that reached a peer node replays through
+        :meth:`_replay_plan` instead (see :meth:`_plan_remote_burst`), so
+        here every op is local and every get hits: only the per-put
+        success flags (*put_flags*; ``None`` = all succeeded) vary the
+        replay.  Without frontswap there are no puts: every victim goes
+        straight to disk, as ``_EV_DISK`` does.
         """
         config = self._config
         put_lat = config.tmem_put_latency_s
@@ -1057,8 +1043,9 @@ class GuestKernel:
         if self._file_pages:
             file_pages = [p for p in page_list if p in self._file_pages]
             if file_pages:
-                latency = self._free_file(file_pages, now)
+                # Split before freeing: _free_file forgets the file pages.
                 anon = [p for p in page_list if p not in self._file_pages]
+                latency = self._free_file(file_pages, now)
                 if anon:
                     if self._batched and self._frontswap is not None:
                         latency += self._free_batched(anon, now)

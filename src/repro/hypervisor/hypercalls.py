@@ -20,6 +20,8 @@ model and one statistics update for the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, Mapping, Sequence
 
 from ..config import SimulationConfig
@@ -28,6 +30,7 @@ from .accounting import HypervisorAccounting
 from .pages import PageKey
 from .tmem_backend import (
     BatchOp,
+    PlannedBurst,
     TmemBackend,
     TmemBatchResult,
     TmemOpResult,
@@ -177,27 +180,51 @@ class HypercallInterface:
         self._require_registered(vm_id)
         result = self._backend.execute_batch(vm_id, pool_id, ops, now=now)
         stats = self.stats_for(vm_id)
-        puts_failed = result.puts_failed
-        # Remote operations carry their exact per-operation network cost
-        # (queue-aware on a contended interconnect) in the batch result.
-        put_latency = (
-            (result.puts_succ + result.puts_remote)
-            * self._config.tmem_put_latency_s
-            + result.remote_put_extra_s
-            + puts_failed * self._config.tmem_failed_put_latency_s
+        latency = self._charge_puts_gets(
+            stats,
+            result.puts_total,
+            result.puts_failed,
+            result.remote_put_extra_s,
+            result.gets_total,
+            result.gets_failed,
+            result.remote_get_extra_s,
         )
-        stats.charge_many("put", result.puts_total, put_latency)
-        # A failing get costs a bare hypercall, like a failing put.
-        gets_failed = result.gets_failed
-        get_latency = (
-            (result.gets_total - gets_failed) * self._config.tmem_get_latency_s
-            + result.remote_get_extra_s
-            + gets_failed * self._config.tmem_failed_put_latency_s
-        )
-        stats.charge_many("get", result.gets_total, get_latency)
         flush_latency = result.flushes_total * self._config.tmem_flush_latency_s
         stats.charge_many("flush_page", result.flushes_total, flush_latency)
-        return result, put_latency + get_latency + flush_latency
+        return result, latency + flush_latency
+
+    def _charge_puts_gets(
+        self,
+        stats: HypercallStats,
+        puts_total: int,
+        puts_failed: int,
+        remote_put_extra_s: float,
+        gets_total: int,
+        gets_failed: int,
+        remote_get_extra_s: float,
+    ) -> float:
+        """Charge one burst's puts and gets; returns their latency.
+
+        Exactly what the equivalent scalar hypercalls would have cost:
+        every put or get that succeeded, locally or on a peer node,
+        pays the base latency, remote ones also their network cost
+        (queue-aware on a contended interconnect), and a failing put or
+        get pays a bare hypercall.
+        """
+        config = self._config
+        put_latency = (
+            (puts_total - puts_failed) * config.tmem_put_latency_s
+            + remote_put_extra_s
+            + puts_failed * config.tmem_failed_put_latency_s
+        )
+        stats.charge_many("put", puts_total, put_latency)
+        get_latency = (
+            (gets_total - gets_failed) * config.tmem_get_latency_s
+            + remote_get_extra_s
+            + gets_failed * config.tmem_failed_put_latency_s
+        )
+        stats.charge_many("get", gets_total, get_latency)
+        return put_latency + get_latency
 
     def tmem_planned(
         self,
@@ -210,18 +237,18 @@ class HypercallInterface:
         pages_per_object: int,
         *,
         now: float,
-    ):
+    ) -> PlannedBurst:
         """Issue one planned burst through the closed-form backend path.
 
         Thin accounting wrapper over :meth:`~repro.hypervisor.
         tmem_backend.TmemBackend.execute_planned`; see its docstring for
         the plan shape and preconditions.  Charges exactly what
-        :meth:`tmem_batch` would for the equivalent op sequence — with no
-        remote tmem attached (a planned-path precondition) the remote
-        extras are identically zero, so the simpler expressions below
-        produce bit-equal latencies.  Returns ``None`` when the backend
-        declines the fast path (remote tmem or a non-persistent pool),
-        else ``(put_statuses, get_versions)``.
+        :meth:`tmem_batch` would for the equivalent op sequence, through
+        the same formula: the per-kind remote extras are left folds of
+        the returned costs in op order, as the op walk accumulates them
+        (``0.0`` with no remote op, which adds exactly).  Returns
+        ``(put_flags, get_versions, get_flags, put_costs, get_costs)``
+        with put and get flags 1 (local), 2 (remote) or 0 (failed).
         """
         self._require_registered(vm_id)
         planned = self._backend.execute_planned(
@@ -234,24 +261,18 @@ class HypercallInterface:
             pages_per_object,
             now=now,
         )
-        if planned is None:
-            return None
-        put_statuses, get_versions = planned
-        stats = self.stats_for(vm_id)
-        puts_total = len(put_pages)
-        puts_succ = (
-            puts_total if put_statuses is None else sum(put_statuses)
+        put_flags, _versions, get_flags, put_costs, get_costs = planned
+        # functools.reduce is a plain left fold; sum() would compensate.
+        self._charge_puts_gets(
+            self.stats_for(vm_id),
+            len(put_pages),
+            0 if put_flags is None else put_flags.count(0),
+            reduce(add, put_costs, 0.0) if put_costs else 0.0,
+            len(get_pages),
+            0 if get_flags is None else get_flags.count(0),
+            reduce(add, get_costs, 0.0) if get_costs else 0.0,
         )
-        puts_failed = puts_total - puts_succ
-        put_latency = (
-            puts_succ * self._config.tmem_put_latency_s
-            + puts_failed * self._config.tmem_failed_put_latency_s
-        )
-        stats.charge_many("put", puts_total, put_latency)
-        gets_total = len(get_pages)
-        get_latency = gets_total * self._config.tmem_get_latency_s
-        stats.charge_many("get", gets_total, get_latency)
-        return put_statuses, get_versions
+        return planned
 
     # -- SmarTmem control-path hypercalls ------------------------------------------
     def tmem_set_targets(

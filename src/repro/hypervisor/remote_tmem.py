@@ -17,6 +17,12 @@ local :class:`~repro.hypervisor.tmem_backend.TmemBackend` via its
 * **flushes** chase remote copies the same way, so guest frees and VM
   teardown cannot leak frames on peers.
 
+A planned burst reaches the backend once, not once per page:
+:meth:`RemoteTmemBackend.remote_burst` takes the burst's refused puts
+and remote gets in scalar order and hands them to the port's ``burst``
+entry, which places what fits, refuses the rest in bulk and returns the
+per-op network costs.
+
 One backend, three ports
 ------------------------
 
@@ -91,7 +97,11 @@ and cleancache simultaneously cannot collide either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from itertools import compress, repeat
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING,
+)
 
 from ..channels.internode import InterNodeChannel
 from ..errors import ClusterError
@@ -108,6 +118,51 @@ _SPILL_OBJECT_STRIDE = 2 ** 32
 
 #: vm_id -> object_id -> page index -> the port's leaf for the page.
 SpillIndex = Dict[int, Dict[int, Dict[int, Any]]]
+
+
+def burst_runs(
+    n_puts: int, puts_before: Sequence[int]
+) -> Iterator[Tuple[int, int, Optional[int]]]:
+    """A burst's scalar order as runs of puts between its gets.
+
+    Yields ``(start, end, k)``: puts ``start:end`` come next, then get
+    *k*.  The last run follows every get and has *k* ``None``.
+    """
+    start = 0
+    for k, end in enumerate(puts_before):
+        yield start, end, k
+        start = end
+    yield start, n_puts, None
+
+
+class SpillPuts:
+    """A burst's puts as a port sees them, built on access.
+
+    ``puts[k]`` is the ``(spill_object, index, version)`` of the *k*-th
+    put.  Most of a refused burst is refused in bulk, so a port reads
+    only the puts it places.
+    """
+
+    __slots__ = ("_base", "_pages_per_object", "_pages", "_versions")
+
+    def __init__(
+        self,
+        base: int,
+        pages_per_object: int,
+        pages: Sequence[int],
+        versions: Sequence[int],
+    ) -> None:
+        self._base = base
+        self._pages_per_object = pages_per_object
+        self._pages = pages
+        self._versions = versions
+
+    def __len__(self) -> int:
+        return len(self._pages)
+
+    def __getitem__(self, k: int) -> Tuple[int, int, int]:
+        object_id, index = divmod(self._pages[k], self._pages_per_object)
+        return self._base + object_id, index, self._versions[k]
 
 
 @dataclass
@@ -172,7 +227,7 @@ class RemoteTmemBackend:
       pools, admission-limited only by this node's free tmem frames.
 
     *port* reaches the peers; ``None`` selects :class:`LivePeers`.  A
-    port is any object with these four methods, each given this backend
+    port is any object with these five methods, each given this backend
     as *owner*:
 
     * ``place(owner, held_leaf, spill_object, index, version, now,
@@ -184,6 +239,16 @@ class RemoteTmemBackend:
     * ``fetch(owner, leaf, spill_object, index, ephemeral)`` returns the
       page's version, or ``None`` when the holder no longer has it, and
       charges the transfer;
+    * ``burst(owner, puts, gets, puts_before, now)`` serves one burst's
+      persistent traffic in scalar order: *puts* are ``(spill_object,
+      index, version)`` new pages, *gets* are ``(spill_object, index,
+      leaf)``, and ``puts[:puts_before[k]]`` precede ``gets[k]``.  It
+      returns ``(leaves, versions, put_costs, get_costs)``: one leaf or
+      ``None`` per put, one version or ``None`` per get, and the network
+      cost of each placed put and each fetched get, in order.  Every
+      outcome, reservation and account effect is the one the per-page
+      ``place``/``fetch`` calls would have had in that order, and
+      ``owner.last_extra_s`` ends at the last op's cost;
     * ``drop(owner, spill_object, index_leaf_pairs, ephemeral)``
       invalidates the remote copies of some pages of one object;
     * ``holder_name(leaf)`` returns the name of the node holding a page.
@@ -491,18 +556,115 @@ class RemoteTmemBackend:
             # The peer dropped it between bookkeeping rounds: an
             # ordinary (legal) cleancache miss.
         elif version is None:
-            raise ClusterError(
-                f"node {self.node_name!r}: spill index said VM {vm_id} page "
-                f"({object_id}, {index}) lives on "
-                f"{self.port.holder_name(leaf)!r} but the peer does not "
-                "hold it"
-            )
+            raise self._lost_copy(vm_id, object_id, index, leaf)
         else:
             self.stats.pages_fetched += 1
         del slots[index]
         if not slots:
             del objects[object_id]
         return version
+
+    def remote_burst(
+        self,
+        vm_id: int,
+        put_pages: Sequence[int],
+        put_versions: Sequence[int],
+        get_pages: Sequence[int],
+        puts_before: Sequence[int],
+        pages_per_object: int,
+        now: float,
+    ) -> Tuple[List[int], List[Optional[int]], List[float], List[float]]:
+        """Serve one planned burst's remote traffic in one port call.
+
+        *put_pages* (stored at *put_versions*) are the burst's locally
+        refused frontswap puts and *get_pages* its local misses, in
+        order, as page numbers of *pages_per_object* slots per object;
+        ``put_pages[:puts_before[k]]`` precede ``get_pages[k]`` in
+        scalar order.  The outcome equals one :meth:`spill_put` per put
+        and one :meth:`remote_get` per get in that order: the same
+        placements, index entries, stats and ``remote_spill`` samples.
+        A get the index does not hold is a miss (``None``) and never
+        reaches the port.
+
+        Precondition (unchecked): no put page is held remotely.  A put
+        page is an eviction victim, so it is resident, and a remote
+        copy is fetched back exclusively when its page faults in.
+
+        Returns ``(placed, versions, put_costs, get_costs)``: the
+        positions of the puts a peer absorbed, one version or ``None``
+        per get, and the network cost of each placed put and each
+        fetched get, in order.
+        """
+        base = vm_id * _SPILL_OBJECT_STRIDE
+        objects = self._spill_index.get(vm_id)
+        #: Positions in *get_pages* of the pages the index holds.
+        found: List[int] = []
+        port_gets = []
+        port_before = []
+        for k, (page, before) in enumerate(zip(get_pages, puts_before)):
+            object_id, index = divmod(page, pages_per_object)
+            slots = objects.get(object_id) if objects is not None else None
+            leaf = slots.get(index) if slots is not None else None
+            if leaf is not None:
+                found.append(k)
+                port_gets.append((base + object_id, index, leaf))
+                port_before.append(before)
+        spilling = (
+            bool(put_pages) and vm_id in self._home_vms and bool(self.peers)
+        )
+        puts: Sequence[Tuple[int, int, int]] = ()
+        if spilling:
+            objects = self._spill_index.setdefault(vm_id, {})
+            puts = SpillPuts(base, pages_per_object, put_pages, put_versions)
+        else:
+            # spill_put refuses these without touching a stat.
+            port_before = [0] * len(port_gets)
+        leaves, fetched, put_costs, get_costs = self.port.burst(
+            self, puts, port_gets, port_before, now
+        )
+
+        # Record the outcomes in scalar order, so the index dicts evolve
+        # exactly as the per-page calls would have left them.
+        stats = self.stats
+        trace = self._trace
+        series = f"remote_spill/{self.node_name}"
+        placed: List[int] = []
+        versions: List[Optional[int]] = [None] * len(get_pages)
+        for start, end, k in burst_runs(len(puts), port_before):
+            for p in compress(range(start, end), leaves[start:end]):
+                object_id, index = divmod(put_pages[p], pages_per_object)
+                objects.setdefault(object_id, {})[index] = leaves[p]
+                placed.append(p)
+                stats.pages_spilled += 1
+                if trace is not None:
+                    trace.record(series, now, stats.pages_spilled)
+            if k is None:
+                break
+            version = fetched[k]
+            spill_object, index, leaf = port_gets[k]
+            object_id = spill_object - base
+            if version is None:
+                raise self._lost_copy(vm_id, object_id, index, leaf)
+            stats.pages_fetched += 1
+            versions[found[k]] = version
+            slots = objects[object_id]
+            del slots[index]
+            if not slots:
+                del objects[object_id]
+        if spilling:
+            stats.spill_failures += len(puts) - len(placed)
+        return placed, versions, put_costs, get_costs
+
+    def _lost_copy(
+        self, vm_id: int, object_id: int, index: int, leaf: Any
+    ) -> ClusterError:
+        """The error for a persistent copy the index places on a peer
+        that no longer holds it."""
+        return ClusterError(
+            f"node {self.node_name!r}: spill index said VM {vm_id} page "
+            f"({object_id}, {index}) lives on "
+            f"{self.port.holder_name(leaf)!r} but the peer does not hold it"
+        )
 
     def remote_flush(
         self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
@@ -801,6 +963,96 @@ class LivePeers:
             self._charge(owner, leaf, owner)
         return version
 
+    def burst(
+        self,
+        owner: RemoteTmemBackend,
+        puts: Sequence[Tuple[int, int, int]],
+        gets: List[Tuple[int, int, RemoteTmemBackend]],
+        puts_before: List[int],
+        now: float,
+    ) -> Tuple[List[Optional[RemoteTmemBackend]], List[Optional[int]],
+               List[float], List[float]]:
+        """The port's burst entry (contract on :class:`RemoteTmemBackend`).
+
+        The peers' free frames live in locals: only an ``accept_spill``
+        or a ``fetch_spill`` on a peer changes its count inside a burst,
+        and the count is re-read after each.  A run of ``m`` puts
+        between two gets therefore places ``min(m, total free)`` pages
+        by the max-scan of :meth:`place`; the rest of the run finds
+        every peer full, and those refusals bump each peer's spill
+        account once, by their count.
+        """
+        peers = owner.peers
+        free = [peer.free_tmem_pages for peer in peers]
+        total = sum(free)
+        slot = {peer: j for j, peer in enumerate(peers)}
+        channel = owner.channel
+        reserve = (
+            channel.reserve if channel.contended or channel.degraded else None
+        )
+        at = channel.now
+        me = owner.node_name
+        cost = last = owner.extra_latency_s
+        leaves: List[Optional[RemoteTmemBackend]] = []
+        versions: List[Optional[int]] = []
+        put_costs: List[float] = []
+        get_costs: List[float] = []
+        full = moved = 0
+        for start, end, k in burst_runs(len(puts), puts_before):
+            while start < end and total > 0:
+                # The first peer with the most free frames, as in place().
+                best_free = max(free)
+                best = free.index(best_free)
+                peer = peers[best]
+                spill_object, index, version = puts[start]
+                start += 1
+                if peer.accept_spill(
+                    owner, spill_object, index, version, now, ephemeral=False
+                ):
+                    if reserve is not None:
+                        cost = reserve(me, peer.node_name, 1, at)
+                    else:
+                        moved += 1
+                    put_costs.append(cost)
+                    last = cost
+                    leaves.append(peer)
+                else:
+                    leaves.append(None)
+                fresh = peer.free_tmem_pages
+                total += fresh - best_free
+                free[best] = fresh
+            if start < end:
+                full += end - start
+                leaves.extend(repeat(None, end - start))
+            if k is None:
+                break
+            spill_object, index, leaf = gets[k]
+            version = leaf.fetch_spill(spill_object, index, ephemeral=False)
+            versions.append(version)
+            if version is not None:
+                if reserve is not None:
+                    cost = reserve(leaf.node_name, me, 1, at)
+                else:
+                    moved += 1
+                get_costs.append(cost)
+                last = cost
+            j = slot.get(leaf)
+            if j is not None:
+                fresh = leaf.free_tmem_pages
+                total += fresh - free[j]
+                free[j] = fresh
+        if full:
+            for peer in peers:
+                account = peer._spill_account
+                account.puts_total += full
+                account.cumul_puts_total += full
+                account.cumul_puts_failed += full
+        if moved:
+            channel.note_transfer(moved)
+        if put_costs or get_costs:
+            owner.last_extra_s = last
+        return leaves, versions, put_costs, get_costs
+
     def drop(
         self,
         owner: RemoteTmemBackend,
@@ -951,6 +1203,42 @@ class DegradedPeers(LivePeers):
             # count against its breaker.
         self.retry_penalty_s += penalty
         return None
+
+    def burst(
+        self,
+        owner: RemoteTmemBackend,
+        puts: Sequence[Tuple[int, int, int]],
+        gets: List[Tuple[int, int, RemoteTmemBackend]],
+        puts_before: List[int],
+        now: float,
+    ) -> Tuple[List[Optional[RemoteTmemBackend]], List[Optional[int]],
+               List[float], List[float]]:
+        """The burst entry, one :meth:`place` or ``fetch`` per page.
+
+        Breakers, partitions and backoff make every attempt depend on
+        the ones before it, so there is no run to collapse.
+        """
+        leaves: List[Optional[RemoteTmemBackend]] = []
+        versions: List[Optional[int]] = []
+        put_costs: List[float] = []
+        get_costs: List[float] = []
+        for start, end, k in burst_runs(len(puts), puts_before):
+            for p in range(start, end):
+                spill_object, index, version = puts[p]
+                leaf = self.place(
+                    owner, None, spill_object, index, version, now, False
+                )
+                leaves.append(leaf)
+                if leaf is not None:
+                    put_costs.append(owner.last_extra_s)
+            if k is None:
+                break
+            spill_object, index, leaf = gets[k]
+            version = self.fetch(owner, leaf, spill_object, index, False)
+            versions.append(version)
+            if version is not None:
+                get_costs.append(owner.last_extra_s)
+        return leaves, versions, put_costs, get_costs
 
     def _ranked_peers(
         self, owner: RemoteTmemBackend, now: float

@@ -31,15 +31,17 @@ call.  The sequence is processed strictly in order with the same admission
 logic as the scalar path — a get in the middle of the batch frees a frame
 that a later put may consume — but the per-page Python overhead (result
 objects, repeated account/pool lookups, per-frame host accounting) is paid
-once per batch instead of once per page.  The guest's vectorized access
-path funnels every burst through this entry point.
+once per batch instead of once per page.  The guest's sequential planner
+funnels its bursts through this entry point; vector-planned bursts take
+:meth:`TmemBackend.execute_planned`, a closed form of the same rules.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import accumulate, compress, count, repeat
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..devices.dram import HostMemory
@@ -66,6 +68,13 @@ BATCH_FLUSH = 2
 
 #: One batched operation: (opcode, object_id, index, version).
 BatchOp = Tuple[int, int, int, int]
+
+#: Outcome of :meth:`TmemBackend.execute_planned`: (put_flags,
+#: get_versions, get_flags, put_costs, get_costs).
+PlannedBurst = Tuple[
+    Optional[List[int]], List[Optional[int]], Optional[List[int]],
+    Sequence[float], Sequence[float],
+]
 
 
 class TmemOpcode(enum.Enum):
@@ -608,52 +617,76 @@ class TmemBackend:
         pages_per_object: int,
         *,
         now: float,
-    ) -> Optional[Tuple[Optional[List[int]], List[int]]]:
+    ) -> PlannedBurst:
         """Service one planned access burst without materializing ops.
 
         The guest's vectorized planner knows the exact interleaving of a
         burst's puts and gets before issuing them: puts are consecutive
         (one per miss once the free frames are consumed) with at most one
-        exclusive get between consecutive puts.  On a single host,
-        Algorithm 1's admission then has a closed form over the
-        *headroom* ``h0``: the free frames under the greedy default, or
-        ``min(free frames, mm_target - tmem_used)`` when a target is
-        installed.  Targets change only between bursts (the Memory
-        Manager's write-back), and inside a burst an admitted put moves
-        ``tmem_used`` up and the free frames down by one, an exclusive
-        get moves both back and a refused put moves neither, so the
-        headroom moves exactly as the free frames do under greedy.  Put
-        *i* therefore admits iff the puts admitted before it number
-        fewer than ``f_i = h0 + gets_before_puts[i]``.  ``f_i - i`` is
-        non-increasing (``gets_before_puts`` steps by at most one per
+        exclusive get between consecutive puts.  Algorithm 1's admission
+        then has a closed form over the *headroom* ``h0``: the free
+        frames under the greedy default, or ``min(free frames, mm_target
+        - tmem_used)`` when a target is installed.  Targets change only
+        between bursts (the Memory Manager's write-back), and inside a
+        burst an admitted put moves ``tmem_used`` up and the free frames
+        down by one, an exclusive local get moves both back and a refused
+        put moves neither, so the headroom moves exactly as the free
+        frames do under greedy.  Put *i* therefore admits iff the puts
+        admitted before it number fewer than ``f_i = h0 + local[i]``,
+        where ``local[i]`` counts the gets ahead of put *i* that hit the
+        local pool (``gets_before_puts[i]`` on a single host).
+        ``f_i - i`` is non-increasing (``local`` steps by at most one per
         put), so the whole burst admits iff ``f_last >= n_puts`` and
         every put fails iff ``f_last <= 0``; only the bursts in between
         walk the puts.  ``h0`` is not clamped at 0: a VM above its
         target must pay the deficit back with gets before a put admits.
-        The resulting counters, pool contents and statuses are
+
+        With remote tmem attached, a get that misses the local pool is a
+        remote get and a refused put is offered to a peer.  Neither
+        moves ``tmem_used`` or the local free frames, so the local pass
+        above decides admission alone, and the refused puts and remote
+        gets go to :meth:`RemoteTmemBackend.remote_burst
+        <repro.hypervisor.remote_tmem.RemoteTmemBackend.remote_burst>`
+        afterwards, in scalar order (get *g* precedes put *i* iff ``g <
+        gets_before_puts[i]``).  The one remote state local admission
+        reads is the ``H`` foreign ephemeral pages this node hosts: a
+        put that would admit but for zero free frames first reclaims
+        the oldest of them.  The free frames then act as ``free + H``
+        in ``h0``, and the reclaims are the top-ups wherever the
+        admitted puts would drive the free frames below zero, taken
+        before the pool's frames are committed.  The resulting
+        counters, pool contents, statuses, peer state and costs are
         bit-identical to :meth:`execute_batch` over the equivalent op
         sequence.
 
         Preconditions (guaranteed by the planner, not re-checked): every
-        put key is absent from the pool (victims are resident, therefore
-        not tmem-held), every get key is present (the client's stored-page
-        map mirrors the pool on a single host), puts and gets are
-        disjoint, ``gets_before_puts`` is non-decreasing with steps <= 1.
-        A get that misses anyway raises :class:`TmemError` and leaves the
-        pool, the account and the host frames as they were.
+        put key is absent from the pool and from the peers (victims are
+        resident, and a remote copy is fetched back exclusively when its
+        page faults in), every get key is held locally or, with remote
+        tmem attached, remotely (the client's stored-page map mirrors
+        both), puts and gets are disjoint, ``gets_before_puts`` is
+        non-decreasing with steps <= 1.  On a single host, a get that
+        misses anyway raises :class:`TmemError` and leaves the pool, the
+        account and the host frames as they were; with remote tmem it
+        comes back as a failed get, as from :meth:`execute_batch`.
 
-        Returns ``None`` when the fast path does not apply (remote tmem
-        attached, or a non-persistent pool) — the caller must then fall
-        back to :meth:`execute_batch`.  Otherwise returns
-        ``(put_statuses, get_versions)`` where ``put_statuses`` is
-        ``None`` when every put succeeded, else one 1/0 per put.
+        A planned burst is a frontswap burst: a non-persistent pool
+        raises :class:`TmemError`.  Returns ``(put_flags, get_versions,
+        get_flags, put_costs, get_costs)``: ``put_flags`` is ``None``
+        when every put admitted locally, else one flag per put (1 local,
+        2 remote, 0 refused); ``get_flags`` is ``None`` when every get
+        hit locally, else one flag per get (1 local, 2 remote, 0 missed,
+        with a ``None`` version); the costs are the network cost of each
+        remote put and each remote get, in order.
         """
         account = self._accounting.account(vm_id)
-        if self.remote is not None:
-            return None
         pool = self._store.get_pool(vm_id, pool_id)
         if not pool.persistent:
-            return None
+            raise TmemError(
+                f"VM {vm_id}: a planned burst needs a persistent pool, "
+                f"not pool {pool_id}"
+            )
+        remote = self.remote
 
         n_puts = len(put_pages)
         n_gets = len(get_pages)
@@ -663,7 +696,9 @@ class TmemBackend:
         # Gets run first: their keys are disjoint from the puts', so the
         # order of the two loops does not change the result, and a miss
         # finds nothing edited but the pages this loop popped.
-        get_versions: List[int] = []
+        get_versions: List[Optional[int]] = []
+        #: Positions of the gets that missed the local pool.
+        remote_gets: List[int] = []
         if n_gets:
             append_version = get_versions.append
             for page_no in get_pages:
@@ -671,6 +706,10 @@ class TmemBackend:
                 bucket = objects_get(object_id)
                 version = bucket.pop(index, None) if bucket is not None else None
                 if version is None:
+                    if remote is not None:
+                        remote_gets.append(len(get_versions))
+                        append_version(None)
+                        continue
                     # Put back what this loop popped before the miss.
                     for popped, old in zip(get_pages, get_versions):
                         obj, idx = divmod(popped, pages_per_object)
@@ -683,33 +722,51 @@ class TmemBackend:
                     del objects[object_id]
                 append_version(version)
 
-        put_statuses: Optional[List[int]] = None
+        put_flags: Optional[List[int]] = None
         puts_succ = n_puts
+        refused: Sequence[int] = ()
         if n_puts:
-            headroom = self._host.tmem_free_pages
+            local = gets_before_puts
+            if remote_gets:
+                # A remote get frees no local frame: admission counts
+                # only the local hits among the gets ahead of each put.
+                hits = list(accumulate(
+                    (v is not None for v in get_versions), initial=0
+                ))
+                local = [hits[g] for g in gets_before_puts]
+            free = self._host.tmem_free_pages
+            hosted = (
+                remote.hosted_ephemeral_pages
+                if remote is not None and not account.internal else 0
+            )
+            headroom = free + hosted
             if account.has_target:
                 headroom = min(headroom, account.mm_target - account.tmem_used)
-            bound = headroom + gets_before_puts[-1]
+            bound = headroom + local[-1]
             admitted: Iterable[Tuple[int, int]] = zip(
                 put_pages, count(first_version)
             )
             if bound <= 0:
                 # The bound never rises above zero: every put fails.
-                put_statuses = [0] * n_puts
+                put_flags = [0] * n_puts
                 puts_succ = 0
                 admitted = ()
+                if remote is not None:
+                    refused = range(n_puts)
             elif bound < n_puts:
-                put_statuses = []
-                append_flag = put_statuses.append
+                put_flags = []
+                append_flag = put_flags.append
                 succ = 0
-                for gets_done in gets_before_puts:
+                for gets_done in local:
                     if succ < headroom + gets_done:
                         succ += 1
                         append_flag(1)
                     else:
                         append_flag(0)
                 puts_succ = succ
-                admitted = compress(admitted, put_statuses)
+                admitted = compress(admitted, put_flags)
+                if remote is not None:
+                    refused = [i for i, ok in enumerate(put_flags) if not ok]
             for page_no, version in admitted:
                 object_id, index = divmod(page_no, pages_per_object)
                 bucket = objects_get(object_id)
@@ -717,20 +774,62 @@ class TmemBackend:
                     objects[object_id] = {index: version}
                 else:
                     bucket[index] = version
+            if hosted and puts_succ:
+                # Frames the admitted puts need beyond the free ones and
+                # those the local gets before them release.
+                need = taken = 0
+                for ok, gets_done in zip(put_flags or repeat(1), local):
+                    if ok:
+                        taken += 1
+                        if taken - gets_done > need:
+                            need = taken - gets_done
+                for _ in range(need - free):
+                    remote.reclaim_for_local()
 
-        count_delta = puts_succ - n_gets
+        count_delta = puts_succ - n_gets + len(remote_gets)
         if count_delta:
             pool.adjust_count(count_delta)
         account.puts_total += n_puts
         account.cumul_puts_total += n_puts
         account.puts_succ += puts_succ
         account.cumul_puts_succ += puts_succ
-        account.cumul_puts_failed += n_puts - puts_succ
         account.gets_total += n_gets
         account.cumul_gets_total += n_gets
         self._host.adjust_tmem_used(count_delta)
         account.tmem_used += count_delta
-        return put_statuses, get_versions
+        if not (refused or remote_gets):
+            account.cumul_puts_failed += n_puts - puts_succ
+            return put_flags, get_versions, None, (), ()
+
+        # The remote pass: one call, in scalar order.  Get g follows the
+        # puts with gets_before_puts[i] <= g, which are the first
+        # bisect_right(gets_before_puts, g) puts.
+        puts_before = [
+            bisect_left(refused, bisect_right(gets_before_puts, g))
+            for g in remote_gets
+        ]
+        placed, versions, put_costs, get_costs = remote.remote_burst(
+            vm_id,
+            [put_pages[i] for i in refused],
+            [first_version + i for i in refused],
+            [get_pages[g] for g in remote_gets],
+            puts_before,
+            pages_per_object,
+            now,
+        )
+        for k in placed:
+            put_flags[refused[k]] = 2
+        get_flags: Optional[List[int]] = None
+        if remote_gets:
+            get_flags = [1] * n_gets
+            for g, version in zip(remote_gets, versions):
+                get_versions[g] = version
+                get_flags[g] = 0 if version is None else 2
+        puts_remote = len(placed)
+        account.puts_remote += puts_remote
+        account.cumul_puts_remote += puts_remote
+        account.cumul_puts_failed += n_puts - puts_succ - puts_remote
+        return put_flags, get_versions, get_flags, put_costs, get_costs
 
     def destroy_vm(self, vm_id: int) -> int:
         """Release every tmem page of a VM at teardown; returns pages freed."""

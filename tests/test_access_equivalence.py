@@ -19,6 +19,8 @@ from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
 from repro.guest.kernel import GuestKernel
 from repro.guest.swap import SwapStats
+from repro.cluster.sharded import run_scenario_sharded
+from repro.hypervisor.remote_tmem import RemoteTmemBackend
 from repro.hypervisor.tmem_backend import TmemBackend
 from repro.hypervisor.xen import Hypervisor
 from repro.scenarios.library import usemem_scenario
@@ -247,8 +249,25 @@ class TestScenarioLevelEquivalence:
         assert scalar.vms == batched.vms
 
 
+def count_calls(monkeypatch, counts, cls, name):
+    """Count calls of ``cls.name`` into ``counts[name]``, and the calls
+    that returned ``None`` (a declined burst) into ``counts["declined"]``."""
+    original = getattr(cls, name)
+    counts[name] = 0
+    counts.setdefault("declined", 0)
+
+    def counted(self, *args, **kwargs):
+        counts[name] += 1
+        result = original(self, *args, **kwargs)
+        counts["declined"] += result is None
+        return result
+
+    monkeypatch.setattr(cls, name, counted)
+
+
 class TestClosedFormCoverage:
-    """The paper's target-based policies take the closed-form tmem path."""
+    """The paper's target-based policies take the closed-form tmem path,
+    on a single host and with remote tmem attached."""
 
     @pytest.mark.parametrize("policy", ["static-alloc", "reconf-static",
                                         "smart-alloc"])
@@ -256,21 +275,32 @@ class TestClosedFormCoverage:
     def test_single_host_bursts_never_stage(self, monkeypatch, scenario,
                                             policy):
         counts = {}
-
-        def count_calls(cls, name):
-            original = getattr(cls, name)
-            counts[name] = 0
-
-            def counted(self, *args, **kwargs):
-                counts[name] += 1
-                return original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        count_calls(TmemBackend, "execute_planned")
-        count_calls(GuestKernel, "_stage_vector_plan")
+        count_calls(monkeypatch, counts, TmemBackend, "execute_planned")
         config = SimulationConfig(units=SCENARIO_UNITS)
         run_scenario(scenario_by_name(scenario, scale=0.1), policy,
                      config=config, seed=7)
         assert counts["execute_planned"] > 0
-        assert counts["_stage_vector_plan"] == 0
+        assert counts["declined"] == 0
+
+    @pytest.mark.parametrize("scenario, engine", [
+        ("contended:nodes=4", "exact"),
+        ("hotnode:nodes=3", "exact"),
+        ("cluster:nodes=3", "exact"),
+        ("contended:nodes=4", "epoch"),
+    ])
+    def test_cluster_bursts_never_stage(self, monkeypatch, scenario, engine):
+        """Remote spill and fetch ride the closed form: no planned burst
+        is declined to the staged op walk, and the bursts that reach a
+        peer go through one remote_burst call each."""
+        counts = {}
+        count_calls(monkeypatch, counts, TmemBackend, "execute_planned")
+        count_calls(monkeypatch, counts, RemoteTmemBackend, "remote_burst")
+        spec = scenario_by_name(scenario, scale=0.1)
+        if engine == "exact":
+            run_scenario(spec, "smart-alloc", seed=7)
+        else:
+            run_scenario_sharded(spec, "smart-alloc", shards=2, seed=7,
+                                 inline=True, cluster_engine="epoch")
+        assert counts["execute_planned"] > 0
+        assert counts["declined"] == 0
+        assert counts["remote_burst"] > 0

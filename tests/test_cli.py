@@ -202,10 +202,15 @@ class TestCommands:
         serial_fps = fingerprints(serial_dir)
         assert serial_fps and fingerprints(remote_dir) == serial_fps
 
-    def test_sweep_remote_dead_letters_exit_nonzero(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+    def test_sweep_dead_letters_exit_nonzero(self, capsys, tmp_path, backend):
         """Points that permanently fail dead-letter, are summarized on
         stderr, and flip the exit code — the sweep still archives the
-        points that worked."""
+        points that worked, whichever backend ran them."""
+        if backend == "remote":
+            flags = ["--max-attempts", "2", "--lease-expiry", "5"]
+        else:
+            flags = ["--max-workers", "2"] if backend == "process" else []
         code = main([
             "sweep",
             "--scenario", "usemem-scenario",
@@ -213,9 +218,8 @@ class TestCommands:
             "--policy", "no-such-policy",
             "--seed", "1",
             "--scale", "0.1",
-            "--backend", "remote",
-            "--max-attempts", "2",
-            "--lease-expiry", "5",
+            "--backend", backend,
+            *flags,
             "--results-dir", str(tmp_path / "r"),
         ])
         assert code == 1

@@ -1,14 +1,19 @@
 """Tests for addressing, frontswap, cleancache and the swap area."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import GuestConfig, SimulationConfig
 from repro.errors import SwapError, TmemKeyError
 from repro.guest.addressing import SwapEntryAddresser
 from repro.guest.cleancache import CleancacheClient
 from repro.guest.frontswap import FrontswapClient
+from repro.guest.kernel import GuestKernel
 from repro.guest.swap import SwapArea
 from repro.hypervisor.xen import Hypervisor
+from repro.sim.engine import SimulationEngine
 
 
 class TestSwapEntryAddresser:
@@ -235,3 +240,55 @@ class TestFrontswapBatch:
     def test_empty_batch_is_a_no_op(self, engine, config):
         _, _, fs, _ = build_clients(engine, config)
         assert fs.begin_batch().execute(now=0.0) == []
+
+
+class TestFreeFilePages:
+    """Freeing clean file pages (``GuestKernel._free_file``): the page
+    cache drops them and every cleancache copy is invalidated."""
+
+    def _run(self, access_engine):
+        config = SimulationConfig(guest=GuestConfig(access_engine=access_engine))
+        hv, record, fs, cc = build_clients(
+            SimulationEngine(), config, tmem_pages=64, cleancache=True
+        )
+        kernel = GuestKernel(
+            record.vm_id, ram_pages=24, swap_pages=256, config=config,
+            disk=hv.swap_disk, frontswap=fs, cleancache=cc,
+        )
+        kernel.access(range(100, 104), now=0.0)  # anonymous pages
+        # 40 clean file reads through a smaller page cache: the oldest
+        # file pages are evicted into cleancache.
+        kernel.access(range(40), now=0.0, write=False)
+        evicted = [p for p in range(40) if p not in kernel._file_resident]
+        cached = [p for p in range(40) if p in kernel._file_resident]
+        assert evicted and cached
+        pool = hv.store.get_pool(record.vm_id, record.cleancache_pool_id)
+        assert len(pool) == len(evicted)
+        freed = evicted[:5] + cached[:5] + [100, 101]
+        latency = kernel.free(freed, now=1.0)
+        return SimpleNamespace(
+            kernel=kernel, cc=cc, pool=pool, evicted=evicted, freed=freed,
+            latency=latency,
+        )
+
+    def test_free_drops_cached_copies(self):
+        run = self._run("batched")
+        kernel = run.kernel
+        file_freed = run.freed[:10]
+        assert not any(p in kernel._file_resident for p in file_freed)
+        assert kernel._file_pages.isdisjoint(file_freed)
+        # One invalidation per freed file page; the five evicted ones
+        # leave the ephemeral pool.
+        assert run.cc.stats.invalidates == len(file_freed)
+        assert len(run.pool) == len(run.evicted) - 5
+        assert not any(run.cc.get_page(p)[0] for p in run.evicted[:5])
+        assert kernel.stats.freed_pages == len(run.freed)
+        assert run.latency > 0.0
+
+    def test_scalar_and_batched_engines_agree(self):
+        scalar = self._run("scalar")
+        batched = self._run("batched")
+        assert scalar.kernel.stats == batched.kernel.stats
+        assert scalar.cc.stats == batched.cc.stats
+        assert scalar.pool.radix() == batched.pool.radix()
+        assert scalar.latency == batched.latency

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.channels.internode import InterNodeChannel
+from repro.cluster.faults import LinkDegradation
 from repro.errors import ConfigurationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import TraceRecorder
@@ -209,3 +210,50 @@ class TestConservationAndFifo:
         assert len(windows) > 5
         for (_s1, e1), (s2, _e2) in zip(windows, windows[1:]):
             assert s2 >= e1
+
+
+class TestPartitionedBulkTransfer:
+    """A bulk transfer issued into a partition fails fast and is
+    re-issued at heal time (``InterNodeChannel._retry_transfer``)."""
+
+    PAGES = 8
+
+    def _transfer_at_2(self, windows):
+        engine, channel = make_channel(contended=True)
+        channel.configure_degradations(
+            [
+                LinkDegradation("n1", "n2", start, end, partition=True)
+                for start, end in windows
+            ],
+            rng_factory=None,
+        )
+        issued = []
+        fired = []
+
+        def issue(_arg):
+            issued.append(channel.transfer_async(
+                "n1", "n2", self.PAGES,
+                lambda arg: fired.append((engine.now, arg)), "state",
+            ))
+
+        engine.schedule_call_after(2.0, issue, None)
+        engine.run()
+        return channel, issued, fired
+
+    def test_retry_fires_after_the_heal(self):
+        channel, issued, fired = self._transfer_at_2([(1.0, 5.0)])
+        # The call reports the heal delay; the copy starts at t = 5.
+        assert issued == [3.0]
+        assert fired == [(5.0 + channel.transfer_cost_s(self.PAGES), "state")]
+        link = channel.describe_links()["n1->n2"]
+        assert link["fail_fast"] == 1
+        assert link["transfers"] == 1 and link["pages"] == self.PAGES
+
+    def test_back_to_back_partitions_fail_fast_twice(self):
+        channel, issued, fired = self._transfer_at_2([(1.0, 5.0), (5.0, 7.0)])
+        # The retry at t = 5 meets the second partition and waits again.
+        assert issued == [3.0]
+        assert fired == [(7.0 + channel.transfer_cost_s(self.PAGES), "state")]
+        link = channel.describe_links()["n1->n2"]
+        assert link["fail_fast"] == 2
+        assert link["transfers"] == 1 and link["pages"] == self.PAGES

@@ -1,17 +1,26 @@
 """Tests for the tmem backend: Algorithm 1's admission control."""
 
 import copy
+import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.channels.internode import InterNodeChannel
+from repro.cluster.epoch import EpochContext
+from repro.config import SimulationConfig
 from repro.devices.dram import HostMemory
 from repro.errors import HypercallError, TmemError
 from repro.hypervisor.accounting import HypervisorAccounting
 from repro.hypervisor.pages import PageKey
+from repro.hypervisor.remote_tmem import RemoteTmemBackend
 from repro.hypervisor.tmem_backend import BATCH_GET, BATCH_PUT, TmemBackend
 from repro.hypervisor.tmem_store import TmemStore
 from repro.hypervisor.xen import Hypervisor
+from repro.sim.engine import SimulationEngine
+from repro.sim.trace import TraceRecorder
+from repro.units import SCENARIO_UNITS
 
 
 def build_backend(tmem_pages=8, vms=(1,)):
@@ -462,7 +471,9 @@ class TestExecutePlanned:
             gets_before_puts, PPO, now=1.0,
         )
         assert planned is not None
-        put_statuses, get_versions = planned
+        put_statuses, get_versions, get_flags, put_costs, get_costs = planned
+        # A single host serves every op locally.
+        assert (get_flags, put_costs, get_costs) == (None, (), ())
 
         b_backend, b_acc, b_host, b_pools = batch_side
         batch = b_backend.execute_batch(1, b_pools[1], ops, now=1.0)
@@ -510,14 +521,285 @@ class TestExecutePlanned:
         acc.check_invariants()
         host.check_invariants()
 
-    def test_declines_only_for_a_non_persistent_pool(self):
-        """A target no longer sends a single-host burst to the op walk."""
+    def test_targets_take_the_closed_form_and_ephemeral_pools_raise(self):
+        """A target no longer sends a single-host burst to the op walk,
+        and a planned burst is a frontswap (persistent) burst."""
         backend, acc, host, pools = build_backend(tmem_pages=8)
         acc.set_target(1, 1)
         assert backend.execute_planned(
             1, pools[1], [0, 1], 1, [], [0, 0], PPO, now=0.0
-        ) == ([1, 0], [])
+        ) == ([1, 0], [], None, (), ())
         ephemeral = backend._store.create_pool(1, persistent=False)
-        assert backend.execute_planned(
-            1, ephemeral.pool_id, [0], 1, [], [0], PPO, now=0.0
-        ) is None
+        with pytest.raises(TmemError, match="persistent pool"):
+            backend.execute_planned(
+                1, ephemeral.pool_id, [0], 1, [], [0], PPO, now=0.0
+            )
+
+
+@st.composite
+def remote_bursts(draw):
+    """A small cluster, some of the VM's pages already spilled, and one
+    burst in the planner's shape (see :func:`planned_bursts`)."""
+    nodes = draw(st.integers(2, 4))
+    frames = draw(st.integers(0, 6))
+    peer_frames = [draw(st.integers(0, 4)) for _ in range(nodes - 1)]
+    # Stored before the burst: the local pool fills first, then peers.
+    stored = draw(st.integers(0, frames + sum(peer_frames)))
+    # The first *freed* stored pages (all local) are flushed again, so
+    # the local pool can have free frames while pages sit on peers.
+    freed = draw(st.integers(0, min(stored, frames)))
+    target = draw(st.one_of(st.none(), st.integers(0, frames + 2)))
+    held = stored - freed
+    get_order = draw(st.permutations(range(freed, stored)))
+    leading = draw(st.integers(0, held))
+    n_puts = draw(st.integers(0, 10))
+    gets_left = held - leading
+    get_after = []
+    for _ in range(n_puts):
+        flag = gets_left > 0 and draw(st.booleans())
+        gets_left -= flag
+        get_after.append(flag)
+    n_gets = leading + sum(get_after)
+    put_pages = [stored + i for i in draw(st.permutations(range(n_puts)))]
+    return {
+        "frames": frames,
+        "peer_frames": peer_frames,
+        "stored": stored,
+        "freed": freed,
+        "target": target,
+        # Foreign ephemeral pages node 0 hosts for node 1 (live port
+        # only; the epoch port never materializes hosted pages).
+        "hosted": draw(st.integers(0, 3)),
+        "contended": draw(st.booleans()),
+        "port": draw(st.sampled_from(["live", "epoch"])),
+        # Epoch window quota per peer for the burst.
+        "quota": [draw(st.integers(0, 3)) for _ in range(nodes - 1)],
+        "get_pages": list(get_order[:n_gets]),
+        "leading": leading,
+        "get_after": get_after,
+        "put_pages": put_pages,
+    }
+
+
+def remote_cluster(burst):
+    """Wired nodes on one engine with node 0's VM preloaded as *burst*
+    says; returns the pieces the comparison reads."""
+    engine = SimulationEngine()
+    config = SimulationConfig(units=SCENARIO_UNITS)
+    trace = TraceRecorder()
+    domids = itertools.count(1)
+    hypervisors = [
+        Hypervisor(
+            engine, config, host_memory_pages=256, tmem_pool_pages=pages,
+            domid_allocator=lambda counter=domids: next(counter),
+        )
+        for pages in [burst["frames"], *burst["peer_frames"]]
+    ]
+    channel = InterNodeChannel(
+        engine, latency_s=25e-6, bandwidth_bytes_s=1.25e9, page_bytes=4096,
+        contended=burst["contended"], trace=trace,
+    )
+    epoch = None
+    if burst["port"] == "epoch":
+        epoch = EpochContext(
+            latency_s=25e-6, page_transfer_s=4096 / 1.25e9,
+            contended=burst["contended"],
+        )
+    backends = [
+        RemoteTmemBackend(f"n{i}", h, channel, trace=trace, port=epoch)
+        for i, h in enumerate(hypervisors)
+    ]
+    for backend in backends:
+        backend.connect(
+            [peer for peer in backends if peer is not backend],
+            spill_client_id=next(domids),
+        )
+    names = [backend.node_name for backend in backends[1:]]
+    if epoch is not None:
+        # The preload spills against the peers' frames, as live would.
+        epoch.begin_window(dict(zip(names, burst["peer_frames"])), {})
+    host = hypervisors[0]
+    vm = host.create_domain("vm", ram_pages=64).vm_id
+    backends[0].register_home_vm(vm)
+    pool = host.register_tmem_client(vm).frontswap_pool_id
+    for page_no in range(burst["stored"]):
+        assert host.backend.put(
+            vm, pool, page_key(pool, page_no), version=page_no + 1, now=0.0
+        ).succeeded
+    for page_no in range(burst["freed"]):
+        assert host.backend.flush_page(vm, pool, page_key(pool, page_no)).succeeded
+    if epoch is None and burst["hosted"]:
+        # Node 1 spills cleancache pages into node 0's free frames; a
+        # put node 0 admits at zero free frames then reclaims them.
+        peer = hypervisors[1]
+        cc_vm = peer.create_domain("cc", ram_pages=16).vm_id
+        peer.register_tmem_client(cc_vm, frontswap=False, cleancache=True)
+        backends[1].register_home_vm(cc_vm)
+        backends[1].set_peers([backends[0]])
+        for index in range(min(burst["hosted"], host.free_tmem_pages)):
+            assert backends[1].spill_put(
+                cc_vm, 0, index, 1, 0.0, ephemeral=True
+            )
+        backends[1].set_peers(backends)
+    if burst["target"] is not None:
+        host.accounting.set_target(vm, burst["target"])
+    if epoch is not None:
+        busy = {
+            f"{src}->{dst}": 2e-5 * (i + 1)
+            for i, (src, dst) in enumerate(itertools.permutations(["n0", *names], 2))
+        }
+        epoch.begin_window(dict(zip(names, burst["quota"])), busy)
+    return SimpleNamespace(
+        engine=engine, channel=channel, trace=trace, epoch=epoch,
+        hypervisors=hypervisors, backends=backends, vm=vm, pool=pool,
+    )
+
+
+def cluster_state(side):
+    """Everything a burst may touch, in comparable form."""
+    owner = side.backends[0]
+    holder = owner.port.holder_name
+
+    def index(spill_index):
+        # Lists keep dict order: the index must evolve as the walk's.
+        return [
+            (vm, [(obj, [(i, holder(leaf)) for i, leaf in slots.items()])
+                  for obj, slots in objects.items()])
+            for vm, objects in spill_index.items()
+        ]
+
+    host = side.hypervisors[0]
+    return {
+        "account": host.accounting.account(side.vm),
+        "free": [h.free_tmem_pages for h in side.hypervisors],
+        "radix": host.store.get_pool(side.vm, side.pool).radix(),
+        "spill_accounts": [copy.copy(b._spill_account) for b in side.backends],
+        "spill_pools": [
+            b._hypervisor.store.get_pool(b._spill_client_id, b._spill_pool_id).radix()
+            for b in side.backends
+        ],
+        "index": index(owner._spill_index),
+        "ephemeral_pools": [
+            b._hypervisor.store.get_pool(
+                b._spill_client_id, b._ephemeral_pool_id
+            ).radix()
+            for b in side.backends
+        ],
+        "ephemeral_index": [index(b._ephemeral_index) for b in side.backends],
+        "hosted": [
+            (key, b.node_name) for key, b in owner._hosted_ephemeral.items()
+        ],
+        "stats": [b.stats for b in side.backends],
+        "last_extra_s": owner.last_extra_s,
+        "links": {
+            name: (link.busy_until, link.transfers, link.queue_wait_s,
+                   link.max_queue_depth, link.queue_depth)
+            for name, link in side.channel.links().items()
+        },
+        "moved": (side.channel.pages_moved, side.channel.bytes_moved),
+        "trace": {
+            name: series for name, series in side.trace.to_dict().items()
+            if name.startswith(
+                ("remote_spill/", "remote_dropped/", "link_queue/")
+            )
+        },
+        "pending": side.engine.pending_events,
+        "epoch": None if side.epoch is None else (
+            side.epoch.drain(), side.epoch._consumed, side.epoch._local_busy,
+        ),
+    }
+
+
+class TestExecutePlannedRemote:
+    """The closed form with remote tmem attached against the op walk."""
+
+    @settings(deadline=None)
+    @given(burst=remote_bursts())
+    # Every peer is full.  The first put is refused everywhere, the get
+    # fetches the VM's one remote page back and frees that peer's only
+    # frame, and the second put takes it: the run of refused puts around
+    # a remote get is not one bulk refusal.
+    @example(burst={
+        "frames": 0, "peer_frames": [1], "stored": 1, "freed": 0,
+        "hosted": 0, "target": None, "contended": True, "port": "live",
+        "quota": [0], "get_pages": [0], "leading": 0,
+        "get_after": [True, False], "put_pages": [1, 2],
+    })
+    # Node 0 hosts two foreign ephemeral pages in its only free frames.
+    # The first put reclaims one, the get frees a frame for the second,
+    # the third reclaims the other and the fourth spills to the peer.
+    @example(burst={
+        "frames": 3, "peer_frames": [2], "stored": 3, "freed": 2,
+        "hosted": 2, "target": None, "contended": False, "port": "live",
+        "quota": [0], "get_pages": [2], "leading": 0,
+        "get_after": [True, False, False, False], "put_pages": [3, 4, 5, 6],
+    })
+    def test_closed_form_matches_the_op_walk(self, burst):
+        planned_side = remote_cluster(burst)
+        batch_side = remote_cluster(burst)
+        first_version = 100
+        get_pages = burst["get_pages"]
+        put_pages = burst["put_pages"]
+
+        gets = iter(get_pages)
+        gets_done = burst["leading"]
+        ops = [(BATCH_GET, *divmod(next(gets), PPO), 0)
+               for _ in range(gets_done)]
+        gets_before_puts = []
+        for i, (page_no, get_after) in enumerate(
+            zip(put_pages, burst["get_after"])
+        ):
+            gets_before_puts.append(gets_done)
+            ops.append((BATCH_PUT, *divmod(page_no, PPO), first_version + i))
+            if get_after:
+                ops.append((BATCH_GET, *divmod(next(gets), PPO), 0))
+                gets_done += 1
+
+        side = planned_side
+        planned = side.hypervisors[0].backend.execute_planned(
+            side.vm, side.pool, put_pages, first_version, get_pages,
+            gets_before_puts, PPO, now=1.0,
+        )
+        assert planned is not None
+        put_flags, get_versions, get_flags, put_costs, get_costs = planned
+
+        side = batch_side
+        batch = side.hypervisors[0].backend.execute_batch(
+            side.vm, side.pool, ops, now=1.0
+        )
+        n_puts = len(put_pages)
+        n_gets = len(get_pages)
+        statuses = [1] * len(ops) if batch.all_succeeded else batch.statuses
+        batch_put_costs, batch_get_costs = [], []
+        costs = iter(batch.remote_costs)
+        for (opcode, *_key), status in zip(ops, statuses):
+            if status == 2:
+                (batch_put_costs if opcode == BATCH_PUT
+                 else batch_get_costs).append(next(costs))
+
+        assert (put_flags or [1] * n_puts) == (
+            [1] * n_puts if batch.all_succeeded else batch.put_statuses
+        )
+        assert (get_flags or [1] * n_gets) == (
+            [1] * n_gets if batch.all_succeeded else batch.get_statuses
+        )
+        assert get_versions == batch.get_versions
+        assert list(put_costs) == batch_put_costs
+        assert list(get_costs) == batch_get_costs
+        assert cluster_state(planned_side) == cluster_state(batch_side)
+        for hypervisor in planned_side.hypervisors:
+            hypervisor.check_invariants()
+
+    def test_a_get_missing_everywhere_comes_back_failed(self):
+        """A page neither the pool nor a peer holds is a failed get, as
+        the op walk reports it; the guest then raises."""
+        burst = {
+            "frames": 2, "peer_frames": [2], "stored": 0, "freed": 0,
+            "hosted": 0, "target": None, "contended": False, "port": "live",
+            "quota": [0],
+        }
+        side = remote_cluster(burst)
+        planned = side.hypervisors[0].backend.execute_planned(
+            side.vm, side.pool, [], 1, [7], [], PPO, now=1.0
+        )
+        assert planned == (None, [None], [0], [], [])
