@@ -13,19 +13,17 @@ monotonically increasing versions used to verify store consistency, and
 exposes store/load/invalidate operations in the vocabulary the guest
 kernel uses.
 
-Batch API
+Burst API
 ---------
 
-The vectorized guest-kernel access path stages a whole burst's worth of
-tmem traffic on a :class:`FrontswapBatch` (obtained from
-:meth:`FrontswapClient.begin_batch`): ``stage_store``/``stage_load``/
-``stage_flush`` append operations in guest-program order, and
-:meth:`FrontswapBatch.execute` ships them in a single batched hypercall.
-Versions are assigned at staging time from the same clock the scalar
-path uses, and ``execute`` applies exactly the per-page bookkeeping
-(stored-page tracking, statistics, version verification) that the scalar
-store/load/invalidate calls perform — so a staged burst is
-indistinguishable, counter for counter, from its scalar equivalent.
+The batched guest engine ships a burst's tmem traffic with
+:meth:`FrontswapClient.execute_planned`: the victims to put, the pages
+to get, and for each put the count of gets ahead of it, in one planned
+hypercall.  Versions come from the same clock the scalar path uses, and
+the call applies exactly the per-page bookkeeping (stored-page tracking,
+statistics, version verification) that the scalar store/load calls
+perform — so a planned burst is indistinguishable, counter for counter,
+from its scalar equivalent.
 """
 
 from __future__ import annotations
@@ -36,15 +34,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import GuestError
 from ..hypervisor.hypercalls import HypercallInterface
-from ..hypervisor.tmem_backend import (
-    BATCH_FLUSH,
-    BATCH_GET,
-    BATCH_PUT,
-    PlannedBurst,
-)
+from ..hypervisor.tmem_backend import PlannedBurst
 from .addressing import SwapEntryAddresser
 
-__all__ = ["FrontswapStats", "FrontswapClient", "FrontswapBatch"]
+__all__ = ["FrontswapStats", "FrontswapClient"]
 
 
 @dataclass
@@ -79,9 +72,6 @@ class FrontswapClient:
         #: guest page number -> version stored in tmem
         self._stored: Dict[int, int] = {}
         self._version_clock = 0
-        #: Network cost of each remote op of the staged batches since the
-        #: last drain, in op order (see GuestKernel._replay_plan).
-        self._remote_costs: List[float] = []
         self.stats = FrontswapStats()
 
     # -- introspection -------------------------------------------------------
@@ -109,7 +99,7 @@ class FrontswapClient:
     def held_pages(self) -> Dict[int, int]:
         """Live page -> version map of tmem-resident pages.
 
-        Exposed for batch membership classification; callers must treat
+        Exposed for burst membership classification; callers must treat
         it as read-only.
         """
         return self._stored
@@ -127,18 +117,6 @@ class FrontswapClient:
             pool_id=pool_id,
             pages_per_object=self._addresser.pages_per_object,
         )
-
-    def drain_remote_costs(self) -> List[float]:
-        """Per-op network costs of remote ops since the last drain.
-
-        The batched guest engine drains these once per burst and replays
-        them in op order, charging each remote put/get its exact
-        (queue-aware, on contended interconnects) network cost.
-        """
-        costs = self._remote_costs
-        if costs:
-            self._remote_costs = []
-        return costs
 
     def forget(self, page: int) -> Optional[int]:
         """Drop guest-side tracking of *page* without a flush hypercall.
@@ -210,10 +188,6 @@ class FrontswapClient:
         self.stats.invalidates += 1
         return result.succeeded, latency
 
-    def begin_batch(self) -> "FrontswapBatch":
-        """Start staging a burst of tmem operations (see module docs)."""
-        return FrontswapBatch(self)
-
     def execute_planned(
         self,
         put_pages: List[int],
@@ -227,12 +201,14 @@ class FrontswapClient:
         *put_pages* are the eviction victims in put order, *get_pages*
         the tmem-resident misses in get order, and *gets_before_puts*
         the per-put count of gets the op sequence places before that put
-        (the planner derives it from the burst interleaving).  Applies
-        the exact per-page effects of the equivalent staged batch —
-        stored-page tracking, version audit, statistics — with bulk
-        C-level operations.  A page a peer node absorbed (put flag 2) is
-        stored like a local one; a get that neither the local pool nor
-        a peer could serve raises the staged path's :class:`GuestError`.
+        (the planner derives it from the burst interleaving).  No page
+        may appear twice: the puts are recorded before the gets are
+        popped.  Applies the exact per-page effects of the equivalent
+        scalar :meth:`store`/:meth:`load` calls — stored-page tracking,
+        version audit, statistics — with bulk C-level operations.  A
+        page a peer node absorbed (put flag 2) is stored like a local
+        one; a get that neither the local pool nor a peer could serve
+        raises the scalar load's :class:`GuestError`.
 
         Returns the hypercall's ``(put_flags, get_versions, get_flags,
         put_costs, get_costs)``:
@@ -301,248 +277,3 @@ class FrontswapClient:
         self._stored.clear()
         self.stats.invalidates += flushed
         return flushed, total_latency
-
-
-class FrontswapBatch:
-    """Guest-side staging area for one burst's batched tmem operations.
-
-    Operations are staged in guest-program order and shipped with a
-    single :meth:`~repro.hypervisor.hypercalls.HypercallInterface.
-    tmem_batch` hypercall.  Staging a store consumes a version from the
-    client's version clock immediately, so interleaved scalar and staged
-    traffic would observe the same version sequence.  :meth:`execute`
-    applies the same per-page effects as the scalar store/load/invalidate
-    calls and returns the per-operation success flags in staging order;
-    when the hypervisor reports that every operation succeeded — the
-    common case — the effects are applied with bulk dict/list operations
-    instead of a per-operation walk.
-    """
-
-    __slots__ = (
-        "_client",
-        "_ops",
-        "_pages",
-        "_pages_per_object",
-        "_put_pages",
-        "_put_versions",
-        "_get_pages",
-        "_flushes",
-    )
-
-    def __init__(self, client: FrontswapClient) -> None:
-        self._client = client
-        self._ops: List[tuple[int, int, int, int]] = []
-        self._pages: List[int] = []
-        self._pages_per_object = client._addresser.pages_per_object
-        self._put_pages: List[int] = []
-        self._put_versions: List[int] = []
-        self._get_pages: List[int] = []
-        self._flushes = 0
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def stage_store(self, page: int) -> int:
-        """Stage a put for *page*; returns the operation's batch index."""
-        client = self._client
-        version = client._version_clock + 1
-        client._version_clock = version
-        object_id, index = divmod(page, self._pages_per_object)
-        ops = self._ops
-        ops.append((BATCH_PUT, object_id, index, version))
-        self._pages.append(page)
-        self._put_pages.append(page)
-        self._put_versions.append(version)
-        return len(ops) - 1
-
-    def stage_load(self, page: int) -> int:
-        """Stage an (exclusive) get for *page*; returns the batch index."""
-        object_id, index = divmod(page, self._pages_per_object)
-        ops = self._ops
-        ops.append((BATCH_GET, object_id, index, 0))
-        self._pages.append(page)
-        self._get_pages.append(page)
-        return len(ops) - 1
-
-    def stage_flush(self, page: int) -> int:
-        """Stage a flush for *page*; returns the batch index."""
-        object_id, index = divmod(page, self._pages_per_object)
-        ops = self._ops
-        ops.append((BATCH_FLUSH, object_id, index, 0))
-        self._pages.append(page)
-        self._flushes += 1
-        return len(ops) - 1
-
-    def _reset(self) -> None:
-        self._ops = []
-        self._pages = []
-        self._put_pages = []
-        self._put_versions = []
-        self._get_pages = []
-        self._flushes = 0
-
-    def execute(self, *, now: float) -> List[int]:
-        """Ship the staged operations in one hypercall and apply effects.
-
-        Returns one status per staged operation, in staging order: ``0``
-        for a failure, ``1`` for a local success and ``2`` for an
-        operation serviced remotely by a peer node (all truthy values
-        are successes; the guest kernel's latency replay uses the
-        distinction to charge the network cost of remote operations).
-        The staging area is reset so the batch object can be reused for
-        the remainder of the burst.
-        """
-        if not self._ops:
-            return []
-        client = self._client
-        result, _latency = client._hypercalls.tmem_batch(
-            client._vm_id, client._pool_id, self._ops, now=now
-        )
-        if result.remote_costs:
-            client._remote_costs.extend(result.remote_costs)
-        stored = client._stored
-        stats = client.stats
-
-        put_pages = self._put_pages
-        get_pages = self._get_pages
-        # Bulk apply reorders effects kind-by-kind, which is only sound
-        # when no page appears under two different op kinds in the same
-        # batch (e.g. got then re-put, or flushed then re-put) — staging
-        # order would matter for those.  Flushes are only ever staged
-        # alone (the free() path), so their guard is simply "no data ops".
-        if result.all_succeeded and (
-            not self._flushes or (not put_pages and not get_pages)
-        ) and (
-            not put_pages
-            or not get_pages
-            or set(put_pages).isdisjoint(get_pages)
-        ):
-            # Bulk apply: no failures anywhere, so the per-op effects
-            # reduce to C-speed dict updates plus one version audit.
-            if put_pages:
-                stored.update(zip(put_pages, self._put_versions))
-                stats.succ_stores += len(put_pages)
-            if get_pages:
-                expected = list(map(stored.pop, get_pages, repeat(None)))
-                got = result.get_versions
-                if expected != got:
-                    for page, exp, ver in zip(get_pages, expected, got):
-                        if exp is not None and exp != ver:
-                            raise GuestError(
-                                f"VM {client._vm_id}: frontswap page {page} "
-                                f"returned stale data (version {ver} != "
-                                f"{exp})"
-                            )
-                stats.loads += len(get_pages)
-            if self._flushes:
-                # Flushed pages must leave the stored map; they are the
-                # ops that are neither puts nor gets.
-                for (opcode, _obj, _idx, _ver), page in zip(
-                    self._ops, self._pages
-                ):
-                    if opcode == BATCH_FLUSH:
-                        stored.pop(page, None)
-                stats.invalidates += self._flushes
-            succeeded = [1] * len(self._ops)
-            self._reset()
-            return succeeded
-
-        stored_pop = stored.pop
-        if (
-            not result.all_succeeded
-            and not self._flushes
-            and (not put_pages or not get_pages
-                 or set(put_pages).isdisjoint(get_pages))
-        ):
-            # Mixed success/failure batch without flushes: apply the
-            # effects kind-by-kind with C-level bulk operations, using
-            # the hypervisor's per-kind status subsequences.  The
-            # statuses list itself is exactly what the op-by-op walk
-            # would have returned (put/get branches echo the status,
-            # and there are no flushes to normalise), so it is passed
-            # through untouched.
-            put_ok = result.put_statuses
-            get_ok = result.get_statuses
-            if put_pages:
-                stored.update(
-                    compress(zip(put_pages, self._put_versions), put_ok)
-                )
-            loads = 0
-            if get_pages:
-                get_versions = result.get_versions
-                hit_pages = list(compress(get_pages, get_ok))
-                if hit_pages:
-                    expected = list(map(stored_pop, hit_pages, repeat(None)))
-                    got = list(compress(get_versions, get_ok))
-                    if expected != got:
-                        for page, exp, ver in zip(hit_pages, expected, got):
-                            if exp is not None and exp != ver:
-                                raise GuestError(
-                                    f"VM {client._vm_id}: frontswap page "
-                                    f"{page} returned stale data (version "
-                                    f"{ver} != {exp})"
-                                )
-                    loads = len(hit_pages)
-                missed = len(get_pages) - loads
-                if missed:
-                    stats.failed_loads += missed
-                    for page, ok in zip(get_pages, get_ok):
-                        if not ok and page in stored:
-                            raise GuestError(
-                                f"VM {client._vm_id}: frontswap page {page} "
-                                "vanished from a persistent tmem pool"
-                            )
-            stats.succ_stores += result.puts_succ + result.puts_remote
-            stats.failed_stores += result.puts_failed
-            stats.loads += loads
-            statuses = result.statuses
-            self._reset()
-            return statuses
-
-        succeeded: List[int] = []
-        append = succeeded.append
-        get_versions = result.get_versions
-        get_cursor = 0
-        loads = invalidates = 0
-        statuses = result.statuses if not result.all_succeeded else repeat(1)
-        for (opcode, _obj, _idx, version), page, status in zip(
-            self._ops, self._pages, statuses
-        ):
-            if opcode == BATCH_PUT:
-                if status:
-                    stored[page] = version
-                    append(status)
-                else:
-                    append(0)
-            elif opcode == BATCH_GET:
-                got_version = get_versions[get_cursor]
-                get_cursor += 1
-                if not status:
-                    append(0)
-                    client.stats.failed_loads += 1
-                    if page in stored:
-                        raise GuestError(
-                            f"VM {client._vm_id}: frontswap page {page} "
-                            "vanished from a persistent tmem pool"
-                        )
-                    continue
-                expected = stored_pop(page, None)
-                if expected is not None and got_version != expected:
-                    raise GuestError(
-                        f"VM {client._vm_id}: frontswap page {page} returned "
-                        f"stale data (version {got_version} != {expected})"
-                    )
-                loads += 1
-                append(status)
-            else:  # BATCH_FLUSH
-                stored_pop(page, None)
-                invalidates += 1
-                append(1 if status else 0)
-        # Remote-spilled puts succeeded from the guest's point of view
-        # (the page is preserved, just on a peer node's pool).
-        stats.succ_stores += result.puts_succ + result.puts_remote
-        stats.failed_stores += result.puts_failed
-        stats.loads += loads
-        stats.invalidates += invalidates
-        self._reset()
-        return succeeded

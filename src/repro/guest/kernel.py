@@ -27,8 +27,8 @@ Two burst-servicing engines are provided, selected by
   bursts take a vectorized hit path (one batch touch, one counter
   update), and bursts with misses are *planned* with cheap guest-local
   set algebra (victim selection, tmem/swap/first-touch classification)
-  and then executed with batched tmem hypercalls, one latency replay pass
-  reproducing the scalar accumulation order bit for bit.
+  and then executed with closed-form planned tmem hypercalls, one latency
+  replay pass reproducing the scalar accumulation order bit for bit.
 
 Both engines produce identical statistics, traces and scenario results
 for the same seed; ``tests/test_access_equivalence.py`` enforces this.
@@ -66,9 +66,9 @@ __all__ = [
 
 # Burst-plan event kinds (see GuestKernel._access_batched).  The two
 # eviction kinds sort first: the replay tests ``kind <= _EV_DISK``.
-_EV_TMEM = 0   # eviction offered to tmem (batched put; disk on failure)
+_EV_TMEM = 0   # eviction offered to tmem (planned put; disk on failure)
 _EV_DISK = 1   # eviction straight to the swap disk (tmem disabled)
-_F_TMEM = 2    # major fault served from tmem (batched get)
+_F_TMEM = 2    # major fault served from tmem (planned get)
 _F_SWAP = 3    # major fault served from the swap disk
 _F_FIRST = 4   # major fault on a never-evicted page (zero-fill)
 
@@ -446,13 +446,13 @@ class GuestKernel:
         and one batch touch.  Otherwise the burst is *planned*: a single
         guest-local pass classifies every access (hit, eviction target,
         fault source) using the reclaimer's batch victim selection and the
-        frontswap/swap membership sets.  Its tmem traffic ships in one
-        closed-form planned hypercall (:meth:`_vector_plan_misses`) or,
-        from the sequential planner, staged on a
-        :class:`~repro.guest.frontswap.FrontswapBatch` in (usually) one
-        batched hypercall, and a final replay pass accumulates latencies
-        and issues disk I/O in exactly the order the scalar engine would
-        have — making the two engines bit-identical.
+        frontswap/swap membership sets.  Its tmem traffic ships through
+        closed-form planned hypercalls: one for the whole burst
+        (:meth:`_vector_plan_misses`) or, from the sequential planner,
+        one per segment (:meth:`_plan_and_replay_misses`).  A final
+        replay pass accumulates latencies and issues disk I/O in exactly
+        the order the scalar engine would have — making the two engines
+        bit-identical.
         """
         outcome = AccessOutcome()
         n = len(page_list)
@@ -567,7 +567,7 @@ class GuestKernel:
         # Without frontswap there is no tmem traffic, and every victim
         # goes straight to disk.
         put_flags: Optional[List[int]] = None
-        remote_plan = None
+        remote = False
         if fs is None:
             in_tmem = [False] * n_miss
         else:
@@ -598,11 +598,7 @@ class GuestKernel:
                         victims, get_pages, gets_before_puts, now=now
                     )
                 )
-                if put_costs or get_costs:
-                    remote_plan = self._plan_remote_burst(
-                        misses, in_tmem, in_swap, victims, free_slots,
-                        put_flags, get_flags, put_costs, get_costs,
-                    )
+                remote = bool(put_costs or get_costs)
 
         if n_hits:
             # The classification already split the burst: promote inserts
@@ -613,14 +609,20 @@ class GuestKernel:
         else:
             resident.insert_many(page_list)
         outcome.minor_hits = n_hits
-        if remote_plan is None:
+        if remote:
+            self._replay_plan(
+                self._plan_remote_burst(
+                    misses, in_tmem, in_swap, victims, free_slots
+                ),
+                put_flags or [1] * victims_needed,
+                get_flags or [1] * len(get_pages),
+                put_costs, get_costs, now, outcome,
+            )
+        else:
             self._replay_burst(
                 misses, in_tmem, in_swap, victims, put_flags,
                 free_slots, now, outcome,
             )
-        else:
-            plan, statuses, remote_costs = remote_plan
-            self._replay_plan(plan, statuses, now, outcome, remote_costs)
         return True
 
     @staticmethod
@@ -630,75 +632,104 @@ class GuestKernel:
         in_swap: List[bool],
         victims: List[int],
         free_slots: int,
-        put_flags: Optional[List[int]],
-        get_flags: Optional[List[int]],
-        put_costs: Sequence[float],
-        get_costs: Sequence[float],
-    ) -> Tuple[List[Tuple[int, int, int]], List[int], List[float]]:
-        """The :meth:`_replay_plan` inputs of a planned burst that reached
-        a peer node.
+    ) -> List[Tuple[int, int, int]]:
+        """The :meth:`_replay_plan` event plan of a planned burst that
+        reached a peer node.
 
-        Such a burst replays from an event plan, whose statuses already
-        carry remote ops (2) and their network costs, so the fused
+        Such a burst replays from an event plan, whose flags carry remote
+        ops (2) and whose costs their network costs, so the fused
         :meth:`_replay_burst` keeps its single-host loop and pays nothing
-        for remote tmem.  Puts and tmem gets take op indexes in scalar
-        order, and the costs are merged into that order.
+        for remote tmem.  Puts and tmem gets carry their index among the
+        burst's puts or gets.
         """
         plan: List[Tuple[int, int, int]] = []
-        statuses: List[int] = []
-        costs: List[float] = []
         append_plan = plan.append
-        append_status = statuses.append
-        put_cost = iter(put_costs)
-        get_cost = iter(get_costs)
-        get_flag = iter(get_flags if get_flags is not None else ())
-        victim_cursor = 0
+        n_gets = 0
         for j, page in enumerate(misses):
-            if j >= free_slots:
-                flag = 1 if put_flags is None else put_flags[victim_cursor]
-                append_plan((_EV_TMEM, victims[victim_cursor], len(statuses)))
-                append_status(flag)
-                if flag == 2:
-                    costs.append(next(put_cost))
-                victim_cursor += 1
+            i = j - free_slots
+            if i >= 0:
+                append_plan((_EV_TMEM, victims[i], i))
             if in_tmem[j]:
-                flag = 1 if get_flags is None else next(get_flag)
-                append_plan((_F_TMEM, page, len(statuses)))
-                append_status(flag)
-                if flag == 2:
-                    costs.append(next(get_cost))
+                append_plan((_F_TMEM, page, n_gets))
+                n_gets += 1
             elif in_swap[j]:
                 append_plan((_F_SWAP, page, 0))
             else:
                 append_plan((_F_FIRST, page, 0))
-        return plan, statuses, costs
+        return plan
 
     def _plan_and_replay_misses(
         self, page_list: List[int], now: float, outcome: AccessOutcome
     ) -> None:
+        """Page-by-page plan of a burst the vector plan cannot prove safe.
+
+        Walks the burst as the scalar engine does, selecting victims as
+        each miss needs a frame, and collects the tmem traffic in
+        *segments*: the victims to put, the pages to get, and for each
+        put the number of gets before it.  Once RAM is full each miss
+        evicts one victim and then issues at most one get, the shape
+        :meth:`FrontswapClient.execute_planned
+        <repro.guest.frontswap.FrontswapClient.execute_planned>` resolves
+        in closed form, so one planned hypercall at the burst's *now*
+        ships a segment.  A segment never names one page twice; it ships
+
+        * when a page is accessed while its put is unresolved: its fault
+          source depends on the put's outcome (rare: an intra-burst
+          re-access of a page evicted earlier in the burst);
+        * before the put of a victim that this segment fetched, as the
+          puts and gets of a planned burst are disjoint (a burst that
+          cycles through the whole of RAM);
+        * at the end of the burst.
+        """
         fs = self._frontswap
         resident = self._resident
-        swap = self._swap
         usable = self._usable_ram
 
-        plan: List[Tuple[int, int, int]] = []  # (event kind, page, op index)
-        statuses: List[int] = []
-        batch = fs.begin_batch() if fs is not None else None
-        #: victim page -> global op index of its staged (unresolved) put.
-        pending_puts: dict[int, int] = {}
+        #: (event kind, page, index among the burst's puts or gets)
+        plan: List[Tuple[int, int, int]] = []
+        put_flags: List[int] = []
+        get_flags: List[int] = []
+        put_costs: List[float] = []
+        get_costs: List[float] = []
+        # The open segment, and every page it names: a missed page in it
+        # has an unresolved put, a victim in it was fetched by the segment.
+        seg_puts: List[int] = []
+        seg_gets: List[int] = []
+        seg_before: List[int] = []
+        seg_pages: set[int] = set()
         #: pages that will be written to the swap area during the replay.
         pending_swap: set[int] = set()
+
+        def ship() -> None:
+            # One planned hypercall for the open segment, then resolve it.
+            flags, _versions, gflags, pcosts, gcosts = fs.execute_planned(
+                seg_puts, seg_gets, seg_before, now=now
+            )
+            if flags is None:
+                put_flags.extend([1] * len(seg_puts))
+            else:
+                put_flags.extend(flags)
+                # A refused put's victim goes to the swap area; a page a
+                # peer absorbed (flag 2) is stored like a local one.
+                pending_swap.update(
+                    victim for victim, flag in zip(seg_puts, flags) if not flag
+                )
+            get_flags.extend([1] * len(seg_gets) if gflags is None else gflags)
+            put_costs.extend(pcosts)
+            get_costs.extend(gcosts)
+            seg_puts.clear()
+            seg_gets.clear()
+            seg_before.clear()
+            seg_pages.clear()
 
         touch_hit = resident.touch_if_resident
         insert = resident.insert
         select_victim = resident.select_victim
         select_victims = resident.select_victims
         holds = fs.held_pages.__contains__ if fs is not None else None
-        in_swap_slots = swap.slots.__contains__
-        stage_store = batch.stage_store if batch is not None else None
+        in_swap_slots = self._swap.slots.__contains__
         plan_append = plan.append
-        minor_hits = 0
-        executed_ops = 0
+        minor_hits = n_puts = n_gets = 0
         size = len(resident)
 
         for page in page_list:
@@ -711,28 +742,28 @@ class GuestKernel:
                     (select_victim(),) if need == 1 else select_victims(need)
                 )
                 for victim in victims:
-                    if stage_store is not None:
-                        op_index = executed_ops + stage_store(victim)
-                        pending_puts[victim] = op_index
-                        plan_append((_EV_TMEM, victim, op_index))
-                    else:
+                    if fs is None:
                         pending_swap.add(victim)
                         plan_append((_EV_DISK, victim, 0))
+                        continue
+                    if victim in seg_pages:
+                        # Fetched by this segment: the put opens the next.
+                        ship()
+                    plan_append((_EV_TMEM, victim, n_puts))
+                    n_puts += 1
+                    seg_before.append(len(seg_gets))
+                    seg_puts.append(victim)
+                    seg_pages.add(victim)
                 size -= need
-            if batch is not None and page in pending_puts:
-                # The fault source of this page depends on the outcome of
-                # its still-staged put: ship the batch staged so far, then
-                # classify with resolved state.  Rare (intra-burst
-                # re-access of a page evicted earlier in the same burst).
-                statuses.extend(batch.execute(now=now))
-                executed_ops = len(statuses)
-                for victim, op_index in pending_puts.items():
-                    if not statuses[op_index]:
-                        pending_swap.add(victim)
-                pending_puts.clear()
+            if page in seg_pages:
+                # Its put is unresolved, and the fault source depends on
+                # the outcome: ship, then classify with resolved state.
+                ship()
             if holds is not None and holds(page):
-                op_index = executed_ops + batch.stage_load(page)
-                plan_append((_F_TMEM, page, op_index))
+                plan_append((_F_TMEM, page, n_gets))
+                n_gets += 1
+                seg_gets.append(page)
+                seg_pages.add(page)
             elif in_swap_slots(page) or page in pending_swap:
                 pending_swap.discard(page)
                 plan_append((_F_SWAP, page, 0))
@@ -741,22 +772,22 @@ class GuestKernel:
             insert(page)
             size += 1
 
-        if batch is not None and len(batch):
-            statuses.extend(batch.execute(now=now))
-
+        if seg_pages:
+            ship()
         outcome.minor_hits = minor_hits
-        # Remote costs accumulate on the client across the (possibly
-        # multiple) batch executions above, in op order.
-        remote_costs = fs.drain_remote_costs() if fs is not None else []
-        self._replay_plan(plan, statuses, now, outcome, remote_costs)
+        self._replay_plan(
+            plan, put_flags, get_flags, put_costs, get_costs, now, outcome
+        )
 
     def _replay_plan(
         self,
         plan: List[Tuple[int, int, int]],
-        statuses: List[int],
+        put_flags: List[int],
+        get_flags: List[int],
+        put_costs: Sequence[float],
+        get_costs: Sequence[float],
         now: float,
         outcome: AccessOutcome,
-        remote_costs: Sequence[float] = (),
     ) -> None:
         """Accumulate latencies and issue I/O in scalar order.
 
@@ -774,21 +805,23 @@ class GuestKernel:
         escaping mid-burst leaves the disk and swap area where the scalar
         engine leaves them.
 
-        *remote_costs* holds the network cost of each remotely-serviced
-        op, in op order; a remote op accumulates as the single float the
-        hypercall layer returns on the scalar path (base + extra in one
-        add), or the engines would drift by rounding order.  On an
-        uncontended interconnect every entry equals the constant
-        round-trip; on a contended one each entry carries its own queue
-        wait — which the scalar path observed identically, because both
-        engines issue the channel reservations in the same order at the
-        same timestamps.
+        A ``_EV_TMEM`` or ``_F_TMEM`` event carries its op's index into
+        *put_flags* or *get_flags* (1 local, 2 remote, 0 refused put).
+        *put_costs* and *get_costs* hold the network cost of each remote
+        put and each remote get, in order; a remote op accumulates as the
+        single float the hypercall layer returns on the scalar path (base
+        + extra in one add), or the engines would drift by rounding
+        order.  On an uncontended interconnect every cost equals the
+        constant round-trip; on a contended one each carries its own
+        queue wait — which the scalar path observed identically, because
+        both engines issue the channel reservations in the same order at
+        the same timestamps.
         """
         config = self._config
         put_lat = config.tmem_put_latency_s
         fail_lat = config.tmem_failed_put_latency_s
         get_lat = config.tmem_get_latency_s
-        remote_cursor = 0
+        put_cursor = get_cursor = 0
         fault_overhead = config.guest.fault_overhead_s
         stats = self.stats
         disk = self._disk
@@ -810,17 +843,17 @@ class GuestKernel:
         reads = writes = swap_outs = swap_ins = 0
 
         try:
-            for kind, page, op_index in plan:
+            for kind, page, index in plan:
                 if kind <= _EV_DISK:  # an eviction
                     evictions += 1
                     if kind == _EV_TMEM:
-                        status = statuses[op_index]
-                        if status:
-                            if status == 1:
+                        flag = put_flags[index]
+                        if flag:
+                            if flag == 1:
                                 lat = put_lat
                             else:
-                                lat = put_lat + remote_costs[remote_cursor]
-                                remote_cursor += 1
+                                lat = put_lat + put_costs[put_cursor]
+                                put_cursor += 1
                             acc += lat
                             tmem_time += lat
                             evictions_to_tmem += 1
@@ -851,11 +884,11 @@ class GuestKernel:
                 elif kind == _F_TMEM:
                     major += 1
                     acc += fault_overhead
-                    if statuses[op_index] == 1:
+                    if get_flags[index] == 1:
                         lat = get_lat
                     else:
-                        lat = get_lat + remote_costs[remote_cursor]
-                        remote_cursor += 1
+                        lat = get_lat + get_costs[get_cursor]
+                        get_cursor += 1
                     acc += lat
                     tmem_time += lat
                     slots.discard(page)
@@ -1035,9 +1068,8 @@ class GuestKernel:
         """Release pages the workload no longer needs.
 
         Frees resident frames, discards swap slots and flushes tmem copies
-        (the flush path of Algorithm 1).  Returns the latency incurred by
-        the flush hypercalls.  Under the batched engine every flush of the
-        burst ships in one batched hypercall.
+        (the flush path of Algorithm 1), one page at a time under either
+        engine.  Returns the latency incurred by the flush hypercalls.
         """
         page_list = self._as_page_list(pages)
         if self._file_pages:
@@ -1047,14 +1079,9 @@ class GuestKernel:
                 anon = [p for p in page_list if p not in self._file_pages]
                 latency = self._free_file(file_pages, now)
                 if anon:
-                    if self._batched and self._frontswap is not None:
-                        latency += self._free_batched(anon, now)
-                    else:
-                        latency += self._free_scalar(anon, now)
+                    latency += self._free_anon(anon)
                 return latency
-        if self._batched and self._frontswap is not None:
-            return self._free_batched(page_list, now)
-        return self._free_scalar(page_list, now)
+        return self._free_anon(page_list)
 
     def _free_file(self, page_list: List[int], now: float) -> float:
         """Release clean file pages (the file was truncated or deleted).
@@ -1077,7 +1104,7 @@ class GuestKernel:
             self.stats.freed_pages += 1
         return latency
 
-    def _free_scalar(self, page_list: List[int], now: float) -> float:
+    def _free_anon(self, page_list: List[int]) -> float:
         latency = 0.0
         for page in page_list:
             self._known_pages.discard(page)
@@ -1089,33 +1116,6 @@ class GuestKernel:
                 latency += flush_latency
                 self.stats.time_in_tmem_ops_s += flush_latency
             self.stats.freed_pages += 1
-        return latency
-
-    def _free_batched(self, page_list: List[int], now: float) -> float:
-        fs = self._frontswap
-        assert fs is not None
-        resident = self._resident
-        swap = self._swap
-        flush_lat = self._config.tmem_flush_latency_s
-        batch = fs.begin_batch()
-        staged: set[int] = set()
-        latency = 0.0
-        tmem_time = self.stats.time_in_tmem_ops_s
-        holds = fs.holds
-        for page in page_list:
-            self._known_pages.discard(page)
-            if page in resident:
-                resident.remove(page)
-            swap.discard(page)
-            if page not in staged and holds(page):
-                batch.stage_flush(page)
-                staged.add(page)
-                latency += flush_lat
-                tmem_time += flush_lat
-        if len(batch):
-            batch.execute(now=now)
-        self.stats.time_in_tmem_ops_s = tmem_time
-        self.stats.freed_pages += len(page_list)
         return latency
 
     def release_all(self, *, now: float) -> float:

@@ -11,10 +11,10 @@ can advance its virtual time) and dispatches into the tmem backend.
 Keeping this layer explicit makes the cost accounting auditable and gives
 tests a single choke point for fault injection.
 
-:meth:`HypercallInterface.tmem_batch` is the batched counterpart used by
-the guest's vectorized access path: one boundary crossing covers a whole
-sequence of put/get/flush operations, with the same per-operation latency
-model and one statistics update for the batch.
+:meth:`HypercallInterface.tmem_planned` is the burst counterpart used by
+the guest's batched access engine: one boundary crossing covers a whole
+burst of frontswap puts and gets, with the same per-operation latency
+model and one statistics update for the burst.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from ..config import SimulationConfig
 from ..errors import HypercallError
 from .accounting import HypervisorAccounting
 from .pages import PageKey
-from .tmem_backend import (
-    BatchOp,
-    PlannedBurst,
-    TmemBackend,
-    TmemBatchResult,
-    TmemOpResult,
-)
+from .tmem_backend import PlannedBurst, TmemBackend, TmemOpResult
 
 __all__ = ["HypercallStats", "HypercallInterface"]
 
@@ -159,73 +153,6 @@ class HypercallInterface:
         self.stats_for(vm_id).charge("flush_object", latency)
         return result, latency
 
-    def tmem_batch(
-        self,
-        vm_id: int,
-        pool_id: int,
-        ops: Sequence[BatchOp],
-        *,
-        now: float,
-    ) -> tuple[TmemBatchResult, float]:
-        """Issue one batched hypercall covering a sequence of tmem ops.
-
-        *ops* is a list of ``(opcode, object_id, index, version)`` tuples
-        (see :data:`~repro.hypervisor.tmem_backend.BATCH_PUT` and
-        friends).  The backend services the sequence in order under the
-        scalar admission rules; the latency model charges exactly what
-        the equivalent scalar hypercalls would have cost — one per-VM
-        statistics update then covers N pages.  Returns ``(result,
-        total latency charged to the guest)``.
-        """
-        self._require_registered(vm_id)
-        result = self._backend.execute_batch(vm_id, pool_id, ops, now=now)
-        stats = self.stats_for(vm_id)
-        latency = self._charge_puts_gets(
-            stats,
-            result.puts_total,
-            result.puts_failed,
-            result.remote_put_extra_s,
-            result.gets_total,
-            result.gets_failed,
-            result.remote_get_extra_s,
-        )
-        flush_latency = result.flushes_total * self._config.tmem_flush_latency_s
-        stats.charge_many("flush_page", result.flushes_total, flush_latency)
-        return result, latency + flush_latency
-
-    def _charge_puts_gets(
-        self,
-        stats: HypercallStats,
-        puts_total: int,
-        puts_failed: int,
-        remote_put_extra_s: float,
-        gets_total: int,
-        gets_failed: int,
-        remote_get_extra_s: float,
-    ) -> float:
-        """Charge one burst's puts and gets; returns their latency.
-
-        Exactly what the equivalent scalar hypercalls would have cost:
-        every put or get that succeeded, locally or on a peer node,
-        pays the base latency, remote ones also their network cost
-        (queue-aware on a contended interconnect), and a failing put or
-        get pays a bare hypercall.
-        """
-        config = self._config
-        put_latency = (
-            (puts_total - puts_failed) * config.tmem_put_latency_s
-            + remote_put_extra_s
-            + puts_failed * config.tmem_failed_put_latency_s
-        )
-        stats.charge_many("put", puts_total, put_latency)
-        get_latency = (
-            (gets_total - gets_failed) * config.tmem_get_latency_s
-            + remote_get_extra_s
-            + gets_failed * config.tmem_failed_put_latency_s
-        )
-        stats.charge_many("get", gets_total, get_latency)
-        return put_latency + get_latency
-
     def tmem_planned(
         self,
         vm_id: int,
@@ -242,11 +169,13 @@ class HypercallInterface:
 
         Thin accounting wrapper over :meth:`~repro.hypervisor.
         tmem_backend.TmemBackend.execute_planned`; see its docstring for
-        the plan shape and preconditions.  Charges exactly what
-        :meth:`tmem_batch` would for the equivalent op sequence, through
-        the same formula: the per-kind remote extras are left folds of
-        the returned costs in op order, as the op walk accumulates them
-        (``0.0`` with no remote op, which adds exactly).  Returns
+        the plan shape and preconditions.  Charges exactly what the
+        equivalent scalar hypercalls would have cost: every put or get
+        that succeeded, locally or on a peer node, pays the base
+        latency, remote ones also their network cost (queue-aware on a
+        contended interconnect), and a failing put or get pays a bare
+        hypercall.  The per-kind network costs are left folds in op
+        order (``0.0`` with no remote op, which adds exactly).  Returns
         ``(put_flags, get_versions, get_flags, put_costs, get_costs)``
         with put and get flags 1 (local), 2 (remote) or 0 (failed).
         """
@@ -262,15 +191,27 @@ class HypercallInterface:
             now=now,
         )
         put_flags, _versions, get_flags, put_costs, get_costs = planned
+        config = self._config
+        fail_latency = config.tmem_failed_put_latency_s
+        stats = self.stats_for(vm_id)
+        n_puts = len(put_pages)
+        puts_failed = 0 if put_flags is None else put_flags.count(0)
         # functools.reduce is a plain left fold; sum() would compensate.
-        self._charge_puts_gets(
-            self.stats_for(vm_id),
-            len(put_pages),
-            0 if put_flags is None else put_flags.count(0),
-            reduce(add, put_costs, 0.0) if put_costs else 0.0,
-            len(get_pages),
-            0 if get_flags is None else get_flags.count(0),
-            reduce(add, get_costs, 0.0) if get_costs else 0.0,
+        stats.charge_many(
+            "put",
+            n_puts,
+            (n_puts - puts_failed) * config.tmem_put_latency_s
+            + (reduce(add, put_costs, 0.0) if put_costs else 0.0)
+            + puts_failed * fail_latency,
+        )
+        n_gets = len(get_pages)
+        gets_failed = 0 if get_flags is None else get_flags.count(0)
+        stats.charge_many(
+            "get",
+            n_gets,
+            (n_gets - gets_failed) * config.tmem_get_latency_s
+            + (reduce(add, get_costs, 0.0) if get_costs else 0.0)
+            + gets_failed * fail_latency,
         )
         return planned
 
@@ -282,10 +223,17 @@ class HypercallInterface:
 
         In the real system this is the custom hypercall issued by the TKM
         on behalf of the Memory Manager.  Returns the latency charged.
+
+        The vector was computed from a snapshot taken one netlink round
+        trip earlier, so it may name a VM that has since left this node
+        (a planned migration unregisters it here); that target is
+        dropped and the rest apply.
         """
         self._require_registered(caller_vm_id)
+        accounting = self._accounting
         for vm_id, target in targets.items():
-            self._accounting.set_target(vm_id, int(target))
+            if accounting.maybe_account(vm_id) is not None:
+                accounting.set_target(vm_id, int(target))
         latency = self._config.sampling.writeback_latency_s
         self.stats_for(caller_vm_id).charge("set_targets", latency)
         return latency

@@ -22,27 +22,26 @@ Targets may drop below the current usage; the VM then cannot obtain new
 pages until it naturally releases enough (the hypervisor never forcibly
 reclaims in the paper's implementation).
 
-Batched operations
-------------------
+Planned bursts
+--------------
 
-Besides the scalar put/get/flush entry points, :meth:`TmemBackend.
-execute_batch` services a whole *sequence* of data-path operations in one
-call.  The sequence is processed strictly in order with the same admission
-logic as the scalar path — a get in the middle of the batch frees a frame
-that a later put may consume — but the per-page Python overhead (result
-objects, repeated account/pool lookups, per-frame host accounting) is paid
-once per batch instead of once per page.  The guest's sequential planner
-funnels its bursts through this entry point; vector-planned bursts take
-:meth:`TmemBackend.execute_planned`, a closed form of the same rules.
+Page-at-a-time callers (the scalar guest engine, cleancache, flushes and
+peers hosting spills) use the scalar put/get/flush entry points.  Every
+frontswap burst of the batched guest engine reaches tmem through
+:meth:`TmemBackend.execute_planned` instead: the burst's puts and gets,
+with the count of gets ahead of each put, resolved under the same rules
+in closed form, so the per-page Python overhead (result objects,
+repeated account/pool lookups, per-frame host accounting) is paid once
+per burst instead of once per page.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..devices.dram import HostMemory
 from ..errors import TmemError
@@ -54,20 +53,7 @@ __all__ = [
     "TmemOpcode",
     "TmemOpResult",
     "TmemBackend",
-    "TmemBatchResult",
-    "BATCH_PUT",
-    "BATCH_GET",
-    "BATCH_FLUSH",
 ]
-
-#: Opcode encoding of batched operations: one (opcode, object_id, index,
-#: version) tuple per page.  Plain ints keep the per-op cost minimal.
-BATCH_PUT = 0
-BATCH_GET = 1
-BATCH_FLUSH = 2
-
-#: One batched operation: (opcode, object_id, index, version).
-BatchOp = Tuple[int, int, int, int]
 
 #: Outcome of :meth:`TmemBackend.execute_planned`: (put_flags,
 #: get_versions, get_flags, put_costs, get_costs).
@@ -113,57 +99,6 @@ class TmemOpResult:
     @property
     def succeeded(self) -> bool:
         return self.status == TmemStatus.S_TMEM
-
-
-@dataclass
-class TmemBatchResult:
-    """Outcome of one batched tmem hypercall.
-
-    When every operation succeeded, ``all_succeeded`` is set and
-    ``statuses`` is left empty — the caller can apply its effects in
-    bulk without a per-operation walk.  Otherwise ``statuses`` aligns
-    index-for-index with the submitted sequence.  ``get_versions`` holds
-    one entry per get, in get order (``None`` for a missed get).
-    """
-
-    vm_id: int
-    all_succeeded: bool = False
-    #: Plain ints (1 = S_TMEM, 0 = E_TMEM, 2 = serviced remotely) — enum
-    #: members would cost a construction/branch per page on the hottest
-    #: loop of the simulator.  Remote successes are truthy like local
-    #: ones; the distinct value lets the guest's latency replay charge
-    #: the network cost for exactly the remote operations.
-    statuses: List[int] = field(default_factory=list)
-    #: Per-kind status subsequences, aligned with the batch's puts and
-    #: gets in staging order; filled only when ``statuses`` is (i.e. at
-    #: least one op did not succeed locally).  They let the guest apply
-    #: put/get effects with C-level bulk operations instead of an
-    #: op-by-op walk.
-    put_statuses: List[int] = field(default_factory=list)
-    get_statuses: List[int] = field(default_factory=list)
-    get_versions: List[Optional[int]] = field(default_factory=list)
-    #: Network cost of each remotely-serviced operation, in op order
-    #: (one entry per status-2 op).  Constant per op on an uncontended
-    #: interconnect; includes the link's queue wait when contended.  The
-    #: guest's latency replay charges these instead of a flat constant.
-    remote_costs: List[float] = field(default_factory=list)
-    #: Per-kind sums of ``remote_costs`` (the hypercall layer's batch
-    #: latency accounting).
-    remote_put_extra_s: float = 0.0
-    remote_get_extra_s: float = 0.0
-    puts_total: int = 0
-    puts_succ: int = 0
-    gets_total: int = 0
-    gets_failed: int = 0
-    flushes_total: int = 0
-    #: Operations absorbed by / served from a peer node (clusters only).
-    puts_remote: int = 0
-    gets_remote: int = 0
-
-    @property
-    def puts_failed(self) -> int:
-        """Puts that failed outright (local refusal *and* no remote spill)."""
-        return self.puts_total - self.puts_succ - self.puts_remote
 
 
 class TmemBackend:
@@ -353,258 +288,6 @@ class TmemBackend:
             remote=bool(removed_remote),
         )
 
-    # -- batched data path -------------------------------------------------------
-    def execute_batch(
-        self, vm_id: int, pool_id: int, ops: Sequence[BatchOp], *, now: float
-    ) -> TmemBatchResult:
-        """Service a sequence of put/get/flush operations in one call.
-
-        Each element of *ops* is an ``(opcode, object_id, index, version)``
-        tuple (``version`` is ignored for gets and flushes).  The sequence
-        is processed in order under exactly the scalar admission rules:
-        a put fails once the VM reaches its target or the pool runs out of
-        frames, and an exclusive get in the middle of the batch releases a
-        frame that a later put may then consume.  All counters —
-        interval and cumulative put/get/flush counts, ``tmem_used`` and
-        the host frame pool — end up identical to issuing the ops through
-        the scalar entry points one at a time.
-        """
-        account = self._accounting.account(vm_id)
-        pool = self._store.get_pool(vm_id, pool_id)
-        result = TmemBatchResult(vm_id=vm_id)
-        append_get_version = result.get_versions.append
-
-        used = account.tmem_used
-        free = self._host.tmem_free_pages
-        # With no target set the greedy default applies: admission is
-        # bounded by free frames only.
-        limit = account.mm_target if account.has_target else None
-        persistent = pool.persistent
-
-        # The radix is probed and edited inline — one dict operation per
-        # op instead of a Python call frame through the pool accessors;
-        # the net page-count change is reported once at the end.
-        objects = pool.radix()
-        objects_get = objects.get
-        remote = self.remote
-        ephemeral = not persistent
-        can_reclaim = remote is not None and not account.internal
-        remote_costs = result.remote_costs
-        remote_costs_append = remote_costs.append
-        remote_put_extra = remote_get_extra = 0.0
-        count_delta = 0
-
-        puts_total = puts_succ = puts_failed = 0
-        gets_total = gets_failed = 0
-        flushes_total = 0
-        puts_remote = gets_remote = 0
-        # Built lazily: stays None while every op succeeds, so the common
-        # all-success batch never pays a per-op status append.
-        statuses: Optional[List[int]] = None
-        append_status: Any = None
-        append_put_status: Any = None
-        append_get_status: Any = None
-        op_count = 0
-
-        def materialize(ops_done: int, puts_done: int, gets_done: int):
-            # First non-(locally-successful) op: back-fill the implicit
-            # all-success prefixes and return the four appenders.
-            # *ops_done*/*puts_done*/*gets_done* are the counts of
-            # already-successful ops/puts/gets (the current op is
-            # excluded by its caller).  Cold path: runs at most once per
-            # batch.  Everything is passed in and returned (instead of
-            # nonlocal/closure reads) so the hot loop's names stay fast
-            # locals rather than closure cells.
-            mat = [1] * ops_done
-            result.put_statuses = [1] * puts_done
-            result.get_statuses = [1] * gets_done
-            return (mat, mat.append, result.put_statuses.append,
-                    result.get_statuses.append)
-
-        try:
-            for opcode, object_id, index, version in ops:
-                op_count += 1
-                if opcode == BATCH_PUT:
-                    puts_total += 1
-                    bucket = objects_get(object_id)
-                    if free == 0 or (limit is not None and used >= limit):
-                        # A put to an existing key still replaces in place
-                        # (no new frame), even with admission exhausted.
-                        if bucket is not None and index in bucket:
-                            bucket[index] = version
-                            puts_succ += 1
-                            if statuses is not None:
-                                append_status(1)
-                                append_put_status(1)
-                            continue
-                        if (
-                            free == 0
-                            and (limit is None or used < limit)
-                            and can_reclaim
-                            and remote.reclaim_for_local()
-                        ):
-                            # A hosted foreign ephemeral page yielded its
-                            # frame to local demand: admit this put below
-                            # through the ordinary insert path.
-                            free += 1
-                        else:
-                            if remote is not None and remote.spill_put(
-                                vm_id, object_id, index, version, now,
-                                ephemeral=ephemeral,
-                            ):
-                                puts_remote += 1
-                                extra = remote.last_extra_s
-                                remote_costs_append(extra)
-                                remote_put_extra += extra
-                                if statuses is None:
-                                    (statuses, append_status, append_put_status,
-                                     append_get_status) = materialize(op_count - 1, puts_total - 1, gets_total)
-                                append_status(2)
-                                append_put_status(2)
-                                continue
-                            puts_failed += 1
-                            if statuses is None:
-                                (statuses, append_status, append_put_status,
-                                 append_get_status) = materialize(op_count - 1, puts_total - 1, gets_total)
-                            append_status(0)
-                            append_put_status(0)
-                            continue
-                    if bucket is None:
-                        objects[object_id] = {index: version}
-                    elif index in bucket:
-                        # Replace in place: no new frame is consumed.
-                        bucket[index] = version
-                        puts_succ += 1
-                        if statuses is not None:
-                            append_status(1)
-                            append_put_status(1)
-                        continue
-                    else:
-                        bucket[index] = version
-                    count_delta += 1
-                    used += 1
-                    free -= 1
-                    puts_succ += 1
-                    if statuses is not None:
-                        append_status(1)
-                        append_put_status(1)
-                elif opcode == BATCH_GET:
-                    gets_total += 1
-                    # Frontswap (persistent) gets are exclusive: the frame is
-                    # released and becomes available to later puts in the batch.
-                    bucket = objects_get(object_id)
-                    if persistent:
-                        got = bucket.pop(index, None) if bucket is not None else None
-                        if got is not None and not bucket:
-                            del objects[object_id]
-                    else:
-                        got = bucket.get(index) if bucket is not None else None
-                    if got is None:
-                        if remote is not None:
-                            remote_version = remote.remote_get(
-                                vm_id, object_id, index, ephemeral=ephemeral
-                            )
-                            if remote_version is not None:
-                                gets_remote += 1
-                                extra = remote.last_extra_s
-                                remote_costs_append(extra)
-                                remote_get_extra += extra
-                                append_get_version(remote_version)
-                                if statuses is None:
-                                    (statuses, append_status, append_put_status,
-                                     append_get_status) = materialize(op_count - 1, puts_total, gets_total - 1)
-                                append_status(2)
-                                append_get_status(2)
-                                continue
-                        gets_failed += 1
-                        append_get_version(None)
-                        if statuses is None:
-                            (statuses, append_status, append_put_status,
-                             append_get_status) = materialize(op_count - 1, puts_total, gets_total - 1)
-                        append_status(0)
-                        append_get_status(0)
-                        continue
-                    if persistent:
-                        count_delta -= 1
-                        used -= 1
-                        free += 1
-                        if used < 0:
-                            raise TmemError(
-                                f"VM {vm_id} tmem_used went negative on get"
-                            )
-                    append_get_version(got)
-                    if statuses is not None:
-                        append_status(1)
-                        append_get_status(1)
-                elif opcode == BATCH_FLUSH:
-                    flushes_total += 1
-                    bucket = objects_get(object_id)
-                    if bucket is None or bucket.pop(index, None) is None:
-                        if remote is not None and remote.remote_flush(
-                            vm_id, object_id, index, ephemeral=ephemeral
-                        ):
-                            # A remote flush costs nothing extra (the
-                            # invalidation piggybacks on the next message),
-                            # so it is an ordinary success status-wise.
-                            if statuses is not None:
-                                append_status(1)
-                            continue
-                        if statuses is None:
-                            (statuses, append_status, append_put_status,
-                             append_get_status) = materialize(op_count - 1, puts_total, gets_total)
-                        append_status(0)
-                        continue
-                    if not bucket:
-                        del objects[object_id]
-                    count_delta -= 1
-                    used -= 1
-                    free += 1
-                    if used < 0:
-                        raise TmemError(
-                            f"VM {vm_id} tmem_used went negative on flush"
-                        )
-                    if statuses is not None:
-                        append_status(1)
-                else:
-                    raise TmemError(f"unknown batched tmem opcode {opcode!r}")
-        finally:
-            # Keep the pool's page count in sync with the raw radix
-            # edits even if an op raises mid-batch (unknown opcode,
-            # tmem_used invariant violation).
-            if count_delta:
-                pool.adjust_count(count_delta)
-
-        if statuses is None:
-            result.all_succeeded = True
-        else:
-            result.statuses = statuses
-
-        # One accounting update covers the whole batch.
-        account.puts_total += puts_total
-        account.cumul_puts_total += puts_total
-        account.puts_succ += puts_succ
-        account.cumul_puts_succ += puts_succ
-        account.cumul_puts_failed += puts_failed
-        account.gets_total += gets_total
-        account.cumul_gets_total += gets_total
-        account.flushes_total += flushes_total
-        account.cumul_flushes_total += flushes_total
-        account.puts_remote += puts_remote
-        account.cumul_puts_remote += puts_remote
-        self._host.adjust_tmem_used(used - account.tmem_used)
-        account.tmem_used = used
-
-        result.puts_total = puts_total
-        result.puts_succ = puts_succ
-        result.gets_total = gets_total
-        result.gets_failed = gets_failed
-        result.flushes_total = flushes_total
-        result.puts_remote = puts_remote
-        result.gets_remote = gets_remote
-        result.remote_put_extra_s = remote_put_extra
-        result.remote_get_extra_s = remote_get_extra
-        return result
-
     # -- closed-form planned data path -------------------------------------------
     def execute_planned(
         self,
@@ -620,10 +303,10 @@ class TmemBackend:
     ) -> PlannedBurst:
         """Service one planned access burst without materializing ops.
 
-        The guest's vectorized planner knows the exact interleaving of a
-        burst's puts and gets before issuing them: puts are consecutive
-        (one per miss once the free frames are consumed) with at most one
-        exclusive get between consecutive puts.  Algorithm 1's admission
+        The guest's planners know the exact interleaving of a burst's
+        puts and gets before issuing them: puts are consecutive (one per
+        miss once guest RAM is full) with at most one exclusive get
+        between consecutive puts.  Algorithm 1's admission
         then has a closed form over the *headroom* ``h0``: the free
         frames under the greedy default, or ``min(free frames, mm_target
         - tmem_used)`` when a target is installed.  Targets change only
@@ -656,8 +339,8 @@ class TmemBackend:
         admitted puts would drive the free frames below zero, taken
         before the pool's frames are committed.  The resulting
         counters, pool contents, statuses, peer state and costs are
-        bit-identical to :meth:`execute_batch` over the equivalent op
-        sequence.
+        bit-identical to issuing the equivalent op sequence through the
+        scalar :meth:`put` and :meth:`get`, one op at a time.
 
         Preconditions (guaranteed by the planner, not re-checked): every
         put key is absent from the pool and from the peers (victims are
@@ -668,7 +351,7 @@ class TmemBackend:
         non-decreasing with steps <= 1.  On a single host, a get that
         misses anyway raises :class:`TmemError` and leaves the pool, the
         account and the host frames as they were; with remote tmem it
-        comes back as a failed get, as from :meth:`execute_batch`.
+        comes back as a failed get, as from the scalar :meth:`get`.
 
         A planned burst is a frontswap burst: a non-persistent pool
         raises :class:`TmemError`.  Returns ``(put_flags, get_versions,

@@ -22,6 +22,7 @@ synthetic ones.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -76,13 +77,7 @@ def load_trace_steps(path: Union[str, Path]) -> List[WorkloadStep]:
                 f"expected {sorted(_STEP_KEYS)}"
             )
         try:
-            step = WorkloadStep(
-                compute_time_s=float(record.get("compute_s", 0.0)),
-                pages=tuple(int(p) for p in record.get("pages", ())),
-                frees=tuple(int(p) for p in record.get("frees", ())),
-                phase=str(record.get("phase", "")),
-                write=bool(record.get("write", True)),
-            )
+            step = _parse_step(record)
         except (TypeError, ValueError, WorkloadError) as exc:
             raise WorkloadError(
                 f"{trace_path}:{lineno}: invalid trace step: {exc}"
@@ -91,6 +86,49 @@ def load_trace_steps(path: Union[str, Path]) -> List[WorkloadStep]:
     if not steps:
         raise WorkloadError(f"trace file {trace_path} contains no steps")
     return steps
+
+
+def _parse_step(record: dict) -> WorkloadStep:
+    """Build one step from a decoded trace line, rejecting any field of
+    the wrong type instead of coercing it."""
+    compute_s = record.get("compute_s", 0.0)
+    # The range test also rejects NaN, the infinities and ints too large
+    # for a float.
+    if (
+        type(compute_s) not in (int, float)
+        or not 0 <= compute_s <= sys.float_info.max
+    ):
+        raise ValueError(
+            f"'compute_s' must be a finite number >= 0, got {compute_s!r}"
+        )
+    phase = record.get("phase", "")
+    if not isinstance(phase, str):
+        raise ValueError(f"'phase' must be a string, got {phase!r}")
+    write = record.get("write", True)
+    if type(write) is not bool:
+        raise ValueError(f"'write' must be true or false, got {write!r}")
+    return WorkloadStep(
+        compute_time_s=float(compute_s),
+        pages=_page_numbers(record, "pages"),
+        frees=_page_numbers(record, "frees"),
+        phase=phase,
+        write=write,
+    )
+
+
+def _page_numbers(record: dict, key: str) -> tuple:
+    pages = record.get(key, [])
+    if not isinstance(pages, list):
+        raise ValueError(
+            f"{key!r} must be a list of page numbers, got {pages!r}"
+        )
+    for page in pages:
+        # bool is an int subclass, so test the exact type.
+        if type(page) is not int or page < 0:
+            raise ValueError(
+                f"{key!r} holds {page!r}; page numbers are integers >= 0"
+            )
+    return tuple(pages)
 
 
 def dump_trace_steps(

@@ -10,10 +10,14 @@ observable.
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.channels.internode import InterNodeChannel
 from repro.config import GuestConfig, SimulationConfig
 from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
@@ -27,6 +31,7 @@ from repro.scenarios.library import usemem_scenario
 from repro.scenarios.registry import scenario_by_name
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.sim.engine import SimulationEngine
+from repro.sim.trace import TraceRecorder
 from repro.units import SCENARIO_UNITS
 
 
@@ -151,8 +156,8 @@ class TestKernelLevelEquivalence:
         assert_kernels_identical(scalar, batched, hv_s, hv_b)
 
     def test_intra_burst_reaccess_of_evicted_page(self):
-        """A burst that re-touches a page it evicted earlier must flush the
-        staged hypercall batch mid-burst and still match the scalar path."""
+        """A burst that re-touches a page it evicted earlier must ship its
+        open tmem segment mid-burst and still match the scalar path."""
         scalar, hv_s = build_kernel("scalar", ram_pages=5, tmem_pages=16)
         batched, hv_b = build_kernel("batched", ram_pages=5, tmem_pages=16)
         warm = list(range(4))
@@ -196,6 +201,137 @@ class TestKernelLevelEquivalence:
         assert disk_s.stats == disk_b.stats
         assert disk_s.stats.writes == 9
         assert disk_s.busy_until == disk_b.busy_until
+
+
+@st.composite
+def cluster_runs(draw):
+    """Node 0 of a small cluster, its VM's RAM and bursts, and the
+    target installed before each burst (``None`` keeps the current one)."""
+    nodes = draw(st.integers(2, 4))
+    n_bursts = draw(st.integers(1, 10))
+    return {
+        "frames": draw(st.integers(0, 6)),
+        "peer_frames": [draw(st.integers(0, 6)) for _ in range(nodes - 1)],
+        "contended": draw(st.booleans()),
+        "ram_pages": draw(st.integers(3, 12)),
+        "reclaim": draw(st.sampled_from(["lru", "clock"])),
+        "bursts": [
+            draw(st.lists(st.integers(0, 30), max_size=30))
+            for _ in range(n_bursts)
+        ],
+        "targets": [
+            draw(st.one_of(st.none(), st.integers(0, 8)))
+            for _ in range(n_bursts)
+        ],
+        "frees": [
+            draw(st.lists(st.integers(0, 30), max_size=4))
+            for _ in range(n_bursts)
+        ],
+    }
+
+
+def build_cluster_kernel(engine_kind, run):
+    """A guest kernel on node 0 of *run*'s cluster, spilling to its peers
+    over one channel; returns the kernel and the cluster's parts."""
+    config = SimulationConfig(
+        guest=GuestConfig(
+            access_engine=engine_kind, reclaim_algorithm=run["reclaim"]
+        )
+    )
+    sim = SimulationEngine()
+    trace = TraceRecorder()
+    domids = itertools.count(1)
+    hypervisors = [
+        Hypervisor(
+            sim, config, host_memory_pages=4096, tmem_pool_pages=pages,
+            domid_allocator=lambda counter=domids: next(counter),
+        )
+        for pages in [run["frames"], *run["peer_frames"]]
+    ]
+    channel = InterNodeChannel(
+        sim, latency_s=25e-6, bandwidth_bytes_s=1.25e9, page_bytes=4096,
+        contended=run["contended"], trace=trace,
+    )
+    backends = [
+        RemoteTmemBackend(f"n{i}", hv, channel, trace=trace)
+        for i, hv in enumerate(hypervisors)
+    ]
+    for backend in backends:
+        backend.connect(
+            [peer for peer in backends if peer is not backend],
+            spill_client_id=next(domids),
+        )
+    hv = hypervisors[0]
+    record = hv.create_domain("vm", ram_pages=run["ram_pages"])
+    hv.register_tmem_client(record.vm_id)
+    backends[0].register_home_vm(record.vm_id)
+    kernel = GuestKernel(
+        record.vm_id,
+        ram_pages=run["ram_pages"],
+        swap_pages=512,
+        config=config,
+        disk=hv.swap_disk,
+        frontswap=FrontswapClient(
+            record.vm_id, record.frontswap_pool_id, hv.hypercalls
+        ),
+    )
+    return kernel, SimpleNamespace(
+        sim=sim, trace=trace, hypervisors=hypervisors, channel=channel,
+        backends=backends,
+    )
+
+
+def cluster_view(kernel, cluster):
+    """Everything a burst on node 0 can touch, in comparable form."""
+    for hv in cluster.hypervisors:
+        hv.check_invariants()
+    disk = cluster.hypervisors[0].swap_disk
+    return {
+        "stats": kernel.stats,
+        "frontswap": (kernel.frontswap._stored, kernel.frontswap.stats),
+        "swap": (kernel.swap.used_pages, kernel.swap.stats),
+        "disk": (disk.stats, disk.busy_until),
+        "free": [hv.free_tmem_pages for hv in cluster.hypervisors],
+        "remote": [backend.stats for backend in cluster.backends],
+        "trace": cluster.trace.to_dict(),
+        "links": {
+            name: tuple(getattr(link, slot) for slot in link.__slots__)
+            for name, link in cluster.channel.links().items()
+        },
+        "moved": (cluster.channel.pages_moved, cluster.channel.bytes_moved),
+        "pending": cluster.sim.pending_events,
+    }
+
+
+class TestClusterNodeEquivalence:
+    """Scalar and batched kernels agree on a cluster node, where bursts
+    spill to and fetch from peers: a put resolved mid-burst as spilled,
+    or a fetched page evicted again in the same burst, reaches the
+    sequential planner's segment boundaries."""
+
+    @settings(deadline=None)
+    @given(run=cluster_runs())
+    def test_random_bursts_on_a_cluster_node(self, run):
+        scalar, cluster_s = build_cluster_kernel("scalar", run)
+        batched, cluster_b = build_cluster_kernel("batched", run)
+        now = 0.0
+        for burst, target, frees in zip(
+            run["bursts"], run["targets"], run["frees"]
+        ):
+            if target is not None:
+                for kernel, cluster in ((scalar, cluster_s),
+                                        (batched, cluster_b)):
+                    cluster.hypervisors[0].accounting.set_target(
+                        kernel.vm_id, target
+                    )
+            assert scalar.access(burst, now=now) == batched.access(
+                burst, now=now
+            )
+            assert scalar.free(frees, now=now) == batched.free(frees, now=now)
+            now += 0.25
+        assert cluster_view(scalar, cluster_s) == cluster_view(
+            batched, cluster_b
+        )
 
 
 POLICIES = ["no-tmem", "greedy", "static-alloc", "reconf-static",
@@ -290,11 +426,15 @@ class TestClosedFormCoverage:
     ])
     def test_cluster_bursts_never_stage(self, monkeypatch, scenario, engine):
         """Remote spill and fetch ride the closed form: no planned burst
-        is declined to the staged op walk, and the bursts that reach a
-        peer go through one remote_burst call each."""
+        is declined, the bursts that reach a peer go through one
+        remote_burst call each, and no page reaches a peer one at a
+        time, from the sequential planner included."""
         counts = {}
         count_calls(monkeypatch, counts, TmemBackend, "execute_planned")
         count_calls(monkeypatch, counts, RemoteTmemBackend, "remote_burst")
+        per_page = {}
+        count_calls(monkeypatch, per_page, RemoteTmemBackend, "spill_put")
+        count_calls(monkeypatch, per_page, RemoteTmemBackend, "remote_get")
         spec = scenario_by_name(scenario, scale=0.1)
         if engine == "exact":
             run_scenario(spec, "smart-alloc", seed=7)
@@ -304,3 +444,4 @@ class TestClosedFormCoverage:
         assert counts["execute_planned"] > 0
         assert counts["declined"] == 0
         assert counts["remote_burst"] > 0
+        assert per_page["spill_put"] == per_page["remote_get"] == 0

@@ -256,6 +256,17 @@ class TestPlannedMigration:
         again = run_scenario(spec, "greedy", seed=5)
         assert again.fingerprint() == migrate_result.fingerprint()
 
+    def test_smart_alloc_migrates_the_vm(self):
+        """The Memory Manager's target write-back on the source node can
+        arrive after the VM left it; the run completes under the paper's
+        policy and the VM finishes on its new node."""
+        spec = scenario_by_name("migrate", scale=0.1)
+        result = run_scenario(spec, "smart-alloc", seed=2019)
+        nodes = result.cluster["nodes"]
+        assert "n1.VM1" not in nodes["node1"]["vm_names"]
+        assert "n1.VM1" in nodes["node2"]["vm_names"]
+        assert all(vm.runs for vm in result.vms.values())
+
     def test_migration_during_inflight_relocation_is_skipped(self):
         """One live relocation per VM: a planned move scheduled while a
         failover copy is in flight must not start a second copy (which

@@ -202,46 +202,6 @@ class TestCleancacheClient:
         assert not cc.put_page(1, now=0.0)[0]
 
 
-class TestFrontswapBatch:
-    def test_staged_burst_matches_scalar_sequence(self, engine, config):
-        hv_a, _, scalar_fs, _ = build_clients(engine, config)
-        hv_b, _, batch_fs, _ = build_clients(engine, config)
-        for page in (1, 2, 3):
-            scalar_fs.store(page, now=0.0)
-        scalar_fs.load(2)
-        batch = batch_fs.begin_batch()
-        for page in (1, 2, 3):
-            batch.stage_store(page)
-        batch.stage_load(2)
-        succeeded = batch.execute(now=0.0)
-        assert succeeded == [True, True, True, True]
-        assert scalar_fs.stats == batch_fs.stats
-        assert scalar_fs.held_pages == batch_fs.held_pages
-
-    def test_flush_then_restore_same_page_keeps_guest_in_sync(
-        self, engine, config
-    ):
-        """A batch mixing a flush and a put of the same page must apply
-        effects in staging order: the page ends up tmem-resident on both
-        the guest and hypervisor sides (regression test for the bulk
-        apply path reordering effects kind-by-kind)."""
-        hv, record, fs, _ = build_clients(engine, config)
-        assert fs.store(7, now=0.0)[0]
-        batch = fs.begin_batch()
-        batch.stage_flush(7)
-        batch.stage_store(7)
-        batch.execute(now=1.0)
-        assert fs.holds(7)
-        assert hv.store.pages_held_by(record.vm_id) == 1
-        # And the page can round-trip back out of tmem afterwards.
-        hit, _ = fs.load(7)
-        assert hit and not fs.holds(7)
-
-    def test_empty_batch_is_a_no_op(self, engine, config):
-        _, _, fs, _ = build_clients(engine, config)
-        assert fs.begin_batch().execute(now=0.0) == []
-
-
 class TestFreeFilePages:
     """Freeing clean file pages (``GuestKernel._free_file``): the page
     cache drops them and every cleancache copy is invalidated."""

@@ -15,7 +15,7 @@ from repro.errors import HypercallError, TmemError
 from repro.hypervisor.accounting import HypervisorAccounting
 from repro.hypervisor.pages import PageKey
 from repro.hypervisor.remote_tmem import RemoteTmemBackend
-from repro.hypervisor.tmem_backend import BATCH_GET, BATCH_PUT, TmemBackend
+from repro.hypervisor.tmem_backend import TmemBackend
 from repro.hypervisor.tmem_store import TmemStore
 from repro.hypervisor.xen import Hypervisor
 from repro.sim.engine import SimulationEngine
@@ -90,6 +90,15 @@ class TestPutAdmission:
         assert acc.account(1).tmem_used == 1
         got = backend.get(1, pools[1], key(0))
         assert got.version == 9
+
+    def test_replace_put_succeeds_even_when_pool_is_full(self):
+        """A replace in place needs no free frame."""
+        backend, acc, host, pools = build_backend(tmem_pages=1)
+        assert backend.put(1, pools[1], key(0), version=1, now=0.0).succeeded
+        assert host.tmem_free_pages == 0
+        assert backend.put(1, pools[1], key(0), version=5, now=1.0).succeeded
+        assert acc.account(1).tmem_used == 1
+        assert backend.get(1, pools[1], key(0)).version == 5
 
     def test_target_below_usage_blocks_but_keeps_pages(self):
         """Targets may drop below current usage; pages are not reclaimed."""
@@ -263,109 +272,6 @@ class TestHypervisorFacade:
             hv.create_domain("vm2", ram_pages=200)
 
 
-class TestExecuteBatch:
-    """The batched data path must mirror the scalar ops op for op."""
-
-    @staticmethod
-    def put_op(i, version=1):
-        from repro.hypervisor.tmem_backend import BATCH_PUT
-        return (BATCH_PUT, 0, i, version)
-
-    @staticmethod
-    def get_op(i):
-        from repro.hypervisor.tmem_backend import BATCH_GET
-        return (BATCH_GET, 0, i, 0)
-
-    @staticmethod
-    def flush_op(i):
-        from repro.hypervisor.tmem_backend import BATCH_FLUSH
-        return (BATCH_FLUSH, 0, i, 0)
-
-    def test_all_success_batch_reports_bulk_flag(self):
-        backend, acc, host, pools = build_backend(tmem_pages=8)
-        ops = [self.put_op(i, version=i + 1) for i in range(4)]
-        result = backend.execute_batch(1, pools[1], ops, now=0.0)
-        assert result.all_succeeded
-        assert result.statuses == []
-        assert result.puts_total == result.puts_succ == 4
-        assert acc.account(1).tmem_used == 4
-        assert host.tmem_used_pages == 4
-
-    def test_admission_failure_materializes_statuses(self):
-        backend, acc, host, pools = build_backend(tmem_pages=2)
-        ops = [self.put_op(i, version=i + 1) for i in range(4)]
-        result = backend.execute_batch(1, pools[1], ops, now=0.0)
-        assert not result.all_succeeded
-        assert result.statuses == [1, 1, 0, 0]
-        assert result.puts_succ == 2 and result.puts_failed == 2
-        assert acc.account(1).tmem_used == 2
-
-    def test_get_mid_batch_frees_a_frame_for_a_later_put(self):
-        """An exclusive get inside the batch releases capacity that a put
-        later in the same batch may consume — order matters."""
-        backend, acc, host, pools = build_backend(tmem_pages=1)
-        assert backend.put(1, pools[1], key(0), version=7, now=0.0).succeeded
-        ops = [self.get_op(0), self.put_op(1, version=8)]
-        result = backend.execute_batch(1, pools[1], ops, now=1.0)
-        assert result.all_succeeded
-        assert result.get_versions == [7]
-        assert acc.account(1).tmem_used == 1
-        # Reversed order: the put must fail because the frame is taken.
-        ops = [self.put_op(2, version=9), self.get_op(1)]
-        result = backend.execute_batch(1, pools[1], ops, now=2.0)
-        assert result.statuses == [0, 1]
-        assert result.get_versions == [8]
-
-    def test_target_respected_within_batch(self):
-        backend, acc, host, pools = build_backend(tmem_pages=8)
-        acc.set_target(1, 2)
-        ops = [self.put_op(i, version=i + 1) for i in range(3)]
-        result = backend.execute_batch(1, pools[1], ops, now=0.0)
-        assert result.statuses == [1, 1, 0]
-
-    def test_replace_put_does_not_take_a_frame(self):
-        backend, acc, host, pools = build_backend(tmem_pages=2)
-        ops = [self.put_op(0, version=1), self.put_op(0, version=2)]
-        result = backend.execute_batch(1, pools[1], ops, now=0.0)
-        assert result.all_succeeded
-        assert acc.account(1).tmem_used == 1
-        got = backend.execute_batch(1, pools[1], [self.get_op(0)], now=1.0)
-        assert got.get_versions == [2]
-
-    def test_replace_put_succeeds_even_when_pool_is_full(self):
-        backend, acc, host, pools = build_backend(tmem_pages=1)
-        assert backend.put(1, pools[1], key(0), version=1, now=0.0).succeeded
-        result = backend.execute_batch(
-            1, pools[1], [self.put_op(0, version=5)], now=1.0
-        )
-        assert result.all_succeeded
-
-    def test_flush_in_batch_releases_frames(self):
-        backend, acc, host, pools = build_backend(tmem_pages=4)
-        backend.execute_batch(
-            1, pools[1], [self.put_op(i, version=1) for i in range(3)], now=0.0
-        )
-        result = backend.execute_batch(
-            1, pools[1], [self.flush_op(0), self.flush_op(1)], now=1.0
-        )
-        assert result.all_succeeded
-        assert result.flushes_total == 2
-        assert acc.account(1).tmem_used == 1
-        assert host.tmem_used_pages == 1
-
-    def test_counters_match_scalar_equivalent(self):
-        scalar_b, scalar_acc, _, scalar_pools = build_backend(tmem_pages=2)
-        batch_b, batch_acc, _, batch_pools = build_backend(tmem_pages=2)
-        for i in range(4):
-            scalar_b.put(1, scalar_pools[1], key(i), version=i + 1, now=0.0)
-        scalar_b.get(1, scalar_pools[1], key(0))
-        scalar_b.flush_page(1, scalar_pools[1], key(1))
-        ops = [self.put_op(i, version=i + 1) for i in range(4)]
-        ops += [self.get_op(0), self.flush_op(1)]
-        batch_b.execute_batch(1, batch_pools[1], ops, now=0.0)
-        assert scalar_acc.account(1) == batch_acc.account(1)
-
-
 #: Slots per tmem object in the planned-path tests: small, so that put
 #: and get pages share objects and a get can empty an object a put then
 #: recreates.
@@ -430,8 +336,52 @@ def preloaded_backend(burst):
     return backend, acc, host, pools
 
 
+def gets_before_puts(burst):
+    """Per put, the number of the burst's gets ahead of it."""
+    gets_done = burst["leading"]
+    counts = []
+    for get_after in burst["get_after"]:
+        counts.append(gets_done)
+        gets_done += get_after
+    return counts
+
+
+def scalar_burst(backend, vm, pool_id, burst, first_version, now):
+    """Issue *burst* through the scalar put and get, one op at a time,
+    in the planner's order: the leading gets, then each put and the get
+    after it.  Returns the closed form's outcome in comparable form:
+    per-kind flags (2 remote, 1 local, 0 failed), the get versions and
+    the network cost of each remote put and get, read right after it."""
+    put_flags, get_flags, versions, put_costs, get_costs = [], [], [], [], []
+    gets = iter(burst["get_pages"])
+
+    def get():
+        result = backend.get(vm, pool_id, page_key(pool_id, next(gets)))
+        get_flags.append(2 if result.remote else int(result.succeeded))
+        versions.append(result.version)
+        if result.remote:
+            get_costs.append(backend.remote_extra_latency_s)
+
+    for _ in range(burst["leading"]):
+        get()
+    for i, (page_no, get_after) in enumerate(
+        zip(burst["put_pages"], burst["get_after"])
+    ):
+        result = backend.put(
+            vm, pool_id, page_key(pool_id, page_no),
+            version=first_version + i, now=now,
+        )
+        put_flags.append(2 if result.remote else int(result.succeeded))
+        if result.remote:
+            put_costs.append(backend.remote_extra_latency_s)
+        if get_after:
+            get()
+    return put_flags, get_flags, versions, put_costs, get_costs
+
+
 class TestExecutePlanned:
-    """The closed-form planned path against the op walk it replaces."""
+    """The closed-form planned path against the same ops through the
+    scalar entry points, one at a time."""
 
     @settings(deadline=None)
     @given(burst=planned_bursts())
@@ -445,50 +395,37 @@ class TestExecutePlanned:
     })
     def test_closed_form_matches_the_op_walk(self, burst):
         planned_side = preloaded_backend(burst)
-        batch_side = preloaded_backend(burst)
+        scalar_side = preloaded_backend(burst)
         first_version = 100
         get_pages = burst["get_pages"]
         put_pages = burst["put_pages"]
 
-        # The same burst as an op sequence, and its per-put get counts.
-        gets = iter(get_pages)
-        gets_done = burst["leading"]
-        ops = [(BATCH_GET, *divmod(next(gets), PPO), 0)
-               for _ in range(gets_done)]
-        gets_before_puts = []
-        for i, (page_no, get_after) in enumerate(
-            zip(put_pages, burst["get_after"])
-        ):
-            gets_before_puts.append(gets_done)
-            ops.append((BATCH_PUT, *divmod(page_no, PPO), first_version + i))
-            if get_after:
-                ops.append((BATCH_GET, *divmod(next(gets), PPO), 0))
-                gets_done += 1
-
         backend, acc, host, pools = planned_side
         planned = backend.execute_planned(
             1, pools[1], put_pages, first_version, get_pages,
-            gets_before_puts, PPO, now=1.0,
+            gets_before_puts(burst), PPO, now=1.0,
         )
         assert planned is not None
         put_statuses, get_versions, get_flags, put_costs, get_costs = planned
         # A single host serves every op locally.
         assert (get_flags, put_costs, get_costs) == (None, (), ())
 
-        b_backend, b_acc, b_host, b_pools = batch_side
-        batch = b_backend.execute_batch(1, b_pools[1], ops, now=1.0)
+        s_backend, s_acc, s_host, s_pools = scalar_side
+        s_put_flags, s_get_flags, s_versions, _, _ = scalar_burst(
+            s_backend, 1, s_pools[1], burst, first_version, now=1.0
+        )
 
         n_puts = len(put_pages)
-        batch_flags = [1] * n_puts if batch.all_succeeded else batch.put_statuses
-        assert ([1] * n_puts if put_statuses is None else put_statuses) == batch_flags
-        assert get_versions == batch.get_versions
-        assert acc.account(1) == b_acc.account(1)
-        assert host.tmem_free_pages == b_host.tmem_free_pages
-        assert host.tmem_used_pages == b_host.tmem_used_pages
+        assert ([1] * n_puts if put_statuses is None else put_statuses) == s_put_flags
+        assert s_get_flags == [1] * len(get_pages)
+        assert get_versions == s_versions
+        assert acc.account(1) == s_acc.account(1)
+        assert host.tmem_free_pages == s_host.tmem_free_pages
+        assert host.tmem_used_pages == s_host.tmem_used_pages
         pool = backend._store.get_pool(1, pools[1])
-        b_pool = b_backend._store.get_pool(1, b_pools[1])
-        assert pool.radix() == b_pool.radix()
-        assert len(pool) == len(b_pool)
+        s_pool = s_backend._store.get_pool(1, s_pools[1])
+        assert pool.radix() == s_pool.radix()
+        assert len(pool) == len(s_pool)
         acc.check_invariants()
         host.check_invariants()
 
@@ -522,8 +459,8 @@ class TestExecutePlanned:
         host.check_invariants()
 
     def test_targets_take_the_closed_form_and_ephemeral_pools_raise(self):
-        """A target no longer sends a single-host burst to the op walk,
-        and a planned burst is a frontswap (persistent) burst."""
+        """A target keeps a single-host burst on the closed form, and a
+        planned burst is a frontswap (persistent) burst."""
         backend, acc, host, pools = build_backend(tmem_pages=8)
         acc.set_target(1, 1)
         assert backend.execute_planned(
@@ -711,7 +648,8 @@ def cluster_state(side):
 
 
 class TestExecutePlannedRemote:
-    """The closed form with remote tmem attached against the op walk."""
+    """The closed form with remote tmem attached against the same ops
+    through the scalar entry points, one at a time."""
 
     @settings(deadline=None)
     @given(burst=remote_bursts())
@@ -736,63 +674,38 @@ class TestExecutePlannedRemote:
     })
     def test_closed_form_matches_the_op_walk(self, burst):
         planned_side = remote_cluster(burst)
-        batch_side = remote_cluster(burst)
+        scalar_side = remote_cluster(burst)
         first_version = 100
         get_pages = burst["get_pages"]
         put_pages = burst["put_pages"]
 
-        gets = iter(get_pages)
-        gets_done = burst["leading"]
-        ops = [(BATCH_GET, *divmod(next(gets), PPO), 0)
-               for _ in range(gets_done)]
-        gets_before_puts = []
-        for i, (page_no, get_after) in enumerate(
-            zip(put_pages, burst["get_after"])
-        ):
-            gets_before_puts.append(gets_done)
-            ops.append((BATCH_PUT, *divmod(page_no, PPO), first_version + i))
-            if get_after:
-                ops.append((BATCH_GET, *divmod(next(gets), PPO), 0))
-                gets_done += 1
-
         side = planned_side
         planned = side.hypervisors[0].backend.execute_planned(
             side.vm, side.pool, put_pages, first_version, get_pages,
-            gets_before_puts, PPO, now=1.0,
+            gets_before_puts(burst), PPO, now=1.0,
         )
         assert planned is not None
         put_flags, get_versions, get_flags, put_costs, get_costs = planned
 
-        side = batch_side
-        batch = side.hypervisors[0].backend.execute_batch(
-            side.vm, side.pool, ops, now=1.0
+        side = scalar_side
+        s_put_flags, s_get_flags, s_versions, s_put_costs, s_get_costs = (
+            scalar_burst(
+                side.hypervisors[0].backend, side.vm, side.pool, burst,
+                first_version, now=1.0,
+            )
         )
-        n_puts = len(put_pages)
-        n_gets = len(get_pages)
-        statuses = [1] * len(ops) if batch.all_succeeded else batch.statuses
-        batch_put_costs, batch_get_costs = [], []
-        costs = iter(batch.remote_costs)
-        for (opcode, *_key), status in zip(ops, statuses):
-            if status == 2:
-                (batch_put_costs if opcode == BATCH_PUT
-                 else batch_get_costs).append(next(costs))
-
-        assert (put_flags or [1] * n_puts) == (
-            [1] * n_puts if batch.all_succeeded else batch.put_statuses
-        )
-        assert (get_flags or [1] * n_gets) == (
-            [1] * n_gets if batch.all_succeeded else batch.get_statuses
-        )
-        assert get_versions == batch.get_versions
-        assert list(put_costs) == batch_put_costs
-        assert list(get_costs) == batch_get_costs
-        assert cluster_state(planned_side) == cluster_state(batch_side)
+        assert (put_flags or [1] * len(put_pages)) == s_put_flags
+        assert (get_flags or [1] * len(get_pages)) == s_get_flags
+        assert get_versions == s_versions
+        assert list(put_costs) == s_put_costs
+        assert list(get_costs) == s_get_costs
+        assert cluster_state(planned_side) == cluster_state(scalar_side)
         for hypervisor in planned_side.hypervisors:
             hypervisor.check_invariants()
 
     def test_a_get_missing_everywhere_comes_back_failed(self):
         """A page neither the pool nor a peer holds is a failed get, as
-        the op walk reports it; the guest then raises."""
+        the scalar get reports it; the guest then raises."""
         burst = {
             "frames": 2, "peer_frames": [2], "stored": 0, "freed": 0,
             "hosted": 0, "target": None, "contended": False, "port": "live",

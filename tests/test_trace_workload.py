@@ -82,6 +82,32 @@ class TestLoadErrors:
         with pytest.raises(WorkloadError, match="line 1"):
             load_trace_steps(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"compute_s": NaN, "pages": [1]}', "compute_s"),
+        ('{"compute_s": Infinity, "pages": [1]}', "compute_s"),
+        pytest.param('{"compute_s": 1%s, "pages": [1]}' % ("0" * 400),
+                     "compute_s", id="compute_s-beyond-float"),
+        ('{"compute_s": -0.5, "pages": [1]}', "compute_s"),
+        ('{"compute_s": true, "pages": [1]}', "compute_s"),
+        ('{"compute_s": "0.1", "pages": [1]}', "compute_s"),
+        ('{"pages": "123"}', "pages"),
+        ('{"pages": [true, false, 2]}', "pages"),
+        ('{"pages": [2.7]}', "pages"),
+        ('{"pages": ["1"]}', "pages"),
+        ('{"pages": [-1]}', "pages"),
+        ('{"pages": [1], "frees": 1}', "frees"),
+        ('{"pages": [1], "frees": [false]}', "frees"),
+        ('{"pages": [1], "write": "false"}', "write"),
+        ('{"pages": [1], "write": 0}', "write"),
+        ('{"pages": [1], "phase": 3}', "phase"),
+    ])
+    def test_malformed_field_reports_the_line(self, tmp_path, line, field):
+        """A field of the wrong type is rejected, never coerced."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"pages": [0]}\n' + line + "\n")
+        with pytest.raises(WorkloadError, match=rf"bad\.jsonl:2: .*'{field}'"):
+            load_trace_steps(path)
+
     def test_empty_trace_is_an_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")

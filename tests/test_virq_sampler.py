@@ -125,6 +125,21 @@ class TestHypercallInterface:
         assert hv.accounting.account(records[0].vm_id).mm_target == 5
         assert hv.accounting.account(records[1].vm_id).mm_target == 7
 
+    def test_set_targets_skips_a_vm_that_left_the_node(self):
+        """A target vector computed before a VM left the node (a planned
+        migration tears it down here) still applies the other targets."""
+        engine, hv, records = build_node()
+        hv.hypercalls.register_domain(Hypervisor.PRIVILEGED_DOMAIN_ID)
+        gone = records[1].vm_id
+        hv.destroy_domain(gone)
+        targets = {records[0].vm_id: 5, gone: 7}
+        hv.hypercalls.tmem_set_targets(Hypervisor.PRIVILEGED_DOMAIN_ID, targets)
+        assert hv.accounting.account(records[0].vm_id).mm_target == 5
+        assert hv.accounting.maybe_account(gone) is None
+        # A direct caller still gets the strict check.
+        with pytest.raises(HypercallError, match="not registered with tmem"):
+            hv.accounting.set_target(gone, 7)
+
     def test_clear_targets_restores_unlimited(self):
         engine, hv, records = build_node()
         hv.hypercalls.register_domain(Hypervisor.PRIVILEGED_DOMAIN_ID)
