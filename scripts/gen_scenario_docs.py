@@ -50,6 +50,10 @@ with `smartmem run <file>.yml`.  A document is either **family mode**
 the equivalent `name:key=value` spec string) or **explicit mode**
 (spell out VMs, jobs, cluster topology and fault plan).
 
+`smartmem run <family>:<params>` compiles its flags as a family-mode
+document, so flags and documents are checked by the same compiler and
+fail with the same messages.
+
 ## Family mode
 
 ```yaml
@@ -58,7 +62,22 @@ scale: 1.0              # optional size multiplier (1.0 = paper sizes)
 params: {n: 8}          # family parameters
 policy: smart-alloc     # optional: default policy for `smartmem run`
 seed: 2019              # optional: default seed for `smartmem run`
+cluster:                # optional: what the `smartmem run` cluster flags set
+  nodes: 3              # --nodes: replicate a single-host family
+  coordinator: equal-share          # --coordinator
+  contended: true                   # --contended
+  failures: ["node2@30"]            # --fail NODE@TIME
+  migrations: ["n1.VM1@node3@40"]   # --migrate VM@NODE@TIME
+  faults: ["node3@10-25"]           # --fault NODE@T1-T2[:failback=1]
+  degradations: ["node1->node2@10-20:bw=0.5"]   # --degrade
 ```
+
+With `nodes`, the block replicates a single-host family onto that many
+nodes (`node1`..`nodeN`, VMs renamed `n<k>.<VM>`), exactly like
+`repro.cluster.clusterize`.  Without `nodes`, its keys replace those
+fields of a cluster-native family's topology (`cluster`, `contended`,
+`faulty`, ...); `faults` and `degradations` together replace the
+family's fault plan.
 
 ## Explicit mode
 
@@ -94,10 +113,10 @@ cluster:                     # optional multi-node topology
   interconnect_latency_s: 25.0e-6
   interconnect_bandwidth_bytes_s: 1.25e9
   rebalance_interval_s: 2.0
-  failures:                  # permanent node failures
-    - {node: node1, at_s: 30.0}
-  migrations:                # live VM migrations
-    - {vm: VM1, to_node: node2, at_s: 10.0}
+  failures:                  # permanent node failures: NODE@TIME
+    - "node1@30"
+  migrations:                # live VM migrations: VM@NODE@TIME
+    - "VM1@node2@10"
   faults:                    # transient faults: NODE@T1-T2[:failback=1]
     - "node2@10-25:failback=1"
   degradations:              # SRC->DST@T1-T2:bw=,lat=,loss=,partition=1
@@ -112,9 +131,11 @@ cluster:                     # optional multi-node topology
 
 Validation reports *every* problem as a positioned diagnostic
 (`file:line:col: severity: message`): unknown keys and misspelled
-parameters (with "did you mean" suggestions), infeasible host memory,
-fault windows colliding with permanent failures, migrations into down
-nodes, and schedules falling after the run deadline.
+parameters (with "did you mean" suggestions), job parameters of the
+wrong type, infeasible host memory, fault windows colliding with
+permanent failures, migrations into down nodes, and schedules falling
+after the run deadline.  Errors in run flags print as
+`<command line>: error: ... (at <key>)`.
 
 Trace workloads resolve relative `path` parameters against the
 document's directory, so committed examples replay their committed

@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis.aggregate import aggregate_sweep, render_aggregate_table
 from .analysis.cluster import render_cluster_table
@@ -58,11 +58,15 @@ from .analysis.figures import tmem_usage_figure
 from .analysis.metrics import mean_fairness
 from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
-from .core.coordinator import coordinator_spec_syntax, create_coordinator
+from .core.coordinator import coordinator_spec_syntax
 from .core.policy import available_policies, create_policy, policy_spec_syntax
 from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios, scenario_by_name
-from .scenarios.registry import paper_scenario_names, registered_scenarios
+from .scenarios.registry import (
+    paper_scenario_names,
+    parse_scenario_spec,
+    registered_scenarios,
+)
 from .scenarios.results import ScenarioResult
 from .scenarios.runner import NO_TMEM_POLICY, run_scenario
 from .workloads.registry import available_workload_kinds
@@ -119,20 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "document's seed for DSL files)")
     run_p.add_argument(
         "--nodes", type=int, default=1,
-        help="replicate the scenario onto an N-node cluster with "
-             "remote-tmem spill (cluster-native scenarios such as "
-             "cluster:nodes=.. set their own topology)",
+        help="replicate a single-host scenario onto an N-node cluster "
+             "with remote-tmem spill (without it, the cluster flags "
+             "replace a cluster-native scenario's own settings)",
     )
     run_p.add_argument(
         "--coordinator", type=str, default=None,
-        help="cluster capacity coordinator for --nodes > 1 "
+        help="cluster capacity coordinator "
              "(e.g. equal-share, pressure-prop:percent=15, "
              "spill-feedback:percent=15)",
     )
     run_p.add_argument(
         "--contended", action="store_true",
         help="model interconnect contention (per-link FIFO queueing) "
-             "on the --nodes cluster",
+             "on the cluster",
     )
     run_p.add_argument(
         "--fail", action="append", dest="failures", default=None,
@@ -406,21 +410,60 @@ def _is_dsl_path(name: str) -> bool:
     return name.endswith((".yml", ".yaml"))
 
 
-def _load_dsl(path: str):
-    """Compile a DSL document for run/record; print diagnostics on stderr.
+def _load_dsl(path: str, data: Optional[Dict[str, Any]] = None):
+    """Compile the DSL document at *path*, or *data* named *path*.
 
-    Returns the CompiledScenario or None after printing errors.
+    Prints diagnostics on stderr; returns the CompiledScenario or None
+    after printing errors.
     """
-    from .scenarios.dsl import DslError, compile_file
+    from .scenarios.dsl import Document, DslError, compile_document, load_file
 
     try:
-        compiled = compile_file(path)
+        doc = load_file(path) if data is None else Document(data, filename=path)
+        compiled = compile_document(doc)
     except DslError as exc:
         print(exc.render(), file=sys.stderr)
+        return None
+    except OSError as exc:
+        print(f"cannot read {path!r}: {exc}", file=sys.stderr)
         return None
     for diag in compiled.warnings:
         print(diag.format(path), file=sys.stderr)
     return compiled
+
+
+def _resolve_scenario(
+    target: str, scale: float, cluster: Optional[Dict[str, Any]] = None
+):
+    """Compile a run target: a .yml document, or a spec string.
+
+    A spec string (``many-vms:n=8``) becomes a family-mode document at
+    *scale* with *cluster* as its ``cluster:`` block, so flags and
+    documents share one validator.  Returns None after printing errors.
+    """
+    if _is_dsl_path(target):
+        return _load_dsl(target)
+    try:
+        family, params = parse_scenario_spec(target)
+    except ScenarioError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+    data = {"family": family, "scale": scale, "params": params}
+    if cluster:
+        data["cluster"] = cluster
+    return _load_dsl("<command line>", data)
+
+
+def _shards_ok(shards: Optional[str]) -> bool:
+    """Check a ``--shards`` value up front; print why it is bad."""
+    from .cluster import resolve_shards
+
+    try:
+        resolve_shards(shards, 1)
+    except ClusterError as exc:
+        print(str(exc), file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_compile(path: str, as_json: bool) -> int:
@@ -485,6 +528,7 @@ def _parse_workload_param(text: str):
 
 def _cmd_trace_record(args: "argparse.Namespace") -> int:
     """``smartmem trace record``: dump a workload's steps to JSONL."""
+    from .scenarios.dsl.compiler import workload_param_errors
     from .sim.rng import RngFactory
     from .units import SCENARIO_UNITS
     from .workloads.registry import workload_class
@@ -511,6 +555,12 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        problems = workload_param_errors(args.workload, params)
+        for key, message in problems:
+            print(f"--param {key}: {message}" if key else message,
+                  file=sys.stderr)
+        if problems:
+            return 2
         rng = factory.stream(f"trace-record/{args.workload}")
         workload = workload_cls(units=units, rng=rng, **params)
         meta = {
@@ -523,14 +573,15 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
         if args.vm is None:
             print("--scenario also needs --vm", file=sys.stderr)
             return 2
-        if _is_dsl_path(args.scenario):
-            compiled = _load_dsl(args.scenario)
-            if compiled is None:
-                return 1
-            spec = compiled.spec
-        else:
-            spec = scenario_by_name(args.scenario, scale=args.scale)
-        vm_spec = spec.vm(args.vm)
+        compiled = _resolve_scenario(args.scenario, args.scale)
+        if compiled is None:
+            return 2
+        spec = compiled.spec
+        try:
+            vm_spec = spec.vm(args.vm)
+        except ScenarioError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         if not 0 <= args.job < len(vm_spec.jobs):
             print(
                 f"VM {args.vm!r} has {len(vm_spec.jobs)} job(s); "
@@ -553,7 +604,7 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
             "job": args.job,
             "kind": job.kind,
             "seed": args.seed,
-            "scale": args.scale,
+            "scale": compiled.scale,
         }
 
     count = dump_trace_steps(workload, args.out, meta=meta)
@@ -574,175 +625,63 @@ def _cmd_tables(scale: float) -> int:
     return 0
 
 
-def _parse_failure_flag(text: str):
-    """``node2@30`` -> NodeFailure(node2, 30.0)."""
-    from .scenarios.spec import NodeFailure
-
-    node, _, when = text.rpartition("@")
-    if not node:
-        raise ValueError(f"--fail expects NODE@TIME, got {text!r}")
-    return NodeFailure(node=node, at_s=float(when))
+#: ``smartmem run`` flags that set the key of the same name (``--fail``
+#: sets ``failures``, ...) in a family-mode document's ``cluster:`` block.
+_CLUSTER_FLAGS = (
+    "coordinator", "contended", "failures", "migrations", "faults",
+    "degradations",
+)
 
 
-def _parse_migration_flag(text: str):
-    """``n1.VM1@node2@20`` -> VmMigration(n1.VM1, node2, 20.0)."""
-    from .scenarios.spec import VmMigration
-
-    head, _, when = text.rpartition("@")
-    vm, _, node = head.rpartition("@")
-    if not vm or not node:
-        raise ValueError(f"--migrate expects VM@NODE@TIME, got {text!r}")
-    return VmMigration(vm=vm, to_node=node, at_s=float(when))
-
-
-def _cmd_run(
-    scenario: str,
-    policies: Optional[List[str]],
-    scale: float,
-    seed: Optional[int],
-    show_traces: bool,
-    show_fairness: bool,
-    nodes: int = 1,
-    coordinator: Optional[str] = None,
-    contended: bool = False,
-    failures: Optional[List[str]] = None,
-    migrations: Optional[List[str]] = None,
-    faults: Optional[List[str]] = None,
-    degradations: Optional[List[str]] = None,
-    check_invariants: bool = False,
-    shards: Optional[str] = None,
-    cluster_engine: str = "exact",
-) -> int:
-    if _is_dsl_path(scenario):
-        if (
-            nodes != 1 or coordinator is not None or contended
-            or failures or migrations or faults or degradations
-        ):
-            print(
-                "DSL documents declare their own cluster/fault layout; "
-                "--nodes/--coordinator/--contended/--fail/--migrate/"
-                "--fault/--degrade do not apply to .yml scenarios",
-                file=sys.stderr,
-            )
-            return 2
-        compiled = _load_dsl(scenario)
-        if compiled is None:
-            return 2
-        spec = compiled.spec
-        if policies is None and compiled.policy is not None:
-            policies = [compiled.policy]
-        if seed is None:
-            seed = compiled.seed
-    else:
-        try:
-            spec = scenario_by_name(scenario, scale=scale)
-        except ScenarioError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    selected = policies if policies else list(PAPER_POLICIES)
+def _cmd_run(args: "argparse.Namespace") -> int:
+    cluster = {
+        key: getattr(args, key)
+        for key in _CLUSTER_FLAGS
+        if getattr(args, key) not in (None, False)
+    }
+    if args.nodes != 1:
+        cluster["nodes"] = args.nodes
+    if cluster and _is_dsl_path(args.scenario):
+        print(
+            "--nodes/--coordinator/--contended/--fail/--migrate/--fault/"
+            "--degrade do not apply to .yml scenarios; set them in the "
+            "document's cluster: block",
+            file=sys.stderr,
+        )
+        return 2
+    compiled = _resolve_scenario(args.scenario, args.scale, cluster)
+    if compiled is None:
+        return 2
+    spec = compiled.spec
+    selected = args.policies or (
+        [compiled.policy] if compiled.policy else list(PAPER_POLICIES)
+    )
     try:
-        # Build each policy (and the coordinator) once, so a bad spec
-        # fails before any run starts.
+        # Build each policy once, so a bad spec fails before any run.
         for policy in selected:
             if policy != NO_TMEM_POLICY:
                 create_policy(policy)
-        if coordinator is not None:
-            create_coordinator(coordinator)
     except PolicyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if not _shards_ok(args.shards):
+        return 2
+    seed = args.seed
     if seed is None:
-        seed = 2019
-    if nodes < 1:
-        print("--nodes must be >= 1", file=sys.stderr)
-        return 2
-    if shards is not None and shards != "auto":
-        try:
-            if int(shards) < 1:
-                raise ValueError
-        except ValueError:
-            print("--shards expects a positive integer or 'auto'",
-                  file=sys.stderr)
-            return 2
-    fault_plan = None
-    if faults or degradations:
-        from .cluster.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.from_specs(
-                faults or (), degradations or ()
-            )
-        except ClusterError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    cluster_flags = (
-        coordinator is not None or contended or failures or migrations
-    )
-    if cluster_flags and nodes <= 1:
-        print(
-            "--coordinator/--contended/--fail/--migrate only apply to "
-            "cluster runs; pass --nodes N (N > 1) or use a cluster-native "
-            "scenario",
-            file=sys.stderr,
-        )
-        return 2
-    if fault_plan is not None and nodes <= 1 and spec.topology is None:
-        print(
-            "--fault/--degrade need a cluster: pass --nodes N (N > 1) or "
-            "use a cluster-native scenario",
-            file=sys.stderr,
-        )
-        return 2
-    if fault_plan is not None and spec.topology is not None:
-        from dataclasses import replace as _replace
-
-        try:
-            spec = _replace(
-                spec, topology=_replace(spec.topology, fault_plan=fault_plan)
-            )
-        except ClusterError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if check_invariants:
+        seed = 2019 if compiled.seed is None else compiled.seed
+    if args.check_invariants:
         # Also reaches sharded/epoch worker processes via the inherited
         # environment.
         os.environ["SMARTMEM_CHECK_INVARIANTS"] = "1"
-    if nodes > 1:
-        from .cluster import clusterize
-
-        if spec.topology is not None:
-            print(
-                f"{scenario} already defines its own cluster topology; "
-                "--nodes only applies to single-host scenarios",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            spec = clusterize(
-                spec,
-                nodes,
-                coordinator=coordinator,
-                contended=contended,
-                failures=tuple(
-                    _parse_failure_flag(text) for text in (failures or ())
-                ),
-                migrations=tuple(
-                    _parse_migration_flag(text) for text in (migrations or ())
-                ),
-                fault_plan=fault_plan,
-            )
-        except (ValueError, ClusterError, ScenarioError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
 
     results: Dict[str, ScenarioResult] = {}
     for policy in selected:
-        if shards is not None and spec.topology is not None:
+        if args.shards is not None and spec.topology is not None:
             from .cluster import ShardedClusterRunner
 
             runner = ShardedClusterRunner(
-                spec, policy, shards=shards, seed=seed,
-                cluster_engine=cluster_engine,
+                spec, policy, shards=args.shards, seed=seed,
+                cluster_engine=args.cluster_engine,
             )
             if runner.epoch_parallel:
                 path = (
@@ -751,7 +690,7 @@ def _cmd_run(
                 )
             elif runner.exact:
                 reason = runner.coupled_reason or "one shard holds every node"
-                if cluster_engine == "epoch" and runner.epoch_fallback:
+                if args.cluster_engine == "epoch" and runner.epoch_fallback:
                     reason = runner.epoch_fallback
                 path = f"shared engine in this process: {reason}"
             else:
@@ -761,7 +700,7 @@ def _cmd_run(
                 file=sys.stderr,
             )
             result = runner.run()
-            if cluster_engine == "epoch" and runner.epoch_fallback:
+            if args.cluster_engine == "epoch" and runner.epoch_fallback:
                 # One machine-greppable line, mirrored into the result
                 # so archived JSON records which engine actually ran.
                 print(
@@ -772,7 +711,7 @@ def _cmd_run(
                     result.cluster["epoch_fallback"] = runner.epoch_fallback
             results[policy] = result
         else:
-            if shards is not None:
+            if args.shards is not None:
                 print(
                     f"--shards ignored: {spec.name} has no cluster "
                     "topology",
@@ -780,11 +719,13 @@ def _cmd_run(
                 )
             print(f"running {spec.name} under {policy} ...", file=sys.stderr)
             results[policy] = run_scenario(
-                spec, policy, seed=seed, check_invariants=check_invariants
+                spec, policy, seed=seed, check_invariants=args.check_invariants
             )
 
     print()
-    print(render_runtime_table(results, title=f"Running times — {spec.name} (scale={scale})"))
+    print(render_runtime_table(
+        results, title=f"Running times — {spec.name} (scale={compiled.scale})"
+    ))
 
     if any(result.cluster is not None for result in results.values()):
         for policy, result in results.items():
@@ -797,7 +738,7 @@ def _cmd_run(
                 )
             )
 
-    if show_fairness:
+    if args.fairness:
         print()
         print("Mean Jain fairness of tmem shares:")
         for policy, result in results.items():
@@ -805,7 +746,7 @@ def _cmd_run(
                 continue
             print(f"  {policy:22s} {mean_fairness(result):.3f}")
 
-    if show_traces:
+    if args.traces:
         for policy, result in results.items():
             if policy == "no-tmem":
                 continue
@@ -875,7 +816,7 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
     from .experiments import ResultStore, create_backend, run_sweep
 
     spec = _sweep_spec_from_args(args)
-    if spec is None:
+    if spec is None or not _shards_ok(args.shards):
         return 2
     if args.backend == "remote":
         if args.shards is not None:
@@ -923,17 +864,18 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
         progress=progress,
     )
 
-    print()
-    print(
-        render_aggregate_table(
-            aggregate_sweep(outcome.results),
-            title=(
-                f"Sweep aggregate — {len(spec.seeds)} seed(s), "
-                f"backend={outcome.backend_name}, "
-                f"{outcome.wall_clock_s:.1f}s wall clock"
-            ),
+    if outcome.results:  # nothing to aggregate when every point failed
+        print()
+        print(
+            render_aggregate_table(
+                aggregate_sweep(outcome.results),
+                title=(
+                    f"Sweep aggregate — {len(spec.seeds)} seed(s), "
+                    f"backend={outcome.backend_name}, "
+                    f"{outcome.wall_clock_s:.1f}s wall clock"
+                ),
+            )
         )
-    )
     if store is not None:
         print(f"\nresults archived in {store.root}/ "
               f"({len(outcome.executed)} new, {len(outcome.reused)} reused)")
@@ -1037,7 +979,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
 
 
 def _cmd_worker(args: "argparse.Namespace") -> int:
-    import os
     import signal
     import socket
 
@@ -1097,24 +1038,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "worker":
         return _cmd_worker(args)
     if args.command == "run":
-        return _cmd_run(
-            args.scenario,
-            args.policies,
-            args.scale,
-            args.seed,
-            args.traces,
-            args.fairness,
-            nodes=args.nodes,
-            coordinator=args.coordinator,
-            contended=args.contended,
-            failures=args.failures,
-            migrations=args.migrations,
-            faults=args.faults,
-            degradations=args.degradations,
-            check_invariants=args.check_invariants,
-            shards=args.shards,
-            cluster_engine=args.cluster_engine,
-        )
+        return _cmd_run(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

@@ -716,16 +716,18 @@ class Cluster:
                 node.name, (0, 0, 0)
             )
             self._last_pressure[node.name] = (failed, spilled, dropped)
+            # A sum can shrink (a rejoining node destroys its stale
+            # domains); a round's counts never go negative.
             views.append(
                 NodeTmemView(
                     name=node.name,
                     capacity_pages=host.tmem_total_pages,
                     used_pages=host.tmem_used_pages,
                     free_pages=host.tmem_free_pages,
-                    failed_puts=failed - prev_failed,
-                    spilled_puts=spilled - prev_spilled,
+                    failed_puts=max(0, failed - prev_failed),
+                    spilled_puts=max(0, spilled - prev_spilled),
                     vm_count=len(node.vms),
-                    dropped_pages=dropped - prev_dropped,
+                    dropped_pages=max(0, dropped - prev_dropped),
                 )
             )
         return views

@@ -14,8 +14,9 @@ derived from the parameter-name conventions used throughout the repo
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 __all__ = ["ParameterInfo", "signature_parameter_info", "units_for_name"]
 
@@ -23,6 +24,9 @@ __all__ = ["ParameterInfo", "signature_parameter_info", "units_for_name"]
 #: knobs (``scale`` is CLI-level, ``units``/``rng`` are injected by the
 #: scenario runner).
 NON_TUNABLE = ("self", "scale", "units", "rng")
+
+#: What a value of each checked parameter type must be.
+_EXPECTED = {"int": "an integer", "float": "a finite number", "str": "a string"}
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,23 @@ class ParameterInfo:
         if self.default is inspect.Parameter.empty:
             return "-"
         return repr(self.default)
+
+    def type_error(self, value: Any) -> Optional[str]:
+        """Why *value* does not fit this parameter's type, or ``None``.
+
+        Only ``int``, ``float`` and ``str`` parameters are checked.  A
+        bool is never a number; an int is a valid float.
+        """
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if self.type == "str":
+            fits = isinstance(value, str)
+        elif self.type == "int":
+            fits = number and isinstance(value, int)
+        elif self.type == "float":
+            fits = number and (isinstance(value, int) or math.isfinite(value))
+        else:
+            return None
+        return None if fits else f"expected {_EXPECTED[self.type]}, got {value!r}"
 
 
 def units_for_name(name: str) -> str:

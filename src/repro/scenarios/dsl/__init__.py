@@ -30,7 +30,14 @@ a :class:`Diagnostic` carrying the source file/line/column, and
 ``smartmem lint`` exits non-zero only on errors (warnings are advisory).
 """
 
-from .compiler import CompiledScenario, compile_file, compile_text, lint_file, lint_text
+from .compiler import (
+    CompiledScenario,
+    compile_document,
+    compile_file,
+    compile_text,
+    lint_file,
+    lint_text,
+)
 from .diagnostics import Diagnostic, DslError
 from .loader import Document, load_document, load_file
 from .plan import format_plan, plan_dict
@@ -40,6 +47,7 @@ __all__ = [
     "Diagnostic",
     "Document",
     "DslError",
+    "compile_document",
     "compile_file",
     "compile_text",
     "format_plan",

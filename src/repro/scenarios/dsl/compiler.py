@@ -6,7 +6,12 @@ Python API uses:
 * **family mode** (``family:``) delegates to the scenario registry's
   factory — the compiled :class:`~repro.scenarios.spec.ScenarioSpec` is
   the very object ``smartmem run <family>:<params>`` would build, so
-  fingerprints are byte-identical by construction.
+  fingerprints are byte-identical by construction.  An optional
+  ``cluster:`` block carries what the ``smartmem run`` cluster flags
+  set: with ``nodes`` it replicates a single-host family through
+  :func:`~repro.cluster.clusterize`, without it its keys replace those
+  fields of a cluster-native family's topology.  ``smartmem run``
+  compiles its flags as such a document.
 * **explicit mode** (``scenario:``) assembles
   :class:`~repro.scenarios.spec.ScenarioSpec` /
   :class:`~repro.scenarios.spec.ClusterTopology` /
@@ -28,16 +33,11 @@ import difflib
 import inspect
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...cluster.faults import (
-    FaultPlan,
-    LinkDegradation,
-    NodeFault,
-    parse_link_degradation,
-    parse_node_fault,
-)
+from ...cluster import clusterize
+from ...cluster.faults import FaultPlan, parse_link_degradation, parse_node_fault
 from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
@@ -46,13 +46,13 @@ from ..registry import registered_scenarios
 from ..runner import NO_TMEM_POLICY
 from ..spec import (
     ClusterTopology,
-    NodeFailure,
     NodeSpec,
     PhaseTrigger,
     ScenarioSpec,
-    VmMigration,
     VMSpec,
     WorkloadSpec,
+    parse_node_failure,
+    parse_vm_migration,
 )
 from .diagnostics import ERROR, WARNING, Diagnostic, DslError, sort_key
 from .loader import Document, load_document, load_file
@@ -65,9 +65,10 @@ __all__ = [
     "lint_document",
     "lint_file",
     "lint_text",
+    "workload_param_errors",
 ]
 
-_FAMILY_KEYS = {"family", "scale", "params", "policy", "seed"}
+_FAMILY_KEYS = {"family", "scale", "params", "policy", "seed", "cluster"}
 _EXPLICIT_KEYS = {
     "scenario",
     "description",
@@ -86,27 +87,16 @@ _JOB_KEYS = {"kind", "params", "start_at", "delay_after_previous", "label"}
 _TRIGGER_KEYS = {"watch_vm", "phase_prefix", "start_vm"}
 _STOP_TRIGGER_KEYS = {"watch_vm", "phase_prefix"}
 _NODE_KEYS = {"name", "vms", "tmem_mb", "host_memory_mb", "zone"}
-_CLUSTER_KEYS = {
+#: The family-mode ``cluster:`` keys: exactly what the run flags set.
+_FAMILY_CLUSTER_KEYS = {
     "nodes",
-    "remote_spill",
-    "contended",
     "coordinator",
-    "interconnect_latency_s",
-    "interconnect_bandwidth_bytes_s",
-    "rebalance_interval_s",
+    "contended",
     "failures",
     "migrations",
     "faults",
     "degradations",
-    "retry_limit",
-    "backoff_base_s",
-    "backoff_factor",
-    "retry_deadline_s",
-    "breaker_threshold",
-    "breaker_cooldown_s",
 }
-_FAILURE_KEYS = {"node", "at_s"}
-_MIGRATION_KEYS = {"vm", "to_node", "at_s"}
 _FAULT_KNOBS = (
     "retry_limit",
     "backoff_base_s",
@@ -115,6 +105,12 @@ _FAULT_KNOBS = (
     "breaker_threshold",
     "breaker_cooldown_s",
 )
+_CLUSTER_KEYS = _FAMILY_CLUSTER_KEYS | set(_FAULT_KNOBS) | {
+    "remote_spill",
+    "interconnect_latency_s",
+    "interconnect_bandwidth_bytes_s",
+    "rebalance_interval_s",
+}
 
 
 @dataclass
@@ -142,6 +138,46 @@ class CompiledScenario:
 def _suggest(name: str, candidates: Sequence[str]) -> str:
     matches = difflib.get_close_matches(str(name), list(candidates), n=1, cutoff=0.5)
     return f"; did you mean {matches[0]!r}?" if matches else ""
+
+
+def workload_param_errors(
+    kind: str, params: Mapping[str, Any]
+) -> List[Tuple[str, str]]:
+    """``(key, message)`` for every problem with *params* for workload *kind*.
+
+    Unknown keys, values of the wrong type and missing required
+    parameters; *key* is ``""`` for a missing one.  The compiler
+    positions each at the job's params, ``smartmem trace record`` prints
+    them for ``--param``.
+    """
+    workload_cls = WORKLOAD_REGISTRY[kind]
+    signature = inspect.signature(workload_cls.__init__)
+    if any(
+        p.kind is inspect.Parameter.VAR_KEYWORD
+        for p in signature.parameters.values()
+    ):
+        return []
+    info = {p.name: p for p in workload_cls.parameter_info()}
+    problems = []
+    for key, value in params.items():
+        if key not in info:
+            problems.append((
+                key,
+                f"workload {kind!r} has no parameter {key!r}"
+                f"{_suggest(key, sorted(info))}; valid keys: {sorted(info)}",
+            ))
+        else:
+            mismatch = info[key].type_error(value)
+            if mismatch:
+                problems.append((key, mismatch))
+    for name, parameter in info.items():
+        if parameter.default is inspect.Parameter.empty and name not in params:
+            problems.append((
+                "",
+                f"workload {kind!r} requires parameter {name!r}"
+                + (f" ({parameter.doc})" if parameter.doc else ""),
+            ))
+    return problems
 
 
 class _Compiler:
@@ -304,6 +340,10 @@ class _Compiler:
                                     f"params.{key}",
                                 )
 
+        cluster = None
+        if "cluster" in data:
+            cluster = self.compile_family_cluster(data["cluster"])
+
         policy, seed = self.compile_policy_seed(data)
         if self.failed or family is None:
             return None
@@ -317,6 +357,10 @@ class _Compiler:
                 f"family {family!r} rejected arguments {params}: {exc}", "params"
             )
             return None
+        if cluster is not None:
+            spec = self.overlay_cluster(spec, family, *cluster)
+            if spec is None:
+                return None
         return CompiledScenario(
             spec=spec,
             document=self.doc,
@@ -327,6 +371,56 @@ class _Compiler:
             policy=policy,
             seed=seed,
         )
+
+    def compile_family_cluster(
+        self, data: Any
+    ) -> Optional[Tuple[Optional[int], Dict[str, Any]]]:
+        """``(nodes, topology fields)`` of a family-mode ``cluster:`` block."""
+        mapping = self.expect_map(data, "cluster")
+        if mapping is None:
+            return None
+        self.check_keys(mapping, sorted(_FAMILY_CLUSTER_KEYS), "cluster")
+        nodes = None
+        if "nodes" in mapping:
+            nodes = self.expect_int(mapping["nodes"], "cluster.nodes")
+            if nodes is not None and nodes < 1:
+                self.error(f"nodes must be >= 1, got {nodes}", "cluster.nodes")
+        return nodes, self.compile_run_flag_keys(mapping, "cluster")
+
+    def overlay_cluster(
+        self,
+        spec: ScenarioSpec,
+        family: str,
+        nodes: Optional[int],
+        fields: Dict[str, Any],
+    ) -> Optional[ScenarioSpec]:
+        """Apply a family-mode ``cluster:`` block to the family's spec.
+
+        With ``nodes`` a single-host family is replicated through
+        :func:`~repro.cluster.clusterize`; without it the keys replace
+        those fields of a cluster-native family's topology.
+        """
+        if nodes is not None and spec.topology is not None:
+            self.error(
+                f"family {family!r} already defines its own cluster "
+                "topology; 'nodes' only replicates single-host families",
+                "cluster.nodes",
+            )
+            return None
+        if nodes is None and spec.topology is None:
+            self.error(
+                f"family {family!r} runs on a single host; its cluster keys "
+                "need 'nodes: N' (--nodes N) to replicate it onto N nodes",
+                "cluster",
+            )
+            return None
+        try:
+            if nodes is not None:
+                return clusterize(spec, nodes, **fields)
+            return replace(spec, topology=replace(spec.topology, **fields))
+        except (ScenarioError, ClusterError) as exc:
+            self.error(str(exc), "cluster")
+            return None
 
     # -- explicit mode: workloads --------------------------------------------
     def compile_job(self, data: Any, path: str) -> Optional[WorkloadSpec]:
@@ -391,29 +485,8 @@ class _Compiler:
         self, kind: str, params: Dict[str, Any], path: str
     ) -> None:
         """Validate job params against the workload's signature metadata."""
-        workload_cls = WORKLOAD_REGISTRY[kind]
-        signature = inspect.signature(workload_cls.__init__)
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        ):
-            return
-        info = {p.name: p for p in workload_cls.parameter_info()}
-        for key in params:
-            if key not in info:
-                self.error(
-                    f"workload {kind!r} has no parameter {key!r}"
-                    f"{_suggest(key, sorted(info))}; "
-                    f"valid keys: {sorted(info)}",
-                    f"{path}.{key}",
-                )
-        for name, parameter in info.items():
-            if parameter.default is inspect.Parameter.empty and name not in params:
-                self.error(
-                    f"workload {kind!r} requires parameter {name!r}"
-                    + (f" ({parameter.doc})" if parameter.doc else ""),
-                    path,
-                )
+        for key, message in workload_param_errors(kind, params):
+            self.error(message, f"{path}.{key}" if key else path)
         if kind == "trace" and isinstance(params.get("path"), str):
             params["path"] = self.resolve_trace_path(params["path"], f"{path}.path")
 
@@ -567,32 +640,36 @@ class _Compiler:
             self.error(str(exc), path)
             return None
 
+    def compile_spec_strings(
+        self, mapping: Mapping[str, Any], path: str, key: str, parse
+    ) -> List[Any]:
+        """Parse list *key* of flag-grammar strings, one error per bad item."""
+        items: List[Any] = []
+        if key not in mapping:
+            return items
+        for index, raw in enumerate(
+            self.expect_list(mapping[key], f"{path}.{key}") or ()
+        ):
+            item_path = f"{path}.{key}[{index}]"
+            text = self.expect_str(raw, item_path)
+            if text is None:
+                continue
+            try:
+                items.append(parse(text))
+            except (ScenarioError, ClusterError) as exc:
+                self.error(str(exc), item_path)
+        return items
+
     def compile_fault_plan(
         self, mapping: Mapping[str, Any], path: str
     ) -> Optional[FaultPlan]:
         before = self.error_count()
-        node_faults: List[NodeFault] = []
-        link_faults: List[LinkDegradation] = []
-        for key, parse in (("faults", parse_node_fault),
-                           ("degradations", parse_link_degradation)):
-            if key not in mapping:
-                continue
-            raw_list = self.expect_list(mapping[key], f"{path}.{key}")
-            if raw_list is None:
-                continue
-            for index, raw in enumerate(raw_list):
-                spec = self.expect_str(raw, f"{path}.{key}[{index}]")
-                if spec is None:
-                    continue
-                try:
-                    parsed = parse(spec)
-                except ClusterError as exc:
-                    self.error(str(exc), f"{path}.{key}[{index}]")
-                    continue
-                if key == "faults":
-                    node_faults.append(parsed)
-                else:
-                    link_faults.append(parsed)
+        node_faults = self.compile_spec_strings(
+            mapping, path, "faults", parse_node_fault
+        )
+        link_faults = self.compile_spec_strings(
+            mapping, path, "degradations", parse_link_degradation
+        )
         knobs: Dict[str, Any] = {}
         for knob in _FAULT_KNOBS:
             if knob not in mapping:
@@ -619,6 +696,38 @@ class _Compiler:
             self.error(str(exc), f"{path}.faults")
             return None
 
+    def compile_run_flag_keys(
+        self, mapping: Mapping[str, Any], path: str
+    ) -> Dict[str, Any]:
+        """Topology fields for the keys both modes share (the run flags').
+
+        Only keys the block sets appear; ``faults``, ``degradations`` and
+        the fault knobs together make ``fault_plan``.
+        """
+        fields: Dict[str, Any] = {}
+        if "contended" in mapping:
+            value = self.expect_bool(mapping["contended"], f"{path}.contended")
+            if value is not None:
+                fields["contended"] = value
+        if "coordinator" in mapping:
+            coordinator = self.expect_str(
+                mapping["coordinator"], f"{path}.coordinator"
+            )
+            if coordinator is not None:
+                fields["coordinator"] = self.check_spec(
+                    coordinator, f"{path}.coordinator", "coordinator",
+                    create_coordinator, available_coordinators,
+                )
+        for key, parse in (("failures", parse_node_failure),
+                           ("migrations", parse_vm_migration)):
+            if key in mapping:
+                fields[key] = tuple(
+                    self.compile_spec_strings(mapping, path, key, parse)
+                )
+        if any(key in mapping for key in ("faults", "degradations", *_FAULT_KNOBS)):
+            fields["fault_plan"] = self.compile_fault_plan(mapping, path)
+        return fields
+
     def compile_cluster(
         self, data: Any, path: str, vm_names: Sequence[str]
     ) -> Optional[ClusterTopology]:
@@ -639,24 +748,11 @@ class _Compiler:
                 if node is not None:
                     nodes.append(node)
 
-        kwargs: Dict[str, Any] = {}
+        kwargs = self.compile_run_flag_keys(mapping, path)
         if "remote_spill" in mapping:
             value = self.expect_bool(mapping["remote_spill"], f"{path}.remote_spill")
             if value is not None:
                 kwargs["remote_spill"] = value
-        if "contended" in mapping:
-            value = self.expect_bool(mapping["contended"], f"{path}.contended")
-            if value is not None:
-                kwargs["contended"] = value
-        if "coordinator" in mapping:
-            coordinator = self.expect_str(
-                mapping["coordinator"], f"{path}.coordinator"
-            )
-            if coordinator is not None:
-                kwargs["coordinator"] = self.check_spec(
-                    coordinator, f"{path}.coordinator", "coordinator",
-                    create_coordinator, available_coordinators,
-                )
         for knob in (
             "interconnect_latency_s",
             "interconnect_bandwidth_bytes_s",
@@ -667,60 +763,10 @@ class _Compiler:
                 if value is not None:
                     kwargs[knob] = value
 
-        failures: List[NodeFailure] = []
-        if "failures" in mapping:
-            raw_list = self.expect_list(mapping["failures"], f"{path}.failures")
-            if raw_list is not None:
-                for index, raw in enumerate(raw_list):
-                    item_path = f"{path}.failures[{index}]"
-                    item = self.expect_map(raw, item_path)
-                    if item is None:
-                        continue
-                    self.check_keys(item, sorted(_FAILURE_KEYS), item_path)
-                    node = self.expect_str(item.get("node"), f"{item_path}.node")
-                    at_s = self.expect_number(item.get("at_s"), f"{item_path}.at_s")
-                    if node is None or at_s is None:
-                        continue
-                    try:
-                        failures.append(NodeFailure(node=node, at_s=at_s))
-                    except ScenarioError as exc:
-                        self.error(str(exc), item_path)
-
-        migrations: List[VmMigration] = []
-        if "migrations" in mapping:
-            raw_list = self.expect_list(mapping["migrations"], f"{path}.migrations")
-            if raw_list is not None:
-                for index, raw in enumerate(raw_list):
-                    item_path = f"{path}.migrations[{index}]"
-                    item = self.expect_map(raw, item_path)
-                    if item is None:
-                        continue
-                    self.check_keys(item, sorted(_MIGRATION_KEYS), item_path)
-                    vm = self.expect_str(item.get("vm"), f"{item_path}.vm")
-                    to_node = self.expect_str(
-                        item.get("to_node"), f"{item_path}.to_node"
-                    )
-                    at_s = self.expect_number(item.get("at_s"), f"{item_path}.at_s")
-                    if vm is None or to_node is None or at_s is None:
-                        continue
-                    try:
-                        migrations.append(
-                            VmMigration(vm=vm, to_node=to_node, at_s=at_s)
-                        )
-                    except ScenarioError as exc:
-                        self.error(str(exc), item_path)
-
-        fault_plan = self.compile_fault_plan(mapping, path)
         if self.error_count() > before:
             return None
         try:
-            return ClusterTopology(
-                nodes=tuple(nodes),
-                failures=tuple(failures),
-                migrations=tuple(migrations),
-                fault_plan=fault_plan,
-                **kwargs,
-            )
+            return ClusterTopology(nodes=tuple(nodes), **kwargs)
         except (ScenarioError, ClusterError) as exc:
             self.error(str(exc), path)
             return None

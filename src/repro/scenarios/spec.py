@@ -26,6 +26,8 @@ __all__ = [
     "NodeSpec",
     "NodeFailure",
     "VmMigration",
+    "parse_node_failure",
+    "parse_vm_migration",
     "ClusterTopology",
     "ScenarioSpec",
 ]
@@ -185,6 +187,36 @@ class VmMigration:
             raise ScenarioError(
                 f"migration time must be finite and > 0, got {self.at_s}"
             )
+
+
+def _spec_time(text: str, spec: str, kind: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ScenarioError(
+            f"bad {kind} spec {spec!r}: time {text!r} is not a number"
+        ) from None
+
+
+def parse_node_failure(spec: str) -> NodeFailure:
+    """Parse ``NODE@TIME`` (``node2@30``) into a :class:`NodeFailure`."""
+    node, _, when = spec.rpartition("@")
+    if not node:
+        raise ScenarioError(f"bad failure spec {spec!r}: expected NODE@TIME")
+    return NodeFailure(node=node, at_s=_spec_time(when, spec, "failure"))
+
+
+def parse_vm_migration(spec: str) -> VmMigration:
+    """Parse ``VM@NODE@TIME`` (``n1.VM1@node2@20``) into a :class:`VmMigration`."""
+    head, _, when = spec.rpartition("@")
+    vm, _, node = head.rpartition("@")
+    if not vm or not node:
+        raise ScenarioError(
+            f"bad migration spec {spec!r}: expected VM@NODE@TIME"
+        )
+    return VmMigration(
+        vm=vm, to_node=node, at_s=_spec_time(when, spec, "migration")
+    )
 
 
 @dataclass(frozen=True)

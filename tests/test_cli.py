@@ -1,13 +1,71 @@
 """Tests for the command-line front end."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 
-#: A two-node cluster run, the base of the bad cluster-flag cases.
-CLUSTER_RUN = [
-    "run", "scenario-1", "--scale", "0.05", "--policy", "greedy", "--nodes", "2",
+EXAMPLE_DOC = str(
+    Path(__file__).resolve().parent.parent / "examples" / "dsl" / "scenario-1.yml"
+)
+
+#: Bad cluster flags: (id, family, flags, ``cluster:`` block of the
+#: family-mode twin).  Every run also passes --scale 0.05 --policy greedy.
+BAD_CLUSTER_FLAGS = [
+    ("run-unknown-coordinator", "scenario-1",
+     ["--nodes", "2", "--coordinator", "nosuch"],
+     "{nodes: 2, coordinator: nosuch}"),
+    ("run-bad-coordinator-argument", "scenario-1",
+     ["--nodes", "2", "--coordinator", "pressure-prop:foo=1"],
+     "{nodes: 2, coordinator: 'pressure-prop:foo=1'}"),
+    ("run-fail-unknown-node", "scenario-1",
+     ["--nodes", "2", "--fail", "node9@5"], "{nodes: 2, failures: [node9@5]}"),
+    ("run-fail-negative-time", "scenario-1",
+     ["--nodes", "2", "--fail", "node2@-5"], "{nodes: 2, failures: [node2@-5]}"),
+    ("run-fail-nan-time", "scenario-1",
+     ["--nodes", "2", "--fail", "node2@nan"], "{nodes: 2, failures: [node2@nan]}"),
+    ("run-fail-inf-time", "scenario-1",
+     ["--nodes", "2", "--fail", "node2@inf"], "{nodes: 2, failures: [node2@inf]}"),
+    ("run-fail-text-time", "scenario-1",
+     ["--nodes", "2", "--fail", "node2@soon"],
+     "{nodes: 2, failures: [node2@soon]}"),
+    ("run-fail-no-time", "scenario-1",
+     ["--nodes", "2", "--fail", "node2"], "{nodes: 2, failures: [node2]}"),
+    ("run-migrate-unknown-vm", "scenario-1",
+     ["--nodes", "2", "--migrate", "n1.VM9@node2@5"],
+     "{nodes: 2, migrations: [n1.VM9@node2@5]}"),
+    ("run-migrate-nan-time", "scenario-1",
+     ["--nodes", "2", "--migrate", "n1.VM1@node2@nan"],
+     "{nodes: 2, migrations: [n1.VM1@node2@nan]}"),
+    ("run-migrate-no-node", "scenario-1",
+     ["--nodes", "2", "--migrate", "n1.VM1@5"],
+     "{nodes: 2, migrations: [n1.VM1@5]}"),
+    ("run-fault-no-window", "scenario-1",
+     ["--nodes", "2", "--fault", "node2@30"], "{nodes: 2, faults: [node2@30]}"),
+    ("run-degrade-no-arrow", "scenario-1",
+     ["--nodes", "2", "--degrade", "node1-node2@1-3"],
+     "{nodes: 2, degradations: [node1-node2@1-3]}"),
+    ("run-zero-nodes", "scenario-1", ["--nodes", "0"], "{nodes: 0}"),
+    ("run-nodes-on-cluster-family", "cluster", ["--nodes", "2"], "{nodes: 2}"),
+    ("run-coordinator-single-host", "scenario-1",
+     ["--coordinator", "equal-share"], "{coordinator: equal-share}"),
+    ("run-fault-single-host", "scenario-1",
+     ["--fault", "node2@1-3"], "{faults: [node2@1-3]}"),
 ]
+BAD_CLUSTER_CASES = [
+    pytest.param(
+        ["run", family, "--scale", "0.05", "--policy", "greedy", *flags],
+        f"family: {family}\nscale: 0.05\npolicy: greedy\ncluster: {block}\n",
+        id=name,
+    )
+    for name, family, flags, block in BAD_CLUSTER_FLAGS
+]
+
+
+def _message(err: str) -> str:
+    """A one-line diagnostic without its location prefix."""
+    return err.strip().split(": error: ", 1)[-1]
 
 
 class TestParser:
@@ -94,29 +152,116 @@ class TestCommands:
         ["sweep", "--scenario", "nosuch", "--policy", "greedy", "--no-store"],
         ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
          "--scale", "-1", "--no-store"],
-        [*CLUSTER_RUN, "--coordinator", "nosuch"],
-        [*CLUSTER_RUN, "--coordinator", "pressure-prop:foo=1"],
-        [*CLUSTER_RUN, "--fail", "node9@5"],
-        [*CLUSTER_RUN, "--fail", "node2@-5"],
-        [*CLUSTER_RUN, "--fail", "node2@nan"],
-        [*CLUSTER_RUN, "--fail", "node2@inf"],
-        [*CLUSTER_RUN, "--migrate", "n1.VM9@node2@5"],
-        [*CLUSTER_RUN, "--migrate", "n1.VM1@node2@nan"],
+        ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
+         "--no-store", "--shards", "0"],
+        ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
+         "--no-store", "--shards", "x"],
+        ["run", "scenario-1", "--shards", "0"],
+        ["run", EXAMPLE_DOC, "--nodes", "2"],
+        ["run", "no-such-file.yml"],
+        *(case.values[0] for case in BAD_CLUSTER_CASES),
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
         "run-nan-scale", "run-unknown-policy", "run-bad-policy-argument",
         "sweep-unknown-scenario",
         "sweep-negative-scale",
-        "run-unknown-coordinator", "run-bad-coordinator-argument",
-        "run-fail-unknown-node", "run-fail-negative-time",
-        "run-fail-nan-time", "run-fail-inf-time",
-        "run-migrate-unknown-vm", "run-migrate-nan-time",
+        "sweep-zero-shards", "sweep-non-numeric-shards", "run-zero-shards",
+        "run-document-with-cluster-flags", "run-missing-document",
+        *(case.id for case in BAD_CLUSTER_CASES),
     ])
     def test_bad_input_exits_2_before_any_run(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert len(captured.err.strip().splitlines()) == 1
         assert "running" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv,document", BAD_CLUSTER_CASES)
+    def test_bad_cluster_flags_match_their_document(
+        self, argv, document, capsys, tmp_path
+    ):
+        """Cluster flags compile as a family-mode document, so the flags
+        and their document fail with the same message at the same key."""
+        assert main(argv) == 2
+        flag_err = capsys.readouterr().err
+        path = tmp_path / "twin.yml"
+        path.write_text(document)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}:")
+        assert _message(captured.err) == _message(flag_err)
+
+    @pytest.mark.parametrize("flags,document", [
+        pytest.param(
+            ["scenario-1", "--nodes", "2", "--contended", "--fail", "node2@5"],
+            "family: scenario-1\n"
+            "cluster: {nodes: 2, contended: true, failures: [node2@5]}\n",
+            id="replicated-contended-fail",
+        ),
+        pytest.param(
+            ["scenario-1", "--nodes", "2", "--coordinator", "equal-share",
+             "--migrate", "n1.VM1@node2@3"],
+            "family: scenario-1\n"
+            "cluster:\n"
+            "  nodes: 2\n"
+            "  coordinator: equal-share\n"
+            "  migrations: [n1.VM1@node2@3]\n",
+            id="coordinator-migrate",
+        ),
+        pytest.param(
+            ["contended:nodes=2", "--fault", "node2@1-3",
+             "--degrade", "node1->node2@1-3:bw=0.5"],
+            "family: contended\nparams: {nodes: 2}\n"
+            "cluster:\n"
+            "  faults: [node2@1-3]\n"
+            "  degradations: ['node1->node2@1-3:bw=0.5']\n",
+            id="fault-degrade",
+        ),
+        pytest.param(
+            ["faulty", "--degrade", "node1->node2@1-3:bw=0.5"],
+            "family: faulty\n"
+            "cluster: {degradations: ['node1->node2@1-3:bw=0.5']}\n",
+            id="degrade-on-faulty",
+        ),
+        pytest.param(
+            ["cluster:nodes=3", "--coordinator", "equal-share"],
+            "family: cluster\nparams: {nodes: 3}\n"
+            "cluster: {coordinator: equal-share}\n",
+            id="coordinator-on-cluster-family",
+        ),
+    ])
+    def test_flags_run_like_their_document(
+        self, flags, document, capsys, tmp_path
+    ):
+        common = ["--scale", "0.05", "--policy", "greedy"]
+        assert main(["run", *flags, *common]) == 0
+        flag_out = capsys.readouterr().out
+        path = tmp_path / "twin.yml"
+        path.write_text(document + "scale: 0.05\npolicy: greedy\n")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == flag_out
+        assert "Per-node breakdown" in flag_out
+
+    def test_table_title_prints_the_document_scale(self, capsys, tmp_path):
+        path = tmp_path / "small.yml"
+        path.write_text("family: usemem-scenario\nscale: 0.1\npolicy: greedy\n")
+        assert main(["run", str(path)]) == 0
+        assert "usemem-scenario (scale=0.1)" in capsys.readouterr().out
+
+    def test_transient_fault_under_a_coordinator_runs_to_completion(
+        self, capsys, monkeypatch
+    ):
+        """A rejoining node drops its stale domains, so the summed
+        failed-put counter shrinks; the coordinator's next round must
+        still see non-negative pressure (it used to raise PolicyError)."""
+        # --check-invariants sets this variable; setenv restores it.
+        monkeypatch.setenv("SMARTMEM_CHECK_INVARIANTS", "1")
+        assert main([
+            "run", "contended:nodes=2", "--scale", "0.1", "--policy", "greedy",
+            "--fault", "node2@2-5", "--check-invariants",
+        ]) == 0
+        assert "1 node recovery(ies)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("scenario,shards,path", [
         ("shard:nodes=2", "1", "shared engine in this process: one shard holds every node"),
@@ -202,11 +347,19 @@ class TestCommands:
         serial_fps = fingerprints(serial_dir)
         assert serial_fps and fingerprints(remote_dir) == serial_fps
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
-    def test_sweep_dead_letters_exit_nonzero(self, capsys, tmp_path, backend):
+    @pytest.mark.parametrize("backend,healthy", [
+        *(pytest.param(backend, ["no-tmem"], id=backend)
+          for backend in ("serial", "process", "remote")),
+        *(pytest.param(backend, [], id=f"{backend}-all-failing")
+          for backend in ("serial", "process", "remote")),
+    ])
+    def test_sweep_dead_letters_exit_nonzero(
+        self, capsys, tmp_path, backend, healthy
+    ):
         """Points that permanently fail dead-letter, are summarized on
         stderr, and flip the exit code — the sweep still archives the
-        points that worked, whichever backend ran them."""
+        points that worked, whichever backend ran them, and skips the
+        aggregate table when none did."""
         if backend == "remote":
             flags = ["--max-attempts", "2", "--lease-expiry", "5"]
         else:
@@ -214,7 +367,7 @@ class TestCommands:
         code = main([
             "sweep",
             "--scenario", "usemem-scenario",
-            "--policy", "no-tmem",
+            *(arg for policy in healthy for arg in ("--policy", policy)),
             "--policy", "no-such-policy",
             "--seed", "1",
             "--scale", "0.1",
@@ -223,8 +376,9 @@ class TestCommands:
             "--results-dir", str(tmp_path / "r"),
         ])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "FAILED: 1 point(s) permanently failed" in err
-        assert "dead-letter" in err and "no-such-policy" in err
+        captured = capsys.readouterr()
+        assert "FAILED: 1 point(s) permanently failed" in captured.err
+        assert "dead-letter" in captured.err and "no-such-policy" in captured.err
         # The healthy point was still simulated and archived.
-        assert len(list((tmp_path / "r").glob("*.json"))) == 1
+        assert len(list((tmp_path / "r").glob("*.json"))) == len(healthy)
+        assert ("Sweep aggregate" in captured.out) == bool(healthy)

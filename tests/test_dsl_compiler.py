@@ -8,15 +8,18 @@ paths are checked to collect *every* problem instead of stopping at the
 first one.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import clusterize
+from repro.cluster.faults import FaultPlan
 from repro.scenarios.dsl import DslError, compile_file, compile_text, lint_text
 from repro.scenarios.library import scenario_by_name
 from repro.scenarios.registry import paper_scenario_names
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import PhaseTrigger, ScenarioSpec
+from repro.scenarios.spec import NodeFailure, PhaseTrigger, ScenarioSpec, VmMigration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO_ROOT / "examples" / "dsl"
@@ -292,3 +295,126 @@ vms:
         diag = err.errors[0]
         assert diag.line == 1
         assert diag.column is not None
+
+
+#: Two single-VM nodes; append a ``  failures:``/``  migrations:`` line.
+TWO_NODES = """\
+scenario: two-nodes
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 32, max_mb: 64}}]
+  - name: VM2
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 32, max_mb: 64}}]
+cluster:
+  nodes:
+    - {name: node1, vms: [VM1], tmem_mb: 64}
+    - {name: node2, vms: [VM2], tmem_mb: 64}
+"""
+
+#: The family-mode twin: scenario-1 replicated onto two nodes.
+FAMILY_TWO_NODES = "family: scenario-1\nscale: 0.1\ncluster:\n  nodes: 2\n"
+
+
+class TestClusterSchedules:
+    """``failures``/``migrations`` take the run-flag grammar in both modes."""
+
+    @pytest.mark.parametrize("base,vm", [(TWO_NODES, "VM1"),
+                                         (FAMILY_TWO_NODES, "n1.VM1")])
+    def test_strings_compile(self, base, vm):
+        compiled = compile_text(
+            base + f"  failures: [node2@30]\n  migrations: [{vm}@node2@10]\n"
+        )
+        topology = compiled.spec.topology
+        assert topology.failures == (NodeFailure(node="node2", at_s=30.0),)
+        assert topology.migrations == (
+            VmMigration(vm=vm, to_node="node2", at_s=10.0),
+        )
+
+    def test_family_block_is_clusterize(self):
+        compiled = compile_text(
+            FAMILY_TWO_NODES
+            + "  contended: true\n  coordinator: equal-share\n"
+            "  failures: [node2@30]\n  faults: [node1@5-9]\n"
+        )
+        assert compiled.spec == clusterize(
+            scenario_by_name("scenario-1", scale=0.1),
+            2,
+            coordinator="equal-share",
+            contended=True,
+            failures=(NodeFailure(node="node2", at_s=30.0),),
+            fault_plan=FaultPlan.from_specs(faults=["node1@5-9"]),
+        )
+
+    @pytest.mark.parametrize("base", [TWO_NODES, FAMILY_TWO_NODES],
+                             ids=["explicit", "family"])
+    @pytest.mark.parametrize("line,path,message", [
+        ("  failures: [node2]\n", "cluster.failures[0]",
+         "bad failure spec 'node2': expected NODE@TIME"),
+        ("  failures: [node2@soon]\n", "cluster.failures[0]",
+         "bad failure spec 'node2@soon': time 'soon' is not a number"),
+        ("  failures: [node2@-5]\n", "cluster.failures[0]",
+         "failure time must be finite and > 0, got -5.0"),
+        ("  failures: [{node: node2, at_s: 30}]\n", "cluster.failures[0]",
+         "expected a string, got dict"),
+        ("  migrations: [VM1@10]\n", "cluster.migrations[0]",
+         "bad migration spec 'VM1@10': expected VM@NODE@TIME"),
+        ("  migrations: [VM1@node2@.inf]\n", "cluster.migrations[0]",
+         "bad migration spec 'VM1@node2@.inf': time '.inf' is not a number"),
+        ("  failures: [node9@30]\n", "cluster",
+         "failure names unknown node 'node9'"),
+        ("  migrations: [VM9@node2@10]\n", "cluster",
+         "migration names unknown VM 'VM9'"),
+    ])
+    def test_bad_entries_get_positioned_errors(self, base, line, path, message):
+        (diag,) = lint_text(base + line)
+        assert (diag.path, diag.message) == (path, message)
+        # An entry's error points at the appended line; a topology error
+        # at the cluster block, which starts below its 'cluster:' key.
+        lines = base.splitlines()
+        block_line = lines.index("cluster:") + 2
+        assert diag.line == (block_line if path == "cluster" else len(lines) + 1)
+
+
+class TestFamilyCluster:
+    def test_keys_without_nodes_replace_the_family_topology(self):
+        compiled = compile_text(
+            "family: cluster\nscale: 0.1\nparams: {nodes: 3}\n"
+            "cluster: {coordinator: equal-share, faults: [node2@5-9]}\n"
+        )
+        base = scenario_by_name("cluster:nodes=3", scale=0.1)
+        assert compiled.spec == replace(base, topology=replace(
+            base.topology,
+            coordinator="equal-share",
+            fault_plan=FaultPlan.from_specs(faults=["node2@5-9"]),
+        ))
+
+    def test_fault_keys_replace_the_family_fault_plan(self):
+        compiled = compile_text(
+            "family: faulty\ncluster: {degradations: ['node1->node2@1-3:bw=0.5']}\n"
+        )
+        plan = compiled.spec.topology.fault_plan
+        assert plan.node_faults == ()
+        assert [deg.name for deg in plan.link_faults] == ["node1->node2"]
+
+    @pytest.mark.parametrize("text,path,message", [
+        ("family: cluster\ncluster: {nodes: 2}\n", "cluster.nodes",
+         "family 'cluster' already defines its own cluster topology; "
+         "'nodes' only replicates single-host families"),
+        ("family: scenario-1\ncluster: {contended: true}\n", "cluster",
+         "family 'scenario-1' runs on a single host; its cluster keys need "
+         "'nodes: N' (--nodes N) to replicate it onto N nodes"),
+        ("family: scenario-1\ncluster: {nodes: 0}\n", "cluster.nodes",
+         "nodes must be >= 1, got 0"),
+        ("family: scenario-1\ncluster: {nodes: 2, remote_spill: false}\n",
+         "cluster.remote_spill",
+         "unknown key 'remote_spill'; valid keys: ['contended', 'coordinator', "
+         "'degradations', 'failures', 'faults', 'migrations', 'nodes']"),
+        ("family: scenario-1\ncluster: {nodes: 2, faults: [node9@1-3]}\n",
+         "cluster", "fault plan names unknown node 'node9'"),
+    ])
+    def test_bad_blocks_get_positioned_errors(self, text, path, message):
+        (diag,) = lint_text(text)
+        assert (diag.path, diag.message, diag.line) == (path, message, 2)

@@ -136,6 +136,45 @@ vms:
         assert diag.format("doc.yml") == "doc.yml:4:3: error: boom (at vms[0])"
 
 
+class TestWorkloadParamTypes:
+    """Job params are checked against their workload parameter's type."""
+
+    TEXT = """\
+scenario: typed
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs:
+      - kind: KIND
+        params: {PARAMS}
+"""
+
+    @pytest.mark.parametrize("kind,params,key,message", [
+        ("usemem", "max_mb: x", "max_mb", "expected an integer, got 'x'"),
+        ("usemem", "max_mb: true", "max_mb", "expected an integer, got True"),
+        ("usemem", "max_mb: 64.5", "max_mb", "expected an integer, got 64.5"),
+        ("usemem", "compute_time_per_page_s: .nan", "compute_time_per_page_s",
+         "expected a finite number, got nan"),
+        ("usemem", "compute_time_per_page_s: fast", "compute_time_per_page_s",
+         "expected a finite number, got 'fast'"),
+        ("trace", "path: 3", "path", "expected a string, got 3"),
+    ])
+    def test_wrong_type_is_a_positioned_error(self, kind, params, key, message):
+        text = self.TEXT.replace("KIND", kind).replace("PARAMS", params)
+        (diag,) = errors(lint_text(text))
+        assert diag.path == f"vms[0].jobs[0].params.{key}"
+        assert (diag.line, diag.message) == (8, message)
+        with pytest.raises(DslError):
+            compile_text(text)
+
+    def test_an_int_is_a_valid_float(self):
+        text = self.TEXT.replace("KIND", "usemem").replace(
+            "PARAMS", "compute_time_per_page_s: 0, max_mb: 64"
+        )
+        assert lint_text(text) == []
+
+
 class TestPolicy:
     def test_argument_the_policy_does_not_take(self, tmp_path, capsys):
         from repro.cli import main

@@ -212,6 +212,42 @@ class TestTraceRecordCli:
             flat(s) for s in twin.generate_steps()
         ]
 
+    @pytest.mark.parametrize("args,message", [
+        (["--workload", "usemem", "--param", "max_mb=x"],
+         "--param max_mb: expected an integer, got 'x'"),
+        (["--workload", "usemem", "--param", "start_mbb=1"],
+         "--param start_mbb: workload 'usemem' has no parameter 'start_mbb'"),
+        (["--workload", "trace"],
+         "workload 'trace' requires parameter 'path'"),
+        (["--scenario", "nosuch", "--vm", "VM1"],
+         "error: unknown scenario family 'nosuch'"),
+        (["--scenario", "usemem-scenario", "--vm", "VM9"],
+         "scenario 'usemem-scenario' has no VM named 'VM9'"),
+        (["--scenario", "usemem-scenario", "--vm", "VM1", "--scale", "-1"],
+         "error: scale must be > 0, got -1.0 (at scale)"),
+        (["--scenario", "no-such-file.yml", "--vm", "VM1"],
+         "cannot read 'no-such-file.yml'"),
+    ])
+    def test_bad_input_exits_2_with_one_line(
+        self, args, message, tmp_path, capsys
+    ):
+        out = tmp_path / "x.jsonl"
+        assert main(["trace", "record", "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_bad_document_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "bad.yml"
+        doc.write_text("family: many-vms\nparams: {n: x}\n")
+        out = tmp_path / "x.jsonl"
+        assert main([
+            "trace", "record", "--out", str(out), "--scenario", str(doc),
+            "--vm", "VM1",
+        ]) == 2
+        assert f"{doc}:2:10: error: expected a number" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         out = str(tmp_path / "x.jsonl")
         assert main(["trace", "record", "--out", out]) != 0
