@@ -40,6 +40,7 @@ SCENARIOS = (
     "scenario-2",
     "scenario-3",
     "cluster:nodes=3",
+    "contended:",
 )
 
 #: Coupled cluster pin points for the epoch engine (spill+coordinator,

@@ -35,6 +35,7 @@ PIN_SCENARIOS = (
     "scenario-2",
     "scenario-3",
     "cluster:nodes=3",
+    "contended:",
 )
 
 
