@@ -8,7 +8,9 @@ payload.  The channel provides three services:
 * a **synchronous cost model** for the data path
   (:meth:`InterNodeChannel.reserve`): a spilled put or a remote get
   happens inside a guest's access burst, so its cost is simply added to
-  the burst latency, exactly like a tmem hypercall's cost;
+  the burst latency, exactly like a tmem hypercall's cost
+  (:meth:`InterNodeChannel.reserve_burst` reserves a whole burst's
+  pages in one call);
 * **asynchronous bulk transfers** (:meth:`InterNodeChannel.
   transfer_async`) delivered through the simulation engine — VM
   migration uses this to model the guest-state copy;
@@ -33,9 +35,20 @@ so concurrent spills from multiple nodes queue behind each other
 instead of overlapping for free.  The link tracks its queue depth (live
 transfers), records it as a ``link_queue/<src>-><dst>`` trace, and
 accumulates busy time and total queue wait for the per-link section of
-cluster results.  Completion is observed via
-:meth:`~repro.sim.engine.SimulationEngine.schedule_call_after`, which
-keeps the trace and the depth counter exact without polling.
+cluster results.
+
+The FIFO is :class:`LinkState`'s own: it keeps the finish time of every
+payload still queued or on the wire (each payload's finish time is the
+``busy_until`` it left behind) and retires them lazily.  The next
+occupy of the link retires every finish time at or before its issue
+instant, and so does the link's one pending *drain wake*, an engine
+event at the last finish time it knew of, which re-arms itself while
+the FIFO is not empty.  A retirement records its depth sample at the
+payload's own finish time, so the trace and the depth counter are the
+ones a completion event per payload would have produced, without one.
+A payload finishing exactly at a later request's issue instant retires
+before that request's sample, as a hypervisor-priority completion ran
+ahead of the guest work that issued the request.
 
 In the default **uncontended** mode the channel reproduces the
 pre-queueing stateless cost model bit for bit: the cost of every
@@ -50,7 +63,7 @@ audit how much data actually moved between nodes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.engine import SimulationEngine
@@ -60,7 +73,12 @@ __all__ = ["LinkState", "InterNodeChannel"]
 
 
 class LinkState:
-    """FIFO state and lifetime counters of one directed link."""
+    """FIFO state and lifetime counters of one directed link.
+
+    The FIFO (see "Contention model" above) is the deque of the finish
+    times of the payloads still queued or on the wire.  While ``series``
+    is set, every change of ``queue_depth`` is sampled into it.
+    """
 
     __slots__ = (
         "src",
@@ -75,6 +93,9 @@ class LinkState:
         "drops",
         "stall_s",
         "fail_fast",
+        "wake_armed",
+        "series",
+        "_finish",
     )
 
     def __init__(self, src: str, dst: str) -> None:
@@ -97,10 +118,21 @@ class LinkState:
         self.stall_s = 0.0
         #: Bulk transfers that failed fast against a partition.
         self.fail_fast = 0
+        #: True while the channel has a drain wake pending for the link.
+        self.wake_armed = False
+        #: The :class:`~repro.sim.trace.TraceSeries` of the depth samples.
+        self.series: Optional[Any] = None
+        #: Finish times of the payloads in the FIFO, oldest first.
+        self._finish: Deque[float] = deque()
 
     @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
+
+    @property
+    def pending(self) -> bool:
+        """True while a payload is queued or on the wire."""
+        return bool(self._finish)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for the cluster result's ``links`` section.
@@ -123,40 +155,63 @@ class LinkState:
             out["fail_fast"] = self.fail_fast
         return out
 
-    def replay(
-        self,
-        pages: int,
-        at: float,
-        page_transfer_s: float,
-        completions: "deque",
-    ) -> float:
-        """Engine-free reenactment of :meth:`InterNodeChannel._occupy`.
+    def retire(self, now: float) -> None:
+        """Retire the payloads finished by *now*, each sampled at its
+        own finish time."""
+        finish = self._finish
+        if not finish or finish[0] > now:
+            return
+        series = self.series
+        depth = self.queue_depth
+        while finish and finish[0] <= now:
+            depth -= 1
+            done = finish.popleft()
+            if series is not None:
+                series.append(done, depth)
+        self.queue_depth = depth
 
-        The epoch cluster driver replays the merged cross-shard transfer
-        log against plain :class:`LinkState` objects — there is no
-        engine on the driver side, so completions (the events that
-        decrement ``queue_depth``) live in *completions*, a caller-owned
-        deque of finish times kept sorted by construction: replay is
-        called in nondecreasing *at* order and FIFO service means finish
-        times are nondecreasing too.  Returns the queue wait, the same
-        value :meth:`~InterNodeChannel._occupy` would have produced.
+    def occupy(
+        self, pages: int, service: float, issue: float, now: float,
+        count: int = 1,
+    ) -> List[float]:
+        """Queue *count* payloads of *pages* issued at *now*, in order.
+
+        Each payload is served for *service* seconds from the first
+        instant at or after *issue* that the link is free; returns their
+        queue waits.  *issue* is *now* except for a transfer stalled
+        behind a partition, which holds its queue slot from *now* but
+        reaches the wire only at *issue*.  Callers add the propagation
+        latency themselves.  Only payloads queued before this call can
+        retire in it: one queued here finishes after *now*.
         """
-        while completions and completions[0] <= at:
-            completions.popleft()
-            self.queue_depth -= 1
-        service = pages * page_transfer_s
-        start = self.busy_until if self.busy_until > at else at
-        wait = start - at
-        self.busy_until = start + service
-        self.transfers += 1
-        self.pages += pages
-        self.busy_s += service
-        self.queue_wait_s += wait
-        self.queue_depth += 1
-        if self.queue_depth > self.max_queue_depth:
-            self.max_queue_depth = self.queue_depth
-        completions.append(wait + at + service)
-        return wait
+        self.retire(now)
+        series = self.series
+        finish = self._finish
+        busy = self.busy_until
+        depth = self.queue_depth
+        busy_s = self.busy_s
+        queue_wait_s = self.queue_wait_s
+        waits = []
+        for _ in range(count):
+            start = busy if busy > issue else issue
+            wait = start - issue
+            busy = start + service
+            busy_s += service
+            queue_wait_s += wait
+            depth += 1
+            if series is not None:
+                series.append(now, depth)
+            finish.append(busy)
+            waits.append(wait)
+        self.busy_until = busy
+        self.transfers += count
+        self.pages += count * pages
+        self.busy_s = busy_s
+        self.queue_wait_s = queue_wait_s
+        self.queue_depth = depth
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
+        return waits
 
 
 class InterNodeChannel:
@@ -338,15 +393,6 @@ class InterNodeChannel:
             return 0
         return max(state.max_queue_depth for state in self._links.values())
 
-    def _record_depth(self, state: LinkState, now: float) -> None:
-        if self._trace is not None:
-            self._trace.record(f"link_queue/{state.name}", now, state.queue_depth)
-
-    def _complete(self, state: LinkState) -> None:
-        """Completion callback: one payload left the link's FIFO."""
-        state.queue_depth -= 1
-        self._record_depth(state, self._engine.now)
-
     def _occupy(
         self,
         state: LinkState,
@@ -357,38 +403,56 @@ class InterNodeChannel:
     ) -> float:
         """Queue *pages* on the link; returns the queue wait incurred.
 
-        Advances ``busy_until``, maintains the depth counter/trace and
-        schedules the completion event.  Callers add the propagation
-        latency themselves (one-way vs round-trip).  *service_s*
-        overrides the nominal service time (a degradation window's
-        bandwidth throttle stretches it); *start_at* defers service to a
-        future instant (a sync transfer stalled behind a partition holds
-        its queue slot from *now* but only occupies the wire from
-        *start_at*).
+        One :meth:`LinkState.occupy` with the nominal service time, unless
+        *service_s* overrides it (a degradation window's bandwidth
+        throttle stretches it); *start_at* defers service to a future
+        instant (a sync transfer stalled behind a partition holds its
+        queue slot from *now* but only occupies the wire from
+        *start_at*).  Arms the link's drain wake.
         """
         service = (
             pages * self._page_transfer_s if service_s is None else service_s
         )
-        issue = now if start_at is None else start_at
-        start = state.busy_until if state.busy_until > issue else issue
-        wait = start - issue
-        state.busy_until = start + service
-        state.transfers += 1
-        state.pages += pages
-        state.busy_s += service
-        state.queue_wait_s += wait
-        state.queue_depth += 1
-        if state.queue_depth > state.max_queue_depth:
-            state.max_queue_depth = state.queue_depth
-        self._record_depth(state, now)
-        self._engine.schedule_call_after(
-            (issue - now) + wait + service,
-            self._complete,
-            state,
-            priority=EventPriority.HYPERVISOR,
-            label=f"{self._name}:drain:{state.name}",
+        self._open_series(state)
+        (wait,) = state.occupy(
+            pages, service, now if start_at is None else start_at, now
         )
+        self._arm(state)
         return wait
+
+    def _open_series(self, state: LinkState) -> None:
+        """Give a link its ``link_queue`` trace before its first payload."""
+        if state.series is None and self._trace is not None:
+            state.series = self._trace.series(f"link_queue/{state.name}")
+
+    def _arm(self, state: LinkState) -> None:
+        """Make sure a drain wake is pending for a link with payloads."""
+        if not state.wake_armed:
+            state.wake_armed = True
+            self._engine.schedule_call_at(
+                state.busy_until,
+                self._wake,
+                state,
+                priority=EventPriority.HYPERVISOR,
+                label=f"{self._name}:wake:{state.name}",
+            )
+
+    def _wake(self, state: LinkState) -> None:
+        """Drain wake: retire what finished, re-arm while payloads remain."""
+        state.wake_armed = False
+        state.retire(self._engine.now)
+        if state.pending:
+            self._arm(state)
+
+    def retire(self, now: float) -> None:
+        """Retire every link's payloads finished by *now*.
+
+        The cluster calls this when its run stops, so the depth traces
+        hold every payload finished by the last simulated instant, as
+        one completion event per payload would have recorded them.
+        """
+        for state in self._links.values():
+            state.retire(now)
 
     def reserve(self, src: str, dst: str, pages: int, now: float) -> float:
         """Synchronous data-path cost of a round-trip moving *pages*.
@@ -410,6 +474,37 @@ class InterNodeChannel:
         state = self.link(src, dst)
         wait = self._occupy(state, pages, now)
         return wait + self.round_trip_cost_s(pages)
+
+    def reserve_burst(
+        self, hops: Sequence[Tuple[str, str]], now: float
+    ) -> List[float]:
+        """:meth:`reserve` of one page per ``(src, dst)`` hop, in order.
+
+        Returns each hop's cost.  Links are independent FIFOs, so each
+        link queues its hops in one :meth:`LinkState.occupy` call.
+        """
+        count = len(hops)
+        self.pages_moved += count
+        self.bytes_moved += count * self._page_bytes
+        if self.degraded:
+            return [self._reserve_degraded(src, dst, 1, now) for src, dst in hops]
+        round_trip = self.round_trip_cost_s(1)
+        if not self.contended:
+            return [round_trip] * count
+        positions: Dict[Tuple[str, str], List[int]] = {}
+        for position, hop in enumerate(hops):
+            positions.setdefault(hop, []).append(position)
+        costs = [round_trip] * count
+        for (src, dst), on_link in positions.items():
+            state = self.link(src, dst)
+            self._open_series(state)
+            waits = state.occupy(
+                1, self._page_transfer_s, now, now, count=len(on_link)
+            )
+            for position, wait in zip(on_link, waits):
+                costs[position] = wait + round_trip
+            self._arm(state)
+        return costs
 
     def _reserve_degraded(
         self, src: str, dst: str, pages: int, now: float
@@ -552,21 +647,14 @@ class InterNodeChannel:
         on_delivery: Callable[[Any], None],
         *,
         priority: int = EventPriority.HYPERVISOR,
-        src: str = "",
-        dst: str = "",
     ) -> None:
         """Deliver *payload* to *on_delivery* after the one-way latency.
 
-        Control messages carry no page payload, so their service time is
-        zero; in contended mode they still queue FIFO behind in-flight
-        payloads on the named link (when *src*/*dst* are given).
+        Control messages carry no page payload and never queue on a
+        link.
         """
         self.messages_sent += 1
         delay = self._latency
-        if self.contended and src and dst:
-            state = self.link(src, dst)
-            wait = self._occupy(state, 0, self._engine.now)
-            delay += wait
         if delay > 0:
             # Bound delivery callback + payload argument: the engine's
             # slab invokes ``on_delivery(payload)`` without a closure.

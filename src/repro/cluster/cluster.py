@@ -298,6 +298,8 @@ class Cluster:
             # One final sweep so short runs (duration < one sampling
             # interval) are still checked at least once.
             self.invariant_checker.check()
+        if self.channel is not None:
+            self.channel.retire(self.engine.now)
         for node in self.nodes:
             node.finalize()
 
@@ -691,9 +693,6 @@ class Cluster:
     def check_invariants(self) -> None:
         for node in self.nodes:
             node.check_invariants()
-
-    def all_idle(self) -> bool:
-        return all(node.all_idle() for node in self.nodes)
 
     # -- capacity rebalancing ---------------------------------------------------
     def _node_views(self) -> List[NodeTmemView]:

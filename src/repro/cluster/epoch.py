@@ -23,9 +23,10 @@ pinned contract:
   cross-node effects — spill puts, remote gets, flush invalidations —
   are recorded as explicit **messages** and exchanged at the barrier.
 * The driver absorbs every shard's messages in one **canonical order**
-  (sorted by ``(time, emitting node, per-node sequence)``), replays
-  them against its own :class:`~repro.channels.internode.LinkState`
-  copies, maintains the cluster-wide hosted-spill occupancy, and runs
+  (sorted by ``(time, emitting node, per-node sequence)``), queues
+  their payloads on its own :class:`~repro.channels.internode.LinkState`
+  FIFOs (the exact engine's queue model, with no engine behind it),
+  maintains the cluster-wide hosted-spill occupancy, and runs
   barrier-aligned coordinator rounds
   (:class:`~repro.core.coordinator.BarrierRebalancer`) whose capacity
   steps are applied by the owning shards at the next window start.
@@ -39,7 +40,7 @@ Epoch results legitimately differ from the exact shared-engine run
 (spill admission is quota-based instead of instantaneous, hosted pages
 are tracked as counters rather than materialized in peer pools, and
 hosted ephemeral pages are never pressure-dropped); the exact engine
-remains the default and its 45 pins are untouched.
+remains the default and its exact pins are untouched.
 
 Node failures, planned migrations, cross-node phase triggers and stop
 triggers relocate VMs or inject events *across* shards mid-window; such
@@ -49,7 +50,6 @@ scenarios keep the exact shared-engine fallback in the calling process
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import repeat
 from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
@@ -392,7 +392,8 @@ class EpochContext:
         :meth:`InterNodeChannel.round_trip_cost_s`.  Contended: adds the
         queue wait computed against *owner*'s private link view, seeded
         from the window-start snapshot — the same math as
-        :meth:`InterNodeChannel._occupy`, replayed locally.
+        :meth:`~repro.channels.internode.LinkState.occupy`, replayed
+        locally.
         """
         cost = 2.0 * self.latency_s + pages * self.page_transfer_s
         if not self.contended:
@@ -480,7 +481,6 @@ class EpochDriver:
         #: epoch engine never materializes them in the hosting pool).
         self.hosted: Dict[str, int] = {name: 0 for name in self.node_names}
         self._links: Dict[str, LinkState] = {}
-        self._completions: Dict[str, deque] = {}
         self.pages_moved = 0
         self.capacity_moves = 0
         #: Latest authoritative per-node state from the shard reports.
@@ -545,7 +545,7 @@ class EpochDriver:
     def absorb(self, reports: List[Dict[str, Any]]) -> None:
         """Merge one barrier's shard reports; decides termination.
 
-        Replays the merged message log in canonical order against the
+        Queues the merged message log in canonical order on the
         driver's link states, updates hosted occupancy, then either
         declares the run finished (every node idle), raises the deadline
         error, or runs a coordinator round for the next window.
@@ -572,13 +572,8 @@ class EpochDriver:
                         link = self._links[name] = LinkState(
                             message["src"], message["dst"]
                         )
-                        self._completions[name] = deque()
-                    link.replay(
-                        pages,
-                        message["time"],
-                        self.page_transfer_s,
-                        self._completions[name],
-                    )
+                    at = message["time"]
+                    link.occupy(pages, pages * self.page_transfer_s, at, at)
             if kind == "spill" and message["fresh"]:
                 self.hosted[message["dst"]] += pages
             elif kind == "fetch" and message["fresh"]:

@@ -221,9 +221,6 @@ class Node:
     def snapshots(self) -> int:
         return len(self.hypervisor.sampler.history)
 
-    def all_idle(self) -> bool:
-        return all(vm.is_idle for vm in self.vms.values())
-
     # -- result collection -----------------------------------------------------
     def collect_vm_results(self) -> Dict[str, VmResult]:
         """Build the per-VM result records for this node's guests."""

@@ -104,7 +104,7 @@ from typing import (
 )
 
 from ..channels.internode import InterNodeChannel
-from ..errors import ClusterError
+from ..errors import ClusterError, TmemPoolError
 from .pages import make_page_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -171,9 +171,9 @@ class RemoteTmemStats:
 
     After a VM migration the per-node split of these counters skews by
     design: the new home records the VM's later fetches/flushes while
-    its earlier spills stay counted on the old home, so per-node
-    ``pages_resident_remote`` can go negative.  Cluster-wide sums stay
-    exact (migration moves index entries, never mints or loses pages).
+    its earlier spills stay counted on the old home.  Cluster-wide sums
+    stay exact (migration moves index entries, never mints or loses
+    pages).
     """
 
     #: Overflow frontswap puts absorbed by a peer node.
@@ -202,17 +202,6 @@ class RemoteTmemStats:
     #: planned, loss-free event — kept apart from ``pages_lost`` so
     #: failure-free runs report zero losses.
     pages_repatriated: int = 0
-
-    @property
-    def pages_resident_remote(self) -> int:
-        """Remote persistent copies currently alive in the cluster."""
-        return (
-            self.pages_spilled
-            - self.pages_fetched
-            - self.pages_flushed
-            - self.pages_lost
-            - self.pages_repatriated
-        )
 
 
 class RemoteTmemBackend:
@@ -248,7 +237,8 @@ class RemoteTmemBackend:
       cost of each placed put and each fetched get, in order.  Every
       outcome, reservation and account effect is the one the per-page
       ``place``/``fetch`` calls would have had in that order, and
-      ``owner.last_extra_s`` ends at the last op's cost;
+      ``owner.last_extra_s`` ends at the last op's cost.  A live peer
+      hosts its share of the burst in one :meth:`host_burst` call;
     * ``drop(owner, spill_object, index_leaf_pairs, ephemeral)``
       invalidates the remote copies of some pages of one object;
     * ``holder_name(leaf)`` returns the name of the node holding a page.
@@ -401,6 +391,70 @@ class RemoteTmemBackend:
         if not result.succeeded or result.remote:
             return None
         return result.version
+
+    def host_burst(
+        self,
+        owner: "RemoteTmemBackend",
+        ops: Sequence[Tuple[int, int, Optional[int]]],
+    ) -> List[int]:
+        """Host *owner*'s share of one burst in the persistent spill pool.
+
+        An op is ``(spill_object_id, index, version)`` for a put of a
+        page this node does not hold, or ``(spill_object_id, index,
+        None)`` for an exclusive get.  The outcome is that of one
+        :meth:`accept_spill` per put and one :meth:`fetch_spill` per get
+        in that order, with the spill account, the pool and the host
+        frames updated once.  A put needs a free frame, counted op by op
+        (:class:`~repro.errors.TmemPoolError` otherwise); a get of a
+        page this node lacks raises the owner's lost-copy
+        :class:`ClusterError`.  Returns the gets' versions in order.
+        """
+        assert self._spill_client_id is not None
+        pool = self._hypervisor.store.get_pool(
+            self._spill_client_id, self._pool_id_for(False)
+        )
+        objects = pool.radix()
+        free = self.free_tmem_pages
+        versions: List[int] = []
+        puts = 0
+        try:
+            for spill_object_id, index, version in ops:
+                bucket = objects.get(spill_object_id)
+                if version is not None:
+                    if free <= 0:
+                        raise TmemPoolError("tmem pool exhausted")
+                    free -= 1
+                    puts += 1
+                    if bucket is None:
+                        objects[spill_object_id] = {index: version}
+                    else:
+                        bucket[index] = version
+                    continue
+                version = bucket.pop(index, None) if bucket is not None else None
+                if version is None:
+                    vm_id, object_id = divmod(
+                        spill_object_id, _SPILL_OBJECT_STRIDE
+                    )
+                    raise owner._lost_copy(vm_id, object_id, index, self)
+                if not bucket:
+                    del objects[spill_object_id]
+                free += 1
+                versions.append(version)
+        finally:
+            # The ops served so far, also when one of them raised.
+            gets = len(versions)
+            delta = puts - gets
+            pool.adjust_count(delta)
+            self._hypervisor.host_memory.adjust_tmem_used(delta)
+            account = self._spill_account
+            account.tmem_used += delta
+            account.puts_total += puts
+            account.cumul_puts_total += puts
+            account.puts_succ += puts
+            account.cumul_puts_succ += puts
+            account.gets_total += gets
+            account.cumul_gets_total += gets
+        return versions
 
     def drop_spill(
         self, spill_object_id: int, index: int, *, ephemeral: bool = False
@@ -970,87 +1024,77 @@ class LivePeers:
         gets: List[Tuple[int, int, RemoteTmemBackend]],
         puts_before: List[int],
         now: float,
-    ) -> Tuple[List[Optional[RemoteTmemBackend]], List[Optional[int]],
+    ) -> Tuple[List[Optional[RemoteTmemBackend]], List[int],
                List[float], List[float]]:
         """The port's burst entry (contract on :class:`RemoteTmemBackend`).
 
-        The peers' free frames live in locals: only an ``accept_spill``
-        or a ``fetch_spill`` on a peer changes its count inside a burst,
-        and the count is re-read after each.  A run of ``m`` puts
-        between two gets therefore places ``min(m, total free)`` pages
-        by the max-scan of :meth:`place`; the rest of the run finds
-        every peer full, and those refusals bump each peer's spill
-        account once, by their count.
+        Placement is decided in locals: hosting a page takes one of the
+        peer's free frames and fetching one gives it back, and nothing
+        else touches a peer's frames inside a burst.  A run of ``m``
+        puts between two gets therefore places ``min(m, total free)``
+        pages by the max-scan of :meth:`place`; the rest of the run
+        finds every peer full, and those refusals bump each peer's spill
+        account once, by their count.  Each involved peer then hosts its
+        puts and gets in one :meth:`RemoteTmemBackend.host_burst` call,
+        and the channel reserves every transfer in one
+        :meth:`~repro.channels.internode.InterNodeChannel.reserve_burst`
+        call, in op order.
         """
         peers = owner.peers
         free = [peer.free_tmem_pages for peer in peers]
         total = sum(free)
         slot = {peer: j for j, peer in enumerate(peers)}
-        channel = owner.channel
-        reserve = (
-            channel.reserve if channel.contended or channel.degraded else None
-        )
-        at = channel.now
         me = owner.node_name
-        cost = last = owner.extra_latency_s
+        #: Each involved peer's ops, in scalar order (a get has no version).
+        shares: Dict[RemoteTmemBackend, List[Tuple[int, int, Optional[int]]]] = {}
+        hops: List[Tuple[str, str]] = []
+        is_put: List[bool] = []
         leaves: List[Optional[RemoteTmemBackend]] = []
-        versions: List[Optional[int]] = []
-        put_costs: List[float] = []
-        get_costs: List[float] = []
-        full = moved = 0
+        full = 0
         for start, end, k in burst_runs(len(puts), puts_before):
             while start < end and total > 0:
                 # The first peer with the most free frames, as in place().
                 best_free = max(free)
                 best = free.index(best_free)
+                free[best] = best_free - 1
+                total -= 1
                 peer = peers[best]
-                spill_object, index, version = puts[start]
+                shares.setdefault(peer, []).append(puts[start])
                 start += 1
-                if peer.accept_spill(
-                    owner, spill_object, index, version, now, ephemeral=False
-                ):
-                    if reserve is not None:
-                        cost = reserve(me, peer.node_name, 1, at)
-                    else:
-                        moved += 1
-                    put_costs.append(cost)
-                    last = cost
-                    leaves.append(peer)
-                else:
-                    leaves.append(None)
-                fresh = peer.free_tmem_pages
-                total += fresh - best_free
-                free[best] = fresh
+                leaves.append(peer)
+                hops.append((me, peer.node_name))
+                is_put.append(True)
             if start < end:
                 full += end - start
                 leaves.extend(repeat(None, end - start))
             if k is None:
                 break
             spill_object, index, leaf = gets[k]
-            version = leaf.fetch_spill(spill_object, index, ephemeral=False)
-            versions.append(version)
-            if version is not None:
-                if reserve is not None:
-                    cost = reserve(leaf.node_name, me, 1, at)
-                else:
-                    moved += 1
-                get_costs.append(cost)
-                last = cost
+            shares.setdefault(leaf, []).append((spill_object, index, None))
+            hops.append((leaf.node_name, me))
+            is_put.append(False)
             j = slot.get(leaf)
             if j is not None:
-                fresh = leaf.free_tmem_pages
-                total += fresh - free[j]
-                free[j] = fresh
+                free[j] += 1
+                total += 1
+        fetched = {
+            peer: iter(peer.host_burst(owner, ops))
+            for peer, ops in shares.items()
+        }
+        versions = [next(fetched[leaf]) for _, _, leaf in gets]
         if full:
             for peer in peers:
                 account = peer._spill_account
                 account.puts_total += full
                 account.cumul_puts_total += full
                 account.cumul_puts_failed += full
-        if moved:
-            channel.note_transfer(moved)
-        if put_costs or get_costs:
-            owner.last_extra_s = last
+        if not hops:
+            return leaves, versions, [], []
+        channel = owner.channel
+        costs = channel.reserve_burst(hops, channel.now)
+        owner.last_extra_s = costs[-1]
+        put_costs = list(compress(costs, is_put))
+        get_costs = [cost for cost, put in zip(costs, is_put) if not put]
         return leaves, versions, put_costs, get_costs
 
     def drop(

@@ -7,7 +7,10 @@ scenario, scenarios 1-3 and a three-node cluster, captured at scale 0.1
 recurring timers, VM fast-forward) and the duplicate-tolerant burst
 planner landed.  Every simulated quantity — run times, traces, fault
 counters, spill statistics — must hash identically after it: the
-overhaul is a pure mechanical speedup, not a semantic change.
+overhaul is a pure mechanical speedup, not a semantic change.  The
+``contended:`` points, recorded before the link FIFO went lazy, pin
+remote spill over a contended interconnect (link queue traces and
+per-link counters included) the same way.
 
 If a future PR intentionally changes simulation semantics, re-record
 the pins with::

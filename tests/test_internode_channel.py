@@ -6,11 +6,14 @@ The contended :class:`~repro.channels.internode.InterNodeChannel` must be
   completion times and link counters, run after run (seeded workloads
   depend on this for bit-identical fingerprints);
 * **conserving** — every enqueued transfer is delivered exactly once
-  (completion events fire once per reserve/async transfer, the queue
-  depth drains back to zero, page counters add up);
+  (an async transfer's delivery fires once, the queue depth drains back
+  to zero, page counters add up);
 * **FIFO per link** — transfers on one directed link complete in the
   order they were enqueued, never overlapping: each service window
-  starts no earlier than the previous one ended.
+  starts no earlier than the previous one ended;
+* **the event-per-payload FIFO, without the events** — lazy retirement
+  and one drain wake per link give every depth sample, counter, cost
+  and delivery time that one completion event per payload gives.
 
 The uncontended mode must stay bit-identical to the historical
 stateless cost model: a reserve returns exactly the precomputed round
@@ -21,11 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channels.internode import InterNodeChannel
 from repro.cluster.faults import LinkDegradation
 from repro.errors import ConfigurationError
 from repro.sim.engine import SimulationEngine
+from repro.sim.events import EventPriority
 from repro.sim.trace import TraceRecorder
 
 PAGE = 4096
@@ -257,3 +262,174 @@ class TestPartitionedBulkTransfer:
         link = channel.describe_links()["n1->n2"]
         assert link["fail_fast"] == 2
         assert link["transfers"] == 1 and link["pages"] == self.PAGES
+
+
+class EventPerPayloadChannel(InterNodeChannel):
+    """The oracle: the contended FIFO with one completion event per
+    payload, as the channel scheduled it before retirement went lazy.
+
+    The completion fires at the payload's finish time, the link's new
+    ``busy_until``, at hypervisor priority; it decrements the depth and
+    samples it.  A burst reservation is one :meth:`reserve` per hop.
+    """
+
+    def _occupy(self, state, pages, now, service_s=None, start_at=None):
+        service = (
+            pages * self.page_transfer_s if service_s is None else service_s
+        )
+        issue = now if start_at is None else start_at
+        start = state.busy_until if state.busy_until > issue else issue
+        wait = start - issue
+        state.busy_until = start + service
+        state.transfers += 1
+        state.pages += pages
+        state.busy_s += service
+        state.queue_wait_s += wait
+        state.queue_depth += 1
+        if state.queue_depth > state.max_queue_depth:
+            state.max_queue_depth = state.queue_depth
+        self._sample(state, now)
+        self._engine.schedule_call_at(
+            state.busy_until, self._complete, state,
+            priority=EventPriority.HYPERVISOR,
+        )
+        return wait
+
+    def _complete(self, state):
+        state.queue_depth -= 1
+        self._sample(state, self._engine.now)
+
+    def _sample(self, state, now):
+        self._trace.record(f"link_queue/{state.name}", now, state.queue_depth)
+
+    def reserve_burst(self, hops, now):
+        return [self.reserve(src, dst, 1, now) for src, dst in hops]
+
+
+NODES = ("n0", "n1", "n2")
+
+
+@st.composite
+def link_streams(draw):
+    """Requests over 2-3 nodes: when each is issued, and what it is."""
+    nodes = NODES[: draw(st.integers(2, 3))]
+    hop = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    step = st.fixed_dictionaries({
+        # "gap": after the previous request; "finish": exactly when the
+        # named link's last payload finishes (or now, if it has).
+        "when": st.one_of(
+            st.tuples(st.just("gap"), st.sampled_from([0.0, 1e-5, 3e-5])),
+            st.tuples(st.just("gap"), st.floats(0.0, 2e-4)),
+            st.tuples(st.just("finish"), hop),
+        ),
+        "op": st.sampled_from(["reserve", "async", "burst"]),
+        "hop": hop,
+        "pages": st.integers(1, 4),
+        "hops": st.lists(hop, min_size=1, max_size=6),
+    })
+    steps = draw(st.lists(step, min_size=1, max_size=25))
+    return {
+        "steps": steps,
+        # Stop right after this request, as a cluster run stops right
+        # after the guest step that leaves every VM idle.
+        "stop": draw(st.one_of(st.none(), st.integers(0, len(steps) - 1))),
+    }
+
+
+def run_stream(channel_cls, stream):
+    """Issue *stream* as guest-priority events; returns what it saw."""
+    engine = SimulationEngine()
+    trace = TraceRecorder()
+    channel = channel_cls(
+        engine, latency_s=LATENCY, bandwidth_bytes_s=BANDWIDTH,
+        page_bytes=PAGE, contended=True, trace=trace,
+    )
+    steps = stream["steps"]
+    seen = []
+    issued = []
+
+    def schedule(i):
+        kind, value = steps[i]["when"]
+        at = engine.now
+        if kind == "gap":
+            at += value
+        else:
+            link = channel.links().get("->".join(value))
+            if link is not None and link.busy_until > at:
+                at = link.busy_until
+        engine.schedule_call_at(at, issue, i, priority=EventPriority.WORKLOAD)
+
+    def issue(i):
+        step = steps[i]
+        src, dst = step["hop"]
+        now = engine.now
+        if step["op"] == "reserve":
+            seen.append((now, channel.reserve(src, dst, step["pages"], now)))
+        elif step["op"] == "burst":
+            seen.append((now, channel.reserve_burst(step["hops"], now)))
+        else:
+            seen.append((now, channel.transfer_async(
+                src, dst, step["pages"],
+                lambda arg: seen.append(("delivered", arg, engine.now)), i,
+            )))
+        issued.append(i)
+        if i + 1 < len(steps):
+            schedule(i + 1)
+
+    schedule(0)
+    stop = stream["stop"]
+    if stop is None:
+        engine.run()
+    else:
+        engine.run(stop_when=lambda: len(issued) > stop)
+        if channel_cls is InterNodeChannel:
+            channel.retire(engine.now)
+    links = {
+        name: (link.busy_until, link.queue_depth, link.describe())
+        for name, link in channel.links().items()
+    }
+    return seen, trace.to_dict(), links, engine.now, channel.pages_moved
+
+
+class TestFifoOracle:
+    """Lazy retirement against the event-per-payload FIFO."""
+
+    @settings(deadline=None)
+    @given(stream=link_streams())
+    def test_matches_one_completion_event_per_payload(self, stream):
+        assert run_stream(InterNodeChannel, stream) == run_stream(
+            EventPerPayloadChannel, stream
+        )
+
+    def test_a_payload_finishing_at_a_reserve_instant_retires_first(self):
+        """A payload whose finish time is a later reserve's issue instant
+        leaves the FIFO before that reserve samples the depth: its
+        completion ran at hypervisor priority, ahead of the guest step
+        that issued the reserve.  Here the link's drain wake is pending
+        at a later finish, so the reserve itself retires the payload."""
+        trace = TraceRecorder()
+        engine, channel = make_channel(contended=True, trace=trace)
+        link = channel.link("a", "b")
+        channel.reserve_burst([("a", "b"), ("a", "b")], 0.0)
+        first, second = link._finish
+        costs = []
+        engine.schedule_call_at(
+            first,
+            lambda: costs.append(channel.reserve("a", "b", 1, engine.now)),
+            priority=EventPriority.WORKLOAD,
+        )
+        engine.run(until=first)
+        assert link.queue_depth == 2
+        assert link.max_queue_depth == 2
+        # The reserve waits only for the second payload.
+        assert costs == [(second - first) + channel.round_trip_cost_s(1)]
+        engine.run()
+        third = link.busy_until
+        assert trace.get("link_queue/a->b").as_tuples() == [
+            (0.0, 1.0), (0.0, 2.0),
+            (first, 1.0), (first, 2.0),
+            (second, 1.0), (third, 0.0),
+        ]
+        assert link.queue_depth == 0

@@ -11,7 +11,7 @@ from repro.channels.internode import InterNodeChannel
 from repro.cluster.epoch import EpochContext
 from repro.config import SimulationConfig
 from repro.devices.dram import HostMemory
-from repro.errors import HypercallError, TmemError
+from repro.errors import ClusterError, HypercallError, TmemError
 from repro.hypervisor.accounting import HypervisorAccounting
 from repro.hypervisor.pages import PageKey
 from repro.hypervisor.remote_tmem import RemoteTmemBackend
@@ -716,3 +716,36 @@ class TestExecutePlannedRemote:
             side.vm, side.pool, [], 1, [7], [], PPO, now=1.0
         )
         assert planned == (None, [None], [0], [], [])
+
+    @pytest.mark.parametrize("path", ["scalar", "planned"])
+    def test_a_vanished_remote_copy_names_its_holder(self, path):
+        """A persistent page its holder dropped behind the owner's back
+        is a lost copy: the spill index is out of step with the peer's
+        pool, and both the scalar get and a burst fetching the page
+        raise instead of reporting a miss."""
+        burst = {
+            "frames": 0, "peer_frames": [1, 2], "stored": 3, "freed": 0,
+            "hosted": 0, "target": None, "contended": True, "port": "live",
+            "quota": [0, 0],
+        }
+        side = remote_cluster(burst)
+        owner = side.backends[0]
+        # Page 0 went to n2 (most free frames), page 1 to n1 (a tie
+        # keeps wiring order) and page 2 to n2, which now drops it.
+        object_id, index = divmod(2, PPO)
+        spill_object = side.vm * 2 ** 32 + object_id
+        assert owner._spill_index[side.vm][object_id][index].node_name == "n2"
+        assert side.backends[2].drop_spill(spill_object, index)
+        message = (
+            rf"VM {side.vm} page \({object_id}, {index}\) lives on 'n2' "
+            "but the peer does not hold it"
+        )
+        with pytest.raises(ClusterError, match=message):
+            if path == "scalar":
+                owner.remote_get(side.vm, object_id, index)
+            else:
+                # A fetch n1 serves and a put n1 hosts come first.
+                side.hypervisors[0].backend.execute_planned(
+                    side.vm, side.pool, [9], 100, [1, 2], [1], PPO,
+                    now=1.0,
+                )
