@@ -271,6 +271,9 @@ class EventPerPayloadChannel(InterNodeChannel):
     The completion fires at the payload's finish time, the link's new
     ``busy_until``, at hypervisor priority; it decrements the depth and
     samples it.  A burst reservation is one :meth:`reserve` per hop.
+    (The channel used to schedule the completion ``(issue - now) + wait
+    + service`` after *now*, which can land one ulp after
+    ``busy_until``; no pinned fingerprint depends on the difference.)
     """
 
     def _occupy(self, state, pages, now, service_s=None, start_at=None):
@@ -413,7 +416,9 @@ class TestFifoOracle:
         engine, channel = make_channel(contended=True, trace=trace)
         link = channel.link("a", "b")
         channel.reserve_burst([("a", "b"), ("a", "b")], 0.0)
-        first, second = link._finish
+        first = channel.page_transfer_s
+        second = first + channel.page_transfer_s
+        assert link.busy_until == second
         costs = []
         engine.schedule_call_at(
             first,
