@@ -16,7 +16,12 @@ machinery:
 * optionally a cluster coordinator policy
   (:mod:`repro.core.coordinator`) invoked on a recurring engine timer,
   which rebalances tmem *capacity* between the nodes' pools subject to
-  physical limits (shrink only free frames, grow only into fallow DRAM);
+  physical limits (shrink only free frames, grow only into fallow DRAM).
+  A round reads each alive node's record (:meth:`Cluster.node_state`),
+  turns it into views and steps with the coordinator module's
+  ``round_views`` and ``plan_capacity``, and applies each step with
+  :meth:`Cluster.resize_pool` — the same read and resize the epoch
+  engine's shard workers use;
 * scheduled **node failures** and **VM migrations**
   (:class:`~repro.scenarios.spec.NodeFailure` /
   :class:`~repro.scenarios.spec.VmMigration`).  A failing node loses
@@ -42,7 +47,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..channels.internode import InterNodeChannel
 from ..config import SimulationConfig
-from ..core.coordinator import ClusterPolicy, NodeTmemView, create_coordinator
+from ..core.coordinator import (
+    ClusterPolicy,
+    NodeState,
+    create_coordinator,
+    plan_capacity,
+    round_views,
+)
 from ..errors import ClusterError
 from ..guest.vm import VirtualMachine
 from ..hypervisor.remote_tmem import RemoteTmemBackend
@@ -695,45 +706,45 @@ class Cluster:
             node.check_invariants()
 
     # -- capacity rebalancing ---------------------------------------------------
-    def _node_views(self) -> List[NodeTmemView]:
-        views = []
-        for node in self.nodes:
-            if node.failed:
-                continue
-            host = node.hypervisor.host_memory
-            accounting = node.hypervisor.accounting
-            failed = sum(
-                account.cumul_puts_failed for account in accounting.accounts()
-            )
-            backend = self.remote_backends.get(node.name)
-            spilled = backend.stats.pages_spilled if backend else 0
-            dropped = (
-                backend.stats.ephemeral_dropped + backend.stats.pages_lost
-                if backend else 0
-            )
-            prev_failed, prev_spilled, prev_dropped = self._last_pressure.get(
-                node.name, (0, 0, 0)
-            )
-            self._last_pressure[node.name] = (failed, spilled, dropped)
-            # A sum can shrink (a rejoining node destroys its stale
-            # domains); a round's counts never go negative.
-            views.append(
-                NodeTmemView(
-                    name=node.name,
-                    capacity_pages=host.tmem_total_pages,
-                    used_pages=host.tmem_used_pages,
-                    free_pages=host.tmem_free_pages,
-                    failed_puts=max(0, failed - prev_failed),
-                    spilled_puts=max(0, spilled - prev_spilled),
-                    vm_count=len(node.vms),
-                    dropped_pages=max(0, dropped - prev_dropped),
-                )
-            )
-        return views
+    def node_state(self, node: Node) -> NodeState:
+        """*node*'s coordinator inputs, read from its live pool and counters."""
+        host = node.hypervisor.host_memory
+        backend = self.remote_backends.get(node.name)
+        spilled = dropped = 0
+        if backend is not None:
+            spilled = backend.stats.pages_spilled
+            dropped = backend.stats.ephemeral_dropped + backend.stats.pages_lost
+        return NodeState(
+            name=node.name,
+            capacity=host.tmem_total_pages,
+            free=host.tmem_free_pages,
+            unassigned=host.unassigned_pages,
+            failed=sum(
+                account.cumul_puts_failed
+                for account in node.hypervisor.accounting.accounts()
+            ),
+            spilled=spilled,
+            dropped=dropped,
+            vm_count=len(node.vms),
+        )
+
+    def resize_pool(self, name: str, delta: int) -> None:
+        """Apply one signed capacity step to node *name*'s pool and trace it."""
+        host = self._node_by_name[name].hypervisor.host_memory
+        if delta < 0:
+            host.shrink_tmem_pool(-delta)
+        else:
+            host.grow_tmem_pool(delta)
+        self.trace.record(
+            f"tmem_capacity/{name}", self.engine.now, host.tmem_total_pages
+        )
 
     def _rebalance(self) -> None:
         assert self.coordinator is not None
-        views = self._node_views()
+        views = round_views(
+            [self.node_state(node) for node in self._alive_nodes()],
+            self._last_pressure,
+        )
         if len(views) < 2:
             return
         desired = self.coordinator.rebalance(views)
@@ -748,60 +759,17 @@ class Cluster:
             self._apply_capacities(desired)
 
     def _apply_capacities(self, desired: Dict[str, int]) -> None:
-        """Resize node pools towards *desired*, honouring physical limits.
+        """Resize the alive nodes' pools towards *desired*.
 
-        The move is transactional on the cluster total: only as much
-        capacity is granted to growing nodes as shrinking nodes can
-        actually free (a pool sheds free frames only), and vice versa,
-        so rebalancing never mints or strands enabled tmem.
+        :func:`~repro.core.coordinator.plan_capacity` plans the steps on
+        the pools as they are when the decision arrives.
         """
-        shrinks: List[Tuple[Node, int]] = []
-        grows: List[Tuple[Node, int]] = []
-        for node in self.nodes:  # topology order keeps this deterministic
-            if node.failed:
-                continue
-            target = desired.get(node.name)
-            if target is None:
-                continue
-            host = node.hypervisor.host_memory
-            current = host.tmem_total_pages
-            if target < current:
-                feasible = min(current - target, host.tmem_free_pages)
-                if feasible > 0:
-                    shrinks.append((node, feasible))
-            elif target > current:
-                feasible = min(target - current, host.unassigned_pages)
-                if feasible > 0:
-                    grows.append((node, feasible))
-
-        budget = min(
-            sum(amount for _, amount in shrinks),
-            sum(amount for _, amount in grows),
+        steps = plan_capacity(
+            [self.node_state(node) for node in self._alive_nodes()], desired
         )
-        if budget <= 0:
-            return
-
-        now = self.engine.now
-
-        def consume(
-            moves: List[Tuple[Node, int]], total: int, resize
-        ) -> None:
-            remaining = total
-            for node, amount in moves:
-                if remaining <= 0:
-                    break
-                step = min(amount, remaining)
-                resize(node.hypervisor.host_memory, step)
-                remaining -= step
-                self._capacity_moves += 1
-                self.trace.record(
-                    f"tmem_capacity/{node.name}",
-                    now,
-                    node.hypervisor.host_memory.tmem_total_pages,
-                )
-
-        consume(shrinks, budget, lambda host, pages: host.shrink_tmem_pool(pages))
-        consume(grows, budget, lambda host, pages: host.grow_tmem_pool(pages))
+        for name, delta in steps:
+            self.resize_pool(name, delta)
+        self._capacity_moves += len(steps)
 
     # -- introspection -----------------------------------------------------------
     @property

@@ -28,8 +28,13 @@ pinned contract:
   FIFOs (the exact engine's queue model, with no engine behind it),
   maintains the cluster-wide hosted-spill occupancy, and runs
   barrier-aligned coordinator rounds
-  (:class:`~repro.core.coordinator.BarrierRebalancer`) whose capacity
-  steps are applied by the owning shards at the next window start.
+  (:class:`~repro.core.coordinator.BarrierRebalancer`).  A round is the
+  exact engine's: the same per-node records (read by
+  :meth:`~repro.cluster.cluster.Cluster.node_state` in the shards, with
+  the driver's hosted pages taken off ``free``), the same ``round_views``
+  and ``plan_capacity``, and steps the owning shards apply with
+  :meth:`~repro.cluster.cluster.Cluster.resize_pool` at the next window
+  start.
 
 Because a node's in-window evolution depends only on its own state and
 the driver-provided window inputs — co-located nodes interact through
@@ -57,7 +62,13 @@ from typing import (
 
 from ..channels.internode import LinkState
 from ..config import SimulationConfig
-from ..core.coordinator import BarrierRebalancer, NodeTmemView, create_coordinator
+from ..core.coordinator import (
+    BarrierRebalancer,
+    NodeState,
+    create_coordinator,
+    plan_capacity,
+    round_views,
+)
 from ..errors import ClusterError
 from ..hypervisor.remote_tmem import burst_runs
 from ..scenarios.spec import PhaseTrigger, ScenarioSpec
@@ -484,9 +495,9 @@ class EpochDriver:
         self.pages_moved = 0
         self.capacity_moves = 0
         #: Latest authoritative per-node state from the shard reports.
-        self._nodes: Dict[str, Dict[str, Any]] = {}
+        self._states: Dict[str, NodeState] = {}
         self._last_pressure: Dict[str, Tuple[int, int, int]] = {}
-        self._pending_capacity: Dict[str, int] = {}
+        self._pending_capacity: List[Tuple[str, int]] = []
         self.rebalancer: Optional[BarrierRebalancer] = None
         if use_tmem and topology.coordinator:
             self.rebalancer = BarrierRebalancer(
@@ -504,8 +515,8 @@ class EpochDriver:
     def absorb_init(self, reports: List[Dict[str, Any]]) -> None:
         """Record the shards' post-construction node states."""
         for report in reports:
-            self._nodes.update(report["nodes"])
-        missing = [n for n in self.node_names if n not in self._nodes]
+            self._states.update(report["nodes"])
+        missing = [n for n in self.node_names if n not in self._states]
         if missing:  # pragma: no cover - shard bucketing bug
             raise ClusterError(f"no shard reported nodes {missing}")
 
@@ -524,8 +535,7 @@ class EpochDriver:
         if self.spill_enabled:
             share = max(1, len(self.node_names) - 1)
             for name in self.node_names:
-                state = self._nodes[name]
-                headroom = state["free"] - self.hosted[name]
+                headroom = self._states[name].free - self.hosted[name]
                 quota[name] = max(0, headroom) // share
         busy: Dict[str, float] = {}
         if self.contended:
@@ -533,7 +543,7 @@ class EpochDriver:
                 name: link.busy_until for name, link in self._links.items()
             }
         capacity = self._pending_capacity
-        self._pending_capacity = {}
+        self._pending_capacity = []
         return {
             "until": self._barrier,
             "stop_when_idle": False,
@@ -555,7 +565,7 @@ class EpochDriver:
         for report in reports:
             messages.extend(report["messages"])
             running.extend(report["running"])
-            self._nodes.update(report["nodes"])
+            self._states.update(report["nodes"])
         messages.sort(key=lambda m: (m["time"], m["node"], m["seq"]))
         for message in messages:
             kind = message["kind"]
@@ -590,97 +600,50 @@ class EpochDriver:
             raise deadline_error(
                 self.spec, self.policy_spec, self.deadline, running
             )
-        if self.rebalancer is not None:
-            desired = self.rebalancer.poll(self._barrier, self._views())
-            if desired:
-                self._plan_capacity(desired)
+        self._coordinate()
 
     @property
     def finished(self) -> bool:
         return self.finished_at is not None
 
     # -- coordinator rounds -------------------------------------------------
-    def _views(self) -> List[NodeTmemView]:
-        """Per-node views mirroring ``Cluster._node_views``.
-
-        Hosted pages are folded back in (the exact engine's pools hold
-        them physically, so its views see them as used capacity), and
-        pressure counters become per-round deltas exactly like the
-        shared-engine bookkeeping.
-        """
-        views = []
-        for name in self.node_names:
-            state = self._nodes[name]
-            hosted = self.hosted[name]
-            failed = state["failed"]
-            spilled = state["spilled"]
-            dropped = state["dropped"]
-            prev = self._last_pressure.get(name, (0, 0, 0))
-            self._last_pressure[name] = (failed, spilled, dropped)
-            free = max(0, state["free"] - hosted)
-            views.append(
-                NodeTmemView(
-                    name=name,
-                    capacity_pages=state["capacity"],
-                    used_pages=state["capacity"] - free,
-                    free_pages=free,
-                    failed_puts=failed - prev[0],
-                    spilled_puts=spilled - prev[1],
-                    vm_count=state["vm_count"],
-                    dropped_pages=dropped - prev[2],
-                )
-            )
-        return views
-
-    def _plan_capacity(self, desired: Dict[str, int]) -> None:
-        """Transactional capacity steps, mirroring ``_apply_capacities``.
+    def _coordinate(self) -> None:
+        """The barrier's coordinator step, run as the exact engine's round.
 
         Feasibility is judged on the barrier state the shards just
-        reported (the shards are blocked, so nothing can move under us);
-        the resulting signed per-node deltas are applied by the owning
-        shards at the next window start.  The driver's caches advance
-        optimistically and are overwritten by the next barrier report.
+        reported (the shards are blocked, so nothing can move under us),
+        with each node's hosted pages taken off its free frames: the
+        exact engine's pools hold them physically.  The steps are
+        applied by the owning shards at the next window start.  The
+        cached records advance optimistically, because the next window's
+        quotas read them, and the next barrier report overwrites them.
+
+        The views are built at every barrier, before the rebalancer
+        decides whether a round is due, so the pressure baseline moves
+        every window and a round sees only the last window's pressure
+        (see :class:`~repro.core.coordinator.BarrierRebalancer`).
         """
-        shrinks: List[Tuple[str, int]] = []
-        grows: List[Tuple[str, int]] = []
-        for name in self.node_names:
-            target = desired.get(name)
-            if target is None:
-                continue
-            state = self._nodes[name]
-            current = state["capacity"]
-            if target < current:
-                feasible = min(
-                    current - target,
-                    max(0, state["free"] - self.hosted[name]),
-                )
-                if feasible > 0:
-                    shrinks.append((name, feasible))
-            elif target > current:
-                feasible = min(target - current, state["unassigned"])
-                if feasible > 0:
-                    grows.append((name, feasible))
-        budget = min(
-            sum(amount for _, amount in shrinks),
-            sum(amount for _, amount in grows),
-        )
-        if budget <= 0:
+        if self.rebalancer is None:
             return
-        steps: Dict[str, int] = {}
-        for moves, sign in ((shrinks, -1), (grows, 1)):
-            remaining = budget
-            for name, amount in moves:
-                if remaining <= 0:
-                    break
-                step = min(amount, remaining)
-                remaining -= step
-                steps[name] = steps.get(name, 0) + sign * step
-                self.capacity_moves += 1
-        for name, delta in steps.items():
-            state = self._nodes[name]
-            state["capacity"] += delta
-            state["free"] += delta
-            state["unassigned"] -= delta
+        states = []
+        for name in self.node_names:
+            state = self._states[name]
+            free = max(0, state.free - self.hosted[name])
+            states.append(state._replace(free=free))
+        desired = self.rebalancer.poll(
+            self._barrier, round_views(states, self._last_pressure)
+        )
+        if not desired:
+            return
+        steps = plan_capacity(states, desired)
+        self.capacity_moves += len(steps)
+        for name, delta in steps:
+            state = self._states[name]
+            self._states[name] = state._replace(
+                capacity=state.capacity + delta,
+                free=state.free + delta,
+                unassigned=state.unassigned - delta,
+            )
         self._pending_capacity = steps
 
     # -- result extras ------------------------------------------------------

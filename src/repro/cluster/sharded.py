@@ -27,12 +27,20 @@ One shard protocol
 Every sharded run is one driver loop over three shard steps:
 
 1. ``begin`` starts the shard's nodes and VMs and reports their states;
-2. ``window(command)`` runs the shard's engine to the command's barrier
+2. ``window(command)`` applies the driver's capacity steps to the
+   shard's own nodes through the cluster replica
+   (:meth:`~repro.cluster.cluster.Cluster.resize_pool`, the exact
+   engine's resize), runs the shard's engine to the command's barrier
    time and reports ``now``, the still-running VMs, the window's
    cross-node messages and the node states — repeated until the driver
    declares the run finished;
 3. ``finish(T*)`` runs the engine on to the run's stop time ``T*`` and
    finalizes the shard's nodes.
+
+A node state is the coordinator's
+:class:`~repro.core.coordinator.NodeState` record, read by
+:meth:`~repro.cluster.cluster.Cluster.node_state` as the exact engine
+reads it for its own rounds.
 
 The one global quantity of a decoupled run is the stop time: the shared
 engine stops when the *last* VM cluster-wide goes idle, and until then
@@ -86,6 +94,7 @@ import time as _time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
+from ..core.coordinator import NodeState
 from ..errors import ClusterError
 from ..scenarios.results import ScenarioResult, VmResult
 from ..scenarios.spec import ScenarioSpec
@@ -258,34 +267,12 @@ class _ShardTask:
         for name, vm in self._vms.items():
             if name not in runner._trigger_started_vms:
                 vm.start()
-        return {"nodes": self._node_states()}
+        return {"nodes": self._states()}
 
-    def _node_states(self) -> Dict[str, Dict[str, Any]]:
-        """The driver-visible state of each owned node (quota + view inputs)."""
-        states = {}
-        for node in self._nodes:
-            host = node.hypervisor.host_memory
-            backend = self.runner.cluster.remote_backends.get(node.name)
-            failed = sum(
-                account.cumul_puts_failed
-                for account in node.hypervisor.accounting.accounts()
-            )
-            spilled = backend.stats.pages_spilled if backend is not None else 0
-            dropped = (
-                backend.stats.ephemeral_dropped + backend.stats.pages_lost
-                if backend is not None
-                else 0
-            )
-            states[node.name] = {
-                "capacity": host.tmem_total_pages,
-                "free": host.tmem_free_pages,
-                "unassigned": host.unassigned_pages,
-                "failed": failed,
-                "spilled": spilled,
-                "dropped": dropped,
-                "vm_count": len(node.vms),
-            }
-        return states
+    def _states(self) -> Dict[str, NodeState]:
+        """Each owned node's coordinator record, keyed by node name."""
+        cluster = self.runner.cluster
+        return {node.name: cluster.node_state(node) for node in self._nodes}
 
     def window(self, command: Dict[str, Any]) -> Dict[str, Any]:
         """Run one window and report its end state and cross-shard effects.
@@ -295,21 +282,10 @@ class _ShardTask:
         ``command["until"]`` — stopping early once the group is idle
         when ``command["stop_when_idle"]`` is set.
         """
-        runner = self.runner
-        engine = runner.engine
-        owned = {node.name: node for node in self._nodes}
-        for name, delta in command["capacity"].items():
-            node = owned.get(name)
-            if node is None:
-                continue
-            host = node.hypervisor.host_memory
-            if delta < 0:
-                host.shrink_tmem_pool(-delta)
-            else:
-                host.grow_tmem_pool(delta)
-            runner.trace.record(
-                f"tmem_capacity/{name}", engine.now, host.tmem_total_pages
-            )
+        engine = self.runner.engine
+        for name, delta in command["capacity"]:
+            if name in self.group:
+                self.runner.cluster.resize_pool(name, delta)
         if self.ctx is not None:
             self.ctx.begin_window(command["quota"], command["busy"])
         stop_when = None
@@ -326,7 +302,7 @@ class _ShardTask:
                 name for name, vm in self._vms.items() if not vm.is_idle
             ],
             "messages": self.ctx.drain() if self.ctx is not None else [],
-            "nodes": self._node_states(),
+            "nodes": self._states(),
         }
 
     def finish(self, t_star: float) -> Dict[str, Any]:
@@ -493,7 +469,7 @@ class _StopDriver:
         pass
 
     def window_command(self) -> Dict[str, Any]:
-        return {"until": self.deadline, "stop_when_idle": True, "capacity": {}}
+        return {"until": self.deadline, "stop_when_idle": True, "capacity": ()}
 
     def absorb(self, reports: List[Dict[str, Any]]) -> None:
         from ..scenarios.runner import deadline_error

@@ -19,17 +19,30 @@ reuse the same machinery as the per-VM policies:
   :mod:`repro.core.policy`, so coordinators are selected exactly like
   policies (``"pressure-prop:percent=25"``).
 
-The :class:`~repro.cluster.cluster.Cluster` applies the vector subject to
-physical limits — a node can only shrink by its *free* tmem frames and
-only grow into its own fallow DRAM — so coordinators may express intent
-without tracking per-node feasibility.
+One coordinator round is the same three steps on both cluster engines,
+each defined once here over plain per-node :class:`NodeState` records:
+
+* :func:`round_views` turns the records' cumulative pressure counters
+  into the round's views (changes since a baseline, never negative);
+* the coordinator turns the views into a desired capacity vector;
+* :func:`plan_capacity` turns that vector into the signed pool steps
+  that physical limits allow — a node can only shrink by its *free* tmem
+  frames and only grow into its own fallow DRAM, and growth is funded
+  exactly by shrinking — so coordinators may express intent without
+  tracking per-node feasibility.
+
+The exact engine reads the records live and plans and applies the steps
+when its decision reaches the nodes
+(:class:`~repro.cluster.cluster.Cluster`); the epoch driver reads the
+records the shards report at each barrier and the owning shards apply
+the steps at the next window start (:mod:`repro.cluster.epoch`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import PolicyError, UnknownPolicyError
 from .policy import check_arguments, parse_policy_spec
@@ -37,7 +50,10 @@ from .stats import TargetVector
 from .targets import equal_share, proportional_scale
 
 __all__ = [
+    "NodeState",
     "NodeTmemView",
+    "plan_capacity",
+    "round_views",
     "ClusterPolicy",
     "BarrierRebalancer",
     "SpillFeedbackCoordinator",
@@ -74,6 +90,100 @@ class NodeTmemView:
         return self.failed_puts + self.spilled_puts
 
 
+class NodeState(NamedTuple):
+    """One node's coordinator inputs at a round or barrier, in pages.
+
+    The exact engine reads it live
+    (:meth:`~repro.cluster.cluster.Cluster.node_state`); the shard
+    workers report the same record to the epoch driver at every barrier.
+    """
+
+    name: str
+    #: Size of the node's tmem pool.
+    capacity: int
+    #: Free frames of the pool: the most it can shed.
+    free: int
+    #: Fallow DRAM: the most the pool can grow by.
+    unassigned: int
+    #: Cumulative failed puts, remote spills and dropped or lost remote
+    #: pages; :func:`round_views` turns them into per-round counts.
+    failed: int
+    spilled: int
+    dropped: int
+    vm_count: int
+
+
+def round_views(
+    states: Sequence[NodeState], baseline: Dict[str, Tuple[int, int, int]]
+) -> List[NodeTmemView]:
+    """The round's views of *states*, one per record, in record order.
+
+    Each count is the counter's change since *baseline* (node name ->
+    ``(failed, spilled, dropped)``, zero for a node it lacks), and the
+    baseline moves to the new counters.  A cumulative sum can shrink (a
+    rejoining node destroys its stale domains); a round's counts never
+    go negative.
+    """
+    views = []
+    for state in states:
+        failed, spilled, dropped = baseline.get(state.name, (0, 0, 0))
+        baseline[state.name] = (state.failed, state.spilled, state.dropped)
+        views.append(
+            NodeTmemView(
+                name=state.name,
+                capacity_pages=state.capacity,
+                used_pages=state.capacity - state.free,
+                free_pages=state.free,
+                failed_puts=max(0, state.failed - failed),
+                spilled_puts=max(0, state.spilled - spilled),
+                vm_count=state.vm_count,
+                dropped_pages=max(0, state.dropped - dropped),
+            )
+        )
+    return views
+
+
+def plan_capacity(
+    states: Sequence[NodeState], desired: Dict[str, int]
+) -> List[Tuple[str, int]]:
+    """Signed pool steps moving the nodes of *states* towards *desired*.
+
+    The move is transactional on the cluster total: a pool sheds at most
+    its free frames and grows at most into its fallow DRAM, and the
+    growing nodes receive exactly what the shrinking nodes shed, so a
+    plan never mints or strands enabled tmem.  Every shrink comes before
+    every grow, each in record order; one step is one capacity move.
+    """
+    shrinks: List[Tuple[str, int]] = []
+    grows: List[Tuple[str, int]] = []
+    for state in states:
+        target = desired.get(state.name)
+        if target is None:
+            continue
+        if target < state.capacity:
+            feasible = min(state.capacity - target, state.free)
+            if feasible > 0:
+                shrinks.append((state.name, feasible))
+        elif target > state.capacity:
+            feasible = min(target - state.capacity, state.unassigned)
+            if feasible > 0:
+                grows.append((state.name, feasible))
+    budget = min(
+        sum(amount for _, amount in shrinks),
+        sum(amount for _, amount in grows),
+    )
+    steps: List[Tuple[str, int]] = []
+    for moves, sign in ((shrinks, -1), (grows, 1)):
+        remaining = budget
+        for name, amount in moves:
+            if remaining <= 0:
+                break
+            step = min(amount, remaining)
+            remaining -= step
+            steps.append((name, sign * step))
+    return steps
+
+
 class ClusterPolicy(ABC):
     """Base class for cluster-level capacity coordinators."""
 
@@ -90,9 +200,6 @@ class ClusterPolicy(ABC):
         (``sum(view.capacity_pages)``); the helpers from
         :mod:`repro.core.targets` guarantee that by construction.
         """
-
-    def reset(self) -> None:
-        """Forget internal state (between scenario runs)."""
 
     def describe(self) -> str:
         return self.name
@@ -156,9 +263,6 @@ class PressureProportionalCoordinator(ClusterPolicy):
         self.smoothing = float(smoothing)
         self.floor = float(floor)
         self._scores: Dict[str, float] = {}
-
-    def reset(self) -> None:
-        self._scores.clear()
 
     def _pressure_of(self, view: NodeTmemView) -> float:
         """Raw per-round pressure sample; subclasses reweight this."""
@@ -309,9 +413,19 @@ class BarrierRebalancer:
     driver holds a consistent global view.  This wrapper reproduces the
     timer's cadence on barrier time: a round is due once the barrier
     time reaches the next multiple of the interval, at most one round
-    fires per barrier, and the schedule then advances past the barrier
-    (windows are at least half an interval wide, so at most one timer
-    tick can fall inside any window and no rounds are skipped).
+    fires per barrier, and the schedule then advances past the barrier.
+    Epoch windows are half an interval wide unless the interconnect
+    latency is longer, so at most one tick falls inside each window and
+    none is skipped; the ticks inside one wider window collapse into
+    one round.
+
+    :meth:`poll` takes the round's views whether or not a round is due,
+    so a caller that builds them with :func:`round_views` at every
+    barrier moves its pressure baseline at every barrier, not only at
+    rounds.  The epoch driver does exactly that: each round sees only
+    the pressure of the window just before it, not of the whole
+    interval since the previous round (a known bug; see PERFORMANCE.md,
+    "What epoch results are *not*").
     """
 
     def __init__(self, policy: ClusterPolicy, interval_s: float) -> None:
@@ -330,10 +444,6 @@ class BarrierRebalancer:
         while self._next_fire <= barrier_time:
             self._next_fire += self.interval_s
         return self.policy.rebalance(views)
-
-    def reset(self) -> None:
-        self.policy.reset()
-        self._next_fire = self.interval_s
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ and are deliberately pure so they can be property-tested in isolation.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import PolicyError
 from .stats import TargetVector
@@ -103,11 +103,3 @@ def normalize_targets(targets: TargetVector, total_tmem: int) -> TargetVector:
     if targets.total() == total_tmem:
         return targets.copy()
     return proportional_scale(targets, total_tmem)
-
-
-def targets_from_mapping(mapping: Mapping[int, int]) -> TargetVector:
-    """Convenience constructor used by tests and the CLI."""
-    return TargetVector(dict(mapping))
-
-
-__all__.append("targets_from_mapping")

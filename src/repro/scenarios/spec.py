@@ -353,12 +353,6 @@ class ClusterTopology:
     def node_names(self) -> Tuple[str, ...]:
         return tuple(node.name for node in self.nodes)
 
-    def node_of(self, vm_name: str) -> NodeSpec:
-        for node in self.nodes:
-            if vm_name in node.vm_names:
-                return node
-        raise ScenarioError(f"no node hosts VM {vm_name!r}")
-
     def total_tmem_mb(self) -> int:
         return sum(node.tmem_mb for node in self.nodes)
 

@@ -18,13 +18,19 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import clusterize
 from repro.config import GuestConfig, SimulationConfig
 from repro.core.coordinator import (
+    BarrierRebalancer,
+    ClusterPolicy,
+    NodeState,
     NodeTmemView,
     available_coordinators,
     create_coordinator,
+    plan_capacity,
+    round_views,
 )
 from repro.core.policy import available_policies
 from repro.errors import ClusterError, ScenarioError
@@ -297,6 +303,52 @@ class TestClusterFamilies:
             clusterize(clustered, 2)
 
 
+@st.composite
+def capacity_plans(draw):
+    """1-6 node records (free <= capacity, any fallow DRAM) and desired
+    capacities for any subset of them."""
+    states = []
+    desired = {}
+    for k in range(draw(st.integers(1, 6))):
+        name = f"node{k}"
+        capacity = draw(st.integers(0, 300))
+        states.append(NodeState(
+            name=name,
+            capacity=capacity,
+            free=draw(st.integers(0, capacity)),
+            unassigned=draw(st.integers(0, 300)),
+            failed=0, spilled=0, dropped=0, vm_count=1,
+        ))
+        if draw(st.booleans()):
+            desired[name] = draw(st.integers(0, 600))
+    return states, desired
+
+
+@st.composite
+def counter_snapshots(draw):
+    """Successive records of 1-4 nodes whose cumulative counters move
+    freely, shrinking sums included."""
+    names = [f"node{k}" for k in range(draw(st.integers(1, 4)))]
+    counter = st.integers(0, 1000)
+    snapshots = []
+    for _ in range(draw(st.integers(1, 8))):
+        snapshot = []
+        for name in names:
+            capacity = draw(st.integers(0, 300))
+            snapshot.append(NodeState(
+                name=name,
+                capacity=capacity,
+                free=draw(st.integers(0, capacity)),
+                unassigned=draw(st.integers(0, 300)),
+                failed=draw(counter),
+                spilled=draw(counter),
+                dropped=draw(counter),
+                vm_count=draw(st.integers(0, 4)),
+            ))
+        snapshots.append(snapshot)
+    return snapshots
+
+
 class TestCoordinator:
     def view(self, name, capacity, *, used=0, failed=0, spilled=0):
         return NodeTmemView(
@@ -378,6 +430,95 @@ class TestCoordinator:
         # Rebalancing is transactional: grows are funded exclusively by
         # shrinks, so the cluster's enabled capacity is conserved exactly.
         assert final == initial
+
+    @settings(deadline=None)
+    @given(plan=capacity_plans())
+    def test_capacity_plan_is_feasible_and_transactional(self, plan):
+        """The shared planner of both cluster engines: every step fits
+        the node's physical limits, growth is funded exactly by shrinks,
+        and as many pages move as both sides allow."""
+        states, desired = plan
+        steps = plan_capacity(states, desired)
+        by_name = {state.name: state for state in states}
+        assert sum(delta for _, delta in steps) == 0
+        names = [name for name, _ in steps]
+        assert len(names) == len(set(names))
+        assert all(delta != 0 for _, delta in steps)
+        grows = [delta > 0 for _, delta in steps]
+        assert grows == sorted(grows)  # every shrink before every grow
+        for name, delta in steps:
+            state = by_name[name]
+            if delta < 0:
+                assert -delta <= state.free
+                assert -delta <= state.capacity - desired[name]
+            else:
+                assert delta <= state.unassigned
+                assert delta <= desired[name] - state.capacity
+        targeted = [state for state in states if state.name in desired]
+        can_shed = sum(
+            min(state.capacity - desired[state.name], state.free)
+            for state in targeted if desired[state.name] < state.capacity
+        )
+        can_take = sum(
+            min(desired[state.name] - state.capacity, state.unassigned)
+            for state in targeted if desired[state.name] > state.capacity
+        )
+        moved = sum(delta for _, delta in steps if delta > 0)
+        assert moved == min(can_shed, can_take)
+
+    @settings(deadline=None)
+    @given(snapshots=counter_snapshots())
+    def test_round_views_count_each_rounds_change(self, snapshots):
+        """Each round counts max(0, now - previous) per counter, the
+        baseline ends at the last snapshot, and used + free == capacity."""
+        baseline = {}
+        previous = {}
+        for snapshot in snapshots:
+            views = round_views(snapshot, baseline)
+            assert [view.name for view in views] == [s.name for s in snapshot]
+            for state, view in zip(snapshot, views):
+                failed, spilled, dropped = previous.get(state.name, (0, 0, 0))
+                assert view.failed_puts == max(0, state.failed - failed)
+                assert view.spilled_puts == max(0, state.spilled - spilled)
+                assert view.dropped_pages == max(0, state.dropped - dropped)
+                assert view.capacity_pages == state.capacity
+                assert view.free_pages == state.free
+                assert view.used_pages + view.free_pages == view.capacity_pages
+                assert view.vm_count == state.vm_count
+                previous[state.name] = (state.failed, state.spilled, state.dropped)
+        assert baseline == {
+            state.name: (state.failed, state.spilled, state.dropped)
+            for state in snapshots[-1]
+        }
+
+    @pytest.mark.parametrize("interval", [2.0, 0.5, 3.0])
+    def test_barrier_rounds_fire_on_multiples_of_the_interval(self, interval):
+        """Barriers every interval/2: one round at each multiple of the
+        interval and none between; a barrier past several ticks fires
+        one round and the schedule resumes after it."""
+        rounds = []
+
+        class Recorder(ClusterPolicy):
+            def rebalance(self, views):
+                rounds.append(views)
+                return None
+
+        rebalancer = BarrierRebalancer(Recorder(), interval)
+        fired = []
+        for k in range(1, 13):
+            barrier = k * interval / 2
+            before = len(rounds)
+            assert rebalancer.poll(barrier, []) is None
+            assert len(rounds) - before <= 1
+            if len(rounds) > before:
+                fired.append(barrier)
+        assert fired == [m * interval for m in range(1, 7)]
+        rebalancer.poll(9.5 * interval, [])
+        assert len(rounds) == 7
+        rebalancer.poll(9.75 * interval, [])
+        assert len(rounds) == 7
+        rebalancer.poll(10 * interval, [])
+        assert len(rounds) == 8
 
 
 class TestClusterAnalysis:

@@ -228,6 +228,67 @@ class TestEpochInvariance:
 
 
 # ---------------------------------------------------------------------------
+# coordinator rounds
+# ---------------------------------------------------------------------------
+class TestEpochCoordinatorRounds:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "known bug: the driver builds the round views at every "
+            "barrier, so the pressure baseline moves every window and a "
+            "round sees only the last window's pressure"
+        ),
+    )
+    def test_each_round_sees_the_pressure_since_the_previous_round(
+        self, monkeypatch
+    ):
+        """A round's per-node failed + spilled puts are the counters'
+        change since the previous round, as on the exact engine's timer."""
+        import repro.cluster.epoch as epoch_module
+        from repro.core.coordinator import SpillFeedbackCoordinator
+
+        barriers = []  # (cumulative failed + spilled per node, views)
+        round_views = epoch_module.round_views
+
+        def record_barrier(states, baseline):
+            views = round_views(states, baseline)
+            barriers.append((
+                {state.name: state.failed + state.spilled for state in states},
+                views,
+            ))
+            return views
+
+        rounds = []  # the views of each round the coordinator ran
+        rebalance = SpillFeedbackCoordinator.rebalance
+
+        def record_round(policy, views):
+            rounds.append(views)
+            return rebalance(policy, views)
+
+        monkeypatch.setattr(epoch_module, "round_views", record_barrier)
+        monkeypatch.setattr(SpillFeedbackCoordinator, "rebalance", record_round)
+        spec = scenario_by_name("contended:nodes=2", scale=SCALE)
+        _epoch_run(spec, "smart-alloc:P=2", shards=1)
+        counters = [
+            cumulative for cumulative, views in barriers
+            if any(views is seen for seen in rounds)
+        ]
+        if len(counters) < 2:
+            pytest.fail(f"expected two or more rounds, got {len(counters)}")
+        previous = {}
+        for cumulative, views in zip(counters, rounds):
+            assert {
+                view.name: view.failed_puts + view.spilled_puts
+                for view in views
+            } == {
+                name: count - previous.get(name, 0)
+                for name, count in cumulative.items()
+            }
+            previous = cumulative
+
+
+# ---------------------------------------------------------------------------
 # the epoch flush path
 # ---------------------------------------------------------------------------
 class TestEpochFlushPath:
