@@ -6,8 +6,9 @@ family and workload kind registers parameter metadata (derived from its
 factory/constructor signature plus explicit per-parameter docs), and
 this script renders that metadata into the reference manual.  The docs
 cannot drift from the code — CI runs ``--check``, which fails when the
-committed file differs from a fresh render or when any registered
-family/workload is missing parameter documentation.
+committed file differs from a fresh render, when any registered
+family/workload is missing parameter documentation or when a family
+parameter has no declared bound.
 
 Usage::
 
@@ -41,7 +42,8 @@ HEADER = """\
 <!-- GENERATED FILE - do not edit by hand.
      Regenerate with: python scripts/gen_scenario_docs.py
      CI runs `gen_scenario_docs.py --check` and fails when this file is
-     stale or any registered family/workload lacks parameter docs. -->
+     stale, any registered family/workload lacks parameter docs or any
+     family parameter lacks a bound. -->
 
 Scenario documents are YAML files compiled by `smartmem compile`,
 validated by `smartmem lint`, inspected with `smartmem plan` and run
@@ -142,21 +144,28 @@ document's directory, so committed examples replay their committed
 traces from any working directory.
 
 The parameter tables below are generated from the registries — the
-types and defaults come from the factory signatures themselves.
+types and defaults come from the factory signatures themselves.  Each
+family parameter's bound is declared once at registration and checked
+before the family's factory runs; a value outside it fails at
+`params.<key>`.
 """
 
 
-def _table(parameters) -> list:
+def _table(parameters, *, bounds: bool = False) -> list:
+    """A markdown parameter table; *bounds* adds a bound column."""
+    bound_head, bound_rule = ("bound | ", "---|") if bounds else ("", "")
     lines = [
-        "| parameter | type | default | units | description |",
-        "|---|---|---|---|---|",
+        f"| parameter | type | default | {bound_head}units | description |",
+        f"|---|---|---|{bound_rule}---|---|",
     ]
     for info in parameters:
+        bound = f"`{info.bound.text}`" if info.bound else "—"
+        bound_cell = f"{bound} | " if bounds else ""
         units = info.units or "—"
         doc = info.doc or "—"
         lines.append(
             f"| `{info.name}` | {info.type} | `{info.default_repr()}` "
-            f"| {units} | {doc} |"
+            f"| {bound_cell}{units} | {doc} |"
         )
     return lines
 
@@ -186,7 +195,11 @@ def render() -> str:
         for info in parameters:
             if not info.doc:
                 missing.append(f"scenario family {name!r} parameter {info.name!r}")
-        lines.extend(_table(parameters))
+            if info.bound is None:
+                missing.append(
+                    f"scenario family {name!r} parameter {info.name!r} (bound)"
+                )
+        lines.extend(_table(parameters, bounds=True))
         lines.append("")
 
     lines.append("## Workload kinds\n")
@@ -214,7 +227,8 @@ def render() -> str:
 
     if missing:
         raise SystemExit(
-            "parameter documentation missing for:\n  " + "\n  ".join(missing)
+            "parameter documentation or bound missing for:\n  "
+            + "\n  ".join(missing)
         )
     return "\n".join(lines).rstrip() + "\n"
 

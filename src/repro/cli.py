@@ -360,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_parameter_rows(parameters) -> None:
-    """Indented name/type/default/units/doc rows under a list entry."""
+    """Indented name/type/default/bound/units/doc rows under a list entry."""
     for info in parameters:
+        bound = f" ({info.bound.text})" if info.bound else ""
         units = f" [{info.units}]" if info.units else ""
         doc = f"  {info.doc}" if info.doc else ""
         print(
             f"      {info.name}: {info.type} = {info.default_repr()}"
-            f"{units}{doc}"
+            f"{bound}{units}{doc}"
         )
 
 
@@ -381,7 +382,7 @@ def _cmd_list(verbose: bool = False) -> int:
     for name, entry in sorted(registered_scenarios().items()):
         if name in paper:
             continue
-        params = ", ".join(entry.parameters) if entry.parameters else "-"
+        params = ", ".join(entry.valid_keys()) or "-"
         print(f"  {name:18s} params: {params:24s} {entry.summary}")
         if verbose:
             _print_parameter_rows(entry.parameter_info())
@@ -669,10 +670,9 @@ def _cmd_run(args: "argparse.Namespace") -> int:
     seed = args.seed
     if seed is None:
         seed = 2019 if compiled.seed is None else compiled.seed
-    if args.check_invariants:
-        # Also reaches sharded/epoch worker processes via the inherited
-        # environment.
-        os.environ["SMARTMEM_CHECK_INVARIANTS"] = "1"
+    # Without the flag, SMARTMEM_CHECK_INVARIANTS decides, as for library
+    # callers; shard workers inherit it from this process's environment.
+    check_invariants = args.check_invariants or None
 
     results: Dict[str, ScenarioResult] = {}
     for policy in selected:
@@ -682,6 +682,7 @@ def _cmd_run(args: "argparse.Namespace") -> int:
             runner = ShardedClusterRunner(
                 spec, policy, shards=args.shards, seed=seed,
                 cluster_engine=args.cluster_engine,
+                check_invariants=check_invariants,
             )
             if runner.epoch_parallel:
                 path = (
@@ -701,14 +702,11 @@ def _cmd_run(args: "argparse.Namespace") -> int:
             )
             result = runner.run()
             if args.cluster_engine == "epoch" and runner.epoch_fallback:
-                # One machine-greppable line, mirrored into the result
-                # so archived JSON records which engine actually ran.
+                # One machine-greppable line naming the engine that ran.
                 print(
                     f"epoch fallback: {runner.epoch_fallback}",
                     file=sys.stderr,
                 )
-                if result.cluster is not None:
-                    result.cluster["epoch_fallback"] = runner.epoch_fallback
             results[policy] = result
         else:
             if args.shards is not None:
@@ -719,7 +717,7 @@ def _cmd_run(args: "argparse.Namespace") -> int:
                 )
             print(f"running {spec.name} under {policy} ...", file=sys.stderr)
             results[policy] = run_scenario(
-                spec, policy, seed=seed, check_invariants=args.check_invariants
+                spec, policy, seed=seed, check_invariants=check_invariants
             )
 
     print()

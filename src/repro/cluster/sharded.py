@@ -246,7 +246,7 @@ class _ShardTask:
             self.ctx = EpochContext.for_spec(self.spec, payload["config"])
         self.runner = ScenarioRunner(
             self.spec, payload["policy_spec"], config=payload["config"],
-            epoch=self.ctx,
+            epoch=self.ctx, check_invariants=payload["check_invariants"],
         )
 
     def begin(self) -> Dict[str, Any]:
@@ -508,6 +508,10 @@ class ShardedClusterRunner:
         spawning workers.  Same simulation, same fingerprints — used by
         tests and useful on single-core hosts where process spawn
         overhead cannot be amortized.
+    check_invariants:
+        Arm the inline invariant checker in every shard's runner (and in
+        the shared-engine run); ``None`` leaves it to each runner's
+        ``SMARTMEM_CHECK_INVARIANTS`` environment variable.
     """
 
     def __init__(
@@ -521,6 +525,7 @@ class ShardedClusterRunner:
         seed: Optional[int] = None,
         inline: bool = False,
         cluster_engine: Optional[str] = "exact",
+        check_invariants: Optional[bool] = None,
     ) -> None:
         from ..scenarios.runner import NO_TMEM_POLICY, resolve_config
 
@@ -528,6 +533,7 @@ class ShardedClusterRunner:
         self.policy_spec = policy_spec
         self.config = resolve_config(config, units, seed)
         self.inline = inline
+        self.check_invariants = check_invariants
         self.cluster_engine = resolve_cluster_engine(cluster_engine)
         use_tmem = policy_spec != NO_TMEM_POLICY
         self.use_tmem = use_tmem
@@ -565,6 +571,7 @@ class ShardedClusterRunner:
             "config": self.config,
             "group": bucket,
             "epoch": self.epoch_parallel,
+            "check_invariants": self.check_invariants,
         }
 
     def run(self) -> ScenarioResult:
@@ -576,7 +583,10 @@ class ShardedClusterRunner:
     def _run_exact(self) -> ScenarioResult:
         from ..scenarios.runner import ScenarioRunner
 
-        runner = ScenarioRunner(self.spec, self.policy_spec, config=self.config)
+        runner = ScenarioRunner(
+            self.spec, self.policy_spec, config=self.config,
+            check_invariants=self.check_invariants,
+        )
         result = runner.run()
         self.events_executed = runner.engine.events_executed
         self.pages_accessed = sum(

@@ -29,7 +29,6 @@ the run deadline, and trace workloads have their trace files resolved
 
 from __future__ import annotations
 
-import difflib
 import inspect
 import math
 import os
@@ -41,6 +40,7 @@ from ...cluster.faults import FaultPlan, parse_link_degradation, parse_node_faul
 from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
+from ...params import param_errors, suggest
 from ...workloads.registry import WORKLOAD_REGISTRY
 from ..registry import registered_scenarios
 from ..runner import NO_TMEM_POLICY
@@ -135,11 +135,6 @@ class CompiledScenario:
         return self.document.filename
 
 
-def _suggest(name: str, candidates: Sequence[str]) -> str:
-    matches = difflib.get_close_matches(str(name), list(candidates), n=1, cutoff=0.5)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
-
-
 def workload_param_errors(
     kind: str, params: Mapping[str, Any]
 ) -> List[Tuple[str, str]]:
@@ -157,27 +152,7 @@ def workload_param_errors(
         for p in signature.parameters.values()
     ):
         return []
-    info = {p.name: p for p in workload_cls.parameter_info()}
-    problems = []
-    for key, value in params.items():
-        if key not in info:
-            problems.append((
-                key,
-                f"workload {kind!r} has no parameter {key!r}"
-                f"{_suggest(key, sorted(info))}; valid keys: {sorted(info)}",
-            ))
-        else:
-            mismatch = info[key].type_error(value)
-            if mismatch:
-                problems.append((key, mismatch))
-    for name, parameter in info.items():
-        if parameter.default is inspect.Parameter.empty and name not in params:
-            problems.append((
-                "",
-                f"workload {kind!r} requires parameter {name!r}"
-                + (f" ({parameter.doc})" if parameter.doc else ""),
-            ))
-    return problems
+    return param_errors(workload_cls.parameter_info(), params, f"workload {kind!r}")
 
 
 class _Compiler:
@@ -209,7 +184,7 @@ class _Compiler:
             if key not in allowed:
                 child = f"{path}.{key}" if path else key
                 self.error(
-                    f"unknown key {key!r}{_suggest(key, allowed)}; "
+                    f"unknown key {key!r}{suggest(key, allowed)}; "
                     f"valid keys: {sorted(allowed)}",
                     child,
                 )
@@ -287,7 +262,7 @@ class _Compiler:
         except PolicyError as exc:
             suggestion = ""
             if isinstance(exc, UnknownPolicyError):
-                suggestion = _suggest(spec.split(":")[0], available())
+                suggestion = suggest(spec.split(":")[0], available())
             self.error(f"bad {kind} spec: {exc}{suggestion}", path)
             return None
         return spec
@@ -300,7 +275,7 @@ class _Compiler:
         if family is not None and family not in registry:
             self.error(
                 f"unknown scenario family {family!r}"
-                f"{_suggest(family, sorted(registry))}; "
+                f"{suggest(family, sorted(registry))}; "
                 f"available: {sorted(registry)}",
                 "family",
             )
@@ -323,22 +298,10 @@ class _Compiler:
                     # Every family parameter is numeric; ints stay ints.
                     if self.expect_number(raw, f"params.{key}") is not None:
                         params[key] = raw
-                if family is not None:
-                    entry = registry[family]
-                    accepts_kwargs = any(
-                        p.kind is inspect.Parameter.VAR_KEYWORD
-                        for p in inspect.signature(entry.factory).parameters.values()
-                    )
-                    valid = entry.valid_keys()
-                    if not accepts_kwargs:
-                        for key in params:
-                            if key not in valid:
-                                self.error(
-                                    f"family {family!r} has no parameter "
-                                    f"{key!r}{_suggest(key, valid)}; "
-                                    f"valid keys: {sorted(valid)}",
-                                    f"params.{key}",
-                                )
+        if family is not None:
+            info = registry[family].parameter_info()
+            for key, message in param_errors(info, params, f"family {family!r}"):
+                self.error(message, f"params.{key}" if key else "params")
 
         cluster = None
         if "cluster" in data:
@@ -351,11 +314,6 @@ class _Compiler:
             spec = registry[family].factory(scale=scale, **params)
         except ScenarioError as exc:
             self.error(f"family {family!r} rejected the document: {exc}", "params")
-            return None
-        except TypeError as exc:
-            self.error(
-                f"family {family!r} rejected arguments {params}: {exc}", "params"
-            )
             return None
         if cluster is not None:
             spec = self.overlay_cluster(spec, family, *cluster)
@@ -436,7 +394,7 @@ class _Compiler:
         if kind is not None and kind not in WORKLOAD_REGISTRY:
             self.error(
                 f"unknown workload kind {kind!r}"
-                f"{_suggest(kind, sorted(WORKLOAD_REGISTRY))}; "
+                f"{suggest(kind, sorted(WORKLOAD_REGISTRY))}; "
                 f"available: {sorted(WORKLOAD_REGISTRY)}",
                 f"{path}.kind",
             )
@@ -576,7 +534,7 @@ class _Compiler:
             if vm is not None and vm not in vm_names:
                 self.error(
                     f"trigger {field_name} {vm!r} is not a declared VM"
-                    f"{_suggest(vm, vm_names)}",
+                    f"{suggest(vm, vm_names)}",
                     f"{path}.{field_name}",
                 )
                 ok = False
@@ -613,7 +571,7 @@ class _Compiler:
                     continue
                 if vm not in vm_names:
                     self.error(
-                        f"node places unknown VM {vm!r}{_suggest(vm, vm_names)}",
+                        f"node places unknown VM {vm!r}{suggest(vm, vm_names)}",
                         f"{path}.vms[{index}]",
                     )
                     continue

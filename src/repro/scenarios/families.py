@@ -52,13 +52,17 @@ a modeled interconnect — see :mod:`repro.cluster`):
 
 All sizes honour the library's ``scale`` convention (multiply every MB
 figure by ``scale``), so the families run at paper sizes (``scale=1.0``)
-or at test sizes (``scale<=0.25``) alike.
+or at test sizes (``scale<=0.25``) alike.  Each family declares its
+parameters' bounds at registration; the registry checks every call
+against them (and the scale) before a factory runs.
 """
 
 from __future__ import annotations
 
-from ..errors import ScenarioError
-from .library import _check_scale, _scaled
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..cluster.faults import FaultPlan, LinkDegradation, NodeFault
+from .library import _scaled
 from .registry import register_scenario
 from .spec import (
     ClusterTopology,
@@ -85,46 +89,184 @@ __all__ = [
     "shard_scenario",
 ]
 
+#: The narrow spill interconnect of the contended and vault families.  A
+#: tenth of the default 10 GbE: each 4 KiB page occupies the link long
+#: enough for concurrent spill bursts to queue.
+_NARROW_SPILL = dict(
+    remote_spill=True,
+    contended=True,
+    interconnect_bandwidth_bytes_s=1.25e8,
+    coordinator="spill-feedback:percent=15",
+)
+
+#: ``(node name, VMs, tmem_mb, host_memory_mb, zone)``: one node of a layout.
+Row = Tuple[str, Sequence[VMSpec], int, int, Optional[str]]
+
+
+def _vm(
+    name: str,
+    ram_mb: int,
+    swap_mb: int,
+    kind: str,
+    params: Mapping[str, Any],
+    *,
+    start_at: Optional[float] = 0.0,
+    label: str = "",
+) -> VMSpec:
+    """A one-vCPU VM running one *kind* job (labelled *kind* by default)."""
+    job = WorkloadSpec(kind=kind, params=params, start_at=start_at, label=label or kind)
+    return VMSpec(name=name, ram_mb=ram_mb, vcpus=1, swap_mb=swap_mb, jobs=(job,))
+
+
+def _graph(
+    graph_mb: float, rank_vectors_mb: float, iterations: int, scale: float
+) -> Dict[str, int]:
+    """graph-analytics params for a graph and rank vectors of these sizes."""
+    return {
+        "graph_mb": _scaled(graph_mb, scale),
+        "rank_vectors_mb": _scaled(rank_vectors_mb, scale),
+        "iterations": iterations,
+    }
+
+
+def _usemem_up_to(max_mb: float, scale: float) -> Dict[str, int]:
+    """usemem params allocating 128 MB steps up to *max_mb* (one step at least).
+
+    With ``max_mb = 2 * ram_mb`` a VM sweeps twice its RAM: far more
+    overflow than a small pool can take, so pages must spill or swap.
+    """
+    step = _scaled(128, scale)
+    return {
+        "start_mb": step,
+        "increment_mb": step,
+        "max_mb": max(step, _scaled(max_mb, scale)),
+    }
+
+
+def _layout(rows: Sequence[Row]) -> Tuple[Tuple[VMSpec, ...], Tuple[NodeSpec, ...]]:
+    """``(vms, node specs)`` of a cluster given as :data:`Row` rows."""
+    vms = tuple(vm for row in rows for vm in row[1])
+    nodes = tuple(
+        NodeSpec(
+            name=name,
+            vm_names=tuple(vm.name for vm in node_vms),
+            tmem_mb=tmem_mb,
+            host_memory_mb=host_memory_mb,
+            zone=zone,
+        )
+        for name, node_vms, tmem_mb, host_memory_mb, zone in rows
+    )
+    return vms, nodes
+
+
+def _grid(
+    nodes: int, vms_per_node: int, ram_mb: int, scale: float
+) -> Tuple[int, Tuple[Tuple[VMSpec, ...], Tuple[NodeSpec, ...]]]:
+    """``(node tmem, layout)`` of N nodes x M graph-analytics VMs each.
+
+    Every VM over-commits ~1.8x, mirroring scenario-2's 750/512 ratio,
+    and each pool is half its node's VM RAM, so it stays contended.
+    """
+    vm_ram = _scaled(ram_mb, scale)
+    params = _graph(ram_mb * 1.47, ram_mb * 0.35, 8, scale)
+    node_tmem = _scaled(ram_mb * vms_per_node / 2, scale)
+    rows: List[Row] = [
+        (
+            f"node{k}",
+            [
+                _vm(f"n{k}.VM{i}", vm_ram, _scaled(4 * ram_mb, scale),
+                    "graph-analytics", params)
+                for i in range(1, vms_per_node + 1)
+            ],
+            node_tmem,
+            # Double-pool headroom lets the coordinator grow a node.
+            vm_ram * vms_per_node + 2 * node_tmem + 256,
+            None,
+        )
+        for k in range(1, nodes + 1)
+    ]
+    return node_tmem, _layout(rows)
+
+
+def _idle_peers(
+    nodes: int, vm_ram: int, params: Mapping[str, Any], tmem_mb: int,
+    host_memory_mb: int, scale: float,
+) -> List[Row]:
+    """Rows of node2..nodeN, each running one light graph-analytics VM."""
+    return [
+        (
+            f"node{k}",
+            [_vm(f"n{k}.VM1", vm_ram, _scaled(2048, scale), "graph-analytics", params)],
+            tmem_mb,
+            host_memory_mb,
+            None,
+        )
+        for k in range(2, nodes + 1)
+    ]
+
+
+def _vault_cluster(nodes: int, ram_mb: int, scale: float, *, zoned: bool):
+    """``(vms, node specs, vault tmem, total tmem)`` of the vault families.
+
+    ``nodes - 1`` overflowing usemem nodes spill into node2's large vault
+    pool, and node2 runs a long graph-analytics VM so a fault hits a busy
+    guest.  Survivors keep enough fallow DRAM to adopt the vault node's
+    VM (its RAM) on failover.  With *zoned*, nodes alternate between two
+    zones so the degraded spill path's rack-aware peer ranking has
+    something to prefer.
+    """
+    vm_ram = _scaled(ram_mb, scale)
+    swap_mb = _scaled(4 * ram_mb, scale)
+    hot = _usemem_up_to(2 * ram_mb, scale)
+    # Enough iterations that the vault VM is still mid-run when the node
+    # dies, so failover moves a busy guest, not an idle one.
+    light = _graph(ram_mb * 0.6, ram_mb * 0.15, 16, scale)
+    small_tmem = _scaled(96, scale)
+    vault_tmem = _scaled(1024, scale)
+    rows: List[Row] = []
+    for k in range(1, nodes + 1):
+        zone = f"z{1 + (k % 2)}" if zoned else None
+        if k == 2:
+            vm = _vm("n2.VM1", vm_ram, swap_mb, "graph-analytics", light)
+            rows.append(("node2", [vm], vault_tmem, vm_ram + vault_tmem + 256, zone))
+        else:
+            vm = _vm(f"n{k}.VM1", vm_ram, swap_mb, "usemem", hot)
+            host_memory_mb = 2 * vm_ram + small_tmem + vault_tmem + 256
+            rows.append((f"node{k}", [vm], small_tmem, host_memory_mb, zone))
+    vms, node_specs = _layout(rows)
+    return vms, node_specs, vault_tmem, vault_tmem + small_tmem * (nodes - 1)
+
+
+def _vault_outage(
+    fail_at: float, down_s: float, *link_faults: LinkDegradation, **knobs: Any
+) -> FaultPlan:
+    """A fault plan taking node2 down at *fail_at* for *down_s*, with failback."""
+    return FaultPlan(
+        node_faults=(NodeFault("node2", fail_at, fail_at + down_s, failback=True),),
+        link_faults=link_faults,
+        **knobs,
+    )
+
 
 @register_scenario(
     "many-vms",
-    parameters=("n", "ram_mb"),
     param_docs={
         "n": "number of homogeneous graph-analytics VMs",
         "ram_mb": "RAM per VM (the pool is half the aggregate RAM)",
     },
+    bounds={"n": ">= 1", "ram_mb": "> 0"},
 )
 def many_vms_scenario(
     *, scale: float = 1.0, n: int = 6, ram_mb: int = 512
 ) -> ScenarioSpec:
     """N homogeneous over-committed VMs all running graph-analytics."""
-    _check_scale(scale)
-    n = int(n)
-    if n < 1:
-        raise ScenarioError(f"many-vms needs n >= 1, got {n}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"many-vms needs ram_mb > 0, got {ram_mb}")
-    workload_params = {
-        # ~1.8x over-commit per VM, mirroring scenario-2's 750/512 ratio.
-        "graph_mb": _scaled(ram_mb * 1.47, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.35, scale),
-        "iterations": 8,
-    }
+    # ~1.8x over-commit per VM, mirroring scenario-2's 750/512 ratio.
+    params = _graph(ram_mb * 1.47, ram_mb * 0.35, 8, scale)
     vms = tuple(
-        VMSpec(
-            name=f"VM{i}",
-            ram_mb=_scaled(ram_mb, scale),
-            vcpus=1,
-            swap_mb=_scaled(4 * ram_mb, scale),
-            jobs=(
-                WorkloadSpec(kind="graph-analytics", params=workload_params,
-                             start_at=0.0, label="graph-analytics"),
-            ),
-        )
+        _vm(f"VM{i}", _scaled(ram_mb, scale), _scaled(4 * ram_mb, scale),
+            "graph-analytics", params)
         for i in range(1, n + 1)
     )
-    # Half of the aggregate VM RAM, so the pool stays contended at any N.
-    tmem_mb = _scaled(ram_mb * n / 2, scale)
     return ScenarioSpec(
         # The name carries every parameter so distinct configurations of
         # the family are distinguishable in reports and archived results.
@@ -134,54 +276,29 @@ def many_vms_scenario(
             f"from t=0; {ram_mb * n // 2} MB tmem (half the aggregate RAM)"
         ),
         vms=vms,
-        tmem_mb=tmem_mb,
+        # Half of the aggregate VM RAM, so the pool stays contended at any N.
+        tmem_mb=_scaled(ram_mb * n / 2, scale),
     )
 
 
 @register_scenario(
     "churn",
-    parameters=("n", "wave_s", "per_wave"),
     param_docs={
         "n": "total number of usemem VMs",
         "wave_s": "delay between consecutive start waves",
         "per_wave": "VMs launched per wave",
     },
+    bounds={"n": ">= 1", "wave_s": ">= 0", "per_wave": ">= 1"},
 )
 def churn_scenario(
     *, scale: float = 1.0, n: int = 6, wave_s: float = 40.0, per_wave: int = 2
 ) -> ScenarioSpec:
     """N usemem VMs starting in staggered waves (VM arrival/departure churn)."""
-    _check_scale(scale)
-    n = int(n)
-    per_wave = int(per_wave)
-    if n < 1:
-        raise ScenarioError(f"churn needs n >= 1, got {n}")
-    if per_wave < 1:
-        raise ScenarioError(f"churn needs per_wave >= 1, got {per_wave}")
-    if wave_s < 0:
-        raise ScenarioError(f"churn needs wave_s >= 0, got {wave_s}")
-    ram_mb = _scaled(512, scale)
-    increment_mb = _scaled(128, scale)
-    usemem_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        "max_mb": increment_mb * 8,
-    }
+    step = _scaled(128, scale)
+    params = {"start_mb": step, "increment_mb": step, "max_mb": step * 8}
     vms = tuple(
-        VMSpec(
-            name=f"VM{i}",
-            ram_mb=ram_mb,
-            vcpus=1,
-            swap_mb=_scaled(2048, scale),
-            jobs=(
-                WorkloadSpec(
-                    kind="usemem",
-                    params=usemem_params,
-                    start_at=((i - 1) // per_wave) * wave_s,
-                    label="usemem",
-                ),
-            ),
-        )
+        _vm(f"VM{i}", _scaled(512, scale), _scaled(2048, scale), "usemem", params,
+            start_at=((i - 1) // per_wave) * wave_s)
         for i in range(1, n + 1)
     )
     waves = (n + per_wave - 1) // per_wave
@@ -199,62 +316,28 @@ def churn_scenario(
 
 @register_scenario(
     "bursty",
-    parameters=("n", "spikes", "spike_mb"),
     param_docs={
         "n": "number of steady graph-analytics VMs",
-        "spikes": "number of phase-triggered usemem spike VMs (1..3)",
+        "spikes": "number of phase-triggered usemem spike VMs",
         "spike_mb": "allocation ceiling of each spike VM",
     },
+    bounds={"n": ">= 1", "spikes": "1..3", "spike_mb": "> 0"},
 )
 def bursty_scenario(
     *, scale: float = 1.0, n: int = 2, spikes: int = 1, spike_mb: int = 768
 ) -> ScenarioSpec:
     """Steady graph-analytics VMs hit by phase-triggered usemem load spikes."""
-    _check_scale(scale)
-    n = int(n)
-    spikes = int(spikes)
-    if n < 1:
-        raise ScenarioError(f"bursty needs n >= 1, got {n}")
-    if not 1 <= spikes <= 3:
-        raise ScenarioError(f"bursty supports 1..3 spikes, got {spikes}")
-    if spike_mb <= 0:
-        raise ScenarioError(f"bursty needs spike_mb > 0, got {spike_mb}")
-    graph_params = {
-        "graph_mb": _scaled(750, scale),
-        "rank_vectors_mb": _scaled(180, scale),
-        "iterations": 8,
-    }
+    graph = _graph(750, 180, 8, scale)
     steady = tuple(
-        VMSpec(
-            name=f"VM{i}",
-            ram_mb=_scaled(512, scale),
-            vcpus=1,
-            swap_mb=_scaled(2048, scale),
-            jobs=(
-                WorkloadSpec(kind="graph-analytics", params=graph_params,
-                             start_at=0.0, label="graph-analytics"),
-            ),
-        )
+        _vm(f"VM{i}", _scaled(512, scale), _scaled(2048, scale),
+            "graph-analytics", graph)
         for i in range(1, n + 1)
     )
-    increment_mb = _scaled(128, scale)
-    spike_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        "max_mb": max(increment_mb, _scaled(spike_mb, scale)),
-    }
+    spike = _usemem_up_to(spike_mb, scale)
+    # No absolute start time: the phase triggers below fire the spikes.
     spike_vms = tuple(
-        VMSpec(
-            name=f"SPIKE{k}",
-            ram_mb=_scaled(512, scale),
-            vcpus=1,
-            swap_mb=_scaled(2048, scale),
-            jobs=(
-                # No absolute start time: the phase trigger below fires it.
-                WorkloadSpec(kind="usemem", params=spike_params,
-                             start_at=None, label=f"usemem-spike{k}"),
-            ),
-        )
+        _vm(f"SPIKE{k}", _scaled(512, scale), _scaled(2048, scale), "usemem",
+            spike, start_at=None, label=f"usemem-spike{k}")
         for k in range(1, spikes + 1)
     )
     # Spike k launches when VM1 enters its (2k)-th PageRank iteration, so
@@ -279,67 +362,19 @@ def bursty_scenario(
 
 @register_scenario(
     "cluster",
-    parameters=("nodes", "vms_per_node", "ram_mb"),
     param_docs={
         "nodes": "number of symmetric cluster nodes",
         "vms_per_node": "graph-analytics VMs per node",
         "ram_mb": "RAM per VM (each node's pool is half its VM RAM)",
     },
+    bounds={"nodes": ">= 1", "vms_per_node": ">= 1", "ram_mb": "> 0"},
 )
 def cluster_scenario(
     *, scale: float = 1.0, nodes: int = 2, vms_per_node: int = 2,
     ram_mb: int = 512,
 ) -> ScenarioSpec:
     """N symmetric nodes of M over-committed graph-analytics VMs each."""
-    _check_scale(scale)
-    nodes = int(nodes)
-    vms_per_node = int(vms_per_node)
-    if nodes < 1:
-        raise ScenarioError(f"cluster needs nodes >= 1, got {nodes}")
-    if vms_per_node < 1:
-        raise ScenarioError(
-            f"cluster needs vms_per_node >= 1, got {vms_per_node}"
-        )
-    if ram_mb <= 0:
-        raise ScenarioError(f"cluster needs ram_mb > 0, got {ram_mb}")
-    vm_ram = _scaled(ram_mb, scale)
-    workload_params = {
-        # ~1.8x over-commit per VM, mirroring scenario-2's 750/512 ratio.
-        "graph_mb": _scaled(ram_mb * 1.47, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.35, scale),
-        "iterations": 8,
-    }
-    # Half the aggregate node RAM, so each pool stays contended.
-    node_tmem = _scaled(ram_mb * vms_per_node / 2, scale)
-    vms = []
-    node_specs = []
-    for k in range(1, nodes + 1):
-        names = []
-        for i in range(1, vms_per_node + 1):
-            name = f"n{k}.VM{i}"
-            names.append(name)
-            vms.append(
-                VMSpec(
-                    name=name,
-                    ram_mb=vm_ram,
-                    vcpus=1,
-                    swap_mb=_scaled(4 * ram_mb, scale),
-                    jobs=(
-                        WorkloadSpec(kind="graph-analytics",
-                                     params=workload_params,
-                                     start_at=0.0, label="graph-analytics"),
-                    ),
-                )
-            )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=tuple(names),
-                tmem_mb=node_tmem,
-                # Double-pool headroom lets the coordinator grow a node.
-                host_memory_mb=vm_ram * vms_per_node + 2 * node_tmem + 256,
-            )
-        )
+    node_tmem, (vms, node_specs) = _grid(nodes, vms_per_node, ram_mb, scale)
     return ScenarioSpec(
         name=f"cluster:nodes={nodes},vms_per_node={vms_per_node},ram_mb={ram_mb}",
         description=(
@@ -347,106 +382,52 @@ def cluster_scenario(
             f"({ram_mb} MB RAM each); {node_tmem} MB tmem per node, "
             "remote-tmem spill, equal-share capacity coordination"
         ),
-        vms=tuple(vms),
+        vms=vms,
         tmem_mb=node_tmem * nodes,
         topology=ClusterTopology(
-            nodes=tuple(node_specs),
-            remote_spill=True,
-            coordinator="equal-share",
+            nodes=node_specs, remote_spill=True, coordinator="equal-share"
         ),
     )
 
 
 @register_scenario(
     "hotnode",
-    parameters=("nodes", "ram_mb", "hot_vms"),
     param_docs={
         "nodes": "total nodes (1 hot + idle peers)",
         "ram_mb": "RAM per VM",
         "hot_vms": "usemem VMs on the overloaded node",
     },
+    bounds={"nodes": ">= 2", "ram_mb": "> 0", "hot_vms": ">= 1"},
 )
 def hotnode_scenario(
     *, scale: float = 1.0, nodes: int = 3, ram_mb: int = 512, hot_vms: int = 2
 ) -> ScenarioSpec:
     """One overloaded node spills into its idle peers' tmem pools."""
-    _check_scale(scale)
-    nodes = int(nodes)
-    hot_vms = int(hot_vms)
-    if nodes < 2:
-        raise ScenarioError(f"hotnode needs nodes >= 2, got {nodes}")
-    if hot_vms < 1:
-        raise ScenarioError(f"hotnode needs hot_vms >= 1, got {hot_vms}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"hotnode needs ram_mb > 0, got {ram_mb}")
     vm_ram = _scaled(ram_mb, scale)
-    increment_mb = _scaled(128, scale)
-    usemem_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        # Each hot VM sweeps up to 2x its RAM: far more overflow than the
-        # hot node's small pool can take, so pages must spill or swap.
-        "max_mb": max(increment_mb, _scaled(2 * ram_mb, scale)),
-    }
-    # Peers run a light workload that fits in RAM and barely touches
-    # their (large) pools — idle remote capacity for the hot node.
-    peer_params = {
-        "graph_mb": _scaled(ram_mb * 0.6, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.15, scale),
-        "iterations": 4,
-    }
+    hot = _usemem_up_to(2 * ram_mb, scale)
     hot_tmem = _scaled(128, scale)
     peer_tmem = _scaled(768, scale)
-
-    vms = []
-    hot_names = []
-    for i in range(1, hot_vms + 1):
-        name = f"hot.VM{i}"
-        hot_names.append(name)
-        vms.append(
-            VMSpec(
-                name=name,
-                ram_mb=vm_ram,
-                vcpus=1,
-                swap_mb=_scaled(4 * ram_mb, scale),
-                jobs=(
-                    WorkloadSpec(kind="usemem", params=usemem_params,
-                                 start_at=0.0, label="usemem-hot"),
-                ),
-            )
-        )
-    node_specs = [
-        NodeSpec(
-            name="hot",
-            vm_names=tuple(hot_names),
-            tmem_mb=hot_tmem,
-            # Headroom so pressure-proportional rebalancing can grow the
-            # hot node's pool well beyond its starting size.
-            host_memory_mb=vm_ram * hot_vms + hot_tmem + peer_tmem + 256,
-        )
-    ]
-    for k in range(2, nodes + 1):
-        name = f"n{k}.VM1"
-        vms.append(
-            VMSpec(
-                name=name,
-                ram_mb=vm_ram,
-                vcpus=1,
-                swap_mb=_scaled(2048, scale),
-                jobs=(
-                    WorkloadSpec(kind="graph-analytics", params=peer_params,
-                                 start_at=0.0, label="graph-analytics"),
-                ),
-            )
-        )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=(name,),
-                tmem_mb=peer_tmem,
-                host_memory_mb=vm_ram + 2 * peer_tmem + 256,
-            )
-        )
+    hot_node: Row = (
+        "hot",
+        [
+            _vm(f"hot.VM{i}", vm_ram, _scaled(4 * ram_mb, scale), "usemem", hot,
+                label="usemem-hot")
+            for i in range(1, hot_vms + 1)
+        ],
+        hot_tmem,
+        # Headroom so pressure-proportional rebalancing can grow the
+        # hot node's pool well beyond its starting size.
+        vm_ram * hot_vms + hot_tmem + peer_tmem + 256,
+        None,
+    )
+    # Peers run a light workload that fits in RAM and barely touches
+    # their (large) pools — idle remote capacity for the hot node.
+    peer = _graph(ram_mb * 0.6, ram_mb * 0.15, 4, scale)
+    vms, node_specs = _layout([
+        hot_node,
+        *_idle_peers(nodes, vm_ram, peer, peer_tmem, vm_ram + 2 * peer_tmem + 256,
+                     scale),
+    ])
     return ScenarioSpec(
         name=f"hotnode:nodes={nodes},ram_mb={ram_mb},hot_vms={hot_vms}",
         description=(
@@ -455,10 +436,10 @@ def hotnode_scenario(
             f"{peer_tmem} MB pools; overflow spills over the interconnect "
             "and pressure-proportional coordination chases it"
         ),
-        vms=tuple(vms),
+        vms=vms,
         tmem_mb=hot_tmem + peer_tmem * (nodes - 1),
         topology=ClusterTopology(
-            nodes=tuple(node_specs),
+            nodes=node_specs,
             remote_spill=True,
             coordinator="pressure-prop:percent=15",
         ),
@@ -467,68 +448,37 @@ def hotnode_scenario(
 
 @register_scenario(
     "contended",
-    parameters=("nodes", "ram_mb", "hot_vms"),
     param_docs={
         "nodes": "number of spill-heavy nodes",
         "ram_mb": "RAM per VM",
         "hot_vms": "over-committing usemem VMs per node",
     },
+    bounds={"nodes": ">= 2", "ram_mb": "> 0", "hot_vms": ">= 1"},
 )
 def contended_scenario(
     *, scale: float = 1.0, nodes: int = 3, ram_mb: int = 512, hot_vms: int = 2
 ) -> ScenarioSpec:
     """Spill-heavy cluster on a narrow, FIFO-queued interconnect."""
-    _check_scale(scale)
-    nodes = int(nodes)
-    hot_vms = int(hot_vms)
-    if nodes < 2:
-        raise ScenarioError(f"contended needs nodes >= 2, got {nodes}")
-    if hot_vms < 1:
-        raise ScenarioError(f"contended needs hot_vms >= 1, got {hot_vms}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"contended needs ram_mb > 0, got {ram_mb}")
     vm_ram = _scaled(ram_mb, scale)
-    increment_mb = _scaled(128, scale)
-    usemem_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        # Every hot VM sweeps 2x its RAM: the small local pools overflow
-        # constantly, so the interconnect carries sustained spill traffic
-        # from every node at once and the per-link FIFOs actually queue.
-        "max_mb": max(increment_mb, _scaled(2 * ram_mb, scale)),
-    }
+    # Every hot VM sweeps 2x its RAM: the small local pools overflow
+    # constantly, so the interconnect carries sustained spill traffic
+    # from every node at once and the per-link FIFOs actually queue.
+    hot = _usemem_up_to(2 * ram_mb, scale)
     hot_tmem = _scaled(96, scale)
     vault_tmem = _scaled(1024, scale)
-
-    vms = []
-    node_specs = []
-    for k in range(1, nodes + 1):
-        names = []
-        for i in range(1, hot_vms + 1):
-            name = f"n{k}.VM{i}"
-            names.append(name)
-            vms.append(
-                VMSpec(
-                    name=name,
-                    ram_mb=vm_ram,
-                    vcpus=1,
-                    swap_mb=_scaled(4 * ram_mb, scale),
-                    jobs=(
-                        WorkloadSpec(kind="usemem", params=usemem_params,
-                                     start_at=0.0, label="usemem"),
-                    ),
-                )
-            )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=tuple(names),
-                tmem_mb=hot_tmem,
-                host_memory_mb=(
-                    vm_ram * hot_vms + hot_tmem + vault_tmem + 256
-                ),
-            )
+    vms, node_specs = _layout([
+        (
+            f"node{k}",
+            [
+                _vm(f"n{k}.VM{i}", vm_ram, _scaled(4 * ram_mb, scale), "usemem", hot)
+                for i in range(1, hot_vms + 1)
+            ],
+            hot_tmem,
+            vm_ram * hot_vms + hot_tmem + vault_tmem + 256,
+            None,
         )
+        for k in range(1, nodes + 1)
+    ])
     return ScenarioSpec(
         name=f"contended:nodes={nodes},ram_mb={ram_mb},hot_vms={hot_vms}",
         description=(
@@ -536,95 +486,30 @@ def contended_scenario(
             f"{hot_tmem} MB pools; spills cross a ~1 GbE interconnect "
             "with per-link FIFO queueing and spill-feedback coordination"
         ),
-        vms=tuple(vms),
+        vms=vms,
         tmem_mb=hot_tmem * nodes,
-        topology=ClusterTopology(
-            nodes=tuple(node_specs),
-            remote_spill=True,
-            contended=True,
-            # A tenth of the default 10 GbE: each 4 KiB page occupies the
-            # link long enough for concurrent spill bursts to queue.
-            interconnect_bandwidth_bytes_s=1.25e8,
-            coordinator="spill-feedback:percent=15",
-        ),
+        topology=ClusterTopology(nodes=node_specs, **_NARROW_SPILL),
     )
 
 
 @register_scenario(
     "failover",
-    parameters=("nodes", "ram_mb", "fail_at"),
     param_docs={
         "nodes": "total nodes (node2 is the spill vault)",
         "ram_mb": "RAM per VM",
         "fail_at": "instant the vault node dies (permanently)",
     },
+    bounds={"nodes": ">= 3", "ram_mb": "> 0", "fail_at": "> 0"},
 )
 def failover_scenario(
     *, scale: float = 1.0, nodes: int = 3, ram_mb: int = 512,
     fail_at: float = 30.0,
 ) -> ScenarioSpec:
     """A spill vault node dies mid-run; its VMs fail over to survivors."""
-    _check_scale(scale)
-    nodes = int(nodes)
     fail_at = float(fail_at)
-    if nodes < 3:
-        raise ScenarioError(f"failover needs nodes >= 3, got {nodes}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"failover needs ram_mb > 0, got {ram_mb}")
-    if fail_at <= 0:
-        raise ScenarioError(f"failover needs fail_at > 0, got {fail_at}")
-    vm_ram = _scaled(ram_mb, scale)
-    increment_mb = _scaled(128, scale)
-    hot_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        "max_mb": max(increment_mb, _scaled(2 * ram_mb, scale)),
-    }
-    light_params = {
-        "graph_mb": _scaled(ram_mb * 0.6, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.15, scale),
-        # Enough iterations that the vault VM is still mid-run when the
-        # node dies, so failover moves a busy guest, not an idle one.
-        "iterations": 16,
-    }
-    small_tmem = _scaled(96, scale)
-    vault_tmem = _scaled(1024, scale)
-
-    vms = []
-    node_specs = []
-    for k in range(1, nodes + 1):
-        name = f"n{k}.VM1"
-        is_vault = k == 2
-        vms.append(
-            VMSpec(
-                name=name,
-                ram_mb=vm_ram,
-                vcpus=1,
-                swap_mb=_scaled(4 * ram_mb, scale),
-                jobs=(
-                    WorkloadSpec(
-                        kind="graph-analytics" if is_vault else "usemem",
-                        params=light_params if is_vault else hot_params,
-                        start_at=0.0,
-                        label="graph-analytics" if is_vault else "usemem",
-                    ),
-                ),
-            )
-        )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=(name,),
-                tmem_mb=vault_tmem if is_vault else small_tmem,
-                # Survivors keep enough fallow DRAM to adopt the vault
-                # node's VM (its RAM) on failover.
-                host_memory_mb=(
-                    vm_ram + vault_tmem + 256
-                    if is_vault
-                    else 2 * vm_ram + small_tmem + vault_tmem + 256
-                ),
-            )
-        )
+    vms, node_specs, vault_tmem, tmem_mb = _vault_cluster(
+        nodes, ram_mb, scale, zoned=False
+    )
     return ScenarioSpec(
         name=f"failover:nodes={nodes},ram_mb={ram_mb},fail_at={fail_at:g}",
         description=(
@@ -633,115 +518,35 @@ def failover_scenario(
             "spilled frontswap pages refault from disk, node2's VM "
             "migrates to a survivor over the contended interconnect"
         ),
-        vms=tuple(vms),
-        tmem_mb=vault_tmem + small_tmem * (nodes - 1),
+        vms=vms,
+        tmem_mb=tmem_mb,
         topology=ClusterTopology(
-            nodes=tuple(node_specs),
-            remote_spill=True,
-            contended=True,
-            interconnect_bandwidth_bytes_s=1.25e8,
-            coordinator="spill-feedback:percent=15",
+            nodes=node_specs,
             failures=(NodeFailure(node="node2", at_s=fail_at),),
+            **_NARROW_SPILL,
         ),
     )
 
 
-def _vault_cluster(nodes: int, ram_mb: int, scale: float):
-    """The shared VM/node layout of the transient-fault families.
-
-    Same shape as ``failover``: ``nodes - 1`` overflowing usemem nodes
-    spill into node2's large vault pool, and node2 runs a long
-    graph-analytics VM so the fault hits a busy guest.  Nodes alternate
-    between two zones so the degraded spill path's rack-aware peer
-    ranking has something to prefer.
-    """
-    vm_ram = _scaled(ram_mb, scale)
-    increment_mb = _scaled(128, scale)
-    hot_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        "max_mb": max(increment_mb, _scaled(2 * ram_mb, scale)),
-    }
-    light_params = {
-        "graph_mb": _scaled(ram_mb * 0.6, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.15, scale),
-        "iterations": 16,
-    }
-    small_tmem = _scaled(96, scale)
-    vault_tmem = _scaled(1024, scale)
-
-    vms = []
-    node_specs = []
-    for k in range(1, nodes + 1):
-        name = f"n{k}.VM1"
-        is_vault = k == 2
-        vms.append(
-            VMSpec(
-                name=name,
-                ram_mb=vm_ram,
-                vcpus=1,
-                swap_mb=_scaled(4 * ram_mb, scale),
-                jobs=(
-                    WorkloadSpec(
-                        kind="graph-analytics" if is_vault else "usemem",
-                        params=light_params if is_vault else hot_params,
-                        start_at=0.0,
-                        label="graph-analytics" if is_vault else "usemem",
-                    ),
-                ),
-            )
-        )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=(name,),
-                tmem_mb=vault_tmem if is_vault else small_tmem,
-                host_memory_mb=(
-                    vm_ram + vault_tmem + 256
-                    if is_vault
-                    else 2 * vm_ram + small_tmem + vault_tmem + 256
-                ),
-                zone=f"z{1 + (k % 2)}",
-            )
-        )
-    return tuple(vms), tuple(node_specs), small_tmem, vault_tmem
-
-
 @register_scenario(
     "faulty",
-    parameters=("nodes", "ram_mb", "fail_at", "down_s"),
     param_docs={
         "nodes": "total nodes (node2 is the spill vault)",
         "ram_mb": "RAM per VM",
         "fail_at": "instant the vault node dies",
         "down_s": "outage duration before the vault rejoins",
     },
+    bounds={"nodes": ">= 3", "ram_mb": "> 0", "fail_at": "> 0", "down_s": "> 0"},
 )
 def faulty_scenario(
     *, scale: float = 1.0, nodes: int = 3, ram_mb: int = 512,
     fail_at: float = 10.0, down_s: float = 15.0,
 ) -> ScenarioSpec:
     """The spill vault dies transiently and rejoins with VM failback."""
-    from ..cluster.faults import FaultPlan
-
-    _check_scale(scale)
-    nodes = int(nodes)
     fail_at = float(fail_at)
     down_s = float(down_s)
-    if nodes < 3:
-        raise ScenarioError(f"faulty needs nodes >= 3, got {nodes}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"faulty needs ram_mb > 0, got {ram_mb}")
-    if fail_at <= 0:
-        raise ScenarioError(f"faulty needs fail_at > 0, got {fail_at}")
-    if down_s <= 0:
-        raise ScenarioError(f"faulty needs down_s > 0, got {down_s}")
-    vms, node_specs, small_tmem, vault_tmem = _vault_cluster(
-        nodes, ram_mb, scale
-    )
-    plan = FaultPlan.from_specs(
-        faults=(f"node2@{fail_at:g}-{fail_at + down_s:g}:failback=1",),
-        degradations=(),
+    vms, node_specs, vault_tmem, tmem_mb = _vault_cluster(
+        nodes, ram_mb, scale, zoned=True
     )
     return ScenarioSpec(
         name=f"faulty:nodes={nodes},ram_mb={ram_mb},fail_at={fail_at:g},"
@@ -753,49 +558,34 @@ def faulty_scenario(
             "over and then fails back to the recovered node"
         ),
         vms=vms,
-        tmem_mb=vault_tmem + small_tmem * (nodes - 1),
+        tmem_mb=tmem_mb,
         topology=ClusterTopology(
             nodes=node_specs,
-            remote_spill=True,
-            contended=True,
-            interconnect_bandwidth_bytes_s=1.25e8,
-            coordinator="spill-feedback:percent=15",
-            fault_plan=plan,
+            fault_plan=_vault_outage(fail_at, down_s),
+            **_NARROW_SPILL,
         ),
     )
 
 
 @register_scenario(
     "flaky",
-    parameters=("nodes", "ram_mb", "fail_at", "down_s"),
     param_docs={
         "nodes": "total nodes (node2 is the spill vault)",
         "ram_mb": "RAM per VM",
         "fail_at": "instant the vault node dies",
         "down_s": "outage duration before the vault rejoins",
     },
+    bounds={"nodes": ">= 3", "ram_mb": "> 0", "fail_at": "> 0", "down_s": "> 0"},
 )
 def flaky_scenario(
     *, scale: float = 1.0, nodes: int = 3, ram_mb: int = 512,
     fail_at: float = 10.0, down_s: float = 15.0,
 ) -> ScenarioSpec:
     """Transient vault failure plus lossy, flapping interconnect links."""
-    from ..cluster.faults import FaultPlan
-
-    _check_scale(scale)
-    nodes = int(nodes)
     fail_at = float(fail_at)
     down_s = float(down_s)
-    if nodes < 3:
-        raise ScenarioError(f"flaky needs nodes >= 3, got {nodes}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"flaky needs ram_mb > 0, got {ram_mb}")
-    if fail_at <= 0:
-        raise ScenarioError(f"flaky needs fail_at > 0, got {fail_at}")
-    if down_s <= 0:
-        raise ScenarioError(f"flaky needs down_s > 0, got {down_s}")
-    vms, node_specs, small_tmem, vault_tmem = _vault_cluster(
-        nodes, ram_mb, scale
+    vms, node_specs, vault_tmem, tmem_mb = _vault_cluster(
+        nodes, ram_mb, scale, zoned=True
     )
     # The degraded window straddles the node fault; the reverse link
     # flaps into a hard partition around the failure instant, so spill
@@ -809,13 +599,13 @@ def flaky_scenario(
     # probe fires while the vault is still down: node3's only live peer
     # is then node1, which forces a probe and a full open -> close cycle
     # once the partition has healed.
-    plan = FaultPlan.from_specs(
-        faults=(f"node2@{fail_at:g}-{fail_at + down_s:g}:failback=1",),
-        degradations=(
-            f"node1->node3@{degrade_start:g}-{degrade_end:g}:"
-            "bw=0.25,loss=0.05,lat=0.002",
-            f"node3->node1@{part_start:g}-{part_end:g}:partition=1",
-        ),
+    plan = _vault_outage(
+        fail_at,
+        down_s,
+        LinkDegradation("node1", "node3", degrade_start, degrade_end,
+                        bandwidth_factor=0.25, extra_latency_s=0.002,
+                        loss_probability=0.05),
+        LinkDegradation("node3", "node1", part_start, part_end, partition=True),
         breaker_cooldown_s=max(0.5, down_s / 3.0),
     )
     return ScenarioSpec(
@@ -829,97 +619,35 @@ def flaky_scenario(
             "with backoff, trips the per-peer breaker and heals"
         ),
         vms=vms,
-        tmem_mb=vault_tmem + small_tmem * (nodes - 1),
-        topology=ClusterTopology(
-            nodes=node_specs,
-            remote_spill=True,
-            contended=True,
-            interconnect_bandwidth_bytes_s=1.25e8,
-            coordinator="spill-feedback:percent=15",
-            fault_plan=plan,
-        ),
+        tmem_mb=tmem_mb,
+        topology=ClusterTopology(nodes=node_specs, fault_plan=plan, **_NARROW_SPILL),
     )
 
 
 @register_scenario(
     "migrate",
-    parameters=("nodes", "ram_mb", "at"),
     param_docs={
         "nodes": "total nodes (n1.VM1 migrates to node2)",
         "ram_mb": "RAM per VM",
         "at": "instant the live migration starts",
     },
+    bounds={"nodes": ">= 2", "ram_mb": "> 0", "at": "> 0"},
 )
 def migrate_scenario(
     *, scale: float = 1.0, nodes: int = 2, ram_mb: int = 512, at: float = 20.0
 ) -> ScenarioSpec:
     """Planned live migration of a loaded VM onto an idle peer node."""
-    _check_scale(scale)
-    nodes = int(nodes)
     at = float(at)
-    if nodes < 2:
-        raise ScenarioError(f"migrate needs nodes >= 2, got {nodes}")
-    if ram_mb <= 0:
-        raise ScenarioError(f"migrate needs ram_mb > 0, got {ram_mb}")
-    if at <= 0:
-        raise ScenarioError(f"migrate needs at > 0, got {at}")
     vm_ram = _scaled(ram_mb, scale)
-    increment_mb = _scaled(128, scale)
-    hot_params = {
-        "start_mb": increment_mb,
-        "increment_mb": increment_mb,
-        "max_mb": max(increment_mb, _scaled(2 * ram_mb, scale)),
-    }
-    idle_params = {
-        "graph_mb": _scaled(ram_mb * 0.5, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.12, scale),
-        "iterations": 4,
-    }
     pool_mb = _scaled(256, scale)
-
-    vms = [
-        VMSpec(
-            name="n1.VM1",
-            ram_mb=vm_ram,
-            vcpus=1,
-            swap_mb=_scaled(4 * ram_mb, scale),
-            jobs=(
-                WorkloadSpec(kind="usemem", params=hot_params,
-                             start_at=0.0, label="usemem"),
-            ),
-        )
-    ]
-    node_specs = [
-        NodeSpec(
-            name="node1",
-            vm_names=("n1.VM1",),
-            tmem_mb=pool_mb,
-            host_memory_mb=vm_ram + pool_mb + 256,
-        )
-    ]
-    for k in range(2, nodes + 1):
-        name = f"n{k}.VM1"
-        vms.append(
-            VMSpec(
-                name=name,
-                ram_mb=vm_ram,
-                vcpus=1,
-                swap_mb=_scaled(2048, scale),
-                jobs=(
-                    WorkloadSpec(kind="graph-analytics", params=idle_params,
-                                 start_at=0.0, label="graph-analytics"),
-                ),
-            )
-        )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=(name,),
-                tmem_mb=pool_mb,
-                # Headroom for the incoming VM's RAM.
-                host_memory_mb=2 * vm_ram + pool_mb + 256,
-            )
-        )
+    hot = _vm("n1.VM1", vm_ram, _scaled(4 * ram_mb, scale), "usemem",
+              _usemem_up_to(2 * ram_mb, scale))
+    idle = _graph(ram_mb * 0.5, ram_mb * 0.12, 4, scale)
+    vms, node_specs = _layout([
+        ("node1", [hot], pool_mb, vm_ram + pool_mb + 256, None),
+        # Peers keep headroom for the incoming VM's RAM.
+        *_idle_peers(nodes, vm_ram, idle, pool_mb, 2 * vm_ram + pool_mb + 256, scale),
+    ])
     return ScenarioSpec(
         name=f"migrate:nodes={nodes},ram_mb={ram_mb},at={at:g}",
         description=(
@@ -927,10 +655,10 @@ def migrate_scenario(
             f"t={at:g}s: suspended, resident state copied over the "
             "contended interconnect, resumed on the peer"
         ),
-        vms=tuple(vms),
+        vms=vms,
         tmem_mb=pool_mb * nodes,
         topology=ClusterTopology(
-            nodes=tuple(node_specs),
+            nodes=node_specs,
             remote_spill=True,
             contended=True,
             migrations=(VmMigration(vm="n1.VM1", to_node="node2", at_s=at),),
@@ -940,12 +668,12 @@ def migrate_scenario(
 
 @register_scenario(
     "shard",
-    parameters=("nodes", "vms_per_node", "ram_mb"),
     param_docs={
         "nodes": "number of decoupled nodes",
         "vms_per_node": "graph-analytics VMs per node",
         "ram_mb": "RAM per VM (each node's pool is half its VM RAM)",
     },
+    bounds={"nodes": ">= 1", "vms_per_node": ">= 1", "ram_mb": "> 0"},
 )
 def shard_scenario(
     *, scale: float = 1.0, nodes: int = 4, vms_per_node: int = 2,
@@ -961,54 +689,7 @@ def shard_scenario(
     bit-identical to the shared-engine run; the coupled families run
     the exact shared engine in the calling process instead.
     """
-    _check_scale(scale)
-    nodes = int(nodes)
-    vms_per_node = int(vms_per_node)
-    if nodes < 1:
-        raise ScenarioError(f"shard needs nodes >= 1, got {nodes}")
-    if vms_per_node < 1:
-        raise ScenarioError(
-            f"shard needs vms_per_node >= 1, got {vms_per_node}"
-        )
-    if ram_mb <= 0:
-        raise ScenarioError(f"shard needs ram_mb > 0, got {ram_mb}")
-    vm_ram = _scaled(ram_mb, scale)
-    workload_params = {
-        # Same ~1.8x over-commit as the cluster family, so per-node
-        # behaviour is comparable across the two.
-        "graph_mb": _scaled(ram_mb * 1.47, scale),
-        "rank_vectors_mb": _scaled(ram_mb * 0.35, scale),
-        "iterations": 8,
-    }
-    node_tmem = _scaled(ram_mb * vms_per_node / 2, scale)
-    vms = []
-    node_specs = []
-    for k in range(1, nodes + 1):
-        names = []
-        for i in range(1, vms_per_node + 1):
-            name = f"n{k}.VM{i}"
-            names.append(name)
-            vms.append(
-                VMSpec(
-                    name=name,
-                    ram_mb=vm_ram,
-                    vcpus=1,
-                    swap_mb=_scaled(4 * ram_mb, scale),
-                    jobs=(
-                        WorkloadSpec(kind="graph-analytics",
-                                     params=workload_params,
-                                     start_at=0.0, label="graph-analytics"),
-                    ),
-                )
-            )
-        node_specs.append(
-            NodeSpec(
-                name=f"node{k}",
-                vm_names=tuple(names),
-                tmem_mb=node_tmem,
-                host_memory_mb=vm_ram * vms_per_node + 2 * node_tmem + 256,
-            )
-        )
+    node_tmem, (vms, node_specs) = _grid(nodes, vms_per_node, ram_mb, scale)
     return ScenarioSpec(
         name=f"shard:nodes={nodes},vms_per_node={vms_per_node},ram_mb={ram_mb}",
         description=(
@@ -1016,10 +697,7 @@ def shard_scenario(
             f"({ram_mb} MB RAM each); {node_tmem} MB tmem per node, no "
             "spill or coordination — shardable one engine per node"
         ),
-        vms=tuple(vms),
+        vms=vms,
         tmem_mb=node_tmem * nodes,
-        topology=ClusterTopology(
-            nodes=tuple(node_specs),
-            remote_spill=False,
-        ),
+        topology=ClusterTopology(nodes=node_specs, remote_spill=False),
     )

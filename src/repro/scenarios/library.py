@@ -15,10 +15,8 @@ benchmark harness runs at ``scale=1.0``.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from ..errors import ScenarioError
 from .registry import (
     all_scenarios,
     available_scenarios,
@@ -53,12 +51,6 @@ PAPER_POLICIES: Sequence[str] = (
 )
 
 
-def _check_scale(scale: float) -> None:
-    """The one scale rule of every scenario factory: finite and > 0."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ScenarioError(f"scale must be finite and > 0, got {scale}")
-
-
 def _scaled(value: float, scale: float, *, minimum: int = 1) -> int:
     return max(minimum, int(round(value * scale)))
 
@@ -70,7 +62,6 @@ def scenario_1(*, scale: float = 1.0) -> ScenarioSpec:
     All three VMs launch the benchmark simultaneously, sleep for five
     seconds, and run it again.  1 GB of tmem is enabled.
     """
-    _check_scale(scale)
     ram_mb = _scaled(1024, scale)
     workload_params = {
         "dataset_mb": _scaled(700, scale),
@@ -103,7 +94,6 @@ def scenario_1(*, scale: float = 1.0) -> ScenarioSpec:
 @register_scenario("scenario-2", paper=True)
 def scenario_2(*, scale: float = 1.0) -> ScenarioSpec:
     """Scenario 2: three 512 MB VMs run graph-analytics; VM3 starts 30 s late."""
-    _check_scale(scale)
     ram_mb = _scaled(512, scale)
     workload_params = {
         "graph_mb": _scaled(750, scale),
@@ -141,7 +131,6 @@ def usemem_scenario(*, scale: float = 1.0) -> ScenarioSpec:
     allocate 640 MB, and every VM is stopped when VM3 attempts to allocate
     768 MB.  Only 384 MB of tmem is enabled.
     """
-    _check_scale(scale)
     ram_mb = _scaled(512, scale)
     increment_mb = _scaled(128, scale)
     usemem_params = {
@@ -196,7 +185,6 @@ def usemem_scenario(*, scale: float = 1.0) -> ScenarioSpec:
 @register_scenario("scenario-3", paper=True)
 def scenario_3(*, scale: float = 1.0) -> ScenarioSpec:
     """Scenario 3: heterogeneous VMs (graph-analytics x2 + in-memory-analytics)."""
-    _check_scale(scale)
     graph_params = {
         "graph_mb": _scaled(750, scale),
         "rank_vectors_mb": _scaled(180, scale),

@@ -4,7 +4,12 @@ The paper's four scenarios used to live in a hardcoded factory dict; this
 module replaces that with an open registry so new scenario *families* can
 be added with a decorator::
 
-    @register_scenario("my-family", summary="two VMs fighting over tmem")
+    @register_scenario(
+        "my-family",
+        summary="two VMs fighting over tmem",
+        param_docs={"n": "number of VMs"},
+        bounds={"n": ">= 1"},
+    )
     def my_family(*, scale: float = 1.0, n: int = 2) -> ScenarioSpec:
         ...
 
@@ -15,20 +20,28 @@ keyword arguments.  Parameter keys are case-insensitive (``N=8`` and
 ``n=8`` are equivalent).
 
 Each entry also carries parameter *metadata* (type, default, one-line
-doc, units) derived from the factory's signature plus the ``param_docs``
-mapping given at registration time; ``smartmem list --verbose``, the DSL
-validator and ``scripts/gen_scenario_docs.py`` all consume it.
+doc, units, bound) derived from the factory's signature plus the
+``param_docs`` and ``bounds`` mappings given at registration time;
+``smartmem list --verbose``, the DSL validator and
+``scripts/gen_scenario_docs.py`` all consume it.  A bound is ``">= N"``,
+``"> N"`` or ``"LOW..HIGH"``; a malformed one fails at registration.
+
+The decorator returns the factory wrapped in the one check of its
+arguments: the scale must be finite and > 0, and every parameter must be
+known, of its declared type and within its bound.  Direct calls, spec
+strings and DSL documents all go through it, so factories hold no
+argument checks of their own.
 """
 
 from __future__ import annotations
 
-import difflib
-import inspect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+import functools
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..errors import ScenarioError
-from ..params import ParameterInfo, signature_parameter_info
+from ..params import ParameterInfo, param_errors, signature_parameter_info, suggest
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -48,31 +61,53 @@ class ScenarioEntry:
     """One registered scenario family."""
 
     name: str
+    #: The factory wrapped in the check of its arguments.
     factory: Callable[..., ScenarioSpec]
     summary: str
     #: True for the paper's Table II scenarios; these are what
     #: :func:`all_scenarios` (and the default sweep set) return.
     paper: bool = False
-    #: Names of the factory's tunable keyword parameters (documentation).
-    parameters: Tuple[str, ...] = ()
-    #: One-line docs for the tunable parameters, keyed by name.
-    param_docs: Mapping[str, str] = field(default_factory=dict)
+    #: Metadata of every tunable factory parameter, read at registration.
+    info: Tuple[ParameterInfo, ...] = ()
 
     def parameter_info(self) -> Tuple[ParameterInfo, ...]:
         """Typed metadata for every tunable factory parameter.
 
         Types and defaults come from the factory signature (so they can
-        never drift from the code); one-line descriptions come from the
-        ``param_docs`` mapping given at registration time.
+        never drift from the code); one-line descriptions and bounds
+        come from the ``param_docs`` and ``bounds`` mappings given at
+        registration time.
         """
-        return signature_parameter_info(self.factory, docs=self.param_docs)
+        return self.info
 
     def valid_keys(self) -> Tuple[str, ...]:
         """The keyword arguments the factory accepts (besides ``scale``)."""
-        return tuple(info.name for info in self.parameter_info())
+        return tuple(info.name for info in self.info)
 
 
 _REGISTRY: Dict[str, ScenarioEntry] = {}
+
+
+def _checked(
+    name: str, factory: Callable[..., ScenarioSpec], info: Tuple[ParameterInfo, ...]
+) -> Callable[..., ScenarioSpec]:
+    """*factory* behind the check of its scale and parameters."""
+    owner = f"scenario family {name!r}"
+    known = {parameter.name for parameter in info}
+
+    @functools.wraps(factory)
+    def checked(*, scale: float = 1.0, **params: Any) -> ScenarioSpec:
+        if not (math.isfinite(scale) and scale > 0):
+            raise ScenarioError(f"scale must be finite and > 0, got {scale}")
+        problems = param_errors(info, params, owner)
+        if problems:
+            key, message = problems[0]
+            raise ScenarioError(
+                f"{owner} parameter {key!r}: {message}" if key in known else message
+            )
+        return factory(scale=scale, **params)
+
+    return checked
 
 
 def register_scenario(
@@ -80,15 +115,17 @@ def register_scenario(
     *,
     paper: bool = False,
     summary: str = "",
-    parameters: Sequence[str] = (),
     param_docs: Mapping[str, str] = {},
+    bounds: Mapping[str, str] = {},
 ) -> Callable[[Callable[..., ScenarioSpec]], Callable[..., ScenarioSpec]]:
     """Decorator registering a scenario factory under *name*.
 
     The factory must accept ``scale`` plus any numeric family parameters
     as keyword arguments and return a :class:`ScenarioSpec`.
     *param_docs* maps parameter names to one-line descriptions used in
-    generated documentation and ``smartmem list --verbose``.
+    generated documentation and ``smartmem list --verbose``; *bounds*
+    maps them to the values they accept.  The decorator returns the
+    factory wrapped in the check of its arguments.
     """
     if not name:
         raise ScenarioError("scenario family name must not be empty")
@@ -100,18 +137,18 @@ def register_scenario(
     def decorator(factory: Callable[..., ScenarioSpec]) -> Callable[..., ScenarioSpec]:
         if name in _REGISTRY:
             raise ScenarioError(f"scenario family {name!r} is already registered")
+        try:
+            info = signature_parameter_info(factory, docs=param_docs, bounds=bounds)
+        except ValueError as exc:
+            raise ScenarioError(f"scenario family {name!r}: {exc}") from None
         doc_summary = summary
         if not doc_summary and factory.__doc__:
             doc_summary = factory.__doc__.strip().splitlines()[0]
+        checked = _checked(name, factory, info)
         _REGISTRY[name] = ScenarioEntry(
-            name=name,
-            factory=factory,
-            summary=doc_summary,
-            paper=paper,
-            parameters=tuple(parameters),
-            param_docs=dict(param_docs),
+            name=name, factory=checked, summary=doc_summary, paper=paper, info=info
         )
-        return factory
+        return checked
 
     return decorator
 
@@ -142,55 +179,15 @@ def parse_scenario_spec(spec: str) -> Tuple[str, Dict[str, float]]:
     return name.strip(), kwargs
 
 
-def _suggest(name: str, candidates: Sequence[str]) -> str:
-    """A ``; did you mean 'x'?`` suffix, or '' when nothing is close."""
-    matches = difflib.get_close_matches(name, candidates, n=1, cutoff=0.5)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
-
-
-def _entry_or_raise(family: str) -> ScenarioEntry:
-    try:
-        return _REGISTRY[family]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown scenario {family!r}"
-            f"{_suggest(family, sorted(_REGISTRY))}"
-            f"; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def _check_family_kwargs(entry: ScenarioEntry, kwargs: Mapping[str, float]) -> None:
-    """Reject unknown keyword arguments with the family's valid keys."""
-    signature = inspect.signature(entry.factory)
-    if any(
-        param.kind is inspect.Parameter.VAR_KEYWORD
-        for param in signature.parameters.values()
-    ):
-        return  # the factory accepts arbitrary keywords
-    accepted = tuple(
-        name for name in signature.parameters if name not in ("self",)
-    )
-    for key in kwargs:
-        if key not in accepted:
-            valid = entry.valid_keys()
-            raise ScenarioError(
-                f"scenario family {entry.name!r} has no parameter {key!r}"
-                f"{_suggest(key, valid)}"
-                f"; valid keys: {sorted(valid)}"
-            )
-
-
 def scenario_by_name(name: str, *, scale: float = 1.0) -> ScenarioSpec:
     """Build the scenario described by a spec string such as ``"churn:n=6"``."""
     family, kwargs = parse_scenario_spec(name)
-    entry = _entry_or_raise(family)
-    _check_family_kwargs(entry, kwargs)
-    try:
-        return entry.factory(scale=scale, **kwargs)
-    except TypeError as exc:
+    if family not in _REGISTRY:
         raise ScenarioError(
-            f"scenario family {family!r} rejected arguments {kwargs}: {exc}"
-        ) from None
+            f"unknown scenario {family!r}{suggest(family, sorted(_REGISTRY))}"
+            f"; available: {sorted(_REGISTRY)}"
+        )
+    return _REGISTRY[family].factory(scale=scale, **kwargs)
 
 
 def all_scenarios(*, scale: float = 1.0) -> Dict[str, ScenarioSpec]:

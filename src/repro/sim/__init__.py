@@ -7,13 +7,12 @@ callbacks on the engine rather than subclassing it.
 """
 
 from .engine import SimulationEngine
-from .events import Event, EventHandle, EventPriority, RecurringTimer
+from .events import EventHandle, EventPriority, RecurringTimer
 from .trace import TraceRecorder, TraceSeries
 from .rng import RngFactory
 
 __all__ = [
     "SimulationEngine",
-    "Event",
     "EventHandle",
     "EventPriority",
     "RecurringTimer",

@@ -14,21 +14,14 @@ Two lightweight handle types front the slab:
 * :class:`RecurringTimer` — an engine-owned periodic timer record that
   re-arms *in place* after each firing (same slot, fresh heap entry)
   instead of rebuilding a rescheduling closure per fire.
-
-The legacy :class:`Event` dataclass is retained for API compatibility
-(it still orders by ``(time, priority, sequence)`` and can be used as a
-standalone record), but the engine no longer allocates one per scheduled
-callback.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["EventPriority", "Event", "EventHandle", "RecurringTimer"]
+__all__ = ["EventPriority", "EventHandle", "RecurringTimer"]
 
 
 class EventPriority(enum.IntEnum):
@@ -46,57 +39,6 @@ class EventPriority(enum.IntEnum):
     NORMAL = 2
     WORKLOAD = 3
     LOW = 4
-
-
-_sequence = itertools.count()
-
-
-@dataclass(order=True)
-class Event:
-    """A single scheduled callback (legacy standalone record).
-
-    Events order by ``(time, priority, sequence)``; the sequence number
-    makes the ordering total and FIFO among equal-time, equal-priority
-    events, which keeps runs deterministic.
-    """
-
-    time: float
-    priority: int
-    sequence: int = field(compare=True)
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Optional cancellation hook (legacy; the engine-side live counter
-    #: now lives in the slab, not on the record).
-    on_cancel: Callable[[], Any] | None = field(
-        compare=False, default=None, repr=False
-    )
-
-    @classmethod
-    def create(
-        cls,
-        time: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = EventPriority.NORMAL,
-        label: str = "",
-    ) -> "Event":
-        return cls(
-            time=time,
-            priority=int(priority),
-            sequence=next(_sequence),
-            callback=callback,
-            label=label,
-        )
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the engine will skip it."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.on_cancel is not None:
-            self.on_cancel()
-            self.on_cancel = None
 
 
 class EventHandle:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,12 @@ class TestCommands:
         assert "Workload kinds:" in out
         assert "graph-analytics" in out
 
+    def test_list_verbose_prints_each_family_bound(self, capsys):
+        assert main(["list", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "spikes: int = 1 (1..3)  number of" in out
+        assert "fail_at: float = 30.0 (> 0) [s]" in out
+
     def test_tables_command(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
@@ -159,6 +166,10 @@ class TestCommands:
         ["run", "scenario-1", "--shards", "0"],
         ["run", EXAMPLE_DOC, "--nodes", "2"],
         ["run", "no-such-file.yml"],
+        ["run", "many-vms:n=2.5"],
+        ["run", "contended:nodes=1"],
+        ["sweep", "--scenario", "contended:nodes=2.7", "--policy", "greedy",
+         "--no-store"],
         *(case.values[0] for case in BAD_CLUSTER_CASES),
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
@@ -167,6 +178,8 @@ class TestCommands:
         "sweep-negative-scale",
         "sweep-zero-shards", "sweep-non-numeric-shards", "run-zero-shards",
         "run-document-with-cluster-flags", "run-missing-document",
+        "run-fractional-int-param", "run-param-out-of-bounds",
+        "sweep-fractional-int-param",
         *(case.id for case in BAD_CLUSTER_CASES),
     ])
     def test_bad_input_exits_2_before_any_run(self, argv, capsys):
@@ -174,6 +187,20 @@ class TestCommands:
         captured = capsys.readouterr()
         assert len(captured.err.strip().splitlines()) == 1
         assert "running" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "many-vms:n=2.5"],
+         "<command line>: error: expected an integer, got 2.5 (at params.n)"),
+        (["run", "contended:nodes=1"],
+         "<command line>: error: expected a value >= 2, got 1 (at params.nodes)"),
+        (["sweep", "--scenario", "contended:nodes=2.7", "--policy", "greedy",
+          "--no-store"],
+         "scenario family 'contended' parameter 'nodes': "
+         "expected an integer, got 2.7"),
+    ])
+    def test_bad_family_parameter_names_the_parameter(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize("argv,document", BAD_CLUSTER_CASES)
     def test_bad_cluster_flags_match_their_document(
@@ -255,13 +282,22 @@ class TestCommands:
         """A rejoining node drops its stale domains, so the summed
         failed-put counter shrinks; the coordinator's next round must
         still see non-negative pressure (it used to raise PolicyError)."""
-        # --check-invariants sets this variable; setenv restores it.
+        # The nightly invariant step sets this variable too; the flag
+        # arms the checker by argument either way.
         monkeypatch.setenv("SMARTMEM_CHECK_INVARIANTS", "1")
         assert main([
             "run", "contended:nodes=2", "--scale", "0.1", "--policy", "greedy",
             "--fault", "node2@2-5", "--check-invariants",
         ]) == 0
         assert "1 node recovery(ies)" in capsys.readouterr().out
+
+    def test_check_invariants_leaves_the_environment_alone(self, monkeypatch):
+        monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
+        assert main([
+            "run", "usemem-scenario", "--scale", "0.05", "--policy", "greedy",
+            "--check-invariants",
+        ]) == 0
+        assert "SMARTMEM_CHECK_INVARIANTS" not in os.environ
 
     @pytest.mark.parametrize("scenario,shards,path", [
         ("shard:nodes=2", "1", "shared engine in this process: one shard holds every node"),

@@ -76,6 +76,26 @@ vms:
         with pytest.raises(DslError):
             compile_text(text)
 
+    @pytest.mark.parametrize("value,message", [
+        ("2.5", "expected an integer, got 2.5"),
+        ("0", "expected a value >= 1, got 0"),
+    ])
+    def test_family_param_type_and_bound_errors_sit_at_the_key(self, value, message):
+        text = f"family: many-vms\nparams: {{ram_mb: 256, n: {value}}}\n"
+        (diag,) = errors(lint_text(text))
+        assert diag.path == "params.n"
+        assert (diag.line, diag.column) == (2, 23)
+        assert diag.message == message
+        with pytest.raises(DslError):
+            compile_text(text)
+
+    def test_every_bad_family_param_is_reported(self):
+        diags = errors(lint_text("family: bursty\nparams: {n: 0, spikes: 4}\n"))
+        assert {(d.path, d.message) for d in diags} == {
+            ("params.n", "expected a value >= 1, got 0"),
+            ("params.spikes", "expected a value in 1..3, got 4"),
+        }
+
     def test_cli_reports_non_numeric_family_param(self, tmp_path, capsys):
         from repro.cli import main
 

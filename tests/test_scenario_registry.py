@@ -60,7 +60,7 @@ class TestRegistry:
         names = available_scenarios()
         for family in ("many-vms", "churn", "bursty"):
             assert family in names
-        assert registered_scenarios()["many-vms"].parameters == ("n", "ram_mb")
+        assert registered_scenarios()["many-vms"].valid_keys() == ("n", "ram_mb")
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ScenarioError):
@@ -80,7 +80,7 @@ class TestRegistry:
         name = "registry-test-family"
         assert name not in available_scenarios()
 
-        @register_scenario(name, parameters=("n",))
+        @register_scenario(name)
         def tiny(*, scale: float = 1.0, n: int = 1) -> ScenarioSpec:
             vms = tuple(
                 VMSpec(

@@ -382,3 +382,31 @@ class TestShardableValidation:
         runner = ShardedClusterRunner(unpicklable, "greedy", shards=2, seed=1)
         with pytest.raises(ClusterError, match="not serializable"):
             runner.run()
+
+
+def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
+    """The argument, not the environment, arms every shard's checker."""
+    from repro.cluster.cluster import Cluster
+
+    monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
+    armed = []
+    enable = Cluster.enable_invariant_checker
+
+    def spy(cluster):
+        armed.append(cluster)
+        enable(cluster)
+
+    monkeypatch.setattr(Cluster, "enable_invariant_checker", spy)
+    spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+    ShardedClusterRunner(spec, "greedy", shards=2, inline=True).run()
+    assert armed == []
+    ShardedClusterRunner(
+        spec, "greedy", shards=2, inline=True, check_invariants=True
+    ).run()
+    assert len(armed) == 2
+    assert all(cluster.invariant_checker is not None for cluster in armed)
+    armed.clear()
+    exact = ShardedClusterRunner(spec, "greedy", shards=1, check_invariants=True)
+    assert exact.exact
+    exact.run()
+    assert len(armed) == 1

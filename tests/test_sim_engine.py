@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ClockError, EventError, SimulationError
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 
 
 class TestScheduling:
@@ -197,11 +197,6 @@ class TestRecurring:
 
 
 class TestEventOrdering:
-    def test_event_create_assigns_increasing_sequence(self):
-        a = Event.create(1.0, lambda: None)
-        b = Event.create(1.0, lambda: None)
-        assert b.sequence > a.sequence
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=50))
