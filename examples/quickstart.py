@@ -19,7 +19,7 @@ Going further:
 * Multi-node runs and **sharded execution** (one engine per node group
   in worker processes, ``smartmem run shard:nodes=4 --shards auto``) —
   see README.md "Architecture: Node and Cluster layers" / "Sharded
-  execution" and :func:`repro.cluster.run_scenario_sharded`.
+  execution" and the ``shards`` argument of :func:`run_scenario`.
 """
 
 from __future__ import annotations

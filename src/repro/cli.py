@@ -58,17 +58,17 @@ from .analysis.figures import tmem_usage_figure
 from .analysis.metrics import mean_fairness
 from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
+from .cluster.sharded import ShardedClusterRunner, resolve_shards
 from .core.coordinator import coordinator_spec_syntax
 from .core.policy import available_policies, create_policy, policy_spec_syntax
 from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
-from .scenarios.library import PAPER_POLICIES, all_scenarios, scenario_by_name
+from .scenarios.library import PAPER_POLICIES, all_scenarios
 from .scenarios.registry import (
     paper_scenario_names,
-    parse_scenario_spec,
     registered_scenarios,
 )
 from .scenarios.results import ScenarioResult
-from .scenarios.runner import NO_TMEM_POLICY, run_scenario
+from .scenarios.runner import NO_TMEM_POLICY
 from .workloads.registry import available_workload_kinds
 
 __all__ = ["main", "build_parser"]
@@ -84,21 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shard_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--shards", type=str, default=None, metavar="N|auto",
-            help="run cluster scenarios sharded: one engine per node "
-                 "group in worker processes ('auto' = one per node, "
-                 "capped at the CPU count; the process sweep backend "
-                 "runs them inline in each pool worker).  Results are "
-                 "bit-identical to the shared engine; coupled topologies "
-                 "(spill, coordinator, contention, failures, migrations) "
-                 "run the exact shared engine in this process",
+            help="shard cluster scenarios: one engine per node group in "
+                 "worker processes ('auto' = one per node, capped at the "
+                 "CPU count; the process sweep backend runs them inline in "
+                 "each pool worker).  Results are bit-identical to the "
+                 "shared engine; coupled topologies (spill, coordinator, "
+                 "contention, failures, migrations) run the exact shared "
+                 "engine in this process",
         )
         p.add_argument(
             "--cluster-engine", choices=("exact", "epoch"), default="exact",
-            help="cluster execution engine for sharded runs: 'exact' "
-                 "(default; bit-identical to the shared engine) or 'epoch' "
+            help="cluster execution engine: 'exact' (default; "
+                 "bit-identical to the shared engine) or 'epoch' "
                  "(conservative lookahead windows — runs coupled topologies "
-                 "in parallel; deterministic and shard-count invariant but "
-                 "not bit-identical to 'exact')",
+                 "in parallel, on one shard without --shards; deterministic "
+                 "and shard-count invariant but not bit-identical to "
+                 "'exact')",
         )
 
     run_p = sub.add_parser("run", help="run a scenario under one or more policies")
@@ -411,54 +412,52 @@ def _is_dsl_path(name: str) -> bool:
     return name.endswith((".yml", ".yaml"))
 
 
-def _load_dsl(path: str, data: Optional[Dict[str, Any]] = None):
-    """Compile the DSL document at *path*, or *data* named *path*.
+def _load_dsl(
+    target: str,
+    scale: Optional[float] = None,
+    cluster: Optional[Dict[str, Any]] = None,
+):
+    """Compile the DSL document at path *target* or, given a *scale*, the
+    spec string *target* with *cluster* as its ``cluster:`` block, as
+    ``run``, ``sweep`` and the sweep workers compile it.
 
     Prints diagnostics on stderr; returns the CompiledScenario or None
     after printing errors.
     """
-    from .scenarios.dsl import Document, DslError, compile_document, load_file
+    from .scenarios.dsl import DslError, compile_file
+    from .scenarios.dsl.compiler import compile_spec_string
 
     try:
-        doc = load_file(path) if data is None else Document(data, filename=path)
-        compiled = compile_document(doc)
+        if scale is None:
+            compiled = compile_file(target)
+        else:
+            compiled = compile_spec_string(target, scale, cluster)
     except DslError as exc:
         print(exc.render(), file=sys.stderr)
         return None
+    except ScenarioError as exc:  # a malformed spec string
+        print(str(exc), file=sys.stderr)
+        return None
     except OSError as exc:
-        print(f"cannot read {path!r}: {exc}", file=sys.stderr)
+        print(f"cannot read {target!r}: {exc}", file=sys.stderr)
         return None
     for diag in compiled.warnings:
-        print(diag.format(path), file=sys.stderr)
+        print(diag.format(target), file=sys.stderr)
     return compiled
 
 
 def _resolve_scenario(
     target: str, scale: float, cluster: Optional[Dict[str, Any]] = None
 ):
-    """Compile a run target: a .yml document, or a spec string.
-
-    A spec string (``many-vms:n=8``) becomes a family-mode document at
-    *scale* with *cluster* as its ``cluster:`` block, so flags and
-    documents share one validator.  Returns None after printing errors.
+    """Compile a run target: a .yml document, or a spec string at *scale*
+    with *cluster* as its ``cluster:`` block, so flags and documents
+    share one validator.  Returns None after printing errors.
     """
-    if _is_dsl_path(target):
-        return _load_dsl(target)
-    try:
-        family, params = parse_scenario_spec(target)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    data = {"family": family, "scale": scale, "params": params}
-    if cluster:
-        data["cluster"] = cluster
-    return _load_dsl("<command line>", data)
+    return _load_dsl(target, None if _is_dsl_path(target) else scale, cluster)
 
 
 def _shards_ok(shards: Optional[str]) -> bool:
     """Check a ``--shards`` value up front; print why it is bad."""
-    from .cluster import resolve_shards
-
     try:
         resolve_shards(shards, 1)
     except ClusterError as exc:
@@ -676,49 +675,17 @@ def _cmd_run(args: "argparse.Namespace") -> int:
 
     results: Dict[str, ScenarioResult] = {}
     for policy in selected:
-        if args.shards is not None and spec.topology is not None:
-            from .cluster import ShardedClusterRunner
-
-            runner = ShardedClusterRunner(
-                spec, policy, shards=args.shards, seed=seed,
-                cluster_engine=args.cluster_engine,
-                check_invariants=check_invariants,
-            )
-            if runner.epoch_parallel:
-                path = (
-                    f"{len(runner.buckets)} epoch shard workers: "
-                    f"{runner.coupled_reason}"
-                )
-            elif runner.exact:
-                reason = runner.coupled_reason or "one shard holds every node"
-                if args.cluster_engine == "epoch" and runner.epoch_fallback:
-                    reason = runner.epoch_fallback
-                path = f"shared engine in this process: {reason}"
-            else:
-                path = f"{len(runner.buckets)} shard workers"
-            print(
-                f"running {spec.name} under {policy} ({path}) ...",
-                file=sys.stderr,
-            )
-            result = runner.run()
-            if args.cluster_engine == "epoch" and runner.epoch_fallback:
-                # One machine-greppable line naming the engine that ran.
-                print(
-                    f"epoch fallback: {runner.epoch_fallback}",
-                    file=sys.stderr,
-                )
-            results[policy] = result
-        else:
-            if args.shards is not None:
-                print(
-                    f"--shards ignored: {spec.name} has no cluster "
-                    "topology",
-                    file=sys.stderr,
-                )
-            print(f"running {spec.name} under {policy} ...", file=sys.stderr)
-            results[policy] = run_scenario(
-                spec, policy, seed=seed, check_invariants=check_invariants
-            )
+        runner = ShardedClusterRunner(
+            spec, policy, shards=args.shards, seed=seed,
+            cluster_engine=args.cluster_engine,
+            check_invariants=check_invariants,
+        )
+        path = runner.path
+        print(f"running {spec.name} under {policy} ({path}) ...", file=sys.stderr)
+        results[policy] = runner.run()
+        if path.epoch_fallback:
+            # One machine-greppable line naming the engine that ran.
+            print(f"epoch fallback: {path.epoch_fallback}", file=sys.stderr)
 
     print()
     print(render_runtime_table(
@@ -761,10 +728,12 @@ def _cmd_run(args: "argparse.Namespace") -> int:
 def _sweep_spec_from_args(args: "argparse.Namespace"):
     """Build the SweepSpec shared by ``sweep`` and ``serve`` (None = bad args).
 
-    Every scenario and scale is resolved here, before any point runs, so
-    bad input is one line on stderr rather than a traceback.  Policies
-    are built per point: a point whose policy fails is the remote
-    backend's dead-letter case, reported without stopping the sweep.
+    Every scenario compiles at every scale here, as ``run`` compiles its
+    spec string, before any point runs: bad input is the line ``run``
+    prints rather than a traceback, and two strings that build one
+    configuration are refused.  Policies are built per point: a point
+    whose policy fails is the remote backend's dead-letter case,
+    reported without stopping the sweep.
     """
     from .experiments import SweepSpec
 
@@ -778,17 +747,28 @@ def _sweep_spec_from_args(args: "argparse.Namespace"):
             return None
         seeds = tuple(range(args.seed_base, args.seed_base + args.num_seeds))
     scales = tuple(args.scales) if args.scales else (0.25,)
+    for scale in scales:
+        built: Dict[str, Any] = {}
+        for scenario in dict.fromkeys(scenarios):
+            compiled = _load_dsl(scenario, scale)
+            if compiled is None:
+                return None
+            for other, spec in built.items():
+                if spec == compiled.spec:
+                    print(
+                        f"scenarios {other!r} and {scenario!r} build the same "
+                        f"configuration ({spec.name}); keep one",
+                        file=sys.stderr,
+                    )
+                    return None
+            built[scenario] = compiled.spec
     try:
-        spec = SweepSpec(
+        return SweepSpec(
             scenarios=scenarios, policies=policies, seeds=seeds, scales=scales
         )
-        for scenario in spec.scenarios:
-            for scale in spec.scales:
-                scenario_by_name(scenario, scale=scale)
-    except (ScenarioError, ExperimentError) as exc:
+    except ExperimentError as exc:
         print(str(exc), file=sys.stderr)
         return None
-    return spec
 
 
 def _print_failed_summary(failed, *, retried: bool) -> None:

@@ -16,11 +16,12 @@ layers:
   (:class:`~repro.hypervisor.remote_tmem.RemoteTmemBackend`) and a
   cluster coordinator (:mod:`repro.core.coordinator`) rebalances tmem
   capacity between nodes.
-* :class:`~repro.cluster.sharded.ShardedClusterRunner` — the same
-  cluster executed with one engine shard per node group in worker
-  processes; fingerprints are bit-identical to the shared-engine run
-  (decoupled topologies run in parallel, coupled ones fall back to the
-  exact shared engine in the calling process).
+* :class:`~repro.cluster.sharded.ShardedClusterRunner` — the one
+  chooser of every run's execution path (``run_scenario`` is its
+  one-call form), recorded as a :class:`~repro.cluster.sharded.RunPath`:
+  decoupled topologies can run with one engine shard per node group in
+  worker processes, bit-identical to the shared-engine run; everything
+  else runs the exact shared engine in the calling process.
 * :mod:`repro.cluster.epoch` — the opt-in ``cluster_engine="epoch"``
   lookahead engine that shards *coupled* topologies too: shards advance
   in conservative time windows derived from the interconnect latency and
@@ -60,7 +61,6 @@ from .sharded import (
     ShardedClusterRunner,
     coupling_reason,
     resolve_shards,
-    run_scenario_sharded,
 )
 
 __all__ = [
@@ -81,5 +81,4 @@ __all__ = [
     "epoch_window_s",
     "resolve_cluster_engine",
     "resolve_shards",
-    "run_scenario_sharded",
 ]

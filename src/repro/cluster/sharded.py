@@ -1,12 +1,20 @@
-"""Sharded cluster execution: one engine shard per node group, in
-worker processes.
+"""Every run's execution path, and sharded cluster execution: one engine
+shard per node group, in worker processes.
 
-:class:`ShardedClusterRunner` runs a multi-node scenario with each
-*node group* on its own :class:`~repro.sim.engine.SimulationEngine` in a
-separate worker process, and merges the per-group results into one
-:class:`~repro.scenarios.results.ScenarioResult` whose fingerprint is
-bit-identical to the shared-engine :class:`~repro.cluster.cluster.Cluster`
-run of the same scenario.
+:class:`ShardedClusterRunner` is the one place that chooses how a
+scenario runs, and :func:`~repro.scenarios.runner.run_scenario` is its
+one-call form.  It records the choice once, as a :class:`RunPath`:
+
+* ``shared`` — one :class:`~repro.scenarios.runner.ScenarioRunner` in
+  this process: every single-host scenario, every coupled topology
+  under the exact engine, and any run that asks for one shard;
+* ``shards`` — a decoupled topology with each *node group* on its own
+  :class:`~repro.sim.engine.SimulationEngine` in a separate worker
+  process, merged into one
+  :class:`~repro.scenarios.results.ScenarioResult` whose fingerprint is
+  bit-identical to the shared-engine
+  :class:`~repro.cluster.cluster.Cluster` run of the same scenario;
+* ``epoch`` — a coupled topology under the lookahead window protocol.
 
 Why this is exact
 -----------------
@@ -91,7 +99,7 @@ import multiprocessing
 import os
 import pickle
 import time as _time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..core.coordinator import NodeState
@@ -108,12 +116,12 @@ from .epoch import (
 )
 
 __all__ = [
+    "RunPath",
     "ShardedClusterRunner",
     "coupling_reason",
     "epoch_fallback_reason",
     "resolve_cluster_engine",
     "resolve_shards",
-    "run_scenario_sharded",
 ]
 
 
@@ -486,28 +494,53 @@ class _StopDriver:
         return self.finished_at is not None
 
 
-class ShardedClusterRunner:
-    """Run one scenario with node groups sharded across worker processes.
+class RunPath(NamedTuple):
+    """The execution path of one run, decided once by its runner."""
 
-    Drop-in alternative to
-    :func:`~repro.scenarios.runner.run_scenario` for cluster scenarios:
+    #: ``"shared"`` (one engine in this process), ``"shards"`` (decoupled
+    #: shard workers) or ``"epoch"`` (the lookahead window protocol).
+    engine: str
+    #: Shard workers the run drives; 0 on the shared engine.
+    shards: int
+    #: Why the nodes cannot run on independent engines (:func:`coupling_reason`).
+    coupling_reason: Optional[str]
+    #: Why the epoch engine could not run the scenario; set only when the
+    #: epoch engine was asked for.
+    epoch_fallback: Optional[str] = None
+
+    def __str__(self) -> str:
+        if self.engine == "shards":
+            return f"{self.shards} shard workers"
+        if self.engine == "epoch":
+            return f"{self.shards} epoch shard workers: {self.coupling_reason}"
+        reason = self.epoch_fallback or self.coupling_reason
+        return f"shared engine in this process: {reason or 'one shard holds every node'}"
+
+
+class ShardedClusterRunner:
+    """Run one scenario on the execution path it calls for.
+
+    :func:`~repro.scenarios.runner.run_scenario` is the one-call form:
     ``ShardedClusterRunner(spec, policy).run()`` returns a
     :class:`ScenarioResult` whose ``fingerprint()`` equals the
-    shared-engine run's, for **every** topology — decoupled ones run
-    genuinely in parallel, coupled ones take the exact shared-engine
-    path in this process.
+    shared-engine run's under the exact engine, for **every** spec —
+    decoupled topologies run genuinely in parallel, everything else
+    takes the shared engine in this process.  :attr:`path` records the
+    path the constructor chose.
 
     Parameters
     ----------
     shards:
         ``"auto"`` (one worker per node group, capped at the CPU count),
         a positive integer, or ``None`` for a single shard (which runs
-        the shared engine in this process).
+        the shared engine in this process, or one epoch shard).
     inline:
         Run the shard tasks sequentially in this process instead of
         spawning workers.  Same simulation, same fingerprints — used by
         tests and useful on single-core hosts where process spawn
         overhead cannot be amortized.
+    cluster_engine:
+        ``"exact"`` (``None`` means the same) or ``"epoch"``.
     check_invariants:
         Arm the inline invariant checker in every shard's runner (and in
         the shared-engine run); ``None`` leaves it to each runner's
@@ -534,29 +567,26 @@ class ShardedClusterRunner:
         self.config = resolve_config(config, units, seed)
         self.inline = inline
         self.check_invariants = check_invariants
-        self.cluster_engine = resolve_cluster_engine(cluster_engine)
-        use_tmem = policy_spec != NO_TMEM_POLICY
-        self.use_tmem = use_tmem
-        self.coupled_reason = coupling_reason(spec, use_tmem=use_tmem)
-        self.epoch_fallback = epoch_fallback_reason(spec, use_tmem=use_tmem)
-        #: True when this run shards a *coupled* topology under the epoch
-        #: engine's window protocol (decoupled topologies keep the
-        #: bit-exact parallel path regardless of the engine selection).
-        self.epoch_parallel = (
-            self.cluster_engine == "epoch"
-            and self.coupled_reason is not None
-            and self.epoch_fallback is None
-        )
+        self.use_tmem = policy_spec != NO_TMEM_POLICY
+        coupled = coupling_reason(spec, use_tmem=self.use_tmem)
+        epoch, fallback = False, None
+        if resolve_cluster_engine(cluster_engine) == "epoch":
+            fallback = epoch_fallback_reason(spec, use_tmem=self.use_tmem)
+            # Decoupled topologies keep the bit-exact parallel path.  The
+            # epoch protocol runs even at one shard, so the shard count
+            # never changes epoch results.
+            epoch = coupled is not None and fallback is None
         groups: List[Tuple[str, ...]] = []
-        if self.coupled_reason is None or self.epoch_parallel:
-            assert spec.topology is not None
+        if coupled is None or epoch:
             groups = [(node.name,) for node in spec.topology.nodes]
-        #: Node names per shard; empty on the exact path.
+        #: Node names per shard.
         self.buckets = _chunk(groups, resolve_shards(shards, len(groups)))
-        #: True when the run takes the exact shared-engine path in this
-        #: process.  The epoch protocol runs even at one shard so that
-        #: the shard count never changes epoch results.
-        self.exact = not self.epoch_parallel and len(self.buckets) <= 1
+        if epoch or len(self.buckets) > 1:
+            engine, count = ("epoch" if epoch else "shards"), len(self.buckets)
+        else:
+            engine, count = "shared", 0
+        #: The path :meth:`run` takes.
+        self.path = RunPath(engine, count, coupled, fallback)
         #: Cluster-wide engine events / guest page accesses of the last
         #: run() — summed across shards (the benchmark harness reads
         #: these; they match the shared-engine counters).
@@ -570,17 +600,18 @@ class ShardedClusterRunner:
             "policy_spec": self.policy_spec,
             "config": self.config,
             "group": bucket,
-            "epoch": self.epoch_parallel,
+            "epoch": self.path.engine == "epoch",
             "check_invariants": self.check_invariants,
         }
 
     def run(self) -> ScenarioResult:
         wall_start = _time.perf_counter()
-        outcome = self._run_exact() if self.exact else self._run_shards()
+        shared = self.path.engine == "shared"
+        outcome = self._run_shared() if shared else self._run_shards()
         outcome.wall_clock_s = _time.perf_counter() - wall_start
         return outcome
 
-    def _run_exact(self) -> ScenarioResult:
+    def _run_shared(self) -> ScenarioResult:
         from ..scenarios.runner import ScenarioRunner
 
         runner = ScenarioRunner(
@@ -596,7 +627,7 @@ class ShardedClusterRunner:
 
     def _run_shards(self) -> ScenarioResult:
         """The one driver loop: begin, windows until finished, finish."""
-        if self.epoch_parallel:
+        if self.path.engine == "epoch":
             driver: "EpochDriver | _StopDriver" = EpochDriver(
                 self.spec, self.policy_spec, self.config, use_tmem=self.use_tmem
             )
@@ -669,27 +700,3 @@ class ShardedClusterRunner:
             wall_clock_s=0.0,
             cluster=cluster_info,
         )
-
-
-def run_scenario_sharded(
-    spec: ScenarioSpec,
-    policy_spec: str,
-    *,
-    shards: "int | str | None" = "auto",
-    config: Optional[SimulationConfig] = None,
-    units: Optional[MemoryUnits] = None,
-    seed: Optional[int] = None,
-    inline: bool = False,
-    cluster_engine: Optional[str] = "exact",
-) -> ScenarioResult:
-    """One-call convenience wrapper around :class:`ShardedClusterRunner`."""
-    return ShardedClusterRunner(
-        spec,
-        policy_spec,
-        shards=shards,
-        config=config,
-        units=units,
-        seed=seed,
-        inline=inline,
-        cluster_engine=cluster_engine,
-    ).run()

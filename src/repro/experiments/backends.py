@@ -35,7 +35,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError, ReproError
-from ..scenarios.registry import scenario_by_name
 from ..scenarios.results import ScenarioResult
 from ..scenarios.runner import run_scenario
 from .spec import ExperimentPoint
@@ -67,29 +66,30 @@ def execute_point(
 ) -> ScenarioResult:
     """Run one experiment point and return its result.
 
-    *shards* routes cluster points through
-    :class:`~repro.cluster.sharded.ShardedClusterRunner` (bit-identical
-    fingerprints, so sharded and unsharded sweeps archive and resume
-    interchangeably).  *inline_shards* runs the shard tasks in-process —
-    the right mode inside a pool worker, where nesting process spawns
-    would oversubscribe the host.  *cluster_engine* selects the sharded
+    The point's scenario string compiles as the family-mode document
+    ``smartmem run`` compiles
+    (:func:`~repro.scenarios.dsl.compiler.compile_spec_string`), and the
+    spec runs through :func:`~repro.scenarios.runner.run_scenario`, whose
+    runner chooses the execution path.  *shards* can put cluster points
+    on shard workers (bit-identical fingerprints, so sharded and
+    unsharded sweeps archive and resume interchangeably).
+    *inline_shards* runs the shard tasks in-process — the right mode
+    inside a pool worker, where nesting process spawns would
+    oversubscribe the host.  *cluster_engine* selects the cluster
     engine ("exact"/"epoch"); epoch results are deterministic and
     shard-count invariant but not bit-identical to exact ones, so keep
     epoch sweeps in their own results directory.
     """
-    spec = scenario_by_name(point.scenario, scale=point.scale)
-    if shards is not None and spec.topology is not None:
-        from ..cluster.sharded import run_scenario_sharded
+    from ..scenarios.dsl.compiler import compile_spec_string
 
-        return run_scenario_sharded(
-            spec,
-            point.policy,
-            shards=shards,
-            seed=point.seed,
-            inline=inline_shards,
-            cluster_engine=cluster_engine if cluster_engine else "exact",
-        )
-    return run_scenario(spec, point.policy, seed=point.seed)
+    return run_scenario(
+        compile_spec_string(point.scenario, point.scale).spec,
+        point.policy,
+        seed=point.seed,
+        shards=shards,
+        inline=inline_shards,
+        cluster_engine=cluster_engine,
+    )
 
 
 def _execute_point_worker(

@@ -9,12 +9,12 @@ as keys for on-disk result storage.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from ..errors import ExperimentError
+from ..params import scale_error
 
 __all__ = ["ExperimentPoint", "SweepSpec"]
 
@@ -27,8 +27,9 @@ def _slug(text: str) -> str:
 
 def _check_scale(scale: float) -> None:
     """The scenario factories' scale rule, as an experiment error."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ExperimentError(f"scale must be finite and > 0, got {scale}")
+    message = scale_error(scale)
+    if message:
+        raise ExperimentError(message)
 
 
 @dataclass(frozen=True, order=True)

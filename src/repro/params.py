@@ -26,6 +26,7 @@ __all__ = [
     "Bound",
     "ParameterInfo",
     "param_errors",
+    "scale_error",
     "signature_parameter_info",
     "suggest",
     "units_for_name",
@@ -154,6 +155,14 @@ def param_errors(
                 + (f" ({info.doc})" if info.doc else ""),
             ))
     return problems
+
+
+def scale_error(scale: float) -> Optional[str]:
+    """Why *scale* is not a size scale factor, or ``None``: the one scale
+    rule of the registry, the DSL compiler and the sweep specs."""
+    if math.isfinite(scale) and scale > 0:
+        return None
+    return f"scale must be finite and > 0, got {scale}"
 
 
 def units_for_name(name: str) -> str:

@@ -40,9 +40,9 @@ from ...cluster.faults import FaultPlan, parse_link_degradation, parse_node_faul
 from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
-from ...params import param_errors, suggest
+from ...params import param_errors, scale_error, suggest
 from ...workloads.registry import WORKLOAD_REGISTRY
-from ..registry import registered_scenarios
+from ..registry import parse_scenario_spec, registered_scenarios
 from ..runner import NO_TMEM_POLICY
 from ..spec import (
     ClusterTopology,
@@ -61,6 +61,7 @@ __all__ = [
     "CompiledScenario",
     "compile_document",
     "compile_file",
+    "compile_spec_string",
     "compile_text",
     "lint_document",
     "lint_file",
@@ -285,8 +286,9 @@ class _Compiler:
         if "scale" in data:
             value = self.expect_number(data["scale"], "scale")
             if value is not None:
-                if value <= 0:
-                    self.error(f"scale must be > 0, got {value}", "scale")
+                problem = scale_error(value)
+                if problem:
+                    self.error(problem, "scale")
                 else:
                     scale = value
 
@@ -935,6 +937,24 @@ def compile_text(text: str, filename: str = "<scenario>") -> CompiledScenario:
 
 def compile_file(path: str) -> CompiledScenario:
     return compile_document(load_file(path))
+
+
+def compile_spec_string(
+    text: str, scale: float, cluster: Optional[Mapping[str, Any]] = None
+) -> CompiledScenario:
+    """Compile spec string *text* (``many-vms:n=8``) at *scale*.
+
+    The string becomes the family-mode document ``<command line>``, with
+    *cluster* as its ``cluster:`` block; ``smartmem run``, ``sweep`` and
+    the sweep workers all resolve spec strings here.  Raises
+    :class:`ScenarioError` for a malformed string and :class:`DslError`
+    for a document the compiler rejects.
+    """
+    family, params = parse_scenario_spec(text)
+    data = {"family": family, "scale": scale, "params": params}
+    if cluster:
+        data["cluster"] = cluster
+    return compile_document(Document(data, filename="<command line>"))
 
 
 def lint_document(doc: Document) -> List[Diagnostic]:

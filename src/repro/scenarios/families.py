@@ -103,6 +103,16 @@ _NARROW_SPILL = dict(
 Row = Tuple[str, Sequence[VMSpec], int, int, Optional[str]]
 
 
+def _name_value(value: float) -> str:
+    """*value* for a spec name, so the name keeps every parameter exactly:
+    ``:g`` when that text parses back to it, else ``repr`` — of the int
+    for an integral value, which a spec string reads as an int."""
+    text = f"{value:g}"
+    if float(text) == value:
+        return text
+    return repr(int(value) if float(value).is_integer() else value)
+
+
 def _vm(
     name: str,
     ram_mb: int,
@@ -303,7 +313,7 @@ def churn_scenario(
     )
     waves = (n + per_wave - 1) // per_wave
     return ScenarioSpec(
-        name=f"churn:n={n},wave_s={wave_s:g},per_wave={per_wave}",
+        name=f"churn:n={n},wave_s={_name_value(wave_s)},per_wave={per_wave}",
         description=(
             f"{n} VMs x 512 MB RAM run usemem in {waves} waves of {per_wave} "
             f"every {wave_s:g} s; early waves free tmem while later waves "
@@ -511,7 +521,7 @@ def failover_scenario(
         nodes, ram_mb, scale, zoned=False
     )
     return ScenarioSpec(
-        name=f"failover:nodes={nodes},ram_mb={ram_mb},fail_at={fail_at:g}",
+        name=f"failover:nodes={nodes},ram_mb={ram_mb},fail_at={_name_value(fail_at)}",
         description=(
             f"{nodes - 1} overflowing nodes spill into node2's "
             f"{vault_tmem} MB vault pool; node2 fails at t={fail_at:g}s — "
@@ -549,8 +559,8 @@ def faulty_scenario(
         nodes, ram_mb, scale, zoned=True
     )
     return ScenarioSpec(
-        name=f"faulty:nodes={nodes},ram_mb={ram_mb},fail_at={fail_at:g},"
-             f"down_s={down_s:g}",
+        name=f"faulty:nodes={nodes},ram_mb={ram_mb},fail_at={_name_value(fail_at)},"
+             f"down_s={_name_value(down_s)}",
         description=(
             f"{nodes - 1} overflowing nodes spill into node2's "
             f"{vault_tmem} MB vault pool; node2 dies at t={fail_at:g}s and "
@@ -609,8 +619,8 @@ def flaky_scenario(
         breaker_cooldown_s=max(0.5, down_s / 3.0),
     )
     return ScenarioSpec(
-        name=f"flaky:nodes={nodes},ram_mb={ram_mb},fail_at={fail_at:g},"
-             f"down_s={down_s:g}",
+        name=f"flaky:nodes={nodes},ram_mb={ram_mb},fail_at={_name_value(fail_at)},"
+             f"down_s={_name_value(down_s)}",
         description=(
             f"faulty:nodes={nodes} plus link degradation: node1->node3 "
             f"runs lossy and throttled over [{degrade_start:g}, "
@@ -649,7 +659,7 @@ def migrate_scenario(
         *_idle_peers(nodes, vm_ram, idle, pool_mb, 2 * vm_ram + pool_mb + 256, scale),
     ])
     return ScenarioSpec(
-        name=f"migrate:nodes={nodes},ram_mb={ram_mb},at={at:g}",
+        name=f"migrate:nodes={nodes},ram_mb={ram_mb},at={_name_value(at)}",
         description=(
             f"n1.VM1 (usemem, {ram_mb} MB) live-migrates to node2 at "
             f"t={at:g}s: suspended, resident state copied over the "

@@ -36,12 +36,11 @@ argument checks of their own.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..errors import ScenarioError
-from ..params import ParameterInfo, param_errors, signature_parameter_info, suggest
+from ..params import ParameterInfo, param_errors, scale_error, signature_parameter_info, suggest
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -97,8 +96,9 @@ def _checked(
 
     @functools.wraps(factory)
     def checked(*, scale: float = 1.0, **params: Any) -> ScenarioSpec:
-        if not (math.isfinite(scale) and scale > 0):
-            raise ScenarioError(f"scale must be finite and > 0, got {scale}")
+        message = scale_error(scale)
+        if message:
+            raise ScenarioError(message)
         problems = param_errors(info, params, owner)
         if problems:
             key, message = problems[0]

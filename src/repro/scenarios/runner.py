@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.node import Node
+from ..cluster.sharded import ShardedClusterRunner
 from ..config import SimulationConfig
 from ..errors import ScenarioError, SimulationError
 from ..guest.vm import VirtualMachine
@@ -297,14 +298,20 @@ def run_scenario(
     units: Optional[MemoryUnits] = None,
     seed: Optional[int] = None,
     check_invariants: Optional[bool] = None,
+    shards: "int | str | None" = None,
+    cluster_engine: Optional[str] = None,
+    inline: bool = False,
 ) -> ScenarioResult:
-    """One-call convenience wrapper around :class:`ScenarioRunner`."""
-    runner = ScenarioRunner(
-        spec,
-        policy_spec,
-        config=config,
-        units=units,
-        seed=seed,
+    """Run *spec* under *policy_spec* on the path its runner chooses.
+
+    The one-call form of
+    :class:`~repro.cluster.sharded.ShardedClusterRunner`.  Without
+    *shards*, under the exact engine, that is one :class:`ScenarioRunner`
+    in this process; *shards*, *cluster_engine* (``"exact"`` or
+    ``"epoch"``) and *inline* select the sharded and epoch paths.
+    """
+    return ShardedClusterRunner(
+        spec, policy_spec, shards=shards, config=config, units=units,
+        seed=seed, inline=inline, cluster_engine=cluster_engine,
         check_invariants=check_invariants,
-    )
-    return runner.run()
+    ).run()

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.cluster.sharded import run_scenario_sharded
 from repro.config import GuestConfig, SimulationConfig
 from repro.scenarios.library import PAPER_POLICIES
 from repro.scenarios.registry import scenario_by_name
@@ -91,7 +90,7 @@ def main() -> None:
     for scenario in EPOCH_SCENARIOS:
         spec = scenario_by_name(scenario, scale=0.1)
         for policy in PAPER_POLICIES:
-            result = run_scenario_sharded(
+            result = run_scenario(
                 spec,
                 policy,
                 shards=1,

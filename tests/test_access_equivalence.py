@@ -23,7 +23,6 @@ from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
 from repro.guest.kernel import GuestKernel
 from repro.guest.swap import SwapStats
-from repro.cluster.sharded import run_scenario_sharded
 from repro.hypervisor.remote_tmem import RemoteTmemBackend
 from repro.hypervisor.tmem_backend import TmemBackend
 from repro.hypervisor.xen import Hypervisor
@@ -439,8 +438,8 @@ class TestClosedFormCoverage:
         if engine == "exact":
             run_scenario(spec, "smart-alloc", seed=7)
         else:
-            run_scenario_sharded(spec, "smart-alloc", shards=2, seed=7,
-                                 inline=True, cluster_engine="epoch")
+            run_scenario(spec, "smart-alloc", shards=2, seed=7,
+                         inline=True, cluster_engine="epoch")
         assert counts["execute_planned"] > 0
         assert counts["declined"] == 0
         assert counts["remote_burst"] > 0

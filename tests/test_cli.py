@@ -170,6 +170,11 @@ class TestCommands:
         ["run", "contended:nodes=1"],
         ["sweep", "--scenario", "contended:nodes=2.7", "--policy", "greedy",
          "--no-store"],
+        ["sweep", "--scenario", "contended:nodes=2", "--scenario",
+         "contended:NODES=2.0", "--num-seeds", "1", "--scale", "0.05",
+         "--no-store"],
+        ["sweep", "--scenario", "many-vms", "--scenario", "many-vms:n=6",
+         "--num-seeds", "1", "--scale", "0.05", "--no-store"],
         *(case.values[0] for case in BAD_CLUSTER_CASES),
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
@@ -180,6 +185,7 @@ class TestCommands:
         "run-document-with-cluster-flags", "run-missing-document",
         "run-fractional-int-param", "run-param-out-of-bounds",
         "sweep-fractional-int-param",
+        "sweep-same-configuration-respelled", "sweep-family-and-its-defaults",
         *(case.id for case in BAD_CLUSTER_CASES),
     ])
     def test_bad_input_exits_2_before_any_run(self, argv, capsys):
@@ -195,12 +201,32 @@ class TestCommands:
          "<command line>: error: expected a value >= 2, got 1 (at params.nodes)"),
         (["sweep", "--scenario", "contended:nodes=2.7", "--policy", "greedy",
           "--no-store"],
-         "scenario family 'contended' parameter 'nodes': "
-         "expected an integer, got 2.7"),
+         "<command line>: error: expected an integer, got 2.7 (at params.nodes)"),
     ])
     def test_bad_family_parameter_names_the_parameter(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("scenario,scale", [
+        ("nosuch", "0.05"),
+        ("many-vms:n=2.5", "0.05"),
+        ("contended:nodes=1", "0.05"),
+        ("many-vms:n", "0.05"),
+        ("scenario-1", "-1"),
+    ], ids=["unknown-family", "fractional-int-param", "param-out-of-bounds",
+            "param-without-value", "negative-scale"])
+    def test_run_and_sweep_word_a_bad_spec_string_alike(
+        self, scenario, scale, capsys
+    ):
+        """``run`` and ``sweep`` compile spec strings through one function,
+        so the same mistake prints the same line."""
+        assert main(["run", scenario, "--scale", scale, "--policy", "greedy"]) == 2
+        run_err = capsys.readouterr().err
+        assert main([
+            "sweep", "--scenario", scenario, "--scale", scale,
+            "--policy", "greedy", "--no-store",
+        ]) == 2
+        assert capsys.readouterr().err == run_err
 
     @pytest.mark.parametrize("argv,document", BAD_CLUSTER_CASES)
     def test_bad_cluster_flags_match_their_document(
@@ -299,16 +325,23 @@ class TestCommands:
         ]) == 0
         assert "SMARTMEM_CHECK_INVARIANTS" not in os.environ
 
-    @pytest.mark.parametrize("scenario,shards,path", [
-        ("shard:nodes=2", "1", "shared engine in this process: one shard holds every node"),
-        ("failover", "2", "shared engine in this process: remote-tmem spill couples the nodes"),
+    @pytest.mark.parametrize("scenario,flags,path", [
+        ("shard:nodes=2", ["--shards", "1"],
+         "shared engine in this process: one shard holds every node"),
+        ("failover", ["--shards", "2"],
+         "shared engine in this process: remote-tmem spill couples the nodes"),
+        ("usemem-scenario", ["--shards", "2"],
+         "shared engine in this process: single-host scenario (no cluster topology)"),
+        ("usemem-scenario", [],
+         "shared engine in this process: single-host scenario (no cluster topology)"),
+        ("contended:nodes=2", ["--cluster-engine", "epoch"],
+         "1 epoch shard workers: remote-tmem spill couples the nodes"),
     ])
     def test_run_shards_names_the_in_process_path(
-        self, scenario, shards, path, capsys
+        self, scenario, flags, path, capsys
     ):
         code = main([
-            "run", scenario, "--scale", "0.05", "--policy", "greedy",
-            "--shards", shards,
+            "run", scenario, "--scale", "0.05", "--policy", "greedy", *flags,
         ])
         assert code == 0
         err = capsys.readouterr().err

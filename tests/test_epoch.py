@@ -27,7 +27,6 @@ from repro.cluster.epoch import (
 )
 from repro.cluster.sharded import (
     ShardedClusterRunner,
-    run_scenario_sharded,
 )
 from repro.errors import ClusterError
 from repro.scenarios.registry import scenario_by_name
@@ -46,7 +45,7 @@ COUPLED = [
 
 
 def _epoch_run(spec, policy, *, shards, seed=SEED, inline=True):
-    return run_scenario_sharded(
+    return run_scenario(
         spec,
         policy,
         shards=shards,
@@ -76,8 +75,7 @@ class TestEngineSelection:
         runner = ShardedClusterRunner(
             spec, "greedy", shards=2, inline=True, cluster_engine="epoch"
         )
-        assert runner.epoch_parallel
-        assert not runner.exact
+        assert runner.path.engine == "epoch"
         assert len(runner.buckets) == 2
 
     def test_epoch_single_shard_still_runs_window_protocol(self):
@@ -87,8 +85,7 @@ class TestEngineSelection:
         runner = ShardedClusterRunner(
             spec, "greedy", shards=1, inline=True, cluster_engine="epoch"
         )
-        assert runner.epoch_parallel
-        assert not runner.exact
+        assert runner.path.engine == "epoch"
 
     def test_decoupled_topology_keeps_bit_exact_path(self):
         """Decoupled nodes don't need windows; they keep the exact
@@ -97,7 +94,7 @@ class TestEngineSelection:
         runner = ShardedClusterRunner(
             spec, "greedy", shards=2, inline=True, cluster_engine="epoch"
         )
-        assert not runner.epoch_parallel
+        assert runner.path.engine != "epoch"
         shared = run_scenario(spec, "greedy", seed=SEED)
         result = ShardedClusterRunner(
             spec, "greedy", shards=2, seed=SEED, inline=True,
@@ -112,8 +109,7 @@ class TestEngineSelection:
             spec, "greedy", shards=2, seed=SEED, inline=True,
             cluster_engine="epoch",
         )
-        assert not runner.epoch_parallel
-        assert runner.exact
+        assert runner.path.engine == "shared"
         shared = run_scenario(spec, "greedy", seed=SEED)
         assert runner.run().fingerprint() == shared.fingerprint()
 
@@ -222,7 +218,7 @@ class TestEpochInvariance:
             spec, "no-tmem", shards=2, seed=SEED, inline=True,
             cluster_engine="epoch",
         )
-        assert not runner.epoch_parallel
+        assert runner.path.engine != "epoch"
         shared = run_scenario(spec, "no-tmem", seed=SEED)
         assert runner.run().fingerprint() == shared.fingerprint()
 

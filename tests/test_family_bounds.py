@@ -5,7 +5,8 @@ covered without editing this file.  For every family and parameter, a
 value drawn just inside the declared bound builds a spec; a value drawn
 just outside it raises a :class:`ScenarioError` naming the parameter
 through ``scenario_by_name`` and compiles to an error at
-``params.<key>``.  The nightly workflow runs them with
+``params.<key>``; the name of a spec built just inside builds that spec
+again.  The nightly workflow runs them with
 ``--hypothesis-profile=nightly``.
 """
 
@@ -107,6 +108,29 @@ def test_a_value_just_inside_the_bound_builds_a_spec(family, info, data):
     spec = scenario_by_name(f"{family}:{info.name}={value!r}", scale=SCALE)
     assert isinstance(spec, ScenarioSpec)
     assert compile_family(family, info.name, value) == []
+
+
+@pytest.mark.parametrize("family,info", PARAMETERS)
+@given(data=st.data())
+def test_a_spec_name_builds_its_own_spec(family, info, data):
+    """A spec's name carries every parameter exactly, floats included, so
+    two configurations never share a name."""
+    value = data.draw(just_inside(info))
+    spec = scenario_by_name(f"{family}:{info.name}={value!r}", scale=SCALE)
+    assert scenario_by_name(spec.name, scale=SCALE) == spec
+
+
+@pytest.mark.parametrize("value", [1234567.0, 1234567.5, 12.3456789])
+def test_the_name_of_a_document_spec_builds_that_spec(value):
+    """A document passes floats to the family as they are, however far
+    from the bound; the name spells an integral one as the int that a
+    spec string reads it as."""
+    doc = Document(
+        {"family": "churn", "scale": SCALE, "params": {"wave_s": value}},
+        filename="<names>",
+    )
+    spec = compile_document(doc).spec
+    assert scenario_by_name(spec.name, scale=SCALE) == spec
 
 
 @pytest.mark.parametrize("family,info", PARAMETERS)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.scenarios.dsl.compiler import compile_spec_string
 from repro.scenarios.registry import registered_scenarios, scenario_by_name
 
 PIN_PATH = Path(__file__).parent / "data" / "family_specs.json"
@@ -83,6 +84,16 @@ def test_spec_repr_is_unchanged(pins, spec_string, scale):
     assert digest(spec_string, scale) == pins[f"{spec_string}|{scale}"], (
         f"{spec_string} at scale {scale} no longer builds the pinned spec"
     )
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("spec_string", spec_strings())
+def test_compiled_spec_string_builds_the_pinned_spec(pins, spec_string, scale):
+    """The path ``run``, ``sweep`` and the sweep workers take."""
+    spec = compile_spec_string(spec_string, scale).spec
+    assert hashlib.sha256(repr(spec).encode()).hexdigest() == (
+        pins[f"{spec_string}|{scale}"]
+    ), f"{spec_string} at scale {scale} compiles to another spec"
 
 
 if __name__ == "__main__":

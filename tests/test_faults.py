@@ -350,7 +350,7 @@ class TestFlakyAcceptance:
             spec, "greedy", shards=2, seed=PIN_SEED, inline=True,
             cluster_engine="epoch",
         )
-        assert runner.epoch_fallback is not None
+        assert runner.path.epoch_fallback is not None
         _, result = flaky_runner
         assert runner.run().fingerprint() == result.fingerprint()
 

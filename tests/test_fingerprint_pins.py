@@ -116,12 +116,10 @@ def test_epoch_engine_matches_pins(epoch_pins, scenario):
     invariance itself).  Re-record after intentional semantic changes
     with: PYTHONPATH=src python tests/data/record_fingerprints.py
     """
-    from repro.cluster.sharded import run_scenario_sharded
-
     spec = scenario_by_name(scenario, scale=PIN_SCALE)
     mismatched = []
     for policy in PAPER_POLICIES:
-        result = run_scenario_sharded(
+        result = run_scenario(
             spec,
             policy,
             shards=1,

@@ -1,7 +1,10 @@
 """Tests for the top-level public API surface."""
 
 import importlib
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import repro
 
@@ -63,3 +66,19 @@ class TestPublicApi:
         assert issubclass(repro.TmemError, repro.ReproError)
         assert issubclass(repro.PolicyError, repro.ReproError)
         assert issubclass(repro.ScenarioError, repro.ReproError)
+
+    def test_import_loads_neither_yaml_nor_the_dsl(self):
+        """The DSL and PyYAML load on first use, so ``import repro`` (and
+        the setup time of every run) does not pay for them."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in ('yaml', 'repro.scenarios.dsl') "
+            "if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

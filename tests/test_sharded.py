@@ -22,15 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.sharded import (
+    RunPath,
     ShardedClusterRunner,
     _ProcessShard,
     _chunk,
     coupling_reason,
     resolve_shards,
-    run_scenario_sharded,
 )
 from repro.errors import ClusterError, SimulationError
-from repro.scenarios.registry import scenario_by_name
+from repro.scenarios.registry import registered_scenarios, scenario_by_name
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import PhaseTrigger
 from repro.workloads.registry import WORKLOAD_REGISTRY, register_workload_kind
@@ -165,6 +165,45 @@ class TestChunk:
 
 
 # ---------------------------------------------------------------------------
+# the recorded path
+# ---------------------------------------------------------------------------
+class TestRunPath:
+    @pytest.mark.parametrize("family", sorted(registered_scenarios()))
+    def test_without_shards_every_family_runs_the_shared_engine(self, family):
+        """run_scenario without shards stays the shared engine the
+        sharded-equivalence tests compare against."""
+        spec = scenario_by_name(family, scale=SCALE)
+        runner = ShardedClusterRunner(spec, "greedy", shards=None)
+        assert runner.path.engine == "shared"
+        assert runner.path.shards == 0
+        assert runner.path.epoch_fallback is None
+
+    def test_epoch_fallback_is_recorded_only_when_epoch_is_asked_for(self):
+        spec = scenario_by_name("failover", scale=SCALE)
+        exact = ShardedClusterRunner(spec, "greedy", shards=2)
+        epoch = ShardedClusterRunner(
+            spec, "greedy", shards=2, cluster_engine="epoch"
+        )
+        assert exact.path.epoch_fallback is None
+        assert epoch.path.epoch_fallback == (
+            "node failures relocate VMs across shards"
+        )
+        assert epoch.path.engine == "shared"
+
+    @pytest.mark.parametrize("path,text", [
+        (RunPath("shards", 2, None), "2 shard workers"),
+        (RunPath("shared", 0, "remote-tmem spill couples the nodes",
+                 "fault plan needs the exact cluster engine"),
+         "shared engine in this process: fault plan needs the exact cluster "
+         "engine"),
+    ])
+    def test_str_names_the_path(self, path, text):
+        """The phrases the CLI tests do not print: decoupled shard
+        workers, and an epoch fallback, which names why epoch did not run."""
+        assert str(path) == text
+
+
+# ---------------------------------------------------------------------------
 # fingerprint identity (the core guarantee)
 # ---------------------------------------------------------------------------
 class TestShardedIdentity:
@@ -183,7 +222,7 @@ class TestShardedIdentity:
             f"shard:nodes={nodes},vms_per_node={vms_per_node}", scale=SCALE
         )
         shared = run_scenario(spec, policy, seed=seed)
-        sharded = run_scenario_sharded(
+        sharded = run_scenario(
             spec, policy, shards=shards, seed=seed, inline=True
         )
         assert sharded.fingerprint() == shared.fingerprint()
@@ -202,8 +241,8 @@ class TestShardedIdentity:
         runner = ShardedClusterRunner(
             spec, "greedy", shards=4, seed=seed, inline=True
         )
-        assert runner.exact
-        assert runner.coupled_reason is not None
+        assert runner.path.engine == "shared"
+        assert runner.path.coupling_reason is not None
         shared = run_scenario(spec, "greedy", seed=seed)
         assert runner.run().fingerprint() == shared.fingerprint()
 
@@ -212,7 +251,7 @@ class TestShardedIdentity:
         runner = ShardedClusterRunner(
             spec, "no-tmem", shards=2, seed=11, inline=True
         )
-        assert not runner.exact
+        assert runner.path.engine != "shared"
         shared = run_scenario(spec, "no-tmem", seed=11)
         assert runner.run().fingerprint() == shared.fingerprint()
 
@@ -238,7 +277,7 @@ class TestShardedIdentity:
         spec = scenario_by_name("shard:nodes=2,vms_per_node=1", scale=SCALE)
         shared = run_scenario(spec, "greedy", seed=5)
         runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=5)
-        assert not runner.exact
+        assert runner.path.engine != "shared"
         assert len(runner.buckets) == 2
         assert runner.run().fingerprint() == shared.fingerprint()
 
@@ -248,7 +287,7 @@ class TestShardedIdentity:
         spec = scenario_by_name("failover", scale=SCALE)
         shared = run_scenario(spec, "greedy", seed=5)
         runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=5)
-        assert runner.exact
+        assert runner.path.engine == "shared"
         assert runner.run().fingerprint() == shared.fingerprint()
 
 
@@ -271,7 +310,7 @@ class TestDeadline:
         with pytest.raises(SimulationError) as shared_err:
             run_scenario(spec, "greedy", seed=1)
         with pytest.raises(SimulationError) as sharded_err:
-            run_scenario_sharded(
+            run_scenario(
                 spec, "greedy", shards=2, seed=1, inline=inline
             )
         assert str(sharded_err.value) == str(shared_err.value)
@@ -284,7 +323,7 @@ class TestDeadline:
             max_duration_s=0.25,
         )
         with pytest.raises(SimulationError) as err:
-            run_scenario_sharded(
+            run_scenario(
                 spec, "greedy", shards=2, seed=1, inline=inline,
                 cluster_engine="epoch",
             )
@@ -407,6 +446,6 @@ def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
     assert all(cluster.invariant_checker is not None for cluster in armed)
     armed.clear()
     exact = ShardedClusterRunner(spec, "greedy", shards=1, check_invariants=True)
-    assert exact.exact
+    assert exact.path.engine == "shared"
     exact.run()
     assert len(armed) == 1

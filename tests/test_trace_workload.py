@@ -224,7 +224,7 @@ class TestTraceRecordCli:
         (["--scenario", "usemem-scenario", "--vm", "VM9"],
          "scenario 'usemem-scenario' has no VM named 'VM9'"),
         (["--scenario", "usemem-scenario", "--vm", "VM1", "--scale", "-1"],
-         "error: scale must be > 0, got -1.0 (at scale)"),
+         "error: scale must be finite and > 0, got -1.0 (at scale)"),
         (["--scenario", "no-such-file.yml", "--vm", "VM1"],
          "cannot read 'no-such-file.yml'"),
     ])
