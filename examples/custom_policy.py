@@ -6,7 +6,8 @@ development of more sophisticated tmem memory policies".  This example
 shows how to use that framework: it implements a *proportional-demand*
 policy (each VM's target is proportional to its recent failed-put volume,
 smoothed with an exponential moving average), registers it under its own
-name, and compares it against greedy and smart-alloc on Scenario 2.
+name with the docs and bounds of its parameters, and compares it against
+greedy and smart-alloc on Scenario 2.
 
 Run with::
 
@@ -26,7 +27,16 @@ from repro.core.stats import MemStatsView, TargetVector
 from repro.core.targets import equal_share, proportional_scale
 
 
-@register_policy("proportional-demand")
+@register_policy(
+    "proportional-demand",
+    param_docs={
+        "smoothing": "weight of the newest interval in each VM's demand average",
+        "floor_fraction": "share of the pool added to each VM's demand before the split",
+    },
+    # Checked on every construction: a spec string such as
+    # "proportional-demand:smoothing=nan" fails before any run.
+    bounds={"smoothing": "(0, 1]", "floor_fraction": "[0, 1)"},
+)
 class ProportionalDemandPolicy(TmemPolicy):
     """Targets proportional to an EMA of each VM's failed-put volume.
 

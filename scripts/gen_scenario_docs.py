@@ -2,13 +2,13 @@
 """Generate docs/scenario-language.md from the live registries.
 
 The scenario language is documented *by construction*: every scenario
-family and workload kind registers parameter metadata (derived from its
-factory/constructor signature plus explicit per-parameter docs), and
-this script renders that metadata into the reference manual.  The docs
-cannot drift from the code — CI runs ``--check``, which fails when the
-committed file differs from a fresh render, when any registered
-family/workload is missing parameter documentation or when a family
-parameter has no declared bound.
+family, workload kind, policy and cluster coordinator registers
+parameter metadata (derived from its factory/constructor signature plus
+explicit per-parameter docs and bounds), and this script renders that
+metadata into the reference manual.  The docs cannot drift from the
+code — CI runs ``--check``, which fails when the committed file differs
+from a fresh render, when any registered parameter has no doc or when
+any int or float parameter has no declared bound.
 
 Usage::
 
@@ -25,12 +25,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.scenarios import dsl as _dsl  # noqa: E402  (sys.path setup)
+from repro.core.coordinator import COORDINATORS  # noqa: E402  (sys.path setup)
+from repro.core.policy import POLICIES  # noqa: E402
+from repro.scenarios import dsl as _dsl  # noqa: E402
 from repro.scenarios.registry import (  # noqa: E402
     paper_scenario_names,
     registered_scenarios,
 )
-from repro.workloads.registry import WORKLOAD_REGISTRY  # noqa: E402
+from repro.workloads.registry import WORKLOADS  # noqa: E402
 
 assert _dsl  # imported to fail fast when the DSL package breaks
 
@@ -42,8 +44,8 @@ HEADER = """\
 <!-- GENERATED FILE - do not edit by hand.
      Regenerate with: python scripts/gen_scenario_docs.py
      CI runs `gen_scenario_docs.py --check` and fails when this file is
-     stale, any registered family/workload lacks parameter docs or any
-     family parameter lacks a bound. -->
+     stale, any registered parameter lacks a doc or any int or float
+     parameter lacks a bound. -->
 
 Scenario documents are YAML files compiled by `smartmem compile`,
 validated by `smartmem lint`, inspected with `smartmem plan` and run
@@ -144,86 +146,102 @@ document's directory, so committed examples replay their committed
 traces from any working directory.
 
 The parameter tables below are generated from the registries — the
-types and defaults come from the factory signatures themselves.  Each
-family parameter's bound is declared once at registration and checked
-before the family's factory runs; a value outside it fails at
-`params.<key>`.
+types and defaults come from the factory and constructor signatures
+themselves.  Each parameter's bound is declared once, where its scenario
+family, workload kind, policy or coordinator registers, and is checked
+however that entry is built: from a spec string, a document,
+`trace record --param` or a direct call.  A value outside it fails at
+its key: `params.<key>`, `vms[i].jobs[j].params.<key>`, `policy` or
+`cluster.coordinator`.
 """
 
 
-def _table(parameters, *, bounds: bool = False) -> list:
-    """A markdown parameter table; *bounds* adds a bound column."""
-    bound_head, bound_rule = ("bound | ", "---|") if bounds else ("", "")
+def _table(parameters) -> list:
+    """A markdown parameter table."""
     lines = [
-        f"| parameter | type | default | {bound_head}units | description |",
-        f"|---|---|---|{bound_rule}---|---|",
+        "| parameter | type | default | bound | units | description |",
+        "|---|---|---|---|---|---|",
     ]
     for info in parameters:
         bound = f"`{info.bound.text}`" if info.bound else "—"
-        bound_cell = f"{bound} | " if bounds else ""
         units = info.units or "—"
         doc = info.doc or "—"
         lines.append(
             f"| `{info.name}` | {info.type} | `{info.default_repr()}` "
-            f"| {bound_cell}{units} | {doc} |"
+            f"| {bound} | {units} | {doc} |"
         )
     return lines
 
 
+def _section(lines, missing, title, parameters) -> None:
+    """Append one entry's parameter table (or its absence) to *lines*
+    and every undocumented or unbounded parameter to *missing*."""
+    for info in parameters:
+        if not info.doc:
+            missing.append(f"{title} parameter {info.name!r}")
+        if info.bound is None and info.checked_type in ("int", "float"):
+            missing.append(f"{title} parameter {info.name!r} (bound)")
+    if parameters:
+        lines.extend(_table(parameters))
+    else:
+        lines.append("No parameters.")
+    lines.append("")
+
+
+def _registry(lines, missing, registry, what) -> None:
+    """One ``### name`` section per entry of a class registry."""
+    for name in registry.names():
+        lines.append(f"### `{name}`\n")
+        lines.append(registry.summary(name) + "\n")
+        if getattr(registry.classes[name], "uses_cleancache", False):
+            lines.append(
+                "File-backed: reads go through the page cache and evicted "
+                "clean pages spill into an ephemeral cleancache tmem pool.\n"
+            )
+        _section(lines, missing, f"{what} {name!r}", registry.parameter_info(name))
+
+
 def render() -> str:
     """Render the full manual from the live registries."""
-    missing = []
+    missing: list = []
     lines = [HEADER]
 
     lines.append("## Scenario families\n")
     lines.append(
         "Each family compiles from `family:` documents and from "
         "`name:key=value` spec strings; both routes call the same factory "
-        "and produce identical fingerprints.\n"
+        "and produce identical fingerprints.  `scale` is every family's "
+        "size multiplier.\n"
     )
     paper = set(paper_scenario_names())
     for name, entry in sorted(registered_scenarios().items()):
         tag = " *(paper scenario)*" if name in paper else ""
         lines.append(f"### `{name}`{tag}\n")
         lines.append(entry.summary + "\n")
-        parameters = entry.parameter_info()
-        if not parameters:
-            lines.append(
-                "No parameters besides `scale`.\n"
-            )
-            continue
-        for info in parameters:
-            if not info.doc:
-                missing.append(f"scenario family {name!r} parameter {info.name!r}")
-            if info.bound is None:
-                missing.append(
-                    f"scenario family {name!r} parameter {info.name!r} (bound)"
-                )
-        lines.extend(_table(parameters, bounds=True))
-        lines.append("")
+        _section(lines, missing, f"scenario family {name!r}", entry.parameter_info())
 
     lines.append("## Workload kinds\n")
     lines.append(
         "Workloads are instantiated per job from `kind` + `params`; the "
         "constructor signature is the schema.\n"
     )
-    for kind in sorted(WORKLOAD_REGISTRY):
-        workload_cls = WORKLOAD_REGISTRY[kind]
-        lines.append(f"### `{kind}`\n")
-        doc = (workload_cls.__doc__ or "").strip().splitlines()
-        if doc:
-            lines.append(doc[0] + "\n")
-        if workload_cls.uses_cleancache:
-            lines.append(
-                "File-backed: reads go through the page cache and evicted "
-                "clean pages spill into an ephemeral cleancache tmem pool.\n"
-            )
-        parameters = workload_cls.parameter_info()
-        for info in parameters:
-            if not info.doc:
-                missing.append(f"workload {kind!r} parameter {info.name!r}")
-        lines.extend(_table(parameters))
-        lines.append("")
+    _registry(lines, missing, WORKLOADS, "workload")
+
+    lines.append("## Policies\n")
+    lines.append(
+        "A document's `policy:` and `smartmem run --policy` take a "
+        "`name:key=value,...` spec string; keys are case-insensitive, and "
+        "`P` is smart-alloc's `percent`.  `no-tmem` (tmem disabled in every "
+        "guest) is the baseline.\n"
+    )
+    _registry(lines, missing, POLICIES, "policy")
+
+    lines.append("## Cluster coordinators\n")
+    lines.append(
+        "A topology's `coordinator:` and `smartmem run --coordinator` take "
+        "a `name:key=value,...` spec string.\n"
+    )
+    _registry(lines, missing, COORDINATORS, "coordinator")
 
     if missing:
         raise SystemExit(

@@ -59,8 +59,8 @@ from .analysis.metrics import mean_fairness
 from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
 from .cluster.sharded import ShardedClusterRunner, resolve_shards
-from .core.coordinator import coordinator_spec_syntax
-from .core.policy import available_policies, create_policy, policy_spec_syntax
+from .core.coordinator import COORDINATORS
+from .core.policy import POLICIES, create_policy
 from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios
 from .scenarios.registry import (
@@ -69,7 +69,7 @@ from .scenarios.registry import (
 )
 from .scenarios.results import ScenarioResult
 from .scenarios.runner import NO_TMEM_POLICY
-from .workloads.registry import available_workload_kinds
+from .workloads.registry import WORKLOADS
 
 __all__ = ["main", "build_parser"]
 
@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     list_p.add_argument(
         "--verbose", action="store_true",
-        help="also print the parameter table (name, type, default, units, "
-             "doc) of every scenario family and workload kind",
+        help="also print the parameters (name, type, default, bound, "
+             "units, doc) of every scenario family, policy, coordinator "
+             "and workload kind",
     )
 
     compile_p = sub.add_parser(
@@ -372,7 +373,27 @@ def _print_parameter_rows(parameters) -> None:
         )
 
 
+def _print_entries(rows, verbose: bool) -> None:
+    """``name  params: ...  summary`` per ``(name, infos, summary)`` row,
+    each followed by its parameter rows when *verbose*."""
+    for name, infos, summary in rows:
+        params = ", ".join(info.name for info in infos) or "-"
+        print(f"  {name:18s} params: {params:24s} {summary}")
+        if verbose:
+            _print_parameter_rows(infos)
+
+
+def _registry_rows(registry):
+    """The list rows of a class registry (policies, coordinators, ...)."""
+    for name in registry.names():
+        yield name, registry.parameter_info(name), registry.summary(name)
+
+
 def _cmd_list(verbose: bool = False) -> int:
+    """``smartmem list``: the paper's scenarios, then one line per scenario
+    family, policy, coordinator and workload kind naming its parameters;
+    ``--verbose`` adds each parameter's type, default, bound, units and
+    doc, all read from the registries."""
     print("Scenarios (paper, Table II):")
     for name, spec in all_scenarios(scale=1.0).items():
         print(f"  {name:18s} {spec.description}")
@@ -380,31 +401,24 @@ def _cmd_list(verbose: bool = False) -> int:
     print("Scenario families (parametric, e.g. many-vms:n=8; "
           "'cluster'/'hotnode' run multi-node topologies):")
     paper = set(paper_scenario_names())
-    for name, entry in sorted(registered_scenarios().items()):
-        if name in paper:
-            continue
-        params = ", ".join(entry.valid_keys()) or "-"
-        print(f"  {name:18s} params: {params:24s} {entry.summary}")
-        if verbose:
-            _print_parameter_rows(entry.parameter_info())
+    _print_entries(
+        (
+            (name, entry.parameter_info(), entry.summary)
+            for name, entry in sorted(registered_scenarios().items())
+            if name not in paper
+        ),
+        verbose,
+    )
     print()
-    print("Policies (spec syntax; parameters use name:key=value,...):")
-    syntax = policy_spec_syntax()
-    for name in available_policies():
-        print(f"  {name:18s} {syntax.get(name, name)}")
+    print("Policies (name:key=value,...; smart-alloc's P sets percent):")
+    _print_entries(_registry_rows(POLICIES), verbose)
     print("  no-tmem            (baseline: tmem disabled in every guest)")
     print()
     print("Cluster coordinator policies (for multi-node topologies):")
-    for name, spec_syntax in sorted(coordinator_spec_syntax().items()):
-        print(f"  {name:18s} {spec_syntax}")
+    _print_entries(_registry_rows(COORDINATORS), verbose)
     print()
     print("Workload kinds:")
-    from .workloads.registry import WORKLOAD_REGISTRY
-
-    for kind in available_workload_kinds():
-        print(f"  {kind}")
-        if verbose:
-            _print_parameter_rows(WORKLOAD_REGISTRY[kind].parameter_info())
+    _print_entries(_registry_rows(WORKLOADS), verbose)
     return 0
 
 
@@ -528,10 +542,8 @@ def _parse_workload_param(text: str):
 
 def _cmd_trace_record(args: "argparse.Namespace") -> int:
     """``smartmem trace record``: dump a workload's steps to JSONL."""
-    from .scenarios.dsl.compiler import workload_param_errors
     from .sim.rng import RngFactory
     from .units import SCENARIO_UNITS
-    from .workloads.registry import workload_class
     from .workloads.trace import dump_trace_steps
 
     if (args.workload is None) == (args.scenario is None):
@@ -543,8 +555,8 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
     factory = RngFactory(args.seed)
     if args.workload is not None:
         try:
-            workload_cls = workload_class(args.workload)
-        except Exception as exc:
+            workload_cls = WORKLOADS.lookup(args.workload)
+        except ScenarioError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         params = {}
@@ -555,7 +567,7 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        problems = workload_param_errors(args.workload, params)
+        problems = WORKLOADS.errors(args.workload, params)
         for key, message in problems:
             print(f"--param {key}: {message}" if key else message,
                   file=sys.stderr)
@@ -594,7 +606,7 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
         # recorded steps are the ones the simulated run would execute.
         rng_name = f"{spec.name}/{vm_spec.name}/{job.kind}/{args.job}"
         rng = factory.stream(rng_name)
-        workload = workload_class(job.kind)(
+        workload = WORKLOADS.lookup(job.kind)(
             units=units, rng=rng, **dict(job.params)
         )
         meta = {

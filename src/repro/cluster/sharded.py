@@ -14,7 +14,8 @@ one-call form.  It records the choice once, as a :class:`RunPath`:
   :class:`~repro.scenarios.results.ScenarioResult` whose fingerprint is
   bit-identical to the shared-engine
   :class:`~repro.cluster.cluster.Cluster` run of the same scenario;
-* ``epoch`` — a coupled topology under the lookahead window protocol.
+* ``epoch`` — a coupled topology under the lookahead window protocol
+  (one shard of it runs in this process, more in worker processes).
 
 Why this is exact
 -----------------
@@ -512,7 +513,8 @@ class RunPath(NamedTuple):
         if self.engine == "shards":
             return f"{self.shards} shard workers"
         if self.engine == "epoch":
-            return f"{self.shards} epoch shard workers: {self.coupling_reason}"
+            where = "in this process" if self.shards == 1 else "workers"
+            return f"{self.shards} epoch shard {where}: {self.coupling_reason}"
         reason = self.epoch_fallback or self.coupling_reason
         return f"shared engine in this process: {reason or 'one shard holds every node'}"
 
@@ -533,12 +535,14 @@ class ShardedClusterRunner:
     shards:
         ``"auto"`` (one worker per node group, capped at the CPU count),
         a positive integer, or ``None`` for a single shard (which runs
-        the shared engine in this process, or one epoch shard).
+        the shared engine, or one epoch shard, in this process).
     inline:
         Run the shard tasks sequentially in this process instead of
         spawning workers.  Same simulation, same fingerprints — used by
         tests and useful on single-core hosts where process spawn
-        overhead cannot be amortized.
+        overhead cannot be amortized.  A single shard always runs in
+        this process: a worker would only add a fresh interpreter and a
+        second build of the cluster.
     cluster_engine:
         ``"exact"`` (``None`` means the same) or ``"epoch"``.
     check_invariants:
@@ -633,9 +637,10 @@ class ShardedClusterRunner:
             )
         else:
             driver = _StopDriver(self.spec, self.policy_spec, self.config)
-        if not self.inline:
+        inline = self.inline or len(self.buckets) == 1
+        if not inline:
             _require_shardable(self.spec, self.config)
-        transport = _InlineShard if self.inline else _ProcessShard
+        transport = _InlineShard if inline else _ProcessShard
         shards: List[Any] = []
         try:
             for bucket in self.buckets:

@@ -15,9 +15,9 @@ reuse the same machinery as the per-VM policies:
 * the rounding-exact helpers of :mod:`repro.core.targets`
   (``equal_share`` / ``proportional_scale``), which guarantee the new
   capacities sum to the cluster total, and
-* the ``name:key=value`` spec-string parsing of
-  :mod:`repro.core.policy`, so coordinators are selected exactly like
-  policies (``"pressure-prop:percent=25"``).
+* the class registry of :mod:`repro.core.policy`
+  (:class:`~repro.params.SpecRegistry`), so coordinators are selected
+  and checked exactly like policies (``"pressure-prop:percent=25"``).
 
 One coordinator round is the same three steps on both cluster engines,
 each defined once here over plain per-node :class:`NodeState` records:
@@ -42,10 +42,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import PolicyError, UnknownPolicyError
-from .policy import check_arguments, parse_policy_spec
+from ..params import SpecRegistry
 from .stats import TargetVector
 from .targets import equal_share, proportional_scale
 
@@ -57,10 +57,10 @@ __all__ = [
     "ClusterPolicy",
     "BarrierRebalancer",
     "SpillFeedbackCoordinator",
+    "COORDINATORS",
     "register_coordinator",
     "create_coordinator",
     "available_coordinators",
-    "coordinator_spec_syntax",
 ]
 
 
@@ -253,12 +253,6 @@ class PressureProportionalCoordinator(ClusterPolicy):
         smoothing: float = 0.5,
         floor: float = 0.25,
     ) -> None:
-        if not 0 < percent <= 100:
-            raise PolicyError(f"percent must be in (0, 100], got {percent}")
-        if not 0 < smoothing <= 1:
-            raise PolicyError(f"smoothing must be in (0, 1], got {smoothing}")
-        if not 0 <= floor < 1:
-            raise PolicyError(f"floor must be in [0, 1), got {floor}")
         self.percent = float(percent)
         self.smoothing = float(smoothing)
         self.floor = float(floor)
@@ -379,12 +373,6 @@ class SpillFeedbackCoordinator(PressureProportionalCoordinator):
         floor: float = 0.25,
     ) -> None:
         super().__init__(percent, smoothing=smoothing, floor=floor)
-        if spill_weight < 0:
-            raise PolicyError(
-                f"spill_weight must be >= 0, got {spill_weight}"
-            )
-        if drop_weight < 0:
-            raise PolicyError(f"drop_weight must be >= 0, got {drop_weight}")
         self.spill_weight = float(spill_weight)
         self.drop_weight = float(drop_weight)
 
@@ -447,61 +435,39 @@ class BarrierRebalancer:
 
 
 # ---------------------------------------------------------------------------
-# Registry (mirrors repro.core.policy, including the spec-string syntax)
+# Registry
 # ---------------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[..., ClusterPolicy]] = {}
-_SPEC_SYNTAX: Dict[str, str] = {}
+#: Every cluster coordinator, by name.
+COORDINATORS = SpecRegistry(
+    ClusterPolicy, "coordinator", PolicyError, UnknownPolicyError
+)
 
+#: Class decorator: ``@register_coordinator(name, param_docs=..., bounds=...)``.
+register_coordinator = COORDINATORS.register
 
-def register_coordinator(
-    name: str, *, spec_syntax: str = ""
-) -> Callable[[type], type]:
-    """Class decorator registering a coordinator under *name*."""
+#: Names of every registered coordinator, sorted.
+available_coordinators = COORDINATORS.names
 
-    def decorator(cls: type) -> type:
-        if not issubclass(cls, ClusterPolicy):
-            raise PolicyError(f"{cls!r} is not a ClusterPolicy subclass")
-        _REGISTRY[name] = cls
-        _SPEC_SYNTAX[name] = spec_syntax or name
-        cls.name = name
-        return cls
+#: Instantiate a coordinator from ``"name:key=value,..."``.
+create_coordinator = COORDINATORS.create
 
-    return decorator
-
-
-def available_coordinators() -> Sequence[str]:
-    """Names of every registered coordinator policy."""
-    return tuple(sorted(_REGISTRY))
-
-
-def coordinator_spec_syntax() -> Dict[str, str]:
-    """Coordinator name -> human-readable parametric spec syntax."""
-    return dict(_SPEC_SYNTAX)
-
-
-def create_coordinator(spec: str, **extra_kwargs) -> ClusterPolicy:
-    """Instantiate a coordinator from ``"name:key=value,..."``."""
-    name, kwargs = parse_policy_spec(spec)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise UnknownPolicyError(
-            f"unknown coordinator {name!r}; available: "
-            f"{', '.join(available_coordinators())}"
-        ) from None
-    kwargs.update(extra_kwargs)
-    check_arguments("coordinator", name, factory, kwargs)
-    return factory(**kwargs)
-
+_PRESSURE_DOCS = {
+    "percent": "most of the cluster's tmem moved per round, in %",
+    "smoothing": "weight of the newest round in the pressure average",
+    "floor": "share of its equal split every node keeps",
+}
+_PRESSURE_BOUNDS = {"percent": "(0, 100]", "smoothing": "(0, 1]", "floor": "[0, 1)"}
 
 register_coordinator("equal-share")(EqualShareCoordinator)
 register_coordinator(
-    "pressure-prop",
-    spec_syntax="pressure-prop:percent=<max % moved per round>"
-    "[,smoothing=<0..1>,floor=<0..1>]",
+    "pressure-prop", param_docs=_PRESSURE_DOCS, bounds=_PRESSURE_BOUNDS
 )(PressureProportionalCoordinator)
 register_coordinator(
     "spill-feedback",
-    spec_syntax="spill-feedback:percent=<max % moved per round>"
-    "[,spill_weight=<w>,drop_weight=<w>,smoothing=<0..1>,floor=<0..1>]",
+    param_docs={
+        **_PRESSURE_DOCS,
+        "spill_weight": "pressure of one page spilled to a peer",
+        "drop_weight": "pressure of one remote page a peer dropped or lost",
+    },
+    bounds={**_PRESSURE_BOUNDS, "spill_weight": ">= 0", "drop_weight": ">= 0"},
 )(SpillFeedbackCoordinator)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ...errors import PolicyError
 from ..policy import PolicyDecision, TmemPolicy, register_policy
 from ..stats import MemStatsView, TargetVector
 from ..targets import cap_targets
@@ -42,8 +41,12 @@ DEFAULT_THRESHOLD_FRACTION = 0.05
 
 @register_policy(
     "smart-alloc",
-    spec_syntax="smart-alloc:P=<percent>[,threshold_pages=<pages>"
-    ",threshold_fraction=<0..1>]",
+    param_docs={
+        "percent": "P: % of the pool a swapping VM gains, % of its target an idle VM loses",
+        "threshold_pages": "slack below its target before a VM shrinks; None: threshold_fraction",
+        "threshold_fraction": "that slack as a fraction of the pool",
+    },
+    bounds={"percent": "(0, 100]", "threshold_pages": ">= 0", "threshold_fraction": "[0, 1)"},
 )
 class SmartAllocPolicy(TmemPolicy):
     """Demand-driven target adaptation (Algorithm 4)."""
@@ -55,16 +58,6 @@ class SmartAllocPolicy(TmemPolicy):
         threshold_pages: Optional[int] = None,
         threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
     ) -> None:
-        if percent <= 0 or percent > 100:
-            raise PolicyError(f"P must be in (0, 100], got {percent}")
-        if threshold_pages is not None and threshold_pages < 0:
-            raise PolicyError(
-                f"threshold_pages must be >= 0, got {threshold_pages}"
-            )
-        if threshold_fraction < 0 or threshold_fraction >= 1:
-            raise PolicyError(
-                f"threshold_fraction must be in [0, 1), got {threshold_fraction}"
-            )
         self.percent = float(percent)
         self._threshold_pages = threshold_pages
         self._threshold_fraction = threshold_fraction

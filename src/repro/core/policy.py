@@ -7,29 +7,30 @@ in which case the Memory Manager does not communicate with the hypervisor
 at all — the paper's ``send_to_hypervisor`` only transmits when the
 targets actually changed, to avoid needless hypercalls.
 
-Policies are registered by name so that scenarios, the CLI and the
-benchmark harness can select them with a string such as
-``"smart-alloc:P=0.75"``.
+Policies are registered by name in :data:`POLICIES` so that scenarios,
+the CLI and the benchmark harness can select them with a string such as
+``"smart-alloc:P=0.75"``.  Each registration declares its constructor
+parameters' docs and bounds, which every way of building the policy
+checks.
 """
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional
 
 from ..errors import PolicyError, UnknownPolicyError
+from ..params import SpecRegistry, parse_spec
 from .stats import MemStatsView, TargetVector
 
 __all__ = [
+    "POLICIES",
     "PolicyDecision",
     "TmemPolicy",
     "register_policy",
     "create_policy",
     "available_policies",
-    "policy_spec_syntax",
-    "parse_policy_spec",
 ]
 
 
@@ -58,7 +59,7 @@ class PolicyDecision:
 class TmemPolicy(ABC):
     """Base class for high-level tmem management policies."""
 
-    #: Registry name, overridden by subclasses ("greedy", "static-alloc", ...).
+    #: Registry name ("greedy", "static-alloc", ...), set by :func:`register_policy`.
     name: str = "abstract"
 
     #: Whether this policy installs targets at all.  The greedy baseline
@@ -93,88 +94,22 @@ class TmemPolicy(ABC):
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[..., TmemPolicy]] = {}
-#: Policy name -> human-readable parametric spec syntax, shown by
-#: ``smartmem list`` so users can discover the tunables without reading
-#: the constructors.
-_SPEC_SYNTAX: Dict[str, str] = {}
+#: Every tmem policy, by name.
+POLICIES = SpecRegistry(TmemPolicy, "policy", PolicyError, UnknownPolicyError)
+
+#: Class decorator: ``@register_policy(name, param_docs=..., bounds=...)``.
+register_policy = POLICIES.register
+
+#: Names of every registered policy, sorted.
+available_policies = POLICIES.names
 
 
-def register_policy(name: str, *, spec_syntax: str = "") -> Callable[[type], type]:
-    """Class decorator registering a policy under *name*.
-
-    ``spec_syntax`` documents the policy's parametric spec string (e.g.
-    ``"smart-alloc:P=<percent>"``); it defaults to the bare name for
-    parameter-less policies.
-    """
-
-    def decorator(cls: type) -> type:
-        if not issubclass(cls, TmemPolicy):
-            raise PolicyError(f"{cls!r} is not a TmemPolicy subclass")
-        _REGISTRY[name] = cls
-        _SPEC_SYNTAX[name] = spec_syntax or name
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def available_policies() -> Sequence[str]:
-    """Names of every registered policy."""
-    return tuple(sorted(_REGISTRY))
-
-
-def policy_spec_syntax() -> Dict[str, str]:
-    """Policy name -> parametric spec syntax (registration metadata)."""
-    return dict(_SPEC_SYNTAX)
-
-
-def parse_policy_spec(spec: str) -> tuple[str, Dict[str, float]]:
-    """Split ``"smart-alloc:P=0.75,threshold=32"`` into name and kwargs."""
-    name, _, args = spec.partition(":")
-    kwargs: Dict[str, float] = {}
-    if args:
-        for part in args.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if not key or not value:
-                raise PolicyError(f"malformed policy argument {part!r} in {spec!r}")
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise PolicyError(
-                    f"policy argument {key!r} must be numeric, got {value!r}"
-                ) from None
-    return name.strip(), kwargs
-
-
-def create_policy(spec: str, **extra_kwargs) -> TmemPolicy:
+def create_policy(spec: str) -> TmemPolicy:
     """Instantiate a policy from a spec string such as ``"smart-alloc:P=2"``.
 
-    Keyword arguments given explicitly override those parsed from the spec.
+    ``P`` (any case, as every key) is the paper's name for ``percent``.
     """
-    name, kwargs = parse_policy_spec(spec)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise UnknownPolicyError(
-            f"unknown policy {name!r}; available: {', '.join(available_policies())}"
-        ) from None
-    kwargs.update(extra_kwargs)
-    # Map the paper's parameter name "P" onto the constructor argument.
-    if "P" in kwargs:
-        kwargs["percent"] = kwargs.pop("P")
-    check_arguments("policy", name, factory, kwargs)
-    return factory(**kwargs)
-
-
-def check_arguments(kind: str, name: str, factory: Callable, kwargs: Dict) -> None:
-    """Raise :class:`PolicyError` unless *factory* takes *kwargs*."""
-    signature = inspect.signature(factory)
-    try:
-        signature.bind(**kwargs)
-    except TypeError as exc:
-        accepted = ", ".join(signature.parameters) or "none"
-        raise PolicyError(
-            f"{kind} {name!r} {exc}; accepted parameters: {accepted}"
-        ) from None
+    name, params = parse_spec(spec, PolicyError, "policy")
+    if "p" in params:
+        params["percent"] = params.pop("p")
+    return POLICIES.lookup(name)(**params)

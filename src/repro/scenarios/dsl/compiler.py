@@ -29,7 +29,6 @@ the run deadline, and trace workloads have their trace files resolved
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -41,7 +40,7 @@ from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
 from ...params import param_errors, scale_error, suggest
-from ...workloads.registry import WORKLOAD_REGISTRY
+from ...workloads.registry import WORKLOADS
 from ..registry import parse_scenario_spec, registered_scenarios
 from ..runner import NO_TMEM_POLICY
 from ..spec import (
@@ -66,7 +65,6 @@ __all__ = [
     "lint_document",
     "lint_file",
     "lint_text",
-    "workload_param_errors",
 ]
 
 _FAMILY_KEYS = {"family", "scale", "params", "policy", "seed", "cluster"}
@@ -134,26 +132,6 @@ class CompiledScenario:
     @property
     def filename(self) -> str:
         return self.document.filename
-
-
-def workload_param_errors(
-    kind: str, params: Mapping[str, Any]
-) -> List[Tuple[str, str]]:
-    """``(key, message)`` for every problem with *params* for workload *kind*.
-
-    Unknown keys, values of the wrong type and missing required
-    parameters; *key* is ``""`` for a missing one.  The compiler
-    positions each at the job's params, ``smartmem trace record`` prints
-    them for ``--param``.
-    """
-    workload_cls = WORKLOAD_REGISTRY[kind]
-    signature = inspect.signature(workload_cls.__init__)
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in signature.parameters.values()
-    ):
-        return []
-    return param_errors(workload_cls.parameter_info(), params, f"workload {kind!r}")
 
 
 class _Compiler:
@@ -393,11 +371,11 @@ class _Compiler:
             self.error("job needs a 'kind'", path)
             return None
         kind = self.expect_str(mapping["kind"], f"{path}.kind")
-        if kind is not None and kind not in WORKLOAD_REGISTRY:
+        if kind is not None and kind not in WORKLOADS.classes:
             self.error(
                 f"unknown workload kind {kind!r}"
-                f"{suggest(kind, sorted(WORKLOAD_REGISTRY))}; "
-                f"available: {sorted(WORKLOAD_REGISTRY)}",
+                f"{suggest(kind, WORKLOADS.names())}; "
+                f"available: {list(WORKLOADS.names())}",
                 f"{path}.kind",
             )
             kind = None
@@ -444,8 +422,8 @@ class _Compiler:
     def check_workload_params(
         self, kind: str, params: Dict[str, Any], path: str
     ) -> None:
-        """Validate job params against the workload's signature metadata."""
-        for key, message in workload_param_errors(kind, params):
+        """Validate job params against the workload's declared parameters."""
+        for key, message in WORKLOADS.errors(kind, params):
             self.error(message, f"{path}.{key}" if key else path)
         if kind == "trace" and isinstance(params.get("path"), str):
             params["path"] = self.resolve_trace_path(params["path"], f"{path}.path")

@@ -331,7 +331,7 @@ def churn_scenario(
         "spikes": "number of phase-triggered usemem spike VMs",
         "spike_mb": "allocation ceiling of each spike VM",
     },
-    bounds={"n": ">= 1", "spikes": "1..3", "spike_mb": "> 0"},
+    bounds={"n": ">= 1", "spikes": "[1, 3]", "spike_mb": "> 0"},
 )
 def bursty_scenario(
     *, scale: float = 1.0, n: int = 2, spikes: int = 1, spike_mb: int = 768

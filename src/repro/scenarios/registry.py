@@ -24,7 +24,10 @@ doc, units, bound) derived from the factory's signature plus the
 ``param_docs`` and ``bounds`` mappings given at registration time;
 ``smartmem list --verbose``, the DSL validator and
 ``scripts/gen_scenario_docs.py`` all consume it.  A bound is ``">= N"``,
-``"> N"`` or ``"LOW..HIGH"``; a malformed one fails at registration.
+``"> N"`` or an interval such as ``"[1, 3]"`` or ``"(0, 1]"`` (see
+:class:`~repro.params.Bound`); a malformed one fails at registration.
+Workload kinds, policies and coordinators declare theirs the same way
+(:class:`~repro.params.SpecRegistry`).
 
 The decorator returns the factory wrapped in the one check of its
 arguments: the scale must be finite and > 0, and every parameter must be
@@ -40,7 +43,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..errors import ScenarioError
-from ..params import ParameterInfo, param_errors, scale_error, signature_parameter_info, suggest
+from ..params import (
+    ParameterInfo,
+    check_params,
+    parse_spec,
+    scale_error,
+    signature_parameter_info,
+    suggest,
+)
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -92,19 +102,13 @@ def _checked(
 ) -> Callable[..., ScenarioSpec]:
     """*factory* behind the check of its scale and parameters."""
     owner = f"scenario family {name!r}"
-    known = {parameter.name for parameter in info}
 
     @functools.wraps(factory)
     def checked(*, scale: float = 1.0, **params: Any) -> ScenarioSpec:
         message = scale_error(scale)
         if message:
             raise ScenarioError(message)
-        problems = param_errors(info, params, owner)
-        if problems:
-            key, message = problems[0]
-            raise ScenarioError(
-                f"{owner} parameter {key!r}: {message}" if key in known else message
-            )
+        check_params(info, params, owner, ScenarioError)
         return factory(scale=scale, **params)
 
     return checked
@@ -154,29 +158,10 @@ def register_scenario(
 
 
 def parse_scenario_spec(spec: str) -> Tuple[str, Dict[str, float]]:
-    """Split ``"many-vms:n=8,ram_mb=512"`` into a family name and kwargs.
-
-    Values must be numeric; integral values are returned as ``int`` so
-    factories can use them directly as counts.  Keys are lower-cased.
-    """
-    name, _, args = spec.partition(":")
-    kwargs: Dict[str, float] = {}
-    if args:
-        for part in args.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip().lower()
-            if not key or not value:
-                raise ScenarioError(
-                    f"malformed scenario argument {part!r} in {spec!r}"
-                )
-            try:
-                number = float(value)
-            except ValueError:
-                raise ScenarioError(
-                    f"scenario argument {key!r} must be numeric, got {value!r}"
-                ) from None
-            kwargs[key] = int(number) if number.is_integer() else number
-    return name.strip(), kwargs
+    """Split ``"many-vms:n=8,ram_mb=512"`` into a family name and kwargs
+    (:func:`~repro.params.parse_spec`: keys lower-cased, integral values
+    as ``int``)."""
+    return parse_spec(spec, ScenarioError, "scenario")
 
 
 def scenario_by_name(name: str, *, scale: float = 1.0) -> ScenarioSpec:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..errors import WorkloadError
-from ..params import ParameterInfo, signature_parameter_info
 from ..units import MemoryUnits
 
 __all__ = ["WorkloadStep", "WorkloadPhase", "Workload"]
@@ -59,31 +58,23 @@ class WorkloadPhase:
 
 
 class Workload(ABC):
-    """Base class for every workload model."""
+    """Base class for every workload model.
 
-    #: short machine-readable name ("usemem", "in-memory-analytics", ...)
+    A subclass becomes a workload kind with
+    :func:`~repro.workloads.registry.register_workload_kind` (or the
+    ``@WORKLOADS.register(kind, param_docs=..., bounds=...)`` decorator),
+    which documents its constructor parameters and checks them on every
+    construction.
+    """
+
+    #: The registered kind ("usemem", "in-memory-analytics", ...), set
+    #: by :func:`~repro.workloads.registry.register_workload_kind`.
     name: str = "workload"
-
-    #: One-line docs for the constructor's tunable parameters, keyed by
-    #: name.  ``smartmem list --verbose``, the DSL validator and
-    #: ``scripts/gen_scenario_docs.py`` render these; the doc generator's
-    #: ``--check`` gate fails when a tunable parameter has no entry.
-    PARAM_DOCS: ClassVar[Mapping[str, str]] = {}
 
     #: True for workloads whose accesses are clean file reads served via
     #: the cleancache (ephemeral tmem) path.  The scenario runner enables
     #: cleancache on any VM that runs such a workload.
     uses_cleancache: ClassVar[bool] = False
-
-    @classmethod
-    def parameter_info(cls) -> Tuple[ParameterInfo, ...]:
-        """Typed metadata for every tunable constructor parameter.
-
-        Types and defaults come from ``__init__``'s signature (so they
-        can never drift from the code); one-line descriptions come from
-        the class's :attr:`PARAM_DOCS` mapping.
-        """
-        return signature_parameter_info(cls.__init__, docs=cls.PARAM_DOCS)
 
     def __init__(self, *, units: MemoryUnits, rng: np.random.Generator) -> None:
         self._units = units

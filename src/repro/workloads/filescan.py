@@ -22,21 +22,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .base import Workload, WorkloadPhase, WorkloadStep
+from .registry import WORKLOADS
 
 __all__ = ["FileScanWorkload"]
 
 
-class FileScanWorkload(Workload):
-    """Repeated scans over a file set, with a re-read hot subset."""
-
-    name = "filescan"
-
-    uses_cleancache = True
-
-    PARAM_DOCS = {
+@WORKLOADS.register(
+    "filescan",
+    param_docs={
         "file_mb": "size of the scanned file set",
         "hot_fraction": "leading fraction of the file favoured on re-reads",
         "hot_weight": "fraction of re-read accesses hitting the hot subset",
@@ -44,7 +39,17 @@ class FileScanWorkload(Workload):
         "accesses_per_pass_factor": "accesses per pass, as a fraction of the file",
         "compute_time_per_page_s": "pure CPU time modelled per accessed page",
         "burst_pages": "pages per access burst (one WorkloadStep)",
-    }
+    },
+    bounds={
+        "file_mb": "> 0", "hot_fraction": "(0, 1]", "hot_weight": "(0, 1]",
+        "passes": ">= 0", "accesses_per_pass_factor": "> 0",
+        "compute_time_per_page_s": ">= 0", "burst_pages": ">= 1",
+    },
+)
+class FileScanWorkload(Workload):
+    """Repeated scans over a file set, with a re-read hot subset."""
+
+    uses_cleancache = True
 
     def __init__(
         self,
@@ -60,21 +65,6 @@ class FileScanWorkload(Workload):
         burst_pages: int = 64,
     ) -> None:
         super().__init__(units=units, rng=rng)
-        if file_mb <= 0:
-            raise WorkloadError(f"file_mb must be > 0, got {file_mb}")
-        if not (0.0 < hot_fraction <= 1.0):
-            raise WorkloadError(
-                f"hot_fraction must be in (0, 1], got {hot_fraction}"
-            )
-        if not (0.0 < hot_weight <= 1.0):
-            raise WorkloadError(f"hot_weight must be in (0, 1], got {hot_weight}")
-        if passes < 0:
-            raise WorkloadError(f"passes must be >= 0, got {passes}")
-        if accesses_per_pass_factor <= 0:
-            raise WorkloadError(
-                "accesses_per_pass_factor must be > 0, "
-                f"got {accesses_per_pass_factor}"
-            )
         self._file_mb = file_mb
         self._hot_fraction = hot_fraction
         self._hot_weight = hot_weight

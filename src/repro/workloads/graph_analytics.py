@@ -29,16 +29,14 @@ from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .access_patterns import sequential_pages, zipf_pages
 from .base import Workload, WorkloadPhase, WorkloadStep
+from .registry import WORKLOADS
 
 __all__ = ["GraphAnalyticsWorkload"]
 
 
-class GraphAnalyticsWorkload(Workload):
-    """Zipf-skewed iterative graph-processing model (PageRank-like)."""
-
-    name = "graph-analytics"
-
-    PARAM_DOCS = {
+@WORKLOADS.register(
+    "graph-analytics",
+    param_docs={
         "graph_mb": "size of the in-memory graph partition",
         "rank_vectors_mb": "size of the rank/score vectors",
         "iterations": "number of PageRank-style iterations",
@@ -48,7 +46,16 @@ class GraphAnalyticsWorkload(Workload):
         "load_cost_factor": "CPU multiplier while loading the graph",
         "burst_pages": "pages per access burst (one WorkloadStep)",
         "page_popularity": "optional explicit per-page access weights",
-    }
+    },
+    bounds={
+        "graph_mb": "> 0", "rank_vectors_mb": "> 0", "iterations": "> 0",
+        "gather_accesses_factor": "> 0", "zipf_alpha": "> 0",
+        "compute_time_per_page_s": ">= 0", "load_cost_factor": "> 0",
+        "burst_pages": ">= 1",
+    },
+)
+class GraphAnalyticsWorkload(Workload):
+    """Zipf-skewed iterative graph-processing model (PageRank-like)."""
 
     def __init__(
         self,
@@ -66,16 +73,6 @@ class GraphAnalyticsWorkload(Workload):
         page_popularity: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(units=units, rng=rng)
-        if graph_mb <= 0 or rank_vectors_mb <= 0:
-            raise WorkloadError("graph_mb and rank_vectors_mb must be > 0")
-        if iterations <= 0:
-            raise WorkloadError(f"iterations must be > 0, got {iterations}")
-        if zipf_alpha <= 0:
-            raise WorkloadError(f"zipf_alpha must be > 0, got {zipf_alpha}")
-        if load_cost_factor <= 0:
-            raise WorkloadError(
-                f"load_cost_factor must be > 0, got {load_cost_factor}"
-            )
         self._graph_mb = graph_mb
         self._ranks_mb = rank_vectors_mb
         self._iterations = iterations

@@ -27,20 +27,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .access_patterns import sequential_pages, working_set_pages
 from .base import Workload, WorkloadPhase, WorkloadStep
+from .registry import WORKLOADS
 
 __all__ = ["InMemoryAnalyticsWorkload"]
 
 
-class InMemoryAnalyticsWorkload(Workload):
-    """Hot/cold working-set model of a Spark ALS recommender run."""
-
-    name = "in-memory-analytics"
-
-    PARAM_DOCS = {
+@WORKLOADS.register(
+    "in-memory-analytics",
+    param_docs={
         "dataset_mb": "size of the cached input dataset",
         "model_mb": "initial size of the model state",
         "growth_per_iteration_mb": "model growth per training iteration",
@@ -50,7 +47,16 @@ class InMemoryAnalyticsWorkload(Workload):
         "compute_time_per_page_s": "pure CPU time modelled per accessed page",
         "load_cost_factor": "CPU multiplier while loading the dataset",
         "burst_pages": "pages per access burst (one WorkloadStep)",
-    }
+    },
+    bounds={
+        "dataset_mb": "> 0", "model_mb": "> 0", "growth_per_iteration_mb": ">= 0",
+        "iterations": "> 0", "accesses_per_iteration_factor": "> 0",
+        "hot_weight": "(0, 1]", "compute_time_per_page_s": ">= 0",
+        "load_cost_factor": "> 0", "burst_pages": ">= 1",
+    },
+)
+class InMemoryAnalyticsWorkload(Workload):
+    """Hot/cold working-set model of a Spark ALS recommender run."""
 
     def __init__(
         self,
@@ -68,16 +74,6 @@ class InMemoryAnalyticsWorkload(Workload):
         burst_pages: int = 48,
     ) -> None:
         super().__init__(units=units, rng=rng)
-        if dataset_mb <= 0 or model_mb <= 0:
-            raise WorkloadError("dataset_mb and model_mb must be > 0")
-        if iterations <= 0:
-            raise WorkloadError(f"iterations must be > 0, got {iterations}")
-        if not (0.0 < hot_weight <= 1.0):
-            raise WorkloadError(f"hot_weight must be in (0, 1], got {hot_weight}")
-        if load_cost_factor <= 0:
-            raise WorkloadError(
-                f"load_cost_factor must be > 0, got {load_cost_factor}"
-            )
         self._dataset_mb = dataset_mb
         self._model_mb = model_mb
         self._growth_mb = growth_per_iteration_mb

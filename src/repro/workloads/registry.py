@@ -1,63 +1,56 @@
 """Central registry of workload kinds.
 
 Scenario specs reference workloads by a string ``kind`` (the value of
-:attr:`~repro.scenarios.spec.WorkloadSpec.kind`).  This module owns the
-single mapping from those kind strings to workload classes; the scenario
-runner, the CLI (``smartmem list``) and user code registering custom
-workloads all share it, so a :func:`register_workload_kind` call is
-visible everywhere at once.
+:attr:`~repro.scenarios.spec.WorkloadSpec.kind`).  :data:`WORKLOADS`
+owns the single mapping from those kind strings to workload classes;
+the scenario runner, the DSL compiler, the CLI (``smartmem list``,
+``trace record``) and user code registering custom workloads all share
+it, so a :func:`register_workload_kind` call is visible everywhere at
+once.  Each workload module registers its own class, with the docs and
+bounds of its constructor parameters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Type
+from typing import Mapping
 
-from ..errors import ScenarioError
+from ..errors import ScenarioError, WorkloadError
+from ..params import SpecRegistry
 from .base import Workload
-from .filescan import FileScanWorkload
-from .graph_analytics import GraphAnalyticsWorkload
-from .inmemory_analytics import InMemoryAnalyticsWorkload
-from .trace import TraceWorkload
-from .usemem import UsememWorkload
 
 __all__ = [
+    "WORKLOADS",
     "WORKLOAD_REGISTRY",
     "register_workload_kind",
     "workload_class",
     "available_workload_kinds",
 ]
 
+#: Every workload kind.  Bad parameters raise :class:`WorkloadError`;
+#: unknown kinds and bad registrations raise :class:`ScenarioError`.
+WORKLOADS = SpecRegistry(
+    Workload, "workload", WorkloadError, ScenarioError, lookup_noun="workload kind"
+)
+
 #: The one shared kind -> class mapping.  Mutated in place by
 #: :func:`register_workload_kind` so every module holding a reference
 #: (e.g. the scenario runner) observes new registrations.
-WORKLOAD_REGISTRY: Dict[str, Type[Workload]] = {
-    "usemem": UsememWorkload,
-    "in-memory-analytics": InMemoryAnalyticsWorkload,
-    "graph-analytics": GraphAnalyticsWorkload,
-    "trace": TraceWorkload,
-    "filescan": FileScanWorkload,
-}
+WORKLOAD_REGISTRY = WORKLOADS.classes
+
+#: Look up the workload class registered under a kind.
+workload_class = WORKLOADS.lookup
+
+#: Names of every registered workload kind, sorted.
+available_workload_kinds = WORKLOADS.names
 
 
-def register_workload_kind(kind: str, cls: type) -> None:
-    """Register a custom workload class for use in scenario specs."""
-    if not kind:
-        raise ScenarioError("workload kind must not be empty")
-    if not (isinstance(cls, type) and issubclass(cls, Workload)):
-        raise ScenarioError(f"{cls!r} is not a Workload subclass")
-    WORKLOAD_REGISTRY[kind] = cls
-
-
-def workload_class(kind: str) -> Type[Workload]:
-    """Look up the workload class registered under *kind*."""
-    try:
-        return WORKLOAD_REGISTRY[kind]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown workload kind {kind!r}; known: {sorted(WORKLOAD_REGISTRY)}"
-        ) from None
-
-
-def available_workload_kinds() -> Sequence[str]:
-    """Names of every registered workload kind."""
-    return tuple(sorted(WORKLOAD_REGISTRY))
+def register_workload_kind(
+    kind: str,
+    cls: type,
+    *,
+    param_docs: Mapping[str, str] = {},
+    bounds: Mapping[str, str] = {},
+) -> None:
+    """Register a workload class for use in scenario specs, with the docs
+    and bounds of its constructor parameters."""
+    WORKLOADS.register(kind, param_docs=param_docs, bounds=bounds)(cls)

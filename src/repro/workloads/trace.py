@@ -31,6 +31,7 @@ import numpy as np
 from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .base import Workload, WorkloadPhase, WorkloadStep
+from .registry import WORKLOADS
 
 __all__ = ["TraceWorkload", "load_trace_steps", "dump_trace_steps"]
 
@@ -166,15 +167,16 @@ def dump_trace_steps(
     return count
 
 
-class TraceWorkload(Workload):
-    """Replay a recorded JSONL page-access trace."""
-
-    name = "trace"
-
-    PARAM_DOCS = {
+@WORKLOADS.register(
+    "trace",
+    param_docs={
         "path": "JSONL trace file to replay (from `smartmem trace record`)",
         "repeat": "number of times the trace is replayed back to back",
-    }
+    },
+    bounds={"repeat": ">= 1"},
+)
+class TraceWorkload(Workload):
+    """Replay a recorded JSONL page-access trace."""
 
     def __init__(
         self,
@@ -185,10 +187,8 @@ class TraceWorkload(Workload):
         repeat: int = 1,
     ) -> None:
         super().__init__(units=units, rng=rng)
-        if repeat < 1:
-            raise WorkloadError(f"repeat must be >= 1, got {repeat}")
-        self._path = str(path)
-        self._repeat = int(repeat)
+        self._path = path
+        self._repeat = repeat
         self._steps = load_trace_steps(self._path)
 
     # -- the contract -------------------------------------------------------

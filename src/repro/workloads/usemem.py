@@ -22,24 +22,30 @@ from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .access_patterns import sequential_pages
 from .base import Workload, WorkloadPhase, WorkloadStep
+from .registry import WORKLOADS
 
 __all__ = ["UsememWorkload"]
 
 
-class UsememWorkload(Workload):
-    """Incremental allocate-and-sweep micro-benchmark."""
-
-    name = "usemem"
-
-    PARAM_DOCS = {
+@WORKLOADS.register(
+    "usemem",
+    param_docs={
         "start_mb": "first allocation target",
         "increment_mb": "growth per allocation phase",
-        "max_mb": "final allocation target",
+        "max_mb": "final allocation target (at least start_mb)",
         "sweeps_per_phase": "full sweeps over the footprint per allocation phase",
         "steady_sweeps": "extra sweeps after reaching max_mb",
         "compute_time_per_page_s": "pure CPU time modelled per accessed page",
         "burst_pages": "pages per access burst (one WorkloadStep)",
-    }
+    },
+    bounds={
+        "start_mb": "> 0", "increment_mb": "> 0", "max_mb": "> 0",
+        "sweeps_per_phase": ">= 1", "steady_sweeps": ">= 0",
+        "compute_time_per_page_s": ">= 0", "burst_pages": ">= 1",
+    },
+)
+class UsememWorkload(Workload):
+    """Incremental allocate-and-sweep micro-benchmark."""
 
     def __init__(
         self,
@@ -55,13 +61,8 @@ class UsememWorkload(Workload):
         burst_pages: int = 64,
     ) -> None:
         super().__init__(units=units, rng=rng)
-        if start_mb <= 0 or increment_mb <= 0 or max_mb < start_mb:
-            raise WorkloadError(
-                "usemem sizes must satisfy 0 < start_mb <= max_mb and "
-                f"increment_mb > 0 (got {start_mb}, {increment_mb}, {max_mb})"
-            )
-        if sweeps_per_phase <= 0 or steady_sweeps < 0:
-            raise WorkloadError("sweep counts must be positive")
+        if max_mb < start_mb:
+            raise WorkloadError(f"usemem needs start_mb <= max_mb, got {start_mb} > {max_mb}")
         self._start_mb = start_mb
         self._increment_mb = increment_mb
         self._max_mb = max_mb

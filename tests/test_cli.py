@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import json
 import os
 from pathlib import Path
 
@@ -114,7 +115,7 @@ class TestCommands:
     def test_list_verbose_prints_each_family_bound(self, capsys):
         assert main(["list", "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "spikes: int = 1 (1..3)  number of" in out
+        assert "spikes: int = 1 ([1, 3])  number of" in out
         assert "fail_at: float = 30.0 (> 0) [s]" in out
 
     def test_tables_command(self, capsys):
@@ -156,6 +157,10 @@ class TestCommands:
         ["run", "scenario-1", "--scale", "nan"],
         ["run", "scenario-1", "--policy", "nosuch"],
         ["run", "scenario-1", "--policy", "greedy:foo=1"],
+        ["run", "usemem-scenario", "--scale", "0.05", "--policy",
+         "smart-alloc:P=nan"],
+        ["run", "contended:nodes=2", "--scale", "0.05", "--policy", "greedy",
+         "--coordinator", "spill-feedback:spill_weight=nan"],
         ["sweep", "--scenario", "nosuch", "--policy", "greedy", "--no-store"],
         ["sweep", "--scenario", "scenario-1", "--policy", "greedy",
          "--scale", "-1", "--no-store"],
@@ -179,6 +184,7 @@ class TestCommands:
     ], ids=[
         "run-unknown-scenario", "run-bad-family-param", "run-negative-scale",
         "run-nan-scale", "run-unknown-policy", "run-bad-policy-argument",
+        "run-nan-policy-argument", "run-nan-coordinator-argument",
         "sweep-unknown-scenario",
         "sweep-negative-scale",
         "sweep-zero-shards", "sweep-non-numeric-shards", "run-zero-shards",
@@ -335,7 +341,7 @@ class TestCommands:
         ("usemem-scenario", [],
          "shared engine in this process: single-host scenario (no cluster topology)"),
         ("contended:nodes=2", ["--cluster-engine", "epoch"],
-         "1 epoch shard workers: remote-tmem spill couples the nodes"),
+         "1 epoch shard in this process: remote-tmem spill couples the nodes"),
     ])
     def test_run_shards_names_the_in_process_path(
         self, scenario, flags, path, capsys
@@ -451,3 +457,39 @@ class TestCommands:
         # The healthy point was still simulated and archived.
         assert len(list((tmp_path / "r").glob("*.json"))) == len(healthy)
         assert ("Sweep aggregate" in captured.out) == bool(healthy)
+
+
+class TestCompileAndPlan:
+    def test_compile_json_serializes_both_trigger_kinds(self, tmp_path, capsys):
+        """The usemem scenario starts VM3 from one phase trigger and stops
+        on another: the start trigger names its VM, the stop trigger none."""
+        path = tmp_path / "usemem.yml"
+        path.write_text("family: usemem-scenario\nscale: 0.1\n")
+        assert main(["compile", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        (trigger,) = data["triggers"]
+        assert trigger == {
+            "watch_vm": "VM1", "phase_prefix": "alloc-65MB", "start_vm": "VM3",
+        }
+        assert data["stop_trigger"] == {"watch_vm": "VM3", "phase_prefix": "alloc-78MB"}
+
+    def test_plan_prints_the_compiled_plan(self, capsys):
+        from repro.scenarios.dsl import compile_file, format_plan, plan_dict
+
+        compiled = compile_file(EXAMPLE_DOC)
+        assert main(["plan", EXAMPLE_DOC]) == 0
+        assert capsys.readouterr().out == format_plan(compiled) + "\n"
+        assert main(["plan", EXAMPLE_DOC, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            json.dumps(plan_dict(compiled))
+        )
+
+    def test_plan_of_a_broken_document_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "broken.yml"
+        path.write_text("family: many-vms\nparams: {n: 0}\n")
+        assert main(["plan", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}:2:10: error: expected a value >= 1, got 0 (at params.n)\n"
+        )

@@ -272,8 +272,12 @@ class TestClusterFamilies:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "cluster" in out and "hotnode" in out
-        # The policy spec syntax and the coordinators are listed too.
-        assert "smart-alloc:P=<percent>" in out
+        # The policies, with their parameters, and the coordinators are
+        # listed too.
+        assert (
+            "smart-alloc        params: percent, threshold_pages, "
+            "threshold_fraction Demand-driven target adaptation"
+        ) in out
         assert "equal-share" in out and "pressure-prop" in out
 
     def test_topology_must_place_every_vm(self):
@@ -395,6 +399,11 @@ class TestCoordinator:
             create_coordinator("pressure-prop:percent=0")
         with pytest.raises(PolicyError):
             create_coordinator("pressure-prop:floor=1.5")
+        with pytest.raises(PolicyError, match="'spill_weight': expected a finite"):
+            create_coordinator("spill-feedback:spill_weight=nan")
+
+    def test_coordinator_keys_are_case_insensitive(self):
+        assert create_coordinator("pressure-prop:PERCENT=15").percent == 15.0
 
     def test_unknown_coordinator_rejected(self):
         from repro.errors import UnknownPolicyError

@@ -93,7 +93,7 @@ vms:
         diags = errors(lint_text("family: bursty\nparams: {n: 0, spikes: 4}\n"))
         assert {(d.path, d.message) for d in diags} == {
             ("params.n", "expected a value >= 1, got 0"),
-            ("params.spikes", "expected a value in 1..3, got 4"),
+            ("params.spikes", "expected a value in [1, 3], got 4"),
         }
 
     def test_cli_reports_non_numeric_family_param(self, tmp_path, capsys):
@@ -179,6 +179,11 @@ vms:
         ("usemem", "compute_time_per_page_s: fast", "compute_time_per_page_s",
          "expected a finite number, got 'fast'"),
         ("trace", "path: 3", "path", "expected a string, got 3"),
+        ("graph-analytics", "iterations: 0", "iterations",
+         "expected a value > 0, got 0"),
+        ("usemem", "burst_pages: 0", "burst_pages", "expected a value >= 1, got 0"),
+        ("usemem", "compute_time_per_page_s: -1", "compute_time_per_page_s",
+         "expected a value >= 0, got -1"),
     ])
     def test_wrong_type_is_a_positioned_error(self, kind, params, key, message):
         text = self.TEXT.replace("KIND", kind).replace("PARAMS", params)
@@ -187,6 +192,22 @@ vms:
         assert (diag.line, diag.message) == (8, message)
         with pytest.raises(DslError):
             compile_text(text)
+
+    def test_cli_lint_positions_a_bound_error_at_the_job_param(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "zero-iterations.yml"
+        path.write_text(
+            self.TEXT.replace("KIND", "graph-analytics")
+            .replace("PARAMS", "iterations: 0")
+        )
+        assert main(["lint", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"{path}:8:18: error: expected a value > 0, got 0 "
+            "(at vms[0].jobs[0].params.iterations)\n"
+        )
 
     def test_an_int_is_a_valid_float(self):
         text = self.TEXT.replace("KIND", "usemem").replace(
@@ -202,7 +223,7 @@ class TestPolicy:
         text = "family: many-vms\nparams: {n: 2}\npolicy: greedy:foo=1\n"
         (diag,) = errors(lint_text(text))
         assert (diag.path, diag.line, diag.column) == ("policy", 3, 1)
-        assert diag.message.endswith("; accepted parameters: none")
+        assert diag.message.endswith("has no parameter 'foo'; valid keys: []")
         path = tmp_path / "bad-policy.yml"
         path.write_text(text)
         assert main(["lint", str(path)]) == 1
@@ -234,7 +255,7 @@ cluster:
 
     @pytest.mark.parametrize("coordinator,message", [
         ("pressure-prob", "did you mean 'pressure-prop'?"),
-        ("pressure-prop:foo=1", "accepted parameters: percent, smoothing, floor"),
+        ("pressure-prop:foo=1", "valid keys: ['floor', 'percent', 'smoothing']"),
     ])
     def test_bad_coordinator_is_a_positioned_diagnostic(
         self, coordinator, message, tmp_path, capsys

@@ -87,6 +87,28 @@ class TestEngineSelection:
         )
         assert runner.path.engine == "epoch"
 
+    def test_one_epoch_shard_runs_in_this_process(self, monkeypatch):
+        """A single epoch shard never spawns a worker, whatever ``inline``
+        says: its result is the in-process shard's."""
+        from repro.cluster import sharded
+
+        spec = scenario_by_name("contended:nodes=2", scale=SCALE)
+        inline = _epoch_run(spec, "smart-alloc", shards=None)
+
+        class NoSpawn:
+            def __init__(self, payload):
+                raise AssertionError("a one-shard epoch run spawned a worker")
+
+        monkeypatch.setattr(sharded, "_ProcessShard", NoSpawn)
+        runner = ShardedClusterRunner(
+            spec, "smart-alloc", shards=None, seed=SEED, cluster_engine="epoch"
+        )
+        assert str(runner.path) == (
+            "1 epoch shard in this process: remote-tmem spill couples the nodes"
+        )
+        result = runner.run()
+        assert result.aggregate_fingerprint() == inline.aggregate_fingerprint()
+
     def test_decoupled_topology_keeps_bit_exact_path(self):
         """Decoupled nodes don't need windows; they keep the exact
         parallel path (and its bit-identity to the shared engine)."""

@@ -9,11 +9,7 @@ from repro.core.policies import (
     SmartAllocPolicy,
     StaticAllocPolicy,
 )
-from repro.core.policy import (
-    available_policies,
-    create_policy,
-    parse_policy_spec,
-)
+from repro.core.policy import available_policies, create_policy
 from repro.core.stats import MemStatsView, TargetVector, VmMemStats
 from repro.core.targets import (
     cap_targets,
@@ -22,6 +18,7 @@ from repro.core.targets import (
     proportional_scale,
 )
 from repro.errors import PolicyError, UnknownPolicyError
+from repro.params import parse_spec
 
 
 def make_view(vm_stats, total_tmem=1000, free_tmem=None, time=1.0, prev=None):
@@ -175,26 +172,45 @@ class TestRegistry:
         with pytest.raises(UnknownPolicyError):
             create_policy("does-not-exist")
 
+    @pytest.mark.parametrize("spec,message", [
+        ("smart-alloc:threshold_pages=2.5",
+         "'threshold_pages': expected an integer, got 2.5"),
+        ("smart-alloc:P=nan", "'percent': expected a finite number, got nan"),
+        ("smart-alloc:p=0", "'percent': expected a value in (0, 100], got 0"),
+    ])
+    def test_a_bad_value_names_its_parameter(self, spec, message):
+        with pytest.raises(PolicyError) as err:
+            create_policy(spec)
+        assert str(err.value) == f"policy 'smart-alloc' parameter {message}"
+
+    def test_optional_threshold_takes_none_and_ints(self):
+        assert SmartAllocPolicy(threshold_pages=None)._threshold_for(1000) == 50
+        assert create_policy("smart-alloc:threshold_pages=32")._threshold_for(1) == 32
+
     @pytest.mark.parametrize("spec,accepted", [
-        ("greedy:foo=1", "none"),
-        ("smart-alloc:P=2,Q=1", "percent, threshold_pages, threshold_fraction"),
+        ("greedy:foo=1", "[]"),
+        ("smart-alloc:P=2,Q=1",
+         "['percent', 'threshold_fraction', 'threshold_pages']"),
     ])
     def test_argument_the_policy_does_not_take_rejected(self, spec, accepted):
         with pytest.raises(PolicyError) as err:
             create_policy(spec)
         assert not isinstance(err.value, UnknownPolicyError)
-        assert str(err.value).endswith(f"; accepted parameters: {accepted}")
+        assert "has no parameter" in str(err.value)
+        assert str(err.value).endswith(f"; valid keys: {accepted}")
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(PolicyError):
-            parse_policy_spec("smart-alloc:P=")
+            parse_spec("smart-alloc:P=", PolicyError, "policy")
         with pytest.raises(PolicyError):
-            parse_policy_spec("smart-alloc:P=abc")
+            parse_spec("smart-alloc:P=abc", PolicyError, "policy")
 
     def test_parse_spec_multiple_args(self):
-        name, kwargs = parse_policy_spec("smart-alloc:P=2,threshold_fraction=0.1")
+        name, kwargs = parse_spec(
+            "smart-alloc:P=2,threshold_fraction=0.1", PolicyError, "policy"
+        )
         assert name == "smart-alloc"
-        assert kwargs == {"P": 2.0, "threshold_fraction": 0.1}
+        assert kwargs == {"p": 2, "threshold_fraction": 0.1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -44,6 +47,22 @@ class TestPublicApi:
         policy = create_policy(name)
         assert policy.name == name
         assert name in repro.available_policies()
+
+        # The shipped example declares its parameters' bounds, so a bad
+        # value fails when the policy is built, not mid-run.
+        from repro.core.policy import POLICIES
+
+        script = Path(__file__).resolve().parent.parent / "examples" / "custom_policy.py"
+        loader = importlib.util.spec_from_file_location("custom_policy", script)
+        loader.loader.exec_module(importlib.util.module_from_spec(loader))
+        try:
+            assert create_policy("proportional-demand:smoothing=0.25")._alpha == 0.25
+            with pytest.raises(
+                repro.PolicyError, match="'smoothing': expected a finite number, got nan"
+            ):
+                create_policy("proportional-demand:smoothing=nan")
+        finally:
+            POLICIES.classes.pop("proportional-demand")
 
     def test_subpackages_importable(self):
         for module in (

@@ -201,6 +201,30 @@ class TestWorkloadRegistry:
         finally:
             del _WORKLOAD_CLASSES[kind]
 
+    def test_workload_kinds_policies_and_coordinators_share_one_registry(self):
+        from repro.core.coordinator import COORDINATORS
+        from repro.core.policy import POLICIES
+        from repro.params import SpecRegistry
+        from repro.workloads import UsememWorkload, register_workload_kind
+        from repro.workloads.registry import WORKLOAD_REGISTRY, WORKLOADS
+
+        assert WORKLOAD_REGISTRY is WORKLOADS.classes
+        for registry in (WORKLOADS, POLICIES, COORDINATORS):
+            assert type(registry) is SpecRegistry
+
+        kind = "registry-test-bounded"
+
+        class Bounded(UsememWorkload):
+            pass
+
+        register_workload_kind(kind, Bounded, bounds={"steady_sweeps": "[0, 4]"})
+        try:
+            assert WORKLOADS.errors(kind, {"steady_sweeps": 5}) == [
+                ("steady_sweeps", "expected a value in [0, 4], got 5")
+            ]
+        finally:
+            del WORKLOAD_REGISTRY[kind]
+
     def test_non_workload_rejected(self):
         from repro.workloads import register_workload_kind
 

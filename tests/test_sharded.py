@@ -192,6 +192,10 @@ class TestRunPath:
 
     @pytest.mark.parametrize("path,text", [
         (RunPath("shards", 2, None), "2 shard workers"),
+        (RunPath("epoch", 2, "remote-tmem spill couples the nodes"),
+         "2 epoch shard workers: remote-tmem spill couples the nodes"),
+        (RunPath("epoch", 1, "remote-tmem spill couples the nodes"),
+         "1 epoch shard in this process: remote-tmem spill couples the nodes"),
         (RunPath("shared", 0, "remote-tmem spill couples the nodes",
                  "fault plan needs the exact cluster engine"),
          "shared engine in this process: fault plan needs the exact cluster "

@@ -219,6 +219,8 @@ class TestTraceRecordCli:
          "--param start_mbb: workload 'usemem' has no parameter 'start_mbb'"),
         (["--workload", "trace"],
          "workload 'trace' requires parameter 'path'"),
+        (["--workload", "graph-analytics", "--param", "iterations=0"],
+         "--param iterations: expected a value > 0, got 0"),
         (["--scenario", "nosuch", "--vm", "VM1"],
          "error: unknown scenario family 'nosuch'"),
         (["--scenario", "usemem-scenario", "--vm", "VM9"],
