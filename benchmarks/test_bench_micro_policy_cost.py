@@ -10,31 +10,34 @@ below the sampling interval.
 import pytest
 
 from repro.core.policy import create_policy
-from repro.core.stats import MemStatsView, VmMemStats
+from repro.hypervisor.virq import StatsSnapshot, VmStatsSample
 
 POLICIES = ("greedy", "static-alloc", "reconf-static", "smart-alloc:P=2")
 VM_COUNTS = (4, 64, 512)
 
 
-def synthetic_view(vm_count: int, total_tmem: int = 262144) -> MemStatsView:
+def synthetic_view(vm_count: int, total_tmem: int = 262144) -> StatsSnapshot:
     """A statistics snapshot with a mix of swapping and idle VMs."""
     share = total_tmem // vm_count
     vms = []
     for vm_id in range(1, vm_count + 1):
         swapping = vm_id % 3 == 0
         vms.append(
-            VmMemStats(
+            VmStatsSample(
                 vm_id=vm_id,
                 tmem_used=share if swapping else share // 4,
                 mm_target=share,
                 puts_total=200 if swapping else 0,
                 puts_succ=120 if swapping else 0,
+                gets_total=0,
+                flushes_total=0,
                 cumul_puts_failed=80 * vm_id if swapping else 0,
             )
         )
     used = sum(v.tmem_used for v in vms)
-    return MemStatsView(
+    return StatsSnapshot(
         time=1.0,
+        interval_s=1.0,
         total_tmem=total_tmem,
         free_tmem=max(0, total_tmem - used),
         vm_count=vm_count,

@@ -23,8 +23,9 @@ from repro import run_scenario, scenario_2
 from repro.analysis.metrics import mean_fairness
 from repro.analysis.report import render_runtime_table
 from repro.core.policy import PolicyDecision, TmemPolicy, register_policy
-from repro.core.stats import MemStatsView, TargetVector
+from repro.core.stats import TargetVector
 from repro.core.targets import equal_share, proportional_scale
+from repro.hypervisor.virq import StatsSnapshot
 
 
 @register_policy(
@@ -57,7 +58,7 @@ class ProportionalDemandPolicy(TmemPolicy):
         self._demand_ema.clear()
         self._last = None
 
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         if not memstats.vms:
             return PolicyDecision.no_change()
         # Exponentially smooth each VM's failed puts of the last interval.
@@ -85,13 +86,10 @@ class ProportionalDemandPolicy(TmemPolicy):
 
         emitted = tuple(targets.items())
         if emitted == self._last:
-            return PolicyDecision.no_change(note="proportional-demand: unchanged")
+            return PolicyDecision.no_change()
         self._last = emitted
         self.validate_targets(targets, memstats)
-        return PolicyDecision.set_targets(targets, note="proportional-demand")
-
-    def describe(self) -> str:
-        return f"proportional-demand (EMA alpha={self._alpha}, floor={self._floor})"
+        return PolicyDecision.set_targets(targets)
 
 
 def main() -> None:

@@ -14,27 +14,21 @@ the latency is part of simulated time, not wall-clock time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from ..sim.engine import SimulationEngine
 from ..sim.events import EventPriority
 
 __all__ = ["NetlinkMessage", "NetlinkChannel"]
 
-_msg_counter = itertools.count()
-
 
 @dataclass(frozen=True)
 class NetlinkMessage:
     """One message on the channel."""
 
-    seq: int
     kind: str
     payload: Any
-    sent_at: float
-    delivered_at: float
 
 
 class NetlinkChannel:
@@ -55,36 +49,18 @@ class NetlinkChannel:
         self._latency = float(latency_s)
         self._name = name
         self._receivers: List[Callable[[NetlinkMessage], None]] = []
-        self._log: List[NetlinkMessage] = []
-        self._dropped = 0
-        self._fault_predicate: Optional[Callable[[NetlinkMessage], bool]] = None
+        #: Messages sent so far; the messages themselves are not kept.
+        self.messages_sent = 0
 
     # -- wiring -------------------------------------------------------------
     def subscribe(self, receiver: Callable[[NetlinkMessage], None]) -> None:
         self._receivers.append(receiver)
 
-    def inject_fault(
-        self, predicate: Optional[Callable[[NetlinkMessage], bool]]
-    ) -> None:
-        """Drop messages for which *predicate* returns True (tests only)."""
-        self._fault_predicate = predicate
-
     # -- sending -------------------------------------------------------------
-    def send(self, kind: str, payload: Any) -> NetlinkMessage:
+    def send(self, kind: str, payload: Any) -> None:
         """Send a message; it is delivered after the channel latency."""
-        now = self._engine.now
-        message = NetlinkMessage(
-            seq=next(_msg_counter),
-            kind=kind,
-            payload=payload,
-            sent_at=now,
-            delivered_at=now + self._latency,
-        )
-        if self._fault_predicate is not None and self._fault_predicate(message):
-            self._dropped += 1
-            return message
-        self._log.append(message)
-
+        message = NetlinkMessage(kind, payload)
+        self.messages_sent += 1
         if self._latency > 0:
             # Bound method + argument instead of a per-message closure:
             # the engine's slab invokes ``self._deliver(message)``.
@@ -97,22 +73,7 @@ class NetlinkChannel:
             )
         else:
             self._deliver(message)
-        return message
 
     def _deliver(self, message: NetlinkMessage) -> None:
         for receiver in self._receivers:
             receiver(message)
-
-    # -- introspection ---------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        return len(self._log)
-
-    @property
-    def messages_dropped(self) -> int:
-        return self._dropped
-
-    def history(self, kind: Optional[str] = None) -> List[NetlinkMessage]:
-        if kind is None:
-            return list(self._log)
-        return [m for m in self._log if m.kind == kind]

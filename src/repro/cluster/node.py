@@ -219,7 +219,7 @@ class Node:
 
     @property
     def snapshots(self) -> int:
-        return len(self.hypervisor.sampler.history)
+        return self.hypervisor.sampler.snapshots
 
     # -- result collection -----------------------------------------------------
     def collect_vm_results(self) -> Dict[str, VmResult]:

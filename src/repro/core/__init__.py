@@ -2,9 +2,9 @@
 
 This subpackage is the paper's primary contribution:
 
-* :mod:`repro.core.stats` — the user-space view of the hypervisor's
-  statistics (``memstats``) and the policy output (``mm_out``), i.e. the
-  MM-side rows of Table I.
+* :mod:`repro.core.stats` — the policy output (``mm_out``), the MM-side
+  row of Table I.  The policy input (``memstats``) is the statistics
+  sampler's :class:`~repro.hypervisor.virq.StatsSnapshot` itself.
 * :mod:`repro.core.policy` — the policy interface and registry.
 * :mod:`repro.core.policies` — the four policies evaluated in the paper:
   ``greedy`` (default, no targets), ``static-alloc`` (Algorithm 2),
@@ -16,7 +16,7 @@ This subpackage is the paper's primary contribution:
   consumes statistics snapshots and emits target vectors.
 """
 
-from .stats import MemStatsView, VmMemStats, TargetVector
+from .stats import TargetVector
 from .policy import TmemPolicy, PolicyDecision, register_policy, create_policy, available_policies
 from .targets import normalize_targets, proportional_scale, equal_share
 from .manager import MemoryManager
@@ -28,8 +28,6 @@ from .policies import (
 )
 
 __all__ = [
-    "MemStatsView",
-    "VmMemStats",
     "TargetVector",
     "TmemPolicy",
     "PolicyDecision",

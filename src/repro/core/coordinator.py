@@ -201,9 +201,6 @@ class ClusterPolicy(ABC):
         :mod:`repro.core.targets` guarantee that by construction.
         """
 
-    def describe(self) -> str:
-        return self.name
-
 
 def _views_as_vector(views: Sequence[NodeTmemView]) -> Tuple[Dict[int, str], int]:
     """Index nodes for the TargetVector helpers; returns (index->name, total)."""
@@ -338,9 +335,6 @@ class PressureProportionalCoordinator(ClusterPolicy):
             return None
         return capped
 
-    def describe(self) -> str:
-        return f"{self.name}(percent={self.percent:g})"
-
 
 class SpillFeedbackCoordinator(PressureProportionalCoordinator):
     """Feed remote-spill and drop rates back into capacity targets.
@@ -381,13 +375,6 @@ class SpillFeedbackCoordinator(PressureProportionalCoordinator):
             float(view.failed_puts)
             + self.spill_weight * view.spilled_puts
             + self.drop_weight * view.dropped_pages
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}(percent={self.percent:g}, "
-            f"spill_weight={self.spill_weight:g}, "
-            f"drop_weight={self.drop_weight:g})"
         )
 
 

@@ -2,10 +2,10 @@
 
 The MM is the coarse-grained half of SmarTmem: a user-space process in
 Xen's privileged domain that receives the per-interval statistics relayed
-by the TKM over netlink, keeps a bounded history of them, asks its policy
-for a new target vector, and — only when the targets changed — sends the
-vector back down to the TKM, which installs it in the hypervisor through a
-custom hypercall.
+by the TKM over netlink, hands each snapshot as it is to its policy, and
+— only when the targets changed — sends the vector back down to the TKM,
+which installs it in the hypervisor through a custom hypercall.  The MM
+keeps counters, not the snapshots it has seen.
 
 The class can be wired in two ways:
 
@@ -20,14 +20,14 @@ The class can be wired in two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..channels.netlink import NetlinkChannel, NetlinkMessage
 from ..errors import PolicyError
 from ..hypervisor.virq import StatsSnapshot
 from .policy import PolicyDecision, TmemPolicy
-from .stats import MemStatsView, StatsHistory, TargetVector
+from .stats import TargetVector
 
 __all__ = ["MemoryManagerStats", "MemoryManager"]
 
@@ -39,8 +39,6 @@ class MemoryManagerStats:
     snapshots_received: int = 0
     decisions_made: int = 0
     target_updates_sent: int = 0
-    #: Decision notes, for debugging and the verbose CLI output.
-    notes: List[str] = field(default_factory=list)
 
 
 class MemoryManager:
@@ -56,14 +54,9 @@ class MemoryManager:
         *,
         stats_channel: Optional[NetlinkChannel] = None,
         target_channel: Optional[NetlinkChannel] = None,
-        history_length: int = 128,
-        keep_notes: bool = False,
     ) -> None:
         self.policy = policy
-        self._stats_channel = stats_channel
         self._target_channel = target_channel
-        self._history = StatsHistory(maxlen=history_length)
-        self._keep_notes = keep_notes
         self._last_sent: Optional[TargetVector] = None
         self.stats = MemoryManagerStats()
 
@@ -85,42 +78,21 @@ class MemoryManager:
     def process_snapshot(self, snapshot: StatsSnapshot) -> PolicyDecision:
         """Feed one statistics snapshot to the policy and return its decision."""
         self.stats.snapshots_received += 1
-        view = MemStatsView.from_snapshot(snapshot, prev=self._history.latest())
-        self._history.push(view)
-
         if not self.policy.manages_targets:
-            return PolicyDecision.no_change(note=f"{self.policy.name}: passive policy")
+            return PolicyDecision.no_change()
 
-        decision = self.policy.decide(view)
+        decision = self.policy.decide(snapshot)
         self.stats.decisions_made += 1
-        if self._keep_notes and decision.note:
-            self.stats.notes.append(f"t={snapshot.time:.1f}s {decision.note}")
 
         if decision.changed:
             assert decision.targets is not None
             # ``send_to_hypervisor`` semantics: suppress identical vectors.
             if self._last_sent is not None and decision.targets == self._last_sent:
-                return PolicyDecision.no_change(note="duplicate target vector")
-            if decision.targets.total() > view.total_tmem:
+                return PolicyDecision.no_change()
+            if decision.targets.total() > snapshot.total_tmem:
                 raise PolicyError(
                     f"policy {self.policy.name} over-committed the pool: "
-                    f"{decision.targets.total()} > {view.total_tmem}"
+                    f"{decision.targets.total()} > {snapshot.total_tmem}"
                 )
             self._last_sent = decision.targets.copy()
         return decision
-
-    # -- introspection ---------------------------------------------------------------------
-    @property
-    def history(self) -> StatsHistory:
-        return self._history
-
-    @property
-    def last_sent_targets(self) -> Optional[TargetVector]:
-        return self._last_sent.copy() if self._last_sent is not None else None
-
-    def reset(self) -> None:
-        """Reset the MM and its policy (between scenario repetitions)."""
-        self.policy.reset()
-        self._history = StatsHistory(maxlen=self._history.maxlen)
-        self._last_sent = None
-        self.stats = MemoryManagerStats()

@@ -9,8 +9,8 @@ to "is there a free page?".
 
 from __future__ import annotations
 
+from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
-from ..stats import MemStatsView
 
 __all__ = ["GreedyPolicy"]
 
@@ -21,9 +21,6 @@ class GreedyPolicy(TmemPolicy):
 
     manages_targets = False
 
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         del memstats  # the greedy baseline ignores the statistics entirely
-        return PolicyDecision.no_change(note="greedy: no targets")
-
-    def describe(self) -> str:
-        return "greedy (default Xen behaviour, no targets)"
+        return PolicyDecision.no_change()

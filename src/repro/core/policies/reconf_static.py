@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Optional, Set, Tuple
 
+from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
-from ..stats import MemStatsView, TargetVector
+from ..stats import TargetVector
 from ..targets import equal_share
 
 __all__ = ["ReconfStaticPolicy"]
@@ -32,7 +33,7 @@ class ReconfStaticPolicy(TmemPolicy):
         self._active_vms.clear()
         self._last_emitted = None
 
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         population = set(memstats.vm_ids())
         # Drop VMs that have disappeared, then add newly active ones.  A VM
         # counts as active once its cumulative failed-put count is non-zero
@@ -42,19 +43,9 @@ class ReconfStaticPolicy(TmemPolicy):
             if vm.cumul_puts_failed > 0 or vm.puts_total > 0:
                 self._active_vms.add(vm.vm_id)
 
-        if not self._active_vms:
-            # Nobody has used tmem yet: everyone's target stays at zero.
-            zeros = TargetVector({vm_id: 0 for vm_id in sorted(population)})
-            emitted = tuple(zeros.items())
-            if emitted == self._last_emitted:
-                return PolicyDecision.no_change(note="reconf-static: still no activity")
-            self._last_emitted = emitted
-            return PolicyDecision.set_targets(
-                zeros, note="reconf-static: no active VMs, all targets zero"
-            )
-
         shares = equal_share(sorted(self._active_vms), memstats.total_tmem)
-        # Inactive VMs are explicitly pinned to a zero target.
+        # Inactive VMs are explicitly pinned to a zero target, so while
+        # nobody has used tmem yet every target stays at zero.
         targets = TargetVector(
             {vm_id: (shares.get(vm_id) if vm_id in self._active_vms else 0)
              for vm_id in sorted(population)}
@@ -62,15 +53,6 @@ class ReconfStaticPolicy(TmemPolicy):
         self.validate_targets(targets, memstats)
         emitted = tuple(targets.items())
         if emitted == self._last_emitted:
-            return PolicyDecision.no_change(note="reconf-static: targets unchanged")
+            return PolicyDecision.no_change()
         self._last_emitted = emitted
-        return PolicyDecision.set_targets(
-            targets,
-            note=(
-                "reconf-static: equal split over "
-                f"{len(self._active_vms)} active VMs"
-            ),
-        )
-
-    def describe(self) -> str:
-        return "reconf-static (equal share per active VM, Algorithm 3)"
+        return PolicyDecision.set_targets(targets)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
-from ..stats import MemStatsView, TargetVector
+from ..stats import TargetVector
 from ..targets import cap_targets
 
 __all__ = ["SmartAllocPolicy"]
@@ -77,7 +78,7 @@ class SmartAllocPolicy(TmemPolicy):
             return self._threshold_pages
         return max(1, int(total_tmem * self._threshold_fraction))
 
-    def _bootstrap_targets(self, memstats: MemStatsView) -> TargetVector:
+    def _bootstrap_targets(self, memstats: StatsSnapshot) -> TargetVector:
         """Initial targets: zero for every VM.
 
         Targets grow from zero purely in response to observed failed puts,
@@ -90,9 +91,9 @@ class SmartAllocPolicy(TmemPolicy):
         return TargetVector({vm_id: 0 for vm_id in memstats.vm_ids()})
 
     # -- Algorithm 4 -----------------------------------------------------------------
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         if memstats.vm_count == 0 or not memstats.vms:
-            return PolicyDecision.no_change(note="smart-alloc: no VMs")
+            return PolicyDecision.no_change()
 
         local_tmem = memstats.total_tmem
         threshold = self._threshold_for(local_tmem)
@@ -138,11 +139,6 @@ class SmartAllocPolicy(TmemPolicy):
 
         emitted = tuple(targets.items())
         if emitted == self._last_emitted:
-            return PolicyDecision.no_change(note="smart-alloc: targets unchanged")
+            return PolicyDecision.no_change()
         self._last_emitted = emitted
-        return PolicyDecision.set_targets(
-            targets, note=f"smart-alloc(P={self.percent}%): targets updated"
-        )
-
-    def describe(self) -> str:
-        return f"smart-alloc (Algorithm 4, P={self.percent}%)"
+        return PolicyDecision.set_targets(targets)

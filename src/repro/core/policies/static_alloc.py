@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
-from ..stats import MemStatsView, TargetVector
+from ..stats import TargetVector
 from ..targets import equal_share
 
 __all__ = ["StaticAllocPolicy"]
@@ -34,22 +35,16 @@ class StaticAllocPolicy(TmemPolicy):
         self._last_population = None
         self._last_total = None
 
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         population = tuple(sorted(memstats.vm_ids()))
         if not population:
-            return PolicyDecision.no_change(note="static-alloc: no VMs")
+            return PolicyDecision.no_change()
         # Only recompute when a VM appeared/vanished or the pool resized.
         if population == self._last_population and memstats.total_tmem == self._last_total:
-            return PolicyDecision.no_change(note="static-alloc: population unchanged")
+            return PolicyDecision.no_change()
         self._last_population = population
         self._last_total = memstats.total_tmem
 
         targets: TargetVector = equal_share(population, memstats.total_tmem)
         self.validate_targets(targets, memstats)
-        return PolicyDecision.set_targets(
-            targets,
-            note=f"static-alloc: equal split over {len(population)} VMs",
-        )
-
-    def describe(self) -> str:
-        return "static-alloc (equal share per registered VM, Algorithm 2)"
+        return PolicyDecision.set_targets(targets)

@@ -1,7 +1,8 @@
 """Policy interface and registry.
 
-A policy consumes one :class:`~repro.core.stats.MemStatsView` per sampling
-interval and produces a :class:`PolicyDecision`.  A decision either
+A policy consumes one :class:`~repro.hypervisor.virq.StatsSnapshot`
+(``memstats``) per sampling interval, the very object the statistics
+sampler built, and produces a :class:`PolicyDecision`.  A decision either
 carries a new :class:`~repro.core.stats.TargetVector` or says "no change",
 in which case the Memory Manager does not communicate with the hypervisor
 at all — the paper's ``send_to_hypervisor`` only transmits when the
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import PolicyError, UnknownPolicyError
+from ..hypervisor.virq import StatsSnapshot
 from ..params import SpecRegistry, parse_spec
-from .stats import MemStatsView, TargetVector
+from .stats import TargetVector
 
 __all__ = [
     "POLICIES",
@@ -40,20 +42,18 @@ class PolicyDecision:
 
     #: New targets to install, or ``None`` for "leave the current targets".
     targets: Optional[TargetVector]
-    #: Human-readable note used in traces and debug output.
-    note: str = ""
 
     @property
     def changed(self) -> bool:
         return self.targets is not None
 
     @classmethod
-    def no_change(cls, note: str = "") -> "PolicyDecision":
-        return cls(targets=None, note=note)
+    def no_change(cls) -> "PolicyDecision":
+        return cls(targets=None)
 
     @classmethod
-    def set_targets(cls, targets: TargetVector, note: str = "") -> "PolicyDecision":
-        return cls(targets=targets, note=note)
+    def set_targets(cls, targets: TargetVector) -> "PolicyDecision":
+        return cls(targets=targets)
 
 
 class TmemPolicy(ABC):
@@ -67,19 +67,15 @@ class TmemPolicy(ABC):
     manages_targets: bool = True
 
     @abstractmethod
-    def decide(self, memstats: MemStatsView) -> PolicyDecision:
+    def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         """Compute the next target vector from this interval's statistics."""
 
     def reset(self) -> None:
         """Forget any internal state (called between scenario runs)."""
 
-    def describe(self) -> str:
-        """One-line description used by reports."""
-        return self.name
-
     # -- shared sanity check ----------------------------------------------------
     @staticmethod
-    def validate_targets(targets: TargetVector, memstats: MemStatsView) -> None:
+    def validate_targets(targets: TargetVector, memstats: StatsSnapshot) -> None:
         """Check that a target vector is well-formed for this node."""
         for vm_id, value in targets.items():
             if value < 0:

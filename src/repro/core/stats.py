@@ -1,86 +1,18 @@
-"""User-space (Memory Manager) view of the tmem statistics.
+"""The policy output of the Memory Manager (``mm_out`` in Table I).
 
-These structures are the MM-side half of Table I: ``memstats`` with its
-per-VM entries, and ``mm_out``, the target vector the policy produces.
-The MM keeps a short history of snapshots so that policies can look at
-previous intervals (the reconfigurable-static policy uses the cumulative
-failed-put counts; smart-alloc uses the previous targets).
+The policy's input, ``memstats``, is the sampler's
+:class:`~repro.hypervisor.virq.StatsSnapshot`: the Memory Manager hands
+each snapshot it receives straight to its policy.  What the policy hands
+back is a :class:`TargetVector`, one tmem page target per VM.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional
 
 from ..errors import PolicyError
-from ..hypervisor.virq import StatsSnapshot
 
-__all__ = ["VmMemStats", "MemStatsView", "TargetVector", "StatsHistory"]
-
-
-@dataclass(frozen=True)
-class VmMemStats:
-    """Per-VM statistics as seen by the Memory Manager (``memstats.vm[i]``)."""
-
-    vm_id: int
-    tmem_used: int
-    mm_target: int
-    puts_total: int
-    puts_succ: int
-    cumul_puts_failed: int
-
-    @property
-    def puts_failed(self) -> int:
-        """Failed puts in the sampling interval (Algorithm 4, line 8)."""
-        return self.puts_total - self.puts_succ
-
-
-@dataclass(frozen=True)
-class MemStatsView:
-    """One sampling interval's statistics (``memstats``)."""
-
-    time: float
-    total_tmem: int
-    free_tmem: int
-    vm_count: int
-    vms: Sequence[VmMemStats]
-    #: The previous interval's view, if any (``memstats.prev``).
-    prev: Optional["MemStatsView"] = None
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: StatsSnapshot, *, prev: Optional["MemStatsView"] = None
-    ) -> "MemStatsView":
-        """Convert a hypervisor snapshot into the MM's representation."""
-        vms = tuple(
-            VmMemStats(
-                vm_id=s.vm_id,
-                tmem_used=s.tmem_used,
-                mm_target=s.mm_target,
-                puts_total=s.puts_total,
-                puts_succ=s.puts_succ,
-                cumul_puts_failed=s.cumul_puts_failed,
-            )
-            for s in snapshot.vms
-        )
-        return cls(
-            time=snapshot.time,
-            total_tmem=snapshot.total_tmem,
-            free_tmem=snapshot.free_tmem,
-            vm_count=snapshot.vm_count,
-            vms=vms,
-            prev=prev,
-        )
-
-    def vm(self, vm_id: int) -> VmMemStats:
-        for entry in self.vms:
-            if entry.vm_id == vm_id:
-                return entry
-        raise PolicyError(f"no VM {vm_id} in memstats at t={self.time}")
-
-    def vm_ids(self) -> Sequence[int]:
-        return tuple(entry.vm_id for entry in self.vms)
+__all__ = ["TargetVector"]
 
 
 class TargetVector:
@@ -134,28 +66,3 @@ class TargetVector:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         inner = ", ".join(f"vm{v}={t}" for v, t in self.items())
         return f"TargetVector({inner})"
-
-
-@dataclass
-class StatsHistory:
-    """Bounded history of :class:`MemStatsView` snapshots."""
-
-    maxlen: int = 128
-    _entries: Deque[MemStatsView] = field(default_factory=deque)
-
-    def push(self, view: MemStatsView) -> None:
-        self._entries.append(view)
-        while len(self._entries) > self.maxlen:
-            self._entries.popleft()
-
-    def latest(self) -> Optional[MemStatsView]:
-        return self._entries[-1] if self._entries else None
-
-    def previous(self) -> Optional[MemStatsView]:
-        return self._entries[-2] if len(self._entries) >= 2 else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

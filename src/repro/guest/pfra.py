@@ -90,16 +90,12 @@ class PageReclaimer(ABC):
     # -- batch API ---------------------------------------------------------
     # The defaults are semantically equivalent to issuing the scalar calls
     # in sequence; subclasses override them with cheaper implementations.
-    def members(self):
-        """An object whose ``__contains__`` answers residency at C speed.
-
-        Hot classification loops probe membership once per page; going
-        through the reclaimer's Python-level ``__contains__`` costs a
-        frame per probe.  Concrete reclaimers return their backing
-        dict/set so callers bind ``members().__contains__`` directly.
-        """
-        return self
-
+    #
+    # The guest kernel's reclaimers also provide ``members()``: their
+    # backing dict/set, whose ``__contains__`` answers residency at C
+    # speed.  Hot classification loops probe membership once per page and
+    # bind ``members().__contains__`` directly instead of paying a Python
+    # frame per probe through the reclaimer's own ``__contains__``.
     def contains_all(self, pages: Sequence[int]) -> bool:
         """True when every page of the batch is resident."""
         return all(map(self.__contains__, pages))

@@ -146,11 +146,3 @@ class PrivilegedTkm:
             Hypervisor.PRIVILEGED_DOMAIN_ID, targets
         )
         self.stats.target_updates_applied += 1
-
-    # -- direct API used by tests ------------------------------------------------------
-    def apply_targets(self, targets: Mapping[int, int]) -> None:
-        """Apply a target vector immediately (bypassing netlink latency)."""
-        self._hypervisor.hypercalls.tmem_set_targets(
-            Hypervisor.PRIVILEGED_DOMAIN_ID, targets
-        )
-        self.stats.target_updates_applied += 1

@@ -44,6 +44,7 @@ class VmStatsSample:
 
     @property
     def puts_failed(self) -> int:
+        """Failed puts in the sampling interval (Algorithm 4, line 8)."""
         return self.puts_total - self.puts_succ
 
     @property
@@ -53,7 +54,10 @@ class VmStatsSample:
 
 @dataclass(frozen=True)
 class StatsSnapshot:
-    """One sampling interval's statistics (``memstats`` in the paper)."""
+    """One sampling interval's statistics (``memstats`` in the paper).
+
+    The Memory Manager hands this very object to its policy.
+    """
 
     time: float
     interval_s: float
@@ -67,6 +71,9 @@ class StatsSnapshot:
             if sample.vm_id == vm_id:
                 return sample
         raise KeyError(f"no VM {vm_id} in snapshot at t={self.time}")
+
+    def vm_ids(self) -> Sequence[int]:
+        return tuple(sample.vm_id for sample in self.vms)
 
 
 SnapshotListener = Callable[[StatsSnapshot], None]
@@ -94,7 +101,9 @@ class StatisticsSampler:
         self._free_trace_name = free_trace_name
         self._listeners: List[SnapshotListener] = []
         self._timer: Optional[RecurringTimer] = None
-        self._history: List[StatsSnapshot] = []
+        #: Snapshots taken so far.  The snapshots themselves are not kept:
+        #: each lives only as long as its listeners hold it.
+        self.snapshots = 0
 
     # -- wiring ------------------------------------------------------------
     def subscribe(self, listener: SnapshotListener) -> None:
@@ -121,11 +130,6 @@ class StatisticsSampler:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    @property
-    def history(self) -> Sequence[StatsSnapshot]:
-        """Every snapshot taken so far, oldest first."""
-        return tuple(self._history)
 
     @property
     def interval_s(self) -> float:
@@ -179,7 +183,7 @@ class StatisticsSampler:
             vm_count=node.vm_count,
             vms=tuple(samples),
         )
-        self._history.append(snapshot)
+        self.snapshots += 1
         for listener in self._listeners:
             listener(snapshot)
         return snapshot

@@ -236,7 +236,7 @@ cluster:
             assert accounting.vm_count == 2  # and is not counted as a VM
             # Every guest's final target is an equal half-split of the
             # node's pool (static-alloc), not a third.
-            snapshot = node.hypervisor.sampler.history[-1]
+            snapshot = node.hypervisor.sampler.sample_now()
             assert snapshot.vm_count == 2
             targets = {
                 sample.vm_id: sample.mm_target for sample in snapshot.vms

@@ -22,6 +22,8 @@ trip and schedules no engine events.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,9 +318,7 @@ NODES = ("n0", "n1", "n2")
 def link_streams(draw):
     """Requests over 2-3 nodes: when each is issued, and what it is."""
     nodes = NODES[: draw(st.integers(2, 3))]
-    hop = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
-        lambda pair: pair[0] != pair[1]
-    )
+    hop = st.sampled_from(list(itertools.permutations(nodes, 2)))
     step = st.fixed_dictionaries({
         # "gap": after the previous request; "finish": exactly when the
         # named link's last payload finishes (or now, if it has).

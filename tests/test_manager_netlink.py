@@ -1,5 +1,8 @@
 """Tests for the Memory Manager, netlink channels and privileged TKM."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.channels.netlink import NetlinkChannel
@@ -9,6 +12,8 @@ from repro.core.policies import GreedyPolicy, SmartAllocPolicy, StaticAllocPolic
 from repro.guest.tkm import PrivilegedTkm, TmemKernelModule
 from repro.hypervisor.pages import PageKey
 from repro.hypervisor.xen import Hypervisor
+from repro.scenarios.registry import scenario_by_name
+from repro.scenarios.runner import ScenarioRunner
 from repro.sim.engine import SimulationEngine
 
 
@@ -39,19 +44,19 @@ class TestNetlinkChannel:
         channel.send("a", 1)
         channel.send("b", 2)
         channel.send("a", 3)
-        assert len(channel.history("a")) == 2
         assert channel.messages_sent == 3
 
-    def test_fault_injection_drops_messages(self):
+    def test_delivery_is_fifo_to_every_subscriber(self):
         engine = SimulationEngine()
-        channel = NetlinkChannel(engine)
-        received = []
-        channel.subscribe(received.append)
-        channel.inject_fault(lambda msg: msg.kind == "stats")
-        channel.send("stats", 1)
-        channel.send("targets", 2)
-        assert len(received) == 1
-        assert channel.messages_dropped == 1
+        channel = NetlinkChannel(engine, latency_s=0.5)
+        first, second = [], []
+        channel.subscribe(first.append)
+        channel.subscribe(second.append)
+        for payload in range(3):
+            channel.send("stats", payload)
+        engine.run()
+        assert [message.payload for message in first] == [0, 1, 2]
+        assert [message.payload for message in second] == [0, 1, 2]
 
 
 def build_stack(policy, tmem_pages=100, vm_count=2):
@@ -96,11 +101,6 @@ class TestPrivilegedTkm:
         for record in records:
             assert not hv.accounting.account(record.vm_id).has_target
 
-    def test_apply_targets_directly(self):
-        engine, hv, records, tkm, manager = build_stack(GreedyPolicy())
-        tkm.apply_targets({records[0].vm_id: 7})
-        assert hv.accounting.account(records[0].vm_id).mm_target == 7
-
 
 class TestMemoryManager:
     def test_process_snapshot_directly(self):
@@ -110,31 +110,42 @@ class TestMemoryManager:
         assert decision.changed
         assert decision.targets.total() == 100
 
+    def test_the_policy_reads_the_snapshot_the_sampler_built(self):
+        policy = StaticAllocPolicy()
+        engine, hv, records, tkm, manager = build_stack(policy)
+        taken, read = [], []
+        hv.sampler.subscribe(taken.append)
+        decide = policy.decide
+        policy.decide = lambda memstats: read.append(memstats) or decide(memstats)
+        hv.start()
+        engine.run(until=3.1)
+        assert len(read) == len(taken) == 3
+        assert all(seen is sent for seen, sent in zip(read, taken))
+
+    def test_counts_every_snapshot_and_decision(self):
+        engine, hv, records, tkm, manager = build_stack(SmartAllocPolicy(percent=2))
+        hv.start()
+        # Run slightly past the 4th sampling instant so the netlink relay
+        # latency does not hide the final snapshot from the MM.
+        engine.run(until=4.5)
+        assert hv.sampler.snapshots == tkm.stats.snapshots_relayed == 4
+        assert manager.stats.snapshots_received == 4
+        assert manager.stats.decisions_made == 4
+
+    def test_passive_policy_is_never_asked_to_decide(self):
+        engine, hv, records, tkm, manager = build_stack(GreedyPolicy())
+        hv.start()
+        engine.run(until=3.5)
+        assert manager.stats.snapshots_received == 3
+        assert manager.stats.decisions_made == 0
+        assert manager.stats.target_updates_sent == 0
+
     def test_duplicate_targets_suppressed(self):
         """send_to_hypervisor only transmits when the targets changed."""
         engine, hv, records, tkm, manager = build_stack(StaticAllocPolicy())
         hv.start()
         engine.run(until=5.0)
         assert manager.stats.target_updates_sent == 1
-
-    def test_history_is_kept(self):
-        engine, hv, records, tkm, manager = build_stack(SmartAllocPolicy(percent=2))
-        hv.start()
-        # Run slightly past the 4th sampling instant so the netlink relay
-        # latency does not hide the final snapshot from the MM.
-        engine.run(until=4.5)
-        assert len(manager.history) == 4
-        assert manager.history.latest().time == pytest.approx(4.0)
-        assert manager.history.previous().time == pytest.approx(3.0)
-
-    def test_reset_clears_state(self):
-        engine, hv, records, tkm, manager = build_stack(StaticAllocPolicy())
-        hv.start()
-        engine.run(until=2.0)
-        manager.reset()
-        assert len(manager.history) == 0
-        assert manager.last_sent_targets is None
-        assert manager.stats.snapshots_received == 0
 
     def test_smart_alloc_reacts_to_failed_puts_through_the_full_stack(self):
         engine, hv, records, tkm, manager = build_stack(
@@ -151,6 +162,30 @@ class TestMemoryManager:
         engine.run(until=2.5)
         target = hv.accounting.account(vm.vm_id).mm_target
         assert target >= 10  # grew by P% of the pool after the failed puts
+
+
+class TestControlPlaneMemory:
+    @pytest.mark.parametrize("spec", ["many-vms:n=4", "cluster:nodes=2"])
+    def test_a_run_keeps_no_per_tick_statistics(self, spec):
+        """A snapshot lives only until the policy has read it.
+
+        Neither the sampler, the netlink channel, the TKM nor the MM keeps
+        per-tick history; the one snapshot a node may still hold after a
+        run is its final sample, relayed over netlink after the run ended.
+        """
+        runner = ScenarioRunner(scenario_by_name(spec, scale=0.05), "smart-alloc:P=2")
+        refs = {node.name: [] for node in runner.nodes}
+        for node in runner.nodes:
+            node.hypervisor.sampler.subscribe(
+                lambda snapshot, seen=refs[node.name]: seen.append(weakref.ref(snapshot))
+            )
+        result = runner.run()
+        taken = sum(len(seen) for seen in refs.values())
+        assert result.snapshots == taken
+        assert taken > 20
+        gc.collect()
+        for seen in refs.values():
+            assert sum(ref() is not None for ref in seen) <= 1
 
 
 class TestGuestTkm:

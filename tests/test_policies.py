@@ -10,7 +10,7 @@ from repro.core.policies import (
     StaticAllocPolicy,
 )
 from repro.core.policy import available_policies, create_policy
-from repro.core.stats import MemStatsView, TargetVector, VmMemStats
+from repro.core.stats import TargetVector
 from repro.core.targets import (
     cap_targets,
     equal_share,
@@ -18,30 +18,33 @@ from repro.core.targets import (
     proportional_scale,
 )
 from repro.errors import PolicyError, UnknownPolicyError
+from repro.hypervisor.virq import StatsSnapshot, VmStatsSample
 from repro.params import parse_spec
 
 
-def make_view(vm_stats, total_tmem=1000, free_tmem=None, time=1.0, prev=None):
-    """Build a MemStatsView from (vm_id, used, target, puts_total, puts_succ)."""
+def make_view(vm_stats, total_tmem=1000, free_tmem=None, time=1.0):
+    """Build a StatsSnapshot from (vm_id, used, target, puts_total, puts_succ)."""
     vms = tuple(
-        VmMemStats(
+        VmStatsSample(
             vm_id=v[0],
             tmem_used=v[1],
             mm_target=v[2],
             puts_total=v[3],
             puts_succ=v[4],
+            gets_total=0,
+            flushes_total=0,
             cumul_puts_failed=v[5] if len(v) > 5 else (v[3] - v[4]),
         )
         for v in vm_stats
     )
     used = sum(v.tmem_used for v in vms)
-    return MemStatsView(
+    return StatsSnapshot(
         time=time,
+        interval_s=1.0,
         total_tmem=total_tmem,
         free_tmem=free_tmem if free_tmem is not None else total_tmem - used,
         vm_count=len(vms),
         vms=vms,
-        prev=prev,
     )
 
 

@@ -25,30 +25,36 @@ def build_node(tmem_pages=64, vm_count=2):
 class TestSampler:
     def test_sampler_fires_every_interval(self):
         engine, hv, _ = build_node()
+        received = []
+        hv.sampler.subscribe(received.append)
         hv.start()
         engine.run(until=5.5)
-        assert len(hv.sampler.history) == 5
-        times = [snap.time for snap in hv.sampler.history]
+        assert hv.sampler.snapshots == 5
+        times = [snap.time for snap in received]
         assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_snapshot_contains_every_registered_vm(self):
         engine, hv, records = build_node(vm_count=3)
+        received = []
+        hv.sampler.subscribe(received.append)
         hv.start()
         engine.run(until=1.0)
-        snap = hv.sampler.history[0]
+        snap = received[0]
         assert snap.vm_count == 3
         assert {s.vm_id for s in snap.vms} == {r.vm_id for r in records}
 
     def test_interval_counters_reset_after_snapshot(self):
         engine, hv, records = build_node()
         vm = records[0]
+        received = []
+        hv.sampler.subscribe(received.append)
         hv.start()
         hv.backend.put(vm.vm_id, vm.frontswap_pool_id, PageKey(0, 0, 1), version=1, now=0.0)
         engine.run(until=1.0)
-        first = hv.sampler.history[0].vm(vm.vm_id)
+        first = received[0].vm(vm.vm_id)
         assert first.puts_total == 1
         engine.run(until=2.0)
-        second = hv.sampler.history[1].vm(vm.vm_id)
+        second = received[1].vm(vm.vm_id)
         assert second.puts_total == 0          # per-interval counter was reset
         assert second.tmem_used == 1           # usage carries over
 
@@ -83,7 +89,7 @@ class TestSampler:
         engine.run(until=2.0)
         hv.stop()
         engine.run(until=10.0)
-        assert len(hv.sampler.history) == 2
+        assert hv.sampler.snapshots == 2
 
     def test_snapshot_vm_lookup_unknown_raises(self):
         engine, hv, _ = build_node()
