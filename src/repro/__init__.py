@@ -17,7 +17,16 @@ Nishtala, Carpenter — 2019).  It provides:
 * the four evaluation scenarios (Table II) and a scenario runner in
   :mod:`repro.scenarios`;
 * metrics, figure/table data extraction and text reports in
-  :mod:`repro.analysis`.
+  :mod:`repro.analysis`;
+* parameter sweeps, their result archive and the distributed sweep
+  service in :mod:`repro.experiments`.
+
+``import repro`` loads what building and running a scenario needs.  The
+names re-exported from :mod:`repro.experiments` (``run_sweep``,
+``SweepSpec``, ...) and :mod:`repro.analysis` (``jain_fairness``,
+``render_runtime_table``, ...) load their package on first access, so a
+run pays neither for the sweep service's ``http.server`` and
+``urllib.request`` nor for the analysis code.
 
 Quickstart
 ----------
@@ -29,6 +38,8 @@ Quickstart
 >>> isinstance(smart.mean_runtime_s(), float)
 True
 """
+
+import importlib
 
 from .config import (
     DiskConfig,
@@ -105,24 +116,34 @@ from .workloads import (
     register_workload_kind,
     available_workload_kinds,
 )
-from .experiments import (
-    ExperimentPoint,
-    SweepSpec,
-    SerialBackend,
-    ProcessPoolBackend,
-    ResultStore,
-    SweepOutcome,
-    run_sweep,
-)
-from .analysis import (
-    jain_fairness,
-    improvement_percent,
-    runtime_figure,
-    tmem_usage_figure,
-    render_runtime_table,
-    aggregate_sweep,
-    render_aggregate_table,
-)
+#: Names re-exported from a subpackage that loads on first access
+#: (PEP 562), mapped to that subpackage.
+_LAZY = {
+    "ExperimentPoint": "experiments",
+    "SweepSpec": "experiments",
+    "SerialBackend": "experiments",
+    "ProcessPoolBackend": "experiments",
+    "ResultStore": "experiments",
+    "SweepOutcome": "experiments",
+    "run_sweep": "experiments",
+    "jain_fairness": "analysis",
+    "improvement_percent": "analysis",
+    "runtime_figure": "analysis",
+    "tmem_usage_figure": "analysis",
+    "render_runtime_table": "analysis",
+    "aggregate_sweep": "analysis",
+    "render_aggregate_table": "analysis",
+}
+
+
+def __getattr__(name: str):
+    package = _LAZY.get(name)
+    if package is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{package}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

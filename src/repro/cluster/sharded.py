@@ -64,7 +64,7 @@ migrations, cross-node or stop triggers) run the exact shared engine in
 the calling process instead: sharding them across epoch barriers cannot
 preserve bit-identity because spill admission and capacity decisions
 read *instantaneous* peer state (free frame counts) that any lock-step
-quantum would stale, and a lone spawned worker would add spawn time and
+quantum would stale, and a lone worker would add its start-up and
 nothing else.  The fallback keeps the fingerprint guarantee
 unconditional; see PERFORMANCE.md for when sharding actually pays off.
 
@@ -85,13 +85,15 @@ regardless of the engine selection.
 
 A shard is reached through one of two transports with the same
 ``send``/``recv``/``close`` surface: a direct call in this process
-(``inline=True``) or a pipe round trip to a worker spawned with the
-``spawn`` multiprocessing context.  The loop sends each step to every
-shard before it receives from any, so worker shards run each window in
-parallel.  Results cross the process boundary as the same strict-JSON
-dicts the parallel sweep backends use (``ScenarioResult.to_dict`` /
-``VmResult.to_dict``), so a sharded run composes with everything that
-already consumes serialized results.
+(``inline=True``) or a pipe round trip to a worker process.  Workers
+are forked from this process where that is safe (Linux, one Python
+thread), so they start with ``repro`` already imported, and spawned
+from a fresh interpreter everywhere else (:func:`_start_method`).  The
+loop sends each step to every shard before it receives from any, so
+worker shards run each window in parallel.  Results cross the process
+boundary as the same strict-JSON dicts the parallel sweep backends use
+(``ScenarioResult.to_dict`` / ``VmResult.to_dict``), so a sharded run
+composes with everything that already consumes serialized results.
 """
 
 from __future__ import annotations
@@ -99,12 +101,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import sys
+import threading
 import time as _time
+import weakref
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..core.coordinator import NodeState
-from ..errors import ClusterError
+from ..errors import ClusterError, PolicyError
 from ..scenarios.results import ScenarioResult, VmResult
 from ..scenarios.spec import ScenarioSpec
 from ..sim.trace import TraceRecorder
@@ -180,15 +185,24 @@ def resolve_shards(
     return min(count, group_count)
 
 
-def _require_shardable(spec: ScenarioSpec, config: SimulationConfig) -> None:
-    """Fail with a clear :class:`ClusterError` before any worker spawns.
+def _require_shardable(
+    spec: ScenarioSpec, config: SimulationConfig, policy_spec: str
+) -> None:
+    """Fail with a clear :class:`ClusterError` before any worker starts.
 
-    Worker processes are spawned fresh, so the scenario must (a) pickle
-    and (b) reference only workload kinds the ``repro`` package itself
-    registers at import time — a custom kind registered by the calling
-    program would not exist in the worker and would die with an opaque
-    remote traceback instead.
+    A worker receives the scenario, config and policy spec pickled, and
+    rebuilds the run from them by name, so (a) they must pickle and (b)
+    every workload kind and the policy must be one the ``repro`` package
+    registers itself.  A spawned worker starts from a fresh interpreter
+    and has nothing else; a forked one would also inherit whatever the
+    calling program registered.  Refusing such names under either start
+    method means a run is accepted or refused the same way on every
+    host, instead of running on Linux and failing inside a worker on
+    macOS.
     """
+    from ..core.policy import POLICIES
+    from ..params import parse_spec
+    from ..scenarios.runner import NO_TMEM_POLICY
     from ..workloads.registry import workload_class
 
     for vm in spec.vms:
@@ -201,14 +215,14 @@ def _require_shardable(spec: ScenarioSpec, config: SimulationConfig) -> None:
                     f"is not registered ({exc}); sharded execution cannot "
                     "rebuild it in a worker process"
                 ) from None
-            if not (cls.__module__ or "").startswith("repro."):
-                raise ClusterError(
-                    f"VM {vm.name!r} uses custom workload kind {job.kind!r} "
-                    f"({cls.__module__}.{cls.__qualname__}); worker processes "
-                    "start from a fresh interpreter and would not have it "
-                    "registered — run without --shards (or shards=1 "
-                    "in-process) for custom workloads"
-                )
+            _require_builtin(
+                cls, f"VM {vm.name!r} uses custom workload kind {job.kind!r}"
+            )
+    if policy_spec != NO_TMEM_POLICY:
+        name, _ = parse_spec(policy_spec, PolicyError, "policy")
+        _require_builtin(
+            POLICIES.lookup(name), f"policy {policy_spec!r} is a custom policy"
+        )
     for label, value in (("scenario spec", spec), ("config", config)):
         try:
             pickle.dumps(value)
@@ -218,6 +232,17 @@ def _require_shardable(spec: ScenarioSpec, config: SimulationConfig) -> None:
                 f"execution ({type(exc).__name__}: {exc}); run without "
                 "--shards"
             ) from None
+
+
+def _require_builtin(cls: type, what: str) -> None:
+    """Refuse *cls* for worker processes unless ``repro`` itself defines it."""
+    if not (cls.__module__ or "").startswith("repro."):
+        raise ClusterError(
+            f"{what} ({cls.__module__}.{cls.__qualname__}); shard workers "
+            "rebuild a run only from what the repro package registers, "
+            "whatever their start method — run custom workloads and "
+            "policies without --shards (or inline=True)"
+        )
 
 
 def _chunk(groups: Sequence[Tuple[str, ...]], buckets: int) -> List[Tuple[str, ...]]:
@@ -358,11 +383,42 @@ class _ShardTask:
 _STEPS = ("begin", "window", "finish")
 
 
-def _shard_worker_main(conn) -> None:
-    """Entry point of one spawned shard worker.
+def _start_method() -> str:
+    """The multiprocessing start method of shard workers.
 
-    Receives the task payload, then answers steps until ``finish``.
+    ``fork`` on Linux when this process runs one Python thread: the
+    worker starts from this process's memory, with ``repro`` already
+    imported, which is everything a spawned worker does before its
+    first window.  ``spawn`` otherwise: on macOS and Windows, and for
+    threaded callers such as the sweep service's in-process workers,
+    whose other threads could hold a lock across the fork.  Never
+    ``forkserver``: its workers are children of the server, not of the
+    caller, so the caller's ``RUSAGE_CHILDREN`` would not see their CPU.
     """
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+#: The parent end of every worker pipe this process holds open.  A forked
+#: worker inherits a copy of each, and while any copy is open the worker at
+#: the far end never reads EOF when this process closes its end or dies.
+#: Each worker therefore closes its inherited copies before anything else;
+#: a spawned worker starts with this set empty.  The set is per process,
+#: not per run, because a fork copies every descriptor the process holds.
+#: It holds the ends weakly, so an end dropped without :meth:`close` is
+#: still closed when it is garbage-collected.
+_PARENT_ENDS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def _shard_worker_main(conn) -> None:
+    """Entry point of one shard worker, forked or spawned.
+
+    Closes the parent pipe ends it inherited, receives the task payload,
+    then answers steps until ``finish``.
+    """
+    for end in _PARENT_ENDS:
+        end.close()
     try:
         task = _ShardTask(conn.recv())
         step = None
@@ -404,16 +460,18 @@ _WORKER_EXITED = (
 
 
 class _ProcessShard:
-    """Shard transport to a spawned worker: one pipe round trip per step.
+    """Shard transport to a worker process: one pipe round trip per step.
 
-    Owns the worker's whole life: the spawn, the payload hand-off, a
-    dead pipe surfacing as :class:`ClusterError` on send and on receive
-    alike, and the join (or terminate) on :meth:`close`.
+    Owns the worker's whole life: the start (forked or spawned, see
+    :func:`_start_method`), the payload hand-off, a dead pipe surfacing
+    as :class:`ClusterError` on send and on receive alike, and the join
+    (or terminate and reap) on :meth:`close`.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
-        context = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(_start_method())
         self.conn, child_conn = context.Pipe()
+        _PARENT_ENDS.add(self.conn)
         self.process = context.Process(
             target=_shard_worker_main, args=(child_conn,), daemon=True
         )
@@ -440,10 +498,12 @@ class _ProcessShard:
         return data
 
     def close(self) -> None:
+        _PARENT_ENDS.discard(self.conn)
         self.conn.close()
         self.process.join(timeout=10.0)
         if self.process.is_alive():  # pragma: no cover - hung worker
             self.process.terminate()
+            self.process.join()
 
 
 def _step(shards: Sequence[Any], step: str, *args: Any) -> List[Dict[str, Any]]:
@@ -537,12 +597,12 @@ class ShardedClusterRunner:
         a positive integer, or ``None`` for a single shard (which runs
         the shared engine, or one epoch shard, in this process).
     inline:
-        Run the shard tasks sequentially in this process instead of
-        spawning workers.  Same simulation, same fingerprints — used by
-        tests and useful on single-core hosts where process spawn
-        overhead cannot be amortized.  A single shard always runs in
-        this process: a worker would only add a fresh interpreter and a
-        second build of the cluster.
+        Run the shard tasks sequentially in this process instead of in
+        worker processes.  Same simulation, same fingerprints — used by
+        tests and useful on single-core hosts, where workers only
+        time-slice and add their start-up and per-window IPC.  A single
+        shard always runs in this process: a worker would only add its
+        start-up and a second build of the cluster.
     cluster_engine:
         ``"exact"`` (``None`` means the same) or ``"epoch"``.
     check_invariants:
@@ -639,7 +699,7 @@ class ShardedClusterRunner:
             driver = _StopDriver(self.spec, self.policy_spec, self.config)
         inline = self.inline or len(self.buckets) == 1
         if not inline:
-            _require_shardable(self.spec, self.config)
+            _require_shardable(self.spec, self.config, self.policy_spec)
         transport = _InlineShard if inline else _ProcessShard
         shards: List[Any] = []
         try:

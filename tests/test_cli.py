@@ -342,10 +342,9 @@ class TestCommands:
          "shared engine in this process: single-host scenario (no cluster topology)"),
         ("contended:nodes=2", ["--cluster-engine", "epoch"],
          "1 epoch shard in this process: remote-tmem spill couples the nodes"),
+        ("shard:nodes=2", ["--shards", "2"], "2 shard workers"),
     ])
-    def test_run_shards_names_the_in_process_path(
-        self, scenario, flags, path, capsys
-    ):
+    def test_run_names_its_path(self, scenario, flags, path, capsys):
         code = main([
             "run", scenario, "--scale", "0.05", "--policy", "greedy", *flags,
         ])

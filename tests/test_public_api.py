@@ -86,14 +86,17 @@ class TestPublicApi:
         assert issubclass(repro.PolicyError, repro.ReproError)
         assert issubclass(repro.ScenarioError, repro.ReproError)
 
-    def test_import_loads_neither_yaml_nor_the_dsl(self):
-        """The DSL and PyYAML load on first use, so ``import repro`` (and
-        the setup time of every run) does not pay for them."""
+    def test_import_loads_no_dsl_sweep_service_or_analysis(self):
+        """The DSL and PyYAML, the sweep packages (with the service's
+        ``http.server`` and ``urllib.request``) and the analysis package
+        load on first use, so ``import repro`` (and the setup time of
+        every run) does not pay for them."""
         src = str(Path(repro.__file__).resolve().parent.parent)
         code = (
             "import sys, repro; "
-            "print(sorted(m for m in ('yaml', 'repro.scenarios.dsl') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('yaml', 'repro.scenarios.dsl', "
+            "'repro.experiments', 'repro.analysis', 'http.server', "
+            "'urllib.request') if m in sys.modules))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(

@@ -7,9 +7,9 @@ group, coupled ones (spill, coordinator, contention, failures,
 migrations, cross-node triggers) take the exact single-engine fallback.
 The property tests here randomize topology shape, seed, policy and
 shard count over the decoupled ``shard`` family; dedicated tests cover
-the coupled fallback, the real process path, and the clear
-:class:`ClusterError` raised for scenarios a spawned worker could not
-rebuild.
+the coupled fallback, the real process path (forked or spawned
+workers, and the pipe ends a forked worker inherits), and the clear
+:class:`ClusterError` raised for runs a worker could not rebuild.
 """
 
 from __future__ import annotations
@@ -17,10 +17,19 @@ from __future__ import annotations
 import ast
 import dataclasses
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.cluster.sharded import (
     RunPath,
     ShardedClusterRunner,
@@ -29,6 +38,8 @@ from repro.cluster.sharded import (
     coupling_reason,
     resolve_shards,
 )
+from repro.core.policies.greedy import GreedyPolicy
+from repro.core.policy import POLICIES as POLICY_REGISTRY, register_policy
 from repro.errors import ClusterError, SimulationError
 from repro.scenarios.registry import registered_scenarios, scenario_by_name
 from repro.scenarios.runner import run_scenario
@@ -277,7 +288,7 @@ class TestShardedIdentity:
         assert sharded.events_executed > 0
 
     def test_process_mode_matches_shared_engine(self):
-        """The real spawn-worker path (2 workers) is bit-identical too."""
+        """The real worker-process path (2 workers) is bit-identical too."""
         spec = scenario_by_name("shard:nodes=2,vms_per_node=1", scale=SCALE)
         shared = run_scenario(spec, "greedy", seed=5)
         runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=5)
@@ -365,6 +376,103 @@ class TestProcessTransport:
                 shard.close()
         assert not multiprocessing.active_children()
 
+    def test_start_method_follows_the_callers_threads(self, monkeypatch):
+        """A single-threaded caller forks its workers on Linux; while a
+        second Python thread runs, it spawns them.  Both give the
+        shared-engine fingerprint and leave no worker behind."""
+        started = []
+        init = _ProcessShard.__init__
+
+        def spy(shard, payload):
+            init(shard, payload)
+            started.append(type(shard.process).__name__)
+
+        monkeypatch.setattr(_ProcessShard, "__init__", spy)
+        spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+        shared = run_scenario(spec, "greedy", seed=2).fingerprint()
+        assert run_scenario(spec, "greedy", shards=2, seed=2).fingerprint() == shared
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            threaded = run_scenario(spec, "greedy", shards=2, seed=2)
+        finally:
+            release.set()
+            thread.join(5)
+        assert not thread.is_alive()
+        assert threaded.fingerprint() == shared
+        alone = "ForkProcess" if sys.platform == "linux" else "SpawnProcess"
+        assert started == [alone] * 2 + ["SpawnProcess"] * 2
+        assert not multiprocessing.active_children()
+
+    def test_worker_exits_once_its_parent_end_closes(self):
+        """No worker keeps a copy of a parent pipe end: closing shard 0's
+        end stops worker 0 while shard 1 is still open."""
+        spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+        runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=1)
+        shards = []
+        try:
+            for bucket in runner.buckets:
+                shards.append(_ProcessShard(runner._payload(bucket)))
+            for shard in shards:
+                shard.send("begin")
+            for shard in shards:
+                shard.recv()
+            shards[0].conn.close()
+            shards[0].process.join(5)
+            assert shards[0].process.exitcode is not None
+            assert shards[1].process.is_alive()
+        finally:
+            for shard in shards:
+                shard.close()
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A parent SIGKILLed after ``begin`` leaves no worker asleep in
+        ``recv``: its death closes the only copies of the parent ends."""
+        pids = tmp_path / "pids"
+        code = textwrap.dedent(f"""
+            import os, signal
+            from pathlib import Path
+            from repro.cluster.sharded import ShardedClusterRunner, _ProcessShard
+            from repro.scenarios.registry import scenario_by_name
+            spec = scenario_by_name("shard:nodes=2", scale={SCALE})
+            runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=1)
+            shards = [_ProcessShard(runner._payload(b)) for b in runner.buckets]
+            for shard in shards:
+                shard.send("begin")
+            for shard in shards:
+                shard.recv()
+            Path({str(pids)!r}).write_text(
+                " ".join(str(shard.process.pid) for shard in shards))
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        parent = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=60,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        assert parent.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 2
+
+        def running(pid: int) -> bool:
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
 
 # ---------------------------------------------------------------------------
 # worker-safety rails (clear errors instead of opaque remote tracebacks)
@@ -393,6 +501,26 @@ class TestShardableValidation:
                 runner.run()
         finally:
             WORKLOAD_REGISTRY.pop("sharded-test-local", None)
+
+    def test_custom_policy_is_rejected_for_processes(self):
+        """A forked worker would inherit a policy the caller registered and
+        a spawned one would not, so process shards refuse it on every host."""
+        class LocalPolicy(GreedyPolicy):
+            pass
+
+        register_policy("sharded-test-policy")(LocalPolicy)
+        try:
+            spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+            runner = ShardedClusterRunner(spec, "sharded-test-policy", shards=2, seed=1)
+            with pytest.raises(ClusterError, match="custom policy"):
+                runner.run()
+            inline = ShardedClusterRunner(
+                spec, "sharded-test-policy", shards=2, seed=1, inline=True
+            )
+            assert inline.run().vms
+        finally:
+            POLICY_REGISTRY.classes.pop("sharded-test-policy", None)
+        assert not multiprocessing.active_children()
 
     def test_unknown_workload_kind_is_rejected(self):
         spec = scenario_by_name("shard:nodes=2", scale=SCALE)
