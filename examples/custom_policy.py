@@ -17,7 +17,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro import run_scenario, scenario_2
 from repro.analysis.metrics import mean_fairness
@@ -52,11 +52,9 @@ class ProportionalDemandPolicy(TmemPolicy):
         self._alpha = float(smoothing)
         self._floor = float(floor_fraction)
         self._demand_ema: Dict[int, float] = {}
-        self._last: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def reset(self) -> None:
         self._demand_ema.clear()
-        self._last = None
 
     def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         if not memstats.vms:
@@ -83,12 +81,8 @@ class ProportionalDemandPolicy(TmemPolicy):
                 {vm_id: floor + int(d) for vm_id, d in self._demand_ema.items()}
             )
             targets = proportional_scale(raw, total)
-
-        emitted = tuple(targets.items())
-        if emitted == self._last:
-            return PolicyDecision.no_change()
-        self._last = emitted
-        self.validate_targets(targets, memstats)
+        # The Memory Manager sends a vector only when it changed, and
+        # refuses one that over-commits the pool.
         return PolicyDecision.set_targets(targets)
 
 

@@ -47,7 +47,6 @@ from .config import (
     SamplingConfig,
     SimulationConfig,
     TmemConfig,
-    exact_config,
 )
 from .units import (
     GIB,
@@ -155,7 +154,6 @@ __all__ = [
     "TmemConfig",
     "GuestConfig",
     "SamplingConfig",
-    "exact_config",
     "MemoryUnits",
     "DEFAULT_UNITS",
     "SCENARIO_UNITS",

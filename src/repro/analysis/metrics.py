@@ -9,7 +9,7 @@ trade-off discussed in Sections V-C and V-D.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -96,16 +96,3 @@ def mean_fairness(result: ScenarioResult, *, skip_leading: int = 0) -> float:
     if skip_leading >= data.shape[0]:
         raise AnalysisError("skip_leading removes every sample")
     return float(np.mean(data[skip_leading:, 1]))
-
-
-def policy_comparison(
-    results: Mapping[str, ScenarioResult], *, vm_name: str, run_index: int = 0
-) -> Dict[str, float]:
-    """Running time of one VM/run under every policy in *results*."""
-    comparison: Dict[str, float] = {}
-    for policy, result in results.items():
-        comparison[policy] = result.runtime_of(vm_name, run_index)
-    return comparison
-
-
-__all__.append("policy_comparison")

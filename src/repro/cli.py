@@ -61,7 +61,7 @@ from .analysis.tables import table1_statistics, table2_scenarios
 from .cluster.sharded import ShardedClusterRunner, resolve_shards
 from .core.coordinator import COORDINATORS
 from .core.policy import POLICIES, create_policy
-from .errors import ClusterError, ExperimentError, PolicyError, ScenarioError
+from .errors import ClusterError, ExperimentError, PolicyError, ReproError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios
 from .scenarios.registry import (
     paper_scenario_names,
@@ -694,7 +694,16 @@ def _cmd_run(args: "argparse.Namespace") -> int:
         )
         path = runner.path
         print(f"running {spec.name} under {policy} ({path}) ...", file=sys.stderr)
-        results[policy] = runner.run()
+        try:
+            results[policy] = runner.run()
+        except ReproError as exc:
+            # A run that fails (a guest OOM, a missed deadline) is one
+            # line, as bad input is; a traceback means a bug.
+            print(
+                f"{spec.name} under {policy} failed: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
         if path.epoch_fallback:
             # One machine-greppable line naming the engine that ran.
             print(f"epoch fallback: {path.epoch_fallback}", file=sys.stderr)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..errors import FaultSpecError, InvariantViolation, ReproError
 
@@ -412,23 +412,6 @@ class FaultPlan:
             )
         for (src, dst), windows in by_link.items():
             _check_disjoint(windows, f"link {src}->{dst} degradation windows")
-
-    # -- construction helpers -----------------------------------------------------
-    @classmethod
-    def from_specs(
-        cls,
-        faults: Iterable[str] = (),
-        degradations: Iterable[str] = (),
-        **knobs: Any,
-    ) -> "FaultPlan":
-        """Build a plan from CLI-style spec strings."""
-        return cls(
-            node_faults=tuple(parse_node_fault(spec) for spec in faults),
-            link_faults=tuple(
-                parse_link_degradation(spec) for spec in degradations
-            ),
-            **knobs,
-        )
 
     # -- normalisation ------------------------------------------------------------
     def effective(self) -> Optional["FaultPlan"]:

@@ -165,9 +165,13 @@ class Node:
             self.hypervisor.start()
 
     def finalize(self) -> None:
-        """Take the final statistics sample and stop the sampler."""
+        """Record the closing statistics sample and stop the sampler.
+
+        The sample only extends the traces to the end of the run: the
+        engine has stopped, so it is not relayed to the Memory Manager.
+        """
         if self._use_tmem and not self.failed:
-            self.hypervisor.sampler.sample_now()
+            self.hypervisor.sampler.record()
             self.hypervisor.stop()
 
     def check_invariants(self) -> None:

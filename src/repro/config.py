@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
-from .units import MemoryUnits, XEN_PAGE_BYTES
+from .units import MemoryUnits
 
 __all__ = [
     "DiskConfig",
@@ -215,13 +215,3 @@ class SimulationConfig:
             "sampling_interval_s": self.sampling.interval_s,
             "seed": self.seed,
         }
-
-
-#: Configuration matching the true Xen page granularity (slow, exact).
-def exact_config(**overrides: Any) -> SimulationConfig:
-    """A configuration with real 4 KiB pages, for validation runs."""
-    cfg = SimulationConfig(units=MemoryUnits(page_bytes=XEN_PAGE_BYTES))
-    return cfg.with_overrides(**overrides) if overrides else cfg
-
-
-__all__ += ["exact_config"]

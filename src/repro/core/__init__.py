@@ -18,7 +18,7 @@ This subpackage is the paper's primary contribution:
 
 from .stats import TargetVector
 from .policy import TmemPolicy, PolicyDecision, register_policy, create_policy, available_policies
-from .targets import normalize_targets, proportional_scale, equal_share
+from .targets import proportional_scale, equal_share
 from .manager import MemoryManager
 from .policies import (
     GreedyPolicy,
@@ -34,7 +34,6 @@ __all__ = [
     "register_policy",
     "create_policy",
     "available_policies",
-    "normalize_targets",
     "proportional_scale",
     "equal_share",
     "MemoryManager",

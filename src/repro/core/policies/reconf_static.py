@@ -11,7 +11,7 @@ active it keeps its share for the rest of its lifetime.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set
 
 from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
@@ -27,11 +27,9 @@ class ReconfStaticPolicy(TmemPolicy):
 
     def __init__(self) -> None:
         self._active_vms: Set[int] = set()
-        self._last_emitted: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def reset(self) -> None:
         self._active_vms.clear()
-        self._last_emitted = None
 
     def decide(self, memstats: StatsSnapshot) -> PolicyDecision:
         population = set(memstats.vm_ids())
@@ -50,9 +48,4 @@ class ReconfStaticPolicy(TmemPolicy):
             {vm_id: (shares.get(vm_id) if vm_id in self._active_vms else 0)
              for vm_id in sorted(population)}
         )
-        self.validate_targets(targets, memstats)
-        emitted = tuple(targets.items())
-        if emitted == self._last_emitted:
-            return PolicyDecision.no_change()
-        self._last_emitted = emitted
         return PolicyDecision.set_targets(targets)

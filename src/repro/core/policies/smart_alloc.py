@@ -22,7 +22,7 @@ The decision is only transmitted when the vector actually changed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ...hypervisor.virq import StatsSnapshot
 from ..policy import PolicyDecision, TmemPolicy, register_policy
@@ -66,12 +66,10 @@ class SmartAllocPolicy(TmemPolicy):
         #: the policy can adapt from its own previous decision even before
         #: the hypervisor echoes it back.
         self._current: Optional[TargetVector] = None
-        self._last_emitted: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # -- helpers ---------------------------------------------------------------
     def reset(self) -> None:
         self._current = None
-        self._last_emitted = None
 
     def _threshold_for(self, total_tmem: int) -> int:
         if self._threshold_pages is not None:
@@ -134,11 +132,5 @@ class SmartAllocPolicy(TmemPolicy):
         # Equation 2: scale every target down proportionally whenever the
         # raw targets would over-commit the pool (Algorithm 4, lines 27-33).
         targets = cap_targets(raw, local_tmem)
-        self.validate_targets(targets, memstats)
         self._current = targets
-
-        emitted = tuple(targets.items())
-        if emitted == self._last_emitted:
-            return PolicyDecision.no_change()
-        self._last_emitted = emitted
         return PolicyDecision.set_targets(targets)

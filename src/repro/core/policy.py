@@ -3,10 +3,12 @@
 A policy consumes one :class:`~repro.hypervisor.virq.StatsSnapshot`
 (``memstats``) per sampling interval, the very object the statistics
 sampler built, and produces a :class:`PolicyDecision`.  A decision either
-carries a new :class:`~repro.core.stats.TargetVector` or says "no change",
-in which case the Memory Manager does not communicate with the hypervisor
-at all — the paper's ``send_to_hypervisor`` only transmits when the
-targets actually changed, to avoid needless hypercalls.
+carries a :class:`~repro.core.stats.TargetVector` or says "no change".
+A policy may hand back the same vector every interval: the Memory
+Manager is the one gate that keeps it from the hypervisor — the paper's
+``send_to_hypervisor`` only transmits when the targets actually changed,
+to avoid needless hypercalls, and refuses a vector that over-commits the
+pool.
 
 Policies are registered by name in :data:`POLICIES` so that scenarios,
 the CLI and the benchmark harness can select them with a string such as
@@ -72,19 +74,6 @@ class TmemPolicy(ABC):
 
     def reset(self) -> None:
         """Forget any internal state (called between scenario runs)."""
-
-    # -- shared sanity check ----------------------------------------------------
-    @staticmethod
-    def validate_targets(targets: TargetVector, memstats: StatsSnapshot) -> None:
-        """Check that a target vector is well-formed for this node."""
-        for vm_id, value in targets.items():
-            if value < 0:
-                raise PolicyError(f"negative target for VM {vm_id}")
-        if targets.total() > memstats.total_tmem:
-            raise PolicyError(
-                "targets over-commit the tmem pool: "
-                f"{targets.total()} > {memstats.total_tmem}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Sequence
 from ..errors import PolicyError
 from .stats import TargetVector
 
-__all__ = ["equal_share", "proportional_scale", "cap_targets", "normalize_targets"]
+__all__ = ["equal_share", "proportional_scale", "cap_targets"]
 
 
 def equal_share(vm_ids: Sequence[int], total_tmem: int) -> TargetVector:
@@ -83,23 +83,5 @@ def cap_targets(targets: TargetVector, total_tmem: int) -> TargetVector:
     if total_tmem < 0:
         raise PolicyError(f"total_tmem must be >= 0, got {total_tmem}")
     if targets.total() <= total_tmem:
-        return targets.copy()
-    return proportional_scale(targets, total_tmem)
-
-
-def normalize_targets(targets: TargetVector, total_tmem: int) -> TargetVector:
-    """Enforce Equation 1 on a raw target vector.
-
-    * If the targets over-commit the pool they are scaled down
-      proportionally (Equation 2).
-    * If they under-commit it, the slack is distributed proportionally as
-      well (the paper requires all local tmem pages to be assigned to some
-      VM), falling back to an equal split when every raw target is zero.
-    """
-    if total_tmem < 0:
-        raise PolicyError(f"total_tmem must be >= 0, got {total_tmem}")
-    if len(targets) == 0:
-        return TargetVector()
-    if targets.total() == total_tmem:
         return targets.copy()
     return proportional_scale(targets, total_tmem)

@@ -19,7 +19,6 @@ __all__ = [
     "TmemKeyError",
     "HypercallError",
     "GuestError",
-    "PageFaultError",
     "SwapError",
     "PolicyError",
     "UnknownPolicyError",
@@ -83,10 +82,6 @@ class HypercallError(ReproError):
 # --------------------------------------------------------------------------
 class GuestError(ReproError):
     """Base class for guest-kernel model errors."""
-
-
-class PageFaultError(GuestError):
-    """A page fault could not be serviced consistently."""
 
 
 class SwapError(GuestError):

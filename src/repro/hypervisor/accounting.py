@@ -162,10 +162,6 @@ class HypervisorAccounting:
             )
         self.account(vm_id).mm_target = target_pages
 
-    def clear_targets(self) -> None:
-        for account in self._vms.values():
-            account.mm_target = UNLIMITED_TARGET
-
     # -- invariants ---------------------------------------------------------------
     def check_invariants(self) -> None:
         """Cross-check per-VM usage against the physical frame pool."""

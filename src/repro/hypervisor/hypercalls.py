@@ -238,13 +238,5 @@ class HypercallInterface:
         self.stats_for(caller_vm_id).charge("set_targets", latency)
         return latency
 
-    def tmem_clear_targets(self, caller_vm_id: int) -> float:
-        """Remove every target, reverting to the greedy default."""
-        self._require_registered(caller_vm_id)
-        self._accounting.clear_targets()
-        latency = self._config.sampling.writeback_latency_s
-        self.stats_for(caller_vm_id).charge("set_targets", latency)
-        return latency
-
     def registered_domains(self) -> Sequence[int]:
         return tuple(sorted(self._registered))

@@ -121,7 +121,7 @@ class StatisticsSampler:
             return
         self._timer = self._engine.schedule_recurring(
             self._interval,
-            self._sample,
+            self.sample_now,
             priority=EventPriority.TIMER,
             label="tmem-stats-virq",
         )
@@ -137,10 +137,20 @@ class StatisticsSampler:
 
     # -- sampling ----------------------------------------------------------
     def sample_now(self) -> StatsSnapshot:
-        """Take a snapshot immediately (used by tests and at shutdown)."""
-        return self._sample()
+        """Take a snapshot and raise the VIRQ: every listener receives it."""
+        snapshot = self.record()
+        for listener in self._listeners:
+            listener(snapshot)
+        return snapshot
 
-    def _sample(self) -> StatsSnapshot:
+    def record(self) -> StatsSnapshot:
+        """Take a snapshot without raising the VIRQ.
+
+        The snapshot records its traces and counts in :attr:`snapshots`,
+        but no listener sees it.  A node takes its closing sample this
+        way once the engine has stopped: relayed, it would wait forever
+        on a netlink delivery that never runs.
+        """
         now = self._engine.now
         node = self._accounting.node_info()
         samples = []
@@ -184,6 +194,4 @@ class StatisticsSampler:
             vms=tuple(samples),
         )
         self.snapshots += 1
-        for listener in self._listeners:
-            listener(snapshot)
         return snapshot

@@ -23,8 +23,10 @@ at the source line that caused it.  Feasibility checks go beyond type
 checking — unknown families and workload kinds get "did you mean"
 suggestions, explicit host memory that cannot hold the VMs is rejected,
 fault/migration/trigger schedules are checked against node lifetimes and
-the run deadline, and trace workloads have their trace files resolved
-(relative to the document) and probed.
+the run deadline, trace workloads have their trace files resolved
+(relative to the document) and probed, and every job's workload is built
+once, so a relation between its parameters (usemem's ``start_mb <=
+max_mb``) fails here rather than mid-run.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ...cluster import clusterize
 from ...cluster.faults import FaultPlan, parse_link_degradation, parse_node_fault
 from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
-from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError
+from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError, WorkloadError
 from ...params import param_errors, scale_error, suggest
+from ...units import SCENARIO_UNITS
 from ...workloads.registry import WORKLOADS
 from ..registry import parse_scenario_spec, registered_scenarios
 from ..runner import NO_TMEM_POLICY
@@ -422,11 +427,24 @@ class _Compiler:
     def check_workload_params(
         self, kind: str, params: Dict[str, Any], path: str
     ) -> None:
-        """Validate job params against the workload's declared parameters."""
-        for key, message in WORKLOADS.errors(kind, params):
+        """Validate job params against the workload's declared parameters,
+        then build the workload once, as a node does when the job starts,
+        so a relation the constructor checks is reported at *path*."""
+        errors = WORKLOADS.errors(kind, params)
+        for key, message in errors:
             self.error(message, f"{path}.{key}" if key else path)
         if kind == "trace" and isinstance(params.get("path"), str):
             params["path"] = self.resolve_trace_path(params["path"], f"{path}.path")
+            if not os.path.exists(params["path"]):
+                return  # warned: the file may be recorded before the run
+        if errors:
+            return
+        try:
+            WORKLOADS.lookup(kind)(
+                units=SCENARIO_UNITS, rng=np.random.default_rng(0), **params
+            )
+        except WorkloadError as exc:
+            self.error(str(exc), path)
 
     def resolve_trace_path(self, trace_path: str, path: str) -> str:
         """Resolve a trace file relative to the document and probe it."""

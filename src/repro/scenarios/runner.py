@@ -40,10 +40,7 @@ from ..sim.engine import SimulationEngine
 from ..sim.rng import RngFactory
 from ..sim.trace import TraceRecorder
 from ..units import SCENARIO_UNITS, MemoryUnits
-from ..workloads.registry import (
-    WORKLOAD_REGISTRY,
-    register_workload_kind,
-)
+from ..workloads.registry import register_workload_kind
 from .results import ScenarioResult, VmResult
 from .spec import ScenarioSpec
 
@@ -58,12 +55,6 @@ __all__ = [
 
 #: Pseudo-policy spec for the paper's "no tmem support" baseline.
 NO_TMEM_POLICY = "no-tmem"
-
-#: Workload classes known to the runner, keyed by WorkloadSpec.kind.
-#: This is the shared registry from :mod:`repro.workloads.registry` (the
-#: same dict object), kept under its historical name so existing callers
-#: and tests that inspect it keep working.
-_WORKLOAD_CLASSES: Dict[str, type] = WORKLOAD_REGISTRY
 
 
 def resolve_config(

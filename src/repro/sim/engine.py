@@ -5,15 +5,19 @@ binary heap of plain ``(time, priority, seq, slot)`` tuples.  Per-event
 state — callback, optional argument, label, liveness — lives in a slab
 of parallel slot arrays recycled through a free list, so steady-state
 scheduling allocates no per-event record: pushing an event is one tuple
-plus a slot write, cancelling flips a slot flag, and ``pending_events``
-is a counter maintained on those transitions (O(1) to read).
+plus a slot write, and ``pending_events`` is a counter maintained on
+schedule, fire and cancel (O(1) to read).
 
-Recurring activity (e.g. the hypervisor's one-second statistics VIRQ,
-the cluster coordinator's rebalance tick) uses
-:meth:`schedule_recurring`, which returns an engine-owned
-:class:`~repro.sim.events.RecurringTimer` that re-arms in place after
-each firing — same slab slot, fresh heap entry — instead of scheduling
-a new closure per fire.
+SmarTmem's control loop is periodic, so the simulator schedules only
+two kinds of work.  Fire-and-forget callbacks go through
+:meth:`schedule_call_at` and :meth:`schedule_call_after`; they return
+no handle and cannot be cancelled.  Recurring activity (the
+hypervisor's one-second statistics VIRQ, the cluster coordinator's
+rebalance tick) uses :meth:`schedule_recurring`, which returns an
+engine-owned :class:`~repro.sim.events.RecurringTimer`, the one
+cancellable event.  A timer re-arms in place after each firing (same
+slab slot, fresh heap entry) instead of scheduling a new closure per
+fire.
 
 The engine is single-threaded and deterministic: events at the same
 timestamp are ordered by priority then insertion order.  Components
@@ -28,10 +32,10 @@ heap-dispatched ones.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ClockError, EventError, SimulationError
-from .events import EventHandle, EventPriority, RecurringTimer
+from .events import EventPriority, RecurringTimer
 
 __all__ = ["SimulationEngine"]
 
@@ -50,8 +54,8 @@ _NO_ARG = object()
 class SimulationEngine:
     """A minimal but complete discrete-event engine (slab-backed)."""
 
-    def __init__(self, *, start_time: float = 0.0, fast_forward: bool = True) -> None:
-        self._now = float(start_time)
+    def __init__(self, *, fast_forward: bool = True) -> None:
+        self._now = 0.0
         #: Heap of (time, priority, seq, slot) tuples.
         self._queue: List[Tuple[float, int, int, int]] = []
         self._running = False
@@ -65,13 +69,10 @@ class SimulationEngine:
         self._slot_arg: List[Any] = []
         self._slot_label: List[str] = []
         self._slot_state: List[int] = []
-        self._slot_gen: List[int] = []
         self._free_slots: List[int] = []
         # -- run-scoped controls (consulted by try_fast_forward) ---------
         self._run_until: Optional[float] = None
         self._run_stop_when: Optional[Callable[[], bool]] = None
-        self._run_max_events: Optional[int] = None
-        self._run_executed = 0
         self._fast_forward_enabled = bool(fast_forward)
 
     # -- clock ---------------------------------------------------------------
@@ -110,7 +111,6 @@ class SimulationEngine:
             self._slot_arg.append(arg)
             self._slot_label.append(label)
             self._slot_state.append(state)
-            self._slot_gen.append(0)
         return slot
 
     def _release_slot(self, slot: int) -> None:
@@ -118,21 +118,7 @@ class SimulationEngine:
         self._slot_callback[slot] = None
         self._slot_arg[slot] = _NO_ARG
         self._slot_label[slot] = ""
-        self._slot_gen[slot] += 1
         self._free_slots.append(slot)
-
-    def _cancel_slot(self, slot: int, gen: int) -> None:
-        """Cancel a one-shot event identified by (slot, generation).
-
-        Stale handles (the event already ran; the slot may have been
-        recycled) are detected by the generation mismatch and ignored.
-        """
-        if self._slot_gen[slot] != gen or self._slot_state[slot] != _LIVE:
-            return
-        self._slot_state[slot] = _CANCELLED
-        self._slot_callback[slot] = None
-        self._slot_arg[slot] = _NO_ARG
-        self._live_events -= 1
 
     def _cancel_timer(self, timer: RecurringTimer) -> None:
         slot = timer._slot
@@ -146,57 +132,12 @@ class SimulationEngine:
     # -- scheduling ------------------------------------------------------------
     def _push(
         self, time: float, callback: Any, arg: Any, priority: int, label: str
-    ) -> Tuple[int, int]:
+    ) -> None:
         slot = self._alloc_slot(callback, arg, label, _LIVE)
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (time, priority, seq, slot))
         self._live_events += 1
-        return slot, seq
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = EventPriority.NORMAL,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule *callback* at absolute simulated time *time*."""
-        if time < self._now:
-            raise ClockError(
-                f"cannot schedule event at {time:.9f}s before now={self._now:.9f}s"
-            )
-        priority = int(priority)
-        slot, seq = self._push(time, callback, _NO_ARG, priority, label)
-        # Direct slot writes instead of EventHandle.__init__: this runs
-        # once per schedule_at/schedule_after call, and the extra Python
-        # frame would be the single largest cost of scheduling.
-        handle = EventHandle.__new__(EventHandle)
-        handle._engine = self
-        handle._slot = slot
-        handle._gen = self._slot_gen[slot]
-        handle.time = time
-        handle.priority = priority
-        handle.sequence = seq
-        handle.label = label
-        handle._cancelled = False
-        return handle
-
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = EventPriority.NORMAL,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule *callback* after *delay* seconds of simulated time."""
-        if delay < 0:
-            raise EventError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(
-            self._now + delay, callback, priority=priority, label=label
-        )
 
     def schedule_call_at(
         self,
@@ -207,7 +148,7 @@ class SimulationEngine:
         priority: int = EventPriority.NORMAL,
         label: str = "",
     ) -> None:
-        """Fire-and-forget variant of :meth:`schedule_at`.
+        """Schedule *callback* at absolute simulated time *time*.
 
         Returns no handle (the event cannot be cancelled) and therefore
         allocates nothing beyond the heap tuple and a slab slot.  When
@@ -230,7 +171,7 @@ class SimulationEngine:
         priority: int = EventPriority.NORMAL,
         label: str = "",
     ) -> None:
-        """Fire-and-forget variant of :meth:`schedule_after`."""
+        """Schedule *callback* after *delay* seconds of simulated time."""
         if delay < 0:
             raise EventError(f"delay must be >= 0, got {delay}")
         self._push(self._now + delay, callback, arg, int(priority), label)
@@ -242,21 +183,16 @@ class SimulationEngine:
         *,
         priority: int = EventPriority.TIMER,
         label: str = "",
-        start_offset: Optional[float] = None,
     ) -> RecurringTimer:
         """Run *callback* every *interval* seconds until cancelled.
 
         Returns the engine-owned :class:`RecurringTimer`; call its
-        ``cancel()`` method (or call the record itself, which aliases
-        ``cancel`` for backward compatibility) to stop the recurrence.
-        The first invocation happens at ``now + (start_offset or
-        interval)``; after each firing the timer re-arms in place.
+        ``cancel()`` method to stop the recurrence.  The first invocation
+        happens at ``now + interval``; after each firing the timer
+        re-arms in place.
         """
         if interval <= 0:
             raise EventError(f"interval must be > 0, got {interval}")
-        first_delay = interval if start_offset is None else start_offset
-        if first_delay < 0:
-            raise EventError(f"start_offset must be >= 0, got {start_offset}")
 
         timer = RecurringTimer(self, float(interval), callback, int(priority), label)
         slot = self._alloc_slot(timer, _NO_ARG, label, _TIMER)
@@ -264,7 +200,7 @@ class SimulationEngine:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
-            self._queue, (self._now + first_delay, timer.priority, seq, slot)
+            self._queue, (self._now + timer.interval, timer.priority, seq, slot)
         )
         self._live_events += 1
         return timer
@@ -340,7 +276,6 @@ class SimulationEngine:
         self,
         *,
         until: Optional[float] = None,
-        max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> float:
         """Run events until the queue drains or a stop condition is met.
@@ -350,9 +285,6 @@ class SimulationEngine:
         until:
             Stop once the clock would advance past this time.  Events at
             exactly ``until`` still execute.
-        max_events:
-            Safety valve on the number of callbacks executed by this call
-            (fast-forwarded callbacks count).
         stop_when:
             Predicate evaluated after every event — including between
             fast-forwarded events — the run stops when it returns ``True``.
@@ -363,8 +295,6 @@ class SimulationEngine:
         self._stopped = False
         self._run_until = until
         self._run_stop_when = stop_when
-        self._run_max_events = max_events
-        self._run_executed = 0
         queue = self._queue
         states = self._slot_state
         try:
@@ -380,14 +310,8 @@ class SimulationEngine:
                     break
                 if not self.step():
                     break
-                self._run_executed += 1
                 if stop_when is not None and stop_when():
                     break
-                if max_events is not None and self._run_executed >= max_events:
-                    raise SimulationError(
-                        f"run() exceeded max_events={max_events}; "
-                        "the simulation is probably livelocked"
-                    )
             else:
                 if until is not None and not self._stopped:
                     self._now = max(self._now, until)
@@ -395,7 +319,6 @@ class SimulationEngine:
             self._running = False
             self._run_until = None
             self._run_stop_when = None
-            self._run_max_events = None
         return self._now
 
     def stop(self) -> None:
@@ -412,9 +335,9 @@ class SimulationEngine:
         run's ``until`` bound, and every other live event must be
         *strictly* later (equal timestamps go through the heap so that
         priority/insertion ordering applies).  The run's ``stop_when``
-        predicate and ``max_events`` budget are honoured at exactly the
-        boundaries ``run()`` would check them, so a fast-forwarded run
-        is observationally identical to a heap-dispatched one.
+        predicate is honoured at exactly the boundaries ``run()`` would
+        check it, so a fast-forwarded run is observationally identical
+        to a heap-dispatched one.
 
         On a grant the clock advances and the event counters tick; the
         caller then executes its callback inline.  On a refusal the
@@ -436,15 +359,6 @@ class SimulationEngine:
             # event boundary — with the continuation queued — which is
             # exactly the state heap dispatch evaluates it in.
             return False
-        max_events = self._run_max_events
-        if max_events is not None and self._run_executed + 1 >= max_events:
-            # During a callback, _run_executed undercounts the executed
-            # callbacks by exactly one: the hosting heap event is only
-            # counted by run() after the callback returns.  Refusing at
-            # +1 makes a fast-forwarding chain execute the same number
-            # of callbacks as heap dispatch before run() raises its
-            # canonical livelock error.
-            return False
         if target_time < self._now:
             return False
         head_time = self.peek_time()
@@ -452,7 +366,6 @@ class SimulationEngine:
             return False
         self._now = target_time
         self._events_executed += 1
-        self._run_executed += 1
         return True
 
     # -- introspection ----------------------------------------------------------
@@ -472,17 +385,3 @@ class SimulationEngine:
             heapq.heappop(queue)
             self._release_slot(head[3])
         return None
-
-    def drain_labels(self) -> Iterable[str]:
-        """Labels of all live queued events, in (time, priority, seq) order.
-
-        Deterministic under the slab representation: the heap entries
-        are plain tuples already keyed by ``(time, priority, seq)``, so
-        sorting them yields exactly the order in which the events would
-        fire.
-        """
-        states = self._slot_state
-        labels = self._slot_label
-        entries = [entry for entry in self._queue if states[entry[3]] >= _LIVE]
-        entries.sort()
-        return [labels[entry[3]] for entry in entries]

@@ -1,4 +1,4 @@
-"""Event records and handles used by the simulation engine.
+"""Event priorities and the recurring-timer record of the simulation engine.
 
 The engine stores pending work in a *slab*: per-event state (callback,
 label, liveness) lives in parallel slot arrays owned by the engine, and
@@ -6,14 +6,11 @@ the heap orders plain ``(time, priority, seq, slot)`` tuples pointing
 into it.  Slots are recycled through a free list, so steady-state
 scheduling allocates no per-event objects beyond the heap tuple itself.
 
-Two lightweight handle types front the slab:
-
-* :class:`EventHandle` — returned by ``schedule_at``/``schedule_after``;
-  supports cancellation and introspection without keeping the event's
-  callback alive after it has run.
-* :class:`RecurringTimer` — an engine-owned periodic timer record that
-  re-arms *in place* after each firing (same slot, fresh heap entry)
-  instead of rebuilding a rescheduling closure per fire.
+One-shot events are fire-and-forget and have no handle.  The one record
+that fronts the slab is :class:`RecurringTimer`: an engine-owned
+periodic timer that re-arms *in place* after each firing (same slot,
+fresh heap entry) instead of rebuilding a rescheduling closure per
+fire, and the one event that can be cancelled.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional
 
-__all__ = ["EventPriority", "EventHandle", "RecurringTimer"]
+__all__ = ["EventPriority", "RecurringTimer"]
 
 
 class EventPriority(enum.IntEnum):
@@ -41,55 +38,6 @@ class EventPriority(enum.IntEnum):
     LOW = 4
 
 
-class EventHandle:
-    """Cancellation/introspection handle for one scheduled event.
-
-    The handle carries the slot index and the slot *generation* observed
-    at scheduling time, so a stale handle (whose event already ran and
-    whose slot was recycled) can never cancel an unrelated later event.
-    """
-
-    __slots__ = ("_engine", "_slot", "_gen", "time", "priority",
-                 "sequence", "label", "_cancelled")
-
-    def __init__(
-        self,
-        engine: "SimulationEngine",  # noqa: F821
-        slot: int,
-        gen: int,
-        time: float,
-        priority: int,
-        sequence: int,
-        label: str,
-    ) -> None:
-        self._engine = engine
-        self._slot = slot
-        self._gen = gen
-        self.time = time
-        self.priority = priority
-        self.sequence = sequence
-        self.label = label
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op once it has run or been cancelled."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        self._engine._cancel_slot(self._slot, self._gen)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        state = "cancelled" if self._cancelled else "scheduled"
-        return (
-            f"EventHandle(t={self.time!r}, priority={self.priority}, "
-            f"seq={self.sequence}, label={self.label!r}, {state})"
-        )
-
-
 class RecurringTimer:
     """An engine-owned periodic timer that re-arms in place.
 
@@ -97,9 +45,6 @@ class RecurringTimer:
     holds one slab slot for its whole lifetime; after each firing the
     engine pushes a fresh heap entry for the same slot instead of
     allocating a new event and a rescheduling closure.
-
-    Instances are callable for backward compatibility with the previous
-    API, which returned a zero-argument cancel function.
     """
 
     __slots__ = ("_engine", "interval", "callback", "priority", "label",
@@ -127,10 +72,6 @@ class RecurringTimer:
             return
         self.cancelled = True
         self._engine._cancel_timer(self)
-
-    # Backward compatibility: ``schedule_recurring`` used to return a
-    # plain cancel function; existing callers invoke the result directly.
-    __call__ = cancel
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         state = "cancelled" if self.cancelled else "armed"

@@ -142,13 +142,6 @@ class TraceRecorder:
     def as_dict(self) -> Mapping[str, TraceSeries]:
         return dict(self._series)
 
-    def merge(self, other: "TraceRecorder", *, prefix: str = "") -> None:
-        """Copy every series from *other*, optionally prefixing names."""
-        for name, series in other.as_dict().items():
-            target = self.series(prefix + name)
-            for t, v in series.as_tuples():
-                target.append(t, v)
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Strict-JSON-safe representation of every series (sorted by name)."""

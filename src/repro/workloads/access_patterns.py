@@ -17,7 +17,6 @@ __all__ = [
     "strided_pages",
     "zipf_pages",
     "working_set_pages",
-    "shuffled_pages",
 ]
 
 
@@ -113,11 +112,3 @@ def working_set_pages(
     pages = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     rng.shuffle(pages)
     return base_page + pages
-
-
-def shuffled_pages(
-    base_page: int, num_pages: int, *, rng: np.random.Generator
-) -> np.ndarray:
-    """Every page of a region exactly once, in random order."""
-    _check_region(base_page, num_pages)
-    return base_page + rng.permutation(num_pages).astype(np.int64)

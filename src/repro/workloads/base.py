@@ -97,8 +97,9 @@ class Workload(ABC):
     def peak_footprint_pages(self) -> int:
         """Upper bound on the number of distinct pages the workload touches.
 
-        Used by scenario validation to check that the configured guest swap
-        area cannot overflow.
+        No run reads it.  The paper-scenario over-commit test
+        (``tests/test_scenarios_spec.py``) compares it with each VM's RAM
+        to check that every paper scenario creates memory pressure.
         """
         return 0
 

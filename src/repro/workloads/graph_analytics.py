@@ -13,19 +13,14 @@ The CloudSuite benchmark runs PageRank (GraphX on Spark) over the
    heavy-tailed (Zipf) vertex popularity, the access skew characteristic
    of social graphs.
 3. **write-ranks** — a final sequential pass to emit the result.
-
-When networkx is available, :meth:`from_networkx_graph` derives the page
-popularity from an actual graph's degree distribution instead of the
-analytic Zipf model; the synthetic default keeps the dependency optional.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import WorkloadError
 from ..units import MemoryUnits
 from .access_patterns import sequential_pages, zipf_pages
 from .base import Workload, WorkloadPhase, WorkloadStep
@@ -45,7 +40,6 @@ __all__ = ["GraphAnalyticsWorkload"]
         "compute_time_per_page_s": "pure CPU time modelled per accessed page",
         "load_cost_factor": "CPU multiplier while loading the graph",
         "burst_pages": "pages per access burst (one WorkloadStep)",
-        "page_popularity": "optional explicit per-page access weights",
     },
     bounds={
         "graph_mb": "> 0", "rank_vectors_mb": "> 0", "iterations": "> 0",
@@ -70,7 +64,6 @@ class GraphAnalyticsWorkload(Workload):
         compute_time_per_page_s: float = 4.5e-3,
         load_cost_factor: float = 2.5,
         burst_pages: int = 48,
-        page_popularity: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(units=units, rng=rng)
         self._graph_mb = graph_mb
@@ -83,52 +76,6 @@ class GraphAnalyticsWorkload(Workload):
         # the in-memory graph grows at tens of MB/s rather than memcpy speed.
         self._load_cost_factor = load_cost_factor
         self._burst_pages = burst_pages
-        self._page_popularity = page_popularity
-
-    # -- alternative constructor backed by a real graph ------------------------------
-    @classmethod
-    def from_networkx_graph(
-        cls,
-        graph,
-        *,
-        units: MemoryUnits,
-        rng: np.random.Generator,
-        bytes_per_edge: int = 16,
-        bytes_per_vertex: int = 24,
-        **kwargs,
-    ) -> "GraphAnalyticsWorkload":
-        """Build the workload from a networkx graph's degree distribution.
-
-        The graph's total in-memory size determines ``graph_mb`` and
-        ``rank_vectors_mb``; the per-page access popularity is derived by
-        summing vertex degrees page by page, so hubs concentrate traffic on
-        their pages exactly as they do in a CSR layout.
-        """
-        degrees = np.array([d for _, d in graph.degree()], dtype=np.float64)
-        if degrees.size == 0:
-            raise WorkloadError("graph has no vertices")
-        edge_bytes = int(graph.number_of_edges()) * bytes_per_edge
-        vertex_bytes = int(graph.number_of_nodes()) * bytes_per_vertex
-        graph_mb = max(1, (edge_bytes + vertex_bytes) // (1024 * 1024))
-        ranks_mb = max(1, vertex_bytes * 2 // (1024 * 1024))
-        graph_pages = units.pages_from_mib(kwargs.get("graph_mb", graph_mb))
-        # Aggregate vertex degrees into per-page weights.
-        order = rng.permutation(degrees.size)
-        shuffled = degrees[order]
-        weights = np.zeros(graph_pages, dtype=np.float64)
-        splits = np.array_split(shuffled, graph_pages)
-        for i, part in enumerate(splits):
-            weights[i] = part.sum() if part.size else 0.0
-        weights += 1e-9
-        weights /= weights.sum()
-        kwargs.setdefault("graph_mb", graph_mb)
-        kwargs.setdefault("rank_vectors_mb", ranks_mb)
-        return cls(
-            units=units,
-            rng=rng,
-            page_popularity=weights,
-            **kwargs,
-        )
 
     # -- documentation helpers ---------------------------------------------------------
     def phases(self) -> Sequence[WorkloadPhase]:
@@ -145,17 +92,6 @@ class GraphAnalyticsWorkload(Workload):
         return self._units.pages_from_mib(self._graph_mb + self._ranks_mb)
 
     # -- step generation ------------------------------------------------------------------
-    def _gather_pages(self, graph_pages: int, count: int) -> np.ndarray:
-        if self._page_popularity is not None:
-            weights = self._page_popularity
-            if weights.shape[0] != graph_pages:
-                # Re-bin the popularity vector onto the current page count.
-                idx = np.linspace(0, weights.shape[0] - 1, graph_pages).astype(int)
-                weights = weights[idx]
-                weights = weights / weights.sum()
-            return self._rng.choice(graph_pages, size=count, p=weights).astype(np.int64)
-        return zipf_pages(0, graph_pages, count, alpha=self._alpha, rng=self._rng)
-
     def generate_steps(self) -> Iterator[WorkloadStep]:
         units = self._units
         graph_pages = units.pages_from_mib(self._graph_mb)
@@ -190,7 +126,7 @@ class GraphAnalyticsWorkload(Workload):
                 )
             # Skewed gather over the graph structure.
             gathers = int(graph_pages * self._gather_factor)
-            gather = self._gather_pages(graph_pages, gathers)
+            gather = zipf_pages(0, graph_pages, gathers, alpha=self._alpha, rng=self._rng)
             for burst in self._chunk(gather, self._burst_pages):
                 yield WorkloadStep(
                     compute_time_s=self._compute_per_page * len(burst),

@@ -34,7 +34,7 @@ WORKLOADS = SpecRegistry(
 
 #: The one shared kind -> class mapping.  Mutated in place by
 #: :func:`register_workload_kind` so every module holding a reference
-#: (e.g. the scenario runner) observes new registrations.
+#: observes new registrations.
 WORKLOAD_REGISTRY = WORKLOADS.classes
 
 #: Look up the workload class registered under a kind.

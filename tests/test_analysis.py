@@ -9,7 +9,6 @@ from repro.analysis.metrics import (
     improvement_percent,
     jain_fairness,
     mean_fairness,
-    policy_comparison,
     runtime_summary,
     speedup,
 )
@@ -87,11 +86,6 @@ class TestMetrics:
     def test_mean_fairness_skip_leading_validation(self, results):
         with pytest.raises(AnalysisError):
             mean_fairness(results["greedy"], skip_leading=10**6)
-
-    def test_policy_comparison(self, results):
-        comparison = policy_comparison(results, vm_name="VM1", run_index=0)
-        assert set(comparison) == set(results)
-        assert all(v > 0 for v in comparison.values())
 
 
 class TestFigures:

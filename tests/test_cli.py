@@ -308,6 +308,49 @@ class TestCommands:
         assert main(["run", str(path)]) == 0
         assert "usemem-scenario (scale=0.1)" in capsys.readouterr().out
 
+    def test_a_failed_run_exits_1_in_one_line(self, capsys, tmp_path):
+        """A guest OOM mid-run (the document lints ok) is one line naming
+        the scenario, the policy and the error, not a traceback."""
+        path = tmp_path / "oom.yml"
+        path.write_text("family: many-vms\nscale: 0.05\nparams: {ram_mb: 1}\n")
+        assert main(["lint", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path), "--policy", "greedy"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "many-vms:n=6,ram_mb=1 under greedy failed: "
+            "SwapError: swap area full (4 pages); guest would OOM"
+        )
+
+    def test_a_missed_deadline_exits_1_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "late.yml"
+        path.write_text(
+            "scenario: late\ntmem_mb: 64\nmax_duration_s: 2\nvms:\n"
+            "  - name: VM1\n    ram_mb: 64\n    jobs:\n"
+            "      - kind: usemem\n        params: {start_mb: 32, max_mb: 64}\n"
+        )
+        assert main(["run", str(path), "--policy", "greedy"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "late under greedy failed: SimulationError: scenario 'late' under "
+            "'greedy' did not finish within 2 simulated seconds; "
+            "still running: ['VM1']"
+        )
+
+    def test_an_error_outside_the_simulation_still_raises(self, monkeypatch):
+        """Only a ReproError is a failed run; anything else is a bug and
+        keeps its traceback."""
+        from repro.scenarios.runner import ScenarioRunner
+
+        def broken(self):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(ScenarioRunner, "run", broken)
+        with pytest.raises(ZeroDivisionError, match="bug"):
+            main(["run", "usemem-scenario", "--scale", "0.05", "--policy", "greedy"])
+
     def test_transient_fault_under_a_coordinator_runs_to_completion(
         self, capsys, monkeypatch
     ):

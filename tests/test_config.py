@@ -8,7 +8,6 @@ from repro.config import (
     SamplingConfig,
     SimulationConfig,
     TmemConfig,
-    exact_config,
 )
 from repro.errors import ConfigurationError
 from repro.units import MemoryUnits
@@ -112,9 +111,3 @@ class TestSimulationConfig:
         info = SimulationConfig().describe()
         assert "page_bytes" in info
         assert "sampling_interval_s" in info
-
-    def test_exact_config_uses_4k_pages(self):
-        assert exact_config().units.page_bytes == 4096
-
-    def test_exact_config_accepts_overrides(self):
-        assert exact_config(seed=42).seed == 42

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import clusterize
-from repro.cluster.faults import FaultPlan
+from repro.cluster.faults import FaultPlan, parse_node_fault
 from repro.scenarios.dsl import DslError, compile_file, compile_text, lint_text
 from repro.scenarios.library import scenario_by_name
 from repro.scenarios.registry import paper_scenario_names
@@ -345,7 +345,7 @@ class TestClusterSchedules:
             coordinator="equal-share",
             contended=True,
             failures=(NodeFailure(node="node2", at_s=30.0),),
-            fault_plan=FaultPlan.from_specs(faults=["node1@5-9"]),
+            fault_plan=FaultPlan(node_faults=(parse_node_fault("node1@5-9"),)),
         )
 
     @pytest.mark.parametrize("base", [TWO_NODES, FAMILY_TWO_NODES],
@@ -388,7 +388,7 @@ class TestFamilyCluster:
         assert compiled.spec == replace(base, topology=replace(
             base.topology,
             coordinator="equal-share",
-            fault_plan=FaultPlan.from_specs(faults=["node2@5-9"]),
+            fault_plan=FaultPlan(node_faults=(parse_node_fault("node2@5-9"),)),
         ))
 
     def test_fault_keys_replace_the_family_fault_plan(self):

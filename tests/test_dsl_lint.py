@@ -209,9 +209,41 @@ vms:
             "(at vms[0].jobs[0].params.iterations)\n"
         )
 
+    def test_a_relation_the_workload_checks_is_a_positioned_error(self):
+        text = self.TEXT.replace("KIND", "usemem").replace(
+            "PARAMS", "start_mb: 128, max_mb: 64"
+        )
+        (diag,) = errors(lint_text(text))
+        assert diag.path == "vms[0].jobs[0].params"
+        assert (diag.line, diag.message) == (
+            8, "usemem needs start_mb <= max_mb, got 128 > 64"
+        )
+        with pytest.raises(DslError):
+            compile_text(text)
+
+    def test_an_equal_start_and_max_is_accepted(self):
+        text = self.TEXT.replace("KIND", "usemem").replace(
+            "PARAMS", "start_mb: 64, max_mb: 64"
+        )
+        assert lint_text(text) == []
+        compile_text(text)
+
+    def test_page_popularity_is_not_a_graph_analytics_parameter(self):
+        """A document could only give it a scalar, which the run died on;
+        it is an unknown parameter now."""
+        text = self.TEXT.replace("KIND", "graph-analytics").replace(
+            "PARAMS", "page_popularity: 0.5"
+        )
+        (diag,) = errors(lint_text(text))
+        assert diag.path == "vms[0].jobs[0].params.page_popularity"
+        assert diag.line == 8
+        assert diag.message.startswith(
+            "workload 'graph-analytics' has no parameter 'page_popularity'"
+        )
+
     def test_an_int_is_a_valid_float(self):
         text = self.TEXT.replace("KIND", "usemem").replace(
-            "PARAMS", "compute_time_per_page_s: 0, max_mb: 64"
+            "PARAMS", "compute_time_per_page_s: 0, start_mb: 32, max_mb: 64"
         )
         assert lint_text(text) == []
 

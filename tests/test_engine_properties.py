@@ -4,7 +4,9 @@ The engine overhaul (slab events, tuple heap entries, native recurring
 timers, inline fast-forward) must preserve the discrete-event contract:
 
 * events at the same timestamp fire in priority-then-insertion order;
-* a cancelled event never fires (one-shot or recurring);
+* a cancelled recurring timer never fires again;
+* the firing order of a set of events does not depend on the order
+  they were scheduled in;
 * ``run(until=...)`` leaves the head event queued, and a later ``run()``
   picks up exactly where the bounded run stopped;
 * a driver that advances via :meth:`try_fast_forward` observes the same
@@ -56,7 +58,7 @@ class TestOrderingInvariants:
         engine = SimulationEngine(fast_forward=fast_forward)
         fired = []
         for insertion, (time, priority) in enumerate(events):
-            engine.schedule_at(
+            engine.schedule_call_at(
                 time,
                 lambda t=time, p=priority, i=insertion: fired.append((t, int(p), i)),
                 priority=priority,
@@ -66,33 +68,45 @@ class TestOrderingInvariants:
         assert len(fired) == len(events)
 
     @given(
-        events=_events,
-        cancel_mask=st.lists(st.booleans(), min_size=40, max_size=40),
+        timers=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=10).map(lambda n: n * 0.5),
+                st.none() | _times,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
         fast_forward=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_cancellation_never_fires(self, events, cancel_mask, fast_forward):
+    def test_cancellation_never_fires(self, timers, fast_forward):
+        """Interleaved timers, some cancelled (twice) by a later call: a
+        cancelled timer fires up to its cancellation and never after."""
+        until = 20.0
         engine = SimulationEngine(fast_forward=fast_forward)
-        fired = []
-        handles = []
-        for index, (time, priority) in enumerate(events):
-            handles.append(
-                engine.schedule_at(
-                    time, lambda i=index: fired.append(i), priority=priority
-                )
+        fired = {index: [] for index in range(len(timers))}
+        for index, (interval, cancel_at) in enumerate(timers):
+            timer = engine.schedule_recurring(
+                interval, lambda i=index: fired[i].append(engine.now)
             )
-        cancelled = {
-            index
-            for index, handle in enumerate(handles)
-            if cancel_mask[index % len(cancel_mask)]
-        }
-        for index in cancelled:
-            handles[index].cancel()
-            handles[index].cancel()  # double-cancel must stay a no-op
-        engine.run()
-        assert cancelled.isdisjoint(fired)
-        assert len(fired) == len(events) - len(cancelled)
-        assert engine.pending_events == 0
+            if cancel_at is not None:
+                # A double cancel must stay a no-op.
+                engine.schedule_call_at(
+                    cancel_at,
+                    lambda t=timer: (t.cancel(), t.cancel()),
+                    priority=EventPriority.LOW,
+                )
+        engine.run(until=until)
+        for index, (interval, cancel_at) in enumerate(timers):
+            last = until if cancel_at is None else min(cancel_at, until)
+            expected = []
+            tick = interval
+            while tick <= last:
+                expected.append(tick)
+                tick += interval
+            assert fired[index] == expected
+        armed = sum(cancel_at is None for _, cancel_at in timers)
+        assert engine.pending_events == armed
 
     @given(
         interval=st.integers(min_value=1, max_value=5).map(float),
@@ -106,7 +120,7 @@ class TestOrderingInvariants:
         engine = SimulationEngine(fast_forward=fast_forward)
         ticks = []
         timer = engine.schedule_recurring(interval, lambda: ticks.append(engine.now))
-        engine.schedule_at(cancel_at, timer.cancel, priority=EventPriority.LOW)
+        engine.schedule_call_at(cancel_at, timer.cancel, priority=EventPriority.LOW)
         engine.run(until=100.0)
         assert all(t <= cancel_at for t in ticks)
         expected = [
@@ -122,7 +136,7 @@ class TestOrderingInvariants:
         engine = SimulationEngine(fast_forward=fast_forward)
         fired = []
         for time, priority in events:
-            engine.schedule_at(
+            engine.schedule_call_at(
                 time, lambda t=time: fired.append(t), priority=priority
             )
         times = sorted(t for t, _ in events)
@@ -137,6 +151,26 @@ class TestOrderingInvariants:
         engine.run()
         assert fired == times
         assert engine.pending_events == 0
+
+    def test_firing_order_is_independent_of_scheduling_order(self):
+        """The same distinct (time, priority) set fires in one order
+        however the heap was built."""
+        import random
+
+        entries = [(float(t), p) for t in range(5) for p in EventPriority]
+        for seed in range(5):
+            shuffled = entries[:]
+            random.Random(seed).shuffle(shuffled)
+            engine = SimulationEngine()
+            fired = []
+            for time, priority in shuffled:
+                engine.schedule_call_at(
+                    time,
+                    lambda t=time, p=priority: fired.append((t, p)),
+                    priority=priority,
+                )
+            engine.run()
+            assert fired == sorted(entries)
 
 
 class TestFastForwardEquivalence:
@@ -158,7 +192,7 @@ class TestFastForwardEquivalence:
             log = []
             _drive_chain(engine, delays, log)
             for time, priority in background:
-                engine.schedule_at(
+                engine.schedule_call_at(
                     time,
                     lambda log=log, t=time, e=engine: log.append(("bg", t, e.now)),
                     priority=priority,
@@ -172,30 +206,28 @@ class TestFastForwardEquivalence:
 
     @given(
         delays=st.lists(
-            st.integers(min_value=1, max_value=8).map(lambda n: n * 0.25),
+            st.integers(min_value=0, max_value=8).map(lambda n: n * 0.25),
             min_size=1,
             max_size=20,
         ),
-        max_events=st.integers(min_value=1, max_value=25),
+        budget=st.integers(min_value=1, max_value=25),
     )
     @settings(max_examples=40, deadline=None)
-    def test_max_events_budget_is_identical(self, delays, max_events):
-        """The livelock guard fires after the same number of callbacks."""
-
-        from repro.errors import SimulationError
-
+    def test_events_executed_budget_is_identical(self, delays, budget):
+        """``events_executed`` counts fast-forwarded callbacks as run()
+        counts dispatched ones, so a budget on it stops both drivers
+        after the same callback."""
         outcomes = {}
         for fast_forward in (False, True):
             engine = SimulationEngine(fast_forward=fast_forward)
             log = []
             _drive_chain(engine, delays, log)
-            raised = False
-            try:
-                engine.run(max_events=max_events)
-            except SimulationError:
-                raised = True
-            outcomes[fast_forward] = (list(log), raised, engine.events_executed)
+            engine.run(stop_when=lambda e=engine: e.events_executed >= budget)
+            outcomes[fast_forward] = (list(log), engine.events_executed, engine.now)
         assert outcomes[True] == outcomes[False]
+        log, executed, _ = outcomes[True]
+        assert executed == min(budget, len(delays) + 1)
+        assert len(log) == executed
 
     def test_queue_inspecting_stop_when_is_boundary_equivalent(self):
         """A predicate that is only *transiently* true mid-callback must
@@ -234,51 +266,3 @@ class TestFastForwardEquivalence:
             logs[fast_forward] = list(log)
         assert logs[True] == logs[False]
 
-
-class TestDrainLabels:
-    def test_drain_labels_orders_by_time_priority_sequence(self):
-        engine = SimulationEngine()
-        engine.schedule_at(2.0, lambda: None, label="late")
-        engine.schedule_at(1.0, lambda: None, priority=EventPriority.WORKLOAD,
-                           label="w1")
-        engine.schedule_at(1.0, lambda: None, priority=EventPriority.TIMER,
-                           label="timer")
-        engine.schedule_at(1.0, lambda: None, priority=EventPriority.WORKLOAD,
-                           label="w2")
-        dead = engine.schedule_at(0.5, lambda: None, label="dead")
-        dead.cancel()
-        engine.schedule_recurring(1.5, lambda: None, label="recurring")
-        assert list(engine.drain_labels()) == [
-            "timer", "w1", "w2", "recurring", "late",
-        ]
-
-    def test_drain_labels_is_deterministic_across_heap_layouts(self):
-        """The same live set drains identically however it was built."""
-        import random
-
-        entries = [(float(t), p, f"e{t}-{int(p)}-{i}")
-                   for i, (t, p) in enumerate(
-                       (t, p) for t in range(5) for p in EventPriority)]
-        baseline = None
-        for seed in range(5):
-            shuffled = entries[:]
-            random.Random(seed).shuffle(shuffled)
-            engine = SimulationEngine()
-            by_label = {}
-            for time, priority, label in shuffled:
-                by_label[label] = engine.schedule_at(
-                    time, lambda: None, priority=priority, label=label
-                )
-            drained = list(engine.drain_labels())
-            # Ties (same time, same priority) break by insertion order,
-            # which differs per shuffle — compare the (time, priority)
-            # projection, which must be identically sorted every time.
-            projection = [
-                (by_label[label].time, by_label[label].priority)
-                for label in drained
-            ]
-            assert projection == sorted(projection)
-            if baseline is None:
-                baseline = projection
-            else:
-                assert projection == baseline

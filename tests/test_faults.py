@@ -63,6 +63,14 @@ PIN_SCALE = 0.1
 PIN_SEED = 2019
 
 
+def _plan(faults=(), degradations=()):
+    """A fault plan from flag-grammar strings, parsed as the compiler does."""
+    return FaultPlan(
+        node_faults=tuple(parse_node_fault(spec) for spec in faults),
+        link_faults=tuple(parse_link_degradation(spec) for spec in degradations),
+    )
+
+
 # --------------------------------------------------------------------------
 # Spec parsing
 # --------------------------------------------------------------------------
@@ -136,24 +144,24 @@ class TestSpecParsing:
 
     def test_overlapping_windows_rejected(self):
         with pytest.raises(FaultSpecError, match="overlap"):
-            FaultPlan.from_specs(faults=["n2@5-15", "n2@10-20"])
+            _plan(faults=["n2@5-15", "n2@10-20"])
         with pytest.raises(FaultSpecError, match="overlap"):
-            FaultPlan.from_specs(
+            _plan(
                 degradations=["a->b@5-15:bw=0.5", "a->b@10-20:bw=0.5"]
             )
         # Disjoint windows and distinct links are fine.
-        FaultPlan.from_specs(faults=["n2@5-10", "n2@10-20"])
-        FaultPlan.from_specs(
+        _plan(faults=["n2@5-10", "n2@10-20"])
+        _plan(
             degradations=["a->b@5-15:bw=0.5", "b->a@5-15:bw=0.5"]
         )
 
     def test_effective_drops_noops(self):
-        plan = FaultPlan.from_specs(
+        plan = _plan(
             faults=["n2@10-10"],
             degradations=["a->b@5-5:bw=0.1", "a->b@6-9:bw=1"],
         )
         assert plan.effective() is None
-        mixed = FaultPlan.from_specs(
+        mixed = _plan(
             faults=["n2@10-10", "n3@10-20"],
             degradations=["a->b@5-9:bw=0.5"],
         )
@@ -216,15 +224,15 @@ class TestTopologyValidation:
                 migrations=(
                     VmMigration(vm="n1.VM1", to_node="node2", at_s=12.0),
                 ),
-                fault_plan=FaultPlan.from_specs(faults=["node2@10-20"]),
+                fault_plan=_plan(faults=["node2@10-20"]),
             )
 
     def test_fault_plan_unknown_node_rejected(self):
         with pytest.raises(FaultSpecError, match="unknown node"):
-            _clustered(fault_plan=FaultPlan.from_specs(faults=["ghost@5-9"]))
+            _clustered(fault_plan=_plan(faults=["ghost@5-9"]))
         with pytest.raises(FaultSpecError, match="unknown node"):
             _clustered(
-                fault_plan=FaultPlan.from_specs(
+                fault_plan=_plan(
                     degradations=["node1->ghost@5-9:bw=0.5"]
                 )
             )
@@ -233,7 +241,7 @@ class TestTopologyValidation:
         with pytest.raises(FaultSpecError, match="single-node"):
             _clustered(
                 nodes=1,
-                fault_plan=FaultPlan.from_specs(faults=["node1@5-9"]),
+                fault_plan=_plan(faults=["node1@5-9"]),
             )
 
     def test_transient_fault_colliding_with_permanent_failure_rejected(self):
@@ -242,7 +250,7 @@ class TestTopologyValidation:
         with pytest.raises(FaultSpecError, match="collides"):
             _clustered(
                 failures=(NodeFailure(node="node2", at_s=15.0),),
-                fault_plan=FaultPlan.from_specs(faults=["node2@10-20"]),
+                fault_plan=_plan(faults=["node2@10-20"]),
             )
 
     def test_existing_schedule_checks_still_fire(self):
@@ -335,7 +343,7 @@ class TestFlakyAcceptance:
         # the exact single-engine path.
         spec = _clustered(
             remote_spill=False,
-            fault_plan=FaultPlan.from_specs(faults=["node2@5-9"]),
+            fault_plan=_plan(faults=["node2@5-9"]),
         )
         assert coupling_reason(spec) == "fault plan injects cross-node faults"
 
@@ -428,7 +436,7 @@ def fault_plans(draw):
         degradations.append(
             f"node3->node1@{fail_at:.2f}-{fail_at + 2.0:.2f}:partition=1"
         )
-    return FaultPlan.from_specs(faults, degradations)
+    return _plan(faults, degradations)
 
 
 def _plan_spec(plan):
@@ -464,7 +472,7 @@ def test_zero_width_plan_identical_to_no_plan(at, seed):
     """A plan of zero-width windows is byte-identical to no plan at all."""
     base = scenario_by_name("faulty:nodes=3,fail_at=8,down_s=6", scale=0.05)
     none_spec = replace(base, topology=replace(base.topology, fault_plan=None))
-    zero = FaultPlan.from_specs(
+    zero = _plan(
         faults=[f"node2@{at}-{at}"],
         degradations=[
             f"node1->node2@{at}-{at}:bw=0.1,loss=0.5",

@@ -9,6 +9,9 @@ from repro.channels.netlink import NetlinkChannel
 from repro.config import SimulationConfig
 from repro.core.manager import MemoryManager
 from repro.core.policies import GreedyPolicy, SmartAllocPolicy, StaticAllocPolicy
+from repro.core.policy import PolicyDecision
+from repro.core.stats import TargetVector
+from repro.errors import PolicyError
 from repro.guest.tkm import PrivilegedTkm, TmemKernelModule
 from repro.hypervisor.pages import PageKey
 from repro.hypervisor.xen import Hypervisor
@@ -147,6 +150,19 @@ class TestMemoryManager:
         engine.run(until=5.0)
         assert manager.stats.target_updates_sent == 1
 
+    def test_an_over_committing_vector_is_refused(self):
+        """The MM is the one gate: policies do not check their own vectors."""
+
+        class OverCommit(StaticAllocPolicy):
+            def decide(self, memstats):
+                return PolicyDecision.set_targets(
+                    TargetVector({vm_id: memstats.total_tmem for vm_id in memstats.vm_ids()})
+                )
+
+        engine, hv, records, tkm, manager = build_stack(OverCommit())
+        with pytest.raises(PolicyError, match="over-committed the pool: 200 > 100"):
+            manager.process_snapshot(hv.sampler.record())
+
     def test_smart_alloc_reacts_to_failed_puts_through_the_full_stack(self):
         engine, hv, records, tkm, manager = build_stack(
             SmartAllocPolicy(percent=10), tmem_pages=100
@@ -170,8 +186,8 @@ class TestControlPlaneMemory:
         """A snapshot lives only until the policy has read it.
 
         Neither the sampler, the netlink channel, the TKM nor the MM keeps
-        per-tick history; the one snapshot a node may still hold after a
-        run is its final sample, relayed over netlink after the run ended.
+        per-tick history.  A node's closing sample is recorded after the
+        run ended and reaches no listener.
         """
         runner = ScenarioRunner(scenario_by_name(spec, scale=0.05), "smart-alloc:P=2")
         refs = {node.name: [] for node in runner.nodes}
@@ -181,11 +197,38 @@ class TestControlPlaneMemory:
             )
         result = runner.run()
         taken = sum(len(seen) for seen in refs.values())
-        assert result.snapshots == taken
+        assert result.snapshots == taken + len(runner.nodes)
         assert taken > 20
         gc.collect()
         for seen in refs.values():
-            assert sum(ref() is not None for ref in seen) <= 1
+            assert all(ref() is None for ref in seen)
+
+    def test_the_closing_sample_is_recorded_not_relayed(self):
+        """The closing sample extends the traces to the end of the run and
+        counts as a snapshot, but leaves no netlink delivery pending."""
+        runner = ScenarioRunner(
+            scenario_by_name("many-vms:n=4", scale=0.1), "smart-alloc:P=2"
+        )
+        result = runner.run()
+        (node,) = runner.nodes
+        relayed = node.privileged_tkm.stats.snapshots_relayed
+        assert relayed == node.manager.stats.snapshots_received == 44
+        assert result.snapshots == relayed + 1
+        assert runner.engine.pending_events == 0
+        assert result.trace.get("tmem_free").times[-1] == result.simulated_duration_s
+
+    @pytest.mark.parametrize("policy", ["static-alloc", "reconf-static"])
+    def test_every_cluster_node_relays_what_its_manager_receives(self, policy):
+        runner = ScenarioRunner(scenario_by_name("cluster:nodes=2", scale=0.1), policy)
+        result = runner.run()
+        assert len(runner.nodes) == 2
+        for node in runner.nodes:
+            relayed = node.privileged_tkm.stats.snapshots_relayed
+            assert relayed == node.manager.stats.snapshots_received > 0
+        assert result.snapshots == sum(
+            node.manager.stats.snapshots_received + 1 for node in runner.nodes
+        )
+        assert runner.engine.pending_events == 0
 
 
 class TestGuestTkm:

@@ -1,8 +1,14 @@
-"""Tests for the tmem management policies (Algorithms 2-4) and targets."""
+"""Tests for the tmem management policies (Algorithms 2-4) and targets.
+
+A policy may hand back the same vector every interval; the Memory
+Manager is the one gate that keeps a repeated vector from the
+hypervisor, so the tests of a policy's silence run through it.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.manager import MemoryManager
 from repro.core.policies import (
     GreedyPolicy,
     ReconfStaticPolicy,
@@ -11,12 +17,7 @@ from repro.core.policies import (
 )
 from repro.core.policy import available_policies, create_policy
 from repro.core.stats import TargetVector
-from repro.core.targets import (
-    cap_targets,
-    equal_share,
-    normalize_targets,
-    proportional_scale,
-)
+from repro.core.targets import cap_targets, equal_share, proportional_scale
 from repro.errors import PolicyError, UnknownPolicyError
 from repro.hypervisor.virq import StatsSnapshot, VmStatsSample
 from repro.params import parse_spec
@@ -126,7 +127,7 @@ class TestProportionalScale:
         assert vec.total() == total
 
 
-class TestCapAndNormalize:
+class TestCap:
     def test_cap_leaves_undercommitted_targets_alone(self):
         raw = TargetVector({1: 10, 2: 20})
         assert cap_targets(raw, 100) == raw
@@ -135,11 +136,6 @@ class TestCapAndNormalize:
         capped = cap_targets(TargetVector({1: 150, 2: 150}), 100)
         assert capped.total() == 100
         assert capped.get(1) == capped.get(2) == 50
-
-    def test_normalize_fills_the_pool(self):
-        vec = normalize_targets(TargetVector({1: 10, 2: 30}), 100)
-        assert vec.total() == 100
-        assert vec.get(2) == 3 * vec.get(1)
 
     @given(
         raw=st.dictionaries(st.integers(1, 6), st.integers(0, 2000),
@@ -229,6 +225,26 @@ class TestGreedyPolicy:
 
 
 # ---------------------------------------------------------------------------
+# The Memory Manager is the one target gate
+# ---------------------------------------------------------------------------
+class TestPoliciesLeaveTheGateToTheManager:
+    @pytest.mark.parametrize("policy_cls", [
+        StaticAllocPolicy, ReconfStaticPolicy, SmartAllocPolicy,
+    ])
+    def test_a_policy_hands_back_its_vector_every_interval(self, policy_cls):
+        """No policy suppresses a repeat itself; the MM does, once."""
+        policy = policy_cls()
+        view = make_view([(1, 0, 0, 10, 4, 6), (2, 0, 0, 0, 0, 0)], total_tmem=100)
+        first, second = policy.decide(view), policy.decide(view)
+        assert first.changed and second.changed
+        assert first.targets == second.targets
+        manager = MemoryManager(policy_cls())
+        sent = [manager.process_snapshot(view).changed for _ in range(3)]
+        assert sent == [True, False, False]
+        assert manager.stats.decisions_made == 3
+
+
+# ---------------------------------------------------------------------------
 # static-alloc (Algorithm 2)
 # ---------------------------------------------------------------------------
 class TestStaticAllocPolicy:
@@ -240,10 +256,10 @@ class TestStaticAllocPolicy:
         assert decision.targets.get(1) == 50 and decision.targets.get(2) == 50
 
     def test_silent_while_population_unchanged(self):
-        policy = StaticAllocPolicy()
+        manager = MemoryManager(StaticAllocPolicy())
         view = make_view([(1, 0, -1, 0, 0), (2, 0, -1, 0, 0)], total_tmem=100)
-        policy.decide(view)
-        second = policy.decide(view)
+        manager.process_snapshot(view)
+        second = manager.process_snapshot(view)
         assert not second.changed
 
     def test_recomputes_when_vm_appears(self):
@@ -259,12 +275,16 @@ class TestStaticAllocPolicy:
         policy = StaticAllocPolicy()
         assert not policy.decide(make_view([], total_tmem=10)).changed
 
-    def test_reset_forgets_population(self):
-        policy = StaticAllocPolicy()
-        view = make_view([(1, 0, -1, 0, 0)], total_tmem=10)
-        policy.decide(view)
-        policy.reset()
-        assert policy.decide(view).changed
+    def test_sends_again_when_a_vm_returns(self):
+        """The MM compares with the vector it last sent, not with every
+        vector it has seen: a population that comes back is resent."""
+        manager = MemoryManager(StaticAllocPolicy())
+        both = make_view([(1, 0, -1, 0, 0), (2, 0, -1, 0, 0)], total_tmem=10)
+        alone = make_view([(1, 0, 5, 0, 0)], total_tmem=10)
+        sent = [manager.process_snapshot(view) for view in (both, alone, both)]
+        assert [decision.changed for decision in sent] == [True, True, True]
+        assert sent[0].targets == sent[2].targets
+        assert sent[1].targets.get(1) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +315,12 @@ class TestReconfStaticPolicy:
         assert decision.targets.get(1) == 50 and decision.targets.get(2) == 50
 
     def test_active_vm_keeps_share_for_its_lifetime(self):
-        policy = ReconfStaticPolicy()
-        policy.decide(make_view([(1, 0, 0, 10, 4, 6), (2, 0, 0, 5, 1, 4)], total_tmem=100))
+        manager = MemoryManager(ReconfStaticPolicy())
+        manager.process_snapshot(
+            make_view([(1, 0, 0, 10, 4, 6), (2, 0, 0, 5, 1, 4)], total_tmem=100)
+        )
         # Both go quiet: the split must not change.
-        decision = policy.decide(
+        decision = manager.process_snapshot(
             make_view([(1, 10, 50, 0, 0, 6), (2, 10, 50, 0, 0, 4)], total_tmem=100)
         )
         assert not decision.changed
@@ -338,14 +360,14 @@ class TestSmartAllocPolicy:
         assert decision.targets.get(1) == 450
 
     def test_no_change_when_within_threshold(self):
-        policy = SmartAllocPolicy(percent=10, threshold_pages=100)
+        manager = MemoryManager(SmartAllocPolicy(percent=10, threshold_pages=100))
         view = make_view([(1, 450, 500, 5, 5)], total_tmem=1000)
-        first = policy.decide(view)
+        first = manager.process_snapshot(view)
         assert first.changed  # the very first vector is always transmitted
         assert first.targets.get(1) == 500
         # Usage within the threshold of the target: nothing changes, so the
         # second decision is suppressed (no hypercall traffic).
-        second = policy.decide(view)
+        second = manager.process_snapshot(view)
         assert not second.changed
 
     def test_proportional_scale_down_when_overcommitted(self):
@@ -360,11 +382,10 @@ class TestSmartAllocPolicy:
         assert decision.targets.get(2) > decision.targets.get(1)
 
     def test_duplicate_vector_is_not_resent(self):
-        policy = SmartAllocPolicy(percent=10, threshold_pages=100)
-        view = make_view([(1, 450, 500, 5, 5)], total_tmem=1000)
-        first = policy.decide(make_view([(1, 0, 0, 10, 0)], total_tmem=1000))
+        manager = MemoryManager(SmartAllocPolicy(percent=10, threshold_pages=100))
+        first = manager.process_snapshot(make_view([(1, 0, 0, 10, 0)], total_tmem=1000))
         assert first.changed
-        repeat = policy.decide(make_view([(1, 90, 100, 5, 5)], total_tmem=1000))
+        repeat = manager.process_snapshot(make_view([(1, 90, 100, 5, 5)], total_tmem=1000))
         assert not repeat.changed
 
     def test_new_vm_starts_with_zero_target(self):

@@ -20,6 +20,20 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
 
+    @pytest.mark.parametrize("module", [
+        "repro.sim",
+        "repro.sim.events",
+        "repro.core",
+        "repro.errors",
+        "repro.analysis.metrics",
+        "repro.workloads.access_patterns",
+    ])
+    def test_subpackage_all_names_resolve(self, module):
+        """A name deleted from a module leaves its ``__all__`` with it."""
+        imported = importlib.import_module(module)
+        for name in imported.__all__:
+            assert hasattr(imported, name), f"{module}.{name} missing"
+
     def test_quickstart_flow(self):
         """The README quickstart must work as written (at reduced scale)."""
         spec = repro.scenario_1(scale=0.1)

@@ -175,19 +175,13 @@ class TestFamilies:
 
 
 class TestWorkloadRegistry:
-    def test_runner_table_is_the_shared_registry(self):
-        from repro.scenarios.runner import _WORKLOAD_CLASSES
-        from repro.workloads.registry import WORKLOAD_REGISTRY
-
-        assert _WORKLOAD_CLASSES is WORKLOAD_REGISTRY
-
     def test_registration_is_visible_everywhere(self):
-        from repro.scenarios.runner import _WORKLOAD_CLASSES
         from repro.workloads import (
             UsememWorkload,
             available_workload_kinds,
             register_workload_kind,
         )
+        from repro.workloads.registry import WORKLOAD_REGISTRY, workload_class
 
         kind = "registry-test-workload"
 
@@ -197,9 +191,9 @@ class TestWorkloadRegistry:
         register_workload_kind(kind, MyWorkload)
         try:
             assert kind in available_workload_kinds()
-            assert _WORKLOAD_CLASSES[kind] is MyWorkload
+            assert workload_class(kind) is MyWorkload
         finally:
-            del _WORKLOAD_CLASSES[kind]
+            del WORKLOAD_REGISTRY[kind]
 
     def test_workload_kinds_policies_and_coordinators_share_one_registry(self):
         from repro.core.coordinator import COORDINATORS

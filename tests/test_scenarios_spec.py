@@ -145,13 +145,13 @@ class TestPaperScenarios:
 
     def test_workloads_overcommit_vm_ram(self):
         """Every scenario must create memory pressure (Section IV)."""
-        from repro.scenarios.runner import _WORKLOAD_CLASSES
         from repro.sim.rng import RngFactory
+        from repro.workloads.registry import workload_class
 
         for spec in all_scenarios().values():
             for vm in spec.vms:
                 for job in vm.jobs:
-                    cls = _WORKLOAD_CLASSES[job.kind]
+                    cls = workload_class(job.kind)
                     workload = cls(
                         units=SCENARIO_UNITS,
                         rng=RngFactory(0).stream("check"),

@@ -15,68 +15,76 @@ class TestScheduling:
     def test_schedule_and_run_single_event(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule_at(5.0, lambda: fired.append(engine.now))
+        engine.schedule_call_at(5.0, lambda: fired.append(engine.now))
         engine.run()
         assert fired == [5.0]
         assert engine.now == 5.0
 
-    def test_schedule_after_uses_relative_delay(self):
+    def test_schedule_call_after_uses_relative_delay(self):
         engine = SimulationEngine()
-        engine.schedule_at(2.0, lambda: engine.schedule_after(3.0, lambda: None))
+        engine.schedule_call_at(2.0, lambda: engine.schedule_call_after(3.0, lambda: None))
         engine.run()
         assert engine.now == pytest.approx(5.0)
 
     def test_cannot_schedule_in_the_past(self):
         engine = SimulationEngine()
-        engine.schedule_at(10.0, lambda: None)
+        engine.schedule_call_at(10.0, lambda: None)
         engine.run()
         with pytest.raises(ClockError):
-            engine.schedule_at(5.0, lambda: None)
+            engine.schedule_call_at(5.0, lambda: None)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(EventError):
-            SimulationEngine().schedule_after(-1.0, lambda: None)
+            SimulationEngine().schedule_call_after(-1.0, lambda: None)
 
     def test_events_run_in_time_order(self):
         engine = SimulationEngine()
         order = []
-        engine.schedule_at(3.0, lambda: order.append(3))
-        engine.schedule_at(1.0, lambda: order.append(1))
-        engine.schedule_at(2.0, lambda: order.append(2))
+        engine.schedule_call_at(3.0, lambda: order.append(3))
+        engine.schedule_call_at(1.0, lambda: order.append(1))
+        engine.schedule_call_at(2.0, lambda: order.append(2))
         engine.run()
         assert order == [1, 2, 3]
 
     def test_same_time_orders_by_priority_then_fifo(self):
         engine = SimulationEngine()
         order = []
-        engine.schedule_at(1.0, lambda: order.append("n1"), priority=EventPriority.NORMAL)
-        engine.schedule_at(1.0, lambda: order.append("t"), priority=EventPriority.TIMER)
-        engine.schedule_at(1.0, lambda: order.append("n2"), priority=EventPriority.NORMAL)
+        engine.schedule_call_at(1.0, lambda: order.append("n1"), priority=EventPriority.NORMAL)
+        engine.schedule_call_at(1.0, lambda: order.append("t"), priority=EventPriority.TIMER)
+        engine.schedule_call_at(1.0, lambda: order.append("n2"), priority=EventPriority.NORMAL)
         engine.run()
         assert order == ["t", "n1", "n2"]
 
     def test_cancelled_event_does_not_run(self):
+        """A timer cancelled before its first firing never runs."""
         engine = SimulationEngine()
         fired = []
-        event = engine.schedule_at(1.0, lambda: fired.append(1))
-        event.cancel()
-        engine.run()
+        timer = engine.schedule_recurring(1.0, lambda: fired.append(engine.now))
+        timer.cancel()
+        engine.run(until=5.0)
         assert fired == []
+        assert engine.events_executed == 0
+        assert engine.pending_events == 0
 
     def test_pending_events_counts_live_events_only(self):
+        """An armed timer counts once, before and after it re-arms; a
+        cancelled one not at all."""
         engine = SimulationEngine()
-        e1 = engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        e1.cancel()
-        assert engine.pending_events == 1
+        engine.schedule_call_at(1.0, lambda: None)
+        engine.schedule_call_at(5.0, lambda: None)
+        engine.schedule_recurring(2.0, lambda: None)
+        engine.schedule_recurring(3.0, lambda: None).cancel()
+        assert engine.pending_events == 3
+        engine.run(until=2.5)  # the call at 1.0 ran, the timer re-armed
+        assert engine.pending_events == 2
 
 
 class TestRunControls:
     def test_until_stops_before_later_events(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule_at(1.0, lambda: fired.append(1))
-        engine.schedule_at(10.0, lambda: fired.append(10))
+        engine.schedule_call_at(1.0, lambda: fired.append(1))
+        engine.schedule_call_at(10.0, lambda: fired.append(10))
         engine.run(until=5.0)
         assert fired == [1]
         assert engine.now == pytest.approx(5.0)
@@ -87,7 +95,7 @@ class TestRunControls:
     def test_event_exactly_at_until_still_runs(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule_at(5.0, lambda: fired.append(5))
+        engine.schedule_call_at(5.0, lambda: fired.append(5))
         engine.run(until=5.0)
         assert fired == [5]
 
@@ -95,25 +103,15 @@ class TestRunControls:
         engine = SimulationEngine()
         fired = []
         for t in (1.0, 2.0, 3.0):
-            engine.schedule_at(t, lambda t=t: fired.append(t))
+            engine.schedule_call_at(t, lambda t=t: fired.append(t))
         engine.run(stop_when=lambda: len(fired) >= 2)
         assert fired == [1.0, 2.0]
-
-    def test_max_events_guard_raises(self):
-        engine = SimulationEngine()
-
-        def reschedule():
-            engine.schedule_after(1.0, reschedule)
-
-        engine.schedule_after(1.0, reschedule)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=10)
 
     def test_stop_requests_halt(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule_at(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.schedule_at(2.0, lambda: fired.append(2))
+        engine.schedule_call_at(1.0, lambda: (fired.append(1), engine.stop()))
+        engine.schedule_call_at(2.0, lambda: fired.append(2))
         engine.run()
         assert fired == [1]
 
@@ -124,7 +122,7 @@ class TestRunControls:
             with pytest.raises(SimulationError):
                 engine.run()
 
-        engine.schedule_at(1.0, nested)
+        engine.schedule_call_at(1.0, nested)
         engine.run()
 
 
@@ -136,18 +134,11 @@ class TestRecurring:
         engine.run(until=3.5)
         assert times == [1.0, 2.0, 3.0]
 
-    def test_recurring_start_offset(self):
-        engine = SimulationEngine()
-        times = []
-        engine.schedule_recurring(1.0, lambda: times.append(engine.now), start_offset=0.5)
-        engine.run(until=2.6)
-        assert times == [0.5, 1.5, 2.5]
-
     def test_recurring_cancel_stops_future_firings(self):
         engine = SimulationEngine()
         times = []
-        cancel = engine.schedule_recurring(1.0, lambda: times.append(engine.now))
-        engine.schedule_at(2.5, cancel)
+        timer = engine.schedule_recurring(1.0, lambda: times.append(engine.now))
+        engine.schedule_call_at(2.5, timer.cancel)
         engine.run(until=10.0)
         assert times == [1.0, 2.0]
 
@@ -177,9 +168,31 @@ class TestRecurring:
         timer.cancel()  # no-op, must not corrupt anything
         assert engine.pending_events == 0
         fired = []
-        engine.schedule_at(2.0, lambda: fired.append(engine.now))
+        engine.schedule_call_at(2.0, lambda: fired.append(engine.now))
         engine.run()
         assert fired == [2.0]
+
+    def test_rearmed_timer_queues_behind_calls_made_before_it_fired(self):
+        """A timer re-arms with a fresh heap entry: at a shared timestamp
+        and priority it follows the calls scheduled before it fired and
+        precedes those scheduled after."""
+        engine = SimulationEngine()
+        order = []
+        engine.schedule_recurring(
+            1.0, lambda: order.append(("tick", engine.now)),
+            priority=EventPriority.NORMAL,
+        )
+        engine.schedule_call_at(2.0, lambda: order.append(("early", engine.now)))
+        engine.schedule_call_at(
+            1.5,
+            lambda: engine.schedule_call_at(
+                2.0, lambda: order.append(("late", engine.now))
+            ),
+        )
+        engine.run(until=2.0)
+        assert order == [
+            ("tick", 1.0), ("early", 2.0), ("tick", 2.0), ("late", 2.0),
+        ]
 
     def test_cancel_from_inside_timer_callback(self):
         engine = SimulationEngine()
@@ -204,18 +217,18 @@ class TestEventOrdering:
         engine = SimulationEngine()
         observed = []
         for t in times:
-            engine.schedule_at(t, lambda: observed.append(engine.now))
+            engine.schedule_call_at(t, lambda: observed.append(engine.now))
         engine.run()
         assert observed == sorted(observed)
         assert len(observed) == len(times)
 
 
 class TestIntrospectionFastPaths:
-    def test_peek_time_skips_cancelled_heads(self):
+    def test_peek_time_skips_cancelled_timers(self):
         engine = SimulationEngine()
-        early = engine.schedule_at(1.0, lambda: None)
-        mid = engine.schedule_at(2.0, lambda: None)
-        engine.schedule_at(3.0, lambda: None, label="live")
+        early = engine.schedule_recurring(1.0, lambda: None)
+        mid = engine.schedule_recurring(2.0, lambda: None)
+        engine.schedule_call_at(3.0, lambda: None, label="live")
         early.cancel()
         mid.cancel()
         assert engine.peek_time() == 3.0
@@ -223,33 +236,42 @@ class TestIntrospectionFastPaths:
 
     def test_peek_time_empty_after_all_cancelled(self):
         engine = SimulationEngine()
-        event = engine.schedule_at(1.0, lambda: None)
-        event.cancel()
+        timer = engine.schedule_recurring(1.0, lambda: None)
+        timer.cancel()
         assert engine.peek_time() is None
         assert engine.pending_events == 0
 
     def test_pending_events_is_a_live_counter(self):
         engine = SimulationEngine()
-        events = [engine.schedule_at(float(i + 1), lambda: None) for i in range(5)]
+        for i in range(4):
+            engine.schedule_call_at(float(i + 1), lambda: None)
+        timer = engine.schedule_recurring(10.0, lambda: None)
         assert engine.pending_events == 5
-        events[0].cancel()
-        events[0].cancel()  # double-cancel must not double-decrement
+        timer.cancel()
+        timer.cancel()  # double-cancel must not double-decrement
         assert engine.pending_events == 4
+        engine.step()
+        assert engine.pending_events == 3
         engine.run()
         assert engine.pending_events == 0
 
     def test_cancel_after_execution_does_not_corrupt_counter(self):
+        """A timer retired by stop() inside its callback is not re-armed;
+        cancelling it afterwards leaves the live count alone."""
         engine = SimulationEngine()
-        event = engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        engine.step()
-        event.cancel()  # already ran; must be a no-op for the counter
-        assert engine.pending_events == 1
+        ticks = []
 
-    def test_drain_labels_lists_live_events_in_order(self):
-        engine = SimulationEngine()
-        engine.schedule_at(2.0, lambda: None, label="b")
-        dead = engine.schedule_at(1.5, lambda: None, label="dead")
-        engine.schedule_at(1.0, lambda: None, label="a")
-        dead.cancel()
-        assert list(engine.drain_labels()) == ["a", "b"]
+        def tick():
+            ticks.append(engine.now)
+            engine.stop()
+
+        timer = engine.schedule_recurring(1.0, tick)
+        engine.schedule_call_at(5.0, lambda: None)
+        engine.run()
+        assert ticks == [1.0]
+        assert engine.pending_events == 1
+        timer.cancel()
+        assert engine.pending_events == 1
+        engine.run()
+        assert ticks == [1.0]
+        assert engine.pending_events == 0

@@ -75,13 +75,6 @@ class TestTraceRecorder:
         rec.record("a", 0, 1)
         assert list(rec.names()) == ["a", "b"]
 
-    def test_merge_with_prefix(self):
-        a, b = TraceRecorder(), TraceRecorder()
-        b.record("x", 0, 5)
-        a.merge(b, prefix="run1/")
-        assert "run1/x" in a
-        assert a.get("run1/x").values.tolist() == [5.0]
-
 
 class TestRngFactory:
     def test_same_name_same_stream(self):

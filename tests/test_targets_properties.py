@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.stats import TargetVector
-from repro.core.targets import (
-    cap_targets,
-    equal_share,
-    normalize_targets,
-    proportional_scale,
-)
+from repro.core.targets import cap_targets, equal_share, proportional_scale
 from repro.errors import PolicyError
 
 
@@ -128,7 +123,7 @@ class TestProportionalScaleInvariants:
             proportional_scale(TargetVector({1: 1}), -5)
 
 
-class TestCapAndNormalizeInvariants:
+class TestCapInvariants:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_cap_never_exceeds_capacity(self, seed):
         for _, total, raw in random_cases(seed, 150):
@@ -139,11 +134,5 @@ class TestCapAndNormalizeInvariants:
             else:
                 assert dict(capped.items()) == raw
 
-    @pytest.mark.parametrize("seed", [24, 25, 26])
-    def test_normalize_hits_capacity_exactly(self, seed):
-        for _, total, raw in random_cases(seed, 150):
-            normalized = normalize_targets(TargetVector(raw), total)
-            assert normalized.total() == total
-
-    def test_normalize_empty_vector_is_empty(self):
-        assert normalize_targets(TargetVector(), 100).total() == 0
+    def test_cap_empty_vector_is_empty(self):
+        assert dict(cap_targets(TargetVector(), 100).items()) == {}

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import HypercallError
-from repro.hypervisor.accounting import UNLIMITED_TARGET
 from repro.hypervisor.pages import PageKey
 from repro.hypervisor.xen import Hypervisor
 from repro.sim.engine import SimulationEngine
@@ -83,6 +82,21 @@ class TestSampler:
         engine.run(until=3.0)
         assert len(received) == 3
 
+    def test_record_reaches_no_listener(self):
+        """record() takes, traces and counts a snapshot without raising
+        the VIRQ; sample_now() is record() plus the listeners."""
+        engine, hv, records = build_node()
+        received = []
+        hv.sampler.subscribe(received.append)
+        recorded = hv.sampler.record()
+        assert received == []
+        assert hv.sampler.snapshots == 1
+        assert recorded.vm_count == len(records)
+        assert hv.trace.get("tmem_free").values.tolist() == [64.0]
+        raised = hv.sampler.sample_now()
+        assert received == [raised]
+        assert hv.sampler.snapshots == 2
+
     def test_stop_cancels_future_samples(self):
         engine, hv, _ = build_node()
         hv.start()
@@ -145,13 +159,6 @@ class TestHypercallInterface:
         # A direct caller still gets the strict check.
         with pytest.raises(HypercallError, match="not registered with tmem"):
             hv.accounting.set_target(gone, 7)
-
-    def test_clear_targets_restores_unlimited(self):
-        engine, hv, records = build_node()
-        hv.hypercalls.register_domain(Hypervisor.PRIVILEGED_DOMAIN_ID)
-        hv.hypercalls.tmem_set_targets(Hypervisor.PRIVILEGED_DOMAIN_ID, {records[0].vm_id: 5})
-        hv.hypercalls.tmem_clear_targets(Hypervisor.PRIVILEGED_DOMAIN_ID)
-        assert hv.accounting.account(records[0].vm_id).mm_target == UNLIMITED_TARGET
 
     def test_hypercall_stats_accumulate(self):
         engine, hv, records = build_node()

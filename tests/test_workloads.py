@@ -9,7 +9,6 @@ from repro.sim.rng import RngFactory
 from repro.units import MemoryUnits
 from repro.workloads.access_patterns import (
     sequential_pages,
-    shuffled_pages,
     strided_pages,
     working_set_pages,
     zipf_pages,
@@ -68,10 +67,6 @@ class TestAccessPatterns:
             working_set_pages(0, 10, 10, hot_fraction=0, hot_weight=0.5, rng=rng())
         with pytest.raises(WorkloadError):
             working_set_pages(0, 10, 10, hot_fraction=0.5, hot_weight=1.5, rng=rng())
-
-    def test_shuffled_is_a_permutation(self):
-        pages = shuffled_pages(5, 20, rng=rng())
-        assert sorted(pages.tolist()) == list(range(5, 25))
 
     @given(
         base=st.integers(0, 1000),
@@ -264,18 +259,12 @@ class TestGraphAnalytics:
         counts = np.bincount(gathers, minlength=graph_pages)
         assert counts.max() > 3 * counts.mean()
 
+    def test_page_popularity_is_not_a_parameter(self):
+        with pytest.raises(WorkloadError, match="no parameter 'page_popularity'"):
+            self.make(page_popularity=0.5)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             self.make(graph_mb=0)
         with pytest.raises(WorkloadError):
             self.make(zipf_alpha=0)
-
-    def test_from_networkx_graph(self):
-        networkx = pytest.importorskip("networkx")
-        graph = networkx.barabasi_albert_graph(2000, 3, seed=7)
-        wl = GraphAnalyticsWorkload.from_networkx_graph(
-            graph, units=UNITS, rng=rng(), iterations=1
-        )
-        steps = collect(wl)
-        assert steps
-        assert wl.peak_footprint_pages() > 0
