@@ -13,9 +13,9 @@ the device for ``seek + pages * transfer`` seconds.
 
 That FIFO rule, with the float operations of :meth:`VirtualDisk._service`
 in their order, is also a contract with the batched guest engine: its
-replay loops (``GuestKernel._replay_plan`` and ``_replay_burst``) apply
-it inline to each single-page swap request of a burst and hand the
-burst's end state back through :meth:`VirtualDisk.commit_burst`, so the
+replay loop (``GuestKernel._replay_burst``) applies it inline to each
+single-page swap request of a burst and hands the burst's end state
+back through :meth:`VirtualDisk.commit_burst`, so the
 disk sees the same queue and totals as under the scalar engine, whose
 page-at-a-time :meth:`read`/:meth:`write` calls are the reference.
 """

@@ -25,10 +25,12 @@ Two burst-servicing engines are provided, selected by
 * ``"scalar"`` — the page-at-a-time reference implementation;
 * ``"batched"`` (default) — classifies the burst at once: fully resident
   bursts take a vectorized hit path (one batch touch, one counter
-  update), and bursts with misses are *planned* with cheap guest-local
-  set algebra (victim selection, tmem/swap/first-touch classification)
-  and then executed with closed-form planned tmem hypercalls, one latency
-  replay pass reproducing the scalar accumulation order bit for bit.
+  update), and bursts with misses are *planned* (victim selection,
+  tmem/swap/first-touch classification) with cheap guest-local set
+  algebra or, where that cannot be proven safe, page by page.  Either
+  planner ships the tmem traffic through closed-form planned tmem
+  hypercalls and hands the same inputs to one latency replay pass,
+  which reproduces the scalar accumulation order bit for bit.
 
 Both engines produce identical statistics, traces and scenario results
 for the same seed; ``tests/test_access_equivalence.py`` enforces this.
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterable, List, Sequence, Tuple, Optional
+from typing import Iterable, List, Sequence, Optional
 
 import numpy as np
 
@@ -63,15 +65,6 @@ __all__ = [
     "GuestMemStats",
     "GuestKernel",
 ]
-
-# Burst-plan event kinds (see GuestKernel._access_batched).  The two
-# eviction kinds sort first: the replay tests ``kind <= _EV_DISK``.
-_EV_TMEM = 0   # eviction offered to tmem (planned put; disk on failure)
-_EV_DISK = 1   # eviction straight to the swap disk (tmem disabled)
-_F_TMEM = 2    # major fault served from tmem (planned get)
-_F_SWAP = 3    # major fault served from the swap disk
-_F_FIRST = 4   # major fault on a never-evicted page (zero-fill)
-
 
 @dataclass
 class AccessOutcome:
@@ -443,15 +436,16 @@ class GuestKernel:
         """Burst-at-once implementation of :meth:`access`.
 
         Fully resident bursts are handled with one batch membership check
-        and one batch touch.  Otherwise the burst is *planned*: a single
+        and one batch touch.  Otherwise the burst is *planned*: a
         guest-local pass classifies every access (hit, eviction target,
         fault source) using the reclaimer's batch victim selection and the
         frontswap/swap membership sets.  Its tmem traffic ships through
         closed-form planned hypercalls: one for the whole burst
         (:meth:`_vector_plan_misses`) or, from the sequential planner,
-        one per segment (:meth:`_plan_and_replay_misses`).  A final
-        replay pass accumulates latencies and issues disk I/O in exactly
-        the order the scalar engine would have — making the two engines
+        one per segment (:meth:`_plan_and_replay_misses`).  Both planners
+        hand :meth:`_replay_burst` the same inputs, and that one replay
+        accumulates latencies and issues disk I/O in exactly the order
+        the scalar engine would have — making the two engines
         bit-identical.
         """
         outcome = AccessOutcome()
@@ -485,8 +479,9 @@ class GuestKernel:
         up front — resident hits, tmem hits, swap faults, first touches —
         victims for every eviction are selected in one batch, recency
         updates collapse into one bulk promote, and the tmem traffic
-        ships in one closed-form planned hypercall.  Returns False when
-        a precondition fails and the sequential planner must run instead.
+        ships in one closed-form planned hypercall, whose flags and
+        remote costs :meth:`_replay_burst` reads.  Returns False when a
+        precondition fails and the sequential planner must run instead.
 
         Bursts made of *distinct* pages classify with C-speed membership
         maps.  Bursts with duplicate occurrences (the zipf-shaped
@@ -508,9 +503,6 @@ class GuestKernel:
             return False
         n = len(page_list)
         size = len(resident)
-        usable = self._usable_ram
-        if size > usable:
-            return False
         # dict.fromkeys is the C-speed dedup that also preserves first-
         # occurrence order — exactly the order misses must fault in.
         distinct_map = dict.fromkeys(page_list)
@@ -543,7 +535,7 @@ class GuestKernel:
             n_hits = n - len(misses)
             burst_resident = None  # built only if the peek check runs
         n_miss = len(misses)
-        free_slots = usable - size
+        free_slots = self._usable_ram - size
         victims_needed = n_miss - free_slots if n_miss > free_slots else 0
         if victims_needed > size - resident_in_burst:
             # Victims would dip into this burst's own pages: the plan
@@ -566,8 +558,9 @@ class GuestKernel:
         victims = resident.select_victims(victims_needed)
         # Without frontswap there is no tmem traffic, and every victim
         # goes straight to disk.
-        put_flags: Optional[List[int]] = None
-        remote = False
+        put_flags = get_flags = None
+        put_costs: Sequence[float] = ()
+        get_costs: Sequence[float] = ()
         if fs is None:
             in_tmem = [False] * n_miss
         else:
@@ -598,7 +591,6 @@ class GuestKernel:
                         victims, get_pages, gets_before_puts, now=now
                     )
                 )
-                remote = bool(put_costs or get_costs)
 
         if n_hits:
             # The classification already split the burst: promote inserts
@@ -609,66 +601,29 @@ class GuestKernel:
         else:
             resident.insert_many(page_list)
         outcome.minor_hits = n_hits
-        if remote:
-            self._replay_plan(
-                self._plan_remote_burst(
-                    misses, in_tmem, in_swap, victims, free_slots
-                ),
-                put_flags or [1] * victims_needed,
-                get_flags or [1] * len(get_pages),
-                put_costs, get_costs, now, outcome,
-            )
-        else:
-            self._replay_burst(
-                misses, in_tmem, in_swap, victims, put_flags,
-                free_slots, now, outcome,
-            )
+        self._replay_burst(
+            misses, in_tmem, in_swap, victims, free_slots,
+            put_flags, get_flags, put_costs, get_costs, now, outcome,
+        )
         return True
-
-    @staticmethod
-    def _plan_remote_burst(
-        misses: List[int],
-        in_tmem: List[bool],
-        in_swap: List[bool],
-        victims: List[int],
-        free_slots: int,
-    ) -> List[Tuple[int, int, int]]:
-        """The :meth:`_replay_plan` event plan of a planned burst that
-        reached a peer node.
-
-        Such a burst replays from an event plan, whose flags carry remote
-        ops (2) and whose costs their network costs, so the fused
-        :meth:`_replay_burst` keeps its single-host loop and pays nothing
-        for remote tmem.  Puts and tmem gets carry their index among the
-        burst's puts or gets.
-        """
-        plan: List[Tuple[int, int, int]] = []
-        append_plan = plan.append
-        n_gets = 0
-        for j, page in enumerate(misses):
-            i = j - free_slots
-            if i >= 0:
-                append_plan((_EV_TMEM, victims[i], i))
-            if in_tmem[j]:
-                append_plan((_F_TMEM, page, n_gets))
-                n_gets += 1
-            elif in_swap[j]:
-                append_plan((_F_SWAP, page, 0))
-            else:
-                append_plan((_F_FIRST, page, 0))
-        return plan
 
     def _plan_and_replay_misses(
         self, page_list: List[int], now: float, outcome: AccessOutcome
     ) -> None:
         """Page-by-page plan of a burst the vector plan cannot prove safe.
 
-        Walks the burst as the scalar engine does, selecting victims as
-        each miss needs a frame, and collects the tmem traffic in
-        *segments*: the victims to put, the pages to get, and for each
-        put the number of gets before it.  Once RAM is full each miss
-        evicts one victim and then issues at most one get, the shape
-        :meth:`FrontswapClient.execute_planned
+        Walks the burst as the scalar engine does and builds the inputs
+        :meth:`_replay_burst` takes from the vector plan.  The resident
+        set never exceeds the usable RAM at a burst boundary, so the
+        misses from index ``free_slots`` on each evict exactly one
+        victim, selected as the miss needs its frame.  A victim written
+        to the swap area earlier in the burst makes its later fault a
+        swap fault.
+
+        The tmem traffic ships in *segments*: the victims to put, the
+        pages to get, and for each put the number of gets before it.
+        Each miss evicts at most one victim and then issues at most one
+        get, the shape :meth:`FrontswapClient.execute_planned
         <repro.guest.frontswap.FrontswapClient.execute_planned>` resolves
         in closed form, so one planned hypercall at the burst's *now*
         ships a segment.  A segment never names one page twice; it ships
@@ -683,10 +638,12 @@ class GuestKernel:
         """
         fs = self._frontswap
         resident = self._resident
-        usable = self._usable_ram
+        free_slots = self._usable_ram - len(resident)
 
-        #: (event kind, page, index among the burst's puts or gets)
-        plan: List[Tuple[int, int, int]] = []
+        misses: List[int] = []
+        in_tmem: List[bool] = []
+        in_swap: List[bool] = []
+        victims: List[int] = []
         put_flags: List[int] = []
         get_flags: List[int] = []
         put_costs: List[float] = []
@@ -725,76 +682,87 @@ class GuestKernel:
         touch_hit = resident.touch_if_resident
         insert = resident.insert
         select_victim = resident.select_victim
-        select_victims = resident.select_victims
         holds = fs.held_pages.__contains__ if fs is not None else None
         in_swap_slots = self._swap.slots.__contains__
-        plan_append = plan.append
-        minor_hits = n_puts = n_gets = 0
-        size = len(resident)
+        minor_hits = 0
 
         for page in page_list:
             if touch_hit(page):
                 minor_hits += 1
                 continue
-            need = size - usable + 1
-            if need > 0:
-                victims = (
-                    (select_victim(),) if need == 1 else select_victims(need)
-                )
-                for victim in victims:
-                    if fs is None:
-                        pending_swap.add(victim)
-                        plan_append((_EV_DISK, victim, 0))
-                        continue
+            if len(misses) >= free_slots:
+                victim = select_victim()
+                victims.append(victim)
+                if fs is None:
+                    pending_swap.add(victim)
+                else:
                     if victim in seg_pages:
                         # Fetched by this segment: the put opens the next.
                         ship()
-                    plan_append((_EV_TMEM, victim, n_puts))
-                    n_puts += 1
                     seg_before.append(len(seg_gets))
                     seg_puts.append(victim)
                     seg_pages.add(victim)
-                size -= need
             if page in seg_pages:
                 # Its put is unresolved, and the fault source depends on
                 # the outcome: ship, then classify with resolved state.
                 ship()
+            misses.append(page)
             if holds is not None and holds(page):
-                plan_append((_F_TMEM, page, n_gets))
-                n_gets += 1
+                in_tmem.append(True)
+                in_swap.append(False)
                 seg_gets.append(page)
                 seg_pages.add(page)
-            elif in_swap_slots(page) or page in pending_swap:
-                pending_swap.discard(page)
-                plan_append((_F_SWAP, page, 0))
             else:
-                plan_append((_F_FIRST, page, 0))
+                in_tmem.append(False)
+                in_swap.append(in_swap_slots(page) or page in pending_swap)
+                pending_swap.discard(page)
             insert(page)
-            size += 1
 
         if seg_pages:
             ship()
         outcome.minor_hits = minor_hits
-        self._replay_plan(
-            plan, put_flags, get_flags, put_costs, get_costs, now, outcome
+        self._replay_burst(
+            misses, in_tmem, in_swap, victims, free_slots,
+            put_flags, get_flags, put_costs, get_costs, now, outcome,
         )
 
-    def _replay_plan(
+    def _replay_burst(
         self,
-        plan: List[Tuple[int, int, int]],
-        put_flags: List[int],
-        get_flags: List[int],
+        misses: List[int],
+        in_tmem: List[bool],
+        in_swap: List[bool],
+        victims: Sequence[int],
+        free_slots: int,
+        put_flags: Optional[List[int]],
+        get_flags: Optional[List[int]],
         put_costs: Sequence[float],
         get_costs: Sequence[float],
         now: float,
         outcome: AccessOutcome,
     ) -> None:
-        """Accumulate latencies and issue I/O in scalar order.
+        """Accumulate a planned burst's latencies and issue its I/O in
+        scalar order.
 
-        Every float addition below mirrors one addition the scalar engine
-        performs, with the same constants and in the same order, so the
-        burst latency, the cumulative time counters and the disk queue
-        evolution are bit-identical across engines.
+        Walks the misses in order.  Miss ``j`` first evicts victim
+        ``j - free_slots`` when ``j >= free_slots`` — offered to tmem,
+        or straight to disk without frontswap — and then faults in from
+        tmem (*in_tmem*), from the swap disk (*in_swap*) or by
+        zero-fill.  Every float addition mirrors one addition the scalar
+        engine performs, with the same constants and in the same order,
+        so the burst latency, the cumulative time counters and the disk
+        queue evolution are bit-identical across engines.
+
+        *put_flags* and *get_flags* hold one flag per put and per tmem
+        get (1 local, 2 remote, 0 refused put), or are ``None`` when
+        every op was local and succeeded.  *put_costs* and *get_costs*
+        hold the network cost of each remote put and each remote get, in
+        order; a remote op accumulates as the single float the hypercall
+        layer returns on the scalar path (base + extra in one add), or
+        the engines would drift by rounding order.  On an uncontended
+        interconnect every cost equals the constant round-trip; on a
+        contended one each carries its own queue wait — which the scalar
+        path observed identically, because both engines issue the channel
+        reservations in the same order at the same timestamps.
 
         Swap I/O is served inline: each single-page request applies the
         disk's FIFO rule (see :mod:`repro.devices.disk`) to locals, with
@@ -804,162 +772,6 @@ class GuestKernel:
         written back once, in a ``finally``, so a :class:`SwapError`
         escaping mid-burst leaves the disk and swap area where the scalar
         engine leaves them.
-
-        A ``_EV_TMEM`` or ``_F_TMEM`` event carries its op's index into
-        *put_flags* or *get_flags* (1 local, 2 remote, 0 refused put).
-        *put_costs* and *get_costs* hold the network cost of each remote
-        put and each remote get, in order; a remote op accumulates as the
-        single float the hypercall layer returns on the scalar path (base
-        + extra in one add), or the engines would drift by rounding
-        order.  On an uncontended interconnect every cost equals the
-        constant round-trip; on a contended one each carries its own
-        queue wait — which the scalar path observed identically, because
-        both engines issue the channel reservations in the same order at
-        the same timestamps.
-        """
-        config = self._config
-        put_lat = config.tmem_put_latency_s
-        fail_lat = config.tmem_failed_put_latency_s
-        get_lat = config.tmem_get_latency_s
-        put_cursor = get_cursor = 0
-        fault_overhead = config.guest.fault_overhead_s
-        stats = self.stats
-        disk = self._disk
-        read_s = disk.read_service_1p
-        write_s = disk.write_service_1p
-        busy = disk.busy_until
-        busy_time = disk.stats.busy_time_s
-        wait = disk.stats.total_wait_time_s
-        swap = self._swap
-        slots = swap.slots
-        capacity = swap.capacity_pages
-        peak = swap.stats.peak_used_pages
-
-        acc = outcome.latency_s
-        tmem_time = stats.time_in_tmem_ops_s
-        disk_time = stats.time_in_disk_io_s
-        evictions = evictions_to_tmem = failed_puts = 0
-        major = from_tmem = first = 0
-        reads = writes = swap_outs = swap_ins = 0
-
-        try:
-            for kind, page, index in plan:
-                if kind <= _EV_DISK:  # an eviction
-                    evictions += 1
-                    if kind == _EV_TMEM:
-                        flag = put_flags[index]
-                        if flag:
-                            if flag == 1:
-                                lat = put_lat
-                            else:
-                                lat = put_lat + put_costs[put_cursor]
-                                put_cursor += 1
-                            acc += lat
-                            tmem_time += lat
-                            evictions_to_tmem += 1
-                            continue
-                        acc += fail_lat
-                        tmem_time += fail_lat
-                        failed_puts += 1
-                    # Swap-out: disk write, then the slot.
-                    t = now + acc
-                    start = busy if busy > t else t
-                    busy = start + write_s
-                    disk_latency = busy - t
-                    busy_time += write_s
-                    wait += disk_latency
-                    writes += 1
-                    if page not in slots:
-                        used = len(slots)
-                        if used >= capacity:
-                            raise SwapError(
-                                f"swap area full ({capacity} pages); guest would OOM"
-                            )
-                        slots.add(page)
-                        swap_outs += 1
-                        if used >= peak:
-                            peak = used + 1
-                    acc += disk_latency
-                    disk_time += disk_latency
-                elif kind == _F_TMEM:
-                    major += 1
-                    acc += fault_overhead
-                    if get_flags[index] == 1:
-                        lat = get_lat
-                    else:
-                        lat = get_lat + get_costs[get_cursor]
-                        get_cursor += 1
-                    acc += lat
-                    tmem_time += lat
-                    slots.discard(page)
-                    from_tmem += 1
-                elif kind == _F_SWAP:
-                    major += 1
-                    acc += fault_overhead
-                    # Swap-in: disk read, then the slot.
-                    t = now + acc
-                    start = busy if busy > t else t
-                    busy = start + read_s
-                    disk_latency = busy - t
-                    busy_time += read_s
-                    wait += disk_latency
-                    reads += 1
-                    if page not in slots:
-                        raise SwapError(f"page {page} is not in the swap area")
-                    slots.remove(page)
-                    swap_ins += 1
-                    acc += disk_latency
-                    disk_time += disk_latency
-                else:  # _F_FIRST
-                    major += 1
-                    acc += fault_overhead
-                    first += 1
-        finally:
-            if reads or writes:
-                disk.commit_burst(busy, busy_time, wait, self.vm_id, reads, writes)
-                swap_stats = swap.stats
-                swap_stats.swap_outs += swap_outs
-                swap_stats.swap_ins += swap_ins
-                swap_stats.peak_used_pages = peak
-
-        outcome.latency_s = acc
-        outcome.evictions = evictions
-        outcome.evictions_to_tmem = evictions_to_tmem
-        outcome.evictions_to_disk = writes
-        outcome.failed_tmem_puts = failed_puts
-        outcome.major_faults = major
-        outcome.faults_from_tmem = from_tmem
-        outcome.faults_from_disk = reads
-        outcome.first_touches = first
-        stats.time_in_tmem_ops_s = tmem_time
-        stats.time_in_disk_io_s = disk_time
-
-    def _replay_burst(
-        self,
-        misses: List[int],
-        in_tmem: List[bool],
-        in_swap: List[bool],
-        victims: Sequence[int],
-        put_flags: Optional[List[int]],
-        free_slots: int,
-        now: float,
-        outcome: AccessOutcome,
-    ) -> None:
-        """Latency/IO replay of a planned burst, fused over the plan inputs.
-
-        The planned fast path already knows the burst's full event
-        sequence from the classification vectors, so no intermediate
-        plan tuples or status lists exist: this loop walks the miss
-        sequence directly, performing exactly the float additions (same
-        constants, same order) :meth:`_replay_plan` performs for the
-        equivalent plan — the two are interchangeable bit for bit, swap
-        I/O included (served inline and committed once, as there).
-        A burst that reached a peer node replays through
-        :meth:`_replay_plan` instead (see :meth:`_plan_remote_burst`), so
-        here every op is local and every get hits: only the per-put
-        success flags (*put_flags*; ``None`` = all succeeded) vary the
-        replay.  Without frontswap there are no puts: every victim goes
-        straight to disk, as ``_EV_DISK`` does.
         """
         config = self._config
         put_lat = config.tmem_put_latency_s
@@ -984,21 +796,27 @@ class GuestKernel:
         disk_time = stats.time_in_disk_io_s
         evictions_to_tmem = from_tmem = first = 0
         reads = writes = swap_outs = swap_ins = 0
-        victim_cursor = 0
+        i = put_cursor = get_cursor = 0
 
         try:
             for j, page in enumerate(misses):
                 if j >= free_slots:
-                    if puts and (put_flags is None or put_flags[victim_cursor]):
-                        acc += put_lat
-                        tmem_time += put_lat
+                    if puts and (put_flags is None or put_flags[i]):
+                        if put_flags is None or put_flags[i] == 1:
+                            acc += put_lat
+                            tmem_time += put_lat
+                        else:  # a peer absorbed the page
+                            lat = put_lat + put_costs[put_cursor]
+                            put_cursor += 1
+                            acc += lat
+                            tmem_time += lat
                         evictions_to_tmem += 1
                     else:
                         if puts:  # the refused put's hypercall comes first
                             acc += fail_lat
                             tmem_time += fail_lat
                         # Swap-out: disk write, then the slot.
-                        victim = victims[victim_cursor]
+                        victim = victims[i]
                         t = now + acc
                         start = busy if busy > t else t
                         busy = start + write_s
@@ -1019,11 +837,17 @@ class GuestKernel:
                                 peak = used + 1
                         acc += disk_latency
                         disk_time += disk_latency
-                    victim_cursor += 1
+                    i += 1
                 acc += fault_overhead
                 if in_tmem[j]:
-                    acc += get_lat
-                    tmem_time += get_lat
+                    if get_flags is None or get_flags[from_tmem] == 1:
+                        acc += get_lat
+                        tmem_time += get_lat
+                    else:  # fetched from a peer
+                        lat = get_lat + get_costs[get_cursor]
+                        get_cursor += 1
+                        acc += lat
+                        tmem_time += lat
                     slots.discard(page)
                     from_tmem += 1
                 elif in_swap[j]:

@@ -138,34 +138,18 @@ class PageReclaimer(ABC):
         del count
         return None
 
-    def promote_burst(
-        self, page_list: Sequence[int], hit_pages: Sequence[int]
-    ) -> None:
-        """Apply one burst's recency updates: *hit_pages* (the distinct
-        burst pages already resident) are touched and the remaining
-        pages inserted, leaving recency as if *page_list* had been
-        processed one page at a time in order.  *page_list* may contain
-        duplicate occurrences; a re-occurrence of a freshly inserted
-        page is a touch, exactly as the scalar walk treats it.
-
-        Thin wrapper: classifies the burst and delegates to
-        :meth:`promote_burst_planned`, so there is exactly one
-        promotion implementation per reclaimer."""
-        hits = set(hit_pages)
-        fresh = [p for p in dict.fromkeys(page_list) if p not in hits]
-        self.promote_burst_planned(fresh, page_list)
-
     def promote_burst_planned(
         self, fresh_pages: Sequence[int], occurrences: Sequence[int]
     ) -> None:
-        """Like :meth:`promote_burst` with the classification precomputed.
+        """Apply one burst's recency updates, the burst already classified.
 
         *fresh_pages* are the burst's distinct non-resident pages in
         first-occurrence order (the order a scalar walk inserts them);
-        *occurrences* is the full burst.  Inserting the fresh pages
-        first and then replaying every occurrence as a touch leaves
-        recency exactly as the scalar walk does — each page ends up
-        ordered by its *last* occurrence.
+        *occurrences* is the full burst, which may repeat a page; a
+        re-occurrence of a fresh page is a touch, as the scalar walk
+        treats it.  Inserting the fresh pages first and then replaying
+        every occurrence as a touch leaves recency exactly as the scalar
+        walk does — each page ends up ordered by its *last* occurrence.
         """
         for page in fresh_pages:
             self.insert(page)
@@ -256,10 +240,6 @@ class LruReclaim(PageReclaimer):
         if count > len(self._order):
             raise GuestError("select_victim() with no resident pages")
         return list(islice(self._order.keys(), count))
-
-    # promote_burst is inherited: the base-class wrapper classifies and
-    # delegates to promote_burst_planned below, keeping exactly one
-    # promotion implementation.
 
     def promote_burst_planned(
         self, fresh_pages: Sequence[int], occurrences: Sequence[int]

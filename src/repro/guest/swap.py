@@ -53,10 +53,10 @@ class SwapArea:
 
         Callers must treat it as read-only; mutating it would desynchronize
         the swap accounting.  The one other writer is the batched guest
-        engine's replay loops (``GuestKernel._replay_plan`` and
-        ``_replay_burst``): they apply :meth:`store`, :meth:`load` and
-        :meth:`discard` inline, with the same checks and errors, and add
-        the burst's counters to :attr:`stats` once at its end.
+        engine's replay loop (``GuestKernel._replay_burst``): it applies
+        :meth:`store`, :meth:`load` and :meth:`discard` inline, with the
+        same checks and errors, and adds the burst's counters to
+        :attr:`stats` once at its end.
         """
         return self._slots
 

@@ -103,6 +103,10 @@ class TestKernelLevelEquivalence:
             out_s = scalar.access(burst, now=now)
             out_b = batched.access(burst, now=now)
             assert out_s == out_b
+            # Both planners rely on it: from the first miss that finds
+            # RAM full, every miss evicts exactly one victim.
+            for kernel in (scalar, batched):
+                assert kernel.resident_pages <= kernel.usable_ram_pages
             now += 0.25
         assert_kernels_identical(scalar, batched, hv_s, hv_b)
 
@@ -382,6 +386,30 @@ class TestScenarioLevelEquivalence:
         batched, stats_b = run_usemem("greedy", "batched", reclaim="clock")
         assert stats_s == stats_b
         assert scalar.vms == batched.vms
+
+
+class TestPlannerEquivalence:
+    """The sequential planner builds the replay inputs the vector plan
+    builds: a run whose every burst with a miss goes through
+    ``_plan_and_replay_misses`` fingerprints as the unpatched run."""
+
+    @pytest.mark.parametrize("scenario, policy", [
+        ("usemem-scenario", "smart-alloc"),
+        # No frontswap: every victim goes straight to disk.
+        ("usemem-scenario", "no-tmem"),
+        ("many-vms:n=4", "static-alloc"),
+        # Remote puts and gets with queue-aware network costs.
+        ("contended:nodes=2", "smart-alloc"),
+    ])
+    def test_sequential_planner_matches_vector_plan(self, monkeypatch,
+                                                    scenario, policy):
+        spec = scenario_by_name(scenario, scale=0.1)
+        vector = run_scenario(spec, policy, seed=7)
+        monkeypatch.setattr(
+            GuestKernel, "_vector_plan_misses", lambda *args: False
+        )
+        sequential = run_scenario(spec, policy, seed=7)
+        assert sequential.fingerprint() == vector.fingerprint()
 
 
 def count_calls(monkeypatch, counts, cls, name):

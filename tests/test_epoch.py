@@ -370,3 +370,84 @@ cluster:
             assert hosted[-1] == 0
             fingerprints[shards] = result.aggregate_fingerprint()
         assert fingerprints[1] == fingerprints[2]
+
+    def test_flush_vm_drops_every_remote_copy(self):
+        """VM teardown under the epoch port: one drop message per object
+        and holding peer, carrying its page count, for both indexes.
+
+        No run reaches this path (VM teardown takes the exact engine), so
+        the backends are wired by hand: node n0 spills one VM's pages to
+        n1 and n2, whichever the window quota leaves room on.
+        """
+        import itertools
+
+        from repro.channels.internode import InterNodeChannel
+        from repro.cluster.epoch import EpochContext
+        from repro.config import SimulationConfig
+        from repro.hypervisor.remote_tmem import RemoteTmemBackend
+        from repro.hypervisor.xen import Hypervisor
+        from repro.sim.engine import SimulationEngine
+        from repro.units import SCENARIO_UNITS
+
+        engine = SimulationEngine()
+        config = SimulationConfig(units=SCENARIO_UNITS)
+        domids = itertools.count(1)
+        hypervisors = [
+            Hypervisor(
+                engine, config, host_memory_pages=256, tmem_pool_pages=16,
+                domid_allocator=lambda: next(domids),
+            )
+            for _ in range(3)
+        ]
+        channel = InterNodeChannel(
+            engine, latency_s=25e-6, bandwidth_bytes_s=1.25e9,
+            page_bytes=4096, contended=False,
+        )
+        epoch = EpochContext(
+            latency_s=25e-6, page_transfer_s=4096 / 1.25e9, contended=False
+        )
+        backends = [
+            RemoteTmemBackend(f"n{i}", h, channel, port=epoch)
+            for i, h in enumerate(hypervisors)
+        ]
+        for backend in backends:
+            backend.connect(
+                [peer for peer in backends if peer is not backend],
+                spill_client_id=next(domids),
+            )
+        owner = backends[0]
+        vm = hypervisors[0].create_domain("vm", ram_pages=64).vm_id
+        other = hypervisors[0].create_domain("other", ram_pages=64).vm_id
+        owner.register_home_vm(vm)
+        owner.register_home_vm(other)
+        # (object, index, ephemeral) spilled while only that peer has quota.
+        spills = {
+            "n1": [(0, 0, False), (0, 1, False), (5, 0, True)],
+            "n2": [(0, 2, False), (1, 0, False), (5, 1, True)],
+        }
+        for peer, pages in spills.items():
+            epoch.begin_window({peer: len(pages) + 1}, {})
+            for object_id, index, ephemeral in pages:
+                assert owner.spill_put(
+                    vm, object_id, index, 1, 0.0, ephemeral=ephemeral
+                )
+        assert owner.spill_put(other, 0, 0, 1, 0.0)
+
+        epoch.drain()
+        assert owner.flush_vm(vm) == 6
+        assert owner.stats.pages_flushed == 6
+        assert vm not in owner._spill_index
+        assert vm not in owner._ephemeral_index
+        assert list(owner._spill_index) == [other]
+        drops = [
+            (m["kind"], m["src"], m["dst"], m["pages"], m["ephemeral"],
+             m["fresh"])
+            for m in epoch.drain()
+        ]
+        assert drops == [
+            ("drop", "n0", "n1", 2, False, True),  # object 0
+            ("drop", "n0", "n2", 1, False, True),
+            ("drop", "n0", "n2", 1, False, True),  # object 1
+            ("drop", "n0", "n1", 1, True, True),   # ephemeral object 5
+            ("drop", "n0", "n2", 1, True, True),
+        ]

@@ -35,7 +35,6 @@ from repro.config import GuestConfig, SimulationConfig
 from repro.cluster.epoch import epoch_fallback_reason
 from repro.cluster.faults import (
     FaultPlan,
-    InvariantChecker,
     LinkDegradation,
     NodeFault,
     parse_link_degradation,

@@ -310,7 +310,7 @@ class TestBatchApi:
         for r in (fast, slow):
             r.insert_many([10, 11, 12])
         burst = [11, 20, 10, 21]
-        fast.promote_burst(burst, hit_pages=[11, 10])
+        fast.promote_burst_planned([20, 21], burst)
         for page in burst:
             if page in slow:
                 slow.touch(page)
