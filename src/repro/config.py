@@ -125,6 +125,10 @@ class GuestConfig:
                 "expected 'batched' or 'scalar'"
             )
 
+    def usable_ram_pages(self, ram_pages: int) -> int:
+        """Pages of *ram_pages* left to workload pages (at least one)."""
+        return max(1, ram_pages - int(ram_pages * self.kernel_reserved_fraction))
+
 
 @dataclass(frozen=True)
 class SamplingConfig:

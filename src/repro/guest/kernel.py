@@ -140,12 +140,10 @@ class GuestKernel:
         self._disk = disk
         self._frontswap = frontswap
         self._cleancache = cleancache
-        reserved = int(ram_pages * config.guest.kernel_reserved_fraction)
-        self._usable_ram = max(1, ram_pages - reserved)
+        self._usable_ram = config.guest.usable_ram_pages(ram_pages)
         self._ram_pages = ram_pages
         self._resident = make_reclaimer(config.guest.reclaim_algorithm)
         self._swap = SwapArea(swap_pages)
-        self._known_pages: set[int] = set()
         # File (page-cache) state: only populated on clean-read bursts of
         # cleancache-enabled VMs; empty otherwise.
         self._file_resident = make_reclaimer(config.guest.reclaim_algorithm)
@@ -204,9 +202,11 @@ class GuestKernel:
         any in-flight burst.  Returns the number of pages recovered.
         """
         fs = self._frontswap
+        if fs is None:
+            return 0
         recovered = 0
         for page in pages:
-            if fs is not None and fs.forget(page) is None:
+            if fs.forget(page) is None:
                 # Not tracked (already faulted back or freed meanwhile).
                 continue
             self._swap.store(page)
@@ -216,8 +216,13 @@ class GuestKernel:
         return recovered
 
     def memory_footprint_pages(self) -> int:
-        """Pages the workload has touched and not freed (any location)."""
-        return len(self._known_pages)
+        """Pages the workload has touched and not freed (any location).
+
+        Every such page has exactly one home — guest RAM, the swap area
+        or tmem (frontswap's held map) — so the footprint is the sum of
+        the three sizes.
+        """
+        return len(self._resident) + self._swap.used_pages + self.tmem_pages
 
     # -- burst validation --------------------------------------------------------
     @staticmethod
@@ -278,7 +283,6 @@ class GuestKernel:
             self.stats.time_in_tmem_ops_s += latency
             if hit:
                 outcome.faults_from_tmem += 1
-                self._swap.discard(page)
                 return
         if page in self._swap:
             disk_latency = self._disk.read(
@@ -410,7 +414,6 @@ class GuestKernel:
         outcome = AccessOutcome()
         for page in page_list:
             outcome.pages_accessed += 1
-            self._known_pages.add(page)
             if page in self._resident:
                 self._resident.touch(page)
                 outcome.minor_hits += 1
@@ -451,7 +454,6 @@ class GuestKernel:
         outcome = AccessOutcome()
         n = len(page_list)
         outcome.pages_accessed = n
-        self._known_pages.update(page_list)
         resident = self._resident
 
         if resident.contains_all(page_list):
@@ -767,8 +769,9 @@ class GuestKernel:
         Swap I/O is served inline: each single-page request applies the
         disk's FIFO rule (see :mod:`repro.devices.disk`) to locals, with
         the operations of ``VirtualDisk._service`` in their order, and
-        the swap-slot bookkeeping of ``SwapArea.store``/``load``/
-        ``discard`` with the same checks and errors.  The end state is
+        the swap-slot bookkeeping of ``SwapArea.store``/``load`` with
+        the same checks and errors.  A tmem fault leaves the slots alone:
+        a page held in tmem has no swap slot.  The end state is
         written back once, in a ``finally``, so a :class:`SwapError`
         escaping mid-burst leaves the disk and swap area where the scalar
         engine leaves them.
@@ -848,7 +851,6 @@ class GuestKernel:
                         get_cursor += 1
                         acc += lat
                         tmem_time += lat
-                    slots.discard(page)
                     from_tmem += 1
                 elif in_swap[j]:
                     # Swap-in: disk read, then the slot.
@@ -931,7 +933,6 @@ class GuestKernel:
     def _free_anon(self, page_list: List[int]) -> float:
         latency = 0.0
         for page in page_list:
-            self._known_pages.discard(page)
             if page in self._resident:
                 self._resident.remove(page)
             self._swap.discard(page)
@@ -945,21 +946,21 @@ class GuestKernel:
     def release_all(self, *, now: float) -> float:
         """Release every page the current process owns (process exit).
 
-        Anonymous memory is freed, swap slots are discarded, and every
+        Anonymous memory is freed, the swap area is emptied, and every
         tmem copy is flushed (the kernel issues flush-object hypercalls on
-        swapoff / area invalidation).  Returns the flush latency.
+        swapoff / area invalidation).  The freed count is the footprint
+        read before the flush empties frontswap's held map.  Returns the
+        flush latency.
         """
         del now  # present for interface symmetry with access()/free()
+        self.stats.freed_pages += self.memory_footprint_pages()
         latency = 0.0
         if self._frontswap is not None:
             _, latency = self._frontswap.invalidate_area()
             self.stats.time_in_tmem_ops_s += latency
         for page in list(self._resident.pages()):
             self._resident.remove(page)
-        for page in list(self._known_pages):
-            self._swap.discard(page)
-        self.stats.freed_pages += len(self._known_pages)
-        self._known_pages.clear()
+        self._swap.clear()
         if self._file_pages:
             # Unmount path: drop the page cache and flush the ephemeral
             # pool one inode at a time (cleancache's invalidate_fs).

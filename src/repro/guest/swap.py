@@ -54,9 +54,10 @@ class SwapArea:
         Callers must treat it as read-only; mutating it would desynchronize
         the swap accounting.  The one other writer is the batched guest
         engine's replay loop (``GuestKernel._replay_burst``): it applies
-        :meth:`store`, :meth:`load` and :meth:`discard` inline, with the
-        same checks and errors, and adds the burst's counters to
-        :attr:`stats` once at its end.
+        :meth:`store` and :meth:`load` inline, with the same checks and
+        errors, and adds the burst's counters to :attr:`stats` once at
+        its end.  A fault served from tmem leaves the slots alone: a
+        guest page lives in RAM, in tmem or here, never in two of them.
         """
         return self._slots
 
@@ -93,3 +94,7 @@ class SwapArea:
             self._slots.remove(page)
             return True
         return False
+
+    def clear(self) -> None:
+        """Drop every slot without reading it (the process exited)."""
+        self._slots.clear()

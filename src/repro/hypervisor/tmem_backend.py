@@ -342,6 +342,13 @@ class TmemBackend:
         bit-identical to issuing the equivalent op sequence through the
         scalar :meth:`put` and :meth:`get`, one op at a time.
 
+        Pages are guest page numbers, split into (object, index) as the
+        guest's addresser splits them.  A burst whose pages all lie
+        below *pages_per_object* touches object 0 alone, where a page's
+        index is its page number: its gets are one bulk pop and its
+        admitted puts one bulk update of that bucket.  Only a burst that
+        reaches a later object walks its pages with ``divmod``.
+
         Preconditions (guaranteed by the planner, not re-checked): every
         put key is absent from the pool and from the peers (victims are
         resident, and a remote copy is fetched back exclusively when its
@@ -349,9 +356,10 @@ class TmemBackend:
         tmem attached, remotely (the client's stored-page map mirrors
         both), puts and gets are disjoint, ``gets_before_puts`` is
         non-decreasing with steps <= 1.  On a single host, a get that
-        misses anyway raises :class:`TmemError` and leaves the pool, the
-        account and the host frames as they were; with remote tmem it
-        comes back as a failed get, as from the scalar :meth:`get`.
+        misses anyway raises :class:`TmemError` naming the first missed
+        page, and leaves the pool, the account and the host frames as
+        they were; with remote tmem it comes back as a failed get, as
+        from the scalar :meth:`get`.
 
         A planned burst is a frontswap burst: a non-persistent pool
         raises :class:`TmemError`.  Returns ``(put_flags, get_versions,
@@ -375,19 +383,45 @@ class TmemBackend:
         n_gets = len(get_pages)
         objects = pool.radix()
         objects_get = objects.get
+        # Object 0's bucket, when the whole burst lies in it.
+        bucket = None
+        if (max(get_pages, default=0) < pages_per_object
+                and max(put_pages, default=0) < pages_per_object):
+            bucket = objects.setdefault(0, {})
 
         # Gets run first: their keys are disjoint from the puts', so the
-        # order of the two loops does not change the result, and a miss
-        # finds nothing edited but the pages this loop popped.
+        # order of the two passes does not change the result, and a miss
+        # finds nothing edited but the pages this pass popped.
         get_versions: List[Optional[int]] = []
         #: Positions of the gets that missed the local pool.
         remote_gets: List[int] = []
-        if n_gets:
+        if n_gets and bucket is not None:
+            get_versions = list(map(bucket.pop, get_pages, repeat(None)))
+            if None in get_versions:
+                remote_gets = [
+                    g for g, version in enumerate(get_versions)
+                    if version is None
+                ]
+                if remote is None:
+                    # Put back every page the pass popped.
+                    bucket.update(
+                        (page_no, version)
+                        for page_no, version in zip(get_pages, get_versions)
+                        if version is not None
+                    )
+                    if not bucket:
+                        del objects[0]
+                    raise TmemError(
+                        f"VM {vm_id}: planned get missed page "
+                        f"(0, {get_pages[remote_gets[0]]}) in a "
+                        "persistent pool"
+                    )
+        elif n_gets:
             append_version = get_versions.append
             for page_no in get_pages:
                 object_id, index = divmod(page_no, pages_per_object)
-                bucket = objects_get(object_id)
-                version = bucket.pop(index, None) if bucket is not None else None
+                pages = objects_get(object_id)
+                version = pages.pop(index, None) if pages is not None else None
                 if version is None:
                     if remote is not None:
                         remote_gets.append(len(get_versions))
@@ -401,7 +435,7 @@ class TmemBackend:
                         f"VM {vm_id}: planned get missed page "
                         f"({object_id}, {index}) in a persistent pool"
                     )
-                if not bucket:
+                if not pages:
                     del objects[object_id]
                 append_version(version)
 
@@ -450,13 +484,16 @@ class TmemBackend:
                 admitted = compress(admitted, put_flags)
                 if remote is not None:
                     refused = [i for i, ok in enumerate(put_flags) if not ok]
-            for page_no, version in admitted:
-                object_id, index = divmod(page_no, pages_per_object)
-                bucket = objects_get(object_id)
-                if bucket is None:
-                    objects[object_id] = {index: version}
-                else:
-                    bucket[index] = version
+            if bucket is not None:
+                bucket.update(admitted)
+            else:
+                for page_no, version in admitted:
+                    object_id, index = divmod(page_no, pages_per_object)
+                    pages = objects_get(object_id)
+                    if pages is None:
+                        objects[object_id] = {index: version}
+                    else:
+                        pages[index] = version
             if hosted and puts_succ:
                 # Frames the admitted puts need beyond the free ones and
                 # those the local gets before them release.
@@ -469,6 +506,8 @@ class TmemBackend:
                 for _ in range(need - free):
                     remote.reclaim_for_local()
 
+        if bucket is not None and not bucket:
+            del objects[0]
         count_delta = puts_succ - n_gets + len(remote_gets)
         if count_delta:
             pool.adjust_count(count_delta)

@@ -16,10 +16,17 @@ frontswap mode is *exclusive*: a successful get also removes the page),
 flush page and flush object.
 
 Versions are stored in a two-level radix — object id first, page index
-second — which makes ``remove_object`` O(pages of that object) instead of
-a scan of the whole pool, exactly like the object nodes of the real tmem
-implementation.  The store additionally keeps a per-VM pool index so that
-``pools_of``/``pages_held_by`` do not iterate every pool on the node.
+second — which makes ``remove_object`` (flush-object) O(pages of that
+object) instead of a scan of the whole pool, exactly like the object
+nodes of the real tmem implementation.  Below the first object boundary
+a page's index is its guest page number, so the planned burst path
+(:meth:`TmemBackend.execute_planned
+<repro.hypervisor.tmem_backend.TmemBackend.execute_planned>`) serves a
+burst that stays in object 0 with bulk operations on that one bucket,
+keyed by the guest's own page ints; only bursts that reach a later
+object split pages per object.  The store additionally keeps a per-VM
+pool index so that ``pools_of``/``pages_held_by`` do not iterate every
+pool on the node.
 Lookups return the stored version or ``None``; a version may be 0, so
 callers test the result with ``is None``.
 """

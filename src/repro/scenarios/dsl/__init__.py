@@ -27,7 +27,8 @@ plan printer (spec → human/JSON execution plan)::
 
 Validation never stops at the first problem: every issue is reported as
 a :class:`Diagnostic` carrying the source file/line/column, and
-``smartmem lint`` exits non-zero only on errors (warnings are advisory).
+``smartmem lint`` exits non-zero only on errors (warnings are advisory)
+unless ``--strict`` makes warnings fail it too.
 """
 
 from .compiler import (

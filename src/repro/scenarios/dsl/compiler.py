@@ -26,7 +26,10 @@ fault/migration/trigger schedules are checked against node lifetimes and
 the run deadline, trace workloads have their trace files resolved
 (relative to the document) and probed, and every job's workload is built
 once, so a relation between its parameters (usemem's ``start_mb <=
-max_mb``) fails here rather than mid-run.
+max_mb``) fails here rather than mid-run.  The built workload's peak
+footprint is then compared with its VM's usable RAM plus swap, and a
+VM too small for its job gets a warning (in family mode too): its swap
+area would fill mid-run.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 
 from ...cluster import clusterize
 from ...cluster.faults import FaultPlan, parse_link_degradation, parse_node_fault
+from ...config import GuestConfig
 from ...core.coordinator import available_coordinators, create_coordinator
 from ...core.policy import available_policies, create_policy
 from ...errors import ClusterError, PolicyError, ScenarioError, UnknownPolicyError, WorkloadError
@@ -131,7 +135,8 @@ class CompiledScenario:
     #: Policy requested by the document (``smartmem run`` default).
     policy: Optional[str] = None
     seed: Optional[int] = None
-    #: Non-fatal findings (deadline overruns, missing trace files, ...).
+    #: Non-fatal findings (deadline overruns, missing trace files, VMs
+    #: too small for their jobs, ...).
     warnings: List[Diagnostic] = field(default_factory=list)
 
     @property
@@ -145,6 +150,8 @@ class _Compiler:
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.diagnostics: List[Diagnostic] = []
+        #: (kind, sorted params) -> the built workload's peak footprint.
+        self._footprints: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], int] = {}
 
     # -- diagnostics ---------------------------------------------------------
     def error(self, message: str, path: str) -> None:
@@ -304,6 +311,7 @@ class _Compiler:
             spec = self.overlay_cluster(spec, family, *cluster)
             if spec is None:
                 return None
+        self.check_swap_headroom(spec, family=True)
         return CompiledScenario(
             spec=spec,
             document=self.doc,
@@ -440,11 +448,70 @@ class _Compiler:
         if errors:
             return
         try:
-            WORKLOADS.lookup(kind)(
-                units=SCENARIO_UNITS, rng=np.random.default_rng(0), **params
-            )
+            self.job_footprint(kind, params)
         except WorkloadError as exc:
             self.error(str(exc), path)
+
+    def job_footprint(self, kind: str, params: Mapping[str, Any]) -> int:
+        """The ``peak_footprint_pages`` of a job, building its workload
+        once per (kind, params) as a node does when the job starts; a
+        relation the constructor checks raises :class:`WorkloadError`."""
+        key = (kind, tuple(sorted(params.items())))
+        footprint = self._footprints.get(key)
+        if footprint is None:
+            workload = WORKLOADS.lookup(kind)(
+                units=SCENARIO_UNITS, rng=np.random.default_rng(0), **params
+            )
+            footprint = self._footprints[key] = workload.peak_footprint_pages()
+        return footprint
+
+    def check_swap_headroom(self, spec: ScenarioSpec, family: bool) -> None:
+        """Warn about VMs whose largest job fills their RAM and swap.
+
+        A guest frees a frame before it faults a page in, so a job that
+        touches at least the VM's usable RAM pages plus its swap pages
+        fills the swap area, and the eviction of the next fault finds no
+        slot: the run fails with a :class:`SwapError` unless tmem holds
+        enough of the job's pages, which is why this only warns.  Kinds
+        with a footprint of 0 (clean file pages) never swap.  A family
+        document gets one warning, at ``params``.
+        """
+        guest = GuestConfig()
+        short = []
+        for index, vm in enumerate(spec.vms):
+            footprint = 0
+            for job in vm.jobs:
+                try:
+                    footprint = max(
+                        footprint, self.job_footprint(job.kind, job.params)
+                    )
+                except WorkloadError:
+                    continue  # reported, or a trace file recorded later
+            usable = guest.usable_ram_pages(vm.ram_pages(SCENARIO_UNITS))
+            swap = vm.swap_pages(SCENARIO_UNITS)
+            if footprint >= usable + swap:
+                short.append((
+                    index,
+                    vm.name,
+                    f"touches {footprint} pages, at least its {usable} "
+                    f"usable RAM pages plus {swap} swap pages, so an "
+                    "eviction finds the swap area full and the run fails "
+                    "unless tmem holds enough of them",
+                ))
+        if family and short:
+            _, name, detail = short[0]
+            self.warning(
+                f"{len(short)} of {len(spec.vms)} VMs cannot hold their "
+                f"largest job in RAM plus swap: the job of {name!r} {detail}",
+                "params",
+            )
+            return
+        for index, name, detail in short:
+            self.warning(
+                f"VM {name!r} cannot hold its largest job in RAM plus "
+                f"swap: the job {detail}",
+                f"vms[{index}]",
+            )
 
     def resolve_trace_path(self, trace_path: str, path: str) -> str:
         """Resolve a trace file relative to the document and probe it."""
@@ -814,6 +881,7 @@ class _Compiler:
 
         self.check_node_capacity(spec)
         self.check_deadlines(spec, data)
+        self.check_swap_headroom(spec, family=False)
         if self.failed:
             return None
         return CompiledScenario(

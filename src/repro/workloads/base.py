@@ -97,9 +97,14 @@ class Workload(ABC):
     def peak_footprint_pages(self) -> int:
         """Upper bound on the number of distinct pages the workload touches.
 
-        No run reads it.  The paper-scenario over-commit test
-        (``tests/test_scenarios_spec.py``) compares it with each VM's RAM
-        to check that every paper scenario creates memory pressure.
+        The scenario compiler compares it with each VM's usable RAM
+        pages plus its swap pages, and ``smartmem lint`` and ``smartmem
+        run`` warn when it reaches them: the swap area fills and the run
+        fails unless tmem holds enough of the pages.  A footprint of 0
+        (clean file pages, which never swap) never warns.  The
+        paper-scenario over-commit test (``tests/test_scenarios_spec.py``)
+        compares it with each VM's RAM to check that every paper scenario
+        creates memory pressure.
         """
         return 0
 

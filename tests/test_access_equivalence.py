@@ -23,6 +23,7 @@ from repro.errors import SwapError
 from repro.guest.frontswap import FrontswapClient
 from repro.guest.kernel import GuestKernel
 from repro.guest.swap import SwapStats
+from repro.hypervisor.pages import PageKey
 from repro.hypervisor.remote_tmem import RemoteTmemBackend
 from repro.hypervisor.tmem_backend import TmemBackend
 from repro.hypervisor.xen import Hypervisor
@@ -204,6 +205,82 @@ class TestKernelLevelEquivalence:
         assert disk_s.stats == disk_b.stats
         assert disk_s.stats.writes == 9
         assert disk_s.busy_until == disk_b.busy_until
+
+
+#: One step in a guest process's life: a burst, a free, the loss of some
+#: tmem copies (a node failure; the ints pick held pages) or the
+#: process's exit.
+LIFE_STEPS = st.one_of(
+    st.tuples(st.just("access"), st.lists(st.integers(0, 24), max_size=16)),
+    st.tuples(st.just("free"), st.lists(st.integers(0, 24), max_size=8)),
+    st.tuples(st.just("lose"),
+              st.lists(st.integers(0, 24), min_size=1, max_size=8)),
+    st.tuples(st.just("exit"), st.just([])),
+)
+
+
+def lose_tmem_copies(kernel, hv, picks, now):
+    """Drop the tmem copies of the held pages *picks* index (any pages
+    when none is held) behind the guest's back, as a node failure does,
+    and let the guest write them to its swap area."""
+    fs = kernel.frontswap
+    held = sorted(fs.held_pages)
+    pages = [held[i % len(held)] for i in picks] if held else picks
+    for page in pages:
+        if fs.holds(page):
+            hv.backend.flush_page(
+                kernel.vm_id, fs.pool_id,
+                PageKey(fs.pool_id, *divmod(page, fs.pages_per_object)),
+            )
+    kernel.recover_lost_tmem_pages(pages, now=now)
+
+
+class TestOneHomePerPage:
+    """Every page the process touched and did not free lives in exactly
+    one place: guest RAM, the swap area or tmem (frontswap's held map)."""
+
+    @settings(deadline=None)
+    @given(steps=st.lists(LIFE_STEPS, min_size=1, max_size=30),
+           tmem_pages=st.sampled_from([0, 3, 16]),
+           reclaim=st.sampled_from(["lru", "clock"]))
+    # Pages 0-3 are evicted to tmem; 0 and 1 lose their copies, fault
+    # back from swap, and the exit frees every page from all three homes.
+    @example(steps=[("access", list(range(10))), ("lose", [0, 1]),
+                    ("access", [0, 1, 2]), ("exit", [])],
+             tmem_pages=16, reclaim="lru")
+    def test_every_live_page_has_one_home(self, steps, tmem_pages, reclaim):
+        for engine_kind in ("scalar", "batched"):
+            kernel, hv = build_kernel(
+                engine_kind, ram_pages=6, tmem_pages=tmem_pages,
+                reclaim=reclaim,
+            )
+            live = set()
+            now = 0.0
+            for kind, pages in steps:
+                if kind == "access":
+                    kernel.access(pages, now=now)
+                    live.update(pages)
+                elif kind == "free":
+                    kernel.free(pages, now=now)
+                    live.difference_update(pages)
+                elif kind == "lose":
+                    if kernel.frontswap is not None:
+                        lose_tmem_copies(kernel, hv, pages, now)
+                else:
+                    freed = kernel.stats.freed_pages
+                    kernel.release_all(now=now)
+                    assert kernel.stats.freed_pages - freed == len(live)
+                    live.clear()
+                resident = set(kernel._resident.pages())
+                swapped = set(kernel.swap.slots)
+                held = set(kernel.frontswap.held_pages
+                           if kernel.frontswap is not None else ())
+                assert resident.isdisjoint(swapped)
+                assert resident.isdisjoint(held)
+                assert swapped.isdisjoint(held)
+                assert resident | swapped | held == live
+                assert kernel.memory_footprint_pages() == len(live)
+                now += 0.25
 
 
 @st.composite

@@ -390,6 +390,70 @@ vms:
         assert errors(diags) == []
         assert any("does-not-exist.jsonl" in d.message for d in warnings(diags))
 
+    #: Each VM's job touches 8 pages against 4 usable RAM pages and 4
+    #: swap pages.
+    TOO_SMALL = "family: many-vms\nscale: 0.05\nparams: {ram_mb: 1}\n"
+
+    def test_a_vm_too_small_for_its_job_warns_at_params(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+
+        (diag,) = lint_text(self.TOO_SMALL)
+        assert (diag.severity, diag.path, diag.line) == ("warning", "params", 3)
+        assert diag.message.startswith(
+            "6 of 6 VMs cannot hold their largest job in RAM plus swap: "
+            "the job of 'VM1' touches 8 pages, at least its 4 usable RAM "
+            "pages plus 4 swap pages"
+        )
+        path = tmp_path / "too-small.yml"
+        path.write_text(self.TOO_SMALL)
+        assert main(["lint", str(path)]) == 0
+        assert main(["lint", "--strict", str(path)]) == 1
+        assert "warning: 6 of 6 VMs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("policy", ["no-tmem", "greedy"])
+    def test_the_warned_run_fails_on_a_full_swap_area(self, policy):
+        from repro.errors import SwapError
+        from repro.scenarios.runner import run_scenario
+
+        spec = compile_text(self.TOO_SMALL).spec
+        with pytest.raises(SwapError, match="swap area full"):
+            run_scenario(spec, policy, seed=1)
+
+    def test_a_vm_too_small_for_its_job_warns_at_the_vm(self):
+        diags = lint_text(
+            """\
+scenario: small
+tmem_mb: 64
+vms:
+  - name: VM1
+    ram_mb: 64
+    jobs: [{kind: usemem, params: {start_mb: 32, max_mb: 64}}]
+  - name: VM2
+    ram_mb: 64
+    swap_mb: 8
+    jobs:
+      - {kind: filescan, params: {file_mb: 512}}
+      - {kind: usemem, params: {start_mb: 32, max_mb: 80}}
+"""
+        )
+        (diag,) = diags
+        assert (diag.severity, diag.path, diag.line) == ("warning", "vms[1]", 7)
+        assert diag.message == (
+            "VM 'VM2' cannot hold its largest job in RAM plus swap: the job "
+            "touches 320 pages, at least its 231 usable RAM pages plus 32 "
+            "swap pages, so an eviction finds the swap area full and the "
+            "run fails unless tmem holds enough of them"
+        )
+
+    @pytest.mark.parametrize("scale", [0.02, 0.05, 0.1, 1.0, 8.0])
+    def test_every_family_at_its_defaults_has_room(self, scale):
+        from repro.scenarios.registry import registered_scenarios
+
+        for family in sorted(registered_scenarios()):
+            diags = lint_text(f"family: {family}\nscale: {scale}\n")
+            assert diags == [], (family, [d.message for d in diags])
+
     def test_warnings_do_not_fail_compilation(self):
         from repro.scenarios.dsl import compile_text
 

@@ -4,7 +4,8 @@ The properties walk the live registries (scenario families, workload
 kinds, tmem policies and cluster coordinators), so an entry registered
 later is covered without editing this file.  For every int and float
 parameter, a value drawn just inside the declared bound builds the
-entry and lints clean; a value drawn just outside it raises the
+entry and lints clean, but for the swap-headroom warning when it leaves
+a VM too small for its job; a value drawn just outside it raises the
 registry's error naming the parameter and lints to one error at the
 parameter's place in a document: ``params.<key>``,
 ``vms[0].jobs[0].params.<key>``, ``policy`` or ``cluster.coordinator``.
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.config import GuestConfig
 from repro.core.coordinator import COORDINATORS
 from repro.core.policy import POLICIES, TmemPolicy, create_policy, register_policy
 from repro.errors import PolicyError, ScenarioError, WorkloadError
@@ -215,6 +217,25 @@ def lint(data: dict) -> list:
     return lint_document(Document(data, filename="<bounds>"))
 
 
+def outgrows_ram_plus_swap(data: dict) -> bool:
+    """Whether a VM of the document *data* runs a job that touches at
+    least its usable RAM pages plus its swap pages: its run fails once
+    the swap area is full, unless tmem holds enough of the job's pages."""
+    spec = compile_document(Document(data, filename="<bounds>")).spec
+    guest = GuestConfig()
+    rng = RngFactory(1).stream("bounds")
+    for vm in spec.vms:
+        room = (guest.usable_ram_pages(vm.ram_pages(SCENARIO_UNITS))
+                + vm.swap_pages(SCENARIO_UNITS))
+        for job in vm.jobs:
+            workload = WORKLOADS.lookup(job.kind)(
+                units=SCENARIO_UNITS, rng=rng, **job.params
+            )
+            if workload.peak_footprint_pages() >= room:
+                return True
+    return False
+
+
 def compile_family(family: str, key: str, value) -> list:
     """The diagnostics of a family-mode document setting *key*."""
     doc = Document(_family_document(family, key, value), filename="<bounds>")
@@ -244,7 +265,13 @@ def test_every_registry_is_walked():
 def test_a_value_just_inside_the_bound_builds_and_lints_clean(reg, name, info, data):
     value = data.draw(just_inside(info))
     assert reg.build(name, info.name, value) is not None
-    assert lint(reg.document(name, info.name, value)) == []
+    document = reg.document(name, info.name, value)
+    # A tiny ram_mb may give a VM too small for its job: lint warns once,
+    # at the family's params or at the VM.
+    expected = []
+    if outgrows_ram_plus_swap(document):
+        expected = [("warning", "params" if "family" in document else "vms[0]")]
+    assert [(d.severity, d.path) for d in lint(document)] == expected
 
 
 @pytest.mark.parametrize("family,info", FAMILY_PARAMETERS)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -274,12 +275,16 @@ class TestHypervisorFacade:
 
 #: Slots per tmem object in the planned-path tests: small, so that put
 #: and get pages share objects and a get can empty an object a put then
-#: recreates.
+#: recreates.  The burst strategies draw it or :data:`GUEST_PPO`.
 PPO = 4
 
+#: The guest's slots per object: every drawn page lies in object 0, so
+#: the burst takes the planned path's bulk object-0 branch.
+GUEST_PPO = 2 ** 20
 
-def page_key(pool_id, page_no):
-    return PageKey(pool_id, *divmod(page_no, PPO))
+
+def page_key(pool_id, page_no, ppo=PPO):
+    return PageKey(pool_id, *divmod(page_no, ppo))
 
 
 @st.composite
@@ -307,6 +312,7 @@ def planned_bursts(draw):
     # may share an object with a get page.
     put_pages = [stored + i for i in draw(st.permutations(range(n_puts)))]
     return {
+        "ppo": draw(st.sampled_from([PPO, GUEST_PPO])),
         "frames": frames,
         "stored": stored,
         "other": other,
@@ -322,14 +328,16 @@ def preloaded_backend(burst):
     backend, acc, host, pools = build_backend(
         tmem_pages=burst["frames"], vms=(1, 2)
     )
+    ppo = burst["ppo"]
     for page_no in range(burst["stored"]):
         assert backend.put(
-            1, pools[1], page_key(pools[1], page_no), version=page_no + 1,
-            now=0.0,
+            1, pools[1], page_key(pools[1], page_no, ppo),
+            version=page_no + 1, now=0.0,
         ).succeeded
     for page_no in range(burst["other"]):
         assert backend.put(
-            2, pools[2], page_key(pools[2], page_no), version=1, now=0.0
+            2, pools[2], page_key(pools[2], page_no, ppo), version=1,
+            now=0.0,
         ).succeeded
     if burst["target"] is not None:
         acc.set_target(1, burst["target"])
@@ -354,9 +362,10 @@ def scalar_burst(backend, vm, pool_id, burst, first_version, now):
     the network cost of each remote put and get, read right after it."""
     put_flags, get_flags, versions, put_costs, get_costs = [], [], [], [], []
     gets = iter(burst["get_pages"])
+    ppo = burst["ppo"]
 
     def get():
-        result = backend.get(vm, pool_id, page_key(pool_id, next(gets)))
+        result = backend.get(vm, pool_id, page_key(pool_id, next(gets), ppo))
         get_flags.append(2 if result.remote else int(result.succeeded))
         versions.append(result.version)
         if result.remote:
@@ -368,7 +377,7 @@ def scalar_burst(backend, vm, pool_id, burst, first_version, now):
         zip(burst["put_pages"], burst["get_after"])
     ):
         result = backend.put(
-            vm, pool_id, page_key(pool_id, page_no),
+            vm, pool_id, page_key(pool_id, page_no, ppo),
             version=first_version + i, now=now,
         )
         put_flags.append(2 if result.remote else int(result.succeeded))
@@ -389,7 +398,7 @@ class TestExecutePlanned:
     # over its target, so its get pays the deficit back and the put
     # after it is still refused.
     @example(burst={
-        "frames": 1, "stored": 1, "other": 0, "target": 0,
+        "ppo": PPO, "frames": 1, "stored": 1, "other": 0, "target": 0,
         "get_pages": [0], "leading": 1, "get_after": [False],
         "put_pages": [1],
     })
@@ -403,7 +412,7 @@ class TestExecutePlanned:
         backend, acc, host, pools = planned_side
         planned = backend.execute_planned(
             1, pools[1], put_pages, first_version, get_pages,
-            gets_before_puts(burst), PPO, now=1.0,
+            gets_before_puts(burst), burst["ppo"], now=1.0,
         )
         assert planned is not None
         put_statuses, get_versions, get_flags, put_costs, get_costs = planned
@@ -429,26 +438,33 @@ class TestExecutePlanned:
         acc.check_invariants()
         host.check_invariants()
 
+    @pytest.mark.parametrize("ppo", [PPO, GUEST_PPO])
     @pytest.mark.parametrize("stored, get_pages", [
         ((), [99]),
         (((20, 3), (21, 4), (7, 5)), [20, 21, 99]),
+        # A hit after the first miss, then a second miss.
+        (((20, 3), (21, 4), (7, 5)), [20, 99, 7, 98]),
     ])
-    def test_get_miss_leaves_the_pool_as_it_was(self, stored, get_pages):
-        """A planned get that misses raises, and restores the pages the
-        gets before it popped: nothing is left in the pool uncounted."""
+    def test_get_miss_leaves_the_pool_as_it_was(self, stored, get_pages,
+                                                ppo):
+        """A planned get that misses raises naming the first missed
+        page, and restores every page the gets popped, on the per-page
+        walk and on the bulk object-0 branch: nothing is left in the
+        pool uncounted."""
         backend, acc, host, pools = build_backend(tmem_pages=8)
         for page_no, version in stored:
-            backend.put(1, pools[1], page_key(pools[1], page_no),
+            backend.put(1, pools[1], page_key(pools[1], page_no, ppo),
                         version=version, now=0.0)
         pool = backend._store.get_pool(1, pools[1])
         radix = {obj: dict(pages) for obj, pages in pool.radix().items()}
         account = copy.copy(acc.account(1))
         free = host.tmem_free_pages
 
-        # Page 99 is (object 24, index 3) at 4 pages per object.
-        with pytest.raises(TmemError, match=r"\(24, 3\)"):
+        # Page 99 is (object 24, index 3) at 4 pages per object, and
+        # (0, 99) at the guest's.
+        with pytest.raises(TmemError, match=re.escape(str(divmod(99, ppo)))):
             backend.execute_planned(
-                1, pools[1], [10, 11], 1, get_pages, [0, 0], PPO, now=1.0
+                1, pools[1], [10, 11], 1, get_pages, [0, 0], ppo, now=1.0
             )
         assert pool.radix() == radix
         assert len(pool) == len(stored)
@@ -499,6 +515,7 @@ def remote_bursts(draw):
     n_gets = leading + sum(get_after)
     put_pages = [stored + i for i in draw(st.permutations(range(n_puts)))]
     return {
+        "ppo": draw(st.sampled_from([PPO, GUEST_PPO])),
         "frames": frames,
         "peer_frames": peer_frames,
         "stored": stored,
@@ -559,12 +576,16 @@ def remote_cluster(burst):
     vm = host.create_domain("vm", ram_pages=64).vm_id
     backends[0].register_home_vm(vm)
     pool = host.register_tmem_client(vm).frontswap_pool_id
+    ppo = burst["ppo"]
     for page_no in range(burst["stored"]):
         assert host.backend.put(
-            vm, pool, page_key(pool, page_no), version=page_no + 1, now=0.0
+            vm, pool, page_key(pool, page_no, ppo), version=page_no + 1,
+            now=0.0,
         ).succeeded
     for page_no in range(burst["freed"]):
-        assert host.backend.flush_page(vm, pool, page_key(pool, page_no)).succeeded
+        assert host.backend.flush_page(
+            vm, pool, page_key(pool, page_no, ppo)
+        ).succeeded
     if epoch is None and burst["hosted"]:
         # Node 1 spills cleancache pages into node 0's free frames; a
         # put node 0 admits at zero free frames then reclaims them.
@@ -658,7 +679,7 @@ class TestExecutePlannedRemote:
     # frame, and the second put takes it: the run of refused puts around
     # a remote get is not one bulk refusal.
     @example(burst={
-        "frames": 0, "peer_frames": [1], "stored": 1, "freed": 0,
+        "ppo": PPO, "frames": 0, "peer_frames": [1], "stored": 1, "freed": 0,
         "hosted": 0, "target": None, "contended": True, "port": "live",
         "quota": [0], "get_pages": [0], "leading": 0,
         "get_after": [True, False], "put_pages": [1, 2],
@@ -667,7 +688,7 @@ class TestExecutePlannedRemote:
     # The first put reclaims one, the get frees a frame for the second,
     # the third reclaims the other and the fourth spills to the peer.
     @example(burst={
-        "frames": 3, "peer_frames": [2], "stored": 3, "freed": 2,
+        "ppo": PPO, "frames": 3, "peer_frames": [2], "stored": 3, "freed": 2,
         "hosted": 2, "target": None, "contended": False, "port": "live",
         "quota": [0], "get_pages": [2], "leading": 0,
         "get_after": [True, False, False, False], "put_pages": [3, 4, 5, 6],
@@ -682,7 +703,7 @@ class TestExecutePlannedRemote:
         side = planned_side
         planned = side.hypervisors[0].backend.execute_planned(
             side.vm, side.pool, put_pages, first_version, get_pages,
-            gets_before_puts(burst), PPO, now=1.0,
+            gets_before_puts(burst), burst["ppo"], now=1.0,
         )
         assert planned is not None
         put_flags, get_versions, get_flags, put_costs, get_costs = planned
@@ -703,19 +724,24 @@ class TestExecutePlannedRemote:
         for hypervisor in planned_side.hypervisors:
             hypervisor.check_invariants()
 
-    def test_a_get_missing_everywhere_comes_back_failed(self):
+    @pytest.mark.parametrize("ppo", [PPO, GUEST_PPO])
+    def test_a_get_missing_everywhere_comes_back_failed(self, ppo):
         """A page neither the pool nor a peer holds is a failed get, as
         the scalar get reports it; the guest then raises."""
         burst = {
-            "frames": 2, "peer_frames": [2], "stored": 0, "freed": 0,
+            "ppo": ppo, "frames": 2, "peer_frames": [2], "stored": 0,
+            "freed": 0,
             "hosted": 0, "target": None, "contended": False, "port": "live",
             "quota": [0],
         }
         side = remote_cluster(burst)
         planned = side.hypervisors[0].backend.execute_planned(
-            side.vm, side.pool, [], 1, [7], [], PPO, now=1.0
+            side.vm, side.pool, [], 1, [7], [], ppo, now=1.0
         )
         assert planned == (None, [None], [0], [], [])
+        assert side.hypervisors[0].store.get_pool(
+            side.vm, side.pool
+        ).radix() == {}
 
     @pytest.mark.parametrize("path", ["scalar", "planned"])
     def test_a_vanished_remote_copy_names_its_holder(self, path):
@@ -724,7 +750,8 @@ class TestExecutePlannedRemote:
         pool, and both the scalar get and a burst fetching the page
         raise instead of reporting a miss."""
         burst = {
-            "frames": 0, "peer_frames": [1, 2], "stored": 3, "freed": 0,
+            "ppo": PPO, "frames": 0, "peer_frames": [1, 2], "stored": 3,
+            "freed": 0,
             "hosted": 0, "target": None, "contended": True, "port": "live",
             "quota": [0, 0],
         }
