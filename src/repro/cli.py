@@ -167,9 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--check-invariants", action="store_true",
-        help="run the inline cluster invariant checker at every "
-             "statistics tick (page/capacity conservation, "
-             "owner-holder liveness); fails loudly on violation",
+        help="run the inline invariant checker at every statistics "
+             "tick (hypervisor accounting, page/capacity conservation, "
+             "owner-holder liveness) on every exact-engine run, single "
+             "hosts and shard workers included, not the epoch engine; "
+             "fails loudly on violation",
     )
     add_shard_flags(run_p)
     run_p.add_argument("--traces", action="store_true",

@@ -6,11 +6,11 @@ layers:
 * :class:`~repro.cluster.node.Node` — one fully-wired host: hypervisor
   with its tmem backend, the guests placed on it, the privileged-domain
   TKM, the Memory Manager running a per-node policy, and the netlink
-  channel pair between them.  The classic single-host
-  :class:`~repro.scenarios.runner.ScenarioRunner` drives exactly one
-  ``Node``; a one-node cluster is bit-identical to it.
-* :class:`~repro.cluster.cluster.Cluster` — N nodes on one shared
-  engine, optionally connected by a modeled interconnect
+  channel pair between them.
+* :class:`~repro.cluster.cluster.Cluster` — the one assembly and
+  lifecycle of every run: N nodes on one shared engine, N = 1 for a
+  spec without a topology (the classic single host), optionally
+  connected by a modeled interconnect
   (:class:`~repro.channels.internode.InterNodeChannel`) over which
   overflow puts spill to peer pools
   (:class:`~repro.hypervisor.remote_tmem.RemoteTmemBackend`) and a

@@ -1,11 +1,13 @@
 """N nodes on one simulation engine, with spill and capacity coordination.
 
-:class:`Cluster` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
-carrying a :class:`~repro.scenarios.spec.ClusterTopology` into live
-machinery:
+:class:`Cluster` is the one assembly and lifecycle of every run: it
+turns a :class:`~repro.scenarios.spec.ScenarioSpec` into live machinery
+laid out by :meth:`~repro.scenarios.spec.ScenarioSpec.layout` — the
+spec's :class:`~repro.scenarios.spec.ClusterTopology`, or one node
+``node1`` holding every VM when the spec has none:
 
 * one :class:`~repro.cluster.node.Node` per
-  :class:`~repro.scenarios.spec.NodeSpec`, built in topology order on
+  :class:`~repro.scenarios.spec.NodeSpec`, built in layout order on
   the shared engine, with a shared domain-id allocator so VM ids (and
   the trace names derived from them) are unique cluster-wide;
 * one :class:`~repro.channels.internode.InterNodeChannel` modeling the
@@ -34,16 +36,20 @@ machinery:
   the VM's surviving remote-spill index at the new home and resume it
   there — same domain id, same trace names, same workload queue.
 
-A one-node cluster wires no interconnect, no spill and no meaningful
-coordination — it is byte-for-byte today's single host, which the test
-suite pins down via ``ScenarioResult.fingerprint()`` equality.
+A one-node cluster wires no interconnect, no spill and no coordination:
+it is the paper's single Xen host.
+
+:meth:`Cluster.start`, :meth:`Cluster.finalize` and
+:meth:`Cluster.check_invariants` take the nodes a caller drives (every
+node by default): a shard of a sharded run builds the whole cluster but
+starts, finalizes and checks only its own nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..channels.internode import InterNodeChannel
 from ..config import SimulationConfig
@@ -75,7 +81,7 @@ __all__ = ["Cluster", "clusterize"]
 
 
 class Cluster:
-    """Drives the nodes of a multi-node scenario on one shared engine."""
+    """Drives the nodes of a scenario's layout on one shared engine."""
 
     def __init__(
         self,
@@ -89,12 +95,8 @@ class Cluster:
         use_tmem: bool,
         epoch: Optional["Any"] = None,
     ) -> None:
-        if spec.topology is None:
-            raise ClusterError(
-                f"scenario {spec.name!r} has no cluster topology"
-            )
         self.spec = spec
-        self.topology: ClusterTopology = spec.topology
+        self.topology: ClusterTopology = spec.layout()
         self.engine = engine
         self.config = config
         self.trace = trace
@@ -107,8 +109,7 @@ class Cluster:
         multi_node = len(self.topology.nodes) > 1
 
         # Shared domain ids keep "tmem_used/vm<id>" traces unique across
-        # nodes; with a single node the sequence matches the lone
-        # hypervisor's private counter exactly.
+        # nodes; dom0 is the privileged domain, so guests count from 1.
         domid_counter = itertools.count(1)
         vms_by_name = {vm.name: vm for vm in spec.vms}
 
@@ -230,8 +231,10 @@ class Cluster:
         self.remote_backends = backends
 
     # -- lifecycle -------------------------------------------------------------
-    def start(self) -> None:
-        for node in self.nodes:
+    def start(self, nodes: Optional[Sequence[Node]] = None) -> None:
+        """Start *nodes* (default: every node), then arm the cluster's
+        timers and schedule its failures, migrations and faults."""
+        for node in self.nodes if nodes is None else nodes:
             node.start()
         if self.coordinator is not None and len(self.nodes) > 1:
             # Engine-owned periodic timer record: re-arms in place each
@@ -298,7 +301,9 @@ class Cluster:
         if self.invariant_checker is None:
             self.invariant_checker = InvariantChecker(self)
 
-    def finalize(self) -> None:
+    def finalize(self, nodes: Optional[Sequence[Node]] = None) -> None:
+        """Stop the cluster's timers, sweep the checker once more and
+        finalize *nodes* (default: every node)."""
         if self._rebalance_timer is not None:
             self._rebalance_timer.cancel()
             self._rebalance_timer = None
@@ -311,7 +316,7 @@ class Cluster:
             self.invariant_checker.check()
         if self.channel is not None:
             self.channel.retire(self.engine.now)
-        for node in self.nodes:
+        for node in self.nodes if nodes is None else nodes:
             node.finalize()
 
     # -- node failure / VM migration -------------------------------------------
@@ -701,8 +706,9 @@ class Cluster:
 
         vm.resume()
 
-    def check_invariants(self) -> None:
-        for node in self.nodes:
+    def check_invariants(self, nodes: Optional[Sequence[Node]] = None) -> None:
+        """Check the hypervisor invariants of *nodes* (default: every node)."""
+        for node in self.nodes if nodes is None else nodes:
             node.check_invariants()
 
     # -- capacity rebalancing ---------------------------------------------------
@@ -775,18 +781,6 @@ class Cluster:
     @property
     def capacity_moves(self) -> int:
         return self._capacity_moves
-
-    @property
-    def total_tmem_pages(self) -> int:
-        return sum(node.total_tmem_pages for node in self.nodes)
-
-    @property
-    def target_updates(self) -> int:
-        return sum(node.target_updates for node in self.nodes)
-
-    @property
-    def snapshots(self) -> int:
-        return sum(node.snapshots for node in self.nodes)
 
     def merged_vms(self) -> Dict[str, "object"]:
         """All VMs cluster-wide, keyed by name, in node/placement order."""

@@ -523,6 +523,12 @@ class InvariantChecker:
       at a dead holder.  Persistent spill transfers are synchronous
       (indexes update in the same event as the data), so there is no
       in-flight set to account separately.
+
+    Every exact-engine run can arm one: a single host is a one-node
+    cluster, and a decoupled shard worker sweeps its replica of the
+    whole cluster.  The epoch engine cannot: its hosts never
+    materialize the pages they hold for peers, so the spill laws above
+    do not hold there (:meth:`Cluster.enable_invariant_checker`).
     """
 
     def __init__(self, cluster: "Cluster") -> None:

@@ -1,14 +1,9 @@
 """One fully-assembled host of the simulated cluster.
 
-:class:`Node` is the single-host assembly that used to live inline in
-:class:`~repro.scenarios.runner.ScenarioRunner`, extracted so the same
-construction serves both topologies:
-
-* the runner builds exactly one ``Node`` for the classic single-host
-  scenarios (construction order, RNG stream names and trace names are
-  unchanged, so results are bit-identical to the pre-extraction runner);
-* :class:`~repro.cluster.cluster.Cluster` builds one ``Node`` per
-  :class:`~repro.scenarios.spec.NodeSpec` on a shared engine.
+:class:`~repro.cluster.cluster.Cluster` builds one :class:`Node` per
+:class:`~repro.scenarios.spec.NodeSpec` of a run's layout, on the run's
+shared engine and domain-id allocator.  A scenario without a topology is
+a one-node layout, so the classic single host is one ``Node`` too.
 
 A node owns its hypervisor (host memory, tmem pool, backend, sampler,
 swap disk), its guests, and — unless tmem is disabled — its control
@@ -57,8 +52,8 @@ class Node:
         host_memory_mb: int,
         policy_spec: str,
         use_tmem: bool,
-        domid_allocator: Optional[Callable[[], int]] = None,
-        free_trace_name: str = "tmem_free",
+        domid_allocator: Callable[[], int],
+        free_trace_name: str,
     ) -> None:
         self.name = name
         self.engine = engine

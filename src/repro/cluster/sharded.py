@@ -35,7 +35,10 @@ One shard protocol
 ------------------
 Every sharded run is one driver loop over three shard steps:
 
-1. ``begin`` starts the shard's nodes and VMs and reports their states;
+1. ``begin`` starts the shard's nodes through
+   :meth:`~repro.cluster.cluster.Cluster.start` (which also arms the
+   invariant checker's timer when the run asked for the checker), starts
+   their VMs and reports the nodes' states;
 2. ``window(command)`` applies the driver's capacity steps to the
    shard's own nodes through the cluster replica
    (:meth:`~repro.cluster.cluster.Cluster.resize_pool`, the exact
@@ -43,8 +46,10 @@ Every sharded run is one driver loop over three shard steps:
    time and reports ``now``, the still-running VMs, the window's
    cross-node messages and the node states — repeated until the driver
    declares the run finished;
-3. ``finish(T*)`` runs the engine on to the run's stop time ``T*`` and
-   finalizes the shard's nodes.
+3. ``finish(T*)`` runs the engine on to the run's stop time ``T*``,
+   then finalizes and checks the shard's nodes through
+   :meth:`~repro.cluster.cluster.Cluster.finalize` and
+   :meth:`~repro.cluster.cluster.Cluster.check_invariants`.
 
 A node state is the coordinator's
 :class:`~repro.core.coordinator.NodeState` record, read by
@@ -261,11 +266,12 @@ def _chunk(groups: Sequence[Tuple[str, ...]], buckets: int) -> List[Tuple[str, .
 class _ShardTask:
     """One shard's share of a sharded run: the three protocol steps.
 
-    The task builds the full cluster replica but starts and drives only
-    the nodes named in ``group`` on its private engine.  Under the epoch
-    engine an :class:`~repro.cluster.epoch.EpochContext` carries the
-    driver's window inputs into the replica and collects the window's
-    outgoing cross-node messages.
+    The task builds the full cluster replica but starts, drives,
+    finalizes and checks only the nodes named in ``group`` on its
+    private engine.  Under the epoch engine an
+    :class:`~repro.cluster.epoch.EpochContext` carries the driver's
+    window inputs into the replica and collects the window's outgoing
+    cross-node messages.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
@@ -287,12 +293,10 @@ class _ShardTask:
         """Start the owned nodes and VMs and report the nodes' states."""
         runner = self.runner
         cluster = runner.cluster
-        assert cluster is not None  # sharding implies a topology
         self._nodes = [
             node for node in cluster.nodes if node.name in self.group
         ]
-        for node in self._nodes:
-            node.start()
+        cluster.start(self._nodes)
         self._vms = {
             name: vm
             for node in self._nodes
@@ -348,10 +352,11 @@ class _ShardTask:
             # interleaved between this group going idle and the global
             # stop.
             engine.run(until=t_star)
+        cluster = runner.cluster
+        cluster.finalize(self._nodes)
+        cluster.check_invariants(self._nodes)
         vm_results: Dict[str, Dict[str, Any]] = {}
         for node in self._nodes:
-            node.finalize()
-            node.check_invariants()
             for name, result in node.collect_vm_results().items():
                 vm_results[name] = result.to_dict()
 
@@ -362,8 +367,6 @@ class _ShardTask:
             if name.rpartition("/")[2] in owned:
                 trace[name] = series.to_dict()
 
-        cluster = runner.cluster
-        assert cluster is not None
         described = cluster.describe_nodes()
         return {
             "vms": vm_results,
@@ -608,7 +611,8 @@ class ShardedClusterRunner:
     check_invariants:
         Arm the inline invariant checker in every shard's runner (and in
         the shared-engine run); ``None`` leaves it to each runner's
-        ``SMARTMEM_CHECK_INVARIANTS`` environment variable.
+        ``SMARTMEM_CHECK_INVARIANTS`` environment variable.  Epoch
+        shards stay unarmed: their hosted pages are never materialized.
     """
 
     def __init__(

@@ -49,15 +49,6 @@ class SwapEntryAddresser:
         object_id, index = divmod(page_number, self.pages_per_object)
         return PageKey(pool_id=self.pool_id, object_id=object_id, index=index)
 
-    def page_for(self, key: PageKey) -> int:
-        """Inverse of :meth:`key_for` (used by tests)."""
-        if key.pool_id != self.pool_id:
-            raise TmemKeyError(
-                f"key belongs to pool {key.pool_id}, addresser is for pool "
-                f"{self.pool_id}"
-            )
-        return key.object_id * self.pages_per_object + key.index
-
     def object_of(self, page_number: int) -> int:
         """The object id a guest page falls under (flush-object target)."""
         return page_number // self.pages_per_object

@@ -38,22 +38,19 @@ class TmemKernelModule:
         hypervisor: Hypervisor,
         vm_id: int,
         *,
-        enable_frontswap: bool = True,
         enable_cleancache: bool = False,
     ) -> None:
         self._hypervisor = hypervisor
         self._vm_id = vm_id
         self._record = hypervisor.register_tmem_client(
-            vm_id, frontswap=enable_frontswap, cleancache=enable_cleancache
+            vm_id, cleancache=enable_cleancache
         )
-        self.frontswap: Optional[FrontswapClient] = None
+        if self._record.frontswap_pool_id is None:  # pragma: no cover
+            raise HypercallError("frontswap pool was not created")
+        self.frontswap = FrontswapClient(
+            vm_id, self._record.frontswap_pool_id, hypervisor.hypercalls
+        )
         self.cleancache: Optional[CleancacheClient] = None
-        if enable_frontswap:
-            if self._record.frontswap_pool_id is None:  # pragma: no cover
-                raise HypercallError("frontswap pool was not created")
-            self.frontswap = FrontswapClient(
-                vm_id, self._record.frontswap_pool_id, hypervisor.hypercalls
-            )
         if enable_cleancache:
             if self._record.cleancache_pool_id is None:  # pragma: no cover
                 raise HypercallError("cleancache pool was not created")
@@ -79,16 +76,11 @@ class TmemKernelModule:
         survives the move.
         """
         record = hypervisor.register_tmem_client(
-            self._vm_id,
-            frontswap=self.frontswap is not None,
-            cleancache=self.cleancache is not None,
+            self._vm_id, cleancache=self.cleancache is not None
         )
         self._hypervisor = hypervisor
         self._record = record
-        if self.frontswap is not None:
-            self.frontswap.rebind(
-                record.frontswap_pool_id, hypervisor.hypercalls
-            )
+        self.frontswap.rebind(record.frontswap_pool_id, hypervisor.hypercalls)
         if self.cleancache is not None:
             self.cleancache.rebind(
                 record.cleancache_pool_id, hypervisor.hypercalls

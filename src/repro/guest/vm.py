@@ -90,7 +90,6 @@ class VirtualMachine:
         vcpus: int = 1,
         use_tmem: bool = True,
         enable_cleancache: bool = False,
-        free_memory_on_job_completion: bool = True,
     ) -> None:
         self.name = name
         self.config = config
@@ -106,10 +105,7 @@ class VirtualMachine:
         frontswap = None
         if use_tmem:
             self.tkm = TmemKernelModule(
-                hypervisor,
-                self.vm_id,
-                enable_frontswap=True,
-                enable_cleancache=enable_cleancache,
+                hypervisor, self.vm_id, enable_cleancache=enable_cleancache
             )
             frontswap = self.tkm.frontswap
 
@@ -123,7 +119,6 @@ class VirtualMachine:
             cleancache=self.tkm.cleancache if self.tkm is not None else None,
         )
 
-        self._free_on_completion = free_memory_on_job_completion
         self._jobs: List[_Job] = []
         self._job_cursor = 0
         self._runs: List[WorkloadRun] = []
@@ -370,8 +365,7 @@ class VirtualMachine:
         # swap slots are discarded and its tmem copies are flushed, so a
         # subsequent run (Scenario 1 runs the benchmark twice) starts cold
         # and the freed tmem capacity becomes available to the other VMs.
-        if self._free_on_completion:
-            self.kernel.release_all(now=now)
+        self.kernel.release_all(now=now)
         self._current_run = None
         self._current_steps = None
         self._current_phase = None

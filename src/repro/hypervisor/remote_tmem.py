@@ -88,8 +88,10 @@ ephemeral drops notify the right backend.
 
 Keys in a spill pool are namespaced by the *source VM*: the spill object
 id is ``vm_id * 2**32 + object_id``, which is collision-free because
-cluster domain ids are globally unique and guest object ids fit in 32
-bits (they derive from 32-bit page indexes).  The persistent and
+cluster domain ids are globally unique and guest object ids stay below
+2**32.  They do because guest page numbers stay below 2**32: the trace
+loader (:func:`~repro.workloads.trace.load_trace_steps`) rejects larger
+ones, and the synthetic workloads never come near.  The persistent and
 ephemeral namespaces live in separate pools, so a VM using frontswap
 and cleancache simultaneously cannot collide either.
 """

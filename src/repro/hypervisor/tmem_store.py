@@ -149,17 +149,6 @@ class TmemStore:
                 f"VM {vm_id} has no tmem pool {pool_id}"
             ) from None
 
-    def destroy_pool(self, vm_id: int, pool_id: int) -> int:
-        """Destroy a pool, returning how many pages it still held."""
-        pool = self.get_pool(vm_id, pool_id)
-        count = pool.clear()
-        del self._pools[(vm_id, pool_id)]
-        vm_pools = self._pools_by_vm[vm_id]
-        del vm_pools[pool_id]
-        if not vm_pools:
-            del self._pools_by_vm[vm_id]
-        return count
-
     def destroy_vm_pools(self, vm_id: int) -> int:
         """Destroy every pool of a VM (VM teardown); returns pages freed."""
         vm_pools = self._pools_by_vm.pop(vm_id, {})

@@ -3,12 +3,14 @@
 :class:`Hypervisor` is the single object the rest of the simulator talks
 to when it needs "the Xen side": it owns the physical frame pool, the
 tmem key--value store, the per-VM accounting, the hypercall interface and
-the statistics sampler.  Scenario code constructs one hypervisor per run,
-creates VMs against it and starts the sampler before running the engine.
+the statistics sampler.  Every node of a run builds one hypervisor
+(:class:`~repro.cluster.node.Node`), creates VMs against it and starts
+the sampler before running the engine.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -82,11 +84,11 @@ class Hypervisor:
         self.swap_disk = VirtualDisk(config)
 
         self._domains: Dict[int, DomainRecord] = {}
-        self._next_domid = 1  # dom0 is reserved for the privileged domain
         #: Clusters pass a shared allocator so domain ids (and therefore
         #: trace names such as ``tmem_used/vm<id>``) are unique across
-        #: every node; a lone hypervisor keeps its private counter.
-        self._domid_allocator = domid_allocator
+        #: every node; a standalone hypervisor counts from 1 (dom0 is
+        #: the privileged domain).
+        self._domid_allocator = domid_allocator or itertools.count(1).__next__
 
     # -- domain lifecycle ------------------------------------------------------
     def create_domain(
@@ -111,11 +113,7 @@ class Hypervisor:
             )
         self.host_memory.reserve_vm_memory(ram_pages)
         if vm_id is None:
-            if self._domid_allocator is not None:
-                vm_id = self._domid_allocator()
-            else:
-                vm_id = self._next_domid
-                self._next_domid += 1
+            vm_id = self._domid_allocator()
         record = DomainRecord(vm_id=vm_id, name=name, ram_pages=ram_pages, vcpus=vcpus)
         self._domains[vm_id] = record
         return record

@@ -167,10 +167,10 @@ class ScenarioResult:
     snapshots: int
     #: Wall-clock execution cost of the simulation itself (seconds).
     wall_clock_s: float = 0.0
-    #: Per-node summary of a multi-node (cluster) run: topology facts,
-    #: spill/fetch counters and coordinator capacity moves.  ``None`` for
-    #: classic single-host runs, whose serialized form (and therefore
-    #: fingerprint) is unchanged by the cluster layer.
+    #: Per-node summary of a run whose spec has a topology: topology
+    #: facts, spill/fetch counters and coordinator capacity moves.
+    #: ``None`` for classic single-host runs, whose serialized form (and
+    #: therefore fingerprint) is unchanged by the cluster layer.
     cluster: Optional[Dict[str, Any]] = None
 
     # -- convenience accessors -------------------------------------------------

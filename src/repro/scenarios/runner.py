@@ -1,23 +1,29 @@
 """Scenario runner: executes one scenario under one policy.
 
-The runner performs the full system assembly the paper describes, now
+The runner performs the full system assembly the paper describes,
 layered through the cluster abstractions:
 
 1. build the simulation engine and the trace recorder shared by every
    host of the run;
-2. build the topology — one :class:`~repro.cluster.node.Node` for the
-   classic single-host scenarios, or a
-   :class:`~repro.cluster.cluster.Cluster` of nodes when the spec
-   carries a :class:`~repro.scenarios.spec.ClusterTopology` (each node
-   owns its hypervisor, tmem pool, guests, TKM, Memory Manager and
-   netlink pair; multi-node clusters additionally wire the interconnect,
-   remote-tmem spill and the capacity coordinator);
+2. build one :class:`~repro.cluster.cluster.Cluster` of
+   :class:`~repro.cluster.node.Node` objects over the spec's layout
+   (:meth:`~repro.scenarios.spec.ScenarioSpec.layout`): the spec's
+   :class:`~repro.scenarios.spec.ClusterTopology`, or one node holding
+   every VM for the classic single-host scenarios.  Each node owns its
+   hypervisor, tmem pool, guests, TKM, Memory Manager and netlink pair;
+   multi-node clusters additionally wire the interconnect, remote-tmem
+   spill and the capacity coordinator;
 3. install the scenario's cross-VM phase triggers (used by the Usemem
-   scenario) over the merged VM population and run the engine until
-   every VM on every node is idle;
-4. collect per-VM run times, memory statistics and the tmem usage traces
-   into a :class:`~repro.scenarios.results.ScenarioResult` (plus a
-   per-node summary for cluster runs).
+   scenario) over the merged VM population, start the cluster and run
+   the engine until every VM on every node is idle;
+4. finalize and check the cluster, and collect per-VM run times, memory
+   statistics and the tmem usage traces into a
+   :class:`~repro.scenarios.results.ScenarioResult` (plus a per-node
+   summary when the spec has a topology).
+
+``check_invariants`` (default: the ``SMARTMEM_CHECK_INVARIANTS``
+environment variable) arms the cluster's read-only invariant checker,
+single hosts included.
 
 The special policy spec ``"no-tmem"`` disables tmem in the guests
 entirely (the paper's no-tmem baseline): every evicted page goes straight
@@ -31,7 +37,6 @@ import time as _time
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.node import Node
 from ..cluster.sharded import ShardedClusterRunner
 from ..config import SimulationConfig
 from ..errors import ScenarioError, SimulationError
@@ -107,44 +112,24 @@ class ScenarioRunner:
         if check_invariants is None:
             check_invariants = bool(os.environ.get("SMARTMEM_CHECK_INVARIANTS"))
         self.config = resolve_config(config, units, seed)
-        self._rng_factory = RngFactory(self.config.seed)
 
         self.engine = SimulationEngine()
         self.trace = TraceRecorder()
 
-        self._use_tmem = policy_spec != NO_TMEM_POLICY
-        self.cluster: Optional[Cluster] = None
-        if spec.topology is not None:
-            self.cluster = Cluster(
-                spec,
-                policy_spec,
-                engine=self.engine,
-                config=self.config,
-                trace=self.trace,
-                rng_factory=self._rng_factory,
-                use_tmem=self._use_tmem,
-                epoch=epoch,
-            )
-            self.nodes = self.cluster.nodes
-            self.vms: Dict[str, VirtualMachine] = self.cluster.merged_vms()
-            if check_invariants:
-                self.cluster.enable_invariant_checker()
-        else:
-            node = Node(
-                "node1",
-                engine=self.engine,
-                config=self.config,
-                trace=self.trace,
-                rng_factory=self._rng_factory,
-                scenario_name=spec.name,
-                vm_specs=spec.vms,
-                tmem_mb=spec.tmem_mb,
-                host_memory_mb=spec.effective_host_memory_mb(),
-                policy_spec=policy_spec,
-                use_tmem=self._use_tmem,
-            )
-            self.nodes = (node,)
-            self.vms = dict(node.vms)
+        self.cluster = Cluster(
+            spec,
+            policy_spec,
+            engine=self.engine,
+            config=self.config,
+            trace=self.trace,
+            rng_factory=RngFactory(self.config.seed),
+            use_tmem=policy_spec != NO_TMEM_POLICY,
+            epoch=epoch,
+        )
+        self.nodes = self.cluster.nodes
+        self.vms: Dict[str, VirtualMachine] = self.cluster.merged_vms()
+        if check_invariants:
+            self.cluster.enable_invariant_checker()
 
         self._triggered_vms: set = set()
         #: VMs whose start is deferred to a phase trigger; populated by
@@ -154,24 +139,6 @@ class ScenarioRunner:
         self._trigger_started_vms: set = set()
         self._stop_fired = False
         self._install_triggers()
-
-    # -- single-host conveniences (the first node's view) ----------------------
-    @property
-    def hypervisor(self):
-        """The first node's hypervisor (the only one on single hosts)."""
-        return self.nodes[0].hypervisor
-
-    @property
-    def policy(self):
-        return self.nodes[0].policy
-
-    @property
-    def manager(self):
-        return self.nodes[0].manager
-
-    @property
-    def privileged_tkm(self):
-        return self.nodes[0].privileged_tkm
 
     # -- trigger installation ----------------------------------------------------
     def _install_triggers(self) -> None:
@@ -206,10 +173,7 @@ class ScenarioRunner:
     def run(self) -> ScenarioResult:
         """Execute the scenario and return its results."""
         wall_start = _time.perf_counter()
-        if self.cluster is not None:
-            self.cluster.start()
-        else:
-            self.nodes[0].start()
+        self.cluster.start()
 
         for name, vm in self.vms.items():
             if name not in self._trigger_started_vms:
@@ -230,12 +194,8 @@ class ScenarioRunner:
             )
         # Take one final statistics sample per node so the traces cover
         # the full run.
-        if self.cluster is not None:
-            self.cluster.finalize()
-            self.cluster.check_invariants()
-        else:
-            self.nodes[0].finalize()
-            self.nodes[0].check_invariants()
+        self.cluster.finalize()
+        self.cluster.check_invariants()
 
         wall_elapsed = _time.perf_counter() - wall_start
         return self._collect_results(wall_elapsed)
@@ -247,7 +207,7 @@ class ScenarioRunner:
             vm_results.update(node.collect_vm_results())
 
         cluster_info = None
-        if self.cluster is not None:
+        if self.spec.topology is not None:
             cluster_info = {
                 "topology": {
                     "node_count": len(self.nodes),

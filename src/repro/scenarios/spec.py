@@ -125,9 +125,9 @@ class NodeSpec:
     def effective_host_memory_mb(self, vm_ram_mb: int) -> int:
         """This node's DRAM given the RAM of the VMs it hosts.
 
-        Mirrors :meth:`ScenarioSpec.effective_host_memory_mb`: explicit
-        sizes are validated, the default adds 256 MB of hypervisor/dom0
-        headroom on top of VM RAM and the tmem pool.
+        The one host-memory rule: explicit sizes are validated, the
+        default adds 256 MB of hypervisor/dom0 headroom on top of VM RAM
+        and the tmem pool.
         """
         if self.host_memory_mb is not None:
             if self.host_memory_mb < vm_ram_mb + self.tmem_mb:
@@ -377,7 +377,8 @@ class ScenarioSpec:
     stop_trigger: Optional["PhaseTrigger"] = None
     #: Hard wall on the simulated duration of one run of this scenario.
     max_duration_s: float = 3600.0
-    #: Multi-node layout; ``None`` runs the classic single-host topology.
+    #: Multi-node layout; ``None`` runs the classic single host, the
+    #: one-node layout of :meth:`layout`.
     topology: Optional[ClusterTopology] = None
 
     def __post_init__(self) -> None:
@@ -409,18 +410,25 @@ class ScenarioSpec:
     def total_vm_ram_mb(self) -> int:
         return sum(vm.ram_mb for vm in self.vms)
 
+    def _one_host(self) -> NodeSpec:
+        """Node ``node1`` holding every VM, with the spec's tmem pool and
+        host memory."""
+        return NodeSpec(
+            name="node1",
+            vm_names=self.vm_names(),
+            tmem_mb=self.tmem_mb,
+            host_memory_mb=self.host_memory_mb,
+        )
+
+    def layout(self) -> ClusterTopology:
+        """The nodes a run builds: the topology, or else one host."""
+        if self.topology is not None:
+            return self.topology
+        return ClusterTopology(nodes=(self._one_host(),))
+
     def effective_host_memory_mb(self) -> int:
-        if self.host_memory_mb is not None:
-            if self.host_memory_mb < self.total_vm_ram_mb() + self.tmem_mb:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: host memory "
-                    f"{self.host_memory_mb} MB cannot hold "
-                    f"{self.total_vm_ram_mb()} MB of VM RAM plus "
-                    f"{self.tmem_mb} MB of tmem"
-                )
-            return self.host_memory_mb
-        # Default: VM RAM + tmem + 256 MB for the hypervisor/dom0.
-        return self.total_vm_ram_mb() + self.tmem_mb + 256
+        """DRAM of one host holding every VM of the spec."""
+        return self._one_host().effective_host_memory_mb(self.total_vm_ram_mb())
 
     def vm(self, name: str) -> VMSpec:
         for vm in self.vms:

@@ -288,9 +288,14 @@ class SimulationEngine:
         stop_when:
             Predicate evaluated after every event — including between
             fast-forwarded events — the run stops when it returns ``True``.
+            It is evaluated once before the first event too: a run whose
+            predicate already holds executes nothing and leaves the clock
+            where it is, whatever else is queued.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if stop_when is not None and stop_when():
+            return self._now
         self._running = True
         self._stopped = False
         self._run_until = until

@@ -23,7 +23,6 @@ Three workloads reproduce the paper's benchmarks:
 from .base import Workload, WorkloadStep, WorkloadPhase
 from .access_patterns import (
     sequential_pages,
-    strided_pages,
     zipf_pages,
     working_set_pages,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "WorkloadStep",
     "WorkloadPhase",
     "sequential_pages",
-    "strided_pages",
     "zipf_pages",
     "working_set_pages",
     "UsememWorkload",

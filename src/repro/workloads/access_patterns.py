@@ -14,7 +14,6 @@ from ..errors import WorkloadError
 
 __all__ = [
     "sequential_pages",
-    "strided_pages",
     "zipf_pages",
     "working_set_pages",
 ]
@@ -31,20 +30,6 @@ def sequential_pages(base_page: int, num_pages: int) -> np.ndarray:
     """A linear sweep over ``[base_page, base_page + num_pages)``."""
     _check_region(base_page, num_pages)
     return np.arange(base_page, base_page + num_pages, dtype=np.int64)
-
-
-def strided_pages(base_page: int, num_pages: int, stride: int) -> np.ndarray:
-    """Visit every ``stride``-th page of a region, wrapping around.
-
-    The result touches exactly ``ceil(num_pages / stride)`` distinct pages,
-    spread across the whole region — the access shape of a column-major
-    walk over a row-major array.
-    """
-    _check_region(base_page, num_pages)
-    if stride <= 0:
-        raise WorkloadError(f"stride must be > 0, got {stride}")
-    offsets = np.arange(0, num_pages, stride, dtype=np.int64)
-    return base_page + offsets
 
 
 def zipf_pages(

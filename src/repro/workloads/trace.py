@@ -6,6 +6,7 @@ is one :class:`~repro.workloads.base.WorkloadStep`::
     {"compute_s": 0.032, "pages": [0, 1, 2], "frees": [], "phase": "load",
      "write": true}
 
+Page numbers (``pages`` and ``frees``) are integers in ``[0, 2**32)``.
 An optional first line carrying a ``"meta"`` key describes the recording
 (recording tool, source workload, seed) and is skipped by the replayer.
 Traces are produced by ``smartmem trace record``, which can dump either a
@@ -37,6 +38,10 @@ __all__ = ["TraceWorkload", "load_trace_steps", "dump_trace_steps"]
 
 #: JSONL keys of one recorded step.
 _STEP_KEYS = frozenset({"compute_s", "pages", "frees", "phase", "write"})
+
+#: Page numbers are 32-bit, the bound remote tmem's spill namespace
+#: assumes (:mod:`repro.hypervisor.remote_tmem`).
+_PAGE_LIMIT = 2 ** 32
 
 
 def load_trace_steps(path: Union[str, Path]) -> List[WorkloadStep]:
@@ -125,9 +130,10 @@ def _page_numbers(record: dict, key: str) -> tuple:
         )
     for page in pages:
         # bool is an int subclass, so test the exact type.
-        if type(page) is not int or page < 0:
+        if type(page) is not int or not 0 <= page < _PAGE_LIMIT:
             raise ValueError(
-                f"{key!r} holds {page!r}; page numbers are integers >= 0"
+                f"{key!r} holds {page!r}; page numbers are integers in "
+                "[0, 2**32)"
             )
     return tuple(pages)
 

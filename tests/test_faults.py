@@ -47,6 +47,7 @@ from repro.errors import (
     InvariantViolation,
     ScenarioError,
 )
+from repro.scenarios.dsl import compile_file
 from repro.scenarios.registry import scenario_by_name
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import VmMigration
@@ -60,6 +61,7 @@ FLAKY = "flaky:nodes=3,fail_at=8,down_s=6"
 FAULTY = "faulty:nodes=3,fail_at=8,down_s=6"
 PIN_SCALE = 0.1
 PIN_SEED = 2019
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _plan(faults=(), degradations=()):
@@ -482,6 +484,47 @@ def test_zero_width_plan_identical_to_no_plan(at, seed):
     a = run_scenario(none_spec, "greedy", seed=seed)
     b = run_scenario(zero_spec, "greedy", seed=seed)
     assert a.fingerprint() == b.fingerprint()
+
+
+@pytest.mark.parametrize("policy", ["smart-alloc:P=2", "no-tmem"])
+@pytest.mark.parametrize("target", [
+    "usemem-scenario", "scenario-1", "many-vms:n=4", "churn", "bursty",
+    "examples/dsl/filescan.yml", "examples/dsl/trace-replay.yml",
+    "examples/dsl/scenario-1.yml",
+])
+def test_the_checker_sweeps_single_host_runs_and_moves_no_fingerprint(
+    target, policy
+):
+    """A single host is a one-node cluster, so the checker sweeps it too:
+    at every statistics tick under tmem, on its own timer under no-tmem."""
+    if target.endswith(".yml"):
+        compiled = compile_file(str(REPO_ROOT / target))
+        spec = compiled.spec
+        if policy != "no-tmem":
+            policy = compiled.policy or policy
+    else:
+        spec = scenario_by_name(target, scale=PIN_SCALE)
+    assert spec.topology is None
+    runner = ScenarioRunner(spec, policy, seed=PIN_SEED, check_invariants=True)
+    checked = runner.run()
+    assert runner.cluster.invariant_checker.checks_run > 0
+    assert checked.cluster is None
+    plain = run_scenario(spec, policy, seed=PIN_SEED, check_invariants=False)
+    assert checked.fingerprint() == plain.fingerprint()
+
+
+@pytest.mark.parametrize("policy", ["smart-alloc:P=2", "no-tmem"])
+def test_a_run_with_nothing_to_do_takes_no_time_checked_or_not(policy):
+    """VMs without jobs are idle from the start, so the run stops at once:
+    neither the checker's timer nor the deadline lends it a duration."""
+    spec = scenario_by_name("many-vms:n=2", scale=PIN_SCALE)
+    spec = replace(spec, vms=tuple(replace(vm, jobs=()) for vm in spec.vms))
+    runner = ScenarioRunner(spec, policy, seed=PIN_SEED, check_invariants=True)
+    checked = runner.run()
+    assert runner.cluster.invariant_checker.checks_run > 0
+    assert checked.simulated_duration_s == 0.0
+    plain = run_scenario(spec, policy, seed=PIN_SEED, check_invariants=False)
+    assert checked.fingerprint() == plain.fingerprint()
 
 
 def test_invariant_checker_catches_real_corruption():

@@ -270,6 +270,20 @@ class TestShardedIdentity:
         shared = run_scenario(spec, "no-tmem", seed=11)
         assert runner.run().fingerprint() == shared.fingerprint()
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_node_without_jobs_matches_shared_engine(self, policy):
+        """A shard whose VMs have no jobs is idle from the start: it stops
+        at once instead of running its engine on to the deadline."""
+        spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+        idle = spec.topology.nodes[1].vm_names
+        spec = dataclasses.replace(spec, vms=tuple(
+            dataclasses.replace(vm, jobs=()) if vm.name in idle else vm
+            for vm in spec.vms
+        ))
+        shared = run_scenario(spec, policy, seed=7)
+        sharded = run_scenario(spec, policy, shards=2, seed=7, inline=True)
+        assert sharded.fingerprint() == shared.fingerprint()
+
     def test_counters_match_shared_engine(self):
         """events_executed / pages_accessed sum to the shared run's."""
         from repro.scenarios.runner import ScenarioRunner
@@ -556,7 +570,8 @@ class TestShardableValidation:
 
 
 def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
-    """The argument, not the environment, arms every shard's checker."""
+    """The argument, not the environment, arms every shard's checker;
+    each armed checker sweeps, and none moves the fingerprint."""
     from repro.cluster.cluster import Cluster
 
     monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
@@ -569,15 +584,28 @@ def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
 
     monkeypatch.setattr(Cluster, "enable_invariant_checker", spy)
     spec = scenario_by_name("shard:nodes=2", scale=SCALE)
-    ShardedClusterRunner(spec, "greedy", shards=2, inline=True).run()
+    unchecked = ShardedClusterRunner(spec, "greedy", shards=2, inline=True).run()
     assert armed == []
-    ShardedClusterRunner(
+    checked = ShardedClusterRunner(
         spec, "greedy", shards=2, inline=True, check_invariants=True
     ).run()
     assert len(armed) == 2
-    assert all(cluster.invariant_checker is not None for cluster in armed)
+    assert all(cluster.invariant_checker.checks_run > 0 for cluster in armed)
     armed.clear()
     exact = ShardedClusterRunner(spec, "greedy", shards=1, check_invariants=True)
     assert exact.path.engine == "shared"
-    exact.run()
+    shared = exact.run()
     assert len(armed) == 1
+    assert armed[0].invariant_checker.checks_run > 0
+    assert checked.fingerprint() == unchecked.fingerprint() == shared.fingerprint()
+    # Epoch shards never materialize the pages they host, so the spill
+    # laws do not hold there: the checker stays unarmed.
+    armed.clear()
+    epoch = ShardedClusterRunner(
+        scenario_by_name("contended:nodes=2", scale=SCALE), "greedy",
+        shards=2, inline=True, cluster_engine="epoch", check_invariants=True,
+    )
+    assert epoch.path.engine == "epoch"
+    epoch.run()
+    assert len(armed) == 2
+    assert all(cluster.invariant_checker is None for cluster in armed)

@@ -107,6 +107,16 @@ class TestRunControls:
         engine.run(stop_when=lambda: len(fired) >= 2)
         assert fired == [1.0, 2.0]
 
+    def test_stop_when_that_already_holds_runs_nothing(self):
+        """Nothing runs and no time passes, with or without a queue."""
+        for queued in (False, True):
+            engine = SimulationEngine()
+            fired = []
+            if queued:
+                engine.schedule_call_at(1.0, lambda: fired.append(1))
+            assert engine.run(until=10.0, stop_when=lambda: True) == 0.0
+            assert fired == [] and engine.now == 0.0
+
     def test_stop_requests_halt(self):
         engine = SimulationEngine()
         fired = []

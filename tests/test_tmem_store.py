@@ -100,15 +100,6 @@ class TestTmemStore:
         with pytest.raises(TmemPoolError):
             store.get_pool(1, 0)
 
-    def test_destroy_pool_returns_held_pages(self):
-        store = TmemStore()
-        pool = store.create_pool(vm_id=1)
-        pool.insert(PageKey(pool.pool_id, 0, 1), 1)
-        pool.insert(PageKey(pool.pool_id, 0, 2), 1)
-        assert store.destroy_pool(1, pool.pool_id) == 2
-        with pytest.raises(TmemPoolError):
-            store.get_pool(1, pool.pool_id)
-
     def test_destroy_vm_pools(self):
         store = TmemStore()
         a = store.create_pool(vm_id=1)
@@ -149,8 +140,9 @@ class TestTmemStore:
         b = store.create_pool(1)
         store.create_pool(2)
         assert [p.pool_id for p in store.pools_of(1)] == [a.pool_id, b.pool_id]
-        store.destroy_pool(1, a.pool_id)
-        assert [p.pool_id for p in store.pools_of(1)] == [b.pool_id]
         assert store.destroy_vm_pools(1) == 0
         assert list(store.pools_of(1)) == []
+        with pytest.raises(TmemPoolError):
+            store.get_pool(1, a.pool_id)
         assert store.pool_count() == 1
+        assert [p.owner_vm for p in store.pools_of(2)] == [2]

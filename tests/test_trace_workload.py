@@ -95,8 +95,10 @@ class TestLoadErrors:
         ('{"pages": [2.7]}', "pages"),
         ('{"pages": ["1"]}', "pages"),
         ('{"pages": [-1]}', "pages"),
+        ('{"pages": [4294967296]}', "pages"),
         ('{"pages": [1], "frees": 1}', "frees"),
         ('{"pages": [1], "frees": [false]}', "frees"),
+        ('{"pages": [1], "frees": [4294967296]}', "frees"),
         ('{"pages": [1], "write": "false"}', "write"),
         ('{"pages": [1], "write": 0}', "write"),
         ('{"pages": [1], "phase": 3}', "phase"),
@@ -107,6 +109,42 @@ class TestLoadErrors:
         path.write_text('{"pages": [0]}\n' + line + "\n")
         with pytest.raises(WorkloadError, match=rf"bad\.jsonl:2: .*'{field}'"):
             load_trace_steps(path)
+
+    def test_the_largest_32_bit_page_loads(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"pages": [4294967295], "frees": [4294967295]}\n')
+        (step,) = load_trace_steps(path)
+        assert step.pages == step.frees == (2**32 - 1,)
+
+    def test_a_page_beyond_32_bits_fails_lint_at_its_job(self, tmp_path, capsys):
+        """Remote tmem names a spilled page's object ``vm_id * 2**32 +
+        object_id``, so VM A's page ``2**52 + i`` (object ``2**32``)
+        would share VM B's key for page ``i`` on the peer that hosts
+        both: the run used to fail with stale data on B's page 0."""
+        (tmp_path / "a.jsonl").write_text(
+            json.dumps({"pages": [2**52 + i for i in range(64)]}) + "\n"
+        )
+        (tmp_path / "b.jsonl").write_text(
+            json.dumps({"pages": list(range(64))}) + "\n"
+        )
+        doc = tmp_path / "spill.yml"
+        doc.write_text(
+            "scenario: spill-namespace\n"
+            "tmem_mb: 0\n"
+            "vms:\n"
+            "  - {name: A, ram_mb: 4, jobs: [{kind: trace, params: {path: a.jsonl}}]}\n"
+            "  - {name: B, ram_mb: 4, jobs: [{kind: trace, params: {path: b.jsonl}}]}\n"
+            "  - {name: C, ram_mb: 4, jobs: [{kind: trace, params: {path: b.jsonl}}]}\n"
+            "cluster:\n"
+            "  nodes:\n"
+            "    - {name: node1, vms: [A, B], tmem_mb: 0}\n"
+            "    - {name: node2, vms: [C], tmem_mb: 64}\n"
+        )
+        assert main(["lint", str(doc)]) == 1
+        out = capsys.readouterr().out
+        assert f"{doc}:4:" in out
+        assert "'pages' holds 4503599627370496" in out
+        assert "(at vms[0].jobs[0].params)" in out
 
     def test_empty_trace_is_an_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"

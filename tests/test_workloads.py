@@ -9,7 +9,6 @@ from repro.sim.rng import RngFactory
 from repro.units import MemoryUnits
 from repro.workloads.access_patterns import (
     sequential_pages,
-    strided_pages,
     working_set_pages,
     zipf_pages,
 )
@@ -35,14 +34,6 @@ class TestAccessPatterns:
     def test_sequential_rejects_empty_region(self):
         with pytest.raises(WorkloadError):
             sequential_pages(0, 0)
-
-    def test_strided_visits_every_stride(self):
-        pages = strided_pages(0, 10, 3)
-        assert pages.tolist() == [0, 3, 6, 9]
-
-    def test_strided_rejects_bad_stride(self):
-        with pytest.raises(WorkloadError):
-            strided_pages(0, 10, 0)
 
     def test_zipf_stays_in_region_and_is_skewed(self):
         pages = zipf_pages(100, 50, 5000, alpha=1.1, rng=rng())
