@@ -21,12 +21,16 @@ Nishtala, Carpenter — 2019).  It provides:
 * parameter sweeps, their result archive and the distributed sweep
   service in :mod:`repro.experiments`.
 
-``import repro`` loads what building and running a scenario needs.  The
-names re-exported from :mod:`repro.experiments` (``run_sweep``,
-``SweepSpec``, ...) and :mod:`repro.analysis` (``jain_fairness``,
-``render_runtime_table``, ...) load their package on first access, so a
-run pays neither for the sweep service's ``http.server`` and
-``urllib.request`` nor for the analysis code.
+``import repro`` loads numpy and no subpackage.  Every name below
+loads the module that defines it on first access (PEP 562), and the
+registries load each built-in scenario family, workload kind and policy
+when it is first used, so a run imports only the code it executes: a
+single host never loads the cluster-only modules, and no run pays for
+the sweep service's ``http.server`` and ``urllib.request`` or for the
+analysis code.  Imported before numpy, ``repro`` loads numpy with
+``OPENBLAS_NUM_THREADS=1`` (then restores the environment): the
+simulator makes no BLAS call, so its process starts no BLAS thread pool
+and forks its shard workers single-threaded.
 
 Quickstart
 ----------
@@ -39,110 +43,96 @@ Quickstart
 True
 """
 
-import importlib
+import os as _os
+import sys as _sys
 
-from .config import (
-    DiskConfig,
-    GuestConfig,
-    SamplingConfig,
-    SimulationConfig,
-    TmemConfig,
-)
-from .units import (
-    GIB,
-    KIB,
-    MIB,
-    XEN_PAGE_BYTES,
-    DEFAULT_UNITS,
-    SCENARIO_UNITS,
-    MemoryUnits,
-)
-from .errors import (
-    ReproError,
-    ConfigurationError,
-    SimulationError,
-    TmemError,
-    PolicyError,
-    ScenarioError,
-    WorkloadError,
-    ExperimentError,
-)
-from .core import (
-    MemoryManager,
-    TmemPolicy,
-    PolicyDecision,
-    TargetVector,
-    GreedyPolicy,
-    StaticAllocPolicy,
-    ReconfStaticPolicy,
-    SmartAllocPolicy,
-    create_policy,
-    available_policies,
-    register_policy,
-)
-from .hypervisor import Hypervisor
-from .guest import VirtualMachine
-from .sim import SimulationEngine, TraceRecorder
-from .scenarios import (
-    ScenarioSpec,
-    VMSpec,
-    WorkloadSpec,
-    NodeSpec,
-    ClusterTopology,
-    ScenarioRunner,
-    ScenarioResult,
-    run_scenario,
-    scenario_1,
-    scenario_2,
-    scenario_3,
-    usemem_scenario,
-    many_vms_scenario,
-    churn_scenario,
-    bursty_scenario,
-    cluster_scenario,
-    hotnode_scenario,
-    all_scenarios,
-    available_scenarios,
-    scenario_by_name,
-    register_scenario,
-    PAPER_POLICIES,
-)
-from .cluster import Cluster, Node, clusterize
-from .workloads import (
-    UsememWorkload,
-    InMemoryAnalyticsWorkload,
-    GraphAnalyticsWorkload,
-    register_workload_kind,
-    available_workload_kinds,
-)
-#: Names re-exported from a subpackage that loads on first access
-#: (PEP 562), mapped to that subpackage.
+# The simulator makes no BLAS call, yet numpy's OpenBLAS starts a thread
+# pool when it loads; with one thread, no pool starts and shard workers
+# fork from a single-threaded process.  A caller who set the variable or
+# imported numpy first keeps its pool.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+
+from ._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
 _LAZY = {
-    "ExperimentPoint": "experiments",
-    "SweepSpec": "experiments",
-    "SerialBackend": "experiments",
-    "ProcessPoolBackend": "experiments",
-    "ResultStore": "experiments",
-    "SweepOutcome": "experiments",
-    "run_sweep": "experiments",
-    "jain_fairness": "analysis",
-    "improvement_percent": "analysis",
-    "runtime_figure": "analysis",
-    "tmem_usage_figure": "analysis",
-    "render_runtime_table": "analysis",
-    "aggregate_sweep": "analysis",
-    "render_aggregate_table": "analysis",
+    **dict.fromkeys(
+        ("SimulationConfig", "DiskConfig", "TmemConfig", "GuestConfig", "SamplingConfig"),
+        "config",
+    ),
+    **dict.fromkeys(
+        ("MemoryUnits", "DEFAULT_UNITS", "SCENARIO_UNITS", "KIB", "MIB", "GIB",
+         "XEN_PAGE_BYTES"),
+        "units",
+    ),
+    **dict.fromkeys(
+        ("ReproError", "ConfigurationError", "SimulationError", "TmemError",
+         "PolicyError", "ScenarioError", "WorkloadError", "ExperimentError"),
+        "errors",
+    ),
+    "MemoryManager": "core.manager",
+    **dict.fromkeys(
+        ("TmemPolicy", "PolicyDecision", "create_policy", "available_policies",
+         "register_policy"),
+        "core.policy",
+    ),
+    "TargetVector": "core.stats",
+    "GreedyPolicy": "core.policies.greedy",
+    "StaticAllocPolicy": "core.policies.static_alloc",
+    "ReconfStaticPolicy": "core.policies.reconf_static",
+    "SmartAllocPolicy": "core.policies.smart_alloc",
+    "Hypervisor": "hypervisor.xen",
+    "VirtualMachine": "guest.vm",
+    "SimulationEngine": "sim.engine",
+    "TraceRecorder": "sim.trace",
+    **dict.fromkeys(
+        ("ScenarioSpec", "VMSpec", "WorkloadSpec", "NodeSpec", "ClusterTopology"),
+        "scenarios.spec",
+    ),
+    "ScenarioRunner": "scenarios.runner",
+    "run_scenario": "scenarios.runner",
+    "ScenarioResult": "scenarios.results",
+    **dict.fromkeys(
+        ("scenario_1", "scenario_2", "scenario_3", "usemem_scenario", "PAPER_POLICIES"),
+        "scenarios.library",
+    ),
+    **dict.fromkeys(
+        ("many_vms_scenario", "churn_scenario", "bursty_scenario", "cluster_scenario",
+         "hotnode_scenario"),
+        "scenarios.families",
+    ),
+    **dict.fromkeys(
+        ("all_scenarios", "available_scenarios", "scenario_by_name", "register_scenario"),
+        "scenarios.registry",
+    ),
+    "Cluster": "cluster.cluster",
+    "clusterize": "cluster.cluster",
+    "Node": "cluster.node",
+    "UsememWorkload": "workloads.usemem",
+    "InMemoryAnalyticsWorkload": "workloads.inmemory_analytics",
+    "GraphAnalyticsWorkload": "workloads.graph_analytics",
+    "register_workload_kind": "workloads.registry",
+    "available_workload_kinds": "workloads.registry",
+    **dict.fromkeys(
+        ("ExperimentPoint", "SweepSpec", "SerialBackend", "ProcessPoolBackend",
+         "ResultStore", "SweepOutcome", "run_sweep"),
+        "experiments",
+    ),
+    **dict.fromkeys(
+        ("jain_fairness", "improvement_percent", "runtime_figure", "tmem_usage_figure",
+         "render_runtime_table", "aggregate_sweep", "render_aggregate_table"),
+        "analysis",
+    ),
 }
 
-
-def __getattr__(name: str):
-    package = _LAZY.get(name)
-    if package is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{package}"), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __version__ = "1.0.0"
 

@@ -38,30 +38,40 @@ a declarative, seeded :class:`~repro.cluster.faults.FaultPlan` (transient
 node failures with rejoin, link-degradation windows) carried by the
 topology, plus the inline
 :class:`~repro.cluster.faults.InvariantChecker`.
+
+Each name below loads its submodule on first access, and the multi-node
+machinery loads only on the paths that use it: ``Cluster`` imports the
+interconnect, remote tmem and the coordinators when it builds a
+multi-node cluster, arming the checker imports
+:mod:`~repro.cluster.faults`, and ``run_scenario`` imports
+:mod:`~repro.cluster.sharded` (with :mod:`~repro.cluster.epoch` and
+``multiprocessing``).  A single host loads none of them.  The sharded
+runner imports, when it is built, every module its shard workers build
+the run from, so a forked worker and ``run()`` import nothing.
 """
 
-from .node import Node
-from .cluster import Cluster, clusterize
-from .faults import (
-    FaultPlan,
-    InvariantChecker,
-    LinkDegradation,
-    NodeFault,
-    parse_link_degradation,
-    parse_node_fault,
-)
-from .epoch import (
-    CLUSTER_ENGINES,
-    EpochDriver,
-    epoch_fallback_reason,
-    epoch_window_s,
-    resolve_cluster_engine,
-)
-from .sharded import (
-    ShardedClusterRunner,
-    coupling_reason,
-    resolve_shards,
-)
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    "Node": "node",
+    "Cluster": "cluster",
+    "clusterize": "cluster",
+    **dict.fromkeys(
+        ("FaultPlan", "InvariantChecker", "LinkDegradation", "NodeFault",
+         "parse_link_degradation", "parse_node_fault"),
+        "faults",
+    ),
+    **dict.fromkeys(
+        ("CLUSTER_ENGINES", "EpochDriver", "epoch_fallback_reason", "epoch_window_s",
+         "resolve_cluster_engine"),
+        "epoch",
+    ),
+    **dict.fromkeys(("ShardedClusterRunner", "coupling_reason", "resolve_shards"), "sharded"),
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "Node",

@@ -49,20 +49,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..channels.internode import InterNodeChannel
 from ..config import SimulationConfig
-from ..core.coordinator import (
-    ClusterPolicy,
-    NodeState,
-    create_coordinator,
-    plan_capacity,
-    round_views,
-)
 from ..errors import ClusterError
 from ..guest.vm import VirtualMachine
-from ..hypervisor.remote_tmem import RemoteTmemBackend
 from ..scenarios.spec import (
     ClusterTopology,
     NodeSpec,
@@ -74,8 +65,13 @@ from ..sim.engine import SimulationEngine
 from ..sim.events import EventPriority
 from ..sim.rng import RngFactory
 from ..sim.trace import TraceRecorder
-from .faults import FaultPlan, InvariantChecker, NodeFault
 from .node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..channels.internode import InterNodeChannel
+    from ..core.coordinator import ClusterPolicy, NodeState
+    from ..hypervisor.remote_tmem import RemoteTmemBackend
+    from .faults import FaultPlan, InvariantChecker, NodeFault
 
 __all__ = ["Cluster", "clusterize"]
 
@@ -175,7 +171,12 @@ class Cluster:
         self._relocating: set = set()
 
         if multi_node:
-            self.channel = InterNodeChannel(
+            # Only a multi-node cluster runs this code, so a single host
+            # never loads it.
+            from ..channels import internode
+            from ..core.coordinator import create_coordinator
+
+            self.channel = internode.InterNodeChannel(
                 engine,
                 latency_s=self.topology.interconnect_latency_s,
                 bandwidth_bytes_s=self.topology.interconnect_bandwidth_bytes_s,
@@ -207,6 +208,8 @@ class Cluster:
 
     # -- wiring ---------------------------------------------------------------
     def _wire_remote_spill(self, domid_counter: "itertools.count") -> None:
+        from ..hypervisor.remote_tmem import RemoteTmemBackend
+
         assert self.channel is not None
         # The epoch context reaches peers through window quotas and
         # messages; without one (None) the backends reach live peers.
@@ -234,7 +237,8 @@ class Cluster:
     def start(self, nodes: Optional[Sequence[Node]] = None) -> None:
         """Start *nodes* (default: every node), then arm the cluster's
         timers and schedule its failures, migrations and faults."""
-        for node in self.nodes if nodes is None else nodes:
+        driven = self.nodes if nodes is None else tuple(nodes)
+        for node in driven:
             node.start()
         if self.coordinator is not None and len(self.nodes) > 1:
             # Engine-owned periodic timer record: re-arms in place each
@@ -278,6 +282,7 @@ class Cluster:
                     label=f"recover:{fault.node}",
                 )
         if self.invariant_checker is not None:
+            self.invariant_checker.watch(driven)
             # Same cadence as the stats VIRQ: cheap, and every sweep sees
             # the cluster at a quiescent timer boundary.
             self._checker_timer = self.engine.schedule_recurring(
@@ -299,6 +304,8 @@ class Cluster:
         if self.epoch is not None:
             return
         if self.invariant_checker is None:
+            from .faults import InvariantChecker
+
             self.invariant_checker = InvariantChecker(self)
 
     def finalize(self, nodes: Optional[Sequence[Node]] = None) -> None:
@@ -714,6 +721,9 @@ class Cluster:
     # -- capacity rebalancing ---------------------------------------------------
     def node_state(self, node: Node) -> NodeState:
         """*node*'s coordinator inputs, read from its live pool and counters."""
+        # Loaded by the multi-node construction; only multi-node runs ask.
+        from ..core.coordinator import NodeState
+
         host = node.hypervisor.host_memory
         backend = self.remote_backends.get(node.name)
         spilled = dropped = 0
@@ -746,6 +756,8 @@ class Cluster:
         )
 
     def _rebalance(self) -> None:
+        from ..core.coordinator import round_views
+
         assert self.coordinator is not None
         views = round_views(
             [self.node_state(node) for node in self._alive_nodes()],
@@ -770,6 +782,8 @@ class Cluster:
         :func:`~repro.core.coordinator.plan_capacity` plans the steps on
         the pools as they are when the decision arrives.
         """
+        from ..core.coordinator import plan_capacity
+
         steps = plan_capacity(
             [self.node_state(node) for node in self._alive_nodes()], desired
         )

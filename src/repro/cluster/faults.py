@@ -54,6 +54,7 @@ from ..errors import FaultSpecError, InvariantViolation, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (cluster -> scenarios)
     from .cluster import Cluster
+    from .node import Node
 
 __all__ = [
     "NodeFault",
@@ -524,21 +525,28 @@ class InvariantChecker:
       (indexes update in the same event as the data), so there is no
       in-flight set to account separately.
 
+    The checker sweeps the nodes its cluster drives: every node, or a
+    decoupled shard worker's own group (:meth:`watch`, called by
+    :meth:`Cluster.start`), whose capacity is conserved on its own.
     Every exact-engine run can arm one: a single host is a one-node
-    cluster, and a decoupled shard worker sweeps its replica of the
-    whole cluster.  The epoch engine cannot: its hosts never
-    materialize the pages they hold for peers, so the spill laws above
-    do not hold there (:meth:`Cluster.enable_invariant_checker`).
+    cluster.  The epoch engine cannot: its hosts never materialize the
+    pages they hold for peers, so the spill laws above do not hold
+    there (:meth:`Cluster.enable_invariant_checker`).
     """
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
-        self._expected_capacity_pages = sum(
-            node.hypervisor.host_memory.tmem_total_pages
-            for node in cluster.nodes
-        )
+        self.watch(cluster.nodes)
         #: How many sweeps ran (asserted by tests to prove it was live).
         self.checks_run = 0
+
+    def watch(self, nodes: Sequence["Node"]) -> None:
+        """Sweep *nodes* from now on, expecting their tmem capacity to
+        stay at its total as of this call."""
+        self._nodes = tuple(nodes)
+        self._expected_capacity_pages = sum(
+            node.hypervisor.host_memory.tmem_total_pages for node in self._nodes
+        )
 
     def __call__(self) -> None:
         self.check()
@@ -547,7 +555,7 @@ class InvariantChecker:
         cluster = self._cluster
         now = cluster.engine.now
         self.checks_run += 1
-        alive = [node for node in cluster.nodes if not node.failed]
+        alive = [node for node in self._nodes if not node.failed]
         for node in alive:
             try:
                 node.hypervisor.check_invariants()
@@ -557,7 +565,7 @@ class InvariantChecker:
                 ) from exc
         total = sum(
             node.hypervisor.host_memory.tmem_total_pages
-            for node in cluster.nodes
+            for node in self._nodes
         )
         if total != self._expected_capacity_pages:
             raise InvariantViolation(

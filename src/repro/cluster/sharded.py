@@ -114,12 +114,23 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..core.coordinator import NodeState
+from ..core.policy import POLICIES
 from ..errors import ClusterError, PolicyError
+from ..params import parse_spec
 from ..scenarios.results import ScenarioResult, VmResult
+from ..scenarios.runner import (
+    NO_TMEM_POLICY,
+    ScenarioRunner,
+    deadline_error,
+    invariant_checks,
+    resolve_config,
+)
 from ..scenarios.spec import ScenarioSpec
 from ..sim.trace import TraceRecorder
 from ..units import MemoryUnits
+from ..workloads.registry import WORKLOADS
 from .epoch import (
+    EpochContext,
     EpochDriver,
     cross_node_trigger,
     epoch_fallback_reason,
@@ -205,15 +216,10 @@ def _require_shardable(
     host, instead of running on Linux and failing inside a worker on
     macOS.
     """
-    from ..core.policy import POLICIES
-    from ..params import parse_spec
-    from ..scenarios.runner import NO_TMEM_POLICY
-    from ..workloads.registry import workload_class
-
     for vm in spec.vms:
         for job in vm.jobs:
             try:
-                cls = workload_class(job.kind)
+                cls = WORKLOADS.lookup(job.kind)
             except Exception as exc:
                 raise ClusterError(
                     f"VM {vm.name!r} uses workload kind {job.kind!r} which "
@@ -237,6 +243,22 @@ def _require_shardable(
                 f"execution ({type(exc).__name__}: {exc}); run without "
                 "--shards"
             ) from None
+
+
+def _import_shard_modules(spec: ScenarioSpec, policy_spec: str, *, checker: bool) -> None:
+    """Import, at set-up, the modules a shard task builds *spec*'s run
+    from by name: the modules of its workload kinds and its policy and,
+    when the shards arm it, the invariant checker's.  A worker forked
+    later starts with every one of them, and :meth:`~ShardedClusterRunner.run`
+    imports none.  A name that does not resolve is left to the checks of
+    ``run()``."""
+    for vm in spec.vms:
+        for job in vm.jobs:
+            WORKLOADS.get(job.kind)
+    if policy_spec != NO_TMEM_POLICY:
+        POLICIES.get(policy_spec.partition(":")[0].strip())
+    if checker:
+        from . import faults  # noqa: F401
 
 
 def _require_builtin(cls: type, what: str) -> None:
@@ -275,14 +297,10 @@ class _ShardTask:
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
-        from ..scenarios.runner import ScenarioRunner
-
         self.spec: ScenarioSpec = payload["spec"]
         self.group: Tuple[str, ...] = tuple(payload["group"])
         self.ctx = None
         if payload["epoch"]:
-            from .epoch import EpochContext
-
             self.ctx = EpochContext.for_spec(self.spec, payload["config"])
         self.runner = ScenarioRunner(
             self.spec, payload["policy_spec"], config=payload["config"],
@@ -544,8 +562,6 @@ class _StopDriver:
         return {"until": self.deadline, "stop_when_idle": True, "capacity": ()}
 
     def absorb(self, reports: List[Dict[str, Any]]) -> None:
-        from ..scenarios.runner import deadline_error
-
         running = [name for report in reports for name in report["running"]]
         if running:
             raise deadline_error(
@@ -628,8 +644,6 @@ class ShardedClusterRunner:
         cluster_engine: Optional[str] = "exact",
         check_invariants: Optional[bool] = None,
     ) -> None:
-        from ..scenarios.runner import NO_TMEM_POLICY, resolve_config
-
         self.spec = spec
         self.policy_spec = policy_spec
         self.config = resolve_config(config, units, seed)
@@ -655,6 +669,11 @@ class ShardedClusterRunner:
             engine, count = "shared", 0
         #: The path :meth:`run` takes.
         self.path = RunPath(engine, count, coupled, fallback)
+        if engine != "shared":
+            _import_shard_modules(
+                spec, policy_spec,
+                checker=engine == "shards" and invariant_checks(check_invariants),
+            )
         #: Cluster-wide engine events / guest page accesses of the last
         #: run() — summed across shards (the benchmark harness reads
         #: these; they match the shared-engine counters).
@@ -680,8 +699,6 @@ class ShardedClusterRunner:
         return outcome
 
     def _run_shared(self) -> ScenarioResult:
-        from ..scenarios.runner import ScenarioRunner
-
         runner = ScenarioRunner(
             self.spec, self.policy_spec, config=self.config,
             check_invariants=self.check_invariants,

@@ -16,16 +16,27 @@ This subpackage is the paper's primary contribution:
   consumes statistics snapshots and emits target vectors.
 """
 
-from .stats import TargetVector
-from .policy import TmemPolicy, PolicyDecision, register_policy, create_policy, available_policies
-from .targets import proportional_scale, equal_share
-from .manager import MemoryManager
-from .policies import (
-    GreedyPolicy,
-    StaticAllocPolicy,
-    ReconfStaticPolicy,
-    SmartAllocPolicy,
-)
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    "TargetVector": "stats",
+    **dict.fromkeys(
+        ("TmemPolicy", "PolicyDecision", "register_policy", "create_policy",
+         "available_policies"),
+        "policy",
+    ),
+    "proportional_scale": "targets",
+    "equal_share": "targets",
+    "MemoryManager": "manager",
+    "GreedyPolicy": "policies.greedy",
+    "StaticAllocPolicy": "policies.static_alloc",
+    "ReconfStaticPolicy": "policies.reconf_static",
+    "SmartAllocPolicy": "policies.smart_alloc",
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "TargetVector",

@@ -79,8 +79,17 @@ class TmemPolicy(ABC):
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-#: Every tmem policy, by name.
-POLICIES = SpecRegistry(TmemPolicy, "policy", PolicyError, UnknownPolicyError)
+#: Every tmem policy, by name.  Each built-in policy's module registers
+#: it on first use.
+POLICIES = SpecRegistry(
+    TmemPolicy, "policy", PolicyError, UnknownPolicyError,
+    built_ins={
+        "greedy": "repro.core.policies.greedy",
+        "static-alloc": "repro.core.policies.static_alloc",
+        "reconf-static": "repro.core.policies.reconf_static",
+        "smart-alloc": "repro.core.policies.smart_alloc",
+    },
+)
 
 #: Class decorator: ``@register_policy(name, param_docs=..., bounds=...)``.
 register_policy = POLICIES.register

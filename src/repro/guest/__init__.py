@@ -14,14 +14,24 @@ The guest side reproduces the parts of a Linux guest that matter to tmem:
   workload and drives it on the simulation engine.
 """
 
-from .addressing import SwapEntryAddresser
-from .pfra import LruReclaim, ClockArrayReclaim, make_reclaimer
-from .kernel import GuestKernel, AccessOutcome, GuestMemStats
-from .frontswap import FrontswapClient
-from .cleancache import CleancacheClient
-from .swap import SwapArea
-from .tkm import TmemKernelModule, PrivilegedTkm
-from .vm import VirtualMachine, WorkloadRun
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    "SwapEntryAddresser": "addressing",
+    **dict.fromkeys(("LruReclaim", "ClockArrayReclaim", "make_reclaimer"), "pfra"),
+    **dict.fromkeys(("GuestKernel", "AccessOutcome", "GuestMemStats"), "kernel"),
+    "FrontswapClient": "frontswap",
+    "CleancacheClient": "cleancache",
+    "SwapArea": "swap",
+    "TmemKernelModule": "tkm",
+    "PrivilegedTkm": "tkm",
+    "VirtualMachine": "vm",
+    "WorkloadRun": "vm",
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "SwapEntryAddresser",

@@ -218,24 +218,25 @@ class FrontswapClient:
         get hit locally; the costs are the network cost of each remote
         put and each remote get, in order.
         """
+        n_puts = len(put_pages)
         first_version = self._version_clock + 1
+        # One int per version: the held map and the pool share them.
+        versions = list(range(first_version, first_version + n_puts))
         planned = self._hypercalls.tmem_planned(
             self._vm_id,
             self._pool_id,
             put_pages,
-            first_version,
+            versions,
             get_pages,
             gets_before_puts,
             self._addresser.pages_per_object,
             now=now,
         )
         put_flags, get_versions, _get_flags, _put_costs, _get_costs = planned
-        n_puts = len(put_pages)
         self._version_clock += n_puts
         stored = self._stored
         stats = self.stats
         if n_puts:
-            versions = range(first_version, first_version + n_puts)
             if put_flags is None:
                 stored.update(zip(put_pages, versions))
                 stats.succ_stores += n_puts

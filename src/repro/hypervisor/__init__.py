@@ -16,13 +16,22 @@ The subpackage reproduces the hypervisor-side half of SmarTmem:
   and owns host memory.
 """
 
-from .pages import PageKey
-from .tmem_store import TmemPool, TmemStore
-from .accounting import VmTmemAccount, NodeInfo, HypervisorAccounting
-from .tmem_backend import TmemBackend, TmemOpResult, TmemOpcode
-from .virq import StatisticsSampler, StatsSnapshot, VmStatsSample
-from .hypercalls import HypercallInterface
-from .xen import Hypervisor
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    "PageKey": "pages",
+    "TmemPool": "tmem_store",
+    "TmemStore": "tmem_store",
+    **dict.fromkeys(("VmTmemAccount", "NodeInfo", "HypervisorAccounting"), "accounting"),
+    **dict.fromkeys(("TmemBackend", "TmemOpResult", "TmemOpcode"), "tmem_backend"),
+    **dict.fromkeys(("StatisticsSampler", "StatsSnapshot", "VmStatsSample"), "virq"),
+    "HypercallInterface": "hypercalls",
+    "Hypervisor": "xen",
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "PageKey",

@@ -158,7 +158,7 @@ class HypercallInterface:
         vm_id: int,
         pool_id: int,
         put_pages: Sequence[int],
-        first_version: int,
+        put_versions: Sequence[int],
         get_pages: Sequence[int],
         gets_before_puts,
         pages_per_object: int,
@@ -184,7 +184,7 @@ class HypercallInterface:
             vm_id,
             pool_id,
             put_pages,
-            first_version,
+            put_versions,
             get_pages,
             gets_before_puts,
             pages_per_object,

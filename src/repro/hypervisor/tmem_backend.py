@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..devices.dram import HostMemory
@@ -294,7 +294,7 @@ class TmemBackend:
         vm_id: int,
         pool_id: int,
         put_pages: Sequence[int],
-        first_version: int,
+        put_versions: Sequence[int],
         get_pages: Sequence[int],
         gets_before_puts: Sequence[int],
         pages_per_object: int,
@@ -348,6 +348,9 @@ class TmemBackend:
         index is its page number: its gets are one bulk pop and its
         admitted puts one bulk update of that bucket.  Only a burst that
         reaches a later object walks its pages with ``divmod``.
+        *put_versions* holds the version of each put, in put order; the
+        pool stores those very int objects, which the guest's held map
+        shares.
 
         Preconditions (guaranteed by the planner, not re-checked): every
         put key is absent from the pool and from the peers (victims are
@@ -460,9 +463,7 @@ class TmemBackend:
             if account.has_target:
                 headroom = min(headroom, account.mm_target - account.tmem_used)
             bound = headroom + local[-1]
-            admitted: Iterable[Tuple[int, int]] = zip(
-                put_pages, count(first_version)
-            )
+            admitted: Iterable[Tuple[int, int]] = zip(put_pages, put_versions)
             if bound <= 0:
                 # The bound never rises above zero: every put fails.
                 put_flags = [0] * n_puts
@@ -533,7 +534,7 @@ class TmemBackend:
         placed, versions, put_costs, get_costs = remote.remote_burst(
             vm_id,
             [put_pages[i] for i in refused],
-            [first_version + i for i in refused],
+            [put_versions[i] for i in refused],
             [get_pages[g] for g in remote_gets],
             puts_before,
             pages_per_object,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import difflib
 import functools
+import importlib
 import inspect
 import math
 import re
@@ -349,21 +350,51 @@ class SpecRegistry:
 
     Bad arguments raise *error*; unknown names and bad registrations
     raise *lookup_error*, whose messages call an entry a *lookup_noun*.
+
+    *built_ins* maps each built-in name to the module that registers it
+    when imported.  A built-in registers on first use: a lookup, or any
+    read that names it, imports its module alone, while a listing
+    (:meth:`names`, :attr:`classes`) and a registration from any other
+    module import every built-in first.  Listings stay complete, and a
+    registration replaces a built-in exactly as it would if every
+    built-in had loaded with the package.
     """
 
     def __init__(
-        self, base: type, noun: str, error: type, lookup_error: type, *, lookup_noun: str = ""
+        self,
+        base: type,
+        noun: str,
+        error: type,
+        lookup_error: type,
+        *,
+        lookup_noun: str = "",
+        built_ins: Mapping[str, str] = {},
     ) -> None:
         self.base = base
         self.noun = noun
         self.error = error
         self.lookup_error = lookup_error
         self.lookup_noun = lookup_noun or noun
-        #: Name -> class, mutated in place, so every holder of the dict
-        #: sees later registrations.
-        self.classes: Dict[str, type] = {}
+        self._built_ins = dict(built_ins)
+        self._classes: Dict[str, type] = {}
         self._info: Dict[str, Tuple[ParameterInfo, ...]] = {}
         self._checked: set = set()
+
+    def _import_built_ins(self, name: Optional[str] = None) -> None:
+        """Import the module of built-in *name* unless it is registered,
+        or, without a *name*, the module of every built-in."""
+        if name is None:
+            for module in dict.fromkeys(self._built_ins.values()):
+                importlib.import_module(module)
+        elif name not in self._classes and name in self._built_ins:
+            importlib.import_module(self._built_ins[name])
+
+    @property
+    def classes(self) -> Dict[str, type]:
+        """Name -> class of every entry, built-ins included.  The dict is
+        mutated in place, so every holder sees later registrations."""
+        self._import_built_ins()
+        return self._classes
 
     def register(
         self, name: str, *, param_docs: Mapping[str, str] = {}, bounds: Mapping[str, str] = {}
@@ -384,6 +415,8 @@ class SpecRegistry:
                 raise self.lookup_error(
                     f"{cls!r} is not a {self.base.__name__} subclass"
                 )
+            if cls.__module__ not in self._built_ins.values():
+                self._import_built_ins()
             owner = f"{self.noun} {name!r}"
             try:
                 info = signature_parameter_info(cls, docs=param_docs, bounds=bounds)
@@ -394,7 +427,7 @@ class SpecRegistry:
                 _checked_init(cls, info, owner, self.error)
                 self._checked.add(name)
             cls.name = name  # type: ignore[attr-defined]
-            self.classes[name] = cls
+            self._classes[name] = cls
             self._info[name] = info
             return cls
 
@@ -404,28 +437,35 @@ class SpecRegistry:
         """Every registered name, sorted."""
         return tuple(sorted(self.classes))
 
+    def get(self, name: str) -> Optional[type]:
+        """The class registered under *name*, or ``None``."""
+        self._import_built_ins(name)
+        return self._classes.get(name)
+
     def lookup(self, name: str) -> type:
         """The class registered under *name*."""
-        try:
-            return self.classes[name]
-        except KeyError:
+        cls = self.get(name)
+        if cls is None:
             raise self.lookup_error(
                 f"unknown {self.lookup_noun} {name!r}; "
                 f"available: {', '.join(self.names())}"
-            ) from None
+            )
+        return cls
 
     def summary(self, name: str) -> str:
         """The first line of the docstring of the class under *name*."""
-        doc = (self.classes[name].__doc__ or "").strip()
+        doc = (self.lookup(name).__doc__ or "").strip()
         return doc.splitlines()[0] if doc else ""
 
     def parameter_info(self, name: str) -> Tuple[ParameterInfo, ...]:
         """Metadata of every tunable constructor parameter of *name*."""
+        self._import_built_ins(name)
         return self._info.get(name, ())
 
     def errors(self, name: str, params: Mapping[str, Any]) -> List[Tuple[str, str]]:
         """:func:`param_errors` of *params* for the class under *name*;
         none for a constructor that takes ``**kwargs``."""
+        self._import_built_ins(name)
         if name not in self._checked:
             return []
         return param_errors(self._info[name], params, f"{self.noun} {name!r}")

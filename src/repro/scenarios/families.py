@@ -59,9 +59,8 @@ against them (and the scale) before a factory runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..cluster.faults import FaultPlan, LinkDegradation, NodeFault
 from .library import _scaled
 from .registry import register_scenario
 from .spec import (
@@ -74,6 +73,9 @@ from .spec import (
     VmMigration,
     WorkloadSpec,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.faults import FaultPlan, LinkDegradation
 
 __all__ = [
     "many_vms_scenario",
@@ -251,6 +253,8 @@ def _vault_outage(
     fail_at: float, down_s: float, *link_faults: LinkDegradation, **knobs: Any
 ) -> FaultPlan:
     """A fault plan taking node2 down at *fail_at* for *down_s*, with failback."""
+    from ..cluster.faults import FaultPlan, NodeFault
+
     return FaultPlan(
         node_faults=(NodeFault("node2", fail_at, fail_at + down_s, failback=True),),
         link_faults=link_faults,
@@ -592,6 +596,8 @@ def flaky_scenario(
     fail_at: float = 10.0, down_s: float = 15.0,
 ) -> ScenarioSpec:
     """Transient vault failure plus lossy, flapping interconnect links."""
+    from ..cluster.faults import LinkDegradation
+
     fail_at = float(fail_at)
     down_s = float(down_s)
     vms, node_specs, vault_tmem, tmem_mb = _vault_cluster(

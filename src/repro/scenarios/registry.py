@@ -34,13 +34,21 @@ arguments: the scale must be finite and > 0, and every parameter must be
 known, of its declared type and within its bound.  Direct calls, spec
 strings and DSL documents all go through it, so factories hold no
 argument checks of their own.
+
+The built-in families register when their module is imported: the
+paper's scenarios (:mod:`repro.scenarios.library`) on a lookup, the
+parametric families (:mod:`repro.scenarios.families`) only on a lookup
+the paper's scenarios miss.  Every listing, and a registration from any
+other module, imports both first, so listings are complete and a
+built-in name cannot be taken.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ScenarioError
 from ..params import (
@@ -96,6 +104,21 @@ class ScenarioEntry:
 
 _REGISTRY: Dict[str, ScenarioEntry] = {}
 
+#: The modules that register the built-in families, in registration
+#: order: the paper's scenarios, then the parametric families.  Each
+#: loads on first need: a lookup that misses what is registered, any
+#: listing, or a registration from elsewhere.
+_BUILT_IN_MODULES = ("repro.scenarios.library", "repro.scenarios.families")
+
+
+def _import_built_ins(name: Optional[str] = None) -> None:
+    """Import the built-in modules in order, stopping once *name* is
+    registered (importing every one when *name* is None)."""
+    for module in _BUILT_IN_MODULES:
+        if name is not None and name in _REGISTRY:
+            return
+        importlib.import_module(module)
+
 
 def _checked(
     name: str, factory: Callable[..., ScenarioSpec], info: Tuple[ParameterInfo, ...]
@@ -139,6 +162,9 @@ def register_scenario(
         )
 
     def decorator(factory: Callable[..., ScenarioSpec]) -> Callable[..., ScenarioSpec]:
+        if factory.__module__ not in _BUILT_IN_MODULES:
+            # So a built-in name is taken before anyone else can claim it.
+            _import_built_ins()
         if name in _REGISTRY:
             raise ScenarioError(f"scenario family {name!r} is already registered")
         try:
@@ -167,6 +193,7 @@ def parse_scenario_spec(spec: str) -> Tuple[str, Dict[str, float]]:
 def scenario_by_name(name: str, *, scale: float = 1.0) -> ScenarioSpec:
     """Build the scenario described by a spec string such as ``"churn:n=6"``."""
     family, kwargs = parse_scenario_spec(name)
+    _import_built_ins(family)
     if family not in _REGISTRY:
         raise ScenarioError(
             f"unknown scenario {family!r}{suggest(family, sorted(_REGISTRY))}"
@@ -177,6 +204,7 @@ def scenario_by_name(name: str, *, scale: float = 1.0) -> ScenarioSpec:
 
 def all_scenarios(*, scale: float = 1.0) -> Dict[str, ScenarioSpec]:
     """The paper's Table II scenarios, keyed by name (registration order)."""
+    _import_built_ins()
     return {
         name: entry.factory(scale=scale)
         for name, entry in _REGISTRY.items()
@@ -186,14 +214,17 @@ def all_scenarios(*, scale: float = 1.0) -> Dict[str, ScenarioSpec]:
 
 def paper_scenario_names() -> Tuple[str, ...]:
     """Names of the paper's scenarios, in registration order."""
+    _import_built_ins()
     return tuple(name for name, entry in _REGISTRY.items() if entry.paper)
 
 
 def available_scenarios() -> Tuple[str, ...]:
     """Names of every registered scenario family (sorted)."""
+    _import_built_ins()
     return tuple(sorted(_REGISTRY))
 
 
 def registered_scenarios() -> Dict[str, ScenarioEntry]:
     """A snapshot of the registry, keyed by family name."""
+    _import_built_ins()
     return dict(_REGISTRY)

@@ -37,7 +37,6 @@ import time as _time
 from typing import Dict, List, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.sharded import ShardedClusterRunner
 from ..config import SimulationConfig
 from ..errors import ScenarioError, SimulationError
 from ..guest.vm import VirtualMachine
@@ -79,6 +78,15 @@ def resolve_config(
     return base
 
 
+def invariant_checks(check_invariants: Optional[bool]) -> bool:
+    """Whether a run arms the invariant checker: *check_invariants*, or
+    the ``SMARTMEM_CHECK_INVARIANTS`` environment variable when it is
+    ``None``."""
+    if check_invariants is None:
+        return bool(os.environ.get("SMARTMEM_CHECK_INVARIANTS"))
+    return check_invariants
+
+
 def deadline_error(
     spec: ScenarioSpec,
     policy_spec: str,
@@ -109,8 +117,6 @@ class ScenarioRunner:
     ) -> None:
         self.spec = spec
         self.policy_spec = policy_spec
-        if check_invariants is None:
-            check_invariants = bool(os.environ.get("SMARTMEM_CHECK_INVARIANTS"))
         self.config = resolve_config(config, units, seed)
 
         self.engine = SimulationEngine()
@@ -128,7 +134,7 @@ class ScenarioRunner:
         )
         self.nodes = self.cluster.nodes
         self.vms: Dict[str, VirtualMachine] = self.cluster.merged_vms()
-        if check_invariants:
+        if invariant_checks(check_invariants):
             self.cluster.enable_invariant_checker()
 
         self._triggered_vms: set = set()
@@ -261,6 +267,8 @@ def run_scenario(
     in this process; *shards*, *cluster_engine* (``"exact"`` or
     ``"epoch"``) and *inline* select the sharded and epoch paths.
     """
+    from ..cluster.sharded import ShardedClusterRunner
+
     return ShardedClusterRunner(
         spec, policy_spec, shards=shards, config=config, units=units,
         seed=seed, inline=inline, cluster_engine=cluster_engine,

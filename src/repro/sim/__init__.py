@@ -7,10 +7,20 @@ timers, and a numpy-backed time-series trace recorder.  Higher layers
 rather than subclassing it.
 """
 
-from .engine import SimulationEngine
-from .events import EventPriority, RecurringTimer
-from .trace import TraceRecorder, TraceSeries
-from .rng import RngFactory
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    "SimulationEngine": "engine",
+    "EventPriority": "events",
+    "RecurringTimer": "events",
+    "TraceRecorder": "trace",
+    "TraceSeries": "trace",
+    "RngFactory": "rng",
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "SimulationEngine",

@@ -20,23 +20,28 @@ Three workloads reproduce the paper's benchmarks:
   graph): fast allocation burst, then irregular (Zipf-skewed) accesses.
 """
 
-from .base import Workload, WorkloadStep, WorkloadPhase
-from .access_patterns import (
-    sequential_pages,
-    zipf_pages,
-    working_set_pages,
-)
-from .usemem import UsememWorkload
-from .inmemory_analytics import InMemoryAnalyticsWorkload
-from .graph_analytics import GraphAnalyticsWorkload
-from .trace import TraceWorkload, dump_trace_steps, load_trace_steps
-from .filescan import FileScanWorkload
-from .registry import (
-    WORKLOAD_REGISTRY,
-    available_workload_kinds,
-    register_workload_kind,
-    workload_class,
-)
+from .._lazy import lazy_getattr
+
+#: Every re-exported name, mapped to the submodule that defines it and
+#: loads on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("Workload", "WorkloadStep", "WorkloadPhase"), "base"),
+    **dict.fromkeys(
+        ("sequential_pages", "zipf_pages", "working_set_pages"), "access_patterns"
+    ),
+    "UsememWorkload": "usemem",
+    "InMemoryAnalyticsWorkload": "inmemory_analytics",
+    "GraphAnalyticsWorkload": "graph_analytics",
+    **dict.fromkeys(("TraceWorkload", "dump_trace_steps", "load_trace_steps"), "trace"),
+    "FileScanWorkload": "filescan",
+    **dict.fromkeys(
+        ("WORKLOAD_REGISTRY", "available_workload_kinds", "register_workload_kind",
+         "workload_class"),
+        "registry",
+    ),
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "Workload",

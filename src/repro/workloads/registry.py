@@ -7,12 +7,15 @@ the scenario runner, the DSL compiler, the CLI (``smartmem list``,
 ``trace record``) and user code registering custom workloads all share
 it, so a :func:`register_workload_kind` call is visible everywhere at
 once.  Each workload module registers its own class, with the docs and
-bounds of its constructor parameters.
+bounds of its constructor parameters, when it is imported: a lookup of a
+built-in kind imports that kind's module alone, and
+``WORKLOAD_REGISTRY`` (the shared kind -> class dict, mutated in place
+by every registration) imports them all.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Dict, Mapping
 
 from ..errors import ScenarioError, WorkloadError
 from ..params import SpecRegistry
@@ -28,14 +31,30 @@ __all__ = [
 
 #: Every workload kind.  Bad parameters raise :class:`WorkloadError`;
 #: unknown kinds and bad registrations raise :class:`ScenarioError`.
+#: Each built-in kind's module registers it on first use.
 WORKLOADS = SpecRegistry(
-    Workload, "workload", WorkloadError, ScenarioError, lookup_noun="workload kind"
+    Workload, "workload", WorkloadError, ScenarioError, lookup_noun="workload kind",
+    built_ins={
+        "usemem": "repro.workloads.usemem",
+        "in-memory-analytics": "repro.workloads.inmemory_analytics",
+        "graph-analytics": "repro.workloads.graph_analytics",
+        "trace": "repro.workloads.trace",
+        "filescan": "repro.workloads.filescan",
+    },
 )
 
-#: The one shared kind -> class mapping.  Mutated in place by
-#: :func:`register_workload_kind` so every module holding a reference
-#: observes new registrations.
-WORKLOAD_REGISTRY = WORKLOADS.classes
+
+#: The one shared kind -> class dict, ``WORKLOADS.classes``, mutated in
+#: place by every registration.  Reading it is a listing, which imports
+#: every built-in kind, so the module ``__getattr__`` serves it (PEP 562).
+WORKLOAD_REGISTRY: Dict[str, type]
+
+
+def __getattr__(name: str) -> Dict[str, type]:
+    if name == "WORKLOAD_REGISTRY":
+        return WORKLOADS.classes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Look up the workload class registered under a kind.
 workload_class = WORKLOADS.lookup

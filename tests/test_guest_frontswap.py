@@ -146,6 +146,19 @@ class TestFrontswapClient:
         assert fs.pages_in_tmem == 0
         assert hv.host_memory.tmem_used_pages == 0
 
+    def test_a_planned_burst_shares_each_version_int_with_the_pool(self, engine, config):
+        """The held map and the pool hold the very same version objects,
+        so a stored page costs one int, not two; the version audit of a
+        planned get is unchanged.  300 puts take versions past the
+        interpreter's cached small ints."""
+        hv, record, fs, _ = build_clients(engine, config, tmem_pages=512)
+        pages = list(range(300))
+        fs.execute_planned(pages, [], [0] * len(pages), now=0.0)
+        bucket = hv.store.get_pool(record.vm_id, record.frontswap_pool_id).radix()[0]
+        assert all(fs._stored[page] is bucket[page] for page in pages)
+        fs.execute_planned([], pages[-3:], [], now=1.0)
+        assert fs.stats.loads == 3 and fs.pages_in_tmem == 297
+
     def test_version_consistency_detects_store_order(self, engine, config):
         """A get must return the data of the most recent put."""
         hv, record, fs, _ = build_clients(engine, config)

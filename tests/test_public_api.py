@@ -12,6 +12,17 @@ import pytest
 import repro
 
 
+def fresh_interpreter(code: str, env=None) -> str:
+    """What *code* prints in a new interpreter that imports ``repro``
+    from this checkout, stripped."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**(os.environ if env is None else env), "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+
+
 class TestPublicApi:
     def test_version_is_exposed(self):
         assert repro.__version__
@@ -104,17 +115,74 @@ class TestPublicApi:
         """The DSL and PyYAML, the sweep packages (with the service's
         ``http.server`` and ``urllib.request``) and the analysis package
         load on first use, so ``import repro`` (and the setup time of
-        every run) does not pay for them."""
-        src = str(Path(repro.__file__).resolve().parent.parent)
+        every run) does not pay for them.  ``import repro`` loads no
+        subpackage at all, and building a single-host runner loads none
+        of the cluster-only modules, the parametric families or the
+        multiprocessing machinery."""
         code = (
             "import sys, repro; "
             "print(sorted(m for m in ('yaml', 'repro.scenarios.dsl', "
             "'repro.experiments', 'repro.analysis', 'http.server', "
-            "'urllib.request') if m in sys.modules))"
+            "'urllib.request') if m in sys.modules)); "
+            "print(sorted(m for m, module in sys.modules.items() "
+            "if m.startswith('repro.') and hasattr(module, '__path__')))"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout
-        assert out.strip() == "[]"
+        assert fresh_interpreter(code) == "[]\n[]"
+        cluster_only = [
+            "repro.hypervisor.remote_tmem", "repro.channels.internode",
+            "repro.core.coordinator", "repro.cluster.epoch",
+            "repro.cluster.sharded", "repro.cluster.faults",
+            "repro.scenarios.families", "repro.scenarios.dsl", "multiprocessing",
+        ]
+        for policy in ("smart-alloc", "no-tmem"):
+            code = (
+                "import sys\n"
+                "from repro.scenarios.library import usemem_scenario\n"
+                "from repro.scenarios.runner import ScenarioRunner\n"
+                f"ScenarioRunner(usemem_scenario(scale=0.1), {policy!r}, seed=1)\n"
+                f"print(sorted(set({cluster_only!r}) & set(sys.modules)))"
+            )
+            assert fresh_interpreter(code) == "[]", policy
+
+    @pytest.mark.parametrize("runner, build", [
+        ("repro.scenarios.runner import ScenarioRunner",
+         "ScenarioRunner(scenario_by_name('usemem-scenario', scale=0.1), "
+         "'smart-alloc', seed=1)"),
+        ("repro.scenarios.runner import ScenarioRunner",
+         "ScenarioRunner(scenario_by_name('contended:nodes=2', scale=0.05), "
+         "'smart-alloc', seed=1)"),
+        ("repro.cluster.sharded import ShardedClusterRunner",
+         "ShardedClusterRunner(scenario_by_name('shard:nodes=2', scale=0.05), "
+         "'smart-alloc', shards=2, seed=1)"),
+    ], ids=["single-host", "contended", "two-process-shards"])
+    def test_run_imports_nothing_set_up_did_not(self, runner, build):
+        """Every import a run needs happens while its runner is built:
+        ``run()`` loads no ``repro`` module, on a single host, on a
+        multi-node cluster, and in the parent of forked shard workers,
+        which start with everything the parent loaded for them."""
+        code = (
+            "import sys\n"
+            "from repro.scenarios.registry import scenario_by_name\n"
+            f"from {runner}\n"
+            "if __name__ == '__main__':\n"
+            f"    runner = {build}\n"
+            "    before = set(sys.modules)\n"
+            "    runner.run()\n"
+            "    print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'repro'))"
+        )
+        assert fresh_interpreter(code) == "[]"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_import_starts_no_blas_thread_pool(self):
+        """Importing ``repro`` first loads numpy with one OpenBLAS thread
+        and restores the environment; a caller's own setting is kept."""
+        code = (
+            "import os, repro\n"
+            "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
+            "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert fresh_interpreter(code, env) == "1 None"
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        assert fresh_interpreter(code, env).split()[1] == "2"

@@ -571,8 +571,10 @@ class TestShardableValidation:
 
 def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
     """The argument, not the environment, arms every shard's checker;
-    each armed checker sweeps, and none moves the fingerprint."""
+    each armed checker sweeps its shard's own nodes only, and none moves
+    the fingerprint."""
     from repro.cluster.cluster import Cluster
+    from repro.hypervisor.xen import Hypervisor
 
     monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
     armed = []
@@ -583,14 +585,29 @@ def test_check_invariants_arms_the_checker_in_every_shard(monkeypatch):
         enable(cluster)
 
     monkeypatch.setattr(Cluster, "enable_invariant_checker", spy)
+    checked_hypervisors = []
+    check = Hypervisor.check_invariants
+
+    def check_spy(hypervisor):
+        checked_hypervisors.append(hypervisor)
+        check(hypervisor)
+
+    monkeypatch.setattr(Hypervisor, "check_invariants", check_spy)
     spec = scenario_by_name("shard:nodes=2", scale=SCALE)
     unchecked = ShardedClusterRunner(spec, "greedy", shards=2, inline=True).run()
     assert armed == []
-    checked = ShardedClusterRunner(
+    sharded = ShardedClusterRunner(
         spec, "greedy", shards=2, inline=True, check_invariants=True
-    ).run()
+    )
+    checked_hypervisors.clear()
+    checked = sharded.run()
     assert len(armed) == 2
     assert all(cluster.invariant_checker.checks_run > 0 for cluster in armed)
+    # Shard k's replica checks the nodes of bucket k, never the others.
+    seen = {id(hypervisor) for hypervisor in checked_hypervisors}
+    for cluster, bucket in zip(armed, sharded.buckets):
+        swept = {node.name for node in cluster.nodes if id(node.hypervisor) in seen}
+        assert swept == set(bucket)
     armed.clear()
     exact = ShardedClusterRunner(spec, "greedy", shards=1, check_invariants=True)
     assert exact.path.engine == "shared"

@@ -411,7 +411,8 @@ class TestExecutePlanned:
 
         backend, acc, host, pools = planned_side
         planned = backend.execute_planned(
-            1, pools[1], put_pages, first_version, get_pages,
+            1, pools[1], put_pages,
+            list(range(first_version, first_version + len(put_pages))), get_pages,
             gets_before_puts(burst), burst["ppo"], now=1.0,
         )
         assert planned is not None
@@ -464,7 +465,7 @@ class TestExecutePlanned:
         # (0, 99) at the guest's.
         with pytest.raises(TmemError, match=re.escape(str(divmod(99, ppo)))):
             backend.execute_planned(
-                1, pools[1], [10, 11], 1, get_pages, [0, 0], ppo, now=1.0
+                1, pools[1], [10, 11], [1, 2], get_pages, [0, 0], ppo, now=1.0
             )
         assert pool.radix() == radix
         assert len(pool) == len(stored)
@@ -480,12 +481,12 @@ class TestExecutePlanned:
         backend, acc, host, pools = build_backend(tmem_pages=8)
         acc.set_target(1, 1)
         assert backend.execute_planned(
-            1, pools[1], [0, 1], 1, [], [0, 0], PPO, now=0.0
+            1, pools[1], [0, 1], [1, 2], [], [0, 0], PPO, now=0.0
         ) == ([1, 0], [], None, (), ())
         ephemeral = backend._store.create_pool(1, persistent=False)
         with pytest.raises(TmemError, match="persistent pool"):
             backend.execute_planned(
-                1, ephemeral.pool_id, [0], 1, [], [0], PPO, now=0.0
+                1, ephemeral.pool_id, [0], [1], [], [0], PPO, now=0.0
             )
 
 
@@ -702,7 +703,8 @@ class TestExecutePlannedRemote:
 
         side = planned_side
         planned = side.hypervisors[0].backend.execute_planned(
-            side.vm, side.pool, put_pages, first_version, get_pages,
+            side.vm, side.pool, put_pages,
+            list(range(first_version, first_version + len(put_pages))), get_pages,
             gets_before_puts(burst), burst["ppo"], now=1.0,
         )
         assert planned is not None
@@ -736,7 +738,7 @@ class TestExecutePlannedRemote:
         }
         side = remote_cluster(burst)
         planned = side.hypervisors[0].backend.execute_planned(
-            side.vm, side.pool, [], 1, [7], [], ppo, now=1.0
+            side.vm, side.pool, [], [], [7], [], ppo, now=1.0
         )
         assert planned == (None, [None], [0], [], [])
         assert side.hypervisors[0].store.get_pool(
@@ -773,6 +775,6 @@ class TestExecutePlannedRemote:
             else:
                 # A fetch n1 serves and a put n1 hosts come first.
                 side.hypervisors[0].backend.execute_planned(
-                    side.vm, side.pool, [9], 100, [1, 2], [1], PPO,
+                    side.vm, side.pool, [9], [100], [1, 2], [1], PPO,
                     now=1.0,
                 )
